@@ -3,18 +3,20 @@
  * Microbenchmark of the simulation kernels: full-sweep vs.
  * event-driven cycles/second on the GA stressmark (the adversarial
  * high-activity workload) and on bench430 programs, under both a
- * concrete-input driver and the symbolic all-X port driver. Asserts
- * that both kernels accumulate identical bound energy before trusting
- * the timing, prints one row per (workload, driver), and drops
- * machine-readable results in bench_out/BENCH_sim_kernel.json (the
- * checked-in BENCH_sim_kernel.json at the repository root is a copy).
+ * concrete-input driver and the symbolic all-X port driver. The two
+ * kernels are bit-identical by contract, so before trusting the timing
+ * it requires the summed bound energy, actual energy and active-gate
+ * count of both runs to be exactly equal. Prints one row per
+ * (workload, driver) and drops machine-readable results in
+ * bench_out/BENCH_sim_kernel.json (the checked-in BENCH_sim_kernel.json
+ * at the repository root is a copy).
  */
 
 #include <chrono>
-#include <cmath>
 #include <cstdio>
 #include <fstream>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "baseline/baselines.hh"
@@ -35,6 +37,8 @@ struct Workload {
 struct Measurement {
     double cyclesPerSec = 0.0;
     double boundEnergyJ = 0.0;
+    double actualEnergyJ = 0.0;
+    uint64_t activeGates = 0;
     uint64_t cycles = 0;
 };
 
@@ -57,6 +61,8 @@ runKernel(msp::System &sys, const Workload &w, EvalMode mode,
         while (m.cycles < target_cycles && !sys.halted()) {
             sim.step([&](Simulator &s) { sys.driveCycle(s, port); });
             m.boundEnergyJ += sim.boundEnergyJ();
+            m.actualEnergyJ += sim.actualEnergyJ();
+            m.activeGates += sim.activeGates().size();
             ++m.cycles;
         }
     }
@@ -104,7 +110,9 @@ main()
     constexpr uint64_t kMeasure = 20000;
 
     std::string json = "{\n  \"bench\": \"sim_kernel\",\n"
-                       "  \"target_cycles\": " +
+                       "  \"host_cpus\": " +
+                       std::to_string(std::thread::hardware_concurrency()) +
+                       ",\n  \"target_cycles\": " +
                        std::to_string(kMeasure) +
                        ",\n  \"workloads\": [\n";
     std::printf("%-16s %14s %14s %9s\n", "workload",
@@ -116,13 +124,18 @@ main()
             runKernel(sys, w, EvalMode::FullSweep, kMeasure);
         Measurement ev =
             runKernel(sys, w, EvalMode::EventDriven, kMeasure);
-        if (std::abs(fs.boundEnergyJ - ev.boundEnergyJ) >
-            1e-12 * std::abs(fs.boundEnergyJ)) {
+        if (fs.boundEnergyJ != ev.boundEnergyJ ||
+            fs.actualEnergyJ != ev.actualEnergyJ ||
+            fs.activeGates != ev.activeGates) {
             std::fprintf(stderr,
-                         "FATAL: kernel energy mismatch on %s "
-                         "(%.17g vs %.17g)\n",
+                         "FATAL: kernels differ on %s: bound %.17g vs "
+                         "%.17g, actual %.17g vs %.17g, active gates "
+                         "%llu vs %llu\n",
                          w.name.c_str(), fs.boundEnergyJ,
-                         ev.boundEnergyJ);
+                         ev.boundEnergyJ, fs.actualEnergyJ,
+                         ev.actualEnergyJ,
+                         (unsigned long long)fs.activeGates,
+                         (unsigned long long)ev.activeGates);
             return 1;
         }
         double speedup = ev.cyclesPerSec / fs.cyclesPerSec;

@@ -3,6 +3,7 @@
 #include <cassert>
 #include <cmath>
 #include <stdexcept>
+#include <vector>
 
 namespace ulpeak {
 
@@ -152,6 +153,34 @@ evalCell(CellKind k, const V4 *in)
         assert(false && "evalCell called on non-combinational kind");
         return V4::X;
     }
+}
+
+const V4 *
+cellTruthTable()
+{
+    static const std::vector<V4> table = [] {
+        std::vector<V4> t(kNumCellKinds * kPackedFaninStates, V4::X);
+        for (size_t k = 0; k < kNumCellKinds; ++k) {
+            CellKind kind = CellKind(k);
+            if (kind == CellKind::Input || isSequential(kind))
+                continue;
+            unsigned nin = cellFaninCount(kind);
+            for (unsigned idx = 0; idx < kPackedFaninStates; ++idx) {
+                V4 in[4];
+                bool packable = true;
+                for (unsigned p = 0; p < 4; ++p) {
+                    unsigned v = (idx >> (2 * p)) & 3;
+                    if (v > unsigned(V4::X) || (p >= nin && v != 0))
+                        packable = false;
+                    in[p] = V4(v);
+                }
+                if (packable)
+                    t[k * kPackedFaninStates + idx] = evalCell(kind, in);
+            }
+        }
+        return t;
+    }();
+    return table.data();
 }
 
 V4

@@ -85,6 +85,22 @@ const char *cellName(CellKind k);
 V4 evalCell(CellKind k, const V4 *in);
 
 /**
+ * Index of a packed fanin vector: pin p's V4 value occupies bits
+ * [2p, 2p + 1], unused pins are 0. Four pins fit in one byte.
+ */
+constexpr unsigned kPackedFaninStates = 256;
+
+/**
+ * Truth tables of every combinational kind over packed fanins:
+ * entry [k * kPackedFaninStates + idx] is evalCell(k, unpack(idx)).
+ * Built once, from evalCell itself, so a table lookup and evalCell
+ * agree by construction (tests/test_cell_library.cc checks every kind
+ * over all 3^nin inputs). Entries of non-combinational kinds, and of
+ * indices no fanin vector packs to, are X.
+ */
+const V4 *cellTruthTable();
+
+/**
  * Compute the next state of a sequential cell at a clock edge.
  *
  * @param k     sequential cell kind

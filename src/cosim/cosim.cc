@@ -131,14 +131,11 @@ run(msp::System &sys, const isa::Image &gate_image,
     sys.loadImage(gate_image);
     sys.clearHalted();
 
-    Simulator sim(sys.netlist(), opts.evalMode);
-    sys.attach(sim);
-
     // Gate-side store stream: observe the memory bus at every clock
     // edge (the same stable values System::memEdge commits).
     std::vector<MemWrite> gateWrites;
     bool gateXWrite = false;
-    sim.addEdgeFn([&](Simulator &s) {
+    auto onEdge = [&](Simulator &s) {
         if (s.value(h.rstn) != V4::One)
             return;
         V4 wr = s.value(h.mbWr);
@@ -153,7 +150,13 @@ run(msp::System &sys, const isa::Image &gate_image,
         }
         if (addr.value < isa::SystemMap::kRomBase)
             gateWrites.push_back({addr.value, data.value});
-    });
+    };
+
+    // Declared after onEdge, which it references, so it never outlives
+    // it.
+    Simulator sim(sys.netlist(), opts.evalMode);
+    sys.attach(sim);
+    sim.addEdgeFn(onEdge);
 
     sys.reset(sim, opts.preCycle);
 

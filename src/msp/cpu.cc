@@ -80,9 +80,8 @@ System::loadImage(const isa::Image &image)
 void
 System::attach(Simulator &sim)
 {
-    sim.setHookFn(h_.memHookId,
-                  [this](Simulator &s) { memHook(s); });
-    sim.addEdgeFn([this](Simulator &s) { memEdge(s); });
+    sim.setHookFn(h_.memHookId, SimFnRef::member<&System::memHook>(*this));
+    sim.addEdgeFn(SimFnRef::member<&System::memEdge>(*this));
 }
 
 void

@@ -114,15 +114,18 @@ class Levelizer {
 
         // Pre-compute per-gate transition energies and static totals.
         const CellLibrary &lib = *nl.lib_;
-        nl.riseE_.resize(n);
-        nl.fallE_.resize(n);
+        std::vector<double> &te = nl.flat_.transE;
+        te.resize(3 * n);
         nl.totalLeakage_ = 0.0;
         nl.clockEnergy_ = 0.0;
         for (GateId g = 0; g < n; ++g) {
             CellKind k = nl.gates_[g].kind;
             unsigned fo = nl.fanoutCount_[g];
-            nl.riseE_[g] = lib.transitionEnergyJ(k, true, fo);
-            nl.fallE_[g] = lib.transitionEnergyJ(k, false, fo);
+            double rise = lib.transitionEnergyJ(k, true, fo);
+            double fall = lib.transitionEnergyJ(k, false, fo);
+            te[3 * size_t(g) + kTransRise] = rise;
+            te[3 * size_t(g) + kTransFall] = fall;
+            te[3 * size_t(g) + kTransMax] = std::max(rise, fall);
             nl.totalLeakage_ += lib.params(k).leakageW;
             nl.clockEnergy_ += lib.params(k).clkPinEnergyJ;
         }
@@ -133,8 +136,8 @@ class Levelizer {
   private:
     /**
      * Build the structure-of-arrays kernel view: contiguous kind/nin
-     * arrays, CSR fanins, the CSR fanout adjacency restricted to
-     * combinational consumers, and the level-bucketed schedule.
+     * arrays, CSR fanins, the level-bucketed schedule, and the CSR
+     * fanout adjacency in the event kernel's wake-bit form.
      */
     static void
     flatten(Netlist &nl, const std::vector<uint32_t> &hookOf)
@@ -147,63 +150,20 @@ class Levelizer {
 
         f.kind.resize(n);
         f.nin.resize(n);
-        f.maxE.resize(n);
         f.faninOffset.assign(n + 1, 0);
         for (GateId g = 0; g < n; ++g) {
             const Gate &gate = nl.gates_[g];
             f.kind[g] = gate.kind;
             f.nin[g] = gate.nin;
-            f.maxE[g] = std::max(nl.riseE_[g], nl.fallE_[g]);
             f.faninOffset[g + 1] = f.faninOffset[g] + gate.nin;
         }
-        f.fanin.resize(f.faninOffset[n]);
+        // Three pad entries (gate 0) past the end: a kernel may read
+        // four pins of any gate and mask off the ones it does not have.
+        f.fanin.assign(f.faninOffset[n] + 3, 0);
         for (GateId g = 0; g < n; ++g) {
             const Gate &gate = nl.gates_[g];
             for (unsigned p = 0; p < gate.nin; ++p)
                 f.fanin[f.faninOffset[g] + p] = gate.in[p];
-        }
-
-        // Fanout CSR into combinational consumers (two-pass fill).
-        f.fanoutOffset.assign(n + 1, 0);
-        for (GateId g = 0; g < n; ++g) {
-            const Gate &gate = nl.gates_[g];
-            if (isSequential(gate.kind))
-                continue;
-            for (unsigned p = 0; p < gate.nin; ++p)
-                ++f.fanoutOffset[gate.in[p] + 1];
-        }
-        for (GateId g = 0; g < n; ++g)
-            f.fanoutOffset[g + 1] += f.fanoutOffset[g];
-        f.fanout.resize(f.fanoutOffset[n]);
-        std::vector<uint32_t> fill(f.fanoutOffset.begin(),
-                                   f.fanoutOffset.end() - 1);
-        for (GateId g = 0; g < n; ++g) {
-            const Gate &gate = nl.gates_[g];
-            if (isSequential(gate.kind))
-                continue;
-            for (unsigned p = 0; p < gate.nin; ++p)
-                f.fanout[fill[gate.in[p]]++] = g;
-        }
-
-        // CSR of sequential consumers (by seq index, two-pass fill).
-        std::vector<uint32_t> seqIndexOf(n, UINT32_MAX);
-        for (size_t i = 0; i < nl.seqGates_.size(); ++i)
-            seqIndexOf[nl.seqGates_[i]] = uint32_t(i);
-        f.seqFanoutOffset.assign(n + 1, 0);
-        for (GateId g : nl.seqGates_) {
-            const Gate &gate = nl.gates_[g];
-            for (unsigned p = 0; p < gate.nin; ++p)
-                ++f.seqFanoutOffset[gate.in[p] + 1];
-        }
-        for (GateId g = 0; g < n; ++g)
-            f.seqFanoutOffset[g + 1] += f.seqFanoutOffset[g];
-        f.seqFanout.resize(f.seqFanoutOffset[n]);
-        std::vector<uint32_t> sfill(f.seqFanoutOffset.begin(),
-                                    f.seqFanoutOffset.end() - 1);
-        for (GateId g : nl.seqGates_) {
-            const Gate &gate = nl.gates_[g];
-            for (unsigned p = 0; p < gate.nin; ++p)
-                f.seqFanout[sfill[gate.in[p]]++] = seqIndexOf[g];
         }
 
         // Levels, walked in the already-computed topological order so
@@ -264,6 +224,37 @@ class Levelizer {
         for (GateId g = 0; g < n; ++g)
             if (isSequential(nl.gates_[g].kind))
                 f.levelOfNode[g] = kNoLevel;
+
+        // Fanout CSR (two-pass fill; needs posOfNode above): per
+        // producer, the schedule positions of its combinational
+        // consumers, then seqWakeBase + the seq index of each flop
+        // consumer.
+        f.seqWakeBase = uint32_t((f.schedule.size() + 63) / 64 * 64);
+        std::vector<uint32_t> seqIndexOf(n, UINT32_MAX);
+        for (size_t i = 0; i < nl.seqGates_.size(); ++i)
+            seqIndexOf[nl.seqGates_[i]] = uint32_t(i);
+        f.fanoutOffset.assign(n + 1, 0);
+        for (GateId g = 0; g < n; ++g) {
+            const Gate &gate = nl.gates_[g];
+            for (unsigned p = 0; p < gate.nin; ++p)
+                ++f.fanoutOffset[gate.in[p] + 1];
+        }
+        for (GateId g = 0; g < n; ++g)
+            f.fanoutOffset[g + 1] += f.fanoutOffset[g];
+        f.fanoutPos.resize(f.fanoutOffset[n]);
+        std::vector<uint32_t> fill(f.fanoutOffset.begin(),
+                                   f.fanoutOffset.end() - 1);
+        for (bool seq : {false, true}) {
+            for (GateId g = 0; g < n; ++g) {
+                const Gate &gate = nl.gates_[g];
+                if (isSequential(gate.kind) != seq)
+                    continue;
+                uint32_t wake = seq ? f.seqWakeBase + seqIndexOf[g]
+                                    : f.posOfNode[g];
+                for (unsigned p = 0; p < gate.nin; ++p)
+                    f.fanoutPos[fill[gate.in[p]]++] = wake;
+            }
+        }
     }
 };
 

@@ -78,9 +78,10 @@ constexpr uint32_t kNoLevel = std::numeric_limits<uint32_t>::max();
  * a level no node depends on another, so any within-level order is a
  * valid topological order; @ref schedule stores levels contiguously,
  * ascending node id within each level. The full-sweep kernel walks
- * @ref schedule front to back; the event-driven kernel drains dirty
- * nodes level by level in arbitrary within-level order (the simulator
- * canonicalizes its activity list afterwards).
+ * @ref schedule front to back; the event-driven kernel keeps a pending
+ * bitset over schedule positions and drains it in ascending position
+ * -- the same order, since every consumer sits at a higher level than
+ * its producers and so at a higher position.
  */
 struct FlatNetlist {
     uint32_t numGates = 0;
@@ -92,27 +93,27 @@ struct FlatNetlist {
     std::vector<CellKind> kind;
     std::vector<uint8_t> nin;
     std::vector<uint32_t> faninOffset; ///< [numGates + 1] into fanin
-    std::vector<GateId> fanin;         ///< CSR fanin lists
+    /** CSR fanin lists, plus three trailing pad entries (gate 0) so
+     *  four pins can be read at any gate's offset. */
+    std::vector<GateId> fanin;
     /// @}
 
     /**
-     * CSR fanout adjacency: for each gate, the *combinational* gates it
-     * feeds (sequential consumers sample at the edge and hooks always
-     * run, so neither appears). May contain duplicates when a gate
-     * feeds several pins of one consumer; the kernel's dirty marks
-     * dedup.
+     * CSR fanout adjacency, in the event kernel's wake-bit form. For
+     * each gate: first the schedule positions (indices into
+     * @ref schedule) of the combinational gates it feeds, then, for
+     * each flop reading it on any pin, @ref seqWakeBase + the flop's
+     * index in Netlist::seqGates(). Hooks always run, so they do not
+     * appear. One bitset covering [0, seqWakeBase + #flops) thus
+     * marks both kinds of consumer with a single OR per entry. Entries
+     * may repeat when a gate feeds several pins of one consumer; the
+     * bitset dedups.
      */
-    std::vector<uint32_t> fanoutOffset; ///< [numGates + 1] into fanout
-    std::vector<GateId> fanout;
-
-    /**
-     * CSR adjacency of *sequential* consumers: for each gate, the
-     * positions (indices into Netlist::seqGates()) of the flops that
-     * read it on any pin. The event-driven kernel uses this to wake
-     * only flops whose edge inputs may have changed.
-     */
-    std::vector<uint32_t> seqFanoutOffset; ///< [numGates + 1]
-    std::vector<uint32_t> seqFanout;       ///< seq indices
+    std::vector<uint32_t> fanoutOffset; ///< [numGates + 1] into fanoutPos
+    std::vector<uint32_t> fanoutPos;
+    /** First sequential wake bit: schedule.size() rounded up to a
+     *  multiple of 64, so flop bits start on a word boundary. */
+    uint32_t seqWakeBase = 0;
 
     /// @name Level-bucketed combinational schedule
     /// @{
@@ -123,10 +124,23 @@ struct FlatNetlist {
                                        ///< for seq
     /// @}
 
-    /** max(riseE, fallE) per gate [J] (Algorithm 2's maxTransition). */
-    std::vector<double> maxE;
+    /**
+     * Per-gate transition energies [J], three per gate at
+     * [3 * g + TransitionClass]: rise, fall, and max(rise, fall)
+     * (Algorithm 2's maxTransition). The kernels price an active gate
+     * by indexing this row with its transition class instead of
+     * branching per case.
+     */
+    std::vector<double> transE;
 
     uint32_t numNodes() const { return numGates + numHooks; }
+};
+
+/** Column of FlatNetlist::transE. */
+enum TransitionClass : uint8_t {
+    kTransRise = 0,
+    kTransFall = 1,
+    kTransMax = 2,
 };
 
 class Netlist {
@@ -179,11 +193,17 @@ class Netlist {
 
     uint32_t fanoutCount(GateId g) const { return fanoutCount_[g]; }
     /** Energy of a 0->1 / 1->0 output transition of gate @p g [J]. */
-    double riseEnergyJ(GateId g) const { return riseE_[g]; }
-    double fallEnergyJ(GateId g) const { return fallE_[g]; }
+    double riseEnergyJ(GateId g) const
+    {
+        return flat_.transE[3 * size_t(g) + kTransRise];
+    }
+    double fallEnergyJ(GateId g) const
+    {
+        return flat_.transE[3 * size_t(g) + kTransFall];
+    }
     double maxEnergyJ(GateId g) const
     {
-        return riseE_[g] > fallE_[g] ? riseE_[g] : fallE_[g];
+        return flat_.transE[3 * size_t(g) + kTransMax];
     }
     /** Total leakage of the netlist [W]. */
     double totalLeakageW() const { return totalLeakage_; }
@@ -230,8 +250,6 @@ class Netlist {
     FlatNetlist flat_;
     std::vector<GateId> seqGates_;
     std::vector<uint32_t> fanoutCount_;
-    std::vector<double> riseE_;
-    std::vector<double> fallE_;
     double totalLeakage_ = 0.0;
     double clockEnergy_ = 0.0;
 };

@@ -373,7 +373,7 @@ PackedSimulator::accumulateEnergy()
         // Both unknown: the cell's maximum-power transition.
         m = a & ~pk & ~ck;
         if (m) {
-            double e = f.maxE[g];
+            double e = nl_->maxEnergyJ(g);
             while (m) {
                 unsigned l = unsigned(__builtin_ctzll(m));
                 m &= m - 1;

@@ -7,21 +7,74 @@
 
 namespace ulpeak {
 
+namespace {
+
+size_t
+bitWords(size_t bits)
+{
+    return (bits + 63) / 64;
+}
+
+inline void
+setBit(uint64_t *words, uint32_t i)
+{
+    words[i >> 6] |= uint64_t(1) << (i & 63);
+}
+
+inline bool
+testBit(const uint64_t *words, uint32_t i)
+{
+    return (words[i >> 6] >> (i & 63)) & 1;
+}
+
+/**
+ * Algorithm-2 pricing of an active gate by its (previous, current)
+ * value pair, indexed prev * 3 + cur (V4 values 0, 1, X = 2): the
+ * FlatNetlist::transE column, whether the pair bills bound energy at
+ * all, and whether it is a concrete (actual) toggle. A known p == c
+ * pair is an X-propagation flag without a toggle (0); known -> X
+ * assigns the X to !p; X -> known assigns the previous X to !c; X -> X
+ * takes the cell's maximum-power transition. The scales are exactly
+ * 1.0 or 0.0, and adding +0.0 to a non-negative sum leaves it
+ * bit-identical, so the unconditional additions equal the per-case
+ * branches they replace.
+ */
+struct EnergySelector {
+    uint8_t column;
+    double bound;
+    double actual;
+};
+constexpr EnergySelector kEnergySel[9] = {
+    {kTransRise, 0.0, 0.0}, // 0 -> 0
+    {kTransRise, 1.0, 1.0}, // 0 -> 1
+    {kTransRise, 1.0, 0.0}, // 0 -> X
+    {kTransFall, 1.0, 1.0}, // 1 -> 0
+    {kTransRise, 0.0, 0.0}, // 1 -> 1
+    {kTransFall, 1.0, 0.0}, // 1 -> X
+    {kTransFall, 1.0, 0.0}, // X -> 0
+    {kTransRise, 1.0, 0.0}, // X -> 1
+    {kTransMax, 1.0, 0.0},  // X -> X
+};
+
+} // namespace
+
 Simulator::Simulator(const Netlist &nl, EvalMode mode)
-    : nl_(&nl), flat_(&nl.flat()), mode_(mode)
+    : nl_(&nl), flat_(&nl.flat()), truth_(cellTruthTable()), mode_(mode)
 {
     if (!nl.finalized())
         throw std::logic_error("Simulator requires a finalized netlist");
     size_t n = nl.numGates();
+    size_t nseq = nl.seqGates().size();
     val_.assign(n, V4::X);
     prev_.assign(n, V4::X);
-    // Padded to a multiple of 8 so the canonical active-list rebuild
-    // can scan the flags a word at a time; pad bytes stay 0.
+    // Padded to a multiple of 8 (the snapshot and hash form; the pad
+    // bytes stay 0).
     active_.assign((n + 7) & ~size_t(7), 0);
-    activePrev_.assign(active_.size(), 0);
-    loadedPrevEdge_.assign(nl.seqGates().size(), 1);
+    actBits_.assign(bitWords(n), 0);
+    actBitsPrev_.assign(bitWords(n), 0);
+    loadedPrevEdge_.assign(nseq, 1);
     seqIndexOf_.assign(n, UINT32_MAX);
-    for (size_t i = 0; i < nl.seqGates().size(); ++i)
+    for (size_t i = 0; i < nseq; ++i)
         seqIndexOf_[nl.seqGates()[i]] = uint32_t(i);
     topModuleOf_.resize(n);
     for (GateId g = 0; g < n; ++g)
@@ -29,116 +82,74 @@ Simulator::Simulator(const Netlist &nl, EvalMode mode)
     for (GateId g = 0; g < n; ++g)
         if (flat_->kind[g] == CellKind::Input)
             inputGates_.push_back(g);
-    dirty_.assign(flat_->numNodes(), 0);
-    buckets_.resize(flat_->numLevels);
+    pending_.assign(bitWords(flat_->seqWakeBase + nseq), 0);
     activeList_.reserve(n / 4 + 64);
-    seqMark_[0].assign(nl.seqGates().size(), 0);
-    seqMark_[1].assign(nl.seqGates().size(), 0);
+    seqNext_.assign(bitWords(nseq), 0);
+    seqMarkPrev_.assign(bitWords(nseq), 0);
     markAllSeq();
     hookFns_.resize(nl.hooks().size());
     moduleEnergy_.assign(nl.numModules(), 0.0);
 }
 
 void
-Simulator::setHookFn(uint32_t hook_id, HookFn fn)
+Simulator::setHookFn(uint32_t hook_id, SimFnRef fn)
 {
-    hookFns_.at(hook_id) = std::move(fn);
+    hookFns_.at(hook_id) = fn;
 }
 
 void
-Simulator::addEdgeFn(EdgeFn fn)
+Simulator::addEdgeFn(SimFnRef fn)
 {
-    edgeFns_.push_back(std::move(fn));
+    if (fn)
+        edgeFns_.push_back(fn);
 }
 
-void
-Simulator::enqueueNode(uint32_t node)
+inline void
+Simulator::markFanouts(GateId g, bool value_changed)
 {
-    if (dirty_[node])
+    // An active gate wakes its flop consumers for the next two edges
+    // (see seqMarkPrev_) and its combinational consumers for this
+    // cycle. A combinational consumer must re-evaluate when a fanin's
+    // value changed. When the fanin is merely X-active (value held),
+    // only X-valued consumers can be affected: a known-valued consumer
+    // of unchanged fanins recomputes the same known value and stays
+    // inactive (Section 3.1's X rule applies to X outputs only).
+    const FlatNetlist &f = *flat_;
+    uint64_t *pending = pending_.data();
+    uint32_t begin = f.fanoutOffset[g];
+    uint32_t end = f.fanoutOffset[g + 1];
+    if (value_changed) {
+        for (uint32_t i = begin; i < end; ++i)
+            setBit(pending, f.fanoutPos[i]);
         return;
-    dirty_[node] = 1;
-    buckets_[flat_->levelOfNode[node]].push_back(node);
+    }
+    // Branch-free: flop bits always, gate bits if the consumer is X (a
+    // flop bit reads a harmless in-range dummy value).
+    for (uint32_t i = begin; i < end; ++i) {
+        uint32_t w = f.fanoutPos[i];
+        bool seq = w >= f.seqWakeBase;
+        bool x = val_[f.schedule[seq ? 0 : w]] == V4::X;
+        pending[w >> 6] |= uint64_t(seq | x) << (w & 63);
+    }
 }
 
-void
-Simulator::enqueueSeqNext(uint32_t seq_index)
+inline void
+Simulator::markPending(uint32_t node)
 {
-    if (seqMark_[0][seq_index])
-        return;
-    seqMark_[0][seq_index] = 1;
-    seqQ_[0].push_back(seq_index);
-}
-
-void
-Simulator::enqueueSeqBoth(uint32_t seq_index)
-{
-    enqueueSeqNext(seq_index);
-    if (seqMark_[1][seq_index])
-        return;
-    seqMark_[1][seq_index] = 1;
-    seqQ_[1].push_back(seq_index);
-}
-
-void
-Simulator::markSeqConsumers(GateId g)
-{
-    uint32_t begin = flat_->seqFanoutOffset[g];
-    uint32_t end = flat_->seqFanoutOffset[g + 1];
-    for (uint32_t i = begin; i < end; ++i)
-        enqueueSeqBoth(flat_->seqFanout[i]);
+    setBit(pending_.data(), flat_->posOfNode[node]);
 }
 
 void
 Simulator::markAllSeq()
 {
-    for (int w = 0; w < 2; ++w) {
-        seqQ_[w].clear();
-        std::fill(seqMark_[w].begin(), seqMark_[w].end(), 1);
-        seqQ_[w].resize(seqMark_[w].size());
-        for (uint32_t i = 0; i < seqQ_[w].size(); ++i)
-            seqQ_[w][i] = i;
-    }
-}
-
-void
-Simulator::markFanoutsDirty(GateId g, bool value_changed)
-{
-    // A consumer must re-evaluate when a fanin's value changed. When
-    // the fanin is merely X-active (value held), only X-valued
-    // consumers can be affected: a known-valued consumer of unchanged
-    // fanins recomputes the same known value and stays inactive
-    // (Section 3.1's X rule applies to X outputs only).
-    uint32_t begin = flat_->fanoutOffset[g];
-    uint32_t end = flat_->fanoutOffset[g + 1];
-    // An engaged prune mask drops proven-constant consumers from the
-    // worklist: re-evaluating one reproduces its settled value and
-    // inactivity, so skipping is value- and energy-neutral.
-    const uint8_t *pm = staticPruneActive() ? pruneMask_->data()
-                                            : nullptr;
-    if (value_changed) {
-        for (uint32_t i = begin; i < end; ++i) {
-            GateId t = flat_->fanout[i];
-            if (pm && pm[t])
-                continue;
-            enqueueNode(t);
-        }
-    } else {
-        for (uint32_t i = begin; i < end; ++i) {
-            GateId t = flat_->fanout[i];
-            if (val_[t] == V4::X && !(pm && pm[t]))
-                enqueueNode(t);
-        }
-    }
-}
-
-void
-Simulator::clearEventQueues()
-{
-    for (auto &b : buckets_) {
-        for (uint32_t node : b)
-            dirty_[node] = 0;
-        b.clear();
-    }
+    // Every flop pending for the next two edges (the current-cycle
+    // marks drain at the next edge and, shifted into seqMarkPrev_, at
+    // the one after).
+    size_t nseq = nl_->seqGates().size();
+    uint64_t *cur = pending_.data() + flat_->seqWakeBase / 64;
+    std::fill(cur, pending_.data() + pending_.size(), ~uint64_t(0));
+    if (nseq % 64)
+        pending_.back() = (uint64_t(1) << (nseq % 64)) - 1;
 }
 
 void
@@ -185,11 +196,9 @@ Simulator::setInput(GateId g, V4 v)
         // call happens between steps (legal per the API), the next
         // prologue copies val_ into prev_, so the input itself
         // evaluates as unchanged and would never propagate the edit.
-        if (val_[g] != v) {
-            markFanoutsDirty(g, /*value_changed=*/true);
-            markSeqConsumers(g);
-        }
-        enqueueNode(g);
+        if (val_[g] != v)
+            markFanouts(g, /*value_changed=*/true);
+        markPending(g);
     }
     val_[g] = v;
 }
@@ -218,15 +227,14 @@ Simulator::forceValue(GateId g, V4 v)
     assert(seqIndexOf_[g] != UINT32_MAX ||
            flat_->kind[g] == CellKind::Input);
     if (mode_ == EvalMode::EventDriven && val_[g] != v) {
-        markFanoutsDirty(g, /*value_changed=*/true);
-        markSeqConsumers(g);
+        markFanouts(g, /*value_changed=*/true);
         // A forced flop's own next-edge evaluation reads the forced
         // q; a forced input must re-derive its activity flag like a
         // driver-set one.
         if (seqIndexOf_[g] != UINT32_MAX)
-            enqueueSeqNext(seqIndexOf_[g]);
+            setBit(seqNext_.data(), seqIndexOf_[g]);
         else
-            enqueueNode(g);
+            markPending(g);
     }
     val_[g] = v;
 }
@@ -246,7 +254,6 @@ Simulator::injectSeuFlip(GateId g)
     // the flip (same reasoning as forceValue).
     uint32_t si = seqIndexOf_[g];
     assert(si != UINT32_MAX);
-    (void)si;
     // An upset can ripple into a proven-constant cone (the proof
     // assumed fault-free operation), so any injection permanently
     // disables pruning for this simulator. Fault campaigns never
@@ -261,15 +268,15 @@ Simulator::injectSeuFlip(GateId g)
     // the flop back to its pre-edge value the known->known p == c rule
     // in accumulateEnergy bills no transition energy -- the flag then
     // only feeds X-propagation, exactly like a glitchless hold.
-    if (!active_[g]) {
-        active_[g] = 1;
-        activeList_.push_back(g); // sweepEvent seeds from this list
-    }
+    // Between steps, activeGates() must agree with isActive().
+    if (!active_[g])
+        activeList_.push_back(g);
+    active_[g] = 1;
+    setBit(actBits_.data(), g); // sweepEvent seeds from the bitset
     if (mode_ == EvalMode::EventDriven) {
-        markFanoutsDirty(g, /*value_changed=*/true);
-        markSeqConsumers(g);
+        markFanouts(g, /*value_changed=*/true);
         // The flipped q feeds this flop's own next-edge evaluation.
-        enqueueSeqNext(si);
+        setBit(seqNext_.data(), si);
     }
     return true;
 }
@@ -292,17 +299,33 @@ Simulator::addBehavioralEnergyJ(double j, ModuleId top_module)
     moduleEnergy_[top_module] += j;
 }
 
+namespace {
+
+/** The values of the fanins at @p in, two bits each, with pins at or
+ *  past @p nin masked to 0: the cellTruthTable() index. It reads four
+ *  pins whatever the arity (safe at any gate, the fanin array is
+ *  padded), so no loop trip count or branch depends on the arity. */
+inline unsigned
+packPins(const GateId *in, unsigned nin, const V4 *vals)
+{
+    unsigned idx = unsigned(vals[in[0]]) | unsigned(vals[in[1]]) << 2 |
+                   unsigned(vals[in[2]]) << 4 | unsigned(vals[in[3]]) << 6;
+    return idx & ((1u << (2 * nin)) - 1);
+}
+
+} // namespace
+
 template <bool kEvent>
-void
-Simulator::evalSeqGate(size_t i)
+inline void
+Simulator::evalSeq(uint32_t i)
 {
     const FlatNetlist &f = *flat_;
     GateId g = nl_->seqGates()[i];
-    uint32_t off = f.faninOffset[g];
-    unsigned nin = f.nin[g];
+    const GateId *in = f.fanin.data() + f.faninOffset[g];
+    unsigned n = f.nin[g];
     V4 ins[3];
-    for (unsigned p = 0; p < nin; ++p)
-        ins[p] = prev_[f.fanin[off + p]];
+    for (unsigned p = 0; p < n; ++p)
+        ins[p] = prev_[in[p]];
     V4 q = prev_[g];
     bool held = false;
     V4 newq = evalSeqCell(f.kind[g], q, ins, held);
@@ -320,21 +343,20 @@ Simulator::evalSeqGate(size_t i)
         // the flop loaded at the previous edge too, its D pin was
         // inactive then, and no control pin is X.
         bool ctrl_x = false;
-        for (unsigned p = 1; p < nin; ++p)
-            if (!isKnown(ins[p]))
-                ctrl_x = true;
+        for (unsigned p = 1; p < n; ++p)
+            ctrl_x |= !isKnown(ins[p]);
         act = !loadedPrevEdge_[i] || ctrl_x ||
-              activePrev_[f.fanin[off]] ||
+              testBit(actBitsPrev_.data(), in[0]) ||
               (isKnown(newq) != isKnown(q));
     }
     active_[g] = act;
     if (act)
-        activeList_.push_back(g);
+        setBit(actBits_.data(), g);
     uint8_t loaded = held ? 0 : 1;
     if (kEvent && (act || loaded != loadedPrevEdge_[i])) {
         // Changed state (q or load history) feeds this flop's own
         // next-edge evaluation.
-        enqueueSeqNext(uint32_t(i));
+        setBit(seqNext_.data(), i);
     }
     loadedPrevEdge_[i] = loaded;
 }
@@ -343,99 +365,94 @@ void
 Simulator::updateSequential()
 {
     if (mode_ == EvalMode::FullSweep) {
-        for (size_t i = 0; i < nl_->seqGates().size(); ++i)
-            evalSeqGate<false>(i);
+        for (uint32_t i = 0; i < nl_->seqGates().size(); ++i)
+            evalSeq<false>(i);
         return;
     }
-    // Rotate the wake windows: drain what was marked for this edge,
-    // promote the echo window; marks generated during the drain (and
-    // during the upcoming combinational phase) land on the next edge.
-    seqDrain_.swap(seqQ_[0]);
-    seqQ_[0].swap(seqQ_[1]);
-    seqMark_[0].swap(seqMark_[1]);
-    for (uint32_t i : seqDrain_) {
-        seqMark_[1][i] = 0; // the drained window's bitmap (post-swap)
-        evalSeqGate<true>(i);
+    // Evaluate the flops due at this edge and rotate the windows:
+    // last cycle's consumer marks expire, this cycle's become "last
+    // cycle". A flop's evaluation only ever re-marks its own index in
+    // seqNext_ (for the next edge), and its word is cleared before
+    // its bits are walked, so word-at-a-time rotation is exact.
+    uint64_t *cur = pending_.data() + flat_->seqWakeBase / 64;
+    uint64_t *next = seqNext_.data();
+    uint64_t *prevMarks = seqMarkPrev_.data();
+    for (uint32_t w = 0; w < seqNext_.size(); ++w) {
+        uint64_t due = next[w] | cur[w] | prevMarks[w];
+        next[w] = 0;
+        prevMarks[w] = cur[w];
+        cur[w] = 0;
+        for (; due; due &= due - 1)
+            evalSeq<true>(w * 64 + unsigned(__builtin_ctzll(due)));
     }
-    seqDrain_.clear();
 }
 
 template <bool kEvent>
-void
-Simulator::evalNode(uint32_t node)
+inline void
+Simulator::evalGate(GateId g)
 {
     const FlatNetlist &f = *flat_;
-    if (node >= f.numGates) {
-        // Behavioral hook at its levelized position.
-        HookFn &fn = hookFns_[node - f.numGates];
-        if (fn)
-            fn(*this);
+    CellKind k = f.kind[g];
+    V4 v;
+    bool act;
+    if (k == CellKind::Const0 || k == CellKind::Const1) {
+        val_[g] = k == CellKind::Const1 ? V4::One : V4::Zero;
+        active_[g] = 0;
         return;
     }
-    GateId g = node;
-    switch (f.kind[g]) {
-      case CellKind::Const0:
-        val_[g] = V4::Zero;
-        active_[g] = 0;
-        return;
-      case CellKind::Const1:
-        val_[g] = V4::One;
-        active_[g] = 0;
-        return;
-      case CellKind::Input: {
+    if (k == CellKind::Input) {
         // Value was set by the driver or a hook (or holds over from
         // the previous cycle). An unknown input may toggle at any
         // time, so X counts as active.
-        bool act = val_[g] != prev_[g] || val_[g] == V4::X;
-        active_[g] = act;
-        if (act && kEvent) {
-            markFanoutsDirty(g, val_[g] != prev_[g]);
-            markSeqConsumers(g);
-        }
-        return;
-      }
-      default:
-        break;
+        v = val_[g];
+        act = v != prev_[g] || v == V4::X;
+    } else {
+        const GateId *in = f.fanin.data() + f.faninOffset[g];
+        unsigned n = f.nin[g];
+        const uint8_t *active = active_.data();
+        unsigned fanin_active = unsigned(active[in[0]]) |
+                                unsigned(active[in[1]]) << 1 |
+                                unsigned(active[in[2]]) << 2 |
+                                unsigned(active[in[3]]) << 3;
+        fanin_active &= (1u << n) - 1;
+        v = truth_[unsigned(k) * kPackedFaninStates +
+                   packPins(in, n, val_.data())];
+        val_[g] = v;
+        act = v != prev_[g] || (v == V4::X && fanin_active);
     }
-
-    V4 ins[4];
-    bool fanin_active = false;
-    uint32_t off = f.faninOffset[g];
-    unsigned nin = f.nin[g];
-    for (unsigned p = 0; p < nin; ++p) {
-        GateId src = f.fanin[off + p];
-        ins[p] = val_[src];
-        fanin_active |= active_[src] != 0;
-    }
-    V4 v = evalCell(f.kind[g], ins);
-    val_[g] = v;
-    bool act = v != prev_[g] || (v == V4::X && fanin_active);
     active_[g] = act;
-    if (act && kEvent) {
-        markFanoutsDirty(g, v != prev_[g]);
-        markSeqConsumers(g);
+    if (act) {
+        setBit(actBits_.data(), g);
+        if (kEvent)
+            markFanouts(g, v != prev_[g]);
     }
+}
+
+void
+Simulator::runHook(uint32_t hook_id)
+{
+    // Behavioral hook at its levelized position.
+    const SimFnRef &fn = hookFns_[hook_id];
+    if (fn)
+        fn(*this);
 }
 
 void
 Simulator::sweepFull()
 {
-    if (!staticPruneActive()) {
-        for (uint32_t node : flat_->schedule)
-            evalNode<false>(node);
-        return;
-    }
-    // A masked gate whose activity flag is clear already settled to
-    // its proven constant and cannot toggle again: its re-evaluation
-    // would reproduce val_ and a clear flag, so skipping it is
-    // exact. A masked gate with the flag still set (its settle
-    // transition, or any pre-engage activity carried in a restored
-    // snapshot) is evaluated normally, which clears the flag.
-    const uint8_t *pm = pruneMask_->data();
+    // With an engaged prune mask, a masked gate whose activity flag is
+    // clear already settled to its proven constant and cannot toggle
+    // again: its re-evaluation would reproduce val_ and a clear flag,
+    // so skipping it is exact. A masked gate with the flag still set
+    // (its settle transition, or any pre-engage activity carried in a
+    // restored snapshot) is evaluated normally, which clears the flag.
+    const uint8_t *pm = staticPruneActive() ? pruneMask_->data() : nullptr;
+    const uint32_t numGates = flat_->numGates;
     for (uint32_t node : flat_->schedule) {
-        if (node < flat_->numGates && pm[node] && !active_[node])
-            continue;
-        evalNode<false>(node);
+        if (node >= numGates)
+            runHook(node - numGates);
+        else if (!(pm && pm[node] && !active_[node]))
+            evalGate<false>(node);
     }
 }
 
@@ -448,57 +465,77 @@ Simulator::sweepEvent()
     // bill per-access energy, so skipping them would diverge from the
     // full sweep.
     for (uint32_t hid = 0; hid < f.numHooks; ++hid)
-        enqueueNode(f.numGates + hid);
+        markPending(f.numGates + hid);
     // Unknown inputs count as active every cycle (Section 3.1) even
-    // when untouched; driver-touched inputs were enqueued by
-    // setInput().
+    // when untouched; driver-touched inputs were marked by setInput().
     for (GateId g : inputGates_)
         if (val_[g] == V4::X)
-            enqueueNode(g);
+            markPending(g);
     // Active sequential outputs wake their fanout cones (an inactive
     // sequential gate provably kept its value) and their sequential
-    // consumers. activeList_ holds exactly the active sequential
-    // gates at this point.
-    for (GateId g : activeList_) {
-        markFanoutsDirty(g, val_[g] != prev_[g]);
-        markSeqConsumers(g);
+    // consumers. actBits_ holds exactly the active sequential gates
+    // (including upsets) at this point.
+    for (uint32_t w = 0; w < actBits_.size(); ++w) {
+        for (uint64_t bits = actBits_[w]; bits; bits &= bits - 1) {
+            GateId g = w * 64 + unsigned(__builtin_ctzll(bits));
+            markFanouts(g, val_[g] != prev_[g]);
+        }
     }
 
-    // Drain by ascending level; within a level no node depends on
-    // another, so insertion order is fine -- the activity list is
-    // canonicalized (sorted) before the energy accumulation.
-    for (uint32_t l = 0; l < f.numLevels; ++l) {
-        std::vector<uint32_t> &b = buckets_[l];
-        for (size_t i = 0; i < b.size(); ++i) {
-            uint32_t node = b[i];
-            dirty_[node] = 0;
-            evalNode<true>(node);
+    // Drain in ascending position, a topological order: evaluating a
+    // node only marks strictly higher positions, so re-reading the
+    // current word after each evaluation picks up its new marks in
+    // order. An engaged prune mask (tested once, here) drops
+    // proven-constant gates as they come up: re-evaluating one
+    // reproduces its settled value and inactivity, so skipping is
+    // value- and energy-neutral.
+    const uint8_t *pm = staticPruneActive() ? pruneMask_->data() : nullptr;
+    uint64_t *pending = pending_.data();
+    const uint32_t *schedule = f.schedule.data();
+    for (uint32_t w = 0; w < f.seqWakeBase / 64; ++w) {
+        uint64_t bits;
+        while ((bits = pending[w]) != 0) {
+            pending[w] = bits & (bits - 1);
+            uint32_t node =
+                schedule[w * 64 + unsigned(__builtin_ctzll(bits))];
+            if (node >= f.numGates)
+                runHook(node - f.numGates);
+            else if (!(pm && pm[node]))
+                evalGate<true>(node);
         }
-        b.clear();
     }
 }
 
 void
-Simulator::rebuildActiveList()
+Simulator::syncActivityBits()
 {
-    // Canonicalize the activity list: the evaluation order of the
-    // event-driven kernel differs from the full sweep's within a
-    // level, and floating-point sums are order-sensitive. Rebuilding
-    // the list in ascending gate-id order from the flag bitmap (a
-    // word at a time; the tail is zero-padded) makes per-cycle
-    // energies and the activeGates() view bit-identical across
-    // kernels, cheaper than sorting the list.
-    activeList_.clear();
+    // Rebuild the bitset from the flag bytes (a word at a time; the
+    // tail is zero-padded) after they were overwritten wholesale.
+    std::fill(actBits_.begin(), actBits_.end(), 0);
     const uint8_t *flags = active_.data();
     for (size_t base = 0; base < active_.size(); base += 8) {
         uint64_t w;
         std::memcpy(&w, flags + base, 8);
         while (w) {
             unsigned byte = unsigned(__builtin_ctzll(w)) >> 3;
-            activeList_.push_back(GateId(base + byte));
+            setBit(actBits_.data(), uint32_t(base + byte));
             w &= ~(uint64_t(0xff) << (byte * 8));
         }
     }
+}
+
+void
+Simulator::rebuildActiveList()
+{
+    // Canonicalize the activity list: ascending gate id, whatever
+    // order the kernel evaluated in, because floating-point sums are
+    // order-sensitive. This keeps per-cycle energies and the
+    // activeGates() view bit-identical across kernels.
+    activeList_.clear();
+    for (size_t w = 0; w < actBits_.size(); ++w)
+        for (uint64_t bits = actBits_[w]; bits; bits &= bits - 1)
+            activeList_.push_back(
+                GateId(w * 64 + unsigned(__builtin_ctzll(bits))));
 }
 
 void
@@ -507,45 +544,46 @@ Simulator::accumulateEnergy()
     rebuildActiveList();
 
     // Per-cycle energy: concrete transitions (actual) and the
-    // Algorithm-2 per-cycle peak assignment (bound).
-    const FlatNetlist &f = *flat_;
+    // Algorithm-2 per-cycle peak assignment (bound), in ascending gate
+    // id, one selector lookup per gate (see kEnergySel). Active gates
+    // come in long runs of one module, so the module's sum stays in a
+    // register across its run; each sum still sees the same additions
+    // in the same order.
+    const double *te = flat_->transE.data();
+    const V4 *val = val_.data();
+    const V4 *prev = prev_.data();
+    const ModuleId *moduleOf = topModuleOf_.data();
+    double *modE = moduleEnergy_.data();
+    double actual = actualEnergy_;
+    double bound = boundEnergy_;
+    ModuleId m = 0;
+    double modSum = modE[0];
     for (GateId g : activeList_) {
-        V4 p = prev_[g];
-        V4 c = val_[g];
-        double e;
-        if (isKnown(p) && isKnown(c)) {
-            if (p == c)
-                continue; // active-X propagation flag only, no toggle
-            e = (c == V4::One) ? nl_->riseEnergyJ(g)
-                               : nl_->fallEnergyJ(g);
-            actualEnergy_ += e;
-        } else if (isKnown(p)) {
-            // Assign the X to !p: the transition p -> !p happened.
-            e = (p == V4::Zero) ? nl_->riseEnergyJ(g)
-                                : nl_->fallEnergyJ(g);
-        } else if (isKnown(c)) {
-            // Assign the previous X to !c.
-            e = (c == V4::One) ? nl_->riseEnergyJ(g)
-                               : nl_->fallEnergyJ(g);
-        } else {
-            // Both unknown: the cell's maximum-power transition
-            // (Algorithm 2, maxTransition lookup).
-            e = f.maxE[g];
+        const EnergySelector &sel =
+            kEnergySel[unsigned(prev[g]) * 3 + unsigned(val[g])];
+        double e = te[3 * size_t(g) + sel.column];
+        if (moduleOf[g] != m) {
+            modE[m] = modSum;
+            m = moduleOf[g];
+            modSum = modE[m];
         }
-        boundEnergy_ += e;
-        moduleEnergy_[topModuleOf_[g]] += e;
+        actual += e * sel.actual;
+        bound += e * sel.bound;
+        modSum += e * sel.bound;
     }
+    modE[m] = modSum;
+    actualEnergy_ = actual;
+    boundEnergy_ = bound;
 }
 
 void
-Simulator::step(const std::function<void(Simulator &)> &driver)
+Simulator::step(SimFnRef driver)
 {
     // Commit edge effects (memory writes) of the previous cycle.
     if (cycle_ > 0)
-        for (auto &fn : edgeFns_)
+        for (const SimFnRef &fn : edgeFns_)
             fn(*this);
 
-    activePrev_ = active_;
     if (mode_ == EvalMode::EventDriven) {
         // Skipped gates must read as inactive: clear the flags of last
         // cycle's active set (the only set flags) instead of sweeping
@@ -553,6 +591,8 @@ Simulator::step(const std::function<void(Simulator &)> &driver)
         for (GateId g : activeList_)
             active_[g] = 0;
     }
+    actBits_.swap(actBitsPrev_);
+    std::fill(actBits_.begin(), actBits_.end(), 0);
     prev_ = val_;
     activeList_.clear();
     actualEnergy_ = 0.0;
@@ -572,7 +612,7 @@ Simulator::step(const std::function<void(Simulator &)> &driver)
         // oblivious sweep records no wake marks, so re-arm every flop
         // for the next two edges.
         sweepFull();
-        clearEventQueues();
+        std::fill(pending_.begin(), pending_.end(), 0);
         markAllSeq();
     } else {
         sweepEvent();
@@ -586,7 +626,7 @@ Simulator::Snapshot
 Simulator::snapshot() const
 {
     // Captured between steps: active_ holds the last stepped cycle's
-    // activity, which the next step() moves into activePrev_.
+    // activity, which the next step() reads as the previous cycle's.
     return Snapshot{val_, active_, loadedPrevEdge_, cycle_};
 }
 
@@ -599,15 +639,7 @@ Simulator::restore(const Snapshot &s)
     active_ = s.activeLast;
     loadedPrevEdge_ = s.loadedPrevEdge;
     cycle_ = s.cycle;
-    // Rebuild the active list so the next step's flag-clearing pass
-    // (event mode) sees every set flag; consumers observing
-    // activeGates() after a restore get the restored cycle's set.
-    rebuildActiveList();
-    // The restored state carries no wake marks: re-arm every flop.
-    // (Stale combinational queue entries are harmless -- evaluating a
-    // clean gate reproduces its full-sweep value and activity.)
-    if (mode_ == EvalMode::EventDriven)
-        markAllSeq();
+    afterRestore();
 }
 
 namespace {
@@ -615,7 +647,7 @@ namespace {
 /** Append (index, new) pairs where @p cur differs from @p base.
  *  Hot path of every delta fork: forks are temporally close to their
  *  base, so almost every byte compares equal -- scan a word at a time
- *  (same idiom as rebuildActiveList) and only touch bytes of words
+ *  (same idiom as syncActivityBits) and only touch bytes of words
  *  that differ, instead of a branch per element. */
 template <typename T>
 void
@@ -713,8 +745,21 @@ Simulator::restore(const DeltaSnapshot &s)
     applyDelta(loadedPrevEdge_, s.base->loadedPrevEdge, s.seqIdx,
                s.seqNew);
     cycle_ = s.cycle;
-    // Same tail as restore(Snapshot): see there for why.
+    afterRestore();
+}
+
+void
+Simulator::afterRestore()
+{
+    // Rebuild the activity bitset and list so the next step's
+    // flag-clearing pass (event mode) sees every set flag; consumers
+    // observing activeGates() after a restore get the restored cycle's
+    // set.
+    syncActivityBits();
     rebuildActiveList();
+    // The restored state carries no wake marks: re-arm every flop.
+    // (Stale pending bits are harmless -- evaluating a clean gate
+    // reproduces its full-sweep value and activity.)
     if (mode_ == EvalMode::EventDriven)
         markAllSeq();
 }

@@ -14,21 +14,30 @@
  *    cycle, walking the level-bucketed schedule front to back -- the
  *    straightforward oblivious kernel, kept as the reference;
  *  - EvalMode::EventDriven (the default) evaluates only gates whose
- *    fanins changed value or activity this cycle: per-level dirty
- *    worklists are seeded by changed/active sequential outputs,
+ *    fanins changed value or activity this cycle. A pending bitset over
+ *    schedule positions is seeded by changed/active sequential outputs,
  *    driver-touched and unknown primary inputs, and behavioral-hook
- *    outputs, then drained level by level in schedule order. Hooks
- *    always run (behavioral state such as RAM contents can change
- *    between cycles without any netlist-visible event, and hooks bill
- *    per-access energy). Skipped gates are exactly the gates a full
- *    sweep would have re-evaluated to an identical (value, activity)
- *    pair; within a level no gate depends on another, so evaluation
- *    order differences cannot change values. The per-cycle activity
- *    list is canonicalized (sorted by gate id) in both modes before
- *    the order-sensitive floating-point energy accumulation, so both
- *    kernels produce bit-identical values, activity lists, and
- *    energies every cycle -- the test suite locksteps the two kernels
- *    across the bench430 programs to enforce this.
+ *    outputs, then drained in ascending position: every consumer sits
+ *    at a higher level, hence a higher position, than its producers,
+ *    so the drain is the full sweep's own topological order restricted
+ *    to the pending nodes, and evaluating a gate ORs its consumers'
+ *    bits in ahead of the drain. Hooks always run (behavioral state
+ *    such as RAM contents can change between cycles without any
+ *    netlist-visible event, and hooks bill per-access energy). Skipped
+ *    gates are exactly the gates a full sweep would have re-evaluated
+ *    to an identical (value, activity) pair. Flops wake over a two-edge
+ *    window held in three seq-index bitsets: next edge only, marked
+ *    this cycle (the flop tail of the pending bitset, so one walk of
+ *    the fanout CSR marks both kinds of consumer), and marked last
+ *    cycle; each edge evaluates their union and rotates them.
+ *
+ * Both kernels evaluate a gate by one lookup in cellTruthTable() over
+ * its packed fanin values, record activity in a gate-id bitset as they
+ * go, and build the per-cycle activity list from it in ascending gate
+ * id before the order-sensitive floating-point energy accumulation, so
+ * both produce bit-identical values, activity lists, and energies every
+ * cycle -- the test suite locksteps the two kernels across the bench430
+ * programs to enforce this.
  *
  * Activity follows the paper's definition (Section 3.1): a gate is
  * active in a cycle if its value changed, or if it is X and is driven by
@@ -58,11 +67,12 @@
 #ifndef ULPEAK_SIM_SIMULATOR_HH
 #define ULPEAK_SIM_SIMULATOR_HH
 
-#include <functional>
 #include <memory>
+#include <type_traits>
 #include <vector>
 
 #include "netlist/netlist.hh"
+#include "sim/function_ref.hh"
 
 namespace ulpeak {
 
@@ -84,14 +94,13 @@ class Simulator;
  */
 enum class EvalMode : uint8_t {
     FullSweep,   ///< oblivious: every scheduled node, every cycle
-    EventDriven, ///< dirty worklists: only gates with changed fanins
+    EventDriven, ///< pending bitset: only gates with changed fanins
 };
 
-/** Callback evaluating a behavioral hook during the combinational
- * sweep. It may read gate values and must set the hook's outputs. */
-using HookFn = std::function<void(Simulator &)>;
-/** Callback run at the clock edge (e.g. committing memory writes). */
-using EdgeFn = std::function<void(Simulator &)>;
+/** Non-owning callback over a simulator: a cycle driver, a behavioral
+ *  hook (reads gate values, must set the hook's outputs), or a
+ *  clock-edge function (e.g. committing memory writes). */
+using SimFnRef = FunctionRef<void(Simulator &)>;
 
 class Simulator {
   public:
@@ -103,8 +112,21 @@ class Simulator {
 
     /// @name Hook registration
     /// @{
-    void setHookFn(uint32_t hook_id, HookFn fn);
-    void addEdgeFn(EdgeFn fn);
+    /** Register a behavioral hook or clock-edge function, typically
+     *  SimFnRef::member<&T::fn>(obj) or a named lambda: a direct call
+     *  per cycle. The simulator does not own the callable, so it must
+     *  outlive every step(); a temporary lambda is rejected at compile
+     *  time. */
+    void setHookFn(uint32_t hook_id, SimFnRef fn);
+    void addEdgeFn(SimFnRef fn);
+    template <typename F, typename = std::enable_if_t<
+                              !std::is_lvalue_reference_v<F> &&
+                              !std::is_same_v<std::decay_t<F>, SimFnRef>>>
+    void setHookFn(uint32_t hook_id, F &&fn) = delete;
+    template <typename F, typename = std::enable_if_t<
+                              !std::is_lvalue_reference_v<F> &&
+                              !std::is_same_v<std::decay_t<F>, SimFnRef>>>
+    void addEdgeFn(F &&fn) = delete;
     /// @}
 
     /// @name Driving inputs (legal during a hook or before step())
@@ -149,11 +171,12 @@ class Simulator {
     /// @}
 
     /**
-     * Simulate one clock cycle. The driver (may be null) is called after
-     * sequential update, before the combinational sweep, to set primary
-     * inputs for this cycle.
+     * Simulate one clock cycle. The driver (may be empty) is called
+     * after sequential update, before the combinational sweep, to set
+     * primary inputs for this cycle. It is taken by reference, not
+     * copied: passing a fresh lambda every cycle costs nothing.
      */
-    void step(const std::function<void(Simulator &)> &driver = nullptr);
+    void step(SimFnRef driver = {});
 
     uint64_t cycle() const { return cycle_; }
 
@@ -305,31 +328,34 @@ class Simulator {
     V4 predictSeqValue(GateId g) const;
 
   private:
+    template <bool kEvent> void evalGate(GateId g);
+    template <bool kEvent> void evalSeq(uint32_t i);
+    void runHook(uint32_t hook_id);
     void updateSequential();
-    template <bool kEvent> void evalSeqGate(size_t i);
-    template <bool kEvent> void evalNode(uint32_t node);
     void sweepFull();
     void sweepEvent();
-    void enqueueNode(uint32_t node);
-    void markFanoutsDirty(GateId g, bool value_changed);
-    void clearEventQueues();
+    void markPending(uint32_t node);
+    void markFanouts(GateId g, bool value_changed);
+    void markAllSeq();
+    void syncActivityBits();
+    void afterRestore();
     void rebuildActiveList();
     void accumulateEnergy();
-    /// @name Sequential wake marking (event mode)
-    /// @{
-    void enqueueSeqNext(uint32_t seq_index);
-    void enqueueSeqBoth(uint32_t seq_index);
-    void markSeqConsumers(GateId g);
-    void markAllSeq();
-    /// @}
 
     const Netlist *nl_;
     const FlatNetlist *flat_;
+    const V4 *truth_; ///< cellTruthTable()
     EvalMode mode_;
     std::vector<V4> val_;
     std::vector<V4> prev_;
+    /** Per-gate activity flags of the last stepped cycle: the snapshot
+     *  and hash form (zero-padded to a multiple of 8). */
     std::vector<uint8_t> active_;
-    std::vector<uint8_t> activePrev_;
+    /** The same activity as a gate-id bitset, set during evaluation;
+     *  between steps it mirrors active_ bit for bit. */
+    std::vector<uint64_t> actBits_;
+    /** actBits_ of the previous cycle (flop D-pin activity). */
+    std::vector<uint64_t> actBitsPrev_;
     /** Per seq gate (indexed by position in seqGates()): last edge
      * actually loaded (enable high). */
     std::vector<uint8_t> loadedPrevEdge_;
@@ -337,25 +363,32 @@ class Simulator {
     std::vector<ModuleId> topModuleOf_;
     std::vector<GateId> inputGates_; ///< all Input-kind gates
 
-    /// @name Event-driven worklist state (transient within a step)
+    /// @name Event-driven worklist state
     /// @{
-    std::vector<uint8_t> dirty_; ///< per node: enqueued, not processed
-    std::vector<std::vector<uint32_t>> buckets_; ///< node ids per level
     /**
-     * Flop wake-up windows. A flop's edge-c inputs are all cycle-(c-1)
-     * quantities (fanin values, D-pin activity, own state), so any
-     * gate activity in cycle c marks its sequential consumers for the
-     * next two edges: the first sees the rise, the second the fall of
-     * the activity term. Index 0 = next edge, 1 = the edge after;
-     * rotated at each edge. Entries are seq indices.
+     * Wake bits in FlatNetlist::fanoutPos's numbering: bits below
+     * seqWakeBase are schedule positions awaiting evaluation this
+     * cycle; the bits from seqWakeBase on are the flops woken by this
+     * cycle's activity.
      */
-    std::vector<uint32_t> seqQ_[2];
-    std::vector<uint8_t> seqMark_[2];
-    std::vector<uint32_t> seqDrain_; ///< scratch: edge being processed
+    std::vector<uint64_t> pending_;
+    /**
+     * Flop wake-up windows, as seq-index bitsets. A flop's edge-c
+     * inputs are all cycle-(c-1) quantities (fanin values, D-pin
+     * activity, own state), so any gate activity in cycle c wakes its
+     * sequential consumers for the next two edges: the first sees the
+     * rise, the second the fall of the activity term. The flop part of
+     * pending_ collects this cycle's consumer wakeups, seqMarkPrev_
+     * last cycle's, and seqNext_ flops whose own state changed (next
+     * edge only). Each edge evaluates the union of the three, then
+     * shifts this cycle's marks into seqMarkPrev_.
+     */
+    std::vector<uint64_t> seqNext_;
+    std::vector<uint64_t> seqMarkPrev_;
     /// @}
 
-    std::vector<HookFn> hookFns_;
-    std::vector<EdgeFn> edgeFns_;
+    std::vector<SimFnRef> hookFns_;
+    std::vector<SimFnRef> edgeFns_;
 
     /// @name Static pruning (see setStaticPrune)
     /// @{

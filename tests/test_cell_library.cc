@@ -107,6 +107,48 @@ TEST(SeqCell, DffrReset)
     EXPECT_EQ(evalSeqCell(CellKind::Dffr, Z, in, held), X);
 }
 
+/** The @p c-th assignment of {0, 1, X} to @p n values (base-3 digits)
+ *  into @p out, returned packed two bits per value. */
+unsigned
+ternaryAssignment(unsigned c, unsigned n, V4 *out)
+{
+    unsigned idx = 0;
+    for (unsigned p = 0; p < n; ++p, c /= 3) {
+        out[p] = V4(c % 3);
+        idx |= unsigned(out[p]) << (2 * p);
+    }
+    return idx;
+}
+
+unsigned
+pow3(unsigned n)
+{
+    return n == 0 ? 1 : 3 * pow3(n - 1);
+}
+
+TEST(CellTable, TruthTableMatchesEvalCellOnAllInputs)
+{
+    // The kernels' lookup and the reference evaluator agree on every
+    // combinational kind over all 3^nin inputs in {0, 1, X}.
+    const V4 *table = cellTruthTable();
+    unsigned kinds = 0;
+    for (size_t k = 0; k < kNumCellKinds; ++k) {
+        CellKind kind = CellKind(k);
+        if (kind == CellKind::Input || isSequential(kind))
+            continue;
+        ++kinds;
+        unsigned nin = cellFaninCount(kind);
+        for (unsigned c = 0; c < pow3(nin); ++c) {
+            V4 in[4] = {Z, Z, Z, Z};
+            unsigned idx = ternaryAssignment(c, nin, in);
+            ASSERT_EQ(table[k * kPackedFaninStates + idx],
+                      evalCell(kind, in))
+                << cellName(kind) << " input #" << c;
+        }
+    }
+    EXPECT_EQ(kinds, 23u) << "every combinational kind, Const0..Oai22";
+}
+
 TEST(Library, RiseCostsMoreThanFall)
 {
     CellLibrary lib = CellLibrary::tsmc65Like();

@@ -326,13 +326,12 @@ TEST_F(LintTest, EnergySplitMatchesMask)
     nl.finalize();
 
     lint::ConstAnalysis ca = lint::analyzeConstants(nl, {});
-    const FlatNetlist &f = nl.flat();
     double quiescent = 0.0, switching = 0.0;
     for (GateId g = 0; g < GateId(nl.numGates()); ++g) {
         if (ca.pruneMask[g])
-            quiescent += f.maxE[g];
+            quiescent += nl.maxEnergyJ(g);
         if (ca.value[g] == V4::X)
-            switching += f.maxE[g];
+            switching += nl.maxEnergyJ(g);
     }
     EXPECT_NEAR(ca.quiescentEnergyJ, quiescent, 1e-18);
     EXPECT_NEAR(ca.switchingBoundJ,

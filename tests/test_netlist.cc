@@ -79,22 +79,34 @@ TEST_F(NetlistTest, FlatViewMirrorsGates)
         ASSERT_EQ(f.faninOffset[g + 1] - f.faninOffset[g], gate.nin);
         for (unsigned p = 0; p < gate.nin; ++p)
             EXPECT_EQ(f.fanin[f.faninOffset[g] + p], gate.in[p]);
-        EXPECT_EQ(f.maxE[g],
+        ASSERT_EQ(f.transE.size(), 3 * nl.numGates());
+        EXPECT_EQ(f.transE[3 * g + kTransRise], nl.riseEnergyJ(g));
+        EXPECT_EQ(f.transE[3 * g + kTransFall], nl.fallEnergyJ(g));
+        EXPECT_EQ(f.transE[3 * g + kTransMax],
                   std::max(nl.riseEnergyJ(g), nl.fallEnergyJ(g)));
+        EXPECT_EQ(nl.maxEnergyJ(g), f.transE[3 * g + kTransMax]);
     }
 
-    // Fanout CSR: exactly the combinational consumers. The Dff q
-    // consumes c at the edge, so c's fanout list is empty; q feeds d.
+    // Fanout CSR: the combinational consumers as schedule positions,
+    // then the flop consumers past seqWakeBase. The Dff q consumes c
+    // at the edge, so c has only a sequential entry; q feeds d.
+    ASSERT_EQ(f.seqWakeBase % 64, 0u);
+    ASSERT_GE(f.seqWakeBase, f.schedule.size());
     auto fanoutsOf = [&](GateId g) {
-        return std::vector<GateId>(f.fanout.begin() + f.fanoutOffset[g],
-                                   f.fanout.begin() +
-                                       f.fanoutOffset[g + 1]);
+        std::vector<GateId> out;
+        for (uint32_t i = f.fanoutOffset[g]; i < f.fanoutOffset[g + 1];
+             ++i) {
+            uint32_t w = f.fanoutPos[i];
+            out.push_back(w < f.seqWakeBase
+                              ? f.schedule[w]
+                              : nl.seqGates()[w - f.seqWakeBase]);
+        }
+        return out;
     };
     EXPECT_EQ(fanoutsOf(a), (std::vector<GateId>{b, c}));
     EXPECT_EQ(fanoutsOf(b), (std::vector<GateId>{c, d}));
-    EXPECT_EQ(fanoutsOf(c), std::vector<GateId>{});
+    EXPECT_EQ(fanoutsOf(c), std::vector<GateId>{q});
     EXPECT_EQ(fanoutsOf(q), std::vector<GateId>{d});
-    (void)d;
 }
 
 TEST_F(NetlistTest, FlatScheduleIsLevelizedTopologicalOrder)
@@ -140,6 +152,24 @@ TEST_F(NetlistTest, FlatScheduleIsLevelizedTopologicalOrder)
     EXPECT_LT(f.levelOfNode[c], f.levelOfNode[hookNode]);
     EXPECT_LT(f.levelOfNode[hookNode], f.levelOfNode[hookOut]);
     EXPECT_LT(f.levelOfNode[hookOut], f.levelOfNode[d]);
+
+    // Every combinational fanout position lies strictly above its
+    // producer's (the event kernel's ascending-position drain relies
+    // on it), and sequential entries follow combinational ones.
+    for (GateId g = 0; g < n; ++g) {
+        bool seen_seq = false;
+        for (uint32_t i = f.fanoutOffset[g]; i < f.fanoutOffset[g + 1];
+             ++i) {
+            uint32_t w = f.fanoutPos[i];
+            if (w >= f.seqWakeBase) {
+                seen_seq = true;
+                continue;
+            }
+            EXPECT_FALSE(seen_seq) << "gate " << g;
+            if (!isSequential(nl.gate(g).kind))
+                EXPECT_GT(w, f.posOfNode[g]) << "gate " << g;
+        }
+    }
 }
 
 TEST_F(NetlistTest, CombinationalLoopDetected)

@@ -342,6 +342,181 @@ TEST(SimulatorKernel, SetInputBetweenStepsPropagates)
     }
 }
 
+// expectLockstepCycle plus every gate's value and activity flag.
+void
+expectSameGates(Simulator &a, Simulator &b, const char *what, uint64_t c)
+{
+    expectLockstepCycle(a, b, what, c);
+    for (GateId g = 0; g < a.netlist().numGates(); ++g) {
+        ASSERT_EQ(a.value(g), b.value(g))
+            << what << " cycle " << c << " gate " << g;
+        ASSERT_EQ(a.isActive(g), b.isActive(g))
+            << what << " cycle " << c << " gate " << g;
+    }
+}
+
+TEST(SimulatorKernel, DPinActivityPulseSpansTheTwoEdgeWindow)
+{
+    // x is an always-active X input. r (enable e) captures it only on
+    // the pulse, so d = buf(r) stays X throughout and is active in
+    // exactly one cycle: a pure activity pulse, no value change. The
+    // flop q on d must see the rise of its D-pin activity at the next
+    // edge (q active) and the fall at the edge after (q inactive
+    // again), in lockstep with the full sweep.
+    CellLibrary lib = CellLibrary::tsmc65Like();
+    Netlist nl(lib);
+    Builder b(nl);
+    hw::Sig x = b.input("x");
+    hw::Sig e = b.input("e");
+    Bus r = b.reg(Bus{x}, "r", e);
+    hw::Sig d = b.buf(r[0]);
+    Bus q = b.reg(Bus{d}, "q");
+    nl.finalize();
+
+    Simulator ev(nl, EvalMode::EventDriven);
+    Simulator fs(nl, EvalMode::FullSweep);
+    constexpr int kPulse = 6; // the cycle whose driver raises e
+    for (int c = 0; c < 12; ++c) {
+        auto drv = [&](Simulator &s) {
+            s.setInput(x, V4::X);
+            s.setInput(e, c == kPulse ? V4::One : V4::Zero);
+        };
+        ev.step(drv);
+        fs.step(drv);
+        expectSameGates(ev, fs, "pulse", uint64_t(c));
+        if (c < 3)
+            continue; // power-on X settling
+        EXPECT_EQ(ev.value(d), V4::X);
+        EXPECT_EQ(ev.isActive(d), c == kPulse + 1) << "cycle " << c;
+        EXPECT_EQ(ev.isActive(q[0]), c == kPulse + 2) << "cycle " << c;
+    }
+}
+
+TEST(SimulatorKernel, BetweenStepEditsPropagateLikeFullSweep)
+{
+    // setInput, forceValue and injectSeuFlip between steps: the event
+    // kernel must carry each edit's wake marks into the next step and
+    // end up exactly where the full sweep re-derives everything.
+    CellLibrary lib = CellLibrary::tsmc65Like();
+    Netlist nl(lib);
+    Builder b(nl);
+    hw::Sig in = b.input("in");
+    hw::Sig en = b.input("en");
+    hw::Sig n = b.inv(in);
+    Bus h = b.reg(Bus{in}, "h", en); // holds while en = 0
+    hw::Sig o = b.xor2(h[0], n);
+    Bus z = b.reg(Bus{o}, "z");
+    nl.finalize();
+
+    Simulator ev(nl, EvalMode::EventDriven);
+    Simulator fs(nl, EvalMode::FullSweep);
+    uint64_t c = 0;
+    auto stepBoth = [&](V4 en_value) {
+        auto drv = [&](Simulator &s) { s.setInput(en, en_value); };
+        ev.step(drv);
+        fs.step(drv);
+        expectSameGates(ev, fs, "edit", c++);
+    };
+    for (Simulator *s : {&ev, &fs})
+        s->setInput(in, V4::Zero);
+    for (int i = 0; i < 3; ++i)
+        stepBoth(V4::One); // h loads 0
+    stepBoth(V4::Zero);    // from here on h holds
+    ASSERT_EQ(ev.value(h[0]), V4::Zero);
+
+    for (Simulator *s : {&ev, &fs})
+        s->setInput(in, V4::One);
+    for (int i = 0; i < 3; ++i)
+        stepBoth(V4::Zero);
+    EXPECT_EQ(ev.value(n), V4::Zero) << "setInput reached n";
+    EXPECT_EQ(ev.value(z[0]), V4::Zero) << "and z through o";
+
+    for (Simulator *s : {&ev, &fs})
+        s->forceValue(h[0], V4::One);
+    for (int i = 0; i < 3; ++i)
+        stepBoth(V4::Zero);
+    EXPECT_EQ(ev.value(h[0]), V4::One) << "held flop keeps the force";
+    EXPECT_EQ(ev.value(z[0]), V4::One) << "forceValue reached z";
+
+    // Between steps, activeGates() lists exactly the isActive() gates,
+    // upsets included.
+    auto expectListMatchesFlags = [&](const Simulator &s) {
+        std::vector<uint8_t> listed(nl.numGates(), 0);
+        for (GateId g : s.activeGates())
+            listed[g] = 1;
+        for (GateId g = 0; g < nl.numGates(); ++g)
+            EXPECT_EQ(listed[g] != 0, s.isActive(g)) << "gate " << g;
+    };
+    for (Simulator *s : {&ev, &fs}) {
+        ASSERT_FALSE(s->isActive(h[0])) << "held flop starts inactive";
+        ASSERT_TRUE(s->injectSeuFlip(h[0]));
+        EXPECT_TRUE(s->isActive(h[0]));
+        expectListMatchesFlags(*s);
+    }
+    for (int i = 0; i < 3; ++i)
+        stepBoth(V4::Zero);
+    EXPECT_EQ(ev.value(h[0]), V4::Zero) << "held flop keeps the upset";
+    EXPECT_EQ(ev.value(z[0]), V4::Zero) << "injectSeuFlip reached z";
+
+    // A loading flop forced or upset between steps must be
+    // re-evaluated at the next edge, which reloads its D pin.
+    for (Simulator *s : {&ev, &fs})
+        s->forceValue(z[0], V4::One);
+    stepBoth(V4::Zero);
+    EXPECT_EQ(ev.value(z[0]), V4::Zero) << "the edge reloads a forced z";
+    for (Simulator *s : {&ev, &fs})
+        ASSERT_TRUE(s->injectSeuFlip(z[0]));
+    stepBoth(V4::Zero);
+    EXPECT_EQ(ev.value(z[0]), V4::Zero) << "the edge reloads an upset z";
+}
+
+TEST(SimulatorKernel, RestoreOverStaleWakeBitsMatchesFreshSimulator)
+{
+    // Between-step edits leave pending and flop wake bits behind.
+    // Restoring a snapshot over them must leave no trace: the
+    // continuation equals a simulator that never saw the edits, and
+    // the full sweep.
+    CellLibrary lib = CellLibrary::tsmc65Like();
+    Netlist nl(lib);
+    Builder b(nl);
+    Bus a = b.busInput(4, "a");
+    Bus cnt = b.busWireDecl(4, "cnt");
+    Bus next = b.reg(hw::addConst(b, cnt, 1), "next");
+    b.busWireConnect(cnt, next);
+    Bus mix = b.busXor(cnt, a);
+    Bus q = b.reg(mix, "q");
+    nl.finalize();
+
+    uint32_t pattern = 0x6;
+    auto drv = [&](Simulator &s) {
+        for (unsigned j = 0; j < 4; ++j)
+            s.setInput(a[j], fromBool((pattern >> j) & 1));
+    };
+    Simulator stale(nl, EvalMode::EventDriven);
+    for (int i = 0; i < 5; ++i)
+        stale.step(drv);
+    Simulator::Snapshot snap = stale.snapshot();
+
+    stale.setInput(a[0], V4::X);
+    stale.forceValue(cnt[1], v4Not(stale.value(cnt[1])));
+    stale.injectSeuFlip(q[2]);
+    stale.restore(snap);
+
+    Simulator fresh(nl, EvalMode::EventDriven);
+    Simulator fs(nl, EvalMode::FullSweep);
+    fresh.restore(snap);
+    fs.restore(snap);
+    for (int i = 0; i < 12; ++i) {
+        pattern = (pattern * 5 + 3) & 0xf;
+        stale.step(drv);
+        fresh.step(drv);
+        fs.step(drv);
+        expectSameGates(stale, fresh, "stale-vs-fresh", stale.cycle());
+        expectSameGates(stale, fs, "stale-vs-full", stale.cycle());
+        ASSERT_EQ(stale.hashFullState(), fresh.hashFullState());
+    }
+}
+
 TEST(SimulatorKernel, SnapshotForkDivergesIndependently)
 {
     // Fork a mid-program state, diverge the two continuations through

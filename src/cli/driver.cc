@@ -9,44 +9,12 @@
 #include <stdexcept>
 
 #include "bench430/benchmarks.hh"
+#include "cli/json_util.hh"
 #include "cli/parse_util.hh"
 
 namespace ulpeak {
 namespace cli {
 namespace {
-
-std::string
-fmtDouble(double d)
-{
-    char buf[40];
-    std::snprintf(buf, sizeof buf, "%.17g", d);
-    return buf;
-}
-
-std::string
-jsonEscape(const std::string &s)
-{
-    std::string out;
-    out.reserve(s.size() + 2);
-    for (char c : s) {
-        switch (c) {
-        case '"': out += "\\\""; break;
-        case '\\': out += "\\\\"; break;
-        case '\n': out += "\\n"; break;
-        case '\t': out += "\\t"; break;
-        case '\r': out += "\\r"; break;
-        default:
-            if (static_cast<unsigned char>(c) < 0x20) {
-                char buf[8];
-                std::snprintf(buf, sizeof buf, "\\u%04x", c);
-                out += buf;
-            } else {
-                out += c;
-            }
-        }
-    }
-    return out;
-}
 
 std::string
 csvQuote(const std::string &s)

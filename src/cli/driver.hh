@@ -58,8 +58,8 @@ struct CliOptions {
     bool staticPrune = false;
     /** --packed-explore: drain the exploration frontier through the
      *  bit-parallel 64-lane kernel (peak::Options::packedExplore).
-     *  Never changes a reported number (fuzz --mode packed-sym), so
-     *  like --eval-mode it is excluded from the result cache key. */
+     *  Never changes a reported number (fuzz property 3), so like
+     *  --eval-mode it is excluded from the result cache key. */
     bool packedExplore = false;
     std::string jsonPath;       ///< --json FILE ("" = no JSON output)
     std::string csvPath;        ///< --csv FILE ("" = no CSV output)

@@ -10,6 +10,7 @@
 
 #include "bench430/benchmarks.hh"
 #include "cli/driver.hh"
+#include "cli/json_util.hh"
 #include "cli/parse_util.hh"
 
 namespace ulpeak {
@@ -42,32 +43,6 @@ foldBenchmarkInputs(const std::string &name, uint64_t seed,
             port = in.portIn;
         return;
     }
-}
-
-/** Shortest round-trip double formatting (the `ulpeak` JSON idiom). */
-std::string
-fmtDouble(double v)
-{
-    char buf[32];
-    std::snprintf(buf, sizeof buf, "%.17g", v);
-    return buf;
-}
-
-std::string
-jsonEscape(const std::string &s)
-{
-    std::string out;
-    out.reserve(s.size());
-    for (char c : s) {
-        switch (c) {
-          case '"': out += "\\\""; break;
-          case '\\': out += "\\\\"; break;
-          case '\n': out += "\\n"; break;
-          case '\t': out += "\\t"; break;
-          default: out += c;
-        }
-    }
-    return out;
 }
 
 /** Shared whole-token integer parsing (cli/parse_util.hh): rejects

@@ -9,6 +9,7 @@
 #include <stdexcept>
 #include <thread>
 
+#include "cli/json_util.hh"
 #include "cli/parse_util.hh"
 #include "lint/lint.hh"
 #include "msp/cpu.hh"
@@ -18,32 +19,6 @@ namespace ulpeak {
 namespace cli {
 
 namespace {
-
-/** Shortest round-trip double formatting (the `ulpeak` JSON idiom). */
-std::string
-fmtDouble(double v)
-{
-    char buf[32];
-    std::snprintf(buf, sizeof buf, "%.17g", v);
-    return buf;
-}
-
-std::string
-jsonEscape(const std::string &s)
-{
-    std::string out;
-    out.reserve(s.size());
-    for (char c : s) {
-        switch (c) {
-          case '"': out += "\\\""; break;
-          case '\\': out += "\\\\"; break;
-          case '\n': out += "\\n"; break;
-          case '\t': out += "\\t"; break;
-          default: out += c;
-        }
-    }
-    return out;
-}
 
 /** One scenario's constant-analysis results, display-ready. */
 struct ScenarioLint {

@@ -13,6 +13,7 @@
 #include <thread>
 
 #include "fuzz/rng.hh"
+#include "util/content_hash.hh"
 
 namespace ulpeak {
 namespace fault {
@@ -20,6 +21,11 @@ namespace {
 
 namespace fs = std::filesystem;
 using Clock = std::chrono::steady_clock;
+using util::doubleBits;
+using util::floatBits;
+using util::hashDouble;
+using util::hashString;
+using util::hashU64;
 
 double
 secondsSince(Clock::time_point t0)
@@ -27,66 +33,9 @@ secondsSince(Clock::time_point t0)
     return std::chrono::duration<double>(Clock::now() - t0).count();
 }
 
-/// @name FNV-1a hashing (the batch layer's idiom)
-/// @{
-constexpr uint64_t kFnvOffset = 1469598103934665603ull;
-constexpr uint64_t kFnvPrime = 1099511628211ull;
-
-void
-hashBytes(uint64_t &h, const void *data, size_t n)
-{
-    const unsigned char *p = static_cast<const unsigned char *>(data);
-    for (size_t i = 0; i < n; ++i) {
-        h ^= p[i];
-        h *= kFnvPrime;
-    }
-}
-
-void
-hashU64(uint64_t &h, uint64_t v)
-{
-    hashBytes(h, &v, sizeof v);
-}
-
-void
-hashDouble(uint64_t &h, double d)
-{
-    uint64_t bits;
-    std::memcpy(&bits, &d, sizeof bits);
-    hashU64(h, bits);
-}
-
-void
-hashString(uint64_t &h, const std::string &s)
-{
-    hashU64(h, s.size());
-    hashBytes(h, s.data(), s.size());
-}
-/// @}
-
 /// @name Disk cache: one text file per campaign key
 /// @{
 constexpr const char *kCacheMagic = "ulfault-cache-v1";
-
-std::string
-doubleBits(double d)
-{
-    uint64_t bits;
-    std::memcpy(&bits, &d, sizeof bits);
-    char buf[24];
-    std::snprintf(buf, sizeof buf, "%016" PRIx64, bits);
-    return buf;
-}
-
-std::string
-floatBits(float f)
-{
-    uint32_t bits;
-    std::memcpy(&bits, &f, sizeof bits);
-    char buf[12];
-    std::snprintf(buf, sizeof buf, "%08x", bits);
-    return buf;
-}
 
 fs::path
 cachePath(const std::string &dir, uint64_t key)
@@ -292,7 +241,7 @@ uint64_t
 campaignCacheKey(const CellLibrary &lib, const isa::Image &image,
                  const CampaignOptions &opts)
 {
-    uint64_t h = kFnvOffset;
+    uint64_t h = util::kFnvOffset;
     hashString(h, kCacheMagic);
     // Library by content (the batch layer's rule: a calibration edit
     // must invalidate everything).

@@ -1,6 +1,7 @@
 #include "fuzz/properties.hh"
 
 #include <array>
+#include <cstdio>
 #include <sstream>
 
 #include "fault/campaign.hh"
@@ -120,99 +121,129 @@ kernelEquivalenceCheck(uint64_t seed, const NetlistGenOptions &opts,
     return res;
 }
 
-namespace {
-
 std::string
-compareReports(const peak::Report &a, const peak::Report &b,
-               const char *what_a, const char *what_b)
+reportDiff(const peak::Report &a, const peak::Report &b,
+           ReportScope scope)
 {
     std::ostringstream os;
-    if (!a.ok && !b.ok) {
-        // Both analyses rejected the program the same way: the
-        // determinism property holds trivially. Different errors mean
-        // the outcome itself was scheduling/kernel-dependent.
-        if (a.error != b.error)
-            os << "errors differ: " << what_a << "=\"" << a.error
-               << "\" " << what_b << "=\"" << b.error << "\"\n";
+    if (a.ok != b.ok) {
+        os << "ok: a=" << a.ok << " (\"" << a.error << "\") b=" << b.ok
+           << " (\"" << b.error << "\")\n";
         return os.str();
     }
-    if (!a.ok || !b.ok) {
-        os << what_a << " ok=" << a.ok << " (" << a.error << "), "
-           << what_b << " ok=" << b.ok << " (" << b.error << ")\n";
+    if (a.error != b.error)
+        os << "error: a=\"" << a.error << "\" b=\"" << b.error << "\"\n";
+    if (!a.ok)
         return os.str();
-    }
-    auto field = [&](const char *name, double va, double vb) {
-        if (va != vb)
-            os << name << ": " << what_a << "=" << va << " " << what_b
-               << "=" << vb << "\n";
+
+    char buf[128];
+    auto num = [&](const std::string &name, double va, double vb) {
+        if (va == vb)
+            return;
+        std::snprintf(buf, sizeof buf, ": a=%.17g b=%.17g\n", va, vb);
+        os << name << buf;
     };
-    field("peakPowerW", a.peakPowerW, b.peakPowerW);
-    field("peakEnergyJ", a.peakEnergyJ, b.peakEnergyJ);
-    field("npeJPerCycle", a.npeJPerCycle, b.npeJPerCycle);
-    field("maxPathCycles", double(a.maxPathCycles),
-          double(b.maxPathCycles));
-    field("totalCycles", double(a.totalCycles), double(b.totalCycles));
-    field("pathsExplored", double(a.pathsExplored),
-          double(b.pathsExplored));
-    field("dedupMerges", double(a.dedupMerges), double(b.dedupMerges));
-    if (a.envelope.present != b.envelope.present) {
-        os << "envelope.present: " << what_a << "="
-           << a.envelope.present << " " << what_b << "="
-           << b.envelope.present << "\n";
-    } else if (a.envelope.present) {
-        if (a.envelope.powerW != b.envelope.powerW)
-            os << "envelope.powerW: traces differ (" << what_a << " "
-               << a.envelope.powerW.size() << " cycles, " << what_b
-               << " " << b.envelope.powerW.size() << " cycles)\n";
-        if (a.envelope.windowEnergyJ != b.envelope.windowEnergyJ)
-            os << "envelope.windowEnergyJ: curves differ\n";
-        if (a.envelope.peakWindowEnergyJ !=
-            b.envelope.peakWindowEnergyJ)
-            os << "envelope.peakWindowEnergyJ: peaks differ\n";
-    }
+    // First differing entry of two sequences, plus both lengths.
+    auto seq = [&](const std::string &name, const auto &va,
+                   const auto &vb) {
+        if (va == vb)
+            return;
+        size_t i = 0;
+        while (i < va.size() && i < vb.size() && va[i] == vb[i])
+            ++i;
+        os << name << ": first difference at [" << i << "]";
+        if (i < va.size() && i < vb.size()) {
+            std::snprintf(buf, sizeof buf, " a=%.17g b=%.17g",
+                          double(va[i]), double(vb[i]));
+            os << buf;
+        }
+        os << " (lengths " << va.size() << " / " << vb.size() << ")\n";
+    };
+
+    num("peakPowerW", a.peakPowerW, b.peakPowerW);
+    num("peakEnergyJ", a.peakEnergyJ, b.peakEnergyJ);
+    num("npeJPerCycle", a.npeJPerCycle, b.npeJPerCycle);
+    num("maxPathCycles", double(a.maxPathCycles),
+        double(b.maxPathCycles));
+    const peak::Envelope &ea = a.envelope, &eb = b.envelope;
+    num("envelope.present", ea.present, eb.present);
+    seq("envelope.powerW", ea.powerW, eb.powerW);
+    seq("envelope.windows", ea.windows, eb.windows);
+    seq("envelope.peakWindowEnergyJ", ea.peakWindowEnergyJ,
+        eb.peakWindowEnergyJ);
+    num("envelope.windowEnergyJ.size", double(ea.windowEnergyJ.size()),
+        double(eb.windowEnergyJ.size()));
+    for (size_t w = 0;
+         w < ea.windowEnergyJ.size() && w < eb.windowEnergyJ.size(); ++w)
+        seq("envelope.windowEnergyJ[" + std::to_string(w) + "]",
+            ea.windowEnergyJ[w], eb.windowEnergyJ[w]);
+    seq("everActive", a.everActive, b.everActive);
+    if (scope == ReportScope::Bounds)
+        return os.str();
+
+    num("totalCycles", double(a.totalCycles), double(b.totalCycles));
+    num("pathsExplored", a.pathsExplored, b.pathsExplored);
+    num("dedupMerges", a.dedupMerges, b.dedupMerges);
+    seq("flatTraceW", a.flatTraceW, b.flatTraceW);
+    seq("peakActive", a.peakActive, b.peakActive);
     return os.str();
 }
 
-} // namespace
-
-PropertyResult
-symDeterminismCheck(msp::System &sys, const isa::Image &image,
-                    unsigned threads)
+InvarianceDraw
+drawInvariance(Rng &rng, unsigned threads)
 {
-    PropertyResult res;
-    peak::Options opts;
-    opts.recordEnvelope = true;
-    opts.numThreads = 1;
-    peak::Report serial = peak::analyze(sys, image, opts);
-    opts.numThreads = threads;
-    peak::Report parallel = peak::analyze(sys, image, opts);
-    std::string diff = compareReports(serial, parallel, "1-thread",
-                                      "K-thread");
-    if (!diff.empty()) {
-        res.ok = false;
-        res.detail = diff;
-    }
-    return res;
+    // The shared context. The reference keeps the Options defaults
+    // for the four knobs: 1 thread, EventDriven, Delta, scalar.
+    InvarianceDraw d;
+    peak::Options &ref = d.reference;
+    ref.recordEnvelope = true;
+    ref.recordActiveSets = true;
+    unsigned kind = rng.below(3);
+    if (kind == 1)
+        ref.scenario = randomScenario(rng);
+    else if (kind == 2)
+        ref.scenario = randomModeScenario(rng);
+    ref.staticPrune = rng.chance(25);
+
+    // One of the 15 other knob points, one bit per axis.
+    d.variant = ref;
+    unsigned point = 1 + rng.below(15);
+    if (point & 1)
+        d.variant.numThreads = threads;
+    if (point & 2)
+        d.variant.evalMode = EvalMode::FullSweep;
+    if (point & 4)
+        d.variant.snapshotMode = sym::SnapshotMode::Full;
+    if (point & 8)
+        d.variant.packedExplore = true;
+    return d;
 }
 
 PropertyResult
-evalModeReportCheck(msp::System &sys, const isa::Image &image)
+configInvarianceCheck(msp::System &sys, const isa::Image &image,
+                      Rng &rng, unsigned threads)
 {
     PropertyResult res;
-    peak::Options opts;
-    opts.recordEnvelope = true;
-    opts.evalMode = EvalMode::EventDriven;
-    peak::Report event = peak::analyze(sys, image, opts);
-    opts.evalMode = EvalMode::FullSweep;
-    peak::Report full = peak::analyze(sys, image, opts);
-    std::string diff = compareReports(event, full, "EventDriven",
-                                      "FullSweep");
-    if (diff.empty() && event.ok && full.ok &&
-        event.flatTraceW != full.flatTraceW)
-        diff = "flatTraceW: per-cycle traces differ\n";
+    InvarianceDraw d = drawInvariance(rng, threads);
+    peak::Report ref = peak::analyze(sys, image, d.reference);
+    peak::Report var = peak::analyze(sys, image, d.variant);
+    std::string diff = reportDiff(ref, var);
     if (!diff.empty()) {
+        const peak::Options &v = d.variant;
+        std::ostringstream os;
+        os << "scenario " << v.scenario.summary()
+           << (v.staticPrune ? ", staticPrune" : "")
+           << "; a = reference, b = " << v.numThreads << " thread(s), "
+           << (v.evalMode == EvalMode::FullSweep ? "FullSweep"
+                                                 : "EventDriven")
+           << ", "
+           << (v.snapshotMode == sym::SnapshotMode::Full ? "Full"
+                                                         : "Delta")
+           << " snapshots, "
+           << (v.packedExplore ? "packed" : "scalar") << " frontier:\n"
+           << diff;
         res.ok = false;
-        res.detail = diff;
+        res.detail = os.str();
     }
     return res;
 }
@@ -670,8 +701,7 @@ randomScenario(Rng &rng)
 
 PropertyResult
 scenarioDominanceCheck(msp::System &sys, const isa::Image &image,
-                       Rng &rng, unsigned threads,
-                       unsigned concrete_runs)
+                       Rng &rng, unsigned concrete_runs)
 {
     PropertyResult res;
     peak::Options uopts;
@@ -692,19 +722,6 @@ scenarioDominanceCheck(msp::System &sys, const isa::Image &image,
     }
 
     std::ostringstream os;
-
-    // The constrained analysis must stay scheduling-independent.
-    copts.numThreads = threads;
-    peak::Report par = peak::analyze(sys, image, copts);
-    std::string diff =
-        compareReports(con, par, "1-thread", "K-thread");
-    if (!diff.empty()) {
-        res.ok = false;
-        res.detail = "scenario " + scn.summary() +
-                     ": determinism broke under constraints:\n" +
-                     diff;
-        return res;
-    }
 
     // Bound dominance. Exact arithmetic guarantees <=; the analyses
     // sum different (nested) active sets in floating point, so allow
@@ -818,7 +835,7 @@ randomModeScenario(Rng &rng)
 
 PropertyResult
 modeDominanceCheck(msp::System &sys, const isa::Image &image,
-                   Rng &rng, unsigned threads, unsigned concrete_runs)
+                   Rng &rng, unsigned concrete_runs)
 {
     PropertyResult res;
     scenario::Scenario base = randomModeScenario(rng);
@@ -856,35 +873,6 @@ modeDominanceCheck(msp::System &sys, const isa::Image &image,
                      ") though the base mode analysis succeeded "
                      "(scenario " + base.summary() + ")";
         return res;
-    }
-
-    // The mode-scheduled analysis must stay bit-identical across
-    // thread counts, kernels, and snapshot representations (mode
-    // phases join the dedup keys; pricing must not disturb any of
-    // the scheduling-independence machinery).
-    {
-        peak::Options o = lopts;
-        o.numThreads = threads;
-        std::string diff = compareReports(
-            rl, peak::analyze(sys, image, o), "1-thread", "K-thread");
-        if (diff.empty()) {
-            o = lopts;
-            o.evalMode = EvalMode::FullSweep;
-            diff = compareReports(rl, peak::analyze(sys, image, o),
-                                  "event", "full-sweep");
-        }
-        if (diff.empty()) {
-            o = lopts;
-            o.snapshotMode = sym::SnapshotMode::Full;
-            diff = compareReports(rl, peak::analyze(sys, image, o),
-                                  "delta-snap", "full-snap");
-        }
-        if (!diff.empty()) {
-            res.ok = false;
-            res.detail = "mode scenario " + low.summary() +
-                         ": determinism broke:\n" + diff;
-            return res;
-        }
     }
 
     // Scalar dominance. Per-cycle powers are stored as float in the
@@ -984,68 +972,8 @@ modeDominanceCheck(msp::System &sys, const isa::Image &image,
     return res;
 }
 
-namespace {
-
-/**
- * compareReports minus the tree-shape statistics: with
- * maxPruneDepth > 0 the pruned run hashes pre-engage forks with the
- * full basis and post-engage forks with the pruned one, so a dedup
- * merge between a pre- and a post-engage state can be missed and the
- * exploration re-walks a (bound-identical) duplicate subtree.
- * totalCycles / pathsExplored / dedupMerges may therefore differ
- * from the unpruned run; every reported *bound* may not.
- */
-std::string
-comparePrunedBounds(const peak::Report &a, const peak::Report &b,
-                    const char *what_a, const char *what_b)
-{
-    std::ostringstream os;
-    if (!a.ok && !b.ok) {
-        if (a.error != b.error)
-            os << "errors differ: " << what_a << "=\"" << a.error
-               << "\" " << what_b << "=\"" << b.error << "\"\n";
-        return os.str();
-    }
-    if (!a.ok || !b.ok) {
-        os << what_a << " ok=" << a.ok << " (" << a.error << "), "
-           << what_b << " ok=" << b.ok << " (" << b.error << ")\n";
-        return os.str();
-    }
-    auto field = [&](const char *name, double va, double vb) {
-        if (va != vb)
-            os << name << ": " << what_a << "=" << va << " "
-               << what_b << "=" << vb << "\n";
-    };
-    field("peakPowerW", a.peakPowerW, b.peakPowerW);
-    field("peakEnergyJ", a.peakEnergyJ, b.peakEnergyJ);
-    field("npeJPerCycle", a.npeJPerCycle, b.npeJPerCycle);
-    field("maxPathCycles", double(a.maxPathCycles),
-          double(b.maxPathCycles));
-    if (a.envelope.present != b.envelope.present) {
-        os << "envelope.present: " << what_a << "="
-           << a.envelope.present << " " << what_b << "="
-           << b.envelope.present << "\n";
-    } else if (a.envelope.present) {
-        if (a.envelope.powerW != b.envelope.powerW)
-            os << "envelope.powerW: traces differ (" << what_a << " "
-               << a.envelope.powerW.size() << " cycles, " << what_b
-               << " " << b.envelope.powerW.size() << " cycles)\n";
-        if (a.envelope.windowEnergyJ != b.envelope.windowEnergyJ)
-            os << "envelope.windowEnergyJ: curves differ\n";
-        if (a.envelope.peakWindowEnergyJ !=
-            b.envelope.peakWindowEnergyJ)
-            os << "envelope.peakWindowEnergyJ: peaks differ\n";
-    }
-    if (a.everActive != b.everActive)
-        os << "everActive: sets differ\n";
-    return os.str();
-}
-
-} // namespace
-
 PropertyResult
-staticPruneCheck(msp::System &sys, const isa::Image &image, Rng &rng,
-                 unsigned threads)
+staticPruneCheck(msp::System &sys, const isa::Image &image, Rng &rng)
 {
     PropertyResult res;
     std::ostringstream os;
@@ -1147,117 +1075,13 @@ staticPruneCheck(msp::System &sys, const isa::Image &image, Rng &rng,
     popts.staticPrune = true;
     peak::Report pru = peak::analyze(sys, image, popts);
 
-    std::string diff =
-        comparePrunedBounds(unp, pru, "unpruned", "pruned");
-    if (!diff.empty()) {
-        res.ok = false;
-        res.detail = "scenario " + scn.summary() + ":\n" + diff;
-        return res;
-    }
-    if (!unp.ok)
-        return res; // identically rejected: nothing more to compare
-
-    // The pruned runs among themselves share one hash basis and one
-    // engage cycle, so like symDeterminismCheck they must agree on
-    // every scheduling-independent field, statistics included.
-    peak::Options o = popts;
-    o.numThreads = threads;
-    diff = compareReports(pru, peak::analyze(sys, image, o),
-                          "pruned-1-thread", "pruned-K-thread");
-    if (diff.empty()) {
-        o = popts;
-        o.evalMode = EvalMode::FullSweep;
-        diff = compareReports(pru, peak::analyze(sys, image, o),
-                              "pruned-event", "pruned-sweep");
-    }
-    if (diff.empty()) {
-        o = popts;
-        o.snapshotMode = sym::SnapshotMode::Full;
-        diff = compareReports(pru, peak::analyze(sys, image, o),
-                              "pruned-delta", "pruned-full-snap");
-    }
+    // Bounds only: see the header for why the tree statistics may
+    // legitimately differ across the prune engage cycle.
+    std::string diff = reportDiff(unp, pru, ReportScope::Bounds);
     if (!diff.empty()) {
         res.ok = false;
         res.detail = "scenario " + scn.summary() +
-                     ": pruned determinism broke:\n" + diff;
-    }
-    return res;
-}
-
-namespace {
-
-/** The report fields compareReports skips because only some callers
- *  record them: the flattened trace and the activity sets. Both are
- *  part of the packed-frontier bit-identity contract. */
-std::string
-compareTraces(const peak::Report &a, const peak::Report &b,
-              const char *what_a, const char *what_b)
-{
-    std::ostringstream os;
-    if (!a.ok || !b.ok)
-        return os.str();
-    if (a.flatTraceW != b.flatTraceW)
-        os << "flatTraceW: per-cycle traces differ (" << what_a << " "
-           << a.flatTraceW.size() << " cycles, " << what_b << " "
-           << b.flatTraceW.size() << " cycles)\n";
-    if (a.everActive != b.everActive)
-        os << "everActive: ever-toggled sets differ\n";
-    if (a.peakActive != b.peakActive)
-        os << "peakActive: peak-cycle activity sets differ\n";
-    return os.str();
-}
-
-} // namespace
-
-PropertyResult
-packedExploreCheck(msp::System &sys, const isa::Image &image,
-                   Rng &rng, unsigned threads)
-{
-    PropertyResult res;
-    // A random analysis configuration: the packed frontier must be
-    // invisible under every combination the scalar engine supports.
-    peak::Options opts;
-    opts.recordEnvelope = true;
-    opts.recordActiveSets = true;
-    unsigned kind = rng.below(3);
-    if (kind == 1)
-        opts.scenario = randomScenario(rng);
-    else if (kind == 2)
-        opts.scenario = randomModeScenario(rng);
-    if (rng.chance(50))
-        opts.snapshotMode = sym::SnapshotMode::Full;
-    if (rng.chance(25))
-        opts.staticPrune = true;
-
-    peak::Report scalar = peak::analyze(sys, image, opts);
-    peak::Options popts = opts;
-    popts.packedExplore = true;
-    peak::Report packed = peak::analyze(sys, image, popts);
-    std::string diff =
-        compareReports(scalar, packed, "scalar", "packed");
-    diff += compareTraces(scalar, packed, "scalar", "packed");
-    if (!diff.empty()) {
-        res.ok = false;
-        res.detail = "scenario " + opts.scenario.summary() +
-                     ": scalar vs packed diverged:\n" + diff;
-        return res;
-    }
-    if (!scalar.ok)
-        return res; // identically rejected: nothing more to compare
-
-    // The packed runs among themselves: 1-vs-K-thread determinism of
-    // the batched frontier (lane refills race across workers, the
-    // reports must not notice).
-    popts.numThreads = threads;
-    peak::Report packedK = peak::analyze(sys, image, popts);
-    diff = compareReports(packed, packedK, "packed-1-thread",
-                          "packed-K-thread");
-    diff += compareTraces(packed, packedK, "packed-1-thread",
-                          "packed-K-thread");
-    if (!diff.empty()) {
-        res.ok = false;
-        res.detail = "scenario " + opts.scenario.summary() +
-                     ": packed determinism broke:\n" + diff;
+                     ": a = unpruned, b = pruned:\n" + diff;
     }
     return res;
 }

@@ -2,17 +2,21 @@
  * @file
  * The differential properties the fuzzing subsystem checks
  * end-to-end, packaged so the `ulfuzz` tool and the ctest harnesses
- * exercise the exact same code paths:
+ * exercise the exact same code paths. The numbering is the one
+ * `ulfuzz --mode` and docs/testing.md use:
  *
- *  1. ISS <-> gate-level lockstep equivalence on random programs
- *     (src/cosim -- invoked directly via cosim::run);
- *  2. EvalMode::FullSweep <-> EvalMode::EventDriven bit-identity on
- *     random netlists: per-cycle gate values, activity lists, and all
- *     energy accumulators must be exactly equal every cycle;
- *  3. symbolic exploration determinism: peak::analyze with 1 worker
- *     thread and with K worker threads must report bit-identical
- *     peak power / peak energy / NPE / cycle counts (scheduling
- *     independence), as must the two EvalMode kernels end-to-end.
+ *  1. cosim      -- ISS <-> gate-level lockstep (cosim::run);
+ *  2. kernel     -- FullSweep <-> EventDriven simulator bit-identity;
+ *  3. invariance -- peak::analyze reports do not depend on how they
+ *                   were computed (threads, kernel, fork snapshot
+ *                   form, packed frontier);
+ *  4. envelope   -- the per-cycle envelope bounds concrete runs;
+ *  5. scenario   -- port-constraint scenarios only tighten bounds;
+ *  6. packed     -- 64-lane kernel lane identity and batched
+ *                   envelope validation;
+ *  7. fault      -- faulted lane identity and campaign determinism;
+ *  8. dvfs       -- lowered operating modes only tighten bounds;
+ *  9. lint       -- static pruning is sound.
  *
  * Each check returns a PropertyResult whose detail names the first
  * mismatch precisely enough to debug from the printed seed alone.
@@ -27,6 +31,7 @@
 #include "fuzz/rng.hh"
 #include "isa/assembler.hh"
 #include "msp/cpu.hh"
+#include "peak/peak_analysis.hh"
 #include "scenario/scenario.hh"
 #include "sim/simulator.hh"
 
@@ -49,25 +54,52 @@ PropertyResult kernelEquivalenceCheck(uint64_t seed,
                                       const NetlistGenOptions &opts,
                                       unsigned cycles);
 
-/**
- * Property 3a: peak::analyze on @p image with 1 thread vs
- * @p threads threads; every scheduling-independent report field must
- * be bit-identical.
- */
-PropertyResult symDeterminismCheck(msp::System &sys,
-                                   const isa::Image &image,
-                                   unsigned threads);
+/** Which report fields reportDiff compares. */
+enum class ReportScope {
+    /** ok/error, peak power, peak energy, NPE, max path length, the
+     *  envelope (trace, windows, window curves and peaks) and the
+     *  ever-active set: the reported bounds. */
+    Bounds,
+    /** Bounds plus the tree statistics (totalCycles, pathsExplored,
+     *  dedupMerges), flatTraceW and peakActive: every field that does
+     *  not depend on scheduling (steals, per-worker cycles, packed
+     *  batch counters, snapshot traffic and timings never take part). */
+    All,
+};
 
 /**
- * Property 3b: peak::analyze on @p image under EvalMode::EventDriven
- * vs EvalMode::FullSweep; reports must be bit-identical including the
- * flattened per-cycle trace.
- *
- * Both 3a and 3b run with envelope recording on and compare the
- * envelope power trace and windowed peak-energy curves byte for byte.
+ * The one report comparator: an empty string when @p a and @p b agree
+ * on every field of @p scope, else one line per differing field that
+ * names it, with doubles printed at %.17g so two different values
+ * never print alike. Two rejected analyses agree iff their errors do.
  */
-PropertyResult evalModeReportCheck(msp::System &sys,
-                                   const isa::Image &image);
+std::string reportDiff(const peak::Report &a, const peak::Report &b,
+                       ReportScope scope = ReportScope::All);
+
+/**
+ * One draw of property 3. @ref reference and @ref variant share one
+ * analysis context -- unconstrained, a random port scenario or a
+ * random DVFS scenario (one in three each), staticPrune one in four,
+ * envelope and active-set recording on -- and differ only in the knob
+ * point: the reference is 1 thread, EventDriven, Delta snapshots and
+ * the scalar frontier, the variant one of the other 15 points of
+ * threads{1, K} x EvalMode x SnapshotMode x packedExplore.
+ */
+struct InvarianceDraw {
+    peak::Options reference;
+    peak::Options variant;
+};
+InvarianceDraw drawInvariance(Rng &rng, unsigned threads);
+
+/**
+ * Property 3: configuration invariance. Analyze @p image under both
+ * configurations of drawInvariance(@p rng, @p threads) and require
+ * reportDiff(..., ReportScope::All) to be empty. Programs both
+ * configurations reject pass, but the rejection must be identical.
+ */
+PropertyResult configInvarianceCheck(msp::System &sys,
+                                     const isa::Image &image, Rng &rng,
+                                     unsigned threads);
 
 /**
  * Property 4: the per-cycle peak power envelope bounds every concrete
@@ -84,7 +116,7 @@ PropertyResult envelopeBoundCheck(msp::System &sys,
                                   unsigned concrete_runs = 3);
 
 /**
- * Property 6: packed-kernel lane identity. Generate a random netlist
+ * Property 6, netlist items: packed-kernel lane identity. Generate a random netlist
  * from @p seed and 64 independent input schedules (one per lane,
  * derived streams), run one PackedSimulator against 64 scalar
  * Simulators in lockstep for @p cycles, and require every lane to be
@@ -98,7 +130,7 @@ PropertyResult packedKernelEquivalenceCheck(uint64_t seed,
                                             unsigned cycles);
 
 /**
- * Property 7: packed envelope batching. Analyze @p image with envelope
+ * Property 6, program items: packed envelope batching. Analyze @p image with envelope
  * recording, then run one 64-lane packed batch of seeded random port
  * schedules: every lane must halt within the envelope length + slack
  * and lie under the envelope at every cycle (validateTraceBound), and
@@ -112,8 +144,8 @@ PropertyResult packedEnvelopeBatchCheck(msp::System &sys,
                                         unsigned verify_lanes = 2);
 
 /**
- * Property 8a: faulted packed-kernel lane identity. The property-6
- * lockstep (one PackedSimulator vs 64 scalar Simulators on a random
+ * Property 7, netlist items: faulted packed-kernel lane identity.
+ * The property-6 lockstep (one PackedSimulator vs 64 scalar Simulators on a random
  * netlist, 64 derived input schedules, scalar lanes alternating
  * EvalMode) with per-lane random SEU bit-flips injected into random
  * sequential gates at random cycles through the in-driver injection
@@ -126,7 +158,7 @@ PropertyResult faultedPackedEquivalenceCheck(
     uint64_t seed, const NetlistGenOptions &opts, unsigned cycles);
 
 /**
- * Property 8b: fault-campaign determinism. One small campaign over
+ * Property 7, program items: fault-campaign determinism. One small campaign over
  * @p image run three ways -- scalar 1 job, packed 1 job, packed
  * @p threads jobs -- must agree on every classification row
  * (FaultResult::sameClassification), every aggregate, and the golden
@@ -150,16 +182,14 @@ scenario::Scenario randomScenario(Rng &rng);
  * energy, and the envelope pointwise (the envelope may also only get
  * shorter). Additionally every concrete run *obeying* the scenario
  * (port words drawn per-cycle inside the scenario's constraint) must
- * lie under the scenario's own envelope, and the constrained
- * analysis must stay 1-vs-K-thread deterministic (this exercises the
- * schedule-phase dedup keys under the sharded/stealing exploration
- * core). Programs either analysis rejects pass vacuously.
+ * lie under the scenario's own envelope. Programs either analysis
+ * rejects pass vacuously.
  * Comparisons allow a ~1e-9 relative slack: per-cycle bound sums are
  * floating-point and the constrained tree sums fewer, smaller terms.
  */
 PropertyResult scenarioDominanceCheck(msp::System &sys,
                                       const isa::Image &image,
-                                      Rng &rng, unsigned threads = 4,
+                                      Rng &rng,
                                       unsigned concrete_runs = 2);
 
 /** A random operating-mode (DVFS) scenario drawn from @p rng: 2-3
@@ -181,33 +211,26 @@ scenario::Scenario randomModeScenario(Rng &rng);
  * the two analyses round independently), and the envelope pointwise
  * at or under with NO
  * slack and identical length (per-cycle powers scale by exact IEEE
- * multiplications, which are monotone). The lowered analysis must
- * also stay bit-identical across 1-vs-K threads, both EvalModes and
- * both snapshot modes (mode phases join the dedup keys), and
- * mode-obeying concrete runs (ConcreteRunOptions::modeSchedule built
+ * multiplications, which are monotone). Mode-obeying concrete runs (ConcreteRunOptions::modeSchedule built
  * from the scenario) must stay under the mode-priced envelope.
  * Programs either analysis rejects pass vacuously.
  */
 PropertyResult modeDominanceCheck(msp::System &sys,
                                   const isa::Image &image, Rng &rng,
-                                  unsigned threads = 4,
                                   unsigned concrete_runs = 2);
 
 /**
  * Property 9: static-prune soundness (`ulfuzz --mode lint`). Under a
  * random port scenario (or, 1 in 4, the unconstrained default) the
- * analysis with Options::staticPrune on must report bit-identical
- * peak power, peak energy, NPE, max path length, envelope and
- * ever-active set to the unpruned run. Tree-shape statistics
- * (totalCycles / pathsExplored / dedupMerges) are deliberately NOT
- * compared against the unpruned run: when the prune cone needs
- * settle cycles (maxPruneDepth > 0) forks before the engage cycle
+ * analysis with Options::staticPrune on must report the same bounds
+ * as the unpruned run (reportDiff, ReportScope::Bounds). Tree-shape
+ * statistics (totalCycles / pathsExplored / dedupMerges) are NOT
+ * compared against the unpruned run: when the prune cone needs settle
+ * cycles (maxPruneDepth > 0) forks before the engage cycle
  * hash with the full basis while later identical states hash with
  * the pruned basis, so a cross-boundary dedup merge the unpruned run
- * finds can be legitimately missed. The pruned runs *among
- * themselves* (1 vs @p threads threads, EventDriven vs FullSweep,
- * Delta vs Full snapshots) share one basis and must be bit-identical
- * in every scheduling-independent field, statistics included.
+ * finds can be legitimately missed. Pruned runs among themselves are
+ * property 3's business (it draws staticPrune one time in four).
  *
  * Independently, the static claims themselves are validated: the
  * core netlist must pass structural lint with zero errors, and a
@@ -221,26 +244,7 @@ PropertyResult modeDominanceCheck(msp::System &sys,
  * unpruned) but never the concrete validation.
  */
 PropertyResult staticPruneCheck(msp::System &sys,
-                                const isa::Image &image, Rng &rng,
-                                unsigned threads = 4);
-
-/**
- * Property 10: packed-frontier exploration identity (`ulfuzz --mode
- * packed-sym`). The analysis with Options::packedExplore -- pending
- * paths drained through the 64-lane bit-parallel kernel -- must
- * report bit-identical peak power, peak energy, NPE, cycle counts,
- * tree statistics, flattened trace, envelope, ever-active and
- * peak-active sets to the scalar exploration, under a random
- * configuration drawn from @p rng: unconstrained / random port
- * scenario / random DVFS mode schedule, Delta or Full snapshots, and
- * (1 in 4) staticPrune riding along. The packed runs among
- * themselves must additionally stay 1-vs-@p threads-thread
- * deterministic. Programs both engines reject pass vacuously, but
- * the rejection must be identical.
- */
-PropertyResult packedExploreCheck(msp::System &sys,
-                                  const isa::Image &image, Rng &rng,
-                                  unsigned threads = 4);
+                                const isa::Image &image, Rng &rng);
 
 } // namespace fuzz
 } // namespace ulpeak

@@ -41,8 +41,8 @@
  * combinational cones over the seeds, +1 per sequential stage the
  * proof passes through). Soundness of the whole chain is enforced
  * dynamically by fuzz property 9 (`ulfuzz --mode lint`): pruned and
- * unpruned analyses must be bit-identical, and every constant claim
- * is checked against concrete scenario-obeying runs.
+ * unpruned analyses must report identical bounds, and every constant
+ * claim is checked against concrete scenario-obeying runs.
  */
 
 #ifndef ULPEAK_LINT_LINT_HH

@@ -12,6 +12,7 @@
 #include <thread>
 
 #include "msp/cpu.hh"
+#include "util/content_hash.hh"
 
 namespace ulpeak {
 namespace peak {
@@ -19,49 +20,17 @@ namespace {
 
 namespace fs = std::filesystem;
 using Clock = std::chrono::steady_clock;
+using util::doubleBits;
+using util::floatBits;
+using util::hashDouble;
+using util::hashString;
+using util::hashU64;
 
 double
 secondsSince(Clock::time_point t0)
 {
     return std::chrono::duration<double>(Clock::now() - t0).count();
 }
-
-/// @name FNV-1a hashing over heterogeneous fields
-/// @{
-constexpr uint64_t kFnvOffset = 1469598103934665603ull;
-constexpr uint64_t kFnvPrime = 1099511628211ull;
-
-void
-hashBytes(uint64_t &h, const void *data, size_t n)
-{
-    const unsigned char *p = static_cast<const unsigned char *>(data);
-    for (size_t i = 0; i < n; ++i) {
-        h ^= p[i];
-        h *= kFnvPrime;
-    }
-}
-
-void
-hashU64(uint64_t &h, uint64_t v)
-{
-    hashBytes(h, &v, sizeof v);
-}
-
-void
-hashDouble(uint64_t &h, double d)
-{
-    uint64_t bits;
-    std::memcpy(&bits, &d, sizeof bits);
-    hashU64(h, bits);
-}
-
-void
-hashString(uint64_t &h, const std::string &s)
-{
-    hashU64(h, s.size());
-    hashBytes(h, s.data(), s.size());
-}
-/// @}
 
 /// @name Disk cache: one small text file per key
 /// @{
@@ -79,16 +48,6 @@ hashString(uint64_t &h, const std::string &s)
 // deserializing into a garbage report).
 constexpr const char *kCacheMagic = "ulpeak-cache-v4";
 
-std::string
-doubleBits(double d)
-{
-    uint64_t bits;
-    std::memcpy(&bits, &d, sizeof bits);
-    char buf[24];
-    std::snprintf(buf, sizeof buf, "%016" PRIx64, bits);
-    return buf;
-}
-
 double
 bitsDouble(const std::string &s, bool &ok)
 {
@@ -100,16 +59,6 @@ bitsDouble(const std::string &s, bool &ok)
     double d;
     std::memcpy(&d, &bits, sizeof d);
     return d;
-}
-
-std::string
-floatBits(float f)
-{
-    uint32_t bits;
-    std::memcpy(&bits, &f, sizeof bits);
-    char buf[12];
-    std::snprintf(buf, sizeof buf, "%08x", bits);
-    return buf;
 }
 
 /** Parse @p n floats from @p s (8 hex digits each, concatenated). */
@@ -291,7 +240,7 @@ uint64_t
 cacheKey(const CellLibrary &lib, const isa::Image &image,
          const Options &opts)
 {
-    uint64_t h = kFnvOffset;
+    uint64_t h = util::kFnvOffset;
     hashString(h, kCacheMagic);
     // The library participates by *content*, not just name: editing a
     // calibration constant must invalidate every cached entry.

@@ -67,9 +67,9 @@ struct Options {
     /** Packed 64-lane frontier exploration
      *  (SymbolicConfig::packedExplore, `ulpeak --packed-explore`):
      *  drain pending paths through the bit-parallel kernel, up to 64
-     *  per sweep. Never changes a reported number (fuzz
-     *  `--mode packed-sym`), so it is excluded from the cache key
-     *  like evalMode and snapshotMode. */
+     *  per sweep. Never changes a reported number (fuzz property 3,
+     *  `ulfuzz --mode invariance`), so it is excluded from the cache
+     *  key like evalMode and snapshotMode. */
     bool packedExplore = false;
 };
 

@@ -3,10 +3,11 @@
 #include <algorithm>
 #include <cctype>
 #include <cmath>
-#include <cstring>
 #include <fstream>
 #include <sstream>
 #include <stdexcept>
+
+#include "util/content_hash.hh"
 
 namespace ulpeak {
 namespace scenario {
@@ -439,52 +440,43 @@ Scenario::validate() const
 void
 Scenario::hashInto(uint64_t &h) const
 {
-    auto mix = [&h](uint64_t x) {
-        for (unsigned i = 0; i < 8; ++i) {
-            h ^= (x >> (8 * i)) & 0xff;
-            h *= 1099511628211ull;
-        }
-    };
+    using util::hashDouble;
+    using util::hashU64;
     // Content only, never the name: renaming a scenario must keep
     // cache entries valid, and two differently-named identical
     // scenarios must share them.
-    mix(port.pinned);
-    mix(port.value);
-    mix(portSchedule.size());
+    hashU64(h, port.pinned);
+    hashU64(h, port.value);
+    hashU64(h, portSchedule.size());
     for (const PortPattern &p : portSchedule) {
-        mix(p.pinned);
-        mix(p.value);
+        hashU64(h, p.pinned);
+        hashU64(h, p.value);
     }
-    mix(ramInit.size());
+    hashU64(h, ramInit.size());
     for (const auto &[addr, words] : ramInit) {
-        mix(addr);
-        mix(words.size());
+        hashU64(h, addr);
+        hashU64(h, words.size());
         for (uint16_t w : words)
-            mix(w);
+            hashU64(h, w);
     }
-    mix(regInit.size());
+    hashU64(h, regInit.size());
     for (const auto &[reg, value] : regInit) {
-        mix(reg);
-        mix(value);
+        hashU64(h, reg);
+        hashU64(h, value);
     }
     // Modes hash by their numeric content (exact double bit
     // patterns) and the schedule by its indices; mode *names* and
     // the assertion list stay out -- assertions are post-processing
     // over the envelope, never inputs to the analysis, so two
     // scenarios differing only in assertions share cache entries.
-    auto mixDouble = [&mix](double d) {
-        uint64_t bits = 0;
-        std::memcpy(&bits, &d, sizeof bits);
-        mix(bits);
-    };
-    mix(modes.size());
+    hashU64(h, modes.size());
     for (const OperatingMode &m : modes) {
-        mixDouble(m.vdd);
-        mixDouble(m.freqHz);
+        hashDouble(h, m.vdd);
+        hashDouble(h, m.freqHz);
     }
-    mix(modeSchedule.size());
+    hashU64(h, modeSchedule.size());
     for (uint32_t idx : modeSchedule)
-        mix(idx);
+        hashU64(h, idx);
 }
 
 std::string

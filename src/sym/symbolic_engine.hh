@@ -126,10 +126,11 @@ struct SymbolicConfig {
      * worklists, the full sweep, and the fork-time dedup hashing.
      * Opt-in and bit-identity-neutral: every reported number --
      * peak power, peak energy, NPE, envelope, activity sets -- is
-     * identical with and without it (fuzz property 9 / `ulfuzz
-     * --mode lint` enforces this across threads, kernels, and
-     * snapshot modes), so like evalMode and snapshotMode it is
-     * excluded from the batch result cache key.
+     * identical with and without it (fuzz property 9, `ulfuzz
+     * --mode lint`; property 3 checks pruned runs across threads,
+     * kernels, snapshot modes and the packed frontier), so like
+     * evalMode and snapshotMode it is excluded from the batch result
+     * cache key.
      */
     bool staticPrune = false;
     /**
@@ -143,9 +144,9 @@ struct SymbolicConfig {
      * peak energy, NPE, envelope, activity sets, path/merge/snapshot
      * statistics -- is bit-identical to the scalar exploration across
      * threads, kernels, snapshot modes, scenarios, operating-mode
-     * schedules, and staticPrune (fuzz `--mode packed-sym` enforces
-     * this), so like evalMode it is excluded from the batch result
-     * cache key. Only the scheduling-dependent statistics (steals,
+     * schedules, and staticPrune (fuzz property 3, `ulfuzz --mode
+     * invariance`), so like evalMode it is excluded from the batch
+     * result cache key. Only the scheduling-dependent statistics (steals,
      * per-worker cycles, packed batch/occupancy counters) differ.
      */
     bool packedExplore = false;

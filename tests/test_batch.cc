@@ -20,6 +20,7 @@
 #include "bench430/benchmarks.hh"
 #include "cli/driver.hh"
 #include "cli/fault_driver.hh"
+#include "fault/campaign.hh"
 #include "peak/batch.hh"
 #include "tests/cpu_test_util.hh"
 
@@ -496,6 +497,36 @@ TEST(Batch, CacheKeyExclusionRules)
     isa::Image other = cli::resolvePrograms({"tHold"})[0].image;
     EXPECT_NE(peak::cacheKey(lib, other, base), k0);
     EXPECT_NE(peak::cacheKey(CellLibrary::f1610Like(), img, base), k0);
+}
+
+// Existing cache files stay addressable: the keys of one fixed image
+// and option set (a scenario with every hashed field, envelope on; a
+// fault campaign with envelope) are pinned to the values the content
+// hash has always produced.
+TEST(Batch, CacheKeysPinned)
+{
+    CellLibrary lib = CellLibrary::tsmc65Like();
+    isa::Image img = bench430::benchmarkByName("mult").assembleImage();
+
+    peak::Options o;
+    o.recordEnvelope = true;
+    o.scenario.port = {0x00ff, 0x0012};
+    o.scenario.portSchedule = {{0xf000, 0x1000}, {0x0f00, 0x0000}};
+    o.scenario.ramInit = {{0x0200, {1, 2, 3}}};
+    o.scenario.regInit = {{5, 0x1234}};
+    o.scenario.modes = {{"lo", 0.8, 8e6}, {"hi", 1.2, 100e6}};
+    o.scenario.modeSchedule = {0, 1, 1};
+    EXPECT_EQ(peak::cacheKey(lib, img, o), 0x843981af8473b2e2ull);
+    EXPECT_EQ(peak::cacheKey(lib, img, peak::Options()),
+              0xd85d35e0f8b1df1bull);
+
+    fault::CampaignOptions f;
+    f.seed = 7;
+    f.cyclesPerSite = 2;
+    f.maxFlopSites = 16;
+    f.ramSites = 4;
+    f.withEnvelope = true;
+    EXPECT_EQ(fault::campaignCacheKey(lib, img, f), 0xfe2ddf84509c5cbbull);
 }
 
 TEST(Batch, OneFailingProgramDoesNotPoisonTheSuite)

@@ -14,6 +14,7 @@
 
 #include <cstdio>
 
+#include "cli/fault_driver.hh"
 #include "fault/campaign.hh"
 #include "fault/fault.hh"
 #include "fuzz/netlist_gen.hh"
@@ -416,6 +417,23 @@ TEST(FaultCampaign, SiteAndCycleDerivationIsSeedStable)
 }
 
 /** Long tier: the fuzz properties at depth (docs/testing.md). */
+// Control characters in a campaign error come out JSON-escaped, so
+// the report stays valid JSON.
+TEST(FaultCampaign, JsonEscapesControlCharactersInErrors)
+{
+    fault::CampaignResult res;
+    res.ok = false;
+    res.error = "golden run\rdiverged\x01";
+    std::string j = cli::toFaultJson(res, fault::CampaignOptions(),
+                                     "mult", false);
+    EXPECT_NE(j.find("\"golden run\\rdiverged\\u0001\""),
+              std::string::npos)
+        << j;
+    for (char c : j)
+        EXPECT_TRUE(c == '\n' || static_cast<unsigned char>(c) >= 0x20)
+            << "raw control byte " << int(c);
+}
+
 TEST(FaultFuzzLong, FaultedPackedLaneIdentityOnRandomNetlists)
 {
     fuzz::NetlistGenOptions gen;

@@ -2,14 +2,18 @@
  * @file
  * Tests of the fuzzing building blocks (src/fuzz): the shared
  * deterministic PRNG, the random program generator, and the random
- * netlist generator. Determinism is the load-bearing property -- a
- * printed seed must reproduce a failure bit-for-bit on any platform.
+ * netlist generator, plus the `ulfuzz` command line. Determinism is
+ * the load-bearing property -- a printed seed must reproduce a failure
+ * bit-for-bit on any platform.
  */
 
 #include <set>
+#include <string>
+#include <vector>
 
 #include <gtest/gtest.h>
 
+#include "cli/fuzz_driver.hh"
 #include "fuzz/netlist_gen.hh"
 #include "fuzz/program_gen.hh"
 #include "fuzz/rng.hh"
@@ -168,6 +172,87 @@ TEST(NetlistGen, InputScheduleDeterministicAndXBounded)
     for (auto &cyc : sc)
         for (V4 v : cyc)
             ASSERT_NE(v, V4::X) << "x_percent=0 must yield no X";
+}
+
+// Every count flag of the mode table parses, with the table defaults
+// when absent.
+TEST(FuzzCli, CountFlagsAndDefaults)
+{
+    cli::FuzzCliOptions o;
+    std::string err;
+    const char *none[] = {"ulfuzz"};
+    ASSERT_TRUE(cli::parseFuzzArgs(1, none, o, err)) << err;
+    EXPECT_EQ(o.counts.at("--programs"), 50u);
+    EXPECT_EQ(o.counts.at("--netlists"), 50u);
+    EXPECT_EQ(o.counts.at("--invariance-programs"), 16u);
+    EXPECT_EQ(o.counts.at("--packed-netlists"), 6u);
+    EXPECT_EQ(o.counts.at("--fault-programs"), 3u);
+    EXPECT_EQ(o.counts.size(), 11u);
+
+    cli::FuzzCliOptions p;
+    const char *args[] = {"ulfuzz", "--invariance-programs", "3",
+                          "--scn-programs", "0", "--mode",
+                          "invariance"};
+    ASSERT_TRUE(cli::parseFuzzArgs(7, args, p, err)) << err;
+    EXPECT_EQ(p.counts.at("--invariance-programs"), 3u);
+    EXPECT_EQ(p.counts.at("--scn-programs"), 0u);
+    EXPECT_EQ(p.mode, "invariance");
+}
+
+// In a single-mode run a bare --programs N is that mode's program-item
+// count, whatever the argument order; a mode without program items
+// rejects it.
+TEST(FuzzCli, BareProgramsFollowsTheMode)
+{
+    struct Case {
+        const char *mode;
+        const char *flag;
+    };
+    for (Case c : {Case{"cosim", "--programs"},
+                   Case{"invariance", "--invariance-programs"},
+                   Case{"envelope", "--env-programs"},
+                   Case{"scenario", "--scn-programs"},
+                   Case{"packed", "--packed-programs"},
+                   Case{"fault", "--fault-programs"},
+                   Case{"dvfs", "--dvfs-programs"},
+                   Case{"lint", "--lint-programs"}}) {
+        cli::FuzzCliOptions o;
+        std::string err;
+        const char *args[] = {"ulfuzz", "--programs", "50", "--mode",
+                              c.mode};
+        ASSERT_TRUE(cli::parseFuzzArgs(5, args, o, err)) << err;
+        EXPECT_EQ(o.counts.at(c.flag), 50u) << c.mode;
+    }
+
+    cli::FuzzCliOptions all;
+    std::string err;
+    const char *allArgs[] = {"ulfuzz", "--programs", "200"};
+    ASSERT_TRUE(cli::parseFuzzArgs(3, allArgs, all, err)) << err;
+    EXPECT_EQ(all.counts.at("--programs"), 200u);
+    EXPECT_EQ(all.counts.at("--scn-programs"), 8u);
+
+    cli::FuzzCliOptions k;
+    const char *kernel[] = {"ulfuzz", "--mode", "kernel", "--programs",
+                            "5"};
+    EXPECT_FALSE(cli::parseFuzzArgs(5, kernel, k, err));
+    EXPECT_NE(err.find("kernel"), std::string::npos) << err;
+}
+
+TEST(FuzzCli, RetiredModesAndFlagsAreRejected)
+{
+    std::string err;
+    for (std::vector<const char *> args :
+         {std::vector<const char *>{"ulfuzz", "--mode", "sym"},
+          std::vector<const char *>{"ulfuzz", "--mode", "packed-sym"},
+          std::vector<const char *>{"ulfuzz", "--sym-programs", "4"},
+          std::vector<const char *>{"ulfuzz", "--psym-programs", "4"},
+          std::vector<const char *>{"ulfuzz", "--netlists", "4x"},
+          std::vector<const char *>{"ulfuzz", "--threads", "1"}}) {
+        cli::FuzzCliOptions o;
+        EXPECT_FALSE(
+            cli::parseFuzzArgs(int(args.size()), args.data(), o, err))
+            << args[1];
+    }
 }
 
 } // namespace

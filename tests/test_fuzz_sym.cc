@@ -1,15 +1,19 @@
 /**
  * @file
- * Symbolic-engine differential fuzzing: on random generated programs
- * (with X port inputs forcing execution-tree forks), peak::analyze
- * must report bit-identical results for 1 vs K worker threads and for
- * the two simulation kernels. These are the scheduling-independence
- * guarantees every consumer (batch driver, cache keys, CLI reports)
- * builds on, extended from two hand-picked programs to generated
- * scenarios.
+ * Configuration invariance of the peak analysis (fuzz property 3): on
+ * random generated programs (with X port inputs forcing
+ * execution-tree forks) under random scenarios, DVFS schedules and
+ * static pruning, peak::analyze must report bit-identical results at
+ * every point of threads{1, K} x EvalMode x SnapshotMode x
+ * packedExplore. These are the guarantees every consumer (batch
+ * driver, cache keys, CLI reports) builds on. Also pins the one
+ * report comparator, fuzz::reportDiff, and the draw distribution of
+ * the `ulfuzz --mode invariance` items.
  */
 
 #include <gtest/gtest.h>
+
+#include <cmath>
 
 #include "fuzz/program_gen.hh"
 #include "fuzz/properties.hh"
@@ -18,51 +22,196 @@
 namespace ulpeak {
 namespace {
 
+/** A random program drawn from @p rng, which then continues the
+ *  item's stream. */
 isa::Image
-imageForSeed(uint64_t seed, unsigned instructions)
+imageForSeed(fuzz::Rng &rng, unsigned instructions)
 {
-    fuzz::Rng rng(fuzz::Rng::deriveStream(21, seed));
     fuzz::ProgramGenOptions gen;
     gen.instructions = instructions;
-    fuzz::GeneratedProgram p = fuzz::generateProgram(rng, gen);
-    return isa::assemble(p.source);
+    return isa::assemble(fuzz::generateProgram(rng, gen).source);
 }
 
-class SymFuzz : public ::testing::TestWithParam<uint64_t> {};
+class InvarianceFuzz : public ::testing::TestWithParam<uint64_t> {};
 
-TEST_P(SymFuzz, OneVsFourThreadsBitIdentical)
+TEST_P(InvarianceFuzz, RandomKnobPointMatchesReference)
 {
-    isa::Image img = imageForSeed(GetParam(), 10);
+    fuzz::Rng rng(fuzz::Rng::deriveStream(21, GetParam()));
+    isa::Image img = imageForSeed(rng, 10);
     fuzz::PropertyResult r =
-        fuzz::symDeterminismCheck(test::sharedSystem(), img, 4);
+        fuzz::configInvarianceCheck(test::sharedSystem(), img, rng, 4);
     EXPECT_TRUE(r.ok) << r.detail;
 }
 
-TEST_P(SymFuzz, EvalModesBitIdenticalEndToEnd)
-{
-    isa::Image img = imageForSeed(GetParam(), 10);
-    fuzz::PropertyResult r =
-        fuzz::evalModeReportCheck(test::sharedSystem(), img);
-    EXPECT_TRUE(r.ok) << r.detail;
-}
+INSTANTIATE_TEST_SUITE_P(Seeds, InvarianceFuzz,
+                         ::testing::Range(uint64_t(0), uint64_t(6)));
 
-INSTANTIATE_TEST_SUITE_P(Seeds, SymFuzz, ::testing::Range(uint64_t(0), uint64_t(3)));
-
-TEST(SymFuzzLong, ManyProgramsManyThreadCounts)
+TEST(InvarianceFuzzLong, ManyProgramsManyThreadCounts)
 {
-    for (uint64_t seed = 100; seed < 110; ++seed) {
-        isa::Image img = imageForSeed(seed, 14);
+    for (uint64_t seed = 100; seed < 116; ++seed) {
         for (unsigned threads : {2u, 4u, 8u}) {
-            fuzz::PropertyResult r = fuzz::symDeterminismCheck(
-                test::sharedSystem(), img, threads);
-            EXPECT_TRUE(r.ok)
-                << "seed " << seed << " threads " << threads << ": "
-                << r.detail;
+            fuzz::Rng rng(fuzz::Rng::deriveStream(21, seed));
+            isa::Image img = imageForSeed(rng, 14);
+            fuzz::PropertyResult r = fuzz::configInvarianceCheck(
+                test::sharedSystem(), img, rng, threads);
+            EXPECT_TRUE(r.ok) << "seed " << seed << " threads "
+                              << threads << ": " << r.detail;
         }
-        fuzz::PropertyResult m =
-            fuzz::evalModeReportCheck(test::sharedSystem(), img);
-        EXPECT_TRUE(m.ok) << "seed " << seed << ": " << m.detail;
     }
+}
+
+// The first 16 draws of `ulfuzz --seed 1 --mode invariance` (its
+// default count) reach every knob, every scenario kind and both
+// prune settings. Item i's stream is (seed, 2 << 32 | i), and its
+// program (--instr 24 / 2 + 1 body items) is drawn before the knobs.
+TEST(InvarianceDraws, UlfuzzDefaultRunCoversEveryAxis)
+{
+    unsigned threads = 0, sweep = 0, full = 0, packed = 0;
+    unsigned kinds[3] = {0, 0, 0}, pruned = 0;
+    for (unsigned i = 0; i < 16; ++i) {
+        fuzz::Rng rng(fuzz::Rng::deriveStream(1, (2ull << 32) + i));
+        fuzz::ProgramGenOptions gen;
+        gen.instructions = 13;
+        fuzz::generateProgram(rng, gen);
+        fuzz::InvarianceDraw d = fuzz::drawInvariance(rng, 4);
+
+        const peak::Options &ref = d.reference, &var = d.variant;
+        EXPECT_EQ(ref.numThreads, 1u);
+        EXPECT_EQ(ref.evalMode, EvalMode::EventDriven);
+        EXPECT_EQ(ref.snapshotMode, sym::SnapshotMode::Delta);
+        EXPECT_FALSE(ref.packedExplore);
+        EXPECT_TRUE(ref.recordEnvelope && ref.recordActiveSets);
+        EXPECT_EQ(ref.staticPrune, var.staticPrune);
+        uint64_t hr = 0, hv = 0;
+        ref.scenario.hashInto(hr);
+        var.scenario.hashInto(hv);
+        EXPECT_EQ(hr, hv);
+
+        bool t = var.numThreads == 4,
+             k = var.evalMode == EvalMode::FullSweep,
+             s = var.snapshotMode == sym::SnapshotMode::Full,
+             p = var.packedExplore;
+        EXPECT_TRUE(t || k || s || p) << "item " << i
+                                      << " drew the reference point";
+        threads += t;
+        sweep += k;
+        full += s;
+        packed += p;
+        ++kinds[ref.scenario.hasModes()         ? 2
+                : ref.scenario.isUnconstrained() ? 0
+                                                 : 1];
+        pruned += ref.staticPrune;
+    }
+    EXPECT_GE(threads, 4u);
+    EXPECT_GE(sweep, 4u);
+    EXPECT_GE(full, 4u);
+    EXPECT_GE(packed, 4u);
+    EXPECT_GT(kinds[0], 0u) << "no unconstrained item";
+    EXPECT_GT(kinds[1], 0u) << "no port-scenario item";
+    EXPECT_GT(kinds[2], 0u) << "no DVFS item";
+    EXPECT_GT(pruned, 0u);
+    EXPECT_LT(pruned, 16u);
+}
+
+/** A report with every field reportDiff covers populated. */
+peak::Report
+sampleReport()
+{
+    peak::Report r;
+    r.ok = true;
+    r.peakPowerW = 1.25e-3;
+    r.peakEnergyJ = 3.5e-9;
+    r.npeJPerCycle = 7.0e-12;
+    r.maxPathCycles = 120;
+    r.flatTraceW = {1e-3f, 1.25e-3f, 0.5e-3f};
+    r.envelope.present = true;
+    r.envelope.powerW = {1e-3f, 1.25e-3f};
+    r.envelope.windows = {1, 10};
+    r.envelope.windowEnergyJ = {{1e-11f, 1.25e-11f}, {1e-11f, 2.25e-11f}};
+    r.envelope.peakWindowEnergyJ = {1.25e-11, 2.25e-11};
+    r.everActive = {0, 1, 1, 0};
+    r.peakActive = {1, 2};
+    r.totalCycles = 400;
+    r.pathsExplored = 3;
+    r.dedupMerges = 1;
+    return r;
+}
+
+TEST(ReportDiff, EveryCoveredFieldIsNamed)
+{
+    const peak::Report base = sampleReport();
+    EXPECT_EQ(fuzz::reportDiff(base, base), "");
+
+    struct Case {
+        const char *field;
+        bool bound; ///< part of ReportScope::Bounds
+        void (*perturb)(peak::Report &);
+    };
+    const Case cases[] = {
+        {"peakPowerW", true, [](peak::Report &r) { r.peakPowerW *= 2; }},
+        {"peakEnergyJ", true,
+         [](peak::Report &r) { r.peakEnergyJ *= 2; }},
+        {"npeJPerCycle", true,
+         [](peak::Report &r) { r.npeJPerCycle *= 2; }},
+        {"maxPathCycles", true,
+         [](peak::Report &r) { ++r.maxPathCycles; }},
+        {"envelope.present", true,
+         [](peak::Report &r) { r.envelope.present = false; }},
+        {"envelope.powerW", true,
+         [](peak::Report &r) { r.envelope.powerW[1] = 2e-3f; }},
+        {"envelope.windows", true,
+         [](peak::Report &r) { r.envelope.windows[1] = 100; }},
+        {"envelope.windowEnergyJ[1]", true,
+         [](peak::Report &r) { r.envelope.windowEnergyJ[1][0] = 0; }},
+        {"envelope.windowEnergyJ.size", true,
+         [](peak::Report &r) { r.envelope.windowEnergyJ.pop_back(); }},
+        {"envelope.peakWindowEnergyJ", true,
+         [](peak::Report &r) { r.envelope.peakWindowEnergyJ[0] = 0; }},
+        {"everActive", true, [](peak::Report &r) { r.everActive[0] = 1; }},
+        {"totalCycles", false, [](peak::Report &r) { ++r.totalCycles; }},
+        {"pathsExplored", false,
+         [](peak::Report &r) { ++r.pathsExplored; }},
+        {"dedupMerges", false, [](peak::Report &r) { ++r.dedupMerges; }},
+        {"flatTraceW", false,
+         [](peak::Report &r) { r.flatTraceW.push_back(0); }},
+        {"peakActive", false, [](peak::Report &r) { r.peakActive[1] = 3; }},
+        {"ok", true, [](peak::Report &r) { r.ok = false; }},
+    };
+    for (const Case &c : cases) {
+        peak::Report b = base;
+        c.perturb(b);
+        std::string all = fuzz::reportDiff(base, b);
+        EXPECT_NE(all.find(c.field), std::string::npos)
+            << c.field << " not named in:\n" << all;
+        std::string bounds =
+            fuzz::reportDiff(base, b, fuzz::ReportScope::Bounds);
+        if (c.bound)
+            EXPECT_NE(bounds.find(c.field), std::string::npos)
+                << c.field;
+        else
+            EXPECT_EQ(bounds, "") << c.field;
+    }
+}
+
+// Two rejections agree only when their errors do.
+TEST(ReportDiff, RejectionsCompareByError)
+{
+    peak::Report a, b;
+    a.error = b.error = "symbolic cycle budget exhausted";
+    EXPECT_EQ(fuzz::reportDiff(a, b), "");
+    b.error = "unbounded loop";
+    EXPECT_NE(fuzz::reportDiff(a, b, fuzz::ReportScope::Bounds)
+                  .find("error"),
+              std::string::npos);
+}
+
+// A one-ulp mismatch prints as two different numbers.
+TEST(ReportDiff, DoublesPrintExactly)
+{
+    peak::Report a = sampleReport(), b = a;
+    b.peakPowerW = std::nextafter(a.peakPowerW, 1.0);
+    std::string d = fuzz::reportDiff(a, b);
+    EXPECT_EQ(d, "peakPowerW: a=0.00125 b=0.0012500000000000002\n");
 }
 
 } // namespace

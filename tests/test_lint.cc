@@ -9,9 +9,10 @@
  * the CLI contract (parse errors, JSON byte-identity across --jobs).
  *
  * The dynamic half of the prune-soundness story -- pruned vs unpruned
- * report bit-identity and concrete validation of every proven
- * constant -- lives in fuzz::staticPruneCheck (tests/test_fuzz_sym.cc
- * and `ulfuzz --mode lint`).
+ * bound identity and concrete validation of every proven constant --
+ * is fuzz property 9, fuzz::staticPruneCheck, run by
+ * `ulfuzz --mode lint`; pruned runs among themselves are covered by
+ * property 3 (tests/test_fuzz_sym.cc, `ulfuzz --mode invariance`).
  */
 
 #include <gtest/gtest.h>
@@ -448,6 +449,37 @@ TEST(LintCli, JsonByteIdenticalAcrossJobs)
     // A constrained scenario proves at least as much as the
     // unconstrained one (spot-check the report content).
     EXPECT_NE(a.find("\"ports-grounded\""), std::string::npos);
+    fs::remove_all(dir);
+}
+
+// Control characters in a scenario name come out JSON-escaped, so the
+// report stays valid JSON.
+TEST(LintCli, JsonEscapesControlCharactersInScenarioNames)
+{
+    fs::path dir = fs::temp_directory_path() /
+                   ("ullint_ctrl_" + std::to_string(::getpid()));
+    fs::create_directories(dir);
+    std::string scn = (dir / "scn.json").string();
+    std::string out = (dir / "out.json").string();
+    {
+        // "\r" is a JSON escape; the 0x01 byte goes in raw.
+        std::ofstream f(scn);
+        f << "{\"name\": \"grounded\\rA\x01" "B\", \"port\": "
+             "{\"pinned\": \"0xffff\", \"value\": \"0x0000\"}}";
+    }
+    const char *argv[] = {"ullint",       "--scenario", scn.c_str(),
+                          "--json",       out.c_str(),  "--no-timings",
+                          "--quiet"};
+    ASSERT_EQ(cli::runLintCli(7, argv), 0);
+
+    std::ifstream in(out);
+    std::string j((std::istreambuf_iterator<char>(in)),
+                  std::istreambuf_iterator<char>());
+    EXPECT_NE(j.find("\"grounded\\rA\\u0001B\""), std::string::npos)
+        << j;
+    for (char c : j)
+        EXPECT_TRUE(c == '\n' || static_cast<unsigned char>(c) >= 0x20)
+            << "raw control byte " << int(c);
     fs::remove_all(dir);
 }
 

@@ -18,6 +18,7 @@
 
 #include "bench430/benchmarks.hh"
 #include "cli/driver.hh"
+#include "fuzz/properties.hh"
 #include "peak/batch.hh"
 #include "peak/peak_analysis.hh"
 #include "scenario/scenario.hh"
@@ -331,24 +332,6 @@ TEST(Scenario, RegInitNarrowsBootRegisters)
     EXPECT_LE(con.peakPowerW, unc.peakPowerW * (1 + 1e-9));
 }
 
-/** Field-by-field identity of two reports (the scheduling- and
- *  representation-independent parts). */
-void
-expectIdenticalReports(const peak::Report &a, const peak::Report &b)
-{
-    ASSERT_EQ(a.ok, b.ok) << a.error << " vs " << b.error;
-    EXPECT_EQ(a.peakPowerW, b.peakPowerW);
-    EXPECT_EQ(a.peakEnergyJ, b.peakEnergyJ);
-    EXPECT_EQ(a.npeJPerCycle, b.npeJPerCycle);
-    EXPECT_EQ(a.maxPathCycles, b.maxPathCycles);
-    EXPECT_EQ(a.totalCycles, b.totalCycles);
-    EXPECT_EQ(a.pathsExplored, b.pathsExplored);
-    EXPECT_EQ(a.dedupMerges, b.dedupMerges);
-    EXPECT_EQ(a.flatTraceW, b.flatTraceW);
-    EXPECT_EQ(a.envelope.powerW, b.envelope.powerW);
-    EXPECT_EQ(a.envelope.windowEnergyJ, b.envelope.windowEnergyJ);
-}
-
 // A scheduled scenario makes the same simulator state reachable at
 // different schedule phases; the phase-aware dedup keys must keep
 // 1-vs-K-thread exploration bit-identical anyway.
@@ -365,7 +348,7 @@ TEST(Scenario, ScheduledScenarioIsThreadDeterministic)
 
     opts.numThreads = 4;
     peak::Report parallel = peak::analyze(sys, img, opts);
-    expectIdenticalReports(serial, parallel);
+    EXPECT_EQ(fuzz::reportDiff(serial, parallel), "");
 }
 
 // Delta and full fork snapshots must be bit-identical end to end --
@@ -382,7 +365,7 @@ TEST(Scenario, SnapshotModesAreBitIdentical)
         full.snapshotMode = sym::SnapshotMode::Full;
         peak::Report rd = peak::analyze(sys, img, delta);
         peak::Report rf = peak::analyze(sys, img, full);
-        expectIdenticalReports(rd, rf);
+        EXPECT_EQ(fuzz::reportDiff(rd, rf), "");
         if (rd.pathsExplored > 1) {
             EXPECT_LT(rd.snapshotBytesCopied, rf.snapshotBytesCopied)
                 << prog;
@@ -642,13 +625,13 @@ TEST(Scenario, ModeScheduleDominanceAndDeterminism)
 
     peak::Options par = base;
     par.numThreads = 4;
-    expectIdenticalReports(rb, peak::analyze(sys, img, par));
+    EXPECT_EQ(fuzz::reportDiff(rb, peak::analyze(sys, img, par)), "");
     peak::Options full = base;
     full.snapshotMode = sym::SnapshotMode::Full;
-    expectIdenticalReports(rb, peak::analyze(sys, img, full));
+    EXPECT_EQ(fuzz::reportDiff(rb, peak::analyze(sys, img, full)), "");
     peak::Options sweep = base;
     sweep.evalMode = EvalMode::FullSweep;
-    expectIdenticalReports(rb, peak::analyze(sys, img, sweep));
+    EXPECT_EQ(fuzz::reportDiff(rb, peak::analyze(sys, img, sweep)), "");
 }
 
 // The --modes report (JSON without timings) is byte-identical across

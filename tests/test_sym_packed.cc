@@ -13,36 +13,13 @@
 
 #include <gtest/gtest.h>
 
+#include "fuzz/properties.hh"
 #include "peak/peak_analysis.hh"
 #include "sim/packed_simulator.hh"
 #include "tests/cpu_test_util.hh"
 
 namespace ulpeak {
 namespace {
-
-/** Bit-identity over every scheduling-independent report field: the
- *  packed frontier's contract. */
-void
-expectIdenticalReports(const peak::Report &a, const peak::Report &b)
-{
-    ASSERT_EQ(a.ok, b.ok) << a.error << " vs " << b.error;
-    EXPECT_EQ(a.error, b.error);
-    if (!a.ok)
-        return;
-    EXPECT_EQ(a.peakPowerW, b.peakPowerW);
-    EXPECT_EQ(a.peakEnergyJ, b.peakEnergyJ);
-    EXPECT_EQ(a.npeJPerCycle, b.npeJPerCycle);
-    EXPECT_EQ(a.maxPathCycles, b.maxPathCycles);
-    EXPECT_EQ(a.totalCycles, b.totalCycles);
-    EXPECT_EQ(a.pathsExplored, b.pathsExplored);
-    EXPECT_EQ(a.dedupMerges, b.dedupMerges);
-    EXPECT_EQ(a.flatTraceW, b.flatTraceW);
-    EXPECT_EQ(a.envelope.present, b.envelope.present);
-    EXPECT_EQ(a.envelope.powerW, b.envelope.powerW);
-    EXPECT_EQ(a.envelope.windowEnergyJ, b.envelope.windowEnergyJ);
-    EXPECT_EQ(a.everActive, b.everActive);
-    EXPECT_EQ(a.peakActive, b.peakActive);
-}
 
 peak::Options
 baseOptions()
@@ -100,7 +77,7 @@ TEST(SymPacked, SmallFrontierMatchesScalar)
     peak::Options packed = scalar;
     packed.packedExplore = true;
     peak::Report rp = peak::analyze(sys, img, packed);
-    expectIdenticalReports(rs, rp);
+    EXPECT_EQ(fuzz::reportDiff(rs, rp), "");
 
     // The packed run actually went through the batched path, and its
     // occupancy stats are sane: live-lane cycles can never exceed
@@ -127,7 +104,7 @@ TEST(SymPacked, ForkHeavyTreeWithMidBatchHaltsAndDedup)
     peak::Options packed = baseOptions();
     packed.packedExplore = true;
     peak::Report rp = peak::analyze(sys, img, packed);
-    expectIdenticalReports(rs, rp);
+    EXPECT_EQ(fuzz::reportDiff(rs, rp), "");
     // With dozens of pending paths, batches must actually pack
     // multiple lanes: mean occupancy strictly above one lane.
     EXPECT_GT(rp.packedLaneCycles, rp.packedSweeps);
@@ -151,7 +128,7 @@ TEST(SymPacked, ScenarioAndModeSchedulePhasesPerLane)
         packed.packedExplore = true;
         peak::Report rp = peak::analyze(sys, img, packed);
         SCOPED_TRACE(name);
-        expectIdenticalReports(rs, rp);
+        EXPECT_EQ(fuzz::reportDiff(rs, rp), "");
     }
 }
 
@@ -179,7 +156,7 @@ TEST(SymPacked, SnapshotModesAndStaticPruneInterplay)
             peak::Report rp = peak::analyze(sys, img, packed);
             SCOPED_TRACE((fullSnap ? "full" : "delta") +
                          std::string(prune ? "+prune" : ""));
-            expectIdenticalReports(rs, rp);
+            EXPECT_EQ(fuzz::reportDiff(rs, rp), "");
         }
     }
 }
@@ -198,7 +175,7 @@ TEST(SymPacked, MultiThreadPackedDeterminism)
 
     packed.numThreads = 3;
     peak::Report rk = peak::analyze(sys, img, packed);
-    expectIdenticalReports(r1, rk);
+    EXPECT_EQ(fuzz::reportDiff(r1, rk), "");
 }
 
 TEST(SymPacked, LaneStateTransposeRoundTrip)

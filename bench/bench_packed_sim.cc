@@ -11,7 +11,7 @@
  *
  * `bench_packed_sim --min-ratio R` additionally exits 1 if the
  * packed/scalar per-pattern throughput ratio falls below R; CI runs it
- * with `--min-ratio 8`.
+ * with `--min-ratio 15`.
  */
 
 #include <chrono>

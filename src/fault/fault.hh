@@ -94,7 +94,8 @@ struct RunOptions {
     /** Cycle budget; runs not halting within it classify as Hang. */
     uint64_t maxCycles = 60000;
     uint16_t portIn = 0;
-    /** Kernel of the scalar path (the packed path is oblivious). */
+    /** Kernel of the scalar path (the packed kernel has one mode, the
+     *  lane-unioned analogue of EventDriven). */
     EvalMode evalMode = EvalMode::EventDriven;
     /** Record the per-cycle bound power trace (may be null). */
     const power::PowerContext *powerCtx = nullptr;

@@ -7,14 +7,14 @@
  * (the packed lane-identity invariant extended through the checker):
  *
  *  - per-lane behavioral memory and store-stream observation reuse
- *    power::packedMemHook / packedMemEdge, with finished lanes
- *    masked out exactly where the scalar loop would have stopped
- *    stepping;
+ *    power::packedMemHook / packedMemEdge;
  *  - the FETCH detection is a plane-wise evaluation of
  *    System::fsmState's exactly-one-hot-concrete rule;
- *  - a lane that diverges or halts is *finished*: its checking stops,
- *    its memory freezes, no further injection lands -- while the
- *    remaining lanes keep sweeping.
+ *  - a lane that diverges or halts is *finished* and retired from the
+ *    simulator exactly where the scalar loop would have stopped
+ *    stepping: its checking stops, its state and memory freeze, no
+ *    further injection lands, and it costs the remaining lanes'
+ *    sweeps nothing.
  *
  * Divergence detail/disassembly strings are not built here (the
  * FaultResult::report contract); replay one lane through the scalar
@@ -68,7 +68,8 @@ runFaultedPacked(msp::System &sys, const isa::Image &image,
     std::array<FaultResult, kLanes> res;
 
     // Per-lane checker state (the locals of cosim::run, one per lane).
-    uint64_t finished_mask = 0;
+    // A lane that finishes is retired from the simulator, so the
+    // simulator's live mask is the set of still-running lanes.
     uint64_t halted_mask = 0;
     uint64_t fault_mask = 0;
     std::array<std::vector<cosim::MemWrite>, kLanes> gateWrites;
@@ -93,24 +94,16 @@ runFaultedPacked(msp::System &sys, const isa::Image &image,
         curPc[l] = iss[l].pc();
     }
 
-    PackedSimulator psim(sys.netlist());
-    psim.setHookFn(h.memHookId, [&](PackedSimulator &s) {
+    auto memHook = [&](PackedSimulator &s) {
         power::packedMemHook(s, h, mem);
-    });
-    // Same edge order as the scalar path: the memory commit
-    // (System::attach) precedes the store-stream observer
-    // (cosim::run). Finished lanes are masked out of both -- their
-    // scalar counterpart stopped stepping -- but merely *halted* lanes
-    // still feed the observer, so the halting store itself is
-    // observed exactly as in the scalar run.
-    psim.addEdgeFn([&](PackedSimulator &s) {
-        power::packedMemEdge(s, h, mem, halted_mask, fault_mask,
-                             /*skip_mask=*/finished_mask);
-    });
-    psim.addEdgeFn([&](PackedSimulator &s) {
+    };
+    auto memEdge = [&](PackedSimulator &s) {
+        power::packedMemEdge(s, h, mem, halted_mask, fault_mask);
+    };
+    auto observeStores = [&](PackedSimulator &s) {
         V64 rstn = s.value(h.rstn);
         V64 wr = s.value(h.mbWr);
-        uint64_t consider = ~finished_mask;
+        uint64_t consider = s.liveMask();
         while (consider) {
             unsigned l = unsigned(__builtin_ctzll(consider));
             consider &= consider - 1;
@@ -129,12 +122,21 @@ runFaultedPacked(msp::System &sys, const isa::Image &image,
             if (addr.value < isa::SystemMap::kRomBase)
                 gateWrites[l].push_back({addr.value, data.value});
         }
-    });
+    };
+    // Same edge order as the scalar path: the memory commit
+    // (System::attach) precedes the store-stream observer
+    // (cosim::run). Finished (retired) lanes are skipped by both --
+    // their scalar counterpart stopped stepping -- but merely *halted*
+    // lanes still feed the observer, so the halting store itself is
+    // observed exactly as in the scalar run.
+    PackedSimulator psim(sys.netlist());
+    psim.setHookFn(h.memHookId, memHook);
+    psim.addEdgeFn(memEdge);
+    psim.addEdgeFn(observeStores);
 
     auto applyInjections = [&](PackedSimulator &s) {
-        for (unsigned l = 0; l < kLanes; ++l) {
-            if ((finished_mask >> l) & 1)
-                continue;
+        for (uint64_t live = s.liveMask(); live; live &= live - 1) {
+            unsigned l = unsigned(__builtin_ctzll(live));
             for (const Injection &inj : faults[l]) {
                 if (inj.cycle != s.cycle())
                     continue;
@@ -164,7 +166,7 @@ runFaultedPacked(msp::System &sys, const isa::Image &image,
                 : (kind == cosim::Divergence::Kind::GateX
                        ? Outcome::Crash
                        : Outcome::Sdc);
-        finished_mask |= uint64_t(1) << l;
+        psim.retireLanes(uint64_t(1) << l);
     };
 
     // compareWrites(pc) per lane; returns false after diverging.
@@ -205,7 +207,7 @@ runFaultedPacked(msp::System &sys, const isa::Image &image,
             }
         }
         res[l].outcome = Outcome::Masked;
-        finished_mask |= uint64_t(1) << l;
+        psim.retireLanes(uint64_t(1) << l);
     };
 
     // Reset sequence (System::reset with the injection pre-cycle).
@@ -218,9 +220,8 @@ runFaultedPacked(msp::System &sys, const isa::Image &image,
         });
     }
 
-    while (finished_mask != ~uint64_t(0) &&
-           psim.cycle() < opts.maxCycles) {
-        uint64_t stepping = ~finished_mask; // scalar loop entrants
+    while (psim.liveMask() && psim.cycle() < opts.maxCycles) {
+        uint64_t stepping = psim.liveMask(); // scalar loop entrants
         psim.step([&](PackedSimulator &s) {
             s.setInput(h.rstn, V64::splat(V4::One));
             s.setInput(h.irq, V64::splat(V4::Zero));
@@ -303,7 +304,7 @@ runFaultedPacked(msp::System &sys, const isa::Image &image,
     }
 
     // Budget exhausted: every still-running lane is a hang.
-    uint64_t running = ~finished_mask;
+    uint64_t running = psim.liveMask();
     while (running) {
         unsigned l = unsigned(__builtin_ctzll(running));
         running &= running - 1;

@@ -11,10 +11,12 @@ void
 packedMemHook(PackedSimulator &s, const msp::CpuHandles &h,
               std::vector<Memory> &mem)
 {
+    // Retired lanes are skipped: setInput would drop their data.
     std::array<Word16, kLanes> data;
     uint64_t access_mask = 0;
     V64 en = s.value(h.mbEn);
-    for (unsigned l = 0; l < kLanes; ++l) {
+    for (uint64_t live = s.liveMask(); live; live &= live - 1) {
+        unsigned l = unsigned(__builtin_ctzll(live));
         V4 e = en.lane(l);
         if (e == V4::Zero) {
             data[l] = Word16::known(0);
@@ -47,14 +49,13 @@ packedMemHook(PackedSimulator &s, const msp::CpuHandles &h,
 void
 packedMemEdge(PackedSimulator &s, const msp::CpuHandles &h,
               std::vector<Memory> &mem, uint64_t &halted_mask,
-              uint64_t &fault_mask, uint64_t skip_mask)
+              uint64_t &fault_mask)
 {
     V64 rstn = s.value(h.rstn);
     V64 wr = s.value(h.mbWr);
-    for (unsigned l = 0; l < kLanes; ++l) {
+    for (uint64_t m = s.liveMask() & ~halted_mask; m; m &= m - 1) {
+        unsigned l = unsigned(__builtin_ctzll(m));
         uint64_t bit = uint64_t(1) << l;
-        if ((halted_mask | skip_mask) & bit)
-            continue;
         if (rstn.lane(l) != V4::One)
             continue;
         V4 w = wr.lane(l);
@@ -93,14 +94,13 @@ runConcretePacked(msp::System &sys, const isa::Image &image,
     uint64_t halted_mask = 0;
     uint64_t fault_mask = 0;
 
+    auto memHook = [&](PackedSimulator &s) { packedMemHook(s, h, mem); };
+    auto memEdge = [&](PackedSimulator &s) {
+        packedMemEdge(s, h, mem, halted_mask, fault_mask);
+    };
     PackedSimulator psim(sys.netlist());
-    psim.setHookFn(h.memHookId, [&](PackedSimulator &s) {
-        packedMemHook(s, h, mem);
-    });
-    psim.addEdgeFn([&](PackedSimulator &s) {
-        packedMemEdge(s, h, mem, halted_mask, fault_mask,
-                      /*skip_mask=*/0);
-    });
+    psim.setHookFn(h.memHookId, memHook);
+    psim.addEdgeFn(memEdge);
 
     // Reset sequence (System::reset, all lanes in lockstep).
     for (unsigned i = 0; i < msp::System::kResetCycles; ++i) {
@@ -113,12 +113,11 @@ runConcretePacked(msp::System &sys, const isa::Image &image,
 
     PackedRunResult r;
     std::array<Word16, kLanes> ports;
-    while (halted_mask != ~uint64_t(0) &&
-           psim.cycle() < opts.maxCycles) {
+    while (psim.liveMask() && psim.cycle() < opts.maxCycles) {
         // Lanes recording this step: exactly those whose scalar run
         // would still be in its step loop (halt is checked before the
         // step there, so the step whose edge sets halt still records).
-        uint64_t record_mask = ~halted_mask;
+        uint64_t record_mask = psim.liveMask();
         for (unsigned l = 0; l < kLanes; ++l) {
             const std::vector<uint16_t> &sched = opts.portSchedules[l];
             uint16_t p = sched.empty()
@@ -132,6 +131,9 @@ runConcretePacked(msp::System &sys, const isa::Image &image,
             s.setInput(h.irq, V64::splat(V4::Zero));
             s.setInputBusLanes(h.portIn, ports);
         });
+        // A lane whose edge halted it has run its scalar twin's last
+        // step.
+        psim.retireLanes(halted_mask);
         while (record_mask) {
             unsigned l = unsigned(__builtin_ctzll(record_mask));
             record_mask &= record_mask - 1;

@@ -9,11 +9,10 @@
  * Per lane, runConcretePacked() is bit-identical to power::runConcrete
  * with ConcreteRunOptions{maxCycles, portSchedule = that lane's
  * schedule}: each lane owns a private copy of the behavioral memory,
- * halts independently (a halted lane keeps simulating but stops
- * recording, and its memory edge is inhibited exactly where the scalar
- * run would have stopped stepping), and its recorded trace floats are
- * the same sums in the same order (the PackedSimulator lane-identity
- * invariant). tests/test_packed_sim.cc and the ulfuzz packed property
+ * halts independently (a lane is retired right after the step that
+ * halted it, exactly where the scalar run stops stepping), and its
+ * recorded trace floats are the same sums in the same order (the
+ * PackedSimulator lane-identity invariant). tests/test_packed_sim.cc and the ulfuzz packed property
  * lockstep the two.
  */
 
@@ -69,21 +68,21 @@ PackedRunResult runConcretePacked(msp::System &sys,
 /// @{
 
 /** Per-lane mirror of System::memHook: asynchronous RAM/ROM read data
- *  for every lane, one access-energy bill per accessing lane. */
+ *  for every live lane, one access-energy bill per accessing lane. */
 void packedMemHook(PackedSimulator &s, const msp::CpuHandles &h,
                    std::vector<Memory> &mem);
 
 /**
- * Per-lane mirror of System::memEdge. Lanes in @p skip_mask are
- * skipped outright (their scalar counterpart stopped stepping before
- * this edge, so nothing may commit); additionally lanes already in
+ * Per-lane mirror of System::memEdge. Retired lanes are skipped
+ * outright (their scalar counterpart stopped stepping before this
+ * edge, so nothing may commit); additionally lanes already in
  * @p halted_mask are skipped, keeping memory, fault flag and halt
  * state bit-identical to independent scalar runs while other lanes
  * keep going.
  */
 void packedMemEdge(PackedSimulator &s, const msp::CpuHandles &h,
                    std::vector<Memory> &mem, uint64_t &halted_mask,
-                   uint64_t &fault_mask, uint64_t skip_mask);
+                   uint64_t &fault_mask);
 
 /// @}
 

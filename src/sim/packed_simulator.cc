@@ -71,6 +71,49 @@ packedEvalCell(CellKind k, const V64 *in)
     }
 }
 
+/** Words of a bitset over @p bits bits. */
+size_t
+bitWords(size_t bits)
+{
+    return (bits + 63) / 64;
+}
+
+inline void
+setBit(uint64_t *words, uint32_t i)
+{
+    words[i >> 6] |= uint64_t(1) << (i & 63);
+}
+
+/** Call @p fn(index) for every set bit of @p words, ascending. */
+template <typename Fn>
+inline void
+forEachBit(const std::vector<uint64_t> &words, Fn fn)
+{
+    for (size_t w = 0; w < words.size(); ++w)
+        for (uint64_t bits = words[w]; bits; bits &= bits - 1)
+            fn(uint32_t(w * 64 + unsigned(__builtin_ctzll(bits))));
+}
+
+/**
+ * Algorithm-2 pricing classes of an active gate, per lane, from its
+ * previous (pv, pk) and current (cv, ck) planes -- the packed form of
+ * the scalar kernel's (prev, cur) selector: a known toggle or a known
+ * value against an X bills the transition that ends (or starts) at the
+ * known value, X -> X bills the cell's maximum, and a known p == c
+ * lane (an X-propagation flag) bills nothing.
+ */
+struct PriceMasks {
+    uint64_t rise, fall, max;
+};
+
+inline PriceMasks
+priceMasks(uint64_t a, uint64_t pv, uint64_t pk, uint64_t cv, uint64_t ck)
+{
+    // Canonical planes: pv is a subset of pk, cv of ck.
+    return {a & ((pk & ~pv & (cv | ~ck)) | (~pk & cv)),
+            a & ((pv & ~cv) | (~pk & ck & ~cv)), a & ~pk & ~ck};
+}
+
 } // namespace
 
 PackedSimulator::PackedSimulator(const Netlist &nl)
@@ -79,39 +122,99 @@ PackedSimulator::PackedSimulator(const Netlist &nl)
     if (!nl.finalized())
         throw std::logic_error(
             "PackedSimulator requires a finalized netlist");
+    const FlatNetlist &f = *flat_;
     size_t n = nl.numGates();
-    valV_.assign(n, 0);
-    valK_.assign(n, 0);
-    prevV_.assign(n, 0);
-    prevK_.assign(n, 0);
+    size_t nseq = nl.seqGates().size();
+    val_.assign(n, V64::allX());
+    prev_.assign(n, V64::allX());
     act_.assign(n, 0);
     actPrev_.assign(n, 0);
-    loadedPrevEdge_.assign(nl.seqGates().size(), ~uint64_t(0));
+    actBits_.assign(bitWords(n), 0);
+    actBitsPrev_.assign(bitWords(n), 0);
+    loadedPrevEdge_.assign(nseq, ~uint64_t(0));
+    seqIndexOf_.assign(n, UINT32_MAX);
+    for (size_t i = 0; i < nseq; ++i)
+        seqIndexOf_[nl.seqGates()[i]] = uint32_t(i);
     topModuleOf_.resize(n);
     for (GateId g = 0; g < n; ++g)
         topModuleOf_[g] = nl.topLevelModuleOf(nl.gate(g).module);
+    pending_.assign(bitWords(f.seqWakeBase + nseq), 0);
+    always_.assign(f.seqWakeBase / 64, 0);
+    for (uint32_t pos = 0; pos < f.schedule.size(); ++pos) {
+        uint32_t node = f.schedule[pos];
+        if (node >= f.numGates || f.kind[node] == CellKind::Input)
+            setBit(always_.data(), pos);
+    }
+    seqNext_.assign(bitWords(nseq), 0);
+    seqMarkPrev_.assign(bitWords(nseq), 0);
+    markAllSeq();
     hookFns_.resize(nl.hooks().size());
     moduleEnergy_.assign(size_t(nl.numModules()) * kLanes, 0.0);
 }
 
 void
-PackedSimulator::setHookFn(uint32_t hook_id, HookFn fn)
+PackedSimulator::setHookFn(uint32_t hook_id, PackedFnRef fn)
 {
-    hookFns_.at(hook_id) = std::move(fn);
+    hookFns_.at(hook_id) = fn;
 }
 
 void
-PackedSimulator::addEdgeFn(EdgeFn fn)
+PackedSimulator::addEdgeFn(PackedFnRef fn)
 {
-    edgeFns_.push_back(std::move(fn));
+    if (fn)
+        edgeFns_.push_back(fn);
+}
+
+inline void
+PackedSimulator::markFanouts(GateId g)
+{
+    // A gate active in any lane wakes every combinational consumer for
+    // this cycle and every flop consumer for the next two edges (the
+    // flop tail of pending_, see Simulator::markFanouts).
+    const FlatNetlist &f = *flat_;
+    uint64_t *pending = pending_.data();
+    for (uint32_t i = f.fanoutOffset[g]; i < f.fanoutOffset[g + 1]; ++i)
+        setBit(pending, f.fanoutPos[i]);
+}
+
+void
+PackedSimulator::markAllSeq()
+{
+    // Every flop pending for the next two edges (Simulator::markAllSeq).
+    size_t nseq = nl_->seqGates().size();
+    uint64_t *cur = pending_.data() + flat_->seqWakeBase / 64;
+    std::fill(cur, pending_.data() + pending_.size(), ~uint64_t(0));
+    if (nseq % 64)
+        pending_.back() = (uint64_t(1) << (nseq % 64)) - 1;
+}
+
+void
+PackedSimulator::writeLive(GateId g, uint64_t v, uint64_t k)
+{
+    uint64_t live = live_;
+    uint64_t nv = (v & live) | (val_[g].v & ~live);
+    uint64_t nk = (k & live) | (val_[g].k & ~live);
+    if (nv == val_[g].v && nk == val_[g].k)
+        return;
+    if (priced_)
+        priceSplit(); // the split reads this cycle's values
+    val_[g].v = nv;
+    val_[g].k = nk;
+    // A write between steps must reach the consumers now: the next
+    // step resyncs the previous-cycle planes from the new value (the
+    // bit below), so the gate itself evaluates as unchanged. A forced
+    // flop's own next edge reads the forced q.
+    setBit(actBits_.data(), g);
+    markFanouts(g);
+    if (seqIndexOf_[g] != UINT32_MAX)
+        setBit(seqNext_.data(), seqIndexOf_[g]);
 }
 
 void
 PackedSimulator::setInput(GateId g, V64 v)
 {
     assert(flat_->kind[g] == CellKind::Input);
-    valV_[g] = v.v;
-    valK_[g] = v.k;
+    writeLive(g, v.v, v.k);
 }
 
 void
@@ -126,13 +229,16 @@ uint64_t
 PackedSimulator::injectSeuFlip(GateId g, uint64_t lane_mask)
 {
     assert(isSequential(flat_->kind[g]));
-    V64 q = value(g);
-    uint64_t m = q.flipKnown(lane_mask);
-    valV_[g] = q.v;
-    // An upset is a real output transition in its lane; the packed
-    // oblivious sweep re-evaluates every fanout anyway, so no wake
-    // marks are needed (unlike the scalar event-driven kernel).
+    uint64_t m = lane_mask & live_ & val_[g].k;
+    if (!m)
+        return 0;
+    // An upset is a real output transition in its lane: active now
+    // (step() seeds its consumers from the activity bitset after the
+    // driver) and read as q by the flop's next edge.
+    val_[g].v ^= m;
     act_[g] |= m;
+    setBit(actBits_.data(), g);
+    setBit(seqNext_.data(), seqIndexOf_[g]);
     return m;
 }
 
@@ -167,15 +273,28 @@ Word16
 PackedSimulator::readBusLane(const std::vector<GateId> &bus,
                              unsigned lane) const
 {
-    Word16 w;
-    for (size_t i = 0; i < bus.size(); ++i)
-        w.setBit(unsigned(i), valueLane(bus[i], lane));
-    return w;
+    // Branch-free: the fault checker reads whole register files per
+    // lane at every instruction boundary.
+    unsigned value = 0, xmask = 0;
+    for (size_t i = 0; i < bus.size(); ++i) {
+        const V64 &v = val_[bus[i]];
+        value |= unsigned((v.v >> lane) & 1) << i;
+        xmask |= unsigned((~v.k >> lane) & 1) << i;
+    }
+    return Word16(uint16_t(value), uint16_t(xmask));
+}
+
+double
+PackedSimulator::actualEnergyJ(unsigned lane) const
+{
+    priceSplit();
+    return actual_[lane];
 }
 
 std::vector<double>
 PackedSimulator::moduleBoundEnergyLaneJ(unsigned lane) const
 {
+    priceSplit();
     size_t nmod = moduleEnergy_.size() / kLanes;
     std::vector<double> out(nmod);
     for (size_t m = 0; m < nmod; ++m)
@@ -187,51 +306,51 @@ void
 PackedSimulator::addBehavioralEnergyJ(double j, ModuleId top_module,
                                       uint64_t lane_mask)
 {
-    double *modrow = &moduleEnergy_[size_t(top_module) * kLanes];
-    while (lane_mask) {
-        unsigned l = unsigned(__builtin_ctzll(lane_mask));
-        lane_mask &= lane_mask - 1;
-        actual_[l] += j;
+    // The split replays the bill ahead of the gate terms, which is
+    // where the scalar kernel adds it -- as long as it comes from a
+    // hook, before step() prices the gates.
+    assert(!priced_ && "addBehavioralEnergyJ outside a step");
+    lane_mask &= live_;
+    bills_.push_back({j, top_module, lane_mask});
+    for (uint64_t m = lane_mask; m; m &= m - 1) {
+        unsigned l = unsigned(__builtin_ctzll(m));
         bound_[l] += j;
         behavioral_[l] += j;
-        modrow[l] += j;
     }
 }
 
 void
-PackedSimulator::evalSeqGate(size_t i)
+PackedSimulator::evalSeqGate(uint32_t i)
 {
     const FlatNetlist &f = *flat_;
     GateId g = nl_->seqGates()[i];
     uint32_t off = f.faninOffset[g];
     unsigned nin = f.nin[g];
-    uint64_t qv = prevV_[g], qk = prevK_[g];
-    uint64_t dv = prevV_[f.fanin[off]], dk = prevK_[f.fanin[off]];
+    uint64_t qv = prev_[g].v, qk = prev_[g].k;
+    V64 d = prev_[f.fanin[off]];
+    uint64_t dv = d.v, dk = d.k;
     // Absent pins behave as constant 1 (enable on, reset released),
     // exactly like evalSeqCell's defaults.
-    uint64_t env = ~uint64_t(0), enk = ~uint64_t(0);
-    uint64_t rv = ~uint64_t(0), rk = ~uint64_t(0);
+    V64 en = V64::splat(V4::One), rstn = V64::splat(V4::One);
     switch (f.kind[g]) {
       case CellKind::Dff:
         break;
       case CellKind::Dffe:
-        env = prevV_[f.fanin[off + 1]];
-        enk = prevK_[f.fanin[off + 1]];
+        en = prev_[f.fanin[off + 1]];
         break;
       case CellKind::Dffr:
-        rv = prevV_[f.fanin[off + 1]];
-        rk = prevK_[f.fanin[off + 1]];
+        rstn = prev_[f.fanin[off + 1]];
         break;
       case CellKind::Dffre:
-        env = prevV_[f.fanin[off + 1]];
-        enk = prevK_[f.fanin[off + 1]];
-        rv = prevV_[f.fanin[off + 2]];
-        rk = prevK_[f.fanin[off + 2]];
+        en = prev_[f.fanin[off + 1]];
+        rstn = prev_[f.fanin[off + 2]];
         break;
       default:
         assert(false && "evalSeqGate on non-sequential kind");
         return;
     }
+    uint64_t env = en.v, enk = en.k;
+    uint64_t rv = rstn.v, rk = rstn.k;
 
     // Enable stage (evalSeqCell): en==1 loads d, en==0 provably holds
     // q, en==X resolves only where q and d are known-equal (and then
@@ -254,9 +373,6 @@ PackedSimulator::evalSeqGate(size_t i)
     uint64_t newK = (r1 & loadedK) | r0 | (rx & loadedK & ~loadedV);
     held = (r1 & held) | (r0 & qk & ~qv);
 
-    valV_[g] = newV;
-    valK_[g] = newK;
-
     // Activity (evalSeqGate in simulator.cc, per lane): held lanes are
     // inactive; known->known lanes toggle on value change; lanes
     // involving X may have toggled unless the previous edge loaded,
@@ -266,11 +382,44 @@ PackedSimulator::evalSeqGate(size_t i)
     uint64_t actKnown = bothKnown & (newV ^ qv);
     uint64_t ctrlX = 0;
     for (unsigned p = 1; p < nin; ++p)
-        ctrlX |= ~prevK_[f.fanin[off + p]];
+        ctrlX |= ~prev_[f.fanin[off + p]].k;
     uint64_t xTerm = ~loadedPrevEdge_[i] | ctrlX |
                      actPrev_[f.fanin[off]] | (newK ^ qk);
-    act_[g] = ~held & (actKnown | (~bothKnown & xTerm));
-    loadedPrevEdge_[i] = ~held;
+    uint64_t act = ~held & (actKnown | (~bothKnown & xTerm));
+
+    // Retired lanes do not clock: q and the load history hold.
+    uint64_t live = live_;
+    uint64_t loaded = (~held & live) | (loadedPrevEdge_[i] & ~live);
+    val_[g].v = (newV & live) | (qv & ~live);
+    val_[g].k = (newK & live) | (qk & ~live);
+    act &= live;
+    act_[g] = act;
+    if (act)
+        setBit(actBits_.data(), g);
+    // Changed state (q or load history) feeds this flop's own
+    // next-edge evaluation.
+    if (act || loaded != loadedPrevEdge_[i])
+        setBit(seqNext_.data(), i);
+    loadedPrevEdge_[i] = loaded;
+}
+
+void
+PackedSimulator::updateSequential()
+{
+    // The scalar kernel's flop window, lane-unioned: evaluate the flops
+    // due at this edge and rotate the marks (Simulator::updateSequential
+    // explains why word-at-a-time rotation is exact).
+    uint64_t *cur = pending_.data() + flat_->seqWakeBase / 64;
+    uint64_t *next = seqNext_.data();
+    uint64_t *prevMarks = seqMarkPrev_.data();
+    for (uint32_t w = 0; w < seqNext_.size(); ++w) {
+        uint64_t due = next[w] | cur[w] | prevMarks[w];
+        next[w] = 0;
+        prevMarks[w] = cur[w];
+        cur[w] = 0;
+        for (; due; due &= due - 1)
+            evalSeqGate(w * 64 + unsigned(__builtin_ctzll(due)));
+    }
 }
 
 void
@@ -278,136 +427,185 @@ PackedSimulator::evalNode(uint32_t node)
 {
     const FlatNetlist &f = *flat_;
     if (node >= f.numGates) {
-        HookFn &fn = hookFns_[node - f.numGates];
+        const PackedFnRef &fn = hookFns_[node - f.numGates];
         if (fn)
             fn(*this);
         return;
     }
     GateId g = node;
+    uint64_t a;
     switch (f.kind[g]) {
       case CellKind::Const0:
-        valV_[g] = 0;
-        valK_[g] = ~uint64_t(0);
-        act_[g] = 0;
+        val_[g] = V64::splat(V4::Zero);
         return;
       case CellKind::Const1:
-        valV_[g] = ~uint64_t(0);
-        valK_[g] = ~uint64_t(0);
-        act_[g] = 0;
+        val_[g] = V64::splat(V4::One);
         return;
-      case CellKind::Input: {
+      case CellKind::Input:
         // Changed lanes are active; X lanes may toggle at any time.
-        uint64_t diff =
-            (valV_[g] ^ prevV_[g]) | (valK_[g] ^ prevK_[g]);
-        act_[g] = diff | ~valK_[g];
-        return;
-      }
-      default:
+        a = val_[g].diffMask(prev_[g]) | ~val_[g].k;
         break;
+      default: {
+        V64 ins[4];
+        uint64_t faninAct = 0;
+        uint32_t off = f.faninOffset[g];
+        unsigned nin = f.nin[g];
+        for (unsigned p = 0; p < nin; ++p) {
+            GateId src = f.fanin[off + p];
+            ins[p] = val_[src];
+            faninAct |= act_[src];
+        }
+        V64 v = packedEvalCell(f.kind[g], ins);
+        val_[g] = v;
+        a = v.diffMask(prev_[g]) | (~v.k & faninAct);
+        break;
+      }
     }
-
-    V64 ins[4];
-    uint64_t faninAct = 0;
-    uint32_t off = f.faninOffset[g];
-    unsigned nin = f.nin[g];
-    for (unsigned p = 0; p < nin; ++p) {
-        GateId src = f.fanin[off + p];
-        ins[p] = V64(valV_[src], valK_[src]);
-        faninAct |= act_[src];
+    a &= live_;
+    act_[g] = a;
+    if (a) {
+        setBit(actBits_.data(), g);
+        markFanouts(g);
     }
-    V64 v = packedEvalCell(f.kind[g], ins);
-    valV_[g] = v.v;
-    valK_[g] = v.k;
-    uint64_t diff = (v.v ^ prevV_[g]) | (v.k ^ prevK_[g]);
-    act_[g] = diff | (~v.k & faninAct);
 }
 
 void
-PackedSimulator::accumulateEnergy()
+PackedSimulator::priceBound()
 {
     // Ascending gate id, one energy term per active lane per gate:
     // lane l's accumulation order equals the scalar kernel's
     // canonicalized active-list order, so the float sums match bit
-    // for bit.
-    const FlatNetlist &f = *flat_;
-    for (GateId g = 0; g < f.numGates; ++g) {
+    // for bit. Behavioral bills are already in bound_, as in the
+    // scalar kernel.
+    const double *te = flat_->transE.data();
+    forEachBit(actBits_, [&](GateId g) {
         uint64_t a = act_[g];
         if (!a)
-            continue;
-        uint64_t pv = prevV_[g], pk = prevK_[g];
-        uint64_t cv = valV_[g], ck = valK_[g];
-        double riseE = nl_->riseEnergyJ(g);
-        double fallE = nl_->fallEnergyJ(g);
-        double *modrow =
-            &moduleEnergy_[size_t(topModuleOf_[g]) * kLanes];
-
-        // Known->known toggles: concrete transition (actual + bound).
-        // Equal known-known lanes are X-propagation flags only.
-        uint64_t m = a & pk & ck & (pv ^ cv);
-        while (m) {
-            unsigned l = unsigned(__builtin_ctzll(m));
-            m &= m - 1;
-            double e = ((cv >> l) & 1) ? riseE : fallE;
-            actual_[l] += e;
-            bound_[l] += e;
-            modrow[l] += e;
-        }
-        // Known prev, X cur: assign the X to !p.
-        m = a & pk & ~ck;
-        while (m) {
-            unsigned l = unsigned(__builtin_ctzll(m));
-            m &= m - 1;
-            double e = ((pv >> l) & 1) ? fallE : riseE;
-            bound_[l] += e;
-            modrow[l] += e;
-        }
-        // X prev, known cur: assign the previous X to !c.
-        m = a & ~pk & ck;
-        while (m) {
-            unsigned l = unsigned(__builtin_ctzll(m));
-            m &= m - 1;
-            double e = ((cv >> l) & 1) ? riseE : fallE;
-            bound_[l] += e;
-            modrow[l] += e;
-        }
-        // Both unknown: the cell's maximum-power transition.
-        m = a & ~pk & ~ck;
-        if (m) {
-            double e = nl_->maxEnergyJ(g);
-            while (m) {
-                unsigned l = unsigned(__builtin_ctzll(m));
-                m &= m - 1;
-                bound_[l] += e;
-                modrow[l] += e;
-            }
-        }
-    }
+            return;
+        PriceMasks pm =
+            priceMasks(a, prev_[g].v, prev_[g].k, val_[g].v, val_[g].k);
+        const double *e = te + 3 * size_t(g);
+        for (uint64_t m = pm.rise; m; m &= m - 1)
+            bound_[__builtin_ctzll(m)] += e[kTransRise];
+        for (uint64_t m = pm.fall; m; m &= m - 1)
+            bound_[__builtin_ctzll(m)] += e[kTransFall];
+        for (uint64_t m = pm.max; m; m &= m - 1)
+            bound_[__builtin_ctzll(m)] += e[kTransMax];
+    });
 }
 
 void
-PackedSimulator::step(
-    const std::function<void(PackedSimulator &)> &driver)
+PackedSimulator::priceSplit() const
+{
+    if (splitValid_)
+        return;
+    // The scalar kernel's order per lane: behavioral bills as they
+    // were added, then the gate terms in ascending gate id; a lane's
+    // actual energy takes its concrete (known -> known) toggles only.
+    actual_.fill(0.0);
+    std::fill(moduleEnergy_.begin(), moduleEnergy_.end(), 0.0);
+    for (const BehavioralBill &b : bills_) {
+        double *modrow = &moduleEnergy_[size_t(b.module) * kLanes];
+        for (uint64_t m = b.lanes; m; m &= m - 1) {
+            unsigned l = unsigned(__builtin_ctzll(m));
+            actual_[l] += b.j;
+            modrow[l] += b.j;
+        }
+    }
+    const double *te = flat_->transE.data();
+    forEachBit(actBits_, [&](GateId g) {
+        uint64_t a = act_[g];
+        if (!a)
+            return;
+        uint64_t pv = prev_[g].v, pk = prev_[g].k;
+        uint64_t cv = val_[g].v, ck = val_[g].k;
+        PriceMasks pm = priceMasks(a, pv, pk, cv, ck);
+        uint64_t toggled = a & pk & ck & (pv ^ cv);
+        const double *e = te + 3 * size_t(g);
+        double *modrow =
+            &moduleEnergy_[size_t(topModuleOf_[g]) * kLanes];
+        auto bill = [&](uint64_t lanes, double j) {
+            for (uint64_t m = lanes; m; m &= m - 1) {
+                unsigned l = unsigned(__builtin_ctzll(m));
+                modrow[l] += j;
+                if ((toggled >> l) & 1)
+                    actual_[l] += j;
+            }
+        };
+        bill(pm.rise, e[kTransRise]);
+        bill(pm.fall, e[kTransFall]);
+        bill(pm.max, e[kTransMax]);
+    });
+    splitValid_ = true;
+}
+
+void
+PackedSimulator::step(PackedFnRef driver)
 {
     if (cycle_ > 0)
-        for (auto &fn : edgeFns_)
+        for (const PackedFnRef &fn : edgeFns_)
             fn(*this);
 
-    actPrev_ = act_;
-    prevV_ = valV_;
-    prevK_ = valK_;
-    actual_.fill(0.0);
+    // Rotate activity: act_ takes the planes of the cycle before last
+    // and clears them through their bitset, so skipped gates read as
+    // inactive without a whole-array pass.
+    act_.swap(actPrev_);
+    for (size_t w = 0; w < actBitsPrev_.size(); ++w) {
+        for (uint64_t bits = actBitsPrev_[w]; bits; bits &= bits - 1)
+            act_[w * 64 + unsigned(__builtin_ctzll(bits))] = 0;
+        actBitsPrev_[w] = 0;
+    }
+    actBits_.swap(actBitsPrev_);
+    // Previous-cycle planes: only the gates last cycle's bitset covers
+    // (evaluated-active or written) can differ from their value.
+    if (resyncAll_) {
+        prev_ = val_;
+        resyncAll_ = false;
+    } else {
+        forEachBit(actBitsPrev_, [&](GateId g) { prev_[g] = val_[g]; });
+    }
     bound_.fill(0.0);
     behavioral_.fill(0.0);
-    std::fill(moduleEnergy_.begin(), moduleEnergy_.end(), 0.0);
+    bills_.clear();
+    priced_ = false;
+    splitValid_ = false;
 
-    for (size_t i = 0; i < nl_->seqGates().size(); ++i)
-        evalSeqGate(i);
+    updateSequential();
     if (driver)
         driver(*this);
-    for (uint32_t node : flat_->schedule)
-        evalNode(node);
+    const FlatNetlist &f = *flat_;
+    if (cycle_ == 0) {
+        // The power-on state is all X and constants have not settled:
+        // evaluate everything once, then re-arm every flop. Constants
+        // leave X without being active, so every gate resyncs.
+        for (uint32_t node : f.schedule)
+            evalNode(node);
+        std::fill(pending_.begin(), pending_.end(), 0);
+        markAllSeq();
+        resyncAll_ = true;
+    } else {
+        // Seed from this edge's active flops (and upsets / writes),
+        // plus the nodes that run every cycle, then drain in ascending
+        // position -- a topological order, since evaluating a node
+        // only marks strictly higher positions.
+        forEachBit(actBits_, [&](GateId g) { markFanouts(g); });
+        uint64_t *pending = pending_.data();
+        for (size_t w = 0; w < always_.size(); ++w)
+            pending[w] |= always_[w];
+        const uint32_t *schedule = f.schedule.data();
+        for (uint32_t w = 0; w < f.seqWakeBase / 64; ++w) {
+            uint64_t bits;
+            while ((bits = pending[w]) != 0) {
+                pending[w] = bits & (bits - 1);
+                evalNode(
+                    schedule[w * 64 + unsigned(__builtin_ctzll(bits))]);
+            }
+        }
+    }
 
-    accumulateEnergy();
+    priceBound();
+    priced_ = true;
+    splitValid_ = false;
     ++cycle_;
 }
 
@@ -421,9 +619,9 @@ PackedSimulator::hashLaneState(unsigned lane) const
         h ^= b;
         h *= 0x100000001b3ull;
     };
-    size_t n = valV_.size();
+    size_t n = val_.size();
     for (size_t g = 0; g < n; ++g)
-        mix(uint8_t(V64(valV_[g], valK_[g]).lane(lane)));
+        mix(uint8_t(val_[g].lane(lane)));
     size_t padded = (n + 7) & ~size_t(7);
     for (size_t g = 0; g < padded; ++g)
         mix(g < n ? uint8_t((act_[g] >> lane) & 1) : uint8_t(0));
@@ -436,7 +634,7 @@ void
 PackedSimulator::loadLaneState(unsigned lane,
                                const Simulator::Snapshot &s)
 {
-    size_t n = valV_.size();
+    size_t n = val_.size();
     if (s.val.size() != n)
         throw std::logic_error(
             "loadLaneState from a snapshot of a different netlist");
@@ -444,19 +642,22 @@ PackedSimulator::loadLaneState(unsigned lane,
     for (size_t g = 0; g < n; ++g) {
         V4 v = s.val[g];
         if (v == V4::X) {
-            valV_[g] &= ~m;
-            valK_[g] &= ~m;
+            val_[g].v &= ~m;
+            val_[g].k &= ~m;
         } else {
-            valK_[g] |= m;
+            val_[g].k |= m;
             if (v == V4::One)
-                valV_[g] |= m;
+                val_[g].v |= m;
             else
-                valV_[g] &= ~m;
+                val_[g].v &= ~m;
         }
-        if (s.activeLast[g])
+        // Loaded activity joins the bitset so the next step clears it.
+        if (s.activeLast[g]) {
             act_[g] |= m;
-        else
+            setBit(actBits_.data(), uint32_t(g));
+        } else {
             act_[g] &= ~m;
+        }
     }
     for (size_t i = 0; i < loadedPrevEdge_.size(); ++i) {
         if (s.loadedPrevEdge[i])
@@ -464,16 +665,21 @@ PackedSimulator::loadLaneState(unsigned lane,
         else
             loadedPrevEdge_[i] &= ~m;
     }
+    live_ |= m;
+    // Simulator::afterRestore: the loaded state carries no wake marks,
+    // so re-arm every flop; every gate's previous-cycle planes resync.
+    markAllSeq();
+    resyncAll_ = true;
 }
 
 Simulator::Snapshot
 PackedSimulator::extractLaneState(unsigned lane, uint64_t cycle) const
 {
     Simulator::Snapshot s;
-    size_t n = valV_.size();
+    size_t n = val_.size();
     s.val.resize(n);
     for (size_t g = 0; g < n; ++g)
-        s.val[g] = V64(valV_[g], valK_[g]).lane(lane);
+        s.val[g] = val_[g].lane(lane);
     // The scalar active_ array is zero-padded to a whole number of
     // words for the word-at-a-time delta diff; emit the same shape so
     // the transpose round-trips byte for byte.
@@ -492,20 +698,12 @@ void
 PackedSimulator::forceLane(GateId g, unsigned lane, V4 v)
 {
     // Same restriction as Simulator::forceValue: a scheduled
-    // combinational gate would be recomputed by the next sweep.
+    // combinational gate would be recomputed by its next evaluation.
     assert(isSequential(flat_->kind[g]) ||
            flat_->kind[g] == CellKind::Input);
-    uint64_t m = uint64_t(1) << lane;
-    if (v == V4::X) {
-        valV_[g] &= ~m;
-        valK_[g] &= ~m;
-    } else {
-        valK_[g] |= m;
-        if (v == V4::One)
-            valV_[g] |= m;
-        else
-            valV_[g] &= ~m;
-    }
+    V64 cur = value(g);
+    cur.setLane(lane, v);
+    writeLive(g, cur.v, cur.k);
 }
 
 void

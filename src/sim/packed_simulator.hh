@@ -9,7 +9,7 @@
  * a 64-bit lane mask, and one and/or/xor/not/mux costs a handful of
  * word ops for all 64 patterns (src/logic/v64.hh).
  *
- * Lane-identity invariant: lane i of a PackedSimulator run is
+ * Lane-identity invariant: while lane i is live (see below), it is
  * bit-identical -- per-cycle gate values, activity flags, actual /
  * bound / behavioral / per-module energies, and the full-state hash --
  * to an independent scalar Simulator run driven with lane i's inputs
@@ -25,36 +25,67 @@
  *    in the same ascending-gate-id order as the scalar kernel's
  *    canonicalized active list, so even float rounding matches.
  *
- * tests/test_packed_sim.cc and the ulfuzz packed property enforce the
- * invariant on fuzz-generated netlists and programs.
+ * tests/test_packed_sim.cc and the ulfuzz packed properties (6 and 7)
+ * enforce the invariant on fuzz-generated netlists and programs.
  *
- * The kernel is an oblivious full sweep of the level-bucketed schedule
- * (the packed analogue of EvalMode::FullSweep): event-driven worklists
- * pay off when few gates change, but across 64 patterns the union of
- * changed gates approaches the whole cone, so the oblivious sweep wins
- * and stays branch-free. Beyond the embarrassingly multi-pattern
- * consumers (ulfuzz lane sweeps, batched concrete trace validation,
- * fault campaigns), the symbolic engine's packed frontier mode
- * (SymbolicConfig::packedExplore) drives independent pending
- * execution paths through the lanes: loadLaneState / extractLaneState
- * transpose scalar Simulator::Snapshots into and out of a lane, and
- * forceLane / predictSeqValueLane give the engine its per-lane fork
- * machinery -- each backed by the lane-identity invariant above, so a
- * lane's continuation is bit-identical to the scalar restore-and-run.
+ * The kernel is event-driven across lanes, the packed analogue of
+ * EvalMode::EventDriven: a pending bitset over schedule positions is
+ * filled from FlatNetlist::fanoutPos by every gate active in any lane
+ * and drained in ascending position, so a combinational gate is
+ * evaluated only when one of its fanins is active in some lane, and
+ * flops wake over the scalar kernel's two-edge window. Hooks and Input
+ * gates run every cycle; cycle 0 evaluates everything once. The union
+ * stays small: on the MSP430 core (5,890 scheduled gates) the `ulfault`
+ * campaigns over `mult` and `tea8` at seeds 1 and 7 evaluate 750-1,064
+ * combinational gates per sweep (13-18%), and 64 random port schedules
+ * of the GA stressmark 865 (15%). A gate-id activity bitset bounds the
+ * per-cycle bookkeeping by the active set as well.
+ *
+ * Lanes are retired by the caller once it no longer reads them
+ * (retireLanes): a retired lane stops clocking -- its flops hold,
+ * input writes, forces and injections skip it, and it is never
+ * active, so it bills nothing and wakes nothing. loadLaneState
+ * revives a lane. The invariant above is "while live", which is what
+ * a scalar run does when its runner stops stepping it.
+ *
+ * Only the bound energy, which every consumer reads each cycle, is
+ * priced during step(). The actual energy and the per-module split
+ * are priced on their first read in a cycle (or just before a
+ * between-step write would change what they read) by the same
+ * ascending-gate-id walk, with the cycle's behavioral energy replayed
+ * first, so they are float-identical to the scalar kernel's eager
+ * sums.
+ *
+ * Beyond the embarrassingly multi-pattern consumers (ulfuzz lane
+ * sweeps, batched concrete trace validation, fault campaigns), the
+ * symbolic engine's packed frontier mode (SymbolicConfig::packedExplore)
+ * drives independent pending execution paths through the lanes:
+ * loadLaneState / extractLaneState transpose scalar
+ * Simulator::Snapshots into and out of a lane, and forceLane /
+ * predictSeqValueLane give the engine its per-lane fork machinery --
+ * each backed by the lane-identity invariant above, so a lane's
+ * continuation is bit-identical to the scalar restore-and-run.
  */
 
 #ifndef ULPEAK_SIM_PACKED_SIMULATOR_HH
 #define ULPEAK_SIM_PACKED_SIMULATOR_HH
 
 #include <array>
-#include <functional>
+#include <type_traits>
 #include <vector>
 
 #include "logic/v64.hh"
 #include "netlist/netlist.hh"
+#include "sim/function_ref.hh"
 #include "sim/simulator.hh"
 
 namespace ulpeak {
+
+class PackedSimulator;
+
+/** Non-owning callback over a packed simulator: a cycle driver, a
+ *  behavioral hook or a clock-edge function (see SimFnRef). */
+using PackedFnRef = FunctionRef<void(PackedSimulator &)>;
 
 class PackedSimulator {
   public:
@@ -66,14 +97,24 @@ class PackedSimulator {
 
     /// @name Hook registration (packed behavioral blocks)
     /// @{
-    using HookFn = std::function<void(PackedSimulator &)>;
-    using EdgeFn = std::function<void(PackedSimulator &)>;
-    void setHookFn(uint32_t hook_id, HookFn fn);
-    void addEdgeFn(EdgeFn fn);
+    /** Same contract as Simulator::setHookFn / addEdgeFn: the
+     *  simulator does not own the callable, so it must outlive every
+     *  step(); a temporary lambda is rejected at compile time. */
+    void setHookFn(uint32_t hook_id, PackedFnRef fn);
+    void addEdgeFn(PackedFnRef fn);
+    template <typename F, typename = std::enable_if_t<
+                              !std::is_lvalue_reference_v<F> &&
+                              !std::is_same_v<std::decay_t<F>, PackedFnRef>>>
+    void setHookFn(uint32_t hook_id, F &&fn) = delete;
+    template <typename F, typename = std::enable_if_t<
+                              !std::is_lvalue_reference_v<F> &&
+                              !std::is_same_v<std::decay_t<F>, PackedFnRef>>>
+    void addEdgeFn(F &&fn) = delete;
     /// @}
 
     /// @name Driving inputs (legal during a hook or before step())
     /// @{
+    /** Retired lanes keep their value whatever @p v holds there. */
     void setInput(GateId g, V64 v);
     void setInputLane(GateId g, unsigned lane, V4 v);
     /** The same scalar value on every lane of every bus bit. */
@@ -85,7 +126,7 @@ class PackedSimulator {
 
     /// @name Reading values
     /// @{
-    V64 value(GateId g) const { return V64(valV_[g], valK_[g]); }
+    V64 value(GateId g) const { return val_[g]; }
     V4
     valueLane(GateId g, unsigned lane) const
     {
@@ -97,9 +138,19 @@ class PackedSimulator {
                        unsigned lane) const;
     /// @}
 
+    /// @name Lane retirement
+    /// @{
+    /** Lanes that clock; all 64 at construction. */
+    uint64_t liveMask() const { return live_; }
+    /** Stop clocking the lanes of @p lane_mask (legal between steps):
+     *  their state freezes as the last step left it, and their
+     *  energies read 0 from the next step on. */
+    void retireLanes(uint64_t lane_mask) { live_ &= ~lane_mask; }
+    /// @}
+
     /**
      * Per-lane single-event upsets: invert sequential gate @p g's
-     * stored value in every *known* lane of @p lane_mask and mark
+     * stored value in every *known* live lane of @p lane_mask and mark
      * those lanes active (X lanes are untouched). Legal from the
      * cycle driver, mirroring Simulator::injectSeuFlip lane for lane
      * -- the lane-identity invariant extends to faulted runs. Returns
@@ -107,31 +158,26 @@ class PackedSimulator {
      */
     uint64_t injectSeuFlip(GateId g, uint64_t lane_mask);
 
-    /** Simulate one clock cycle on all 64 lanes; the driver sets
+    /** Simulate one clock cycle on all live lanes; the driver sets
      *  primary inputs (same position in the cycle as Simulator). */
-    void step(const std::function<void(PackedSimulator &)> &driver =
-                  nullptr);
+    void step(PackedFnRef driver = {});
 
     uint64_t cycle() const { return cycle_; }
 
     /// @name Per-lane per-cycle energy (valid after step())
     /// @{
-    double actualEnergyJ(unsigned lane) const { return actual_[lane]; }
+    double actualEnergyJ(unsigned lane) const;
     double boundEnergyJ(unsigned lane) const { return bound_[lane]; }
     double
     behavioralEnergyJ(unsigned lane) const
     {
         return behavioral_[lane];
     }
-    double
-    moduleBoundEnergyJ(unsigned lane, ModuleId m) const
-    {
-        return moduleEnergy_[size_t(m) * kLanes + lane];
-    }
     /** Lane @p lane's per-module split, shaped like the scalar
      *  Simulator::moduleBoundEnergyJ() vector. */
     std::vector<double> moduleBoundEnergyLaneJ(unsigned lane) const;
-    /** Add behavioral energy @p j to every lane in @p lane_mask. */
+    /** Add behavioral energy @p j to every live lane in
+     *  @p lane_mask. Legal from a hook. */
     void addBehavioralEnergyJ(double j, ModuleId top_module,
                               uint64_t lane_mask);
     /// @}
@@ -143,12 +189,15 @@ class PackedSimulator {
     /// @name Lane <-> scalar snapshot transpose (symbolic frontier)
     /// @{
     /**
-     * Install a scalar Simulator::Snapshot into lane @p lane: gate
-     * values, activity flags and sequential load history, exactly the
-     * state Simulator::restore reinstates (previous-cycle planes are
-     * dead across a load for the same reason they are absent from
-     * Snapshot: step() rebuilds them before any read). Legal between
-     * steps. The next step()'s edge functions run against the loaded
+     * Install a scalar Simulator::Snapshot into lane @p lane and
+     * revive the lane: gate values, activity flags and sequential load
+     * history, exactly the state Simulator::restore reinstates
+     * (previous-cycle planes are dead across a load for the same
+     * reason they are absent from Snapshot: step() rebuilds them
+     * before any read). Legal between steps, while other lanes are
+     * live. Like Simulator::restore it re-arms every flop for the
+     * next two edges; the lane's energies are undefined until the next
+     * step. The next step()'s edge functions run against the loaded
      * values, mirroring the scalar restore-then-step sequence, so the
      * caller must have pre-stepped the simulator once (cycle() > 0)
      * and must inhibit the edge effects of lanes it has not loaded.
@@ -170,11 +219,12 @@ class PackedSimulator {
 
     /**
      * Per-lane Simulator::forceValue: overwrite gate @p g's value in
-     * lane @p lane only. Same contract -- sound only for narrowing an
-     * X to a feasible value, on sequential outputs or Input-kind
-     * gates (the oblivious sweep recomputes anything scheduled). Like
+     * live lane @p lane only. Same contract -- sound only for
+     * narrowing an X to a feasible value, on sequential outputs or
+     * Input-kind gates (a scheduled gate would be recomputed). Like
      * the scalar force, the gate's activity flag is left as the
-     * sequential update computed it.
+     * sequential update computed it, and the forced value's consumers
+     * are woken.
      */
     void forceLane(GateId g, unsigned lane, V4 v);
     void forceBusLane(const std::vector<GateId> &bus, unsigned lane,
@@ -186,29 +236,73 @@ class PackedSimulator {
     V4 predictSeqValueLane(GateId g, unsigned lane) const;
 
   private:
-    void evalSeqGate(size_t i);
+    /** Write @p v over gate @p g's live lanes and wake its consumers
+     *  if any lane changed (setInput / forceLane). */
+    void writeLive(GateId g, uint64_t v, uint64_t k);
+    void markFanouts(GateId g);
+    void markAllSeq();
+    void updateSequential();
+    void evalSeqGate(uint32_t i);
     void evalNode(uint32_t node);
-    void accumulateEnergy();
+    void priceBound();
+    /** Price the actual energy and the per-module split on first
+     *  read (see the file comment). */
+    void priceSplit() const;
 
     const Netlist *nl_;
     const FlatNetlist *flat_;
-    /// @name Per-gate planes and lane masks
+    /// @name Per-gate values and lane masks
     /// @{
-    std::vector<uint64_t> valV_, valK_;
-    std::vector<uint64_t> prevV_, prevK_;
+    std::vector<V64> val_, prev_;
     std::vector<uint64_t> act_, actPrev_;
     /// @}
+    /** Gate-id bitsets covering the nonzero entries of act_ and
+     *  actPrev_, plus the gates written outside evaluation (setInput,
+     *  forceLane) in that cycle: every gate whose value can differ from
+     *  its previous-cycle planes at the next step, which resyncs only
+     *  these. Supersets: a bit may outlive its lanes. */
+    std::vector<uint64_t> actBits_, actBitsPrev_;
+    /** Every gate's previous-cycle planes resync at the next step
+     *  (cycle 0 settled the constants, loadLaneState rewrote a lane). */
+    bool resyncAll_ = true;
     /** Per seq gate: lanes whose previous edge actually loaded. */
     std::vector<uint64_t> loadedPrevEdge_;
+    std::vector<uint32_t> seqIndexOf_; ///< gate id -> seq index
     std::vector<ModuleId> topModuleOf_;
+    uint64_t live_ = ~uint64_t(0);
 
-    std::vector<HookFn> hookFns_;
-    std::vector<EdgeFn> edgeFns_;
+    /// @name Event-driven worklist state (Simulator's, lane-unioned)
+    /// @{
+    /** Schedule positions to evaluate this cycle, then from
+     *  seqWakeBase on the flops woken by this cycle's activity. */
+    std::vector<uint64_t> pending_;
+    /** Hook and Input positions: OR-ed into pending_ every cycle. */
+    std::vector<uint64_t> always_;
+    std::vector<uint64_t> seqNext_;     ///< flops whose own state moved
+    std::vector<uint64_t> seqMarkPrev_; ///< last cycle's flop wakeups
+    /// @}
 
-    std::array<double, kLanes> actual_{};
+    std::vector<PackedFnRef> hookFns_;
+    std::vector<PackedFnRef> edgeFns_;
+
     std::array<double, kLanes> bound_{};
     std::array<double, kLanes> behavioral_{};
-    std::vector<double> moduleEnergy_; ///< [module * kLanes + lane]
+    /** This cycle's addBehavioralEnergyJ calls, in order: the split
+     *  replays them ahead of the gate terms. */
+    struct BehavioralBill {
+        double j;
+        ModuleId module;
+        uint64_t lanes;
+    };
+    std::vector<BehavioralBill> bills_;
+    /** step() has priced the bound energy of the current cycle. */
+    bool priced_ = false;
+    /// @name Lazily priced split (valid when splitValid_)
+    /// @{
+    mutable bool splitValid_ = false;
+    mutable std::array<double, kLanes> actual_{};
+    mutable std::vector<double> moduleEnergy_; ///< [module * kLanes + lane]
+    /// @}
     uint64_t cycle_ = 0;
 };
 

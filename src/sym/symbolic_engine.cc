@@ -253,27 +253,20 @@ class Worker {
             // every lane load, but the ROM image (not part of memory
             // snapshots) must already be in the copies.
             laneMem_.assign(PackedSimulator::kLanes, sys_->memory());
-            const msp::CpuHandles &h = sys_->handles();
-            psim_->setHookFn(h.memHookId, [this](PackedSimulator &s) {
-                power::packedMemHook(s, sys_->handles(), laneMem_);
-            });
-            psim_->addEdgeFn([this](PackedSimulator &s) {
-                // Lanes not carrying a pending path are skipped:
-                // their scalar counterparts are not stepping here, so
-                // nothing may commit (the halted-lane rule of the
-                // concrete packed runner, driven by liveness).
-                power::packedMemEdge(s, sys_->handles(), laneMem_,
-                                     haltedMask_, faultMask_,
-                                     /*skip_mask=*/~liveMask_);
-            });
+            psim_->setHookFn(
+                sys_->handles().memHookId,
+                PackedFnRef::member<&Worker::packedMemHook>(*this));
+            psim_->addEdgeFn(
+                PackedFnRef::member<&Worker::packedMemEdge>(*this));
             // Prime one sweep: edge functions only run when
             // cycle() > 0, and a loaded lane's first step must run
             // them against the loaded state exactly like the scalar
             // restore-then-step sequence. The priming sweep itself is
             // inert -- every lane is all-X (the memory hook sees an X
-            // enable and returns X data without billing) and no lane
-            // is live, so no edge effect can commit.
+            // enable and returns X data without billing). Then every
+            // lane retires until a pending path is loaded into it.
             psim_->step();
+            psim_->retireLanes(~uint64_t(0));
             lanes_.resize(PackedSimulator::kLanes);
         }
     }
@@ -720,7 +713,6 @@ class Worker {
     /** One lane's in-flight continuation (the live part of a
      *  Pending, plus the path-local trace buffers of runPath). */
     struct Lane {
-        bool live = false;
         bool applyInit = false;
         uint32_t node = 0;
         TreeNode *nodePtr = nullptr;
@@ -752,7 +744,7 @@ class Worker {
             // Refill every free lane while work is available; steals
             // fill lanes the own deque cannot.
             unsigned loadedNow = 0;
-            uint64_t freeMask = ~liveMask_;
+            uint64_t freeMask = ~psim_->liveMask();
             while (freeMask) {
                 unsigned l = unsigned(__builtin_ctzll(freeMask));
                 Pending p;
@@ -770,7 +762,7 @@ class Worker {
             if (loadedNow)
                 sh.packedBatches.fetch_add(
                     1, std::memory_order_relaxed);
-            if (liveMask_) {
+            if (psim_->liveMask()) {
                 // Exceptions must not escape the worker thread (see
                 // explore()).
                 try {
@@ -817,7 +809,6 @@ class Worker {
         uint64_t bit = uint64_t(1) << l;
         haltedMask_ &= ~bit;
         faultMask_ &= ~bit;
-        L.live = true;
         L.applyInit = p.applyInit;
         L.node = p.node;
         L.nodePtr = p.nodePtr;
@@ -829,7 +820,6 @@ class Worker {
         L.powerW.clear();
         L.modulePowerW.clear();
         L.cycleInfo.clear();
-        liveMask_ |= bit;
     }
 
     void
@@ -846,13 +836,28 @@ class Worker {
     void
     retireLane(SharedState &sh, unsigned l)
     {
-        lanes_[l].live = false;
         lanes_[l].base.reset();
-        liveMask_ &= ~(uint64_t(1) << l);
+        psim_->retireLanes(uint64_t(1) << l);
         if (sh.inflight.fetch_sub(1) == 1) {
             std::lock_guard<std::mutex> lock(sh.idleMu);
             sh.idleCv.notify_all();
         }
+    }
+
+    /** The packed simulator's memory hook and edge (registered as
+     *  direct calls). Retired lanes -- those not carrying a pending
+     *  path -- are skipped by both: their scalar counterparts are not
+     *  stepping here, so nothing may commit. */
+    void
+    packedMemHook(PackedSimulator &s)
+    {
+        power::packedMemHook(s, sys_->handles(), laneMem_);
+    }
+    void
+    packedMemEdge(PackedSimulator &s)
+    {
+        power::packedMemEdge(s, sys_->handles(), laneMem_, haltedMask_,
+                             faultMask_);
     }
 
     /** Per-lane mirror of System::fsmState. */
@@ -886,7 +891,7 @@ class Worker {
         power::PowerContext &ctx = *ctx_;
         const scenario::Scenario &scen = cfg_.scenario;
 
-        for (uint64_t m = liveMask_; m; m &= m - 1) {
+        for (uint64_t m = ps.liveMask(); m; m &= m - 1) {
             Lane &L = lanes_[unsigned(__builtin_ctzll(m))];
             if (sh.totalCycles.load(std::memory_order_relaxed) >=
                 cfg_.maxTotalCycles) {
@@ -902,16 +907,15 @@ class Worker {
 
         std::array<Word16, PackedSimulator::kLanes> ports;
         ports.fill(Word16::allX());
-        for (uint64_t m = liveMask_; m; m &= m - 1) {
+        uint64_t stepped = ps.liveMask();
+        for (uint64_t m = stepped; m; m &= m - 1) {
             unsigned l = unsigned(__builtin_ctzll(m));
             ports[l] = scen.portWordAt(lanes_[l].pathCycles);
         }
-        uint64_t stepped = liveMask_;
         ps.step([&](PackedSimulator &s) {
-            // driveCycle splatted to all lanes (dead lanes' inputs
-            // are dont-cares: their edges are skipped and their
-            // values never read), then runPath's per-path forces
-            // narrowed to single lanes.
+            // driveCycle splatted to all lanes (retired lanes drop
+            // the writes), then runPath's per-path forces narrowed to
+            // single lanes.
             s.setInput(h.rstn, V64::splat(V4::One));
             s.setInput(h.irq, V64::splat(V4::Zero));
             s.setInputBusLanes(h.portIn, ports);
@@ -1149,8 +1153,9 @@ class Worker {
     /// @{
     std::unique_ptr<PackedSimulator> psim_;
     std::vector<Memory> laneMem_;
+    /** Lanes carrying a pending path are the simulator's live lanes;
+     *  the rest are retired. */
     std::vector<Lane> lanes_;
-    uint64_t liveMask_ = 0;
     uint64_t haltedMask_ = 0;
     uint64_t faultMask_ = 0;
     /// @}

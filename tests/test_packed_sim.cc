@@ -10,6 +10,9 @@
 #include <gtest/gtest.h>
 
 #include <array>
+#include <memory>
+#include <sstream>
+#include <string>
 
 #include "fuzz/netlist_gen.hh"
 #include "fuzz/properties.hh"
@@ -180,6 +183,247 @@ pe_a:
     fuzz::PropertyResult r =
         fuzz::packedEnvelopeBatchCheck(sys, image, rng);
     EXPECT_TRUE(r.ok) << r.detail;
+}
+
+// ---- Wake paths: between-step mutations against scalar twins ----
+
+/** One copy of a small block in its own module: inputs d, en, x; a
+ *  load-enabled flop r0 feeding a shift stage r1, and a resettable
+ *  flop r2 fed back through a little logic cone. */
+struct Block {
+    GateId d, en, x;
+    GateId r0, r1, r2;
+};
+
+Block
+buildBlock(Netlist &nl, const char *name)
+{
+    ModuleId m = nl.addModule(name);
+    Block b;
+    b.d = nl.addGate(CellKind::Input, {}, m);
+    b.en = nl.addGate(CellKind::Input, {}, m);
+    b.x = nl.addGate(CellKind::Input, {}, m);
+    b.r0 = nl.addGate(CellKind::Dffe, {b.d, b.en}, m);
+    b.r1 = nl.addGate(CellKind::Dff, {b.r0}, m);
+    b.r2 = nl.addGate(CellKind::Dffr, {kNoGate, b.en}, m);
+    GateId g0 = nl.addGate(CellKind::Xor2, {b.r0, b.x}, m);
+    GateId g1 = nl.addGate(CellKind::Nand2, {g0, b.r1}, m);
+    GateId g2 = nl.addGate(CellKind::Mux2, {g1, b.r2, b.r1}, m);
+    nl.setFanin(b.r2, 0, g2);
+    return b;
+}
+
+/**
+ * One PackedSimulator against 64 scalar twins (one per lane) over two
+ * independent blocks. Block A is busy in the odd lanes (d toggles
+ * every cycle) and X-driven in every fifth lane; block B settles to
+ * constants in every lane, so an event on B is seen only through the
+ * wake path that carries it -- a dropped wake is a missed evaluation.
+ */
+struct Lockstep {
+    enum Input { Ad, Aen, Ax, Bd, Ben, Bx, kInputs };
+
+    CellLibrary lib = CellLibrary::tsmc65Like();
+    Netlist nl{lib};
+    Block A = buildBlock(nl, "A");
+    Block B = buildBlock(nl, "B");
+    std::array<GateId, kInputs> gate{A.d, A.en, A.x, B.d, B.en, B.x};
+    std::array<std::array<V4, kInputs>, kLanes> in;
+    std::unique_ptr<PackedSimulator> psim;
+    std::vector<Simulator> twins;
+    /** Upsets to inject in the next step's driver: (gate, lane). */
+    std::vector<std::pair<GateId, unsigned>> flips;
+    /** Values of retired lanes, captured when they retired. */
+    std::array<std::vector<V4>, kLanes> frozen;
+
+    Lockstep()
+    {
+        nl.finalize();
+        psim = std::make_unique<PackedSimulator>(nl);
+        twins.reserve(kLanes);
+        for (unsigned l = 0; l < kLanes; ++l) {
+            twins.emplace_back(nl);
+            V4 ax = l % 5 == 0 ? V4::X : bitV4((l >> 2) & 1);
+            in[l] = {V4::Zero, V4::One, ax,
+                     bitV4(l & 1), V4::One, bitV4((l >> 1) & 1)};
+        }
+    }
+
+    static V4 bitV4(unsigned b) { return b ? V4::One : V4::Zero; }
+
+    V4
+    laneInput(unsigned l, unsigned i, unsigned c) const
+    {
+        return i == Ad && (l & 1) ? bitV4(c & 1) : in[l][i];
+    }
+
+    void
+    step(unsigned c)
+    {
+        psim->step([&](PackedSimulator &s) {
+            for (unsigned i = 0; i < kInputs; ++i) {
+                V64 v;
+                for (unsigned l = 0; l < kLanes; ++l)
+                    v.setLane(l, laneInput(l, i, c));
+                s.setInput(gate[i], v);
+            }
+            for (const auto &[g, l] : flips)
+                s.injectSeuFlip(g, uint64_t(1) << l);
+        });
+        // A retired lane's twin stops stepping.
+        for (uint64_t m = psim->liveMask(); m; m &= m - 1) {
+            unsigned l = unsigned(__builtin_ctzll(m));
+            twins[l].step([&](Simulator &s) {
+                for (unsigned i = 0; i < kInputs; ++i)
+                    s.setInput(gate[i], laneInput(l, i, c));
+                for (const auto &[g, fl] : flips)
+                    if (fl == l)
+                        s.injectSeuFlip(g);
+            });
+        }
+        flips.clear();
+    }
+
+    void
+    retire(unsigned l)
+    {
+        frozen[l] = psim->extractLaneState(l, 0).val;
+        psim->retireLanes(uint64_t(1) << l);
+    }
+
+    /** The first difference between the packed lanes and their
+     *  twins (or, for retired lanes, their frozen values and zero
+     *  bills); empty when every lane matches. */
+    std::string
+    firstDiff() const
+    {
+        const PackedSimulator &p = *psim;
+        std::ostringstream os;
+        for (unsigned l = 0; l < kLanes; ++l) {
+            bool live = (p.liveMask() >> l) & 1;
+            const Simulator &t = twins[l];
+            for (GateId g = 0; g < GateId(nl.numGates()); ++g) {
+                V4 want = live ? t.value(g) : frozen[l][g];
+                bool wantAct = live && t.isActive(g);
+                if (p.valueLane(g, l) != want ||
+                    bool((p.activeMask(g) >> l) & 1) != wantAct) {
+                    os << "lane " << l << " gate " << g << ": packed "
+                       << v4Char(p.valueLane(g, l)) << "/"
+                       << ((p.activeMask(g) >> l) & 1) << ", want "
+                       << v4Char(want) << "/" << wantAct;
+                    return os.str();
+                }
+            }
+            std::vector<double> mod = p.moduleBoundEnergyLaneJ(l);
+            bool billsMatch =
+                live ? p.actualEnergyJ(l) == t.actualEnergyJ() &&
+                           p.boundEnergyJ(l) == t.boundEnergyJ() &&
+                           mod == t.moduleBoundEnergyJ() &&
+                           p.hashLaneState(l) == t.hashFullState()
+                     : p.actualEnergyJ(l) == 0.0 &&
+                           p.boundEnergyJ(l) == 0.0 &&
+                           mod == std::vector<double>(mod.size(), 0.0);
+            if (!billsMatch) {
+                os << "lane " << l << ": energies or hash differ "
+                   << "(packed actual " << p.actualEnergyJ(l)
+                   << " bound " << p.boundEnergyJ(l) << ", twin actual "
+                   << t.actualEnergyJ() << " bound " << t.boundEnergyJ()
+                   << ")";
+                return os.str();
+            }
+        }
+        return "";
+    }
+};
+
+/** When a case acts: before step(c), or after it (before the lanes
+ *  are compared). */
+enum class Phase { Between, AfterStep };
+
+struct WakeCase {
+    const char *name;
+    void (*act)(Lockstep &, unsigned cycle, Phase);
+};
+
+const WakeCase kWakeCases[] = {
+    {"setInput between steps changes one lane",
+     [](Lockstep &ls, unsigned c, Phase ph) {
+         if (ph != Phase::Between || c != 6)
+             return;
+         ls.in[4][Lockstep::Bd] = V4::One; // lane 4 settled at 0
+         ls.psim->setInputLane(ls.B.d, 4, V4::One);
+         ls.twins[4].setInput(ls.B.d, V4::One);
+     }},
+    {"forceLane between steps",
+     [](Lockstep &ls, unsigned c, Phase ph) {
+         if (ph != Phase::Between || c != 6)
+             return;
+         ls.psim->forceLane(ls.B.r1, 6, V4::One); // settled at 0
+         ls.twins[6].forceValue(ls.B.r1, V4::One);
+     }},
+    {"injectSeuFlip of a held flop",
+     [](Lockstep &ls, unsigned c, Phase ph) {
+         if (ph != Phase::Between)
+             return;
+         if (c == 4) // r0 of lane 8 holds its settled 0 from here on
+             ls.in[8][Lockstep::Ben] = V4::Zero;
+         if (c == 7)
+             ls.flips.push_back({ls.B.r0, 8});
+     }},
+    {"loadLaneState while other lanes are active",
+     [](Lockstep &ls, unsigned c, Phase ph) {
+         if (ph != Phase::Between || c != 8)
+             return;
+         // A donor run with block B in flight (d toggling), restored
+         // into lane 10 and into lane 10's twin.
+         Simulator donor(ls.nl);
+         for (unsigned dc = 0; dc < 5; ++dc) {
+             donor.step([&](Simulator &s) {
+                 for (unsigned i = 0; i < Lockstep::kInputs; ++i)
+                     s.setInput(ls.gate[i], ls.laneInput(10, i, dc));
+                 s.setInput(ls.B.d, Lockstep::bitV4(dc & 1));
+             });
+         }
+         Simulator::Snapshot snap = donor.snapshot();
+         ls.psim->loadLaneState(10, snap);
+         ls.twins[10].restore(snap);
+     }},
+    {"retired lane holds and bills nothing",
+     [](Lockstep &ls, unsigned c, Phase ph) {
+         // Lane 15 is busy in block A and X-driven there.
+         if (ph == Phase::Between && c == 5)
+             ls.retire(15);
+     }},
+    {"energy split read after a between-step mutation",
+     [](Lockstep &ls, unsigned c, Phase ph) {
+         if (ph != Phase::AfterStep || c != 7)
+             return;
+         // Lane 3's A.d toggled this cycle; write it back before the
+         // comparison reads the lazily priced split.
+         V4 was = ls.laneInput(3, Lockstep::Ad, c - 1);
+         ls.psim->setInputLane(ls.A.d, 3, was);
+         ls.twins[3].setInput(ls.A.d, was);
+     }},
+};
+
+void
+runWakeCase(const WakeCase &wc)
+{
+    Lockstep ls;
+    for (unsigned c = 0; c < 14; ++c) {
+        wc.act(ls, c, Phase::Between);
+        ls.step(c);
+        wc.act(ls, c, Phase::AfterStep);
+        ASSERT_EQ(ls.firstDiff(), "") << "cycle " << c;
+    }
+}
+
+TEST(PackedSim, WakePathsMatchScalarTwins)
+{
+    for (const WakeCase &wc : kWakeCases) {
+        SCOPED_TRACE(wc.name);
+        runWakeCase(wc);
+    }
 }
 
 } // namespace

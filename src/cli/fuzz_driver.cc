@@ -26,6 +26,16 @@ using ProgramCheck = fuzz::PropertyResult (*)(msp::System &sys,
                                               fuzz::Rng &rng,
                                               unsigned threads);
 
+/** The program shape of a work list's items. */
+enum class Shape : uint8_t {
+    Full,  ///< generateProgram with --instr body items
+    Short, ///< --instr / 2 + 1 body items: symbolic exploration forks
+           ///< at every X-dependent branch, so analyzed programs stay
+           ///< short
+    Forking, ///< Short, opened by generateForkingProgram's port-fed
+             ///< branches: every item forks
+};
+
 /**
  * One work list of a mode: its netlist items (a derived seed each) or
  * its program items (a random program each, checked with the rest of
@@ -41,9 +51,7 @@ struct WorkList {
                            ///< never reshuffles another's inputs
     NetlistCheck netlist;  ///< set for netlist items
     ProgramCheck program;  ///< set for program items
-    bool shortBodies;      ///< --instr / 2 + 1 body items: symbolic
-                           ///< exploration forks at every X-dependent
-                           ///< branch, so analyzed programs stay short
+    Shape shape;           ///< program shape of program items
     const char *failure;   ///< failure label
     const char *help;      ///< usage text of the count flag
 };
@@ -59,35 +67,35 @@ cosimCheck(msp::System &sys, const isa::Image &image, fuzz::Rng &rng,
 }
 
 const WorkList kWorkLists[] = {
-    {"cosim", "--programs", 50, 0, nullptr, cosimCheck, false,
+    {"cosim", "--programs", 50, 0, nullptr, cosimCheck, Shape::Full,
      "DIVERGED", "cosim programs"},
     {"kernel", "--netlists", 50, 1ull << 32,
-     fuzz::kernelEquivalenceCheck, nullptr, false, "MISMATCH",
+     fuzz::kernelEquivalenceCheck, nullptr, Shape::Full, "MISMATCH",
      "kernel-equivalence netlists"},
     {"invariance", "--invariance-programs", 16, 2ull << 32, nullptr,
-     fuzz::configInvarianceCheck, true, "INVARIANCE VIOLATION",
+     fuzz::configInvarianceCheck, Shape::Forking, "INVARIANCE VIOLATION",
      "config-invariance programs"},
     {"envelope", "--env-programs", 8, 3ull << 32, nullptr,
      [](msp::System &sys, const isa::Image &image, fuzz::Rng &rng,
         unsigned) { return fuzz::envelopeBoundCheck(sys, image, rng); },
-     true, "UNBOUNDED", "envelope-bound programs"},
+     Shape::Short, "UNBOUNDED", "envelope-bound programs"},
     {"scenario", "--scn-programs", 8, 4ull << 32, nullptr,
      [](msp::System &sys, const isa::Image &image, fuzz::Rng &rng,
         unsigned) {
          return fuzz::scenarioDominanceCheck(sys, image, rng);
      },
-     true, "DOMINANCE VIOLATION", "scenario-dominance programs"},
+     Shape::Short, "DOMINANCE VIOLATION", "scenario-dominance programs"},
     {"packed", "--packed-netlists", 6, 5ull << 32,
-     fuzz::packedKernelEquivalenceCheck, nullptr, false,
+     fuzz::packedKernelEquivalenceCheck, nullptr, Shape::Full,
      "LANE MISMATCH", "packed lane-identity netlists"},
     {"packed", "--packed-programs", 4, 5ull << 32, nullptr,
      [](msp::System &sys, const isa::Image &image, fuzz::Rng &rng,
         unsigned) {
          return fuzz::packedEnvelopeBatchCheck(sys, image, rng);
      },
-     true, "BATCH MISMATCH", "packed envelope-batch programs"},
+     Shape::Short, "BATCH MISMATCH", "packed envelope-batch programs"},
     {"fault", "--fault-netlists", 4, 6ull << 32,
-     fuzz::faultedPackedEquivalenceCheck, nullptr, false,
+     fuzz::faultedPackedEquivalenceCheck, nullptr, Shape::Full,
      "FAULTED LANE MISMATCH", "faulted lane-identity netlists"},
     {"fault", "--fault-programs", 3, 6ull << 32, nullptr,
      [](msp::System &, const isa::Image &image, fuzz::Rng &rng,
@@ -95,17 +103,17 @@ const WorkList kWorkLists[] = {
          return fuzz::faultCampaignDeterminismCheck(image, rng.next(),
                                                     threads);
      },
-     false, "CAMPAIGN NONDETERMINISM",
+     Shape::Full, "CAMPAIGN NONDETERMINISM",
      "fault-campaign determinism programs"},
     {"dvfs", "--dvfs-programs", 8, 7ull << 32, nullptr,
      [](msp::System &sys, const isa::Image &image, fuzz::Rng &rng,
         unsigned) { return fuzz::modeDominanceCheck(sys, image, rng); },
-     true, "MODE DOMINANCE VIOLATION",
+     Shape::Short, "MODE DOMINANCE VIOLATION",
      "operating-mode dominance programs"},
     {"lint", "--lint-programs", 6, 8ull << 32, nullptr,
      [](msp::System &sys, const isa::Image &image, fuzz::Rng &rng,
         unsigned) { return fuzz::staticPruneCheck(sys, image, rng); },
-     true, "PRUNE UNSOUNDNESS", "static-prune soundness programs"},
+     Shape::Short, "PRUNE UNSOUNDNESS", "static-prune soundness programs"},
 };
 
 /** The mode names in table order, each once. */
@@ -302,9 +310,12 @@ runItem(const FuzzCliOptions &cli, msp::System &sys, const WorkList &w,
         } else {
             fuzz::Rng rng(seed);
             fuzz::ProgramGenOptions gen;
-            gen.instructions = w.shortBodies ? cli.instructions / 2 + 1
-                                             : cli.instructions;
-            source = fuzz::generateProgram(rng, gen).source;
+            gen.instructions = w.shape == Shape::Full
+                                   ? cli.instructions
+                                   : cli.instructions / 2 + 1;
+            source = w.shape == Shape::Forking
+                         ? fuzz::generateForkingProgram(rng, gen).source
+                         : fuzz::generateProgram(rng, gen).source;
             if (cli.dumpPrograms)
                 std::printf("--- %s item %u ---\n%s\n", w.mode, index,
                             source.c_str());

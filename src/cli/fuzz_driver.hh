@@ -11,9 +11,9 @@
  *                   (--programs);
  *  2. kernel     -- FullSweep <-> EventDriven bit-identity
  *                   (--netlists);
- *  3. invariance -- the peak-analysis report of a random analysis
- *                   context (scenario, DVFS, staticPrune) is
- *                   bit-identical at a random point of threads x
+ *  3. invariance -- the peak-analysis report of a forking program
+ *                   under a random analysis context (scenario,
+ *                   DVFS, staticPrune) is bit-identical at a random point of threads x
  *                   kernel x snapshot form x packed frontier to the
  *                   reference point (--invariance-programs);
  *  4. envelope   -- the per-cycle envelope bounds random concrete

@@ -37,8 +37,10 @@ class Gen {
     }
 
     std::string
-    body()
+    body(bool forking)
     {
+        if (forking)
+            forkPrologue();
         for (unsigned i = 0; i < opts_.instructions; ++i)
             item();
         return out_;
@@ -180,6 +182,25 @@ class Gen {
         out_ += label + ":\n";
     }
 
+    /** A port read feeding one to three branches on its bits, each
+     *  over one instruction: X under the symbolic engine, so every
+     *  branch whose tested bit is still port-derived forks. */
+    void
+    forkPrologue()
+    {
+        std::string reg = dataReg();
+        emit("mov &0x0020, " + reg);
+        unsigned n = 1 + rng_.below(3);
+        for (unsigned i = 0; i < n; ++i) {
+            std::string label = "fork" + std::to_string(labelId_++);
+            emit("bit #" + std::to_string(1u << rng_.below(16)) + ", " +
+                 reg);
+            emit(std::string(rng_.chance(50) ? "jz " : "jnz ") + label);
+            emit(simpleInstr());
+            out_ += label + ":\n";
+        }
+    }
+
     /** Bounded counter loop on the reserved counter register. */
     void
     loopBlock()
@@ -233,10 +254,8 @@ class Gen {
     unsigned labelId_ = 0;
 };
 
-} // namespace
-
 GeneratedProgram
-generateProgram(Rng &rng, const ProgramGenOptions &opts)
+generate(Rng &rng, const ProgramGenOptions &opts, bool forking)
 {
     GeneratedProgram p;
 
@@ -263,7 +282,7 @@ generateProgram(Rng &rng, const ProgramGenOptions &opts)
                std::to_string(2 * i) + "(r13)\n";
 
     Gen g(rng, opts);
-    p.body = g.body();
+    p.body = g.body(forking);
 
     std::string epi;
     epi += "        mov #1, &0x01f0\n";
@@ -274,6 +293,20 @@ generateProgram(Rng &rng, const ProgramGenOptions &opts)
 
     p.source = pro + p.body + epi;
     return p;
+}
+
+} // namespace
+
+GeneratedProgram
+generateProgram(Rng &rng, const ProgramGenOptions &opts)
+{
+    return generate(rng, opts, false);
+}
+
+GeneratedProgram
+generateForkingProgram(Rng &rng, const ProgramGenOptions &opts)
+{
+    return generate(rng, opts, true);
 }
 
 } // namespace fuzz

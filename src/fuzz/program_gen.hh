@@ -55,6 +55,14 @@ struct GeneratedProgram {
 GeneratedProgram generateProgram(Rng &rng,
                                  const ProgramGenOptions &opts);
 
+/** generateProgram's shape with a fork-biased start: the body opens
+ *  with an input-port read feeding one to three X-dependent
+ *  branches, so under the symbolic engine every program forks and
+ *  the frontier holds several paths at once (fork snapshots, dedup
+ *  and multi-lane packed batches get exercised). */
+GeneratedProgram generateForkingProgram(Rng &rng,
+                                        const ProgramGenOptions &opts);
+
 } // namespace fuzz
 } // namespace ulpeak
 

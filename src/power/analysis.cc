@@ -44,31 +44,29 @@ runConcrete(msp::System &sys, const isa::Image &image,
         sim.step([&](Simulator &s) {
             sys.driveCycle(s, Word16::known(port));
         });
+        // The cycle's operating mode (energy scale, clock), if any.
+        const std::pair<double, double> *mf =
+            opts.modeSchedule.empty()
+                ? nullptr
+                : &opts.modeSchedule[size_t(cycleIdx %
+                                            opts.modeSchedule.size())];
         double w;
-        if (opts.modeSchedule.empty()) {
+        if (!mf) {
             w = ctx.cycleBoundPowerW(sim);
         } else {
-            const std::pair<double, double> &mf =
-                opts.modeSchedule[size_t(cycleIdx %
-                                         opts.modeSchedule.size())];
-            w = ctx.cycleBoundPowerW(sim, mf.first, mf.second);
+            w = ctx.cycleBoundPowerW(sim, mf->first, mf->second);
             // energy = power / mode clock (w already carries the
             // vdd^2 scale and the mode frequency).
-            modeEnergyJ += w / mf.second;
+            modeEnergyJ += w / mf->second;
         }
         r.stats.add(w);
         if (opts.recordTrace)
             r.traceW.push_back(float(w));
         if (opts.recordModules) {
-            std::vector<double> mod = ctx.cycleModulePowerW(sim);
-            if (!opts.modeSchedule.empty()) {
-                const std::pair<double, double> &mf =
-                    opts.modeSchedule[size_t(
-                        cycleIdx % opts.modeSchedule.size())];
-                double ratio = mf.first * (mf.second / ctx.freqHz());
-                for (double &m : mod)
-                    m *= ratio;
-            }
+            std::vector<double> mod =
+                mf ? ctx.cycleModulePowerW(sim.moduleBoundEnergyJ(),
+                                           mf->first, mf->second)
+                   : ctx.cycleModulePowerW(sim);
             for (size_t m = 0; m < nmod; ++m)
                 r.traceModulesW[m].push_back(float(mod[m]));
         }

@@ -35,5 +35,17 @@ PowerContext::cycleModulePowerW(
     return out;
 }
 
+std::vector<double>
+PowerContext::cycleModulePowerW(const std::vector<double> &switching_j,
+                                double energy_scale,
+                                double freq_hz) const
+{
+    std::vector<double> out = cycleModulePowerW(switching_j);
+    double ratio = energy_scale * (freq_hz / freq_);
+    for (double &m : out)
+        m *= ratio;
+    return out;
+}
+
 } // namespace power
 } // namespace ulpeak

@@ -102,6 +102,13 @@ class PowerContext {
      *  one PackedSimulator lane); identical arithmetic per entry. */
     std::vector<double>
     cycleModulePowerW(const std::vector<double> &switching_j) const;
+    /** The same split in an operating mode: each entry rescaled by
+     *  energy_scale * (freq_hz / freqHz()), the per-module mirror of
+     *  the mode cyclePowerW overload. With scale 1 at this context's
+     *  own frequency it reproduces the reference split bit-for-bit. */
+    std::vector<double>
+    cycleModulePowerW(const std::vector<double> &switching_j,
+                      double energy_scale, double freq_hz) const;
 
     const Netlist &netlist() const { return *nl_; }
     /** Static (clock+leak) per-cycle energy of one module [J]. */

@@ -55,6 +55,25 @@ netlistStructureHash(const Netlist &nl)
     return h;
 }
 
+/** One execution path in flight: where it hangs in the tree, the
+ * constraints on its next step, its PC bookkeeping, and the trace of
+ * the node it is filling (committed at the node's fork or leaf). The
+ * scalar frontier steps one Path at a time, the packed frontier one
+ * per lane; queued paths carry an empty trace. */
+struct Path {
+    uint32_t node = 0;
+    TreeNode *nodePtr = nullptr;
+    uint64_t nodeKey = 0;  ///< dedup key that created the node (0: root)
+    uint32_t forcedPc = kNoForcedPc; ///< PC constraint on the next step
+    uint32_t lastPc = 0;   ///< last concrete PC value on this path
+    uint32_t curInstr = 0; ///< instruction in execute/mem (COI)
+    uint64_t pathCycles = 0;
+    bool applyInit = false; ///< root only: scenario register forces
+    std::vector<float> powerW;
+    std::vector<std::vector<float>> modulePowerW;
+    std::vector<CycleInfo> cycleInfo;
+};
+
 /** One un-processed execution path (Algorithm 1's stack U entry).
  * The simulator state is either a full snapshot or a delta against a
  * shared base (both immutable and shared between sibling entries);
@@ -64,15 +83,33 @@ struct Pending {
     std::shared_ptr<const Simulator::Snapshot> simFull;
     std::shared_ptr<const Simulator::DeltaSnapshot> simDelta;
     std::shared_ptr<const msp::System::Snapshot> sysSnap;
-    uint32_t node = 0;
-    TreeNode *nodePtr = nullptr;
-    uint64_t nodeKey = 0;  ///< dedup key that created the node (0: root)
-    uint32_t forcedPc = kNoForcedPc; ///< PC constraint on the next step
-    uint32_t lastKnownPc = 0; ///< last concrete PC value on this path
-    uint32_t curInstrAddr = 0; ///< instruction in execute/mem (COI)
-    uint64_t pathCycles = 0;
-    bool applyInit = false; ///< root only: scenario register forces
+    Path path;
+
+    /** The full snapshot the state is stored against: the diff base
+     *  of this path's own fork captures. */
+    const std::shared_ptr<const Simulator::Snapshot> &
+    base() const
+    {
+        return simDelta ? simDelta->base : simFull;
+    }
 };
+
+/** What a frontier reads off its simulator (or one lane of it) after
+ *  stepping a path one cycle: the only inputs of the per-cycle rules
+ *  both frontiers share (Worker::endCycle). */
+struct CycleReading {
+    Word16 pc;     ///< PC flops after the edge
+    int fsm;       ///< System::fsmState (-1: X or not one-hot)
+    double boundJ; ///< bound switching energy of the cycle [J]
+    /** Per-module split of boundJ; read only with recordModuleTrace. */
+    const std::vector<double> *moduleJ;
+    bool xStore;  ///< a store with X address or enable reached memory
+    bool halted;  ///< the program stored to DONE
+    bool pcNextX; ///< some PC flop loads X at the next edge
+};
+
+/** How a simulated cycle leaves its path (Algorithm 1). */
+enum class CycleEnd { Continue, Leaf, Fork, Failed };
 
 /**
  * State shared by all exploration workers. Three independent lock
@@ -196,14 +233,45 @@ struct SharedState {
         }
         return false;
     }
+
+    /** Pop from @p worker's own deque, else steal; the taken path
+     *  counts as explored. */
+    bool
+    take(unsigned worker, Pending &out)
+    {
+        if (!popOwn(worker, out) &&
+            !(queues.size() > 1 && stealFrom(worker, out)))
+            return false;
+        pathsExplored.fetch_add(1, std::memory_order_relaxed);
+        return true;
+    }
+
+    /** A taken path has ended (fork, leaf or failure). */
+    void
+    finishPath()
+    {
+        if (inflight.fetch_sub(1) == 1) {
+            std::lock_guard<std::mutex> lock(idleMu);
+            idleCv.notify_all();
+        }
+    }
 };
 
 /**
  * One exploration worker: a simulator (plus, for workers beyond the
- * first, a private System clone) that pops pending paths, simulates
+ * first, a private System clone) that takes pending paths, simulates
  * them to the next fork or leaf, and commits traces to the tree
  * through the nodes it owns. Peak candidates and activity sets are
  * tracked locally and merged after the pool drains.
+ *
+ * Two frontiers step the paths: the scalar one runs one path at a
+ * time on the Simulator (runPath), the packed one up to 64 on the
+ * lanes of a PackedSimulator (stepBatch). They differ only in what
+ * they read off their simulator; every rule of Algorithm 1 and 2 --
+ * the cycle budgets, the per-cycle pricing and end-of-cycle
+ * classification, fork targets, dedup keys, snapshot capture and the
+ * node commit -- exists once, below, and takes those readings as
+ * values.
  */
 class Worker {
   public:
@@ -240,9 +308,12 @@ class Worker {
             const scenario::Scenario &scen = cfg_.scenario;
             for (uint64_t ph = 0; ph < scen.modePeriod(); ++ph) {
                 const scenario::OperatingMode &m = scen.modeAt(ph);
-                modeFactors_.emplace_back(lib.energyScale(m.vdd),
-                                          m.freqHz);
+                modes_.emplace_back(lib.energyScale(m.vdd), m.freqHz);
             }
+        } else {
+            // The reference operating point: scale 1 at the reference
+            // clock prices bit-identically to the unscaled formulas.
+            modes_.emplace_back(1.0, cfg_.freqHz);
         }
         if (cfg_.recordActiveSets)
             everActive_.assign(sys_->netlist().numGates(), 0);
@@ -274,45 +345,29 @@ class Worker {
     msp::System &sys() { return *sys_; }
     Simulator &sim() { return *sim_; }
 
-    /** Pop/steal-simulate-commit until all work drains or fails. */
+    /** Take-simulate-commit until all work drains or fails. */
     void
     explore(SharedState &sh)
     {
-        if (cfg_.packedExplore) {
-            explorePacked(sh);
-            return;
-        }
         for (;;) {
             if (sh.failed.load())
                 break;
-            Pending p;
-            bool got = sh.popOwn(id_, p);
-            if (!got && sh.queues.size() > 1) {
-                got = sh.stealFrom(id_, p);
-                // Back off after a failed steal sweep: when workers
-                // outnumber cores, re-spinning over the victims'
-                // mutexes starves the owners mid-push.
-                if (!got)
-                    std::this_thread::yield();
+            bool busy = true;
+            // Exceptions must not escape a worker thread (that would
+            // terminate the process); convert them into the engine's
+            // normal failure reporting.
+            try {
+                busy = cfg_.packedExplore ? runBatch(sh) : runPath(sh);
+            } catch (const std::exception &e) {
+                sh.fail(std::string("worker exception: ") + e.what());
             }
-            if (got) {
-                sh.pathsExplored.fetch_add(
-                    1, std::memory_order_relaxed);
-                // Exceptions must not escape a worker thread (that
-                // would terminate the process); convert them into
-                // the engine's normal failure reporting.
-                try {
-                    runPath(sh, std::move(p));
-                } catch (const std::exception &e) {
-                    sh.fail(std::string("worker exception: ") +
-                            e.what());
-                }
-                if (sh.inflight.fetch_sub(1) == 1) {
-                    std::lock_guard<std::mutex> lock(sh.idleMu);
-                    sh.idleCv.notify_all();
-                }
+            if (busy)
                 continue;
-            }
+            // Back off after a failed steal sweep: when workers
+            // outnumber cores, re-spinning over the victims' mutexes
+            // starves the owners mid-push.
+            if (sh.queues.size() > 1)
+                std::this_thread::yield();
             std::unique_lock<std::mutex> lock(sh.idleMu);
             sh.idleCv.wait(lock, [&] {
                 return sh.failed.load() || sh.inflight.load() == 0 ||
@@ -355,298 +410,234 @@ class Worker {
     /// @}
 
   private:
-    /** Capture the current simulator state for a fork: a delta
-     * against @p base, promoted to a fresh full snapshot when the
-     * path has diverged too far (or always, in Full mode). The
-     * choice is a pure function of path state, so every scheduling
-     * captures the same representations and the byte statistics are
-     * deterministic. */
+    // ---- Algorithm 1 and 2, once for both frontiers ----
+
+    /** The cycle budgets, applied before a frontier simulates @p n
+     *  cycles on paths of which the longest has run @p longest
+     *  cycles. The cycles are reserved against maxTotalCycles before
+     *  they run, so neither a 64-lane sweep nor racing workers can
+     *  overrun the budget; a refused reservation is handed back, so
+     *  totalCycles counts simulated cycles only. Returns false when
+     *  the engine failed. */
+    bool
+    reserveCycles(SharedState &sh, uint64_t n, uint64_t longest)
+    {
+        uint64_t before =
+            sh.totalCycles.fetch_add(n, std::memory_order_relaxed);
+        const char *err = nullptr;
+        if (before + n > cfg_.maxTotalCycles)
+            err = "symbolic cycle budget exhausted";
+        else if (longest >= cfg_.maxPathCycles)
+            err = "path exceeded maxPathCycles (missing halt or "
+                  "unbounded loop?)";
+        if (!err)
+            return true;
+        sh.totalCycles.fetch_sub(n, std::memory_order_relaxed);
+        sh.fail(err);
+        return false;
+    }
+
+    /** The scenario inputs of a path's next cycle: the port word at
+     *  its cycle index, and its one-shot register and PC forces. */
+    struct StepInputs {
+        Word16 port;
+        bool applyRegs = false;
+        uint32_t forcedPc = kNoForcedPc;
+    };
+
+    /** @p path's next-cycle inputs; the one-shot forces are consumed. */
+    StepInputs
+    takeStepInputs(Path &path) const
+    {
+        StepInputs in{cfg_.scenario.portWordAt(path.pathCycles),
+                      path.applyInit, path.forcedPc};
+        path.applyInit = false;
+        path.forcedPc = kNoForcedPc;
+        return in;
+    }
+
+    /**
+     * Everything that happens to @p path after one simulated cycle
+     * read as @p r: Algorithm 2's per-cycle assignment (power under
+     * the cycle's operating mode, module trace, instruction
+     * attribution, peak candidate), then Algorithm 1's classification
+     * of the cycle's end. A leaf is committed here; a fork is left to
+     * the caller, which holds the state to capture. Sets @p new_peak
+     * when the cycle became this worker's peak candidate, so the
+     * caller can record its active set.
+     */
+    CycleEnd
+    endCycle(SharedState &sh, Path &path, const CycleReading &r,
+             bool &new_peak)
+    {
+        // The post-reset index of the cycle just simulated selects
+        // the operating mode its power is computed at.
+        const std::pair<double, double> &mode =
+            modes_[size_t(path.pathCycles % modes_.size())];
+        ++path.pathCycles;
+
+        if (!r.pc.isFullyKnown()) {
+            sh.fail("PC became X without fork interception");
+            return CycleEnd::Failed;
+        }
+        path.lastPc = r.pc.value;
+        if (r.fsm == msp::kStFetch)
+            path.curInstr = path.lastPc; // the word under fetch
+
+        // Under an operating mode the cycle's energy is scaled by the
+        // mode's (vdd/vdd_lib)^2 and its power uses the mode's clock.
+        double w = ctx_->cyclePowerW(r.boundJ, mode.first, mode.second);
+        path.powerW.push_back(float(w));
+        if (cfg_.recordModuleTrace) {
+            std::vector<double> mod = ctx_->cycleModulePowerW(
+                *r.moduleJ, mode.first, mode.second);
+            path.modulePowerW.emplace_back(mod.begin(), mod.end());
+            CycleInfo info;
+            info.instrPc = path.curInstr;
+            info.fsmState = uint8_t(r.fsm < 0 ? 255 : r.fsm);
+            path.cycleInfo.push_back(info);
+        }
+        uint32_t cyc = uint32_t(path.powerW.size() - 1);
+        new_peak = betterCandidate(w, path.nodeKey, cyc);
+        if (new_peak) {
+            peakPowerW = w;
+            peakNode = path.node;
+            peakCycleInNode = cyc;
+            peakNodeKey = path.nodeKey;
+        }
+
+        if (r.xStore) {
+            sh.fail("store with unknown address or enable "
+                    "(X-store); see DESIGN.md section 5");
+            return CycleEnd::Failed;
+        }
+        if (r.halted) {
+            commitNode(path, true); // leaf: end of this execution path
+            return CycleEnd::Leaf;
+        }
+        if (r.fsm == msp::kStHalt) {
+            sh.fail("core trapped (invalid instruction) at pc~0x" +
+                    std::to_string(path.lastPc));
+            return CycleEnd::Failed;
+        }
+        // Algorithm 1 line 17: will PC_next be X?
+        return r.pcNextX ? CycleEnd::Fork : CycleEnd::Continue;
+    }
+
+    /** Move @p path's buffered trace into the node it owns (no lock:
+     *  only this worker writes the node). */
+    static void
+    commitNode(Path &path, bool ends_halted)
+    {
+        TreeNode &n = *path.nodePtr;
+        n.powerW = std::move(path.powerW);
+        n.modulePowerW = std::move(path.modulePowerW);
+        n.cycleInfo = std::move(path.cycleInfo);
+        n.endsHalted = ends_halted;
+    }
+
+    /** Capture the fork state @p snap for the children in @p out: a
+     *  delta against @p base, promoted to a fresh full snapshot when
+     *  the path has diverged too far (or always, in Full mode). The
+     *  choice is a pure function of path state, so every scheduling
+     *  captures the same representations and the byte statistics are
+     *  deterministic. */
     void
-    captureSim(SharedState &sh,
-               const std::shared_ptr<const Simulator::Snapshot> &base,
-               std::shared_ptr<const Simulator::Snapshot> &out_full,
-               std::shared_ptr<const Simulator::DeltaSnapshot>
-                   &out_delta) const
+    captureFork(SharedState &sh,
+                const std::shared_ptr<const Simulator::Snapshot> &base,
+                Simulator::Snapshot snap, Pending &out) const
     {
         size_t full_bytes = Simulator::bytesOf(*base);
         sh.snapshotBytesFull.fetch_add(full_bytes,
                                        std::memory_order_relaxed);
         if (cfg_.snapshotMode == SnapshotMode::Delta) {
-            Simulator::DeltaSnapshot d = sim_->snapshotDelta(base);
+            Simulator::DeltaSnapshot d =
+                Simulator::deltaBetween(snap, base);
             if (d.deltaBytes() * kDeltaPromoteDen <=
                 full_bytes * kDeltaPromoteNum) {
                 sh.snapshotBytesCopied.fetch_add(
                     d.deltaBytes(), std::memory_order_relaxed);
-                out_delta = std::make_shared<
+                out.simDelta = std::make_shared<
                     const Simulator::DeltaSnapshot>(std::move(d));
                 return;
             }
         }
         sh.snapshotBytesCopied.fetch_add(full_bytes,
                                          std::memory_order_relaxed);
-        out_full = std::make_shared<const Simulator::Snapshot>(
-            sim_->snapshot());
+        out.simFull =
+            std::make_shared<const Simulator::Snapshot>(std::move(snap));
     }
 
-    // Dedup keys are full-simulator-state + memory + schedule-phase
-    // + fork-target hashes (built inline at the fork): hashing the
-    // complete state, not just the architectural state, guarantees
-    // that when two racing paths map to one key their continuations
-    // are identical -- so the merged node's trace, and every number
-    // derived from it, is independent of which path claimed the key.
-    // The scenario schedule phase participates because under a
-    // scheduled scenario the same state continues differently at
-    // different points of the period.
-    void
-    runPath(SharedState &sh, Pending p)
-    {
-        msp::System &sys = *sys_;
-        Simulator &sim = *sim_;
-        const msp::CpuHandles &h = sys.handles();
-        power::PowerContext &ctx = *ctx_;
-        const scenario::Scenario &scen = cfg_.scenario;
-
-        std::shared_ptr<const Simulator::Snapshot> base;
-        if (p.simDelta) {
-            sim.restore(*p.simDelta);
-            base = p.simDelta->base;
-        } else {
-            sim.restore(*p.simFull);
-            base = p.simFull;
-        }
-        sys.restore(*p.sysSnap);
-
-        uint32_t nodeId = p.node;
-        TreeNode *nodePtr = p.nodePtr;
-        uint64_t nodeKey = p.nodeKey;
-        uint32_t forcedPc = p.forcedPc;
-        uint32_t lastPc = p.lastKnownPc;
-        uint32_t curInstr = p.curInstrAddr;
-        uint64_t pathCycles = p.pathCycles;
-        bool applyInit = p.applyInit;
-
-        // Per-cycle data is buffered locally and committed to the
-        // owned tree node at the fork/leaf boundary.
-        std::vector<float> powerW;
-        std::vector<std::vector<float>> modulePowerW;
-        std::vector<CycleInfo> cycleInfo;
-
-        auto commitNode = [&](bool ends_halted) {
-            nodePtr->powerW = std::move(powerW);
-            nodePtr->modulePowerW = std::move(modulePowerW);
-            nodePtr->cycleInfo = std::move(cycleInfo);
-            nodePtr->endsHalted = ends_halted;
-        };
-
-        while (true) {
-            if (sh.failed.load())
-                return;
-            if (sh.totalCycles.load(std::memory_order_relaxed) >=
-                cfg_.maxTotalCycles) {
-                sh.fail("symbolic cycle budget exhausted");
-                return;
-            }
-            if (pathCycles >= cfg_.maxPathCycles) {
-                sh.fail("path exceeded maxPathCycles (missing "
-                        "halt or unbounded loop?)");
-                return;
-            }
-
-            uint32_t applyPc = forcedPc;
-            forcedPc = kNoForcedPc;
-            bool applyRegs = applyInit;
-            applyInit = false;
-            // The post-reset index of the cycle this step simulates
-            // (pathCycles increments right after), which selects the
-            // operating mode the cycle's power is computed at.
-            uint64_t cycleIdx = pathCycles;
-            sim.step([&](Simulator &s) {
-                // Algorithm 1 line 11, generalized: the scenario
-                // says which port bits are X this cycle.
-                sys.driveCycle(s, scen.portWordAt(pathCycles));
-                if (applyRegs) {
-                    // Scenario initial-register constraints: narrow
-                    // the boot-X registers once, right after reset,
-                    // the same way forks narrow the PC.
-                    for (const auto &[reg, value] : scen.regInit)
-                        s.forceBus(h.regs[reg],
-                                   Word16::known(value));
-                }
-                if (applyPc != kNoForcedPc) {
-                    // Algorithm 1's update_PC_next: constrain only the
-                    // PC flops, right after the edge, before fetch
-                    // logic evaluates.
-                    s.forceBus(h.pc, Word16::known(uint16_t(applyPc)));
-                }
-            });
-            sh.totalCycles.fetch_add(1, std::memory_order_relaxed);
-            ++cyclesRun;
-            ++pathCycles;
-
-            Word16 pcNow = sys.readPc(sim);
-            if (pcNow.isFullyKnown()) {
-                lastPc = pcNow.value;
-            } else {
-                sh.fail("PC became X without fork interception");
-                return;
-            }
-            int fsm = sys.fsmState(sim);
-            if (fsm == msp::kStFetch)
-                curInstr = lastPc; // the word under fetch
-
-            // ---- Per-cycle Algorithm 2 assignment ----
-            // Under an operating-mode schedule the cycle's energy is
-            // scaled by its mode's (vdd/vdd_lib)^2 and its power uses
-            // the mode's clock; otherwise the classic fixed-point
-            // path (bit-identical: no extra arithmetic).
-            double w;
-            double modeScale = 1.0, modeFreq = ctx.freqHz();
-            if (modeFactors_.empty()) {
-                w = ctx.cycleBoundPowerW(sim);
-            } else {
-                const std::pair<double, double> &mf = modeFactors_
-                    [size_t(cycleIdx % modeFactors_.size())];
-                modeScale = mf.first;
-                modeFreq = mf.second;
-                w = ctx.cycleBoundPowerW(sim, modeScale, modeFreq);
-            }
-            powerW.push_back(float(w));
-            if (cfg_.recordModuleTrace) {
-                std::vector<double> mod = ctx.cycleModulePowerW(sim);
-                if (!modeFactors_.empty()) {
-                    // Same rescaling per module: (sw_m + static_m)
-                    // * scale * f_mode, expressed as a ratio against
-                    // the reference-clock value.
-                    double ratio =
-                        modeScale * (modeFreq / ctx.freqHz());
-                    for (double &m : mod)
-                        m *= ratio;
-                }
-                modulePowerW.emplace_back(mod.begin(), mod.end());
-                CycleInfo info;
-                info.instrPc = curInstr;
-                info.fsmState = uint8_t(fsm < 0 ? 255 : fsm);
-                cycleInfo.push_back(info);
-            }
-            if (cfg_.recordActiveSets) {
-                for (GateId g : sim.activeGates())
-                    everActive_[g] = 1;
-            }
-            uint32_t cyc = uint32_t(powerW.size() - 1);
-            if (betterCandidate(w, nodeKey, cyc)) {
-                peakPowerW = w;
-                peakNode = nodeId;
-                peakCycleInNode = cyc;
-                peakNodeKey = nodeKey;
-                if (cfg_.recordActiveSets)
-                    peakActive.assign(sim.activeGates().begin(),
-                                      sim.activeGates().end());
-            }
-
-            if (sys.xStoreFault()) {
-                sh.fail("store with unknown address or enable "
-                        "(X-store); see DESIGN.md section 5");
-                return;
-            }
-
-            if (sys.halted()) {
-                commitNode(true); // leaf: end of this execution path
-                return;
-            }
-            if (fsm == msp::kStHalt) {
-                sh.fail("core trapped (invalid instruction) at "
-                        "pc~0x" + std::to_string(lastPc));
-                return;
-            }
-
-            // ---- Algorithm 1 line 17: will PC_next be X? ----
-            bool pcNextX = false;
-            for (GateId g : h.pc) {
-                if (sim.predictSeqValue(g) == V4::X) {
-                    pcNextX = true;
-                    break;
-                }
-            }
-            if (!pcNextX)
-                continue;
-
-            // Resolve feasible targets from the (concrete) IR.
-            Word16 ir = sys.readIr(sim);
-            if (!ir.isFullyKnown()) {
-                sh.fail("X program counter with unknown IR");
-                return;
-            }
-            isa::Decoded dec = isa::decode(ir.value, 0, 0);
-            if (!dec.valid || !isa::isJump(dec.instr.op)) {
-                sh.fail("unresolvable X program counter (op " +
-                        std::string(isa::opName(dec.instr.op)) +
-                        "): indirect jump through unknown data");
-                return;
-            }
-
-            // At EXEC of a jump the PC holds the fall-through address.
-            uint32_t fallThrough = lastPc;
-            uint32_t taken =
-                (lastPc +
-                 uint32_t(int32_t(dec.instr.jumpOffsetWords) * 2)) &
-                0xffff;
-            uint32_t targets[2] = {taken, fallThrough};
-            unsigned numTargets = taken == fallThrough ? 1 : 2;
-
-            // Hash keys and capture the fork state before touching
-            // any shared structure: both read only worker-local
-            // state, and they are the heavy part of a fork. The
-            // state is hashed once (target and schedule phase enter
-            // via final mixes) and the snapshots are shared by both
-            // child Pendings.
-            uint64_t keyBase = sim.hashFullState();
-            sys.memory().hashInto(keyBase);
-            keyBase ^= 0xda942042e4dd58b5ull *
-                       (scen.dedupPhase(pathCycles) + 1);
-            uint64_t keys[2];
-            for (unsigned t = 0; t < numTargets; ++t)
-                keys[t] = keyBase ^ 0x9e3779b97f4a7c15ull *
-                                        (uint64_t(targets[t]) + 1);
-            std::shared_ptr<const Simulator::Snapshot> childFull;
-            std::shared_ptr<const Simulator::DeltaSnapshot> childDelta;
-            captureSim(sh, base, childFull, childDelta);
-            auto sysSnap =
-                std::make_shared<const msp::System::Snapshot>(
-                    sys.snapshot());
-
-            // Commit this node's trace (we own it; no lock), then
-            // resolve each target against the sharded dedup map.
-            nodePtr->branchPc = (lastPc - 2) & 0xffff;
-            commitNode(false);
-            resolveFork(sh, nodePtr, nodeId, targets, keys,
-                        numTargets, childFull, childDelta, sysSnap,
-                        lastPc, curInstr, pathCycles);
-            return; // continuations live on the work queues
-        }
-    }
-
-    /** Resolve fork targets against the sharded dedup map, link
-     * edges from @p nodePtr, and enqueue new children on this
-     * worker's deque -- the tail shared by the scalar and packed
-     * forks, so the key -> node semantics cannot diverge. Returns
-     * false when the node budget failed the engine. */
+    /**
+     * Algorithm 1 lines 17-24 for @p path, whose PC_next is X: resolve
+     * the feasible targets from the (concrete) IR @p ir, key and
+     * capture the fork state (@p snap and @p mem, the path restored
+     * from @p base), commit the node, and resolve each target against
+     * the sharded dedup map, queueing new children on this worker's
+     * deque. Returns false when the engine failed.
+     *
+     * Dedup keys hash the full simulator state + memory + schedule
+     * phase + fork target: hashing the complete state, not just the
+     * architectural state, guarantees that when two racing paths map
+     * to one key their continuations are identical -- so the merged
+     * node's trace, and every number derived from it, is independent
+     * of which path claimed the key. The scenario schedule phase
+     * participates because under a scheduled scenario the same state
+     * continues differently at different points of the period.
+     */
     bool
-    resolveFork(
-        SharedState &sh, TreeNode *nodePtr, uint32_t nodeId,
-        const uint32_t *targets, const uint64_t *keys,
-        unsigned numTargets,
-        const std::shared_ptr<const Simulator::Snapshot> &childFull,
-        const std::shared_ptr<const Simulator::DeltaSnapshot>
-            &childDelta,
-        const std::shared_ptr<const msp::System::Snapshot> &sysSnap,
-        uint32_t lastPc, uint32_t curInstr, uint64_t pathCycles)
+    fork(SharedState &sh, Path &path, Word16 ir,
+         const std::shared_ptr<const Simulator::Snapshot> &base,
+         Simulator::Snapshot snap, const Memory &mem)
     {
+        if (!ir.isFullyKnown()) {
+            sh.fail("X program counter with unknown IR");
+            return false;
+        }
+        isa::Decoded dec = isa::decode(ir.value, 0, 0);
+        if (!dec.valid || !isa::isJump(dec.instr.op)) {
+            sh.fail("unresolvable X program counter (op " +
+                    std::string(isa::opName(dec.instr.op)) +
+                    "): indirect jump through unknown data");
+            return false;
+        }
+        // At EXEC of a jump the PC holds the fall-through address.
+        uint32_t fallThrough = path.lastPc;
+        uint32_t taken =
+            (path.lastPc +
+             uint32_t(int32_t(dec.instr.jumpOffsetWords) * 2)) &
+            0xffff;
+        uint32_t targets[2] = {taken, fallThrough};
+        unsigned numTargets = taken == fallThrough ? 1 : 2;
+
+        // Hash and capture before touching any shared structure: both
+        // read only worker-local state, and they are the heavy part
+        // of a fork. The state is hashed once (target and schedule
+        // phase enter via final mixes); hashSnapshotState applies the
+        // static-prune basis rule against the snapshot's own cycle.
+        // The snapshots are shared by all children.
+        uint64_t keyBase = sim_->hashSnapshotState(snap);
+        mem.hashInto(keyBase);
+        keyBase ^= 0xda942042e4dd58b5ull *
+                   (cfg_.scenario.dedupPhase(path.pathCycles) + 1);
+        Pending child;
+        captureFork(sh, base, std::move(snap), child);
+        // A forking path is neither halted nor faulted.
+        child.sysSnap = std::make_shared<const msp::System::Snapshot>(
+            msp::System::Snapshot{mem.snapshot(), false, false});
+        child.path.lastPc = path.lastPc;
+        child.path.curInstr = path.curInstr;
+        child.path.pathCycles = path.pathCycles;
+
+        TreeNode *nodePtr = path.nodePtr;
+        nodePtr->branchPc = (path.lastPc - 2) & 0xffff;
+        commitNode(path, false);
         for (unsigned t = 0; t < numTargets; ++t) {
-            uint64_t key = keys[t];
+            uint64_t key = keyBase ^ 0x9e3779b97f4a7c15ull *
+                                         (uint64_t(targets[t]) + 1);
             SharedState::Shard &shard =
                 sh.shards[SharedState::shardOf(key)];
-            uint32_t child = kNoNode;
-            TreeNode *childPtr = nullptr;
+            Pending next = child;
             {
                 std::lock_guard<std::mutex> lock(shard.mu);
                 auto it = shard.visited.find(key);
@@ -671,26 +662,87 @@ class Worker {
                                 "exhausted");
                         return false;
                     }
-                    child = sh.tree->newNode(nodeId);
-                    childPtr = &sh.tree->node(child);
+                    next.path.node = sh.tree->newNode(path.node);
+                    next.path.nodePtr = &sh.tree->node(next.path.node);
                 }
-                shard.visited.emplace(key, child);
+                shard.visited.emplace(key, next.path.node);
             }
             nodePtr->edges.push_back(
-                TreeEdge{targets[t], child, false});
-            Pending next;
-            next.simFull = childFull;
-            next.simDelta = childDelta;
-            next.sysSnap = sysSnap;
-            next.node = child;
-            next.nodePtr = childPtr;
-            next.nodeKey = key;
-            next.forcedPc = targets[t];
-            next.lastKnownPc = lastPc;
-            next.curInstrAddr = curInstr;
-            next.pathCycles = pathCycles;
+                TreeEdge{targets[t], next.path.node, false});
+            next.path.nodeKey = key;
+            next.path.forcedPc = targets[t];
             sh.push(id_, std::move(next));
         }
+        return true;
+    }
+
+    // ---- Scalar frontier ----
+
+    /** Take one path and run it to its fork, leaf or failure; false
+     *  when no work was available. */
+    bool
+    runPath(SharedState &sh)
+    {
+        Pending p;
+        if (!sh.take(id_, p))
+            return false;
+        msp::System &sys = *sys_;
+        Simulator &sim = *sim_;
+        const msp::CpuHandles &h = sys.handles();
+        if (p.simDelta)
+            sim.restore(*p.simDelta);
+        else
+            sim.restore(*p.simFull);
+        sys.restore(*p.sysSnap);
+        Path &path = p.path;
+
+        while (!sh.failed.load() &&
+               reserveCycles(sh, 1, path.pathCycles)) {
+            StepInputs in = takeStepInputs(path);
+            sim.step([&](Simulator &s) {
+                // Algorithm 1 line 11, generalized: the scenario
+                // says which port bits are X this cycle.
+                sys.driveCycle(s, in.port);
+                // Scenario initial-register constraints narrow the
+                // boot-X registers once, right after reset, the same
+                // way forks narrow the PC.
+                if (in.applyRegs)
+                    for (const auto &[reg, value] :
+                         cfg_.scenario.regInit)
+                        s.forceBus(h.regs[reg], Word16::known(value));
+                // Algorithm 1's update_PC_next: constrain only the PC
+                // flops, right after the edge, before fetch logic
+                // evaluates.
+                if (in.forcedPc != kNoForcedPc)
+                    s.forceBus(h.pc,
+                               Word16::known(uint16_t(in.forcedPc)));
+            });
+            ++cyclesRun;
+            if (cfg_.recordActiveSets)
+                for (GateId g : sim.activeGates())
+                    everActive_[g] = 1;
+
+            bool newPeak = false;
+            CycleEnd end = endCycle(
+                sh, path,
+                {sys.readPc(sim), sys.fsmState(sim), sim.boundEnergyJ(),
+                 &sim.moduleBoundEnergyJ(), sys.xStoreFault(),
+                 sys.halted(),
+                 std::any_of(h.pc.begin(), h.pc.end(),
+                             [&](GateId g) {
+                                 return sim.predictSeqValue(g) == V4::X;
+                             })},
+                newPeak);
+            if (newPeak && cfg_.recordActiveSets)
+                peakActive.assign(sim.activeGates().begin(),
+                                  sim.activeGates().end());
+            if (end == CycleEnd::Fork)
+                fork(sh, path, sys.readIr(sim), p.base(),
+                     sim.snapshot(), sys.memory());
+            if (end != CycleEnd::Continue)
+                break;
+        }
+        sh.finishPath();
         return true;
     }
 
@@ -698,92 +750,48 @@ class Worker {
     //
     // Up to 64 pending paths ride the PackedSimulator's lanes at
     // once: a lane is loaded from a Pending's (delta or full)
-    // snapshot, advanced by the shared level-bucketed sweep until it
-    // reaches its own fork / halt / failure boundary, then transposed
-    // back to a scalar snapshot for the exact same dedup, capture and
-    // commit path runPath takes. The lane-identity invariant of the
-    // packed kernel makes every per-lane byte -- values, activity,
-    // energies, and therefore hashes, keys, traces and snapshots --
-    // equal to the scalar run's, which is the whole bit-identity
-    // argument: same keys => same node set, edges and merge counts;
-    // same traces => same peak/energy/NPE/envelope; same snapshot
-    // bytes => same byte statistics. Only scheduling statistics
-    // (steals, batch/occupancy counters, per-worker cycles) differ.
+    // snapshot and advanced by the shared event-driven packed step
+    // until it reaches its own fork / halt / failure boundary, where
+    // the transposed lane state goes through the same fork as a
+    // scalar path. The lane-identity invariant of the packed kernel
+    // makes every per-lane byte -- values, activity, energies, and
+    // therefore hashes, keys, traces and snapshots -- equal to the
+    // scalar run's, which is the whole bit-identity argument: same
+    // keys => same node set, edges and merge counts; same traces =>
+    // same peak/energy/NPE/envelope; same snapshot bytes => same byte
+    // statistics. Only scheduling statistics (steals, batch/occupancy
+    // counters, per-worker cycles) differ.
 
-    /** One lane's in-flight continuation (the live part of a
-     *  Pending, plus the path-local trace buffers of runPath). */
+    /** One lane's in-flight path. */
     struct Lane {
-        bool applyInit = false;
-        uint32_t node = 0;
-        TreeNode *nodePtr = nullptr;
-        uint64_t nodeKey = 0;
-        uint32_t forcedPc = kNoForcedPc;
-        uint32_t lastPc = 0;
-        uint32_t curInstr = 0;
-        uint64_t pathCycles = 0;
+        Path path;
         /** Absolute simulator cycle of the lane (the scalar sim's
          *  cycle() after restore + steps); stamps extracted
          *  snapshots so prune engagement and deltas line up. */
         uint64_t absCycle = 0;
-        /** Snapshot base the lane restored from (delta denominator
-         *  and diff base for this lane's own fork captures). */
+        /** Pending::base() of the state the lane was loaded from. */
         std::shared_ptr<const Simulator::Snapshot> base;
-        std::vector<float> powerW;
-        std::vector<std::vector<float>> modulePowerW;
-        std::vector<CycleInfo> cycleInfo;
     };
 
-    /** explore()'s pop/steal/idle protocol with up to 64 paths in
-     *  flight at once. */
-    void
-    explorePacked(SharedState &sh)
+    /** Refill every free lane while work is available (steals fill
+     *  lanes the own deque cannot), then step the batch; false when
+     *  no lane is live. */
+    bool
+    runBatch(SharedState &sh)
     {
-        for (;;) {
-            if (sh.failed.load())
-                break;
-            // Refill every free lane while work is available; steals
-            // fill lanes the own deque cannot.
-            unsigned loadedNow = 0;
-            uint64_t freeMask = ~psim_->liveMask();
-            while (freeMask) {
-                unsigned l = unsigned(__builtin_ctzll(freeMask));
-                Pending p;
-                bool got = sh.popOwn(id_, p);
-                if (!got && sh.queues.size() > 1)
-                    got = sh.stealFrom(id_, p);
-                if (!got)
-                    break;
-                freeMask &= freeMask - 1;
-                sh.pathsExplored.fetch_add(
-                    1, std::memory_order_relaxed);
-                loadLane(l, std::move(p));
-                ++loadedNow;
-            }
-            if (loadedNow)
-                sh.packedBatches.fetch_add(
-                    1, std::memory_order_relaxed);
-            if (psim_->liveMask()) {
-                // Exceptions must not escape the worker thread (see
-                // explore()).
-                try {
-                    stepBatch(sh);
-                } catch (const std::exception &e) {
-                    sh.fail(std::string("worker exception: ") +
-                            e.what());
-                }
-                continue;
-            }
-            std::unique_lock<std::mutex> lock(sh.idleMu);
-            sh.idleCv.wait(lock, [&] {
-                return sh.failed.load() ||
-                       sh.inflight.load() == 0 ||
-                       sh.queued.load(std::memory_order_acquire) > 0;
-            });
-            if (sh.failed.load() || sh.inflight.load() == 0)
-                break;
+        bool loaded = false;
+        Pending p;
+        for (uint64_t free = ~psim_->liveMask(); free && sh.take(id_, p);
+             free &= free - 1) {
+            loadLane(unsigned(__builtin_ctzll(free)), std::move(p));
+            loaded = true;
         }
-        std::lock_guard<std::mutex> lock(sh.idleMu);
-        sh.idleCv.notify_all();
+        if (loaded)
+            sh.packedBatches.fetch_add(1, std::memory_order_relaxed);
+        if (!psim_->liveMask())
+            return false;
+        stepBatch(sh);
+        return true;
     }
 
     /** Install @p p into lane @p l -- the packed counterpart of
@@ -797,51 +805,27 @@ class Worker {
                 Simulator::materialize(*p.simDelta);
             psim_->loadLaneState(l, snap);
             L.absCycle = snap.cycle;
-            L.base = p.simDelta->base;
         } else {
             psim_->loadLaneState(l, *p.simFull);
             L.absCycle = p.simFull->cycle;
-            L.base = p.simFull;
         }
+        L.base = p.base();
         laneMem_[l].restore(p.sysSnap->mem);
         // Pending paths are never halted or faulted (either would
         // have ended the parent as a leaf / failure, not a fork).
         uint64_t bit = uint64_t(1) << l;
         haltedMask_ &= ~bit;
         faultMask_ &= ~bit;
-        L.applyInit = p.applyInit;
-        L.node = p.node;
-        L.nodePtr = p.nodePtr;
-        L.nodeKey = p.nodeKey;
-        L.forcedPc = p.forcedPc;
-        L.lastPc = p.lastKnownPc;
-        L.curInstr = p.curInstrAddr;
-        L.pathCycles = p.pathCycles;
-        L.powerW.clear();
-        L.modulePowerW.clear();
-        L.cycleInfo.clear();
+        L.path = std::move(p.path);
     }
 
-    void
-    commitLane(Lane &L, bool ends_halted)
-    {
-        L.nodePtr->powerW = std::move(L.powerW);
-        L.nodePtr->modulePowerW = std::move(L.modulePowerW);
-        L.nodePtr->cycleInfo = std::move(L.cycleInfo);
-        L.nodePtr->endsHalted = ends_halted;
-    }
-
-    /** Free lane @p l and account its path as done (the per-path
-     *  inflight decrement of explore()). */
+    /** Free lane @p l; its path has ended. */
     void
     retireLane(SharedState &sh, unsigned l)
     {
         lanes_[l].base.reset();
         psim_->retireLanes(uint64_t(1) << l);
-        if (sh.inflight.fetch_sub(1) == 1) {
-            std::lock_guard<std::mutex> lock(sh.idleMu);
-            sh.idleCv.notify_all();
-        }
+        sh.finishPath();
     }
 
     /** The packed simulator's memory hook and edge (registered as
@@ -879,38 +863,30 @@ class Worker {
         return found;
     }
 
-    /** One packed cycle of every live lane: the per-lane mirror of
-     *  one runPath loop iteration (same check order, same failure
-     *  strings), retiring lanes that reach their fork / halt
-     *  boundary this cycle. */
+    /** One packed cycle of every live lane: runPath's loop body per
+     *  lane, retiring lanes that reach their fork / halt boundary. */
     void
     stepBatch(SharedState &sh)
     {
         PackedSimulator &ps = *psim_;
         const msp::CpuHandles &h = sys_->handles();
-        power::PowerContext &ctx = *ctx_;
-        const scenario::Scenario &scen = cfg_.scenario;
+        const uint64_t stepped = ps.liveMask();
+        const unsigned nLive = unsigned(__builtin_popcountll(stepped));
+        uint64_t longest = 0;
+        for (uint64_t m = stepped; m; m &= m - 1)
+            longest = std::max(
+                longest,
+                lanes_[unsigned(__builtin_ctzll(m))].path.pathCycles);
+        if (!reserveCycles(sh, nLive, longest))
+            return;
 
-        for (uint64_t m = ps.liveMask(); m; m &= m - 1) {
-            Lane &L = lanes_[unsigned(__builtin_ctzll(m))];
-            if (sh.totalCycles.load(std::memory_order_relaxed) >=
-                cfg_.maxTotalCycles) {
-                sh.fail("symbolic cycle budget exhausted");
-                return;
-            }
-            if (L.pathCycles >= cfg_.maxPathCycles) {
-                sh.fail("path exceeded maxPathCycles (missing "
-                        "halt or unbounded loop?)");
-                return;
-            }
-        }
-
+        std::array<StepInputs, PackedSimulator::kLanes> in;
         std::array<Word16, PackedSimulator::kLanes> ports;
         ports.fill(Word16::allX());
-        uint64_t stepped = ps.liveMask();
         for (uint64_t m = stepped; m; m &= m - 1) {
             unsigned l = unsigned(__builtin_ctzll(m));
-            ports[l] = scen.portWordAt(lanes_[l].pathCycles);
+            in[l] = takeStepInputs(lanes_[l].path);
+            ports[l] = in[l].port;
         }
         ps.step([&](PackedSimulator &s) {
             // driveCycle splatted to all lanes (retired lanes drop
@@ -921,23 +897,16 @@ class Worker {
             s.setInputBusLanes(h.portIn, ports);
             for (uint64_t m = stepped; m; m &= m - 1) {
                 unsigned l = unsigned(__builtin_ctzll(m));
-                Lane &L = lanes_[l];
-                if (L.applyInit) {
-                    L.applyInit = false;
-                    for (const auto &[reg, value] : scen.regInit)
+                if (in[l].applyRegs)
+                    for (const auto &[reg, value] :
+                         cfg_.scenario.regInit)
                         s.forceBusLane(h.regs[reg], l,
                                        Word16::known(value));
-                }
-                if (L.forcedPc != kNoForcedPc) {
+                if (in[l].forcedPc != kNoForcedPc)
                     s.forceBusLane(
-                        h.pc, l,
-                        Word16::known(uint16_t(L.forcedPc)));
-                    L.forcedPc = kNoForcedPc;
-                }
+                        h.pc, l, Word16::known(uint16_t(in[l].forcedPc)));
             }
         });
-        unsigned nLive = unsigned(__builtin_popcountll(stepped));
-        sh.totalCycles.fetch_add(nLive, std::memory_order_relaxed);
         sh.packedSweeps.fetch_add(1, std::memory_order_relaxed);
         sh.packedLaneCycles.fetch_add(nLive,
                                       std::memory_order_relaxed);
@@ -954,190 +923,42 @@ class Worker {
             unsigned l = unsigned(__builtin_ctzll(m));
             uint64_t lbit = uint64_t(1) << l;
             Lane &L = lanes_[l];
-            uint64_t cycleIdx = L.pathCycles; // mode phase of this step
-            ++L.pathCycles;
             ++L.absCycle;
 
-            Word16 pcNow = ps.readBusLane(h.pc, l);
-            if (pcNow.isFullyKnown()) {
-                L.lastPc = pcNow.value;
-            } else {
-                sh.fail("PC became X without fork interception");
-                return;
+            std::vector<double> moduleJ;
+            if (cfg_.recordModuleTrace)
+                moduleJ = ps.moduleBoundEnergyLaneJ(l);
+            bool newPeak = false;
+            CycleEnd end = endCycle(
+                sh, L.path,
+                {ps.readBusLane(h.pc, l), fsmStateLane(l),
+                 ps.boundEnergyJ(l), &moduleJ, (faultMask_ & lbit) != 0,
+                 (haltedMask_ & lbit) != 0,
+                 std::any_of(h.pc.begin(), h.pc.end(),
+                             [&](GateId g) {
+                                 return ps.predictSeqValueLane(g, l) ==
+                                        V4::X;
+                             })},
+                newPeak);
+            if (newPeak && cfg_.recordActiveSets) {
+                // Ascending gate id, like the canonicalized scalar
+                // activeGates() view.
+                peakActive.clear();
+                size_t n = everActive_.size();
+                for (GateId g = 0; g < n; ++g)
+                    if (ps.activeMask(g) & lbit)
+                        peakActive.push_back(g);
             }
-            int fsm = fsmStateLane(l);
-            if (fsm == msp::kStFetch)
-                L.curInstr = L.lastPc;
-
-            double w;
-            double modeScale = 1.0, modeFreq = ctx.freqHz();
-            if (modeFactors_.empty()) {
-                w = ctx.cyclePowerW(ps.boundEnergyJ(l));
-            } else {
-                const std::pair<double, double> &mf = modeFactors_
-                    [size_t(cycleIdx % modeFactors_.size())];
-                modeScale = mf.first;
-                modeFreq = mf.second;
-                w = ctx.cyclePowerW(ps.boundEnergyJ(l), modeScale,
-                                    modeFreq);
-            }
-            L.powerW.push_back(float(w));
-            if (cfg_.recordModuleTrace) {
-                std::vector<double> mod = ctx.cycleModulePowerW(
-                    ps.moduleBoundEnergyLaneJ(l));
-                if (!modeFactors_.empty()) {
-                    double ratio =
-                        modeScale * (modeFreq / ctx.freqHz());
-                    for (double &mm : mod)
-                        mm *= ratio;
-                }
-                L.modulePowerW.emplace_back(mod.begin(), mod.end());
-                CycleInfo info;
-                info.instrPc = L.curInstr;
-                info.fsmState = uint8_t(fsm < 0 ? 255 : fsm);
-                L.cycleInfo.push_back(info);
-            }
-            uint32_t cyc = uint32_t(L.powerW.size() - 1);
-            if (betterCandidate(w, L.nodeKey, cyc)) {
-                peakPowerW = w;
-                peakNode = L.node;
-                peakCycleInNode = cyc;
-                peakNodeKey = L.nodeKey;
-                if (cfg_.recordActiveSets) {
-                    // Ascending gate id, like the canonicalized
-                    // scalar activeGates() view.
-                    peakActive.clear();
-                    size_t n = everActive_.size();
-                    for (GateId g = 0; g < n; ++g)
-                        if (ps.activeMask(g) & lbit)
-                            peakActive.push_back(g);
-                }
-            }
-
-            if (faultMask_ & lbit) {
-                sh.fail("store with unknown address or enable "
-                        "(X-store); see DESIGN.md section 5");
-                return;
-            }
-            if (haltedMask_ & lbit) {
-                commitLane(L, /*ends_halted=*/true);
-                retireLane(sh, l);
+            if (end == CycleEnd::Continue)
                 continue;
-            }
-            if (fsm == msp::kStHalt) {
-                sh.fail("core trapped (invalid instruction) at "
-                        "pc~0x" + std::to_string(L.lastPc));
+            if (end == CycleEnd::Failed ||
+                (end == CycleEnd::Fork &&
+                 !fork(sh, L.path, ps.readBusLane(h.ir, l), L.base,
+                       ps.extractLaneState(l, L.absCycle),
+                       laneMem_[l])))
                 return;
-            }
-
-            bool pcNextX = false;
-            for (GateId g : h.pc) {
-                if (ps.predictSeqValueLane(g, l) == V4::X) {
-                    pcNextX = true;
-                    break;
-                }
-            }
-            if (!pcNextX)
-                continue;
-            if (!forkLane(sh, l))
-                return;
+            retireLane(sh, l);
         }
-    }
-
-    /** The fork tail of runPath for lane @p l: resolve targets from
-     *  the lane's (concrete) IR, hash and capture the transposed
-     *  lane state, and hand the children to resolveFork. Returns
-     *  false when the engine failed. */
-    bool
-    forkLane(SharedState &sh, unsigned l)
-    {
-        Lane &L = lanes_[l];
-        PackedSimulator &ps = *psim_;
-        const msp::CpuHandles &h = sys_->handles();
-        const scenario::Scenario &scen = cfg_.scenario;
-
-        Word16 ir = ps.readBusLane(h.ir, l);
-        if (!ir.isFullyKnown()) {
-            sh.fail("X program counter with unknown IR");
-            return false;
-        }
-        isa::Decoded dec = isa::decode(ir.value, 0, 0);
-        if (!dec.valid || !isa::isJump(dec.instr.op)) {
-            sh.fail("unresolvable X program counter (op " +
-                    std::string(isa::opName(dec.instr.op)) +
-                    "): indirect jump through unknown data");
-            return false;
-        }
-
-        uint32_t fallThrough = L.lastPc;
-        uint32_t taken =
-            (L.lastPc +
-             uint32_t(int32_t(dec.instr.jumpOffsetWords) * 2)) &
-            0xffff;
-        uint32_t targets[2] = {taken, fallThrough};
-        unsigned numTargets = taken == fallThrough ? 1 : 2;
-
-        // Same key recipe as the scalar fork, over the transposed
-        // lane state (lane identity makes the hashed bytes equal);
-        // hashSnapshotState applies the prune-basis rule against the
-        // snapshot's own cycle, so --static-prune keys match too.
-        Simulator::Snapshot snap =
-            ps.extractLaneState(l, L.absCycle);
-        uint64_t keyBase = sim_->hashSnapshotState(snap);
-        laneMem_[l].hashInto(keyBase);
-        keyBase ^= 0xda942042e4dd58b5ull *
-                   (scen.dedupPhase(L.pathCycles) + 1);
-        uint64_t keys[2];
-        for (unsigned t = 0; t < numTargets; ++t)
-            keys[t] = keyBase ^ 0x9e3779b97f4a7c15ull *
-                                    (uint64_t(targets[t]) + 1);
-        std::shared_ptr<const Simulator::Snapshot> childFull;
-        std::shared_ptr<const Simulator::DeltaSnapshot> childDelta;
-        captureLane(sh, L, std::move(snap), childFull, childDelta);
-        auto sysSnap = std::make_shared<const msp::System::Snapshot>(
-            msp::System::Snapshot{laneMem_[l].snapshot(),
-                                  /*halted=*/false,
-                                  /*xStoreFault=*/false});
-
-        L.nodePtr->branchPc = (L.lastPc - 2) & 0xffff;
-        commitLane(L, /*ends_halted=*/false);
-        if (!resolveFork(sh, L.nodePtr, L.node, targets, keys,
-                         numTargets, childFull, childDelta, sysSnap,
-                         L.lastPc, L.curInstr, L.pathCycles))
-            return false;
-        retireLane(sh, l);
-        return true;
-    }
-
-    /** captureSim for a transposed lane state: the same promote rule
-     *  and byte statistics, with the delta diffed between snapshots
-     *  (Simulator::deltaBetween) instead of read out of a live
-     *  simulator. */
-    void
-    captureLane(SharedState &sh, Lane &L, Simulator::Snapshot snap,
-                std::shared_ptr<const Simulator::Snapshot> &out_full,
-                std::shared_ptr<const Simulator::DeltaSnapshot>
-                    &out_delta) const
-    {
-        size_t full_bytes = Simulator::bytesOf(*L.base);
-        sh.snapshotBytesFull.fetch_add(full_bytes,
-                                       std::memory_order_relaxed);
-        if (cfg_.snapshotMode == SnapshotMode::Delta) {
-            Simulator::DeltaSnapshot d =
-                Simulator::deltaBetween(snap, L.base);
-            if (d.deltaBytes() * kDeltaPromoteDen <=
-                full_bytes * kDeltaPromoteNum) {
-                sh.snapshotBytesCopied.fetch_add(
-                    d.deltaBytes(), std::memory_order_relaxed);
-                out_delta = std::make_shared<
-                    const Simulator::DeltaSnapshot>(std::move(d));
-                return;
-            }
-        }
-        sh.snapshotBytesCopied.fetch_add(full_bytes,
-                                         std::memory_order_relaxed);
-        out_full = std::make_shared<const Simulator::Snapshot>(
-            std::move(snap));
     }
 
     SymbolicConfig cfg_;
@@ -1146,9 +967,9 @@ class Worker {
     msp::System *sys_ = nullptr;
     std::unique_ptr<Simulator> sim_;
     std::unique_ptr<power::PowerContext> ctx_;
-    /** Per-schedule-phase (energy scale, clock Hz); empty without
-     *  operating modes. */
-    std::vector<std::pair<double, double>> modeFactors_;
+    /** Per-schedule-phase (energy scale, clock Hz); one reference
+     *  entry without operating modes. */
+    std::vector<std::pair<double, double>> modes_;
     /// @name Packed-frontier state (null/empty unless packedExplore)
     /// @{
     std::unique_ptr<PackedSimulator> psim_;
@@ -1160,6 +981,7 @@ class Worker {
     uint64_t faultMask_ = 0;
     /// @}
 };
+
 
 } // namespace
 
@@ -1286,9 +1108,9 @@ SymbolicEngine::run(const isa::Image &image)
             workers[0]->sim().snapshot());
         p.sysSnap = std::make_shared<const msp::System::Snapshot>(
             sys_->snapshot());
-        p.node = root;
-        p.nodePtr = &res.tree.node(root);
-        p.applyInit = !cfg_.scenario.regInit.empty();
+        p.path.node = root;
+        p.path.nodePtr = &res.tree.node(root);
+        p.path.applyInit = !cfg_.scenario.regInit.empty();
         sh.push(0, std::move(p));
     }
 

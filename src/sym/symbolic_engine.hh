@@ -69,7 +69,12 @@ enum class SnapshotMode : uint8_t {
 
 struct SymbolicConfig {
     double freqHz = 100e6;
+    /** Cycle budget over all paths. Cycles are reserved against it
+     *  before they are simulated, so no frontier or thread count
+     *  simulates more; running out fails the analysis. */
     uint64_t maxTotalCycles = 3000000;
+    /** Cycles one root-to-leaf path may run (a missing halt or an
+     *  unbounded loop otherwise never ends). */
     uint64_t maxPathCycles = 100000;
     uint32_t maxNodes = 300000;
     /** Combinational kernel used by the exploration simulators. */
@@ -137,9 +142,12 @@ struct SymbolicConfig {
      * Drain the pending-path frontier through the 64-lane
      * PackedSimulator: each worker loads up to 64 pending execution
      * paths into lanes (stealing to fill), advances all of them with
-     * one level-bucketed packed sweep per cycle, and transposes a
-     * lane back to a scalar snapshot when it reaches its next fork /
-     * halt / dedup boundary. Backed by the packed kernel's
+     * one event-driven packed step per cycle, and transposes a lane
+     * back to a scalar snapshot when it reaches its next fork / halt
+     * / dedup boundary. Both frontiers share one implementation of
+     * every per-cycle and fork rule (budgets, pricing, failure
+     * classification, dedup keys, snapshot capture, node commit) and
+     * differ only in what they read. Backed by the packed kernel's
      * lane-identity invariant, every reported number -- peak power,
      * peak energy, NPE, envelope, activity sets, path/merge/snapshot
      * statistics -- is bit-identical to the scalar exploration across

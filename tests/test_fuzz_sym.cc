@@ -22,14 +22,14 @@
 namespace ulpeak {
 namespace {
 
-/** A random program drawn from @p rng, which then continues the
- *  item's stream. */
+/** A random forking program (property 3's shape) drawn from @p rng,
+ *  which then continues the item's stream. */
 isa::Image
 imageForSeed(fuzz::Rng &rng, unsigned instructions)
 {
     fuzz::ProgramGenOptions gen;
     gen.instructions = instructions;
-    return isa::assemble(fuzz::generateProgram(rng, gen).source);
+    return isa::assemble(fuzz::generateForkingProgram(rng, gen).source);
 }
 
 class InvarianceFuzz : public ::testing::TestWithParam<uint64_t> {};
@@ -60,20 +60,35 @@ TEST(InvarianceFuzzLong, ManyProgramsManyThreadCounts)
     }
 }
 
+/** Item @p i of `ulfuzz --seed 1 --mode invariance`: its stream is
+ *  (seed, 2 << 32 | i), and its forking program (--instr 24 / 2 + 1
+ *  body items) is drawn before the knobs, which continue rng. */
+struct InvarianceItem {
+    fuzz::Rng rng;
+    std::string source;
+};
+
+InvarianceItem
+ulfuzzInvarianceItem(unsigned i)
+{
+    InvarianceItem item{
+        fuzz::Rng(fuzz::Rng::deriveStream(1, (2ull << 32) + i)), ""};
+    fuzz::ProgramGenOptions gen;
+    gen.instructions = 13;
+    item.source = fuzz::generateForkingProgram(item.rng, gen).source;
+    return item;
+}
+
 // The first 16 draws of `ulfuzz --seed 1 --mode invariance` (its
 // default count) reach every knob, every scenario kind and both
-// prune settings. Item i's stream is (seed, 2 << 32 | i), and its
-// program (--instr 24 / 2 + 1 body items) is drawn before the knobs.
+// prune settings.
 TEST(InvarianceDraws, UlfuzzDefaultRunCoversEveryAxis)
 {
     unsigned threads = 0, sweep = 0, full = 0, packed = 0;
     unsigned kinds[3] = {0, 0, 0}, pruned = 0;
     for (unsigned i = 0; i < 16; ++i) {
-        fuzz::Rng rng(fuzz::Rng::deriveStream(1, (2ull << 32) + i));
-        fuzz::ProgramGenOptions gen;
-        gen.instructions = 13;
-        fuzz::generateProgram(rng, gen);
-        fuzz::InvarianceDraw d = fuzz::drawInvariance(rng, 4);
+        InvarianceItem item = ulfuzzInvarianceItem(i);
+        fuzz::InvarianceDraw d = fuzz::drawInvariance(item.rng, 4);
 
         const peak::Options &ref = d.reference, &var = d.variant;
         EXPECT_EQ(ref.numThreads, 1u);
@@ -111,6 +126,24 @@ TEST(InvarianceDraws, UlfuzzDefaultRunCoversEveryAxis)
     EXPECT_GT(kinds[2], 0u) << "no DVFS item";
     EXPECT_GT(pruned, 0u);
     EXPECT_LT(pruned, 16u);
+}
+
+// The same 16 items exercise the fork machinery: most of them fork,
+// and some hold more than one path in flight at once, so a packed
+// sweep carries several live lanes.
+TEST(InvarianceDraws, UlfuzzDefaultRunForks)
+{
+    unsigned forking = 0, multiLane = 0;
+    for (unsigned i = 0; i < 16; ++i) {
+        isa::Image img = isa::assemble(ulfuzzInvarianceItem(i).source);
+        peak::Options o;
+        o.packedExplore = true;
+        peak::Report r = peak::analyze(test::sharedSystem(), img, o);
+        forking += r.pathsExplored > 1;
+        multiLane += r.packedLaneCycles > r.packedSweeps;
+    }
+    EXPECT_GE(forking, 8u);
+    EXPECT_GT(multiLane, 0u);
 }
 
 /** A report with every field reportDiff covers populated. */

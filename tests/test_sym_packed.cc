@@ -16,6 +16,7 @@
 #include "fuzz/properties.hh"
 #include "peak/peak_analysis.hh"
 #include "sim/packed_simulator.hh"
+#include "sym/symbolic_engine.hh"
 #include "tests/cpu_test_util.hh"
 
 namespace ulpeak {
@@ -60,6 +61,32 @@ forkySource(unsigned rounds)
                 skip + ":\n";
     }
     body += "        mov r4, &0x0130\n";
+    return test::wrapProgram(body);
+}
+
+/** Six port-bit tests, each into two equal-length arms (one sets bit
+ *  i of r5, the other bit i of r6), then ten nops: a complete binary
+ *  tree of 127 paths with no merges, whose leaves all run the same
+ *  number of cycles. */
+std::string
+fanSource()
+{
+    std::string body = "        mov &0x0020, r4\n";
+    for (unsigned i = 0; i < 6; ++i) {
+        std::string bit = "#" + std::to_string(1u << i);
+        std::string zero = "fan_zero" + std::to_string(i);
+        std::string join = "fan_join" + std::to_string(i);
+        body += "        bit " + bit + ", r4\n"
+                "        jz " + zero + "\n"
+                "        bis " + bit + ", r5\n"
+                "        jmp " + join + "\n" +
+                zero + ":\n"
+                "        bis " + bit + ", r6\n"
+                "        jmp " + join + "\n" +
+                join + ":\n";
+    }
+    for (unsigned i = 0; i < 10; ++i)
+        body += "        nop\n";
     return test::wrapProgram(body);
 }
 
@@ -176,6 +203,115 @@ TEST(SymPacked, MultiThreadPackedDeterminism)
     packed.numThreads = 3;
     peak::Report rk = peak::analyze(sys, img, packed);
     EXPECT_EQ(fuzz::reportDiff(r1, rk), "");
+}
+
+TEST(SymPacked, CycleBudgetHoldsAtTheBoundary)
+{
+    // The total cycle budget is reserved before cycles are simulated,
+    // by both frontiers alike: a 64-lane sweep must not overrun it,
+    // and a budget of exactly the tree's cycle count must suffice.
+    msp::System &sys = test::sharedSystem();
+    isa::Image img = isa::assemble(fanSource());
+    peak::Report ref = peak::analyze(sys, img, baseOptions());
+    ASSERT_TRUE(ref.ok) << ref.error;
+    ASSERT_EQ(ref.pathsExplored, 127u);
+    const uint64_t T = ref.totalCycles;
+
+    for (uint64_t budget : {T - 50, T}) {
+        for (bool packed : {false, true}) {
+            for (unsigned threads : {1u, 2u}) {
+                peak::Options o = baseOptions();
+                o.maxTotalCycles = budget;
+                o.packedExplore = packed;
+                o.numThreads = threads;
+                peak::Report r = peak::analyze(sys, img, o);
+                SCOPED_TRACE(std::string(packed ? "packed" : "scalar") +
+                             ", " + std::to_string(threads) +
+                             " thread(s), budget T" +
+                             (budget < T ? "-50" : ""));
+                if (budget < T) {
+                    EXPECT_FALSE(r.ok);
+                    EXPECT_EQ(r.error, "symbolic cycle budget exhausted");
+                    EXPECT_LE(r.totalCycles, budget);
+                } else {
+                    EXPECT_EQ(fuzz::reportDiff(ref, r), "");
+                }
+            }
+        }
+    }
+}
+
+TEST(SymPacked, FailuresMatchScalar)
+{
+    // Every engine failure, reached after a port-dependent fork so
+    // that the packed frontier meets it with more than one live lane:
+    // both frontiers, serial and parallel, must fail with the same
+    // error.
+    const std::string fork = R"(
+        mov &0x0020, r6
+        bit #1, r6
+        jz fm_join
+        nop
+fm_join:
+)";
+    const std::string loop = R"(
+        mov #10000, r4
+fm_loop:
+        dec r4
+        jnz fm_loop
+)";
+    struct Case {
+        const char *name;
+        std::string body;
+        uint64_t maxPathCycles, maxTotalCycles;
+        const char *errorPrefix;
+    };
+    const uint64_t kPath = 100000, kTotal = 3000000;
+    const Case cases[] = {
+        {"x-store",
+         fork + "        mov &0x0020, r4\n"
+                "        and #0x07fe, r4\n"
+                "        add #0x0200, r4\n"
+                "        mov #1, 0(r4)\n",
+         kPath, kTotal, "store with unknown address or enable"},
+        {"trap", fork + "        .word 0x0000\n", kPath, kTotal,
+         "core trapped (invalid instruction)"},
+        {"x-pc",
+         fork + "        mov &0x0020, r4\n"
+                "        and #0x000e, r4\n"
+                "        add #0xf800, r4\n"
+                "        mov r4, pc\n",
+         kPath, kTotal, "unresolvable X program counter (op "},
+        {"path-cycles", fork + loop, 200, kTotal,
+         "path exceeded maxPathCycles"},
+        {"cycle-budget", fork + loop, kPath, 300,
+         "symbolic cycle budget exhausted"},
+    };
+    msp::System &sys = test::sharedSystem();
+    for (const Case &c : cases) {
+        isa::Image img = isa::assemble(test::wrapProgram(c.body));
+        sym::SymbolicConfig cfg;
+        cfg.maxPathCycles = c.maxPathCycles;
+        cfg.maxTotalCycles = c.maxTotalCycles;
+        sym::SymbolicResult ref = sym::SymbolicEngine(sys, cfg).run(img);
+        SCOPED_TRACE(c.name);
+        EXPECT_FALSE(ref.ok);
+        EXPECT_EQ(ref.error.rfind(c.errorPrefix, 0), 0u) << ref.error;
+        EXPECT_GT(ref.pathsExplored, 1u);
+        for (bool packed : {false, true}) {
+            for (unsigned threads : {1u, 2u}) {
+                cfg.packedExplore = packed;
+                cfg.numThreads = threads;
+                sym::SymbolicResult r =
+                    sym::SymbolicEngine(sys, cfg).run(img);
+                SCOPED_TRACE(std::string(packed ? "packed" : "scalar") +
+                             ", " + std::to_string(threads) +
+                             " thread(s)");
+                EXPECT_EQ(r.ok, ref.ok);
+                EXPECT_EQ(r.error, ref.error);
+            }
+        }
+    }
 }
 
 TEST(SymPacked, LaneStateTransposeRoundTrip)

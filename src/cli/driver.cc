@@ -10,7 +10,7 @@
 
 #include "bench430/benchmarks.hh"
 #include "cli/json_util.hh"
-#include "cli/parse_util.hh"
+#include "util/disk_cache.hh"
 
 namespace ulpeak {
 namespace cli {
@@ -80,254 +80,134 @@ envelopeJson(const ulpeak::peak::Envelope &env)
     return o.str();
 }
 
-/** Shared whole-token integer parsing (cli/parse_util.hh): rejects
- *  trailing garbage and "-1"-style wraparound like the other CLIs. */
-bool
-parseUnsigned(const std::string &s, uint64_t &out)
-{
-    return parseUnsignedInt(s.c_str(), out);
-}
-
 } // namespace
+
+std::vector<Option>
+peakOptions(CliOptions &o)
+{
+    return {
+        customOpt("--programs", "SPEC[,SPEC...]",
+                  "programs to analyze (same as positional specs)",
+                  [&o](const std::string &v, std::string &) {
+                      appendCommaList(v, o.programSpecs);
+                      return true;
+                  }),
+        intOpt("--jobs", "N", "program-level workers         (default 1)",
+               o.jobs, 1),
+        intOpt("--threads", "N",
+               "symbolic workers per analysis (default 1)", o.threads, 1),
+        positiveOpt("--freq", "HZ",
+                    "operating frequency [Hz]  (default 1e8)", o.freqHz),
+        choiceOpt("--eval-mode", "M",
+                  "simulation kernel: event|full (default event)",
+                  {"event", "full"},
+                  [&o](const std::string &v) {
+                      o.evalMode = v == "full" ? EvalMode::FullSweep
+                                               : EvalMode::EventDriven;
+                  }),
+        intOpt("--loop-bound", "N",
+               "input-dependent loop bound    (default 0)", o.loopBound),
+        intOpt("--max-cycles", "N",
+               "total symbolic cycle budget (default 3000000)",
+               o.maxTotalCycles),
+        switchOpt("--static-prune",
+                  "skip gates the static lint analysis proves constant\n"
+                  "under each scenario (see ullint; never changes a\n"
+                  "reported number)",
+                  o.staticPrune),
+        switchOpt("--packed-explore",
+                  "drain the exploration frontier through the bit-\n"
+                  "parallel kernel, up to 64 paths per sweep (never\n"
+                  "changes a reported number)",
+                  o.packedExplore),
+        stringOpt("--json", "FILE", "write the suite report as JSON",
+                  o.jsonPath),
+        stringOpt("--csv", "FILE", "write per-program rows as CSV",
+                  o.csvPath),
+        attachedChoiceOpt("--envelope",
+                          "per-cycle peak power envelope + windowed peak-\n"
+                          "energy curves: json embeds them in the --json\n"
+                          "report, csv streams per-cycle rows to stdout\n"
+                          "(default json)",
+                          {"json", "csv"}, o.envelope, o.envelopeFormat),
+        customOpt("--windows", "LIST",
+                  "envelope window lengths in cycles (default 1,10,100)",
+                  [&o](const std::string &v, std::string &why) {
+                      o.windows.clear();
+                      std::stringstream ss(v);
+                      std::string item;
+                      while (std::getline(ss, item, ',')) {
+                          unsigned n = 0;
+                          if (!parseInteger(item, n, 1, why))
+                              return false;
+                          o.windows.push_back(n);
+                      }
+                      if (o.windows.empty())
+                          why = "empty list";
+                      return !o.windows.empty();
+                  }),
+        attachedChoiceOpt("--modes",
+                          "per-operating-mode report of mode-scheduled\n"
+                          "scenarios (implies envelope recording): per-mode\n"
+                          "envelope slices, schedule transitions with\n"
+                          "settling-window peaks, assertion verdicts and\n"
+                          "sizing findings; table appends sections to the\n"
+                          "stdout table, json/csv print a standalone\n"
+                          "deterministic report (default table)",
+                          {"table", "json", "csv"}, o.modes,
+                          o.modesFormat),
+        switchOpt("--no-timings",
+                  "omit wall-time / cache fields from the --json\n"
+                  "report (byte-identical across --jobs/--threads/cache)",
+                  o.noTimings),
+        listOpt("--scenario", "S[,S...]",
+                "deployment scenarios to sweep the suite across:\n"
+                "preset names (unconstrained, ports-grounded,\n"
+                "sensor-4bit, periodic-sensor, duty-cycled-dvfs) or\n"
+                "scenario .json files; the report carries the\n"
+                "scenario x program matrix and per-scenario maxima",
+                o.scenarioSpecs),
+        stringOpt("--cache-dir", "DIR",
+                  "result cache (default .ulpeak-cache)", o.cacheDir),
+        switchOpt("--no-cache", "disable the result cache", o.noCache),
+        switchOpt("--fail-fast", "stop claiming programs after a failure",
+                  o.failFast),
+        switchOpt("--quiet", "suppress the stdout table", o.quiet),
+    };
+}
 
 std::string
 usage()
 {
-    return
-        "ulpeak -- guaranteed peak power/energy requirements of "
-        "application suites\n"
-        "\n"
-        "usage: ulpeak [--programs SPEC[,SPEC...]] [SPEC...] [options]\n"
-        "\n"
-        "program specs (mixable):\n"
-        "  all               every bench430 program (14 benchmarks)\n"
-        "  NAME              a bench430 program by name (mult, FFT, ...)\n"
-        "  PATH.s|PATH.asm   an MSP430 assembly file from disk\n"
-        "\n"
-        "options:\n"
-        "  --jobs N          program-level workers         (default 1)\n"
-        "  --threads N       symbolic workers per analysis (default 1)\n"
-        "  --freq HZ         operating frequency [Hz]  (default 1e8)\n"
-        "  --eval-mode M     simulation kernel: event|full "
-        "(default event)\n"
-        "  --loop-bound N    input-dependent loop bound    (default 0)\n"
-        "  --max-cycles N    total symbolic cycle budget "
-        "(default 3000000)\n"
-        "  --static-prune    skip gates the static lint analysis\n"
-        "                    proves constant under each scenario\n"
-        "                    (see ullint; never changes a reported\n"
-        "                    number)\n"
-        "  --packed-explore  drain the exploration frontier through\n"
-        "                    the bit-parallel kernel, up to 64 paths\n"
-        "                    per sweep (never changes a reported\n"
-        "                    number)\n"
-        "  --json FILE       write the suite report as JSON\n"
-        "  --csv FILE        write per-program rows as CSV\n"
-        "  --envelope[=json|csv]\n"
-        "                    per-cycle peak power envelope + windowed\n"
-        "                    peak-energy curves: json embeds them in\n"
-        "                    the --json report, csv streams per-cycle\n"
-        "                    rows to stdout (default json)\n"
-        "  --windows LIST    envelope window lengths in cycles\n"
-        "                    (default 1,10,100)\n"
-        "  --modes[=table|json|csv]\n"
-        "                    per-operating-mode report of mode-\n"
-        "                    scheduled scenarios (implies envelope\n"
-        "                    recording): per-mode envelope slices,\n"
-        "                    schedule transitions with settling-window\n"
-        "                    peaks, assertion verdicts and sizing\n"
-        "                    findings; table appends sections to the\n"
-        "                    stdout table, json/csv print a standalone\n"
-        "                    deterministic report (default table)\n"
-        "  --no-timings      omit wall-time / cache fields from the\n"
-        "                    --json report (byte-identical output\n"
-        "                    across --jobs/--threads/cache states)\n"
-        "  --scenario S[,S...]\n"
-        "                    deployment scenarios to sweep the suite\n"
-        "                    across: preset names (unconstrained,\n"
-        "                    ports-grounded, sensor-4bit,\n"
-        "                    periodic-sensor, duty-cycled-dvfs) or\n"
-        "                    scenario .json files; the report carries\n"
-        "                    the scenario x program matrix and\n"
-        "                    per-scenario suite maxima\n"
-        "  --cache-dir DIR   result cache (default .ulpeak-cache)\n"
-        "  --no-cache        disable the result cache\n"
-        "  --fail-fast       stop claiming programs after a failure\n"
-        "  --quiet           suppress the stdout table\n"
-        "  --help            this text\n";
+    CliOptions o;
+    return "ulpeak -- guaranteed peak power/energy requirements of "
+           "application suites\n"
+           "\n"
+           "usage: ulpeak [--programs SPEC[,SPEC...]] [SPEC...] "
+           "[options]\n"
+           "\n"
+           "program specs (mixable):\n"
+           "  all               every bench430 program (14 benchmarks)\n"
+           "  NAME              a bench430 program by name (mult, FFT, "
+           "...)\n"
+           "  PATH.s|PATH.asm   an MSP430 assembly file from disk\n"
+           "\n"
+           "options:\n" +
+           usageText(peakOptions(o), 20) +
+           "\n"
+           "exit status: 0 = every program analyzed, 1 = an analysis\n"
+           "failed, 2 = usage error (including an unusable --cache-dir).\n";
 }
 
 bool
 parseArgs(int argc, const char *const *argv, CliOptions &out,
           std::string &err)
 {
-    auto splitSpecs = [&](const std::string &arg) {
-        std::stringstream ss(arg);
-        std::string item;
-        while (std::getline(ss, item, ','))
-            if (!item.empty())
-                out.programSpecs.push_back(item);
-    };
-    for (int i = 1; i < argc; ++i) {
-        std::string a = argv[i];
-        auto value = [&](const char *flag) -> const char * {
-            if (i + 1 >= argc) {
-                err = std::string(flag) + " requires a value";
-                return nullptr;
-            }
-            return argv[++i];
-        };
-        if (a == "--help" || a == "-h") {
-            out.help = true;
-        } else if (a == "--programs") {
-            const char *v = value("--programs");
-            if (!v)
-                return false;
-            splitSpecs(v);
-        } else if (a == "--jobs" || a == "--threads") {
-            const char *v = value(a.c_str());
-            if (!v)
-                return false;
-            // Worker counts: a whole positive integer (0 workers is
-            // as much a typo as trailing garbage).
-            unsigned n = 0;
-            if (!parsePositiveInt(v, n)) {
-                err = a + ": not a positive worker count: " + v;
-                return false;
-            }
-            if (a == "--jobs")
-                out.jobs = n;
-            else
-                out.threads = n;
-        } else if (a == "--loop-bound" || a == "--max-cycles") {
-            const char *v = value(a.c_str());
-            if (!v)
-                return false;
-            uint64_t n = 0;
-            if (!parseUnsigned(v, n)) {
-                err = a + ": not a number: " + v;
-                return false;
-            }
-            if (a == "--loop-bound")
-                out.loopBound = unsigned(n);
-            else
-                out.maxTotalCycles = n;
-        } else if (a == "--freq") {
-            const char *v = value("--freq");
-            if (!v)
-                return false;
-            if (!parsePositiveDouble(v, out.freqHz)) {
-                err = std::string("--freq: bad frequency: ") + v;
-                return false;
-            }
-        } else if (a == "--eval-mode") {
-            const char *v = value("--eval-mode");
-            if (!v)
-                return false;
-            if (std::string(v) == "event")
-                out.evalMode = EvalMode::EventDriven;
-            else if (std::string(v) == "full")
-                out.evalMode = EvalMode::FullSweep;
-            else {
-                err = std::string("--eval-mode: expected event|full, "
-                                  "got ") +
-                      v;
-                return false;
-            }
-        } else if (a == "--envelope" ||
-                   a.rfind("--envelope=", 0) == 0) {
-            out.envelope = true;
-            if (a.size() > std::strlen("--envelope")) {
-                out.envelopeFormat =
-                    a.substr(std::strlen("--envelope="));
-                if (out.envelopeFormat != "json" &&
-                    out.envelopeFormat != "csv") {
-                    err = "--envelope: expected json|csv, got " +
-                          out.envelopeFormat;
-                    return false;
-                }
-            }
-        } else if (a == "--modes" || a.rfind("--modes=", 0) == 0) {
-            out.modes = true;
-            if (a.size() > std::strlen("--modes")) {
-                out.modesFormat = a.substr(std::strlen("--modes="));
-                if (out.modesFormat != "table" &&
-                    out.modesFormat != "json" &&
-                    out.modesFormat != "csv") {
-                    err = "--modes: expected table|json|csv, got " +
-                          out.modesFormat;
-                    return false;
-                }
-            }
-        } else if (a == "--static-prune") {
-            out.staticPrune = true;
-        } else if (a == "--packed-explore") {
-            out.packedExplore = true;
-        } else if (a == "--no-timings") {
-            out.noTimings = true;
-        } else if (a == "--scenario") {
-            const char *v = value("--scenario");
-            if (!v)
-                return false;
-            std::stringstream ss(v);
-            std::string item;
-            while (std::getline(ss, item, ','))
-                if (!item.empty())
-                    out.scenarioSpecs.push_back(item);
-            if (out.scenarioSpecs.empty()) {
-                err = "--scenario: empty list";
-                return false;
-            }
-        } else if (a == "--windows") {
-            const char *v = value("--windows");
-            if (!v)
-                return false;
-            std::stringstream ss(v);
-            std::string item;
-            out.windows.clear();
-            while (std::getline(ss, item, ',')) {
-                uint64_t n = 0;
-                if (!parseUnsigned(item, n) || n == 0 ||
-                    n > 0xffffffffull) {
-                    err = std::string(
-                              "--windows: bad window length: ") +
-                          item;
-                    return false;
-                }
-                out.windows.push_back(unsigned(n));
-            }
-            if (out.windows.empty()) {
-                err = "--windows: empty list";
-                return false;
-            }
-        } else if (a == "--json") {
-            const char *v = value("--json");
-            if (!v)
-                return false;
-            out.jsonPath = v;
-        } else if (a == "--csv") {
-            const char *v = value("--csv");
-            if (!v)
-                return false;
-            out.csvPath = v;
-        } else if (a == "--cache-dir") {
-            const char *v = value("--cache-dir");
-            if (!v)
-                return false;
-            out.cacheDir = v;
-        } else if (a == "--no-cache") {
-            out.noCache = true;
-        } else if (a == "--fail-fast") {
-            out.failFast = true;
-        } else if (a == "--quiet") {
-            out.quiet = true;
-        } else if (!a.empty() && a[0] == '-') {
-            err = "unknown option: " + a;
-            return false;
-        } else {
-            splitSpecs(a);
-        }
-    }
+    std::vector<Option> table = peakOptions(out);
+    // Positional specs parse like the first row, --programs.
+    if (!parseOptions(argc, argv, table, table.front().apply, out.help,
+                      err))
+        return false;
     if (!out.help && out.programSpecs.empty()) {
         err = "no programs given (try --programs all)";
         return false;
@@ -785,11 +665,8 @@ runCli(int argc, const char *const *argv)
 {
     CliOptions cli;
     std::string err;
-    if (!parseArgs(argc, argv, cli, err)) {
-        std::fprintf(stderr, "ulpeak: %s\n\n%s", err.c_str(),
-                     usage().c_str());
-        return 2;
-    }
+    if (!parseArgs(argc, argv, cli, err))
+        return usageError("ulpeak", err, usage());
     if (cli.help) {
         std::fputs(usage().c_str(), stdout);
         return 0;
@@ -808,7 +685,13 @@ runCli(int argc, const char *const *argv)
         return 2;
     }
     const CellLibrary &lib = CellLibrary::tsmc65Like();
-    peak::BatchReport rep = peak::analyzeBatch(lib, suite, opts);
+    peak::BatchReport rep;
+    try {
+        rep = peak::analyzeBatch(lib, suite, opts);
+    } catch (const util::DiskCacheError &e) {
+        std::fprintf(stderr, "ulpeak: --cache-dir %s\n", e.what());
+        return 2;
+    }
 
     std::vector<peak::ModeReport> modeReps;
     if (cli.modes) {
@@ -946,25 +829,13 @@ runCli(int argc, const char *const *argv)
     if (cli.modes && cli.modesFormat == "csv")
         std::fputs(toModesCsv(rep, modeReps).c_str(), stdout);
 
-    if (!cli.jsonPath.empty()) {
-        std::ofstream out(cli.jsonPath);
-        if (!out) {
-            std::fprintf(stderr, "ulpeak: cannot write %s\n",
-                         cli.jsonPath.c_str());
-            return 1;
-        }
-        out << toJson(rep, opts,
-                      /*include_timings=*/!cli.noTimings);
-    }
-    if (!cli.csvPath.empty()) {
-        std::ofstream out(cli.csvPath);
-        if (!out) {
-            std::fprintf(stderr, "ulpeak: cannot write %s\n",
-                         cli.csvPath.c_str());
-            return 1;
-        }
-        out << toCsv(rep);
-    }
+    if (!cli.jsonPath.empty() &&
+        !writeReport("ulpeak", cli.jsonPath,
+                     toJson(rep, opts, /*include_timings=*/!cli.noTimings)))
+        return 1;
+    if (!cli.csvPath.empty() &&
+        !writeReport("ulpeak", cli.csvPath, toCsv(rep)))
+        return 1;
     return rep.ok ? 0 : 1;
 }
 

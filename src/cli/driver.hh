@@ -36,68 +36,51 @@
 #include <string>
 #include <vector>
 
+#include "cli/options.hh"
 #include "peak/batch.hh"
 #include "peak/modes.hh"
 
 namespace ulpeak {
 namespace cli {
 
-/** Parsed command line of the `ulpeak` tool. */
+/** Parsed command line of the `ulpeak` tool; each field's flag and
+ *  help text are its row of peakOptions. */
 struct CliOptions {
     std::vector<std::string> programSpecs; ///< names / "all" / paths
-    unsigned jobs = 1;          ///< program-level workers (--jobs)
-    unsigned threads = 1;       ///< per-analysis workers (--threads)
-    double freqHz = 100e6;      ///< operating frequency (--freq)
-    EvalMode evalMode = EvalMode::EventDriven; ///< --eval-mode
-    unsigned loopBound = 0;     ///< --loop-bound
-    uint64_t maxTotalCycles = 3000000; ///< --max-cycles
-    /** --static-prune: skip gates lint::analyzeConstants proves
-     *  constant under each scenario (peak::Options::staticPrune).
-     *  Never changes a reported number (fuzz property 9), so like
-     *  --eval-mode it is excluded from the result cache key. */
+    unsigned jobs = 1;
+    unsigned threads = 1;
+    double freqHz = 100e6;
+    EvalMode evalMode = EvalMode::EventDriven;
+    unsigned loopBound = 0;
+    uint64_t maxTotalCycles = 3000000;
+    /** --static-prune and --packed-explore never change a reported
+     *  number (fuzz properties 9 and 3), so like --eval-mode they are
+     *  excluded from the result cache key. */
     bool staticPrune = false;
-    /** --packed-explore: drain the exploration frontier through the
-     *  bit-parallel 64-lane kernel (peak::Options::packedExplore).
-     *  Never changes a reported number (fuzz property 3), so like
-     *  --eval-mode it is excluded from the result cache key. */
     bool packedExplore = false;
-    std::string jsonPath;       ///< --json FILE ("" = no JSON output)
-    std::string csvPath;        ///< --csv FILE ("" = no CSV output)
-    /** --envelope[=json|csv]: record per-cycle peak power envelopes
-     *  and windowed peak-energy curves. json embeds them in the
-     *  --json report (plus a table summary); csv additionally
-     *  streams per-cycle rows to stdout (cli::toEnvelopeCsv). */
+    std::string jsonPath; ///< "" = no JSON output
+    std::string csvPath;  ///< "" = no CSV output
     bool envelope = false;
     std::string envelopeFormat = "json"; ///< json | csv
-    /** --modes[=table|json|csv]: per-operating-mode report of
-     *  mode-scheduled scenarios (peak::buildModeReport): per-mode
-     *  envelope slices, schedule transitions with settling-window
-     *  peaks, assertion verdicts and sizing findings. Implies
-     *  envelope recording. table appends sections to the stdout
-     *  table; json/csv print a standalone report to stdout
-     *  (toModesJson / toModesCsv). Assertion failures are findings,
+    /** --modes: per-operating-mode report (peak::buildModeReport);
+     *  implies envelope recording. Assertion failures are findings,
      *  never a nonzero exit. */
     bool modes = false;
     std::string modesFormat = "table"; ///< table | json | csv
-    /** --no-timings: omit wall-time / cache-provenance fields from
-     *  the --json report (toJson's include_timings = false), so
-     *  reports from different --jobs/--threads/cache runs are
-     *  byte-identical. */
-    bool noTimings = false;
-    /** --windows: window lengths [cycles] of the peak-energy curves. */
-    std::vector<unsigned> windows;
-    /** --scenario SPEC[,SPEC...]: deployment scenarios to sweep the
-     *  suite across. Each spec is a preset name
-     *  (scenario::Scenario::presetNames()) or a path to a scenario
-     *  JSON file (anything containing '/' or ending in .json).
-     *  Empty = unconstrained only. */
+    bool noTimings = false; ///< toJson's include_timings = false
+    std::vector<unsigned> windows; ///< empty = the envelope default
+    /** Preset names (scenario::Scenario::presetNames()) or scenario
+     *  JSON paths; empty = unconstrained only. */
     std::vector<std::string> scenarioSpecs;
-    std::string cacheDir = ".ulpeak-cache"; ///< --cache-dir
-    bool noCache = false;       ///< --no-cache
-    bool failFast = false;      ///< --fail-fast
-    bool quiet = false;         ///< --quiet: suppress the table
-    bool help = false;          ///< --help
+    std::string cacheDir = ".ulpeak-cache";
+    bool noCache = false;
+    bool failFast = false;
+    bool quiet = false;
+    bool help = false;
 };
+
+/** The option table of `ulpeak`, bound to @p out (cli/options.hh). */
+std::vector<Option> peakOptions(CliOptions &out);
 
 /** The --help text. */
 std::string usage();

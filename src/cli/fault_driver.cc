@@ -4,14 +4,13 @@
 #include <cinttypes>
 #include <cstdio>
 #include <cstring>
-#include <fstream>
 #include <sstream>
 #include <stdexcept>
 
 #include "bench430/benchmarks.hh"
 #include "cli/driver.hh"
 #include "cli/json_util.hh"
-#include "cli/parse_util.hh"
+#include "util/disk_cache.hh"
 
 namespace ulpeak {
 namespace cli {
@@ -45,14 +44,6 @@ foldBenchmarkInputs(const std::string &name, uint64_t seed,
     }
 }
 
-/** Shared whole-token integer parsing (cli/parse_util.hh): rejects
- *  trailing garbage and "-1"-style wraparound like the other CLIs. */
-bool
-parseU64(const std::string &s, uint64_t &out)
-{
-    return parseUnsignedInt(s.c_str(), out);
-}
-
 const char *
 siteKindName(fault::SiteKind k)
 {
@@ -67,17 +58,10 @@ badness(const fault::SiteSummary &s)
 }
 
 int
-runReplay(const FaultCliOptions &cli)
+runReplay(const FaultCliOptions &cli, const isa::Image &image,
+          const fault::CampaignOptions &copts)
 {
-    std::vector<peak::BatchProgram> progs =
-        resolvePrograms({cli.programSpec});
-    isa::Image image = progs.front().image;
-    CellLibrary lib = CellLibrary::tsmc65Like();
-    fault::CampaignOptions copts = toCampaignOptions(cli);
-    foldBenchmarkInputs(progs.front().name, cli.seed, image,
-                        copts.portIn, cli.portSet);
-
-    msp::System sys(lib);
+    msp::System sys(CellLibrary::tsmc65Like());
     std::vector<fault::Site> sites =
         fault::campaignSites(sys.netlist(), sys, copts);
     if (cli.replaySite >= sites.size()) {
@@ -150,9 +134,69 @@ runReplay(const FaultCliOptions &cli)
 
 } // namespace
 
+std::vector<Option>
+faultOptions(FaultCliOptions &o)
+{
+    return {
+        intOpt("--seed", "N", "campaign seed (default 1)", o.seed),
+        intOpt("--jobs", "N", "worker threads (default 1)", o.jobs, 1),
+        switchOpt("--scalar",
+                  "use the scalar runner (default:\n"
+                  "64-lane packed; bit-identical)",
+                  o.scalar),
+        intOpt("--cycles-per-site", "N", "injections per site (default 1)",
+               o.cyclesPerSite, 1),
+        intOpt("--max-sites", "N", "cap flop sites, 0 = all (default)",
+               o.maxSites),
+        intOpt("--ram-sites", "N", "extra random RAM-bit sites",
+               o.ramSites),
+        intOpt("--hang-cycles", "N", "hang budget, 0 = 4*golden+64",
+               o.hangCycles),
+        customOpt("--port", "VALUE", "input port word (default 0)",
+                  [&o](const std::string &v, std::string &why) {
+                      o.portSet = true;
+                      return parseInteger(v, o.port, 0, why);
+                  }),
+        positiveOpt("--freq", "HZ", "clock frequency (default 100e6)",
+                    o.freqHz),
+        switchOpt("--envelope",
+                  "analyze the X-based envelope, report escapes",
+                  o.envelope),
+        intOpt("--top", "N", "vulnerability table rows (default 20)",
+               o.top),
+        stringOpt("--json", "FILE", "write the JSON report", o.jsonPath),
+        stringOpt("--csv", "FILE", "write per-injection CSV rows",
+                  o.csvPath),
+        stringOpt("--cache-dir", "DIR",
+                  "campaign cache (default .ulpeak-cache)", o.cacheDir),
+        switchOpt("--no-cache", "disable the disk cache", o.noCache),
+        switchOpt("--no-timings",
+                  "omit wall-time/cache fields from --json\n"
+                  "(byte-identical across --jobs/--scalar/cache)",
+                  o.noTimings),
+        customOpt("--replay", "S@C",
+                  "re-run site S's flip at cycle C on the scalar\n"
+                  "runner and print the full divergence report",
+                  [&o](const std::string &v, std::string &why) {
+                      size_t at = v.find('@');
+                      if (at == std::string::npos) {
+                          why = "expected SITE@CYCLE, got \"" + v + "\"";
+                          return false;
+                      }
+                      o.replay = true;
+                      return parseInteger(v.substr(0, at), o.replaySite, 0,
+                                          why) &&
+                             parseInteger(v.substr(at + 1), o.replayCycle,
+                                          0, why);
+                  }),
+        switchOpt("--quiet", "suppress the stdout table", o.quiet),
+    };
+}
+
 std::string
 faultUsage()
 {
+    FaultCliOptions o;
     return "usage: ulfault [options] PROGRAM\n"
            "\n"
            "SEU fault-injection campaign on one program (a bench430\n"
@@ -160,180 +204,30 @@ faultUsage()
            "at random cycles of the golden execution and classifies\n"
            "each faulted run against the golden ISS.\n"
            "\n"
-           "options:\n"
-           "  --seed N            campaign seed (default 1)\n"
-           "  --jobs N            worker threads (default 1)\n"
-           "  --scalar            use the scalar runner (default:\n"
-           "                      64-lane packed; bit-identical)\n"
-           "  --cycles-per-site N injections per site (default 1)\n"
-           "  --max-sites N       cap flop sites, 0 = all (default)\n"
-           "  --ram-sites N       extra random RAM-bit sites\n"
-           "  --hang-cycles N     hang budget, 0 = 4*golden+64\n"
-           "  --port VALUE        input port word (default 0)\n"
-           "  --freq HZ           clock frequency (default 100e6)\n"
-           "  --envelope          analyze the X-based envelope and\n"
-           "                      report faulted-run escapes\n"
-           "  --top N             vulnerability table rows "
-           "(default 20)\n"
-           "  --json FILE         write the JSON report\n"
-           "  --csv FILE          write per-injection CSV rows\n"
-           "  --cache-dir DIR     campaign cache (default "
-           ".ulpeak-cache)\n"
-           "  --no-cache          disable the disk cache\n"
-           "  --no-timings        omit wall-time/cache fields from\n"
-           "                      --json (byte-identical across\n"
-           "                      --jobs / --scalar / cache state)\n"
-           "  --replay S@C        re-run site S's flip at cycle C\n"
-           "                      through the scalar runner and print\n"
-           "                      the full divergence report\n"
-           "  --quiet             suppress the stdout table\n"
-           "  --help              this text\n";
+           "options:\n" +
+           usageText(faultOptions(o), 22) +
+           "\n"
+           "exit status: 0 = campaign ran (escapes are findings),\n"
+           "1 = campaign error, 2 = usage error (including an\n"
+           "unusable --cache-dir).\n";
 }
 
 bool
 parseFaultArgs(int argc, const char *const *argv, FaultCliOptions &out,
                std::string &err)
 {
-    auto need = [&](int i) -> const char * {
-        if (i + 1 >= argc)
-            return nullptr;
-        return argv[i + 1];
-    };
-    for (int i = 1; i < argc; ++i) {
-        std::string a = argv[i];
-        const char *v = nullptr;
-        if (a == "--help" || a == "-h") {
-            out.help = true;
-            return true;
-        } else if (a == "--scalar") {
-            out.scalar = true;
-        } else if (a == "--envelope") {
-            out.envelope = true;
-        } else if (a == "--no-cache") {
-            out.noCache = true;
-        } else if (a == "--no-timings") {
-            out.noTimings = true;
-        } else if (a == "--quiet") {
-            out.quiet = true;
-        } else if (a == "--seed") {
-            if (!(v = need(i)) || !parseU64(v, out.seed)) {
-                err = "--seed needs an integer";
-                return false;
-            }
-            ++i;
-        } else if (a == "--jobs") {
-            if (!(v = need(i)) || !parsePositiveInt(v, out.jobs)) {
-                err = "--jobs needs a positive integer";
-                return false;
-            }
-            ++i;
-        } else if (a == "--cycles-per-site") {
-            if (!(v = need(i)) ||
-                !parsePositiveInt(v, out.cyclesPerSite)) {
-                err = "--cycles-per-site needs a positive integer";
-                return false;
-            }
-            ++i;
-        } else if (a == "--max-sites") {
-            uint64_t n;
-            if (!(v = need(i)) || !parseU64(v, n)) {
-                err = "--max-sites needs an integer";
-                return false;
-            }
-            out.maxSites = size_t(n);
-            ++i;
-        } else if (a == "--ram-sites") {
-            uint64_t n;
-            if (!(v = need(i)) || !parseU64(v, n)) {
-                err = "--ram-sites needs an integer";
-                return false;
-            }
-            out.ramSites = size_t(n);
-            ++i;
-        } else if (a == "--hang-cycles") {
-            if (!(v = need(i)) || !parseU64(v, out.hangCycles)) {
-                err = "--hang-cycles needs an integer";
-                return false;
-            }
-            ++i;
-        } else if (a == "--port") {
-            uint64_t n;
-            if (!(v = need(i)) || !parseU64(v, n) || n > 0xffff) {
-                err = "--port needs a 16-bit integer";
-                return false;
-            }
-            out.port = uint16_t(n);
-            out.portSet = true;
-            ++i;
-        } else if (a == "--freq") {
-            // parsePositiveDouble, not atof: atof("8e6x") silently
-            // returned 8e6, so a typo ran the whole campaign at the
-            // wrong idea of what was checked.
-            if (!(v = need(i)) ||
-                !parsePositiveDouble(v, out.freqHz)) {
-                err = "--freq needs a positive frequency";
-                return false;
-            }
-            ++i;
-        } else if (a == "--top") {
-            uint64_t n;
-            if (!(v = need(i)) || !parseU64(v, n)) {
-                err = "--top needs an integer";
-                return false;
-            }
-            out.top = unsigned(n);
-            ++i;
-        } else if (a == "--json") {
-            if (!(v = need(i))) {
-                err = "--json needs a file path";
-                return false;
-            }
-            out.jsonPath = v;
-            ++i;
-        } else if (a == "--csv") {
-            if (!(v = need(i))) {
-                err = "--csv needs a file path";
-                return false;
-            }
-            out.csvPath = v;
-            ++i;
-        } else if (a == "--cache-dir") {
-            if (!(v = need(i))) {
-                err = "--cache-dir needs a directory";
-                return false;
-            }
-            out.cacheDir = v;
-            ++i;
-        } else if (a == "--replay") {
-            if (!(v = need(i))) {
-                err = "--replay needs SITE@CYCLE";
-                return false;
-            }
-            std::string spec = v;
-            size_t at = spec.find('@');
-            uint64_t s = 0, c = 0;
-            if (at == std::string::npos ||
-                !parseU64(spec.substr(0, at), s) ||
-                !parseU64(spec.substr(at + 1), c)) {
-                err = "--replay needs SITE@CYCLE (two integers)";
-                return false;
-            }
-            out.replay = true;
-            out.replaySite = uint32_t(s);
-            out.replayCycle = c;
-            ++i;
-        } else if (!a.empty() && a[0] == '-') {
-            err = "unknown option: " + a;
+    ApplyFn program = [&out](const std::string &a, std::string &why) {
+        if (!out.programSpec.empty()) {
+            why = "exactly one PROGRAM expected, got another: " + a;
             return false;
-        } else {
-            if (!out.programSpec.empty()) {
-                err = "exactly one PROGRAM expected";
-                return false;
-            }
-            out.programSpec = a;
         }
-    }
-    if (out.programSpec.empty()) {
+        out.programSpec = a;
+        return true;
+    };
+    if (!parseOptions(argc, argv, faultOptions(out), program, out.help,
+                      err))
+        return false;
+    if (!out.help && out.programSpec.empty()) {
         err = "PROGRAM argument required";
         return false;
     }
@@ -468,20 +362,14 @@ runFaultCli(int argc, const char *const *argv)
 {
     FaultCliOptions cli;
     std::string err;
-    if (!parseFaultArgs(argc, argv, cli, err)) {
-        std::fprintf(stderr, "ulfault: %s\n%s", err.c_str(),
-                     faultUsage().c_str());
-        return 2;
-    }
+    if (!parseFaultArgs(argc, argv, cli, err))
+        return usageError("ulfault", err, faultUsage());
     if (cli.help) {
         std::printf("%s", faultUsage().c_str());
         return 0;
     }
 
     try {
-        if (cli.replay)
-            return runReplay(cli);
-
         std::vector<peak::BatchProgram> progs =
             resolvePrograms({cli.programSpec});
         const peak::BatchProgram &prog = progs.front();
@@ -489,6 +377,8 @@ runFaultCli(int argc, const char *const *argv)
         isa::Image image = prog.image;
         foldBenchmarkInputs(prog.name, cli.seed, image, copts.portIn,
                             cli.portSet);
+        if (cli.replay)
+            return runReplay(cli, image, copts);
         fault::CampaignResult res = fault::runCampaign(
             CellLibrary::tsmc65Like(), image, copts);
 
@@ -552,22 +442,17 @@ runFaultCli(int argc, const char *const *argv)
             }
         }
 
-        if (!cli.jsonPath.empty()) {
-            std::ofstream out(cli.jsonPath);
-            if (!out)
-                throw std::runtime_error("cannot write " +
-                                         cli.jsonPath);
-            out << toFaultJson(res, copts, prog.name,
-                               !cli.noTimings);
-        }
-        if (!cli.csvPath.empty()) {
-            std::ofstream out(cli.csvPath);
-            if (!out)
-                throw std::runtime_error("cannot write " +
-                                         cli.csvPath);
-            out << toFaultCsv(res);
-        }
-        return 0;
+        bool written =
+            (cli.jsonPath.empty() ||
+             writeReport("ulfault", cli.jsonPath,
+                         toFaultJson(res, copts, prog.name,
+                                     !cli.noTimings))) &&
+            (cli.csvPath.empty() ||
+             writeReport("ulfault", cli.csvPath, toFaultCsv(res)));
+        return written ? 0 : 1;
+    } catch (const util::DiskCacheError &e) {
+        std::fprintf(stderr, "ulfault: --cache-dir %s\n", e.what());
+        return 2;
     } catch (const std::exception &e) {
         std::fprintf(stderr, "ulfault: %s\n", e.what());
         return 1;

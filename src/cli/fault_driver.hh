@@ -37,6 +37,7 @@
 
 #include <string>
 
+#include "cli/options.hh"
 #include "fault/campaign.hh"
 
 namespace ulpeak {
@@ -69,6 +70,9 @@ struct FaultCliOptions {
     bool help = false;         ///< --help
 };
 
+/** The option table of `ulfault`, bound to @p out (cli/options.hh). */
+std::vector<Option> faultOptions(FaultCliOptions &out);
+
 std::string faultUsage();
 
 /** Parse @p argv; on bad usage returns false and sets @p err. */
@@ -93,7 +97,7 @@ std::string toFaultCsv(const fault::CampaignResult &res);
 /** The complete driver behind tools/ulfault_main.cc. Exit codes:
  *  0 = campaign ran (escapes are findings, not failures),
  *  1 = campaign error (golden divergence, bad program),
- *  2 = usage error. */
+ *  2 = usage error, including an unusable --cache-dir. */
 int runFaultCli(int argc, const char *const *argv);
 
 } // namespace cli

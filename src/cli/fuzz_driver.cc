@@ -4,11 +4,9 @@
 #include <chrono>
 #include <cstdio>
 #include <cstring>
-#include <limits>
 #include <string>
 #include <vector>
 
-#include "cli/parse_util.hh"
 #include "cosim/cosim.hh"
 #include "fuzz/program_gen.hh"
 #include "fuzz/properties.hh"
@@ -66,8 +64,12 @@ cosimCheck(msp::System &sys, const isa::Image &image, fuzz::Rng &rng,
     return {r.ok, r.ok ? std::string() : r.report()};
 }
 
+/** cosim's count flag, which doubles as the bare program-item count of
+ *  a single-mode run. */
+constexpr const char kProgramsFlag[] = "--programs";
+
 const WorkList kWorkLists[] = {
-    {"cosim", "--programs", 50, 0, nullptr, cosimCheck, Shape::Full,
+    {"cosim", kProgramsFlag, 50, 0, nullptr, cosimCheck, Shape::Full,
      "DIVERGED", "cosim programs"},
     {"kernel", "--netlists", 50, 1ull << 32,
      fuzz::kernelEquivalenceCheck, nullptr, Shape::Full, "MISMATCH",
@@ -137,47 +139,66 @@ secondsSince(std::chrono::steady_clock::time_point t0)
 
 } // namespace
 
+std::vector<Option>
+fuzzOptions(FuzzCliOptions &o)
+{
+    std::vector<Option> table{
+        intOpt("--seed", "N", "master seed (default 1)", o.seed)};
+    for (const WorkList &w : kWorkLists)
+        table.push_back(intOpt(
+            w.flag, "N",
+            std::string(w.help) + " (default " +
+                std::to_string(w.defaultCount) + ")" +
+                (std::string(w.flag) == kProgramsFlag
+                     ? "\n(in a single-mode run a bare\n"
+                       "--programs N sets that mode's\n"
+                       "program-item count)"
+                     : ""),
+            o.counts[w.flag]));
+    std::vector<std::string> modes = modeNames();
+    std::string modeHelp = "all (default) or one of";
+    for (size_t m = 0; m < modes.size(); ++m)
+        modeHelp += (m % 5 ? "|" : "\n  ") + modes[m];
+    modes.insert(modes.begin(), "all");
+    table.push_back(intOpt("--instr", "N",
+                           "body items per program (default 24)",
+                           o.instructions));
+    table.push_back(intOpt("--threads", "K",
+                           "the K of threads{1, K} (default 4)", o.threads,
+                           2));
+    table.push_back(intOpt("--kernel-cycles", "N",
+                           "cycles per netlist run (default 64)",
+                           o.kernelCycles));
+    table.push_back(choiceOpt("--mode", "M", modeHelp, modes,
+                              [&o](const std::string &v) { o.mode = v; }));
+    table.push_back(intOpt("--only", "I",
+                           "run only item index I of the\n"
+                           "selected mode (replay a failure)",
+                           o.only));
+    table.push_back(switchOpt("--dump-programs",
+                              "print every generated program",
+                              o.dumpPrograms));
+    table.push_back(switchOpt("--quiet", "only the final summary",
+                              o.quiet));
+    return table;
+}
+
 std::string
 fuzzUsage()
 {
-    std::string modes;
-    for (const std::string &m : modeNames())
-        modes += (modes.empty() ? "" : "|") + m;
-    std::string counts;
-    for (const WorkList &w : kWorkLists) {
-        char line[128];
-        std::snprintf(line, sizeof line, "  %-24s %s (default %u)\n",
-                      (std::string(w.flag) + " N").c_str(), w.help,
-                      w.defaultCount);
-        counts += line;
-    }
-    return
-        "usage: ulfuzz [options]\n"
-        "\n"
-        "Differential fuzzing of the ulpeak stack: nine properties\n"
-        "(docs/testing.md), each over seeded random programs and/or\n"
-        "netlists.\n"
-        "\n"
-        "options:\n"
-        "  --seed N                 master seed (default 1)\n" +
-        counts +
-        "                           (in a single-mode run a bare\n"
-        "                           --programs N sets that mode's\n"
-        "                           program-item count)\n"
-        "  --instr N                body items per program (default 24)\n"
-        "  --threads K              the K of threads{1, K} (default 4)\n"
-        "  --kernel-cycles N        cycles per netlist run (default 64)\n"
-        "  --mode M                 all (default) or one of\n"
-        "    " + modes + "\n"
-        "  --only I                 run only item index I of the\n"
-        "                           selected mode (replay a failure)\n"
-        "  --dump-programs          print every generated program\n"
-        "  --quiet                  only the final summary\n"
-        "  --help                   this text\n"
-        "\n"
-        "Reproducing a failure: every report names the mode, item\n"
-        "index and seed; rerun with the same --seed plus\n"
-        "--mode M --only I (see docs/testing.md).\n";
+    FuzzCliOptions o;
+    return "usage: ulfuzz [options]\n"
+           "\n"
+           "Differential fuzzing of the ulpeak stack: nine properties\n"
+           "(docs/testing.md), each over seeded random programs and/or\n"
+           "netlists.\n"
+           "\n"
+           "options:\n" +
+           usageText(fuzzOptions(o), 27) +
+           "\n"
+           "Reproducing a failure: every report names the mode, item\n"
+           "index and seed; rerun with the same --seed plus\n"
+           "--mode M --only I (see docs/testing.md).\n";
 }
 
 bool
@@ -186,108 +207,23 @@ parseFuzzArgs(int argc, const char *const *argv, FuzzCliOptions &out,
 {
     for (const WorkList &w : kWorkLists)
         out.counts[w.flag] = w.defaultCount;
-    auto value = [&](int &i, const char *flag) -> const char * {
-        if (i + 1 >= argc) {
-            err = std::string(flag) + " expects a value";
-            return nullptr;
-        }
-        return argv[++i];
-    };
-    // Item counts and cycle budgets: whole unsigned token required
-    // (trailing garbage rejected), zero allowed -- `--netlists 0`
-    // legitimately skips a property.
-    auto countArg = [&](int &i, const char *flag,
-                        unsigned &dst) -> bool {
-        const char *v = value(i, flag);
-        if (!v)
-            return false;
-        uint64_t n = 0;
-        if (!parseUnsignedInt(v, n) ||
-            n > std::numeric_limits<unsigned>::max()) {
-            err = std::string(flag) + " expects an unsigned count, "
-                  "got \"" + v + "\"";
-            return false;
-        }
-        dst = unsigned(n);
-        return true;
-    };
-    bool programsGiven = false;
-    for (int i = 1; i < argc; ++i) {
-        std::string a = argv[i];
-        const char *v = nullptr;
-        if (a == "--help" || a == "-h") {
-            out.help = true;
-        } else if (out.counts.count(a)) {
-            if (!countArg(i, argv[i], out.counts[a]))
-                return false;
-            programsGiven |= a == "--programs";
-        } else if (a == "--seed") {
-            if (!(v = value(i, "--seed")))
-                return false;
-            if (!parseUnsignedInt(v, out.seed)) {
-                err = std::string("--seed expects an unsigned "
-                                  "integer, got \"") + v + "\"";
-                return false;
-            }
-        } else if (a == "--instr") {
-            if (!countArg(i, "--instr", out.instructions))
-                return false;
-        } else if (a == "--threads") {
-            if (!(v = value(i, "--threads")))
-                return false;
-            if (!parsePositiveInt(v, out.threads) ||
-                out.threads < 2) {
-                err = "--threads must be an integer >= 2 (it is the "
-                      "K of threads{1, K})";
-                return false;
-            }
-        } else if (a == "--kernel-cycles") {
-            if (!countArg(i, "--kernel-cycles", out.kernelCycles))
-                return false;
-        } else if (a == "--only") {
-            if (!(v = value(i, "--only")))
-                return false;
-            uint64_t idx = 0;
-            if (!parseUnsignedInt(v, idx) ||
-                idx > uint64_t(std::numeric_limits<long>::max())) {
-                err = std::string("--only expects an item index, "
-                                  "got \"") + v + "\"";
-                return false;
-            }
-            out.only = long(idx);
-        } else if (a == "--mode") {
-            if (!(v = value(i, "--mode")))
-                return false;
-            out.mode = v;
-        } else if (a == "--dump-programs") {
-            out.dumpPrograms = true;
-        } else if (a == "--quiet") {
-            out.quiet = true;
-        } else {
-            err = "unknown argument: " + a;
-            return false;
-        }
-    }
-
-    std::vector<std::string> modes = modeNames();
-    if (out.mode != "all" &&
-        std::find(modes.begin(), modes.end(), out.mode) == modes.end()) {
-        err = "--mode must be all";
-        for (const std::string &m : modes)
-            err += (m == modes.back() ? " or " : ", ") + m;
+    if (!parseOptions(argc, argv, fuzzOptions(out), nullptr, out.help, err))
         return false;
-    }
-    if (programsGiven && out.mode != "all") {
+    // The command line parsed and no ulfuzz option takes a free-form
+    // value, so a "--programs" token is the flag itself.
+    if (out.mode != "all" &&
+        std::find(argv + 1, argv + argc, std::string(kProgramsFlag)) !=
+            argv + argc) {
         const WorkList *list = nullptr;
         for (const WorkList &w : kWorkLists)
             if (w.mode == out.mode && w.program)
                 list = &w;
         if (!list) {
-            err = "--programs: --mode " + out.mode +
+            err = std::string(kProgramsFlag) + ": --mode " + out.mode +
                   " has no program items";
             return false;
         }
-        out.counts[list->flag] = out.counts["--programs"];
+        out.counts[list->flag] = out.counts[kProgramsFlag];
     }
     return true;
 }
@@ -341,11 +277,8 @@ runFuzzCli(int argc, const char *const *argv)
 {
     FuzzCliOptions cli;
     std::string err;
-    if (!parseFuzzArgs(argc, argv, cli, err)) {
-        std::fprintf(stderr, "ulfuzz: %s\n%s", err.c_str(),
-                     fuzzUsage().c_str());
-        return 2;
-    }
+    if (!parseFuzzArgs(argc, argv, cli, err))
+        return usageError("ulfuzz", err, fuzzUsage());
     if (cli.help) {
         std::fputs(fuzzUsage().c_str(), stdout);
         return 0;

@@ -48,6 +48,9 @@
 #include <cstdint>
 #include <map>
 #include <string>
+#include <vector>
+
+#include "cli/options.hh"
 
 namespace ulpeak {
 namespace cli {
@@ -67,6 +70,9 @@ struct FuzzCliOptions {
     bool quiet = false;         ///< --quiet: only the summary line
     bool help = false;          ///< --help
 };
+
+/** The option table of `ulfuzz`, bound to @p out (cli/options.hh). */
+std::vector<Option> fuzzOptions(FuzzCliOptions &out);
 
 std::string fuzzUsage();
 

@@ -1,13 +1,14 @@
 /**
  * @file
- * The JSON value formatting every CLI report shares: exact doubles
- * and escaped strings.
+ * The report plumbing every CLI shares: exact doubles and escaped
+ * strings for JSON, and writing a report file.
  */
 
 #ifndef ULPEAK_CLI_JSON_UTIL_HH
 #define ULPEAK_CLI_JSON_UTIL_HH
 
 #include <cstdio>
+#include <fstream>
 #include <string>
 
 namespace ulpeak {
@@ -47,6 +48,21 @@ jsonEscape(const std::string &s)
         }
     }
     return out;
+}
+
+/** Write @p text to @p path; when the file cannot be opened, print
+ *  "TOOL: cannot write PATH" to stderr and return false. */
+inline bool
+writeReport(const char *tool, const std::string &path,
+            const std::string &text)
+{
+    std::ofstream out(path);
+    if (!out) {
+        std::fprintf(stderr, "%s: cannot write %s\n", tool, path.c_str());
+        return false;
+    }
+    out << text;
+    return true;
 }
 
 } // namespace cli

@@ -1,19 +1,16 @@
 #include "cli/lint_driver.hh"
 
-#include <atomic>
 #include <chrono>
 #include <cstdio>
-#include <cstring>
-#include <fstream>
+#include <memory>
 #include <sstream>
 #include <stdexcept>
-#include <thread>
 
 #include "cli/json_util.hh"
-#include "cli/parse_util.hh"
 #include "lint/lint.hh"
 #include "msp/cpu.hh"
 #include "scenario/scenario.hh"
+#include "util/worker_pool.hh"
 
 namespace ulpeak {
 namespace cli {
@@ -112,119 +109,60 @@ toLintJson(const Netlist &nl, const lint::StructuralReport &sr,
 
 } // namespace
 
+std::vector<Option>
+lintOptions(LintCliOptions &o)
+{
+    return {
+        listOpt("--scenario", "S[,S...]",
+                "scenarios to analyze (names or scenario .json\n"
+                "files; default: the unconstrained scenario)",
+                o.scenarioSpecs),
+        intOpt("--jobs", "N",
+               "scenario workers (default 1; output byte-identical)",
+               o.jobs, 1),
+        positiveOpt("--freq", "HZ",
+                    "clock of the static peak power bound (default 100e6)",
+                    o.freqHz),
+        intOpt("--fanout-threshold", "N",
+               "hotspot fanout (default 0 = max(64, gates/16))",
+               o.fanoutThreshold),
+        intOpt("--dead-limit", "N", "dead gates listed per issue (default 16)",
+               o.maxDeadListed),
+        stringOpt("--json", "FILE", "write the JSON report (\"-\" = stdout)",
+                  o.jsonPath),
+        switchOpt("--no-timings",
+                  "omit wall-time fields from --json (byte-identical)",
+                  o.noTimings),
+        switchOpt("--quiet", "suppress the stdout report", o.quiet),
+    };
+}
+
 std::string
 lintUsage()
 {
-    return
-        "usage: ullint [options]\n"
-        "\n"
-        "Static analysis of the gate-level core netlist: structural\n"
-        "lint (combinational loops, floating inputs, multi-driven\n"
-        "nets, dead gates, fanout hotspots) and scenario-aware\n"
-        "constant-cone analysis (gates provably constant under a\n"
-        "deployment scenario, the prune mask `ulpeak --static-prune`\n"
-        "uses, and the static quiescent/switching energy split).\n"
-        "\n"
-        "options:\n"
-        "  --scenario S[,S...]  scenarios to analyze (names or\n"
-        "                     scenario .json files; default: the\n"
-        "                     unconstrained scenario)\n"
-        "  --jobs N           analyze scenarios in N workers\n"
-        "                     (default 1; output byte-identical)\n"
-        "  --freq HZ          clock for the static peak power bound\n"
-        "                     (default 100e6)\n"
-        "  --fanout-threshold N  fanout hotspot threshold\n"
-        "                     (default 0 = max(64, gates/16))\n"
-        "  --dead-limit N     dead gates listed per issue "
-        "(default 16)\n"
-        "  --json FILE        write the JSON report (\"-\" = stdout)\n"
-        "  --no-timings       omit wall-time fields from --json\n"
-        "                     (byte-identical across --jobs)\n"
-        "  --quiet            suppress the stdout report\n"
-        "  --help             this text\n"
-        "\n"
-        "exit status: 0 = no structural errors, 1 = structural\n"
-        "errors found, 2 = usage error.\n";
+    LintCliOptions o;
+    return "usage: ullint [options]\n"
+           "\n"
+           "Static analysis of the gate-level core netlist: structural\n"
+           "lint (combinational loops, floating inputs, multi-driven\n"
+           "nets, dead gates, fanout hotspots) and scenario-aware\n"
+           "constant-cone analysis (gates provably constant under a\n"
+           "deployment scenario, the prune mask `ulpeak --static-prune`\n"
+           "uses, and the static quiescent/switching energy split).\n"
+           "\n"
+           "options:\n" +
+           usageText(lintOptions(o), 23) +
+           "\n"
+           "exit status: 0 = no structural errors, 1 = structural\n"
+           "errors found, 2 = usage error.\n";
 }
 
 bool
 parseLintArgs(int argc, const char *const *argv, LintCliOptions &out,
               std::string &err)
 {
-    auto value = [&](int &i, const char *flag) -> const char * {
-        if (i + 1 >= argc) {
-            err = std::string(flag) + " expects a value";
-            return nullptr;
-        }
-        return argv[++i];
-    };
-    for (int i = 1; i < argc; ++i) {
-        std::string a = argv[i];
-        const char *v = nullptr;
-        if (a == "--help" || a == "-h") {
-            out.help = true;
-        } else if (a == "--scenario") {
-            if (!(v = value(i, "--scenario")))
-                return false;
-            std::stringstream ss(v);
-            std::string item;
-            while (std::getline(ss, item, ','))
-                if (!item.empty())
-                    out.scenarioSpecs.push_back(item);
-            if (out.scenarioSpecs.empty()) {
-                err = "--scenario: empty list";
-                return false;
-            }
-        } else if (a == "--jobs") {
-            if (!(v = value(i, "--jobs")))
-                return false;
-            if (!parsePositiveInt(v, out.jobs)) {
-                err = std::string("--jobs expects a positive "
-                                  "integer, got \"") + v + "\"";
-                return false;
-            }
-        } else if (a == "--freq") {
-            if (!(v = value(i, "--freq")))
-                return false;
-            if (!parsePositiveDouble(v, out.freqHz)) {
-                err = std::string("--freq: bad frequency: ") + v;
-                return false;
-            }
-        } else if (a == "--fanout-threshold") {
-            if (!(v = value(i, "--fanout-threshold")))
-                return false;
-            uint64_t n = 0;
-            if (!parseUnsignedInt(v, n) || n > 0xffffffffull) {
-                err = std::string("--fanout-threshold expects an "
-                                  "unsigned integer, got \"") +
-                      v + "\"";
-                return false;
-            }
-            out.fanoutThreshold = unsigned(n);
-        } else if (a == "--dead-limit") {
-            if (!(v = value(i, "--dead-limit")))
-                return false;
-            uint64_t n = 0;
-            if (!parseUnsignedInt(v, n) || n > 0xffffffffull) {
-                err = std::string("--dead-limit expects an unsigned "
-                                  "integer, got \"") + v + "\"";
-                return false;
-            }
-            out.maxDeadListed = unsigned(n);
-        } else if (a == "--json") {
-            if (!(v = value(i, "--json")))
-                return false;
-            out.jsonPath = v;
-        } else if (a == "--no-timings") {
-            out.noTimings = true;
-        } else if (a == "--quiet") {
-            out.quiet = true;
-        } else {
-            err = "unknown argument: " + a;
-            return false;
-        }
-    }
-    return true;
+    return parseOptions(argc, argv, lintOptions(out), nullptr, out.help,
+                        err);
 }
 
 int
@@ -232,11 +170,8 @@ runLintCli(int argc, const char *const *argv)
 {
     LintCliOptions cli;
     std::string err;
-    if (!parseLintArgs(argc, argv, cli, err)) {
-        std::fprintf(stderr, "ullint: %s\n%s", err.c_str(),
-                     lintUsage().c_str());
-        return 2;
-    }
+    if (!parseLintArgs(argc, argv, cli, err))
+        return usageError("ullint", err, lintUsage());
     if (cli.help) {
         std::fputs(lintUsage().c_str(), stdout);
         return 0;
@@ -268,33 +203,23 @@ runLintCli(int argc, const char *const *argv)
             }
         }
 
-        // Scenario analyses are independent; shard them over --jobs
-        // threads. Results land by index, so the report is identical
-        // for every job count. Each worker elaborates its own System
-        // (analyzeConstants only reads the netlist, but handles()
-        // lookups stay worker-local for symmetry with peak::Batch).
+        // Scenario analyses are independent; shard them over the
+        // worker pool. Results land by index, so the report is
+        // identical for every job count. Worker 0 (this thread) uses
+        // sys; the others elaborate their own System (analyzeConstants
+        // only reads the netlist, but handles() lookups stay
+        // worker-local for symmetry with peak::Batch).
         std::vector<ScenarioLint> results(scens.size());
-        unsigned jobs = std::min<unsigned>(
-            cli.jobs, unsigned(scens.size() ? scens.size() : 1));
-        if (jobs <= 1) {
-            for (size_t i = 0; i < scens.size(); ++i)
-                results[i] = analyzeScenario(sys, scens[i], names[i]);
-        } else {
-            std::atomic<size_t> next{0};
-            std::vector<std::thread> pool;
-            pool.reserve(jobs);
-            for (unsigned t = 0; t < jobs; ++t) {
-                pool.emplace_back([&]() {
-                    msp::System worker(CellLibrary::tsmc65Like());
-                    for (size_t i = next.fetch_add(1);
-                         i < scens.size(); i = next.fetch_add(1))
-                        results[i] = analyzeScenario(
-                            worker, scens[i], names[i]);
-                });
-            }
-            for (std::thread &th : pool)
-                th.join();
-        }
+        std::vector<std::unique_ptr<msp::System>> systems(
+            util::poolWorkers(scens.size(), cli.jobs));
+        util::parallelFor(scens.size(), cli.jobs, [&](unsigned w, size_t i) {
+            if (w && !systems[w])
+                systems[w] = std::make_unique<msp::System>(
+                    CellLibrary::tsmc65Like());
+            results[i] =
+                analyzeScenario(w ? *systems[w] : sys, scens[i], names[i]);
+            return true;
+        });
 
         double wall = std::chrono::duration<double>(
                           std::chrono::steady_clock::now() - t0)
@@ -337,15 +262,10 @@ runLintCli(int argc, const char *const *argv)
         if (!cli.jsonPath.empty()) {
             std::string json = toLintJson(nl, sr, results, cli.freqHz,
                                           wall, !cli.noTimings);
-            if (cli.jsonPath == "-") {
+            if (cli.jsonPath == "-")
                 std::fputs(json.c_str(), stdout);
-            } else {
-                std::ofstream out(cli.jsonPath);
-                if (!out)
-                    throw std::runtime_error("cannot write " +
-                                             cli.jsonPath);
-                out << json;
-            }
+            else if (!writeReport("ullint", cli.jsonPath, json))
+                return 1;
         }
         return sr.errors() ? 1 : 0;
     } catch (const std::exception &e) {

@@ -32,6 +32,8 @@
 #include <string>
 #include <vector>
 
+#include "cli/options.hh"
+
 namespace ulpeak {
 namespace cli {
 
@@ -49,6 +51,9 @@ struct LintCliOptions {
     bool quiet = false;         ///< --quiet: suppress stdout report
     bool help = false;          ///< --help
 };
+
+/** The option table of `ullint`, bound to @p out (cli/options.hh). */
+std::vector<Option> lintOptions(LintCliOptions &out);
 
 std::string lintUsage();
 

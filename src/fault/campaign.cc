@@ -1,30 +1,28 @@
 #include "fault/campaign.hh"
 
 #include <algorithm>
-#include <atomic>
+#include <array>
 #include <chrono>
-#include <cinttypes>
-#include <cstdio>
-#include <cstring>
-#include <filesystem>
-#include <fstream>
+#include <cstdint>
+#include <istream>
 #include <memory>
-#include <sstream>
-#include <thread>
+#include <ostream>
 
 #include "fuzz/rng.hh"
+#include "peak/batch.hh"
 #include "util/content_hash.hh"
+#include "util/disk_cache.hh"
+#include "util/worker_pool.hh"
 
 namespace ulpeak {
 namespace fault {
 namespace {
 
-namespace fs = std::filesystem;
 using Clock = std::chrono::steady_clock;
 using util::doubleBits;
 using util::floatBits;
+using util::fromBits;
 using util::hashDouble;
-using util::hashString;
 using util::hashU64;
 
 double
@@ -33,73 +31,44 @@ secondsSince(Clock::time_point t0)
     return std::chrono::duration<double>(Clock::now() - t0).count();
 }
 
-/// @name Disk cache: one text file per campaign key
+/// @name Disk cache entries (util::DiskCache)
 /// @{
 constexpr const char *kCacheMagic = "ulfault-cache-v1";
-
-fs::path
-cachePath(const std::string &dir, uint64_t key)
-{
-    char name[40];
-    std::snprintf(name, sizeof name, "fault-%016" PRIx64 ".txt", key);
-    return fs::path(dir) / name;
-}
 
 /** One row per injection, fixed field order; every numeric field is
  *  decimal except the hex-bit-pattern peak power (exact float
  *  round-trip, so a warm run reproduces the cold run bit for bit). */
 void
-storeCached(const fs::path &path, const CampaignResult &res)
+writeEntry(std::ostream &out, const CampaignResult &res)
 {
-    std::ostringstream tmpname;
-    tmpname << path.filename().string() << ".tmp."
-            << std::hash<std::thread::id>{}(std::this_thread::get_id());
-    fs::path tmp = path.parent_path() / tmpname.str();
-    {
-        std::ofstream out(tmp);
-        if (!out)
-            return; // cache is best-effort
-        out << kCacheMagic << "\n"
-            << "golden_cycles " << res.goldenCycles << "\n"
-            << "golden_instructions " << res.goldenInstructions << "\n"
-            << "hang_cycles " << res.hangCycles << "\n"
-            << "envelope_present " << (res.envelopePresent ? 1 : 0)
-            << "\n"
-            << "envelope_cycles " << res.envelopeCycles << "\n"
-            << "envelope_peak_w_bits " << doubleBits(res.envelopePeakW)
-            << "\n"
-            << "rows " << res.injections.size() << "\n";
-        for (const InjectionResult &ir : res.injections) {
-            const FaultResult &r = ir.r;
-            out << "row " << ir.siteIndex << " " << ir.cycle << " "
-                << unsigned(r.outcome) << " " << (r.applied ? 1 : 0)
-                << " " << unsigned(r.kind) << " " << r.divergenceCycle
-                << " " << r.instrIndex << " " << r.pc << " "
-                << r.gateCycles << " " << r.instructionsRetired << " "
-                << floatBits(r.peakPowerW) << " " << r.peakCycle << " "
-                << r.traceCycles << " " << (r.envelopeEscape ? 1 : 0)
-                << " " << r.escapeCycle << "\n";
-        }
+    out << "golden_cycles " << res.goldenCycles << "\n"
+        << "golden_instructions " << res.goldenInstructions << "\n"
+        << "hang_cycles " << res.hangCycles << "\n"
+        << "envelope_present " << (res.envelopePresent ? 1 : 0) << "\n"
+        << "envelope_cycles " << res.envelopeCycles << "\n"
+        << "envelope_peak_w_bits " << doubleBits(res.envelopePeakW)
+        << "\n"
+        << "rows " << res.injections.size() << "\n";
+    for (const InjectionResult &ir : res.injections) {
+        const FaultResult &r = ir.r;
+        out << "row " << ir.siteIndex << " " << ir.cycle << " "
+            << unsigned(r.outcome) << " " << (r.applied ? 1 : 0) << " "
+            << unsigned(r.kind) << " " << r.divergenceCycle << " "
+            << r.instrIndex << " " << r.pc << " " << r.gateCycles << " "
+            << r.instructionsRetired << " " << floatBits(r.peakPowerW)
+            << " " << r.peakCycle << " " << r.traceCycles << " "
+            << (r.envelopeEscape ? 1 : 0) << " " << r.escapeCycle
+            << "\n";
     }
-    std::error_code ec;
-    fs::rename(tmp, path, ec);
-    if (ec)
-        fs::remove(tmp, ec);
 }
 
-/** Load the campaign body; false on miss/corruption (re-run). The
- *  row (site, cycle) pairs must match the freshly derived task list
- *  -- a key collision can never smuggle in rows of a different
- *  campaign shape. */
+/** Parse the campaign body; false on corruption (re-run). The row
+ *  (site, cycle) pairs must match the freshly derived task list -- a
+ *  key collision can never smuggle in rows of a different campaign
+ *  shape. */
 bool
-loadCached(const fs::path &path, CampaignResult &res)
+readEntry(std::istream &in, CampaignResult &res)
 {
-    std::ifstream in(path);
-    if (!in)
-        return false;
-    std::string magic;
-    if (!std::getline(in, magic) || magic != kCacheMagic)
-        return false;
     std::string k;
     uint64_t rows = UINT64_MAX;
     unsigned envPresent = 0;
@@ -121,13 +90,10 @@ loadCached(const fs::path &path, CampaignResult &res)
             if (!(in >> res.envelopeCycles))
                 return false;
         } else if (k == "envelope_peak_w_bits") {
-            if (!(in >> peakBits))
+            if (!(in >> peakBits) ||
+                !fromBits(peakBits.data(), peakBits.size(),
+                          res.envelopePeakW))
                 return false;
-            uint64_t bits = 0;
-            if (std::sscanf(peakBits.c_str(), "%" SCNx64, &bits) != 1)
-                return false;
-            std::memcpy(&res.envelopePeakW, &bits,
-                        sizeof res.envelopePeakW);
         } else if (k == "rows") {
             if (!(in >> rows))
                 return false;
@@ -159,10 +125,8 @@ loadCached(const fs::path &path, CampaignResult &res)
         r.applied = applied != 0;
         r.kind = cosim::Divergence::Kind(kind);
         r.envelopeEscape = escape != 0;
-        uint32_t bits = 0;
-        if (std::sscanf(pBits.c_str(), "%" SCNx32, &bits) != 1)
+        if (!fromBits(pBits.data(), pBits.size(), r.peakPowerW))
             return false;
-        std::memcpy(&r.peakPowerW, &bits, sizeof r.peakPowerW);
     }
     return true;
 }
@@ -241,47 +205,26 @@ uint64_t
 campaignCacheKey(const CellLibrary &lib, const isa::Image &image,
                  const CampaignOptions &opts)
 {
-    uint64_t h = util::kFnvOffset;
-    hashString(h, kCacheMagic);
-    // Library by content (the batch layer's rule: a calibration edit
-    // must invalidate everything).
-    hashString(h, lib.name());
-    hashDouble(h, lib.vdd());
-    hashDouble(h, lib.wireCapPerFanoutF());
-    for (size_t k = 0; k < kNumCellKinds; ++k) {
-        const CellParams &p = lib.params(CellKind(k));
-        hashDouble(h, p.inputCapF);
-        hashDouble(h, p.riseEnergyJ);
-        hashDouble(h, p.fallEnergyJ);
-        hashDouble(h, p.leakageW);
-        hashDouble(h, p.areaUm2);
-        hashDouble(h, p.clkPinEnergyJ);
-    }
-    // Result-affecting campaign options. jobs, packed and evalMode
-    // are excluded: the determinism contract makes them
-    // classification-invariant (and the tests lockstep them).
-    hashU64(h, opts.seed);
-    hashU64(h, opts.cyclesPerSite);
-    hashU64(h, opts.maxFlopSites);
-    hashU64(h, opts.ramSites);
-    hashU64(h, opts.portIn);
-    hashU64(h, opts.goldenMaxCycles);
-    hashU64(h, opts.hangCycles);
-    hashDouble(h, opts.freqHz);
-    hashU64(h, opts.withEnvelope ? 1 : 0);
-    if (opts.withEnvelope) {
-        hashDouble(h, opts.analysis.freqHz);
-        hashU64(h, opts.analysis.maxTotalCycles);
-        hashU64(h, opts.analysis.inputDependentLoopBound);
-        opts.analysis.scenario.hashInto(h);
-    }
-    auto words = image.flatten();
-    hashU64(h, words.size());
-    for (const auto &[addr, word] : words) {
-        hashU64(h, addr);
-        hashU64(h, word);
-    }
-    return h;
+    return peak::contentKey(kCacheMagic, lib, image, [&opts](uint64_t &h) {
+        // Result-affecting campaign options. jobs, packed and evalMode
+        // are excluded: the determinism contract makes them
+        // classification-invariant (and the tests lockstep them).
+        hashU64(h, opts.seed);
+        hashU64(h, opts.cyclesPerSite);
+        hashU64(h, opts.maxFlopSites);
+        hashU64(h, opts.ramSites);
+        hashU64(h, opts.portIn);
+        hashU64(h, opts.goldenMaxCycles);
+        hashU64(h, opts.hangCycles);
+        hashDouble(h, opts.freqHz);
+        hashU64(h, opts.withEnvelope ? 1 : 0);
+        if (opts.withEnvelope) {
+            hashDouble(h, opts.analysis.freqHz);
+            hashU64(h, opts.analysis.maxTotalCycles);
+            hashU64(h, opts.analysis.inputDependentLoopBound);
+            opts.analysis.scenario.hashInto(h);
+        }
+    });
 }
 
 CampaignResult
@@ -305,13 +248,10 @@ runCampaign(const CellLibrary &lib, const isa::Image &image,
         return res;
     }
 
-    const bool useCache = !opts.cacheDir.empty();
-    fs::path entry;
-    if (useCache) {
-        fs::create_directories(opts.cacheDir);
-        entry = cachePath(opts.cacheDir,
-                          campaignCacheKey(lib, image, opts));
-    }
+    util::DiskCache cache(opts.cacheDir, "fault-", kCacheMagic);
+    cache.open();
+    const uint64_t key =
+        cache.enabled() ? campaignCacheKey(lib, image, opts) : 0;
 
     // Golden (unfaulted) lockstep run: defines the injection-cycle
     // space and the hang budget, and gates the whole campaign.
@@ -347,7 +287,9 @@ runCampaign(const CellLibrary &lib, const isa::Image &image,
         }
     }
 
-    if (useCache && loadCached(entry, res)) {
+    if (cache.load(key, [&](std::istream &in) {
+            return readEntry(in, res);
+        })) {
         res.cacheHit = true;
         res.ok = true;
         aggregate(res);
@@ -385,68 +327,54 @@ runCampaign(const CellLibrary &lib, const isa::Image &image,
     const size_t nTasks = res.injections.size();
     const size_t groupSize = opts.packed ? PackedSimulator::kLanes : 1;
     const size_t nGroups = (nTasks + groupSize - 1) / groupSize;
-    std::atomic<size_t> nextGroup{0};
 
-    auto workerFn = [&]() {
-        std::unique_ptr<msp::System> wsys;
-        std::unique_ptr<power::PowerContext> wctx;
-        for (;;) {
-            size_t g = nextGroup.fetch_add(1);
-            if (g >= nGroups)
-                break;
-            if (!wsys) {
-                wsys = std::make_unique<msp::System>(lib);
-                wctx = std::make_unique<power::PowerContext>(
-                    wsys->netlist(), opts.freqHz);
+    // Each worker elaborates its own System and power context on its
+    // first group.
+    struct Worker {
+        std::unique_ptr<msp::System> sys;
+        std::unique_ptr<power::PowerContext> ctx;
+    };
+    std::vector<Worker> workers(util::poolWorkers(nGroups, opts.jobs));
+
+    util::parallelFor(nGroups, opts.jobs, [&](unsigned w, size_t g) {
+        Worker &wk = workers[w];
+        if (!wk.sys) {
+            wk.sys = std::make_unique<msp::System>(lib);
+            wk.ctx = std::make_unique<power::PowerContext>(
+                wk.sys->netlist(), opts.freqHz);
+        }
+        RunOptions wopts = ropts;
+        wopts.powerCtx = wk.ctx.get();
+        size_t base = g * groupSize;
+        size_t count = std::min(groupSize, nTasks - base);
+        if (opts.packed) {
+            std::array<std::vector<Injection>, PackedSimulator::kLanes>
+                faults;
+            for (size_t i = 0; i < count; ++i) {
+                const InjectionResult &ir = res.injections[base + i];
+                faults[i].push_back({res.sites[ir.siteIndex], ir.cycle});
             }
-            RunOptions wopts = ropts;
-            wopts.powerCtx = wctx.get();
-            size_t base = g * groupSize;
-            size_t count = std::min(groupSize, nTasks - base);
-            if (opts.packed) {
-                std::array<std::vector<Injection>,
-                           PackedSimulator::kLanes>
-                    faults;
-                for (size_t i = 0; i < count; ++i) {
-                    const InjectionResult &ir =
-                        res.injections[base + i];
-                    faults[i].push_back(
-                        {res.sites[ir.siteIndex], ir.cycle});
-                }
-                std::array<FaultResult, PackedSimulator::kLanes> out =
-                    runFaultedPacked(*wsys, image, faults, wopts);
-                for (size_t i = 0; i < count; ++i)
-                    res.injections[base + i].r = std::move(out[i]);
-            } else {
-                for (size_t i = 0; i < count; ++i) {
-                    InjectionResult &ir = res.injections[base + i];
-                    std::vector<Injection> faults{
-                        {res.sites[ir.siteIndex], ir.cycle}};
-                    ir.r = runFaulted(*wsys, image, faults, wopts);
-                    ir.r.report.clear(); // campaign rows carry none
-                }
+            std::array<FaultResult, PackedSimulator::kLanes> out =
+                runFaultedPacked(*wk.sys, image, faults, wopts);
+            for (size_t i = 0; i < count; ++i)
+                res.injections[base + i].r = std::move(out[i]);
+        } else {
+            for (size_t i = 0; i < count; ++i) {
+                InjectionResult &ir = res.injections[base + i];
+                std::vector<Injection> faults{
+                    {res.sites[ir.siteIndex], ir.cycle}};
+                ir.r = runFaulted(*wk.sys, image, faults, wopts);
+                ir.r.report.clear(); // campaign rows carry none
             }
         }
-    };
-
-    unsigned jobs = opts.jobs < 1 ? 1 : opts.jobs;
-    if (jobs > nGroups)
-        jobs = unsigned(nGroups ? nGroups : 1);
-    if (jobs <= 1) {
-        workerFn();
-    } else {
-        std::vector<std::thread> pool;
-        for (unsigned t = 0; t + 1 < jobs; ++t)
-            pool.emplace_back(workerFn);
-        workerFn();
-        for (std::thread &t : pool)
-            t.join();
-    }
+        return true;
+    });
 
     res.ok = true;
     aggregate(res);
-    if (useCache && res.envelopeError.empty())
-        storeCached(entry, res);
+    if (res.envelopeError.empty())
+        cache.store(key,
+                    [&](std::ostream &out) { writeEntry(out, res); });
     res.wallSeconds = secondsSince(t0);
     return res;
 }

@@ -65,7 +65,9 @@ struct CampaignOptions {
     /** Envelope analysis options (only freqHz-consistent,
      *  result-affecting fields participate in the cache key). */
     peak::Options analysis;
-    /** Disk cache directory; "" disables caching. */
+    /** Disk cache directory; "" disables caching. Created on demand
+     *  (runCampaign throws util::DiskCacheError when it cannot be);
+     *  shared safely by concurrent campaigns (util::DiskCache). */
     std::string cacheDir;
 };
 

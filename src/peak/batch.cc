@@ -2,26 +2,24 @@
 
 #include <atomic>
 #include <chrono>
-#include <cinttypes>
-#include <cstdio>
-#include <cstring>
-#include <filesystem>
-#include <fstream>
+#include <cstdlib>
+#include <istream>
 #include <memory>
-#include <sstream>
-#include <thread>
+#include <ostream>
 
 #include "msp/cpu.hh"
 #include "util/content_hash.hh"
+#include "util/disk_cache.hh"
+#include "util/worker_pool.hh"
 
 namespace ulpeak {
 namespace peak {
 namespace {
 
-namespace fs = std::filesystem;
 using Clock = std::chrono::steady_clock;
 using util::doubleBits;
 using util::floatBits;
+using util::fromBits;
 using util::hashDouble;
 using util::hashString;
 using util::hashU64;
@@ -32,7 +30,7 @@ secondsSince(Clock::time_point t0)
     return std::chrono::duration<double>(Clock::now() - t0).count();
 }
 
-/// @name Disk cache: one small text file per key
+/// @name Disk cache entries (util::DiskCache)
 /// @{
 // Format-version header. v2 added the envelope fields; v3 made the
 // deployment scenario part of the key (a v2 entry was implicitly
@@ -43,71 +41,18 @@ secondsSince(Clock::time_point t0)
 // entries must never satisfy a mode-scheduled lookup even if the
 // rest of the scenario hashes equal. The version participates both
 // in the cache key (stale files are simply never addressed) and in
-// the content check below (a key collision or a hand-copied entry
-// from an older binary is rejected as a miss instead of
+// DiskCache's magic-line check (a key collision or a hand-copied
+// entry from an older binary is rejected as a miss instead of
 // deserializing into a garbage report).
 constexpr const char *kCacheMagic = "ulpeak-cache-v4";
 
-double
-bitsDouble(const std::string &s, bool &ok)
-{
-    uint64_t bits = 0;
-    if (std::sscanf(s.c_str(), "%" SCNx64, &bits) != 1) {
-        ok = false;
-        return 0.0;
-    }
-    double d;
-    std::memcpy(&d, &bits, sizeof d);
-    return d;
-}
-
-/** Parse @p n floats from @p s (8 hex digits each, concatenated). */
-bool
-bitsFloats(const std::string &s, size_t n, std::vector<float> &out)
-{
-    if (s.size() != n * 8)
-        return false;
-    out.resize(n);
-    for (size_t i = 0; i < n; ++i) {
-        uint32_t bits = 0;
-        for (size_t d = 0; d < 8; ++d) {
-            char c = s[i * 8 + d];
-            uint32_t v;
-            if (c >= '0' && c <= '9')
-                v = uint32_t(c - '0');
-            else if (c >= 'a' && c <= 'f')
-                v = uint32_t(c - 'a' + 10);
-            else
-                return false;
-            bits = bits << 4 | v;
-        }
-        std::memcpy(&out[i], &bits, sizeof bits);
-    }
-    return true;
-}
-
-fs::path
-cachePath(const std::string &dir, uint64_t key)
-{
-    char name[32];
-    std::snprintf(name, sizeof name, "%016" PRIx64 ".txt", key);
-    return fs::path(dir) / name;
-}
-
-/** Load a cached result into @p r; false on miss or a malformed /
+/** Parse a cached result body into @p r; false on a malformed /
  *  truncated entry (treated as a miss and overwritten). When
  *  @p expect_envelope, an entry without the envelope payload is a
  *  miss; window curves are rebuilt by the caller. */
 bool
-loadCached(const fs::path &path, ProgramResult &r,
-           bool expect_envelope)
+readEntry(std::istream &in, ProgramResult &r, bool expect_envelope)
 {
-    std::ifstream in(path);
-    if (!in)
-        return false;
-    std::string magic;
-    if (!std::getline(in, magic) || magic != kCacheMagic)
-        return false;
     bool ok = true;
     auto parseU64 = [&ok](const std::string &s) -> uint64_t {
         char *end = nullptr;
@@ -127,13 +72,13 @@ loadCached(const fs::path &path, ProgramResult &r,
     std::string k, v;
     while (in >> k >> v) {
         if (k == "peak_power_w_bits") {
-            r.peakPowerW = bitsDouble(v, ok);
+            ok &= fromBits(v.data(), v.size(), r.peakPowerW);
             mark(0);
         } else if (k == "peak_energy_j_bits") {
-            r.peakEnergyJ = bitsDouble(v, ok);
+            ok &= fromBits(v.data(), v.size(), r.peakEnergyJ);
             mark(1);
         } else if (k == "npe_j_per_cycle_bits") {
-            r.npeJPerCycle = bitsDouble(v, ok);
+            ok &= fromBits(v.data(), v.size(), r.npeJPerCycle);
             mark(2);
         } else if (k == "max_path_cycles") {
             r.maxPathCycles = parseU64(v);
@@ -162,53 +107,40 @@ loadCached(const fs::path &path, ProgramResult &r,
     if (!ok || seen != required)
         return false;
     if (expect_envelope) {
-        r.envelope.present = true;
-        if (!bitsFloats(envBits, size_t(envCycles),
-                        r.envelope.powerW))
+        // 8 hex digits per cycle, concatenated (divided, not
+        // multiplied: envCycles comes from the file).
+        if (envBits.size() % 8 || envBits.size() / 8 != envCycles)
             return false;
+        r.envelope.present = true;
+        r.envelope.powerW.resize(size_t(envCycles));
+        for (size_t c = 0; c < envCycles; ++c)
+            if (!fromBits(envBits.data() + 8 * c, 8, r.envelope.powerW[c]))
+                return false;
     }
     r.ok = true;
     return true;
 }
 
-/** Atomically persist a successful result (tmp + rename). */
+/** The body of a successful result's cache entry. */
 void
-storeCached(const fs::path &path, const ProgramResult &r)
+writeEntry(std::ostream &out, const ProgramResult &r)
 {
-    std::ostringstream tmpname;
-    tmpname << path.filename().string() << ".tmp."
-            << std::hash<std::thread::id>{}(
-                   std::this_thread::get_id());
-    fs::path tmp = path.parent_path() / tmpname.str();
-    {
-        std::ofstream out(tmp);
-        if (!out)
-            return; // cache is best-effort; analysis result stands
-        out << kCacheMagic << "\n"
-            << "peak_power_w_bits " << doubleBits(r.peakPowerW) << "\n"
-            << "peak_energy_j_bits " << doubleBits(r.peakEnergyJ)
-            << "\n"
-            << "npe_j_per_cycle_bits " << doubleBits(r.npeJPerCycle)
-            << "\n"
-            << "max_path_cycles " << r.maxPathCycles << "\n"
-            << "total_cycles " << r.totalCycles << "\n"
-            << "paths_explored " << r.pathsExplored << "\n"
-            << "dedup_merges " << r.dedupMerges << "\n";
-        if (r.envelope.present) {
-            out << "envelope_cycles " << r.envelope.powerW.size()
-                << "\n";
-            if (!r.envelope.powerW.empty()) {
-                out << "envelope_w_bits ";
-                for (float f : r.envelope.powerW)
-                    out << floatBits(f);
-                out << "\n";
-            }
+    out << "peak_power_w_bits " << doubleBits(r.peakPowerW) << "\n"
+        << "peak_energy_j_bits " << doubleBits(r.peakEnergyJ) << "\n"
+        << "npe_j_per_cycle_bits " << doubleBits(r.npeJPerCycle) << "\n"
+        << "max_path_cycles " << r.maxPathCycles << "\n"
+        << "total_cycles " << r.totalCycles << "\n"
+        << "paths_explored " << r.pathsExplored << "\n"
+        << "dedup_merges " << r.dedupMerges << "\n";
+    if (r.envelope.present) {
+        out << "envelope_cycles " << r.envelope.powerW.size() << "\n";
+        if (!r.envelope.powerW.empty()) {
+            out << "envelope_w_bits ";
+            for (float f : r.envelope.powerW)
+                out << floatBits(f);
+            out << "\n";
         }
     }
-    std::error_code ec;
-    fs::rename(tmp, path, ec);
-    if (ec)
-        fs::remove(tmp, ec);
 }
 /// @}
 
@@ -237,13 +169,12 @@ copyScalars(ProgramResult &r, Report &full)
 } // namespace
 
 uint64_t
-cacheKey(const CellLibrary &lib, const isa::Image &image,
-         const Options &opts)
+contentKey(const char *magic, const CellLibrary &lib,
+           const isa::Image &image,
+           const std::function<void(uint64_t &)> &hash_options)
 {
     uint64_t h = util::kFnvOffset;
-    hashString(h, kCacheMagic);
-    // The library participates by *content*, not just name: editing a
-    // calibration constant must invalidate every cached entry.
+    hashString(h, magic);
     hashString(h, lib.name());
     hashDouble(h, lib.vdd());
     hashDouble(h, lib.wireCapPerFanoutF());
@@ -256,26 +187,7 @@ cacheKey(const CellLibrary &lib, const isa::Image &image,
         hashDouble(h, p.areaUm2);
         hashDouble(h, p.clkPinEnergyJ);
     }
-    // Result-affecting options only; numThreads, evalMode,
-    // snapshotMode, staticPrune and packedExplore are excluded on
-    // purpose (scheduling-independent exploration, bit-identical
-    // kernels, fork representations, prune masks and the packed
-    // frontier), as are recordActiveSets
-    // and recordModuleTrace (never cached).
-    // recordEnvelope and the window set participate: they change
-    // what a cached entry must contain. The scenario participates by
-    // content (not name): it changes every number.
-    hashDouble(h, opts.freqHz);
-    hashU64(h, opts.maxTotalCycles);
-    hashU64(h, opts.inputDependentLoopBound);
-    opts.scenario.hashInto(h);
-    hashU64(h, opts.recordEnvelope ? 1 : 0);
-    if (opts.recordEnvelope) {
-        hashU64(h, opts.envelopeWindows.size());
-        for (unsigned w : opts.envelopeWindows)
-            hashU64(h, w);
-    }
-    // Image contents: flattened (address, word) pairs.
+    hash_options(h);
     auto words = image.flatten();
     hashU64(h, words.size());
     for (const auto &[addr, word] : words) {
@@ -283,6 +195,33 @@ cacheKey(const CellLibrary &lib, const isa::Image &image,
         hashU64(h, word);
     }
     return h;
+}
+
+uint64_t
+cacheKey(const CellLibrary &lib, const isa::Image &image,
+         const Options &opts)
+{
+    return contentKey(kCacheMagic, lib, image, [&opts](uint64_t &h) {
+        // Result-affecting options only; numThreads, evalMode,
+        // snapshotMode, staticPrune and packedExplore are excluded on
+        // purpose (scheduling-independent exploration, bit-identical
+        // kernels, fork representations, prune masks and the packed
+        // frontier), as are recordActiveSets and recordModuleTrace
+        // (never cached). recordEnvelope and the window set
+        // participate: they change what a cached entry must contain.
+        // The scenario participates by content (not name): it
+        // changes every number.
+        hashDouble(h, opts.freqHz);
+        hashU64(h, opts.maxTotalCycles);
+        hashU64(h, opts.inputDependentLoopBound);
+        opts.scenario.hashInto(h);
+        hashU64(h, opts.recordEnvelope ? 1 : 0);
+        if (opts.recordEnvelope) {
+            hashU64(h, opts.envelopeWindows.size());
+            for (unsigned w : opts.envelopeWindows)
+                hashU64(h, w);
+        }
+    });
 }
 
 BatchReport
@@ -311,85 +250,62 @@ analyzeBatch(const CellLibrary &lib,
         }
     }
 
-    const bool useCache = !opts.cacheDir.empty();
-    if (useCache)
-        fs::create_directories(opts.cacheDir);
+    util::DiskCache cache(opts.cacheDir, "", kCacheMagic);
+    cache.open();
 
-    std::atomic<size_t> next{0};
-    std::atomic<bool> abort{false};
     std::atomic<unsigned> hits{0}, misses{0};
+    // Each worker elaborates at most one private System, lazily: a
+    // fully-warm suite never pays for netlist construction.
+    std::vector<std::unique_ptr<msp::System>> systems(
+        util::poolWorkers(nItems, opts.jobs));
 
-    auto workerFn = [&]() {
-        // Each worker elaborates at most one private System, lazily:
-        // a fully-warm suite never pays for netlist construction.
-        std::unique_ptr<msp::System> sys;
-        for (;;) {
-            if (opts.failFast && abort.load())
-                break;
-            size_t i = next.fetch_add(1);
-            if (i >= nItems)
-                break;
-            const Options &aopts = scenOpts[i / nProg];
-            const BatchProgram &prog = programs[i % nProg];
-            ProgramResult &r = rep.programs[i];
-            Clock::time_point t0 = Clock::now();
+    util::parallelFor(nItems, opts.jobs, [&](unsigned w, size_t i) {
+        const Options &aopts = scenOpts[i / nProg];
+        const BatchProgram &prog = programs[i % nProg];
+        ProgramResult &r = rep.programs[i];
+        Clock::time_point t0 = Clock::now();
 
-            fs::path entry;
-            if (useCache) {
-                entry = cachePath(opts.cacheDir,
-                                  cacheKey(lib, prog.image, aopts));
-                if (loadCached(entry, r, aopts.recordEnvelope)) {
-                    if (r.envelope.present) {
-                        // Window curves are derived data: rebuild
-                        // them from the cached trace exactly as the
-                        // cold path built them.
-                        r.envelope.windows = aopts.envelopeWindows;
-                        if (aopts.scenario.hasModes())
-                            buildWindowCurves(
-                                r.envelope,
-                                aopts.scenario.phaseTclkS());
-                        else
-                            buildWindowCurves(r.envelope,
-                                              1.0 / aopts.freqHz);
-                    }
-                    r.cached = true;
-                    ++hits;
-                    r.wallSeconds = secondsSince(t0);
-                    continue;
+        uint64_t key = 0;
+        if (cache.enabled()) {
+            key = cacheKey(lib, prog.image, aopts);
+            if (cache.load(key, [&](std::istream &in) {
+                    return readEntry(in, r, aopts.recordEnvelope);
+                })) {
+                if (r.envelope.present) {
+                    // Window curves are derived data: rebuild them
+                    // from the cached trace exactly as the cold path
+                    // built them.
+                    r.envelope.windows = aopts.envelopeWindows;
+                    if (aopts.scenario.hasModes())
+                        buildWindowCurves(r.envelope,
+                                          aopts.scenario.phaseTclkS());
+                    else
+                        buildWindowCurves(r.envelope,
+                                          1.0 / aopts.freqHz);
                 }
-                ++misses;
+                r.cached = true;
+                ++hits;
+                r.wallSeconds = secondsSince(t0);
+                return true;
             }
-
-            try {
-                if (!sys)
-                    sys = std::make_unique<msp::System>(lib);
-                Report full = analyze(*sys, prog.image, aopts);
-                copyScalars(r, full);
-            } catch (const std::exception &e) {
-                r.ok = false;
-                r.error = e.what();
-            }
-            if (r.ok && useCache)
-                storeCached(entry, r);
-            if (!r.ok && opts.failFast)
-                abort.store(true);
-            r.wallSeconds = secondsSince(t0);
+            ++misses;
         }
-    };
 
-    unsigned jobs = opts.jobs < 1 ? 1 : opts.jobs;
-    if (jobs > nItems)
-        jobs = unsigned(nItems ? nItems : 1);
-    if (jobs <= 1) {
-        workerFn();
-    } else {
-        std::vector<std::thread> pool;
-        for (unsigned t = 0; t + 1 < jobs; ++t)
-            pool.emplace_back(workerFn);
-        workerFn();
-        for (std::thread &t : pool)
-            t.join();
-    }
+        try {
+            if (!systems[w])
+                systems[w] = std::make_unique<msp::System>(lib);
+            Report full = analyze(*systems[w], prog.image, aopts);
+            copyScalars(r, full);
+        } catch (const std::exception &e) {
+            r.ok = false;
+            r.error = e.what();
+        }
+        if (r.ok)
+            cache.store(key,
+                        [&](std::ostream &out) { writeEntry(out, r); });
+        r.wallSeconds = secondsSince(t0);
+        return r.ok || !opts.failFast;
+    });
 
     rep.cacheHits = hits.load();
     rep.cacheMisses = misses.load();

@@ -65,6 +65,7 @@
 #ifndef ULPEAK_PEAK_BATCH_HH
 #define ULPEAK_PEAK_BATCH_HH
 
+#include <functional>
 #include <string>
 #include <vector>
 
@@ -94,10 +95,11 @@ struct BatchOptions {
     /** Program-level workers (<= 1: serial on the calling thread).
      *  Orthogonal to analysis.numThreads; see the file comment. */
     unsigned jobs = 1;
-    /** Disk cache directory; "" disables caching. Created on demand;
+    /** Disk cache directory; "" disables caching. Created on demand
+     *  (analyzeBatch throws util::DiskCacheError when it cannot be);
      *  entries are one small text file per (image, options, library)
-     *  key, written atomically (tmp + rename), so concurrent batch
-     *  runs may safely share a directory. */
+     *  key, written atomically (util::DiskCache), so concurrent batch
+     *  runs, threads or processes, may safely share a directory. */
     std::string cacheDir;
     /** Stop claiming further programs after the first failure.
      *  Unclaimed programs are reported as skipped (ok = false). The
@@ -210,6 +212,14 @@ struct BatchReport {
     double wallSeconds = 0.0; ///< whole-suite wall time
 };
 
+/** The content hash behind both result caches (this one and
+ *  fault::campaignCacheKey): @p magic, @p lib by content (a calibration
+ *  edit must invalidate every entry), whatever @p hash_options adds,
+ *  then @p image's (address, word) pairs. */
+uint64_t contentKey(const char *magic, const CellLibrary &lib,
+                    const isa::Image &image,
+                    const std::function<void(uint64_t &)> &hash_options);
+
 /**
  * Cache key for one (library, image, options) combination -- exposed
  * so tests can pin the exclusion rules (numThreads/evalMode/record*
@@ -222,7 +232,7 @@ uint64_t cacheKey(const CellLibrary &lib, const isa::Image &image,
  * Analyze every program of @p programs against a system elaborated
  * from @p lib. Per-program failures (including thrown exceptions) are
  * captured in the corresponding ProgramResult; the call itself only
- * throws on environmental errors (e.g. an unwritable cache dir).
+ * throws on an unusable cache directory (util::DiskCacheError).
  */
 BatchReport analyzeBatch(const CellLibrary &lib,
                          const std::vector<BatchProgram> &programs,

@@ -14,6 +14,7 @@
 #include <cstdio>
 #include <cstring>
 #include <string>
+#include <type_traits>
 
 namespace ulpeak {
 namespace util {
@@ -82,6 +83,29 @@ floatBits(float f)
     char buf[12];
     std::snprintf(buf, sizeof buf, "%08x", unsigned(bits));
     return buf;
+}
+
+/** The inverse of doubleBits / floatBits: @p out from exactly
+ *  2 * sizeof(T) lowercase hex digits (@p len of them at @p hex). */
+template <class T>
+inline bool
+fromBits(const char *hex, size_t len, T &out)
+{
+    if (len != 2 * sizeof(T))
+        return false;
+    uint64_t bits = 0;
+    for (size_t i = 0; i < len; ++i) {
+        char c = hex[i];
+        if (c >= '0' && c <= '9')
+            bits = bits << 4 | uint64_t(c - '0');
+        else if (c >= 'a' && c <= 'f')
+            bits = bits << 4 | uint64_t(c - 'a' + 10);
+        else
+            return false;
+    }
+    std::conditional_t<sizeof(T) == 8, uint64_t, uint32_t> raw(bits);
+    std::memcpy(&out, &raw, sizeof out);
+    return true;
 }
 
 } // namespace util

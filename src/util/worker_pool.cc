@@ -1,0 +1,56 @@
+#include "util/worker_pool.hh"
+
+#include <atomic>
+#include <exception>
+#include <mutex>
+#include <thread>
+#include <vector>
+
+namespace ulpeak {
+namespace util {
+
+unsigned
+poolWorkers(size_t items, unsigned jobs)
+{
+    if (jobs > items)
+        jobs = unsigned(items);
+    return jobs < 1 ? 1 : jobs;
+}
+
+void
+parallelFor(size_t items, unsigned jobs,
+            const std::function<bool(unsigned, size_t)> &work)
+{
+    std::atomic<size_t> next{0};
+    std::atomic<bool> stop{false};
+    std::mutex errorMu;
+    std::exception_ptr error; // the first exception thrown by work
+    auto worker = [&](unsigned w) {
+        try {
+            while (!stop.load()) {
+                size_t i = next.fetch_add(1);
+                if (i >= items)
+                    break;
+                if (!work(w, i))
+                    stop.store(true);
+            }
+        } catch (...) {
+            std::lock_guard<std::mutex> lock(errorMu);
+            if (!error)
+                error = std::current_exception();
+            stop.store(true);
+        }
+    };
+    unsigned workers = poolWorkers(items, jobs);
+    std::vector<std::thread> pool;
+    for (unsigned w = 1; w < workers; ++w)
+        pool.emplace_back(worker, w);
+    worker(0);
+    for (std::thread &t : pool)
+        t.join();
+    if (error)
+        std::rethrow_exception(error);
+}
+
+} // namespace util
+} // namespace ulpeak

@@ -23,6 +23,8 @@
 #include "fault/campaign.hh"
 #include "peak/batch.hh"
 #include "tests/cpu_test_util.hh"
+#include "tests/fork_util.hh"
+#include "util/disk_cache.hh"
 
 namespace ulpeak {
 namespace {
@@ -575,6 +577,59 @@ TEST(Batch, FailFastSkipsUnclaimedPrograms)
         EXPECT_NE(rep.programs[i].error.find("skipped"),
                   std::string::npos);
     }
+}
+
+// Four processes fill one cache directory at the same time. Afterwards
+// a warm run is served entirely from the cache and matches a --no-cache
+// run byte for byte, and no temp file is left behind.
+TEST(Batch, ForkedProcessesShareOneCacheDirectory)
+{
+    TempDir dir;
+    const CellLibrary &lib = CellLibrary::tsmc65Like();
+    auto suite = cli::resolvePrograms({"mult", "tHold", "intAVG", "ConvEn"});
+    peak::BatchOptions opts;
+    opts.analysis.recordEnvelope = true; // multi-write entries
+    const std::string reference =
+        cli::toJson(peak::analyzeBatch(lib, suite, opts), opts, false);
+
+    opts.cacheDir = dir.path.string();
+    unsigned ok = test::forkAndRun(4, [&] {
+        peak::BatchReport rep = peak::analyzeBatch(lib, suite, opts);
+        return rep.ok && cli::toJson(rep, opts, false) == reference;
+    });
+    EXPECT_EQ(ok, 4u);
+
+    peak::BatchReport warm = peak::analyzeBatch(lib, suite, opts);
+    EXPECT_EQ(warm.cacheHits, suite.size());
+    EXPECT_EQ(cli::toJson(warm, opts, false), reference);
+    for (const fs::directory_entry &e : fs::directory_iterator(dir.path))
+        EXPECT_EQ(e.path().filename().string().find(".tmp."),
+                  std::string::npos)
+            << e.path();
+}
+
+// An unusable --cache-dir (a regular file) is a usage error that names
+// the flag and the path; it used to abort on an uncaught
+// filesystem_error.
+TEST(Cli, UnusableCacheDirIsAUsageError)
+{
+    TempDir dir;
+    fs::create_directories(dir.path);
+    std::string file = (dir.path / "regular-file").string();
+    std::ofstream(file) << "x";
+    const char *argv[] = {"ulpeak", "mult", "--quiet", "--cache-dir",
+                          file.c_str()};
+    ::testing::internal::CaptureStderr();
+    EXPECT_EQ(cli::runCli(5, argv), 2);
+    std::string err = ::testing::internal::GetCapturedStderr();
+    EXPECT_NE(err.find("--cache-dir " + file + ": "), std::string::npos)
+        << err;
+
+    peak::BatchOptions opts;
+    opts.cacheDir = file;
+    EXPECT_THROW(peak::analyzeBatch(CellLibrary::tsmc65Like(),
+                                    smallSuite(), opts),
+                 util::DiskCacheError);
 }
 
 TEST(Cli, ParseArgs)

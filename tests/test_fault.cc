@@ -13,6 +13,10 @@
 #include <gtest/gtest.h>
 
 #include <cstdio>
+#include <filesystem>
+#include <fstream>
+
+#include <unistd.h>
 
 #include "cli/fault_driver.hh"
 #include "fault/campaign.hh"
@@ -23,6 +27,8 @@
 #include "fuzz/rng.hh"
 #include "power/analysis.hh"
 #include "tests/cpu_test_util.hh"
+#include "tests/fork_util.hh"
+#include "util/disk_cache.hh"
 
 namespace ulpeak {
 namespace {
@@ -321,6 +327,66 @@ TEST(FaultCampaign, RowsAreIdenticalAcrossJobsPackedAndCache)
         EXPECT_TRUE(a.injections[i].r.sameClassification(
             warm.injections[i].r))
             << "row " << i << " differs after the cache round trip";
+}
+
+// Four processes fill one campaign cache directory at the same time.
+// Afterwards a warm campaign hits and matches a --no-cache one byte for
+// byte, and no temp file is left behind.
+TEST(FaultCampaign, ForkedProcessesShareOneCacheDirectory)
+{
+    namespace fs = std::filesystem;
+    isa::Image img = loopImage();
+    CellLibrary lib = CellLibrary::tsmc65Like();
+    fault::CampaignOptions opts;
+    opts.seed = 5;
+    opts.maxFlopSites = 8;
+    opts.ramSites = 2;
+    fault::CampaignResult cold = fault::runCampaign(lib, img, opts);
+    ASSERT_TRUE(cold.ok) << cold.error;
+    const std::string reference =
+        cli::toFaultJson(cold, opts, "loop", false);
+
+    fs::path dir = fs::temp_directory_path() /
+                   ("ulfault_fork_" + std::to_string(::getpid()));
+    fs::remove_all(dir);
+    opts.cacheDir = dir.string();
+    unsigned ok = test::forkAndRun(4, [&] {
+        fault::CampaignResult r = fault::runCampaign(lib, img, opts);
+        return r.ok && cli::toFaultJson(r, opts, "loop", false) == reference;
+    });
+    EXPECT_EQ(ok, 4u);
+
+    fault::CampaignResult warm = fault::runCampaign(lib, img, opts);
+    EXPECT_TRUE(warm.cacheHit);
+    EXPECT_EQ(cli::toFaultJson(warm, opts, "loop", false), reference);
+    for (const fs::directory_entry &e : fs::directory_iterator(dir))
+        EXPECT_EQ(e.path().filename().string().find(".tmp."),
+                  std::string::npos)
+            << e.path();
+    fs::remove_all(dir);
+}
+
+// An unusable --cache-dir (a regular file) is a usage error that names
+// the flag and the path, not a campaign error.
+TEST(FaultCli, UnusableCacheDirIsAUsageError)
+{
+    std::string file = ::testing::TempDir() + "ulfault-not-a-dir";
+    std::ofstream(file) << "x";
+    const char *argv[] = {"ulfault", "mult", "--max-sites", "2",
+                          "--quiet", "--cache-dir", file.c_str()};
+    ::testing::internal::CaptureStderr();
+    EXPECT_EQ(cli::runFaultCli(7, argv), 2);
+    std::string err = ::testing::internal::GetCapturedStderr();
+    EXPECT_NE(err.find("--cache-dir " + file + ": "), std::string::npos)
+        << err;
+
+    fault::CampaignOptions opts;
+    opts.maxFlopSites = 2;
+    opts.cacheDir = file;
+    EXPECT_THROW(fault::runCampaign(CellLibrary::tsmc65Like(),
+                                    loopImage(), opts),
+                 util::DiskCacheError);
+    std::remove(file.c_str());
 }
 
 TEST(FaultCampaign, CacheKeyExcludesExecutionStrategyOnly)

@@ -52,32 +52,16 @@ pathStem(const std::string &path)
     return dot == std::string::npos ? base : base.substr(0, dot);
 }
 
-/** "envelope": {...} JSON object (no surrounding key). */
-std::string
-envelopeJson(const ulpeak::peak::Envelope &env)
+/** The envelope as an Inline object, written as @p w's next value. */
+void
+writeEnvelope(JsonWriter &w, const ulpeak::peak::Envelope &env)
 {
-    std::ostringstream o;
-    o << "{\"cycles\": " << env.powerW.size()
-      << ", \"peak_power_w\": " << fmtDouble(env.peakPowerW())
-      << ", \"windows\": [";
-    for (size_t w = 0; w < env.windows.size(); ++w)
-        o << (w ? ", " : "") << env.windows[w];
-    o << "], \"peak_window_energy_j\": [";
-    for (size_t w = 0; w < env.peakWindowEnergyJ.size(); ++w)
-        o << (w ? ", " : "") << fmtDouble(env.peakWindowEnergyJ[w]);
-    o << "], \"power_w\": [";
-    for (size_t c = 0; c < env.powerW.size(); ++c)
-        o << (c ? ", " : "") << fmtDouble(double(env.powerW[c]));
-    o << "], \"window_energy_j\": [";
-    for (size_t w = 0; w < env.windowEnergyJ.size(); ++w) {
-        o << (w ? ", [" : "[");
-        for (size_t c = 0; c < env.windowEnergyJ[w].size(); ++c)
-            o << (c ? ", " : "")
-              << fmtDouble(double(env.windowEnergyJ[w][c]));
-        o << "]";
-    }
-    o << "]}";
-    return o.str();
+    w.beginObject(Layout::Inline).field("cycles", env.powerW.size())
+        .field("peak_power_w", env.peakPowerW())
+        .field("windows", env.windows)
+        .field("peak_window_energy_j", env.peakWindowEnergyJ)
+        .field("power_w", env.powerW)
+        .field("window_energy_j", env.windowEnergyJ).end();
 }
 
 } // namespace
@@ -284,174 +268,118 @@ std::string
 toJson(const peak::BatchReport &rep, const peak::BatchOptions &opts,
        bool include_timings)
 {
-    std::ostringstream o;
-    o << "{\n";
-    o << "  \"tool\": \"ulpeak\",\n  \"format_version\": 3,\n";
-    o << "  \"options\": {\n"
-      << "    \"freq_hz\": " << fmtDouble(opts.analysis.freqHz)
-      << ",\n"
-      << "    \"eval_mode\": \""
-      << (opts.analysis.evalMode == EvalMode::EventDriven ? "event"
-                                                          : "full")
-      << "\",\n"
-      << "    \"loop_bound\": " << opts.analysis.inputDependentLoopBound
-      << ",\n"
-      << "    \"max_total_cycles\": " << opts.analysis.maxTotalCycles
-      << "\n  },\n";
-    if (include_timings) {
-        o << "  \"run\": {\n"
-          << "    \"jobs\": " << opts.jobs << ",\n"
-          << "    \"threads\": " << opts.analysis.numThreads << ",\n"
-          << "    \"cache\": "
-          << (opts.cacheDir.empty() ? "false" : "true") << ",\n"
-          << "    \"cache_hits\": " << rep.cacheHits << ",\n"
-          << "    \"cache_misses\": " << rep.cacheMisses << ",\n"
-          << "    \"wall_seconds\": " << fmtDouble(rep.wallSeconds)
-          << "\n  },\n";
-    }
-    o << "  \"programs\": [\n";
-    for (size_t i = 0; i < rep.programs.size(); ++i) {
-        const peak::ProgramResult &r = rep.programs[i];
-        o << "    {\"name\": \"" << jsonEscape(r.name) << "\", "
-          << "\"scenario\": \"" << jsonEscape(r.scenario) << "\", "
-          << "\"ok\": " << (r.ok ? "true" : "false");
+    const peak::Options &a = opts.analysis;
+    JsonWriter w;
+    w.beginObject().field("tool", "ulpeak").field("format_version", 3);
+    w.key("options").beginObject().field("freq_hz", a.freqHz);
+    w.field("eval_mode",
+            a.evalMode == EvalMode::EventDriven ? "event" : "full")
+        .field("loop_bound", a.inputDependentLoopBound)
+        .field("max_total_cycles", a.maxTotalCycles).end();
+    if (include_timings)
+        w.key("run").beginObject().field("jobs", opts.jobs)
+            .field("threads", a.numThreads)
+            .field("cache", !opts.cacheDir.empty())
+            .field("cache_hits", rep.cacheHits)
+            .field("cache_misses", rep.cacheMisses)
+            .field("wall_seconds", rep.wallSeconds).end();
+    w.key("programs").beginArray();
+    for (const peak::ProgramResult &r : rep.programs) {
+        w.beginObject(Layout::Inline).field("name", r.name)
+            .field("scenario", r.scenario).field("ok", r.ok);
         if (!r.ok)
-            o << ", \"error\": \"" << jsonEscape(r.error) << "\"";
-        o << ", \"peak_power_w\": " << fmtDouble(r.peakPowerW)
-          << ", \"peak_energy_j\": " << fmtDouble(r.peakEnergyJ)
-          << ", \"npe_j_per_cycle\": " << fmtDouble(r.npeJPerCycle)
-          << ", \"max_path_cycles\": " << r.maxPathCycles
-          << ", \"total_cycles\": " << r.totalCycles
-          << ", \"paths_explored\": " << r.pathsExplored
-          << ", \"dedup_merges\": " << r.dedupMerges;
+            w.field("error", r.error);
+        w.field("peak_power_w", r.peakPowerW)
+            .field("peak_energy_j", r.peakEnergyJ)
+            .field("npe_j_per_cycle", r.npeJPerCycle)
+            .field("max_path_cycles", r.maxPathCycles)
+            .field("total_cycles", r.totalCycles)
+            .field("paths_explored", r.pathsExplored)
+            .field("dedup_merges", r.dedupMerges);
         if (r.envelope.present)
-            o << ", \"envelope\": " << envelopeJson(r.envelope);
+            writeEnvelope(w.key("envelope"), r.envelope);
         if (include_timings) {
             // Run-provenance statistics live with the timing fields:
             // steals and the per-worker split are
             // scheduling-dependent, and all of them are zero on
             // cache hits, so they would break the byte-identity
             // contract anywhere else.
-            o << ", \"cached\": " << (r.cached ? "true" : "false")
-              << ", \"wall_seconds\": " << fmtDouble(r.wallSeconds)
-              << ", \"stats\": {\"steals\": " << r.steals
-              << ", \"snapshot_bytes_copied\": "
-              << r.snapshotBytesCopied
-              << ", \"snapshot_bytes_full\": " << r.snapshotBytesFull
-              << ", \"packed_batches\": " << r.packedBatches
-              << ", \"packed_sweeps\": " << r.packedSweeps
-              << ", \"packed_lane_cycles\": " << r.packedLaneCycles
-              << ", \"per_worker_cycles\": [";
-            for (size_t w = 0; w < r.perWorkerCycles.size(); ++w)
-                o << (w ? ", " : "") << r.perWorkerCycles[w];
-            o << "]}";
+            w.field("cached", r.cached).field("wall_seconds", r.wallSeconds)
+                .key("stats").beginObject(Layout::Inline)
+                .field("steals", r.steals)
+                .field("snapshot_bytes_copied", r.snapshotBytesCopied)
+                .field("snapshot_bytes_full", r.snapshotBytesFull)
+                .field("packed_batches", r.packedBatches)
+                .field("packed_sweeps", r.packedSweeps)
+                .field("packed_lane_cycles", r.packedLaneCycles)
+                .field("per_worker_cycles", r.perWorkerCycles).end();
         }
-        o << "}" << (i + 1 < rep.programs.size() ? "," : "") << "\n";
+        w.end();
     }
-    o << "  ],\n";
-    o << "  \"scenarios\": [\n";
-    for (size_t s = 0; s < rep.scenarios.size(); ++s) {
-        const peak::ScenarioSummary &sum = rep.scenarios[s];
+    // The suite maxima of a ScenarioSummary or of the whole report.
+    auto maxima = [&w](const auto &m) {
+        w.field("max_peak_power_w", m.maxPeakPowerW)
+            .field("max_peak_power_program", m.maxPeakPowerProgram)
+            .field("max_peak_energy_j", m.maxPeakEnergyJ)
+            .field("max_peak_energy_program", m.maxPeakEnergyProgram)
+            .field("max_npe_j_per_cycle", m.maxNpeJPerCycle)
+            .field("max_npe_program", m.maxNpeProgram);
+    };
+    w.end().key("scenarios").beginArray();
+    for (const peak::ScenarioSummary &sum : rep.scenarios) {
         const peak::ScenarioSummary &first = rep.scenarios.front();
-        o << "    {\"name\": \"" << jsonEscape(sum.scenario)
-          << "\", \"summary\": \"" << jsonEscape(sum.summary)
-          << "\", \"ok\": " << (sum.ok ? "true" : "false")
-          << ", \"max_peak_power_w\": "
-          << fmtDouble(sum.maxPeakPowerW)
-          << ", \"max_peak_power_program\": \""
-          << jsonEscape(sum.maxPeakPowerProgram)
-          << "\", \"max_peak_energy_j\": "
-          << fmtDouble(sum.maxPeakEnergyJ)
-          << ", \"max_peak_energy_program\": \""
-          << jsonEscape(sum.maxPeakEnergyProgram)
-          << "\", \"max_npe_j_per_cycle\": "
-          << fmtDouble(sum.maxNpeJPerCycle) << ", \"max_npe_program\": \""
-          << jsonEscape(sum.maxNpeProgram) << "\"";
+        w.beginObject(Layout::Inline).field("name", sum.scenario)
+            .field("summary", sum.summary).field("ok", sum.ok);
+        maxima(sum);
         // How much this scenario's constraints tighten the suite
         // bounds relative to the first listed scenario (1.0 = no
         // change; < 1 = tighter).
-        if (s > 0 && first.maxPeakPowerW > 0 &&
+        if (&sum != &first && first.maxPeakPowerW > 0 &&
             first.maxPeakEnergyJ > 0)
-            o << ", \"vs_first\": {\"peak_power\": "
-              << fmtDouble(sum.maxPeakPowerW / first.maxPeakPowerW)
-              << ", \"peak_energy\": "
-              << fmtDouble(sum.maxPeakEnergyJ / first.maxPeakEnergyJ)
-              << "}";
-        if (sum.suiteEnvelope.present) {
-            const sizing::EnvelopeSupply &es = sum.envelopeSupply;
-            o << ", \"envelope_sizing\": {\"peak_power_w\": "
-              << fmtDouble(es.peakPowerW)
-              << ", \"sustained_power_w\": "
-              << fmtDouble(es.sustainedPowerW) << "}";
-        }
-        o << "}" << (s + 1 < rep.scenarios.size() ? "," : "") << "\n";
+            w.key("vs_first").beginObject(Layout::Inline)
+                .field("peak_power", sum.maxPeakPowerW / first.maxPeakPowerW)
+                .field("peak_energy",
+                       sum.maxPeakEnergyJ / first.maxPeakEnergyJ).end();
+        const sizing::EnvelopeSupply &es = sum.envelopeSupply;
+        if (sum.suiteEnvelope.present)
+            w.key("envelope_sizing").beginObject(Layout::Inline)
+                .field("peak_power_w", es.peakPowerW)
+                .field("sustained_power_w", es.sustainedPowerW).end();
+        w.end();
     }
-    o << "  ],\n";
-    o << "  \"suite\": {\n"
-      << "    \"programs\": " << rep.programs.size() << ",\n"
-      << "    \"ok\": " << (rep.ok ? "true" : "false") << ",\n"
-      << "    \"max_peak_power_w\": " << fmtDouble(rep.maxPeakPowerW)
-      << ",\n"
-      << "    \"max_peak_power_program\": \""
-      << jsonEscape(rep.maxPeakPowerProgram) << "\",\n"
-      << "    \"max_peak_energy_j\": " << fmtDouble(rep.maxPeakEnergyJ)
-      << ",\n"
-      << "    \"max_peak_energy_program\": \""
-      << jsonEscape(rep.maxPeakEnergyProgram) << "\",\n"
-      << "    \"max_npe_j_per_cycle\": "
-      << fmtDouble(rep.maxNpeJPerCycle) << ",\n"
-      << "    \"max_npe_program\": \"" << jsonEscape(rep.maxNpeProgram)
-      << "\"\n  },\n";
-    o << "  \"sizing\": {\n"
-      << "    \"peak_power_w\": " << fmtDouble(rep.supply.peakPowerW)
-      << ",\n"
-      << "    \"peak_energy_j\": " << fmtDouble(rep.supply.peakEnergyJ)
-      << ",\n    \"harvesters\": [\n";
-    for (size_t i = 0; i < rep.supply.harvesters.size(); ++i) {
-        const auto &h = rep.supply.harvesters[i];
-        o << "      {\"name\": \"" << jsonEscape(h.name)
-          << "\", \"area_cm2\": " << fmtDouble(h.areaCm2) << "}"
-          << (i + 1 < rep.supply.harvesters.size() ? "," : "") << "\n";
-    }
-    o << "    ],\n    \"batteries\": [\n";
-    for (size_t i = 0; i < rep.supply.batteries.size(); ++i) {
-        const auto &b = rep.supply.batteries[i];
-        o << "      {\"name\": \"" << jsonEscape(b.name)
-          << "\", \"volume_l\": " << fmtDouble(b.volumeL)
-          << ", \"mass_g\": " << fmtDouble(b.massG) << "}"
-          << (i + 1 < rep.supply.batteries.size() ? "," : "") << "\n";
-    }
-    o << "    ]\n  }";
+    w.end().key("suite").beginObject()
+        .field("programs", rep.programs.size()).field("ok", rep.ok);
+    maxima(rep);
+    w.end();
+    auto harvesters = [&w](const auto &hs) {
+        w.key("harvesters").beginArray();
+        for (const auto &h : hs)
+            w.beginObject(Layout::Inline).field("name", h.name)
+                .field("area_cm2", h.areaCm2).end();
+        w.end();
+    };
+    w.key("sizing").beginObject()
+        .field("peak_power_w", rep.supply.peakPowerW)
+        .field("peak_energy_j", rep.supply.peakEnergyJ);
+    harvesters(rep.supply.harvesters);
+    w.key("batteries").beginArray();
+    for (const auto &b : rep.supply.batteries)
+        w.beginObject(Layout::Inline).field("name", b.name)
+            .field("volume_l", b.volumeL).field("mass_g", b.massG).end();
+    w.end().end();
     if (rep.suiteEnvelope.present) {
-        o << ",\n  \"suite_envelope\": "
-          << envelopeJson(rep.suiteEnvelope) << ",\n";
+        writeEnvelope(w.key("suite_envelope"), rep.suiteEnvelope);
         const sizing::EnvelopeSupply &es = rep.envelopeSupply;
-        o << "  \"envelope_sizing\": {\n"
-          << "    \"peak_power_w\": " << fmtDouble(es.peakPowerW)
-          << ",\n"
-          << "    \"sustained_power_w\": "
-          << fmtDouble(es.sustainedPowerW) << ",\n"
-          << "    \"windows\": [";
-        for (size_t w = 0; w < es.windows.size(); ++w)
-            o << (w ? ", " : "") << es.windows[w];
-        o << "],\n    \"peak_window_energy_j\": [";
-        for (size_t w = 0; w < es.peakWindowEnergyJ.size(); ++w)
-            o << (w ? ", " : "")
-              << fmtDouble(es.peakWindowEnergyJ[w]);
-        o << "],\n    \"decap_f\": [";
-        for (size_t w = 0; w < es.decapF.size(); ++w)
-            o << (w ? ", " : "") << fmtDouble(es.decapF[w]);
-        o << "],\n    \"harvesters\": [\n";
-        for (size_t i = 0; i < es.harvesters.size(); ++i) {
-            const auto &h = es.harvesters[i];
-            o << "      {\"name\": \"" << jsonEscape(h.name)
-              << "\", \"area_cm2\": " << fmtDouble(h.areaCm2) << "}"
-              << (i + 1 < es.harvesters.size() ? "," : "") << "\n";
-        }
-        o << "    ]\n  }";
+        w.key("envelope_sizing").beginObject()
+            .field("peak_power_w", es.peakPowerW)
+            .field("sustained_power_w", es.sustainedPowerW)
+            .field("windows", es.windows)
+            .field("peak_window_energy_j", es.peakWindowEnergyJ)
+            .field("decap_f", es.decapF);
+        harvesters(es.harvesters);
+        w.end();
     }
-    o << "\n}\n";
-    return o.str();
+    return w.end().take();
 }
 
 std::string
@@ -541,73 +469,47 @@ std::string
 toModesJson(const peak::BatchReport &rep,
             const std::vector<peak::ModeReport> &reports)
 {
-    std::ostringstream o;
-    o << "{\n  \"tool\": \"ulpeak\",\n  \"report\": \"modes\",\n"
-      << "  \"rows\": [\n";
-    bool firstRow = true;
+    JsonWriter w;
+    w.beginObject().field("tool", "ulpeak").field("report", "modes");
+    w.key("rows").beginArray();
     for (size_t i = 0; i < rep.programs.size(); ++i) {
         if (i >= reports.size() || !reports[i].present)
             continue;
         const peak::ProgramResult &r = rep.programs[i];
         const peak::ModeReport &m = reports[i];
-        o << (firstRow ? "" : ",\n");
-        firstRow = false;
-        o << "    {\"program\": \"" << jsonEscape(r.name)
-          << "\", \"scenario\": \"" << jsonEscape(r.scenario)
-          << "\", \"composite_peak_w\": "
-          << fmtDouble(m.compositePeakW)
-          << ", \"envelope_cycles\": " << m.envelopeCycles
-          << ", \"all_assertions_pass\": "
-          << (m.allAssertionsPass() ? "true" : "false")
-          << ",\n     \"modes\": [";
-        for (size_t k = 0; k < m.modes.size(); ++k) {
-            const peak::ModeSlice &s = m.modes[k];
-            o << (k ? ", " : "") << "{\"name\": \""
-              << jsonEscape(s.name)
-              << "\", \"vdd\": " << fmtDouble(s.vdd)
-              << ", \"freq_hz\": " << fmtDouble(s.freqHz)
-              << ", \"cycles\": " << s.cycles
-              << ", \"peak_w\": " << fmtDouble(s.peakW)
-              << ", \"peak_cycle\": " << s.peakCycle
-              << ", \"avg_w\": " << fmtDouble(s.avgW)
-              << ", \"energy_j\": " << fmtDouble(s.energyJ) << "}";
-        }
-        o << "],\n     \"transitions\": [";
-        for (size_t k = 0; k < m.transitions.size(); ++k) {
-            const peak::ModeTransition &t = m.transitions[k];
-            o << (k ? ", " : "") << "{\"from\": \""
-              << jsonEscape(t.from) << "\", \"to\": \""
-              << jsonEscape(t.to) << "\", \"phase\": " << t.phase
-              << ", \"occurrences\": " << t.occurrences
-              << ", \"peak_entry_w\": " << fmtDouble(t.peakEntryW)
-              << ", \"settle_cycles\": " << t.settleCycles
-              << ", \"peak_settle_w\": " << fmtDouble(t.peakSettleW)
-              << "}";
-        }
-        o << "],\n     \"assertions\": [";
-        for (size_t k = 0; k < m.assertions.size(); ++k) {
-            const peak::ModeAssertionResult &a = m.assertions[k];
-            o << (k ? ", " : "") << "{\"mode\": \""
-              << jsonEscape(a.assertion.mode)
-              << "\", \"max_power_w\": "
-              << fmtDouble(a.assertion.maxPowerW)
-              << ", \"settle_cycles\": " << a.assertion.settleCycles
-              << ", \"pass\": " << (a.pass ? "true" : "false")
-              << ", \"checked_cycles\": " << a.checkedCycles
-              << ", \"violations\": " << a.violations
-              << ", \"first_violation_cycle\": "
-              << a.firstViolationCycle
-              << ", \"max_excess_w\": " << fmtDouble(a.maxExcessW)
-              << "}";
-        }
-        o << "],\n     \"findings\": [";
-        for (size_t k = 0; k < m.findings.size(); ++k)
-            o << (k ? ", " : "") << "\"" << jsonEscape(m.findings[k])
-              << "\"";
-        o << "]}";
+        w.beginObject(Layout::Inline).field("program", r.name)
+            .field("scenario", r.scenario)
+            .field("composite_peak_w", m.compositePeakW)
+            .field("envelope_cycles", m.envelopeCycles)
+            .field("all_assertions_pass", m.allAssertionsPass())
+            .wrap().key("modes").beginArray(Layout::Inline);
+        for (const peak::ModeSlice &s : m.modes)
+            w.beginObject(Layout::Inline).field("name", s.name)
+                .field("vdd", s.vdd).field("freq_hz", s.freqHz)
+                .field("cycles", s.cycles).field("peak_w", s.peakW)
+                .field("peak_cycle", s.peakCycle).field("avg_w", s.avgW)
+                .field("energy_j", s.energyJ).end();
+        w.end().wrap().key("transitions").beginArray(Layout::Inline);
+        for (const peak::ModeTransition &t : m.transitions)
+            w.beginObject(Layout::Inline).field("from", t.from)
+                .field("to", t.to).field("phase", t.phase)
+                .field("occurrences", t.occurrences)
+                .field("peak_entry_w", t.peakEntryW)
+                .field("settle_cycles", t.settleCycles)
+                .field("peak_settle_w", t.peakSettleW).end();
+        w.end().wrap().key("assertions").beginArray(Layout::Inline);
+        for (const peak::ModeAssertionResult &a : m.assertions)
+            w.beginObject(Layout::Inline).field("mode", a.assertion.mode)
+                .field("max_power_w", a.assertion.maxPowerW)
+                .field("settle_cycles", a.assertion.settleCycles)
+                .field("pass", a.pass)
+                .field("checked_cycles", a.checkedCycles)
+                .field("violations", a.violations)
+                .field("first_violation_cycle", a.firstViolationCycle)
+                .field("max_excess_w", a.maxExcessW).end();
+        w.end().wrap().field("findings", m.findings).end();
     }
-    o << "\n  ]\n}\n";
-    return o.str();
+    return w.end().end().take();
 }
 
 std::string

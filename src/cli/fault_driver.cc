@@ -257,81 +257,58 @@ toFaultJson(const fault::CampaignResult &res,
             const fault::CampaignOptions &opts,
             const std::string &program, bool include_timings)
 {
-    std::ostringstream os;
-    os << "{\n";
-    os << "  \"program\": \"" << jsonEscape(program) << "\",\n";
-    os << "  \"ok\": " << (res.ok ? "true" : "false") << ",\n";
+    JsonWriter w;
+    w.beginObject().field("program", program).field("ok", res.ok);
     if (!res.error.empty())
-        os << "  \"error\": \"" << jsonEscape(res.error) << "\",\n";
-    os << "  \"seed\": " << opts.seed << ",\n"
-       << "  \"cycles_per_site\": " << opts.cyclesPerSite << ",\n"
-       << "  \"golden_cycles\": " << res.goldenCycles << ",\n"
-       << "  \"golden_instructions\": " << res.goldenInstructions
-       << ",\n"
-       << "  \"hang_cycles\": " << res.hangCycles << ",\n";
-    os << "  \"envelope\": {\n"
-       << "    \"present\": "
-       << (res.envelopePresent ? "true" : "false") << ",\n";
+        w.field("error", res.error);
+    w.field("seed", opts.seed).field("cycles_per_site", opts.cyclesPerSite)
+        .field("golden_cycles", res.goldenCycles)
+        .field("golden_instructions", res.goldenInstructions)
+        .field("hang_cycles", res.hangCycles);
+    w.key("envelope").beginObject().field("present", res.envelopePresent);
     if (!res.envelopeError.empty())
-        os << "    \"error\": \"" << jsonEscape(res.envelopeError)
-           << "\",\n";
-    os << "    \"cycles\": " << res.envelopeCycles << ",\n"
-       << "    \"peak_w\": " << fmtDouble(res.envelopePeakW) << "\n"
-       << "  },\n";
-    os << "  \"totals\": {\n"
-       << "    \"injections\": " << res.injections.size() << ",\n"
-       << "    \"masked\": " << res.masked << ",\n"
-       << "    \"sdc\": " << res.sdc << ",\n"
-       << "    \"crash\": " << res.crash << ",\n"
-       << "    \"hang\": " << res.hang << ",\n"
-       << "    \"not_applied\": " << res.notApplied << ",\n"
-       << "    \"escapes\": " << res.escapes << "\n"
-       << "  },\n";
-    os << "  \"sites\": [\n";
+        w.field("error", res.envelopeError);
+    w.field("cycles", res.envelopeCycles)
+        .field("peak_w", res.envelopePeakW).end();
+    w.key("totals").beginObject()
+        .field("injections", res.injections.size())
+        .field("masked", res.masked).field("sdc", res.sdc)
+        .field("crash", res.crash).field("hang", res.hang)
+        .field("not_applied", res.notApplied)
+        .field("escapes", res.escapes).end();
+    w.key("sites").beginArray();
     for (size_t s = 0; s < res.sites.size(); ++s) {
         const fault::SiteSummary &sum = res.summaries[s];
-        os << "    {\"index\": " << s << ", \"name\": \""
-           << jsonEscape(res.siteNames[s]) << "\", \"kind\": \""
-           << siteKindName(res.sites[s].kind)
-           << "\", \"masked\": " << sum.masked
-           << ", \"sdc\": " << sum.sdc << ", \"crash\": " << sum.crash
-           << ", \"hang\": " << sum.hang
-           << ", \"escapes\": " << sum.escapes
-           << ", \"max_peak_w\": " << fmtDouble(sum.maxPeakPowerW)
-           << "}" << (s + 1 < res.sites.size() ? "," : "") << "\n";
+        w.beginObject(Layout::Inline).field("index", s)
+            .field("name", res.siteNames[s])
+            .field("kind", siteKindName(res.sites[s].kind))
+            .field("masked", sum.masked).field("sdc", sum.sdc)
+            .field("crash", sum.crash).field("hang", sum.hang)
+            .field("escapes", sum.escapes)
+            .field("max_peak_w", sum.maxPeakPowerW).end();
     }
-    os << "  ],\n";
-    os << "  \"injections\": [\n";
-    for (size_t i = 0; i < res.injections.size(); ++i) {
-        const fault::InjectionResult &ir = res.injections[i];
+    w.end().key("injections").beginArray();
+    for (const fault::InjectionResult &ir : res.injections) {
         const fault::FaultResult &r = ir.r;
-        os << "    {\"site\": " << ir.siteIndex
-           << ", \"cycle\": " << ir.cycle << ", \"outcome\": \""
-           << fault::outcomeName(r.outcome) << "\", \"applied\": "
-           << (r.applied ? "true" : "false") << ", \"kind\": \""
-           << cosim::divergenceKindName(r.kind)
-           << "\", \"div_cycle\": " << r.divergenceCycle
-           << ", \"instr_index\": " << r.instrIndex
-           << ", \"pc\": " << r.pc
-           << ", \"gate_cycles\": " << r.gateCycles
-           << ", \"retired\": " << r.instructionsRetired
-           << ", \"peak_w\": " << fmtDouble(r.peakPowerW)
-           << ", \"peak_cycle\": " << r.peakCycle
-           << ", \"trace_cycles\": " << r.traceCycles
-           << ", \"escape\": " << (r.envelopeEscape ? "true" : "false")
-           << ", \"escape_cycle\": " << r.escapeCycle << "}"
-           << (i + 1 < res.injections.size() ? "," : "") << "\n";
+        w.beginObject(Layout::Inline).field("site", ir.siteIndex)
+            .field("cycle", ir.cycle)
+            .field("outcome", fault::outcomeName(r.outcome))
+            .field("applied", r.applied)
+            .field("kind", cosim::divergenceKindName(r.kind))
+            .field("div_cycle", r.divergenceCycle)
+            .field("instr_index", r.instrIndex).field("pc", r.pc)
+            .field("gate_cycles", r.gateCycles)
+            .field("retired", r.instructionsRetired)
+            .field("peak_w", r.peakPowerW).field("peak_cycle", r.peakCycle)
+            .field("trace_cycles", r.traceCycles)
+            .field("escape", r.envelopeEscape)
+            .field("escape_cycle", r.escapeCycle).end();
     }
-    os << "  ]";
-    if (include_timings) {
-        os << ",\n  \"run\": {\n"
-           << "    \"cache_hit\": "
-           << (res.cacheHit ? "true" : "false") << ",\n"
-           << "    \"wall_seconds\": " << fmtDouble(res.wallSeconds)
-           << "\n  }";
-    }
-    os << "\n}\n";
-    return os.str();
+    w.end();
+    if (include_timings)
+        w.key("run").beginObject().field("cache_hit", res.cacheHit)
+            .field("wall_seconds", res.wallSeconds).end();
+    return w.end().take();
 }
 
 std::string

@@ -3,7 +3,6 @@
 #include <chrono>
 #include <cstdio>
 #include <memory>
-#include <sstream>
 #include <stdexcept>
 
 #include "cli/json_util.hh"
@@ -46,65 +45,43 @@ toLintJson(const Netlist &nl, const lint::StructuralReport &sr,
            const std::vector<ScenarioLint> &scens, double freq_hz,
            double wall_seconds, bool include_timings)
 {
-    std::ostringstream os;
-    os << "{\n";
-    os << "  \"netlist\": {\"gates\": " << nl.numGates()
-       << ", \"modules\": " << nl.numModules() << "},\n";
-
-    os << "  \"structural\": {\n"
-       << "    \"errors\": " << sr.errors() << ",\n"
-       << "    \"dead_gates\": " << sr.deadGates << ",\n"
-       << "    \"fanout_hotspot_threshold\": "
-       << sr.fanoutHotspotThreshold << ",\n";
-    os << "    \"issues\": [\n";
-    for (size_t i = 0; i < sr.issues.size(); ++i) {
-        const lint::Issue &is = sr.issues[i];
-        os << "      {\"kind\": \"" << lint::issueKindName(is.kind)
-           << "\", \"severity\": \""
-           << lint::severityName(is.severity) << "\", \"gates\": [";
-        for (size_t g = 0; g < is.gates.size(); ++g)
-            os << (g ? ", " : "") << is.gates[g];
-        os << "], \"message\": \"" << jsonEscape(is.message) << "\"}"
-           << (i + 1 < sr.issues.size() ? "," : "") << "\n";
-    }
-    os << "    ]\n  },\n";
-
-    os << "  \"scenarios\": [\n";
-    for (size_t s = 0; s < scens.size(); ++s) {
-        const ScenarioLint &sl = scens[s];
+    JsonWriter w;
+    w.beginObject().key("netlist").beginObject(Layout::Inline)
+        .field("gates", nl.numGates()).field("modules", nl.numModules()).end();
+    w.key("structural").beginObject().field("errors", sr.errors())
+        .field("dead_gates", sr.deadGates)
+        .field("fanout_hotspot_threshold", sr.fanoutHotspotThreshold)
+        .key("issues").beginArray();
+    for (const lint::Issue &is : sr.issues)
+        w.beginObject(Layout::Inline)
+            .field("kind", lint::issueKindName(is.kind))
+            .field("severity", lint::severityName(is.severity))
+            .field("gates", is.gates).field("message", is.message).end();
+    w.end().end().key("scenarios").beginArray();
+    for (const ScenarioLint &sl : scens) {
         const lint::ConstAnalysis &a = sl.analysis;
-        os << "    {\"name\": \"" << jsonEscape(sl.name) << "\",\n"
-           << "     \"proven_const\": " << a.provenConst << ",\n"
-           << "     \"proven_seq\": " << a.provenSeq << ",\n"
-           << "     \"prunable\": " << a.prunable << ",\n"
-           << "     \"max_prune_depth\": " << a.maxPruneDepth << ",\n"
-           << "     \"quiescent_energy_j\": "
-           << fmtDouble(a.quiescentEnergyJ) << ",\n"
-           << "     \"switching_bound_j\": "
-           << fmtDouble(a.switchingBoundJ) << ",\n"
-           << "     \"static_peak_power_w\": "
-           << fmtDouble(
-                  a.staticPeakPowerW(freq_hz, nl.totalLeakageW()))
-           << ",\n";
-        os << "     \"cones\": [\n";
-        for (size_t c = 0; c < sl.cones.size(); ++c) {
-            const lint::QuiescentCone &qc = sl.cones[c];
-            os << "       {\"module\": \"" << jsonEscape(qc.module)
-               << "\", \"gates\": " << qc.gates
-               << ", \"const\": " << qc.constGates
-               << ", \"pruned\": " << qc.pruned
-               << ", \"quiescent_energy_j\": "
-               << fmtDouble(qc.quiescentEnergyJ) << "}"
-               << (c + 1 < sl.cones.size() ? "," : "") << "\n";
-        }
-        os << "     ]}" << (s + 1 < scens.size() ? "," : "") << "\n";
+        w.beginObject(Layout::Inline).field("name", sl.name)
+            .wrap().field("proven_const", a.provenConst)
+            .wrap().field("proven_seq", a.provenSeq)
+            .wrap().field("prunable", a.prunable)
+            .wrap().field("max_prune_depth", a.maxPruneDepth)
+            .wrap().field("quiescent_energy_j", a.quiescentEnergyJ)
+            .wrap().field("switching_bound_j", a.switchingBoundJ)
+            .wrap().field("static_peak_power_w",
+                          a.staticPeakPowerW(freq_hz, nl.totalLeakageW()))
+            .wrap().key("cones").beginArray();
+        for (const lint::QuiescentCone &qc : sl.cones)
+            w.beginObject(Layout::Inline).field("module", qc.module)
+                .field("gates", qc.gates).field("const", qc.constGates)
+                .field("pruned", qc.pruned)
+                .field("quiescent_energy_j", qc.quiescentEnergyJ).end();
+        w.end().end();
     }
-    os << "  ]";
+    w.end();
     if (include_timings)
-        os << ",\n  \"run\": {\"wall_seconds\": "
-           << fmtDouble(wall_seconds) << "}";
-    os << "\n}\n";
-    return os.str();
+        w.key("run").beginObject(Layout::Inline)
+            .field("wall_seconds", wall_seconds).end();
+    return w.end().take();
 }
 
 } // namespace
@@ -128,7 +105,7 @@ lintOptions(LintCliOptions &o)
                o.fanoutThreshold),
         intOpt("--dead-limit", "N", "dead gates listed per issue (default 16)",
                o.maxDeadListed),
-        stringOpt("--json", "FILE", "write the JSON report (\"-\" = stdout)",
+        stringOpt("--json", "FILE", "write JSON (\"-\" = stdout, no table)",
                   o.jsonPath),
         switchOpt("--no-timings",
                   "omit wall-time fields from --json (byte-identical)",
@@ -225,7 +202,7 @@ runLintCli(int argc, const char *const *argv)
                           std::chrono::steady_clock::now() - t0)
                           .count();
 
-        if (!cli.quiet) {
+        if (!cli.quiet && cli.jsonPath != "-") {
             std::printf("netlist: %zu gates, %zu modules\n",
                         nl.numGates(), nl.numModules());
             std::printf("structural: %zu issues (%zu errors), %zu "

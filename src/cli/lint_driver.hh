@@ -46,7 +46,7 @@ struct LintCliOptions {
     double freqHz = 100e6;      ///< --freq: static peak power clock
     unsigned fanoutThreshold = 0; ///< --fanout-threshold (0 = auto)
     unsigned maxDeadListed = 16;  ///< --dead-limit sample size
-    std::string jsonPath;       ///< --json FILE ("-" = stdout)
+    std::string jsonPath;       ///< --json FILE ("-" = stdout, no table)
     bool noTimings = false;     ///< --no-timings: reproducible JSON
     bool quiet = false;         ///< --quiet: suppress stdout report
     bool help = false;          ///< --help

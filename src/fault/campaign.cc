@@ -62,16 +62,16 @@ writeEntry(std::ostream &out, const CampaignResult &res)
     }
 }
 
-/** Parse the campaign body; false on corruption (re-run). The row
- *  (site, cycle) pairs must match the freshly derived task list -- a
- *  key collision can never smuggle in rows of a different campaign
- *  shape. */
+/** Parse the campaign body into @p out; false on corruption (re-run,
+ *  @p out untouched). The row (site, cycle) pairs must match the
+ *  freshly derived task list -- a key collision can never smuggle in
+ *  rows of a different campaign shape. */
 bool
-readEntry(std::istream &in, CampaignResult &res)
+readEntry(std::istream &in, CampaignResult &out)
 {
+    CampaignResult res = out;
     std::string k;
     uint64_t rows = UINT64_MAX;
-    unsigned envPresent = 0;
     std::string peakBits;
     while (in >> k) {
         if (k == "golden_cycles") {
@@ -84,7 +84,7 @@ readEntry(std::istream &in, CampaignResult &res)
             if (!(in >> res.hangCycles))
                 return false;
         } else if (k == "envelope_present") {
-            if (!(in >> envPresent))
+            if (!(in >> res.envelopePresent))
                 return false;
         } else if (k == "envelope_cycles") {
             if (!(in >> res.envelopeCycles))
@@ -104,7 +104,6 @@ readEntry(std::istream &in, CampaignResult &res)
     }
     if (rows != res.injections.size())
         return false;
-    res.envelopePresent = envPresent != 0;
     for (InjectionResult &ir : res.injections) {
         uint32_t site;
         uint64_t cycle;
@@ -128,6 +127,7 @@ readEntry(std::istream &in, CampaignResult &res)
         if (!fromBits(pBits.data(), pBits.size(), r.peakPowerW))
             return false;
     }
+    out = std::move(res);
     return true;
 }
 /// @}

@@ -46,13 +46,14 @@ secondsSince(Clock::time_point t0)
 // deserializing into a garbage report).
 constexpr const char *kCacheMagic = "ulpeak-cache-v4";
 
-/** Parse a cached result body into @p r; false on a malformed /
- *  truncated entry (treated as a miss and overwritten). When
- *  @p expect_envelope, an entry without the envelope payload is a
- *  miss; window curves are rebuilt by the caller. */
+/** Parse a cached result body into @p out; false on a malformed /
+ *  truncated entry (treated as a miss and overwritten, @p out
+ *  untouched). When @p expect_envelope, an entry without the envelope
+ *  payload is a miss; window curves are rebuilt by the caller. */
 bool
-readEntry(std::istream &in, ProgramResult &r, bool expect_envelope)
+readEntry(std::istream &in, ProgramResult &out, bool expect_envelope)
 {
+    ProgramResult r = out;
     bool ok = true;
     auto parseU64 = [&ok](const std::string &s) -> uint64_t {
         char *end = nullptr;
@@ -118,6 +119,7 @@ readEntry(std::istream &in, ProgramResult &r, bool expect_envelope)
                 return false;
     }
     r.ok = true;
+    out = std::move(r);
     return true;
 }
 

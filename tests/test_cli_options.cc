@@ -5,10 +5,16 @@
  * set the expected option fields, a rejected one must fail with a
  * message that names the offending flag (or argument). Every tool's
  * --help text must list every row of its option table.
+ *
+ * Also the report plumbing the tools share (cli/json_util.hh): the
+ * JSON writer's two layouts, wrap rule, empty containers and
+ * escaping, and fmtDouble against printf's "%.17g".
  */
 
 #include <gtest/gtest.h>
 
+#include <cstdio>
+#include <cstring>
 #include <functional>
 #include <limits>
 #include <string>
@@ -17,8 +23,10 @@
 #include "cli/driver.hh"
 #include "cli/fault_driver.hh"
 #include "cli/fuzz_driver.hh"
+#include "cli/json_util.hh"
 #include "cli/lint_driver.hh"
 #include "cli/options.hh"
+#include "fuzz/rng.hh"
 
 namespace ulpeak {
 namespace {
@@ -378,6 +386,147 @@ TEST(CliOptions, HelpListsEveryFlagOfTheTable)
     expectEveryFlagListed(cli::fuzzUsage(), cli::fuzzOptions(z));
     // Every work list's count flag is a row.
     EXPECT_EQ(z.counts.size(), 11u);
+}
+
+using cli::JsonWriter;
+using cli::Layout;
+
+TEST(JsonWriter, BlockAndInlineLayouts)
+{
+    JsonWriter w;
+    w.beginObject().field("tool", "t").field("n", 3).field("ok", true);
+    w.key("opts").beginObject().field("x", 1.5).field("neg", -7).end();
+    w.key("rows").beginArray();
+    w.beginObject(Layout::Inline).field("a", 1u).field("b", false).end();
+    w.value(std::vector<unsigned>{1, 2}).value("s");
+    w.end().key("tail").beginObject(Layout::Inline).field("c", 0.25f);
+    EXPECT_EQ(w.end().end().take(),
+              "{\n"
+              "  \"tool\": \"t\",\n"
+              "  \"n\": 3,\n"
+              "  \"ok\": true,\n"
+              "  \"opts\": {\n"
+              "    \"x\": 1.5,\n"
+              "    \"neg\": -7\n"
+              "  },\n"
+              "  \"rows\": [\n"
+              "    {\"a\": 1, \"b\": false},\n"
+              "    [1, 2],\n"
+              "    \"s\"\n"
+              "  ],\n"
+              "  \"tail\": {\"c\": 0.25}\n"
+              "}\n");
+}
+
+// wrap() breaks an Inline container's next member onto a new line one
+// column past its opener; a Block opened on that line indents two
+// past that column and closes at it.
+TEST(JsonWriter, WrapAndABlockNestedInAWrappedLine)
+{
+    JsonWriter w;
+    w.beginObject().key("scenarios").beginArray();
+    w.beginObject(Layout::Inline).field("name", "a").wrap()
+        .field("n", 1).wrap().key("cones").beginArray();
+    w.beginObject(Layout::Inline).field("m", "x").end();
+    w.beginObject(Layout::Inline).field("m", "y").end();
+    w.end().end();
+    w.beginObject(Layout::Inline).field("name", "b").field("k", 2)
+        .wrap().key("l").value(std::vector<int>{}).end();
+    EXPECT_EQ(w.end().end().take(),
+              "{\n"
+              "  \"scenarios\": [\n"
+              "    {\"name\": \"a\",\n"
+              "     \"n\": 1,\n"
+              "     \"cones\": [\n"
+              "       {\"m\": \"x\"},\n"
+              "       {\"m\": \"y\"}\n"
+              "     ]},\n"
+              "    {\"name\": \"b\", \"k\": 2,\n"
+              "     \"l\": []}\n"
+              "  ]\n"
+              "}\n");
+}
+
+TEST(JsonWriter, EmptyContainers)
+{
+    JsonWriter w;
+    w.beginObject().key("block").beginArray().end();
+    w.key("obj").beginObject().end();
+    w.key("inline").beginArray(Layout::Inline).end();
+    w.key("io").beginObject(Layout::Inline).end();
+    EXPECT_EQ(w.end().take(),
+              "{\n"
+              "  \"block\": [\n"
+              "  ],\n"
+              "  \"obj\": {\n"
+              "  },\n"
+              "  \"inline\": [],\n"
+              "  \"io\": {}\n"
+              "}\n");
+    JsonWriter empty;
+    EXPECT_EQ(empty.beginObject().end().take(), "{\n}\n");
+}
+
+TEST(JsonWriter, EscapesQuotesBackslashesAndControlBytes)
+{
+    std::string raw = "q\"b\\";
+    std::string want = "\"q\\\"b\\\\";
+    for (int c = 0; c < 0x20; ++c) {
+        raw += char(c);
+        if (c == '\n')
+            want += "\\n";
+        else if (c == '\t')
+            want += "\\t";
+        else if (c == '\r')
+            want += "\\r";
+        else {
+            char buf[8];
+            std::snprintf(buf, sizeof buf, "\\u%04x", unsigned(c));
+            want += buf;
+        }
+    }
+    raw += "\x7f\xc3\xa9";
+    want += "\x7f\xc3\xa9\"";
+    JsonWriter w;
+    w.beginArray(Layout::Inline).value(raw);
+    EXPECT_EQ(w.end().take(), "[" + want + "]\n");
+    JsonWriter k;
+    k.beginObject(Layout::Inline).field(raw, 1);
+    EXPECT_EQ(k.end().take(), "{" + want + ": 1}\n");
+}
+
+// fmtDouble (and so every double in a report) is printf's "%.17g".
+TEST(JsonWriter, FmtDoubleMatchesPrintf17g)
+{
+    auto printf17g = [](double d) {
+        char buf[40];
+        std::snprintf(buf, sizeof buf, "%.17g", d);
+        return std::string(buf);
+    };
+    std::vector<double> values = {
+        0.0, -0.0, 5e-324, -5e-324, 1e300, -1e300, 1.0, 0.1, 1e8,
+        std::numeric_limits<double>::max(),
+        std::numeric_limits<double>::min(),
+        std::numeric_limits<double>::infinity(),
+        -std::numeric_limits<double>::infinity(),
+        std::numeric_limits<double>::quiet_NaN()};
+    fuzz::Rng rng(17);
+    for (int i = 0; i < 100000; ++i) {
+        uint64_t bits = rng.next();
+        double d;
+        std::memcpy(&d, &bits, sizeof d);
+        uint32_t fbits = uint32_t(rng.next());
+        float f;
+        std::memcpy(&f, &fbits, sizeof f);
+        values.push_back(d);
+        values.push_back(double(f));
+    }
+    size_t mismatches = 0;
+    for (double d : values)
+        if (cli::fmtDouble(d) != printf17g(d) && ++mismatches <= 5)
+            ADD_FAILURE() << printf17g(d) << " formatted as "
+                          << cli::fmtDouble(d);
+    EXPECT_EQ(mismatches, 0u) << "of " << values.size();
 }
 
 } // namespace

@@ -366,6 +366,45 @@ TEST(FaultCampaign, ForkedProcessesShareOneCacheDirectory)
     fs::remove_all(dir);
 }
 
+// A cache entry whose header parses but whose rows are rejected is a
+// miss that leaves nothing behind: the re-run reports, and stores,
+// exactly what a --no-cache campaign reports.
+TEST(FaultCampaign, RejectedCacheEntryLeavesNoFieldsBehind)
+{
+    namespace fs = std::filesystem;
+    isa::Image img = loopImage();
+    CellLibrary lib = CellLibrary::tsmc65Like();
+    fault::CampaignOptions opts;
+    opts.seed = 3;
+    opts.maxFlopSites = 8;
+    opts.ramSites = 2;
+    const std::string reference = cli::toFaultJson(
+        fault::runCampaign(lib, img, opts), opts, "loop", false);
+
+    fs::path dir = fs::temp_directory_path() /
+                   ("ulfault_reject_" + std::to_string(::getpid()));
+    fs::remove_all(dir);
+    opts.cacheDir = dir.string();
+    ASSERT_TRUE(fault::runCampaign(lib, img, opts).ok);
+    fs::path entry =
+        util::DiskCache(opts.cacheDir, "fault-", "ulfault-cache-v1")
+            .path(fault::campaignCacheKey(lib, img, opts));
+    ASSERT_TRUE(fs::exists(entry)) << entry;
+    std::ofstream(entry) << "ulfault-cache-v1\n"
+                         << "golden_cycles 7\n"
+                         << "hang_cycles 40\n"
+                         << "envelope_cycles 99\n"
+                         << "rows 1\n";
+
+    fault::CampaignResult rerun = fault::runCampaign(lib, img, opts);
+    EXPECT_FALSE(rerun.cacheHit);
+    EXPECT_EQ(cli::toFaultJson(rerun, opts, "loop", false), reference);
+    fault::CampaignResult warm = fault::runCampaign(lib, img, opts);
+    EXPECT_TRUE(warm.cacheHit);
+    EXPECT_EQ(cli::toFaultJson(warm, opts, "loop", false), reference);
+    fs::remove_all(dir);
+}
+
 // An unusable --cache-dir (a regular file) is a usage error that names
 // the flag and the path, not a campaign error.
 TEST(FaultCli, UnusableCacheDirIsAUsageError)

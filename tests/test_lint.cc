@@ -483,6 +483,29 @@ TEST(LintCli, JsonEscapesControlCharactersInScenarioNames)
     fs::remove_all(dir);
 }
 
+// With --json - stdout carries the JSON report and nothing else: the
+// same bytes --json FILE writes, without the text table in front.
+TEST(LintCli, JsonToStdoutCarriesOnlyTheReport)
+{
+    fs::path dir = fs::temp_directory_path() /
+                   ("ullint_stdout_" + std::to_string(::getpid()));
+    fs::create_directories(dir);
+    std::string out = (dir / "out.json").string();
+    const char *toFile[] = {"ullint", "--json", out.c_str(),
+                            "--no-timings", "--quiet"};
+    ASSERT_EQ(cli::runLintCli(5, toFile), 0);
+    std::ifstream in(out);
+    std::string j((std::istreambuf_iterator<char>(in)),
+                  std::istreambuf_iterator<char>());
+    ASSERT_FALSE(j.empty());
+
+    const char *toStdout[] = {"ullint", "--json", "-", "--no-timings"};
+    ::testing::internal::CaptureStdout();
+    EXPECT_EQ(cli::runLintCli(4, toStdout), 0);
+    EXPECT_EQ(::testing::internal::GetCapturedStdout(), j);
+    fs::remove_all(dir);
+}
+
 TEST(LintCli, UsageErrorExitsTwo)
 {
     const char *argv[] = {"ullint", "--jobs"};

@@ -4,11 +4,13 @@
  * (peak::buildModeReport): mode slices, transition detection and
  * settling-window peaks, assertion verdicts, and the low-voltage
  * decap finding -- all on a hand-built envelope so every expected
- * number is checkable by eye.
+ * number is checkable by eye -- plus the layout of its JSON rows
+ * (cli::toModesJson).
  */
 
 #include <gtest/gtest.h>
 
+#include "cli/driver.hh"
 #include "peak/modes.hh"
 #include "sizing/sizing.hh"
 
@@ -146,6 +148,39 @@ TEST(Modes, LowVoltageModeRaisesDecapFinding)
     safe.modes[1].vdd = 0.96;
     EXPECT_TRUE(
         buildModeReport(dutyEnvelope(), safe, 1.0).findings.empty());
+}
+
+// A report with no mode-scheduled row has an empty rows block, laid
+// out like every other empty block; a present row wraps its mode,
+// transition, assertion and finding lists one column past its '{'.
+TEST(Modes, JsonRowsLayout)
+{
+    BatchReport rep;
+    rep.programs.resize(1);
+    rep.programs[0].name = "mult";
+    rep.programs[0].scenario = "duty-test";
+    std::vector<ModeReport> reports(1);
+    EXPECT_EQ(cli::toModesJson(rep, reports),
+              "{\n"
+              "  \"tool\": \"ulpeak\",\n"
+              "  \"report\": \"modes\",\n"
+              "  \"rows\": [\n"
+              "  ]\n"
+              "}\n");
+
+    reports[0] = buildModeReport(dutyEnvelope(), dutyScenario(), 1.0);
+    std::string j = cli::toModesJson(rep, reports);
+    EXPECT_NE(j.find("  \"rows\": [\n"
+                     "    {\"program\": \"mult\", \"scenario\": "
+                     "\"duty-test\", \"composite_peak_w\": "),
+              std::string::npos)
+        << j;
+    for (const char *list : {"modes", "transitions", "assertions",
+                             "findings"})
+        EXPECT_NE(j.find(std::string(",\n     \"") + list + "\": ["),
+                  std::string::npos)
+            << list << " in\n" << j;
+    EXPECT_EQ(j.substr(j.size() - 10), "\"]}\n  ]\n}\n") << j;
 }
 
 } // namespace

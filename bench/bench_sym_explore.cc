@@ -12,11 +12,21 @@
  * BENCH_sym_explore.json at the repository root additionally keeps
  * the pre-refactor shared-mutex baseline for the speedup claim).
  *
- * A packed-frontier section times the same exploration with
- * Options::packedExplore (the 64-lane batched sweep) against the
- * scalar engine at the same thread counts, after the same
- * bit-identity check, and reports the forks/sec ratio. Two optional
- * CI gates turn measurements into pass/fail exit codes:
+ * The thread-scaling section runs the scalar reference frontier
+ * (sym/testing.hh), and a packed-frontier section times the same
+ * exploration with Options::packedExplore (every path through the
+ * 64-lane batched sweep) at the same thread counts, after the same
+ * bit-identity check, and reports the forks/sec ratio.
+ *
+ * A per-program section then times the six forking bench430
+ * programs under the automatic frontier (the default), the scalar
+ * reference and the packed reference at 1, 2 and 4 threads, each
+ * checked against the scalar 1-thread report with fuzz::reportDiff,
+ * and records lane occupancy and steals. Its acceptance line: the
+ * automatic frontier at 4 threads within 10% of its 1-thread time
+ * on every program, and lane occupancy not falling as threads rise.
+ *
+ * Two optional CI gates turn measurements into pass/fail exit codes:
  *  --min-ratio X    fail unless packed/scalar forks/sec at 1 thread
  *                   reaches X;
  *  --min-scaling X  fail unless the largest measured thread count
@@ -40,7 +50,9 @@
 #include <vector>
 
 #include "bench/bench_util.hh"
+#include "fuzz/properties.hh"
 #include "peak/peak_analysis.hh"
+#include "sym/testing.hh"
 
 namespace ulpeak {
 namespace {
@@ -73,6 +85,31 @@ forkStressSource(unsigned rounds)
     }
     body += "        mov r4, &OUT\n";
     return bench430::wrapBenchmarkBody(body);
+}
+
+/** Best-of-@p reps wall time of analyzing @p img under @p o with the
+ *  frontier @p f; the last report goes to @p out. */
+double
+timeAnalysis(msp::System &sys, const isa::Image &img,
+             const peak::Options &o, sym::testing::Frontier f, int reps,
+             peak::Report &out)
+{
+    sym::testing::ScopedFrontier forced(f);
+    double best = 1e9;
+    for (int i = 0; i < reps; ++i) {
+        auto t0 = std::chrono::steady_clock::now();
+        out = peak::analyze(sys, img, o);
+        best = std::min(best, seconds(t0));
+    }
+    return best;
+}
+
+double
+occupancy(const peak::Report &r)
+{
+    return r.packedSweeps ? double(r.packedLaneCycles) /
+                                (64.0 * double(r.packedSweeps))
+                          : 0.0;
 }
 
 } // namespace
@@ -112,8 +149,10 @@ main(int argc, char **argv)
 
     // Reference run: every other thread count must reproduce these
     // numbers bit for bit before its timing means anything.
+    using sym::testing::Frontier;
     peak::Options ref;
-    peak::Report refRep = peak::analyze(sys, img, ref);
+    peak::Report refRep;
+    timeAnalysis(sys, img, ref, Frontier::Scalar, 1, refRep);
     if (!refRep.ok) {
         std::fprintf(stderr, "reference analysis failed: %s\n",
                      refRep.error.c_str());
@@ -143,6 +182,7 @@ main(int argc, char **argv)
                 double(refRep.snapshotBytesCopied) / 1e6,
                 double(refRep.snapshotBytesFull) / 1e6, deltaRatio);
 
+    std::printf("scalar reference frontier:\n");
     std::printf("%-8s %10s %12s %12s %8s\n", "threads", "wall [s]",
                 "forks/sec", "cycles/sec", "scaling");
 
@@ -166,13 +206,9 @@ main(int argc, char **argv)
     for (unsigned t : threadCounts) {
         peak::Options opts;
         opts.numThreads = t;
-        double best = 1e9;
         peak::Report rep;
-        for (int rep_i = 0; rep_i < reps; ++rep_i) {
-            auto t0 = std::chrono::steady_clock::now();
-            rep = peak::analyze(sys, img, opts);
-            best = std::min(best, seconds(t0));
-        }
+        double best =
+            timeAnalysis(sys, img, opts, Frontier::Scalar, reps, rep);
         if (!rep.ok || rep.peakPowerW != refRep.peakPowerW ||
             rep.peakEnergyJ != refRep.peakEnergyJ ||
             rep.npeJPerCycle != refRep.npeJPerCycle ||
@@ -217,13 +253,9 @@ main(int argc, char **argv)
         peak::Options opts;
         opts.numThreads = t;
         opts.packedExplore = true;
-        double best = 1e9;
         peak::Report rep;
-        for (int rep_i = 0; rep_i < reps; ++rep_i) {
-            auto t0 = std::chrono::steady_clock::now();
-            rep = peak::analyze(sys, img, opts);
-            best = std::min(best, seconds(t0));
-        }
+        double best =
+            timeAnalysis(sys, img, opts, Frontier::Auto, reps, rep);
         if (!rep.ok || rep.peakPowerW != refRep.peakPowerW ||
             rep.peakEnergyJ != refRep.peakEnergyJ ||
             rep.npeJPerCycle != refRep.npeJPerCycle ||
@@ -239,25 +271,91 @@ main(int argc, char **argv)
                 scalarBest = sw.second;
         double forksPerSec = double(rep.pathsExplored) / best;
         double ratio = scalarBest / best;
-        double occupancy =
-            rep.packedSweeps
-                ? double(rep.packedLaneCycles) /
-                      (64.0 * double(rep.packedSweeps))
-                : 0.0;
         if (t == 1)
             packedRatio1t = ratio;
         std::printf("%-8u %10.3f %12.0f %9.1f%% %9.2fx\n", t, best,
-                    forksPerSec, 100.0 * occupancy, ratio);
+                    forksPerSec, 100.0 * occupancy(rep), ratio);
         char buf[256];
         std::snprintf(buf, sizeof buf,
                       "    {\"threads\": %u, \"wall_s\": %.4f, "
                       "\"forks_per_sec\": %.0f, \"lane_occupancy\": "
                       "%.3f, \"ratio_vs_scalar\": %.3f}",
-                      t, best, forksPerSec, occupancy, ratio);
+                      t, best, forksPerSec, occupancy(rep), ratio);
         json += std::string(first ? "" : ",\n") + buf;
         first = false;
     }
-    json += "\n  ]\n}\n";
+    json += "\n  ],\n";
+
+    // Per-program frontier section: the forking bench430 programs
+    // under each frontier at 1, 2 and 4 threads.
+    std::printf("\nforking bench430 programs (best of %d):\n", reps);
+    std::printf("%-10s %-9s %7s %10s %10s %7s\n", "program", "frontier",
+                "threads", "wall [s]", "occupancy", "steals");
+    json += "  \"programs\": [\n";
+    first = true;
+    bool autoScales = true, occupancyHolds = true;
+    const struct {
+        const char *name;
+        Frontier frontier;
+    } frontiers[] = {{"automatic", Frontier::Auto},
+                     {"scalar", Frontier::Scalar},
+                     {"packed", Frontier::Packed}};
+    for (const char *prog :
+         {"rle", "PI", "binSearch", "div", "tHold", "inSort"}) {
+        isa::Image pimg = bench430::benchmarkByName(prog).assembleImage();
+        peak::Options popts;
+        peak::Report pref;
+        timeAnalysis(sys, pimg, popts, Frontier::Scalar, 1, pref);
+        for (const auto &fr : frontiers) {
+            double wall1 = 0.0, occ1 = 0.0;
+            for (unsigned t : {1u, 2u, 4u}) {
+                popts.numThreads = t;
+                peak::Report rep;
+                double best = timeAnalysis(sys, pimg, popts, fr.frontier,
+                                           reps, rep);
+                std::string diff = fuzz::reportDiff(pref, rep);
+                if (!diff.empty()) {
+                    std::fprintf(stderr,
+                                 "%s, %s frontier, %u threads diverged "
+                                 "from the scalar reference -- timing "
+                                 "aborted:\n%s",
+                                 prog, fr.name, t, diff.c_str());
+                    return 1;
+                }
+                if (t == 1) {
+                    wall1 = best;
+                    occ1 = occupancy(rep);
+                } else if (fr.frontier == Frontier::Auto) {
+                    // Occupancy is compared at 0.1% resolution.
+                    occupancyHolds &= occupancy(rep) >= occ1 - 1e-3;
+                    if (t == 4)
+                        autoScales &= best <= 1.1 * wall1;
+                }
+                std::printf("%-10s %-9s %7u %10.4f %9.1f%% %7u\n", prog,
+                            fr.name, t, best, 100.0 * occupancy(rep),
+                            rep.steals);
+                char buf[320];
+                std::snprintf(buf, sizeof buf,
+                              "    {\"program\": \"%s\", \"frontier\": "
+                              "\"%s\", \"threads\": %u, \"wall_s\": "
+                              "%.4f, \"lane_occupancy\": %.3f, "
+                              "\"packed_sweeps\": %" PRIu64
+                              ", \"steals\": %u}",
+                              prog, fr.name, t, best, occupancy(rep),
+                              rep.packedSweeps, rep.steals);
+                json += std::string(first ? "" : ",\n") + buf;
+                first = false;
+            }
+        }
+    }
+    std::printf("acceptance: automatic 4-thread within 10%% of 1-thread "
+                "on every program: %s; automatic lane occupancy never "
+                "falls as threads rise: %s\n",
+                autoScales ? "yes" : "NO", occupancyHolds ? "yes" : "NO");
+    json += std::string("\n  ],\n  \"auto_threads4_within_10pct\": ") +
+            (autoScales ? "true" : "false") +
+            ",\n  \"auto_occupancy_nondecreasing\": " +
+            (occupancyHolds ? "true" : "false") + "\n}\n";
 
     std::ofstream(bench_util::outDir() + "BENCH_sym_explore.json")
         << json;

@@ -79,7 +79,10 @@ peakOptions(CliOptions &o)
         intOpt("--jobs", "N", "program-level workers         (default 1)",
                o.jobs, 1),
         intOpt("--threads", "N",
-               "symbolic workers per analysis (default 1)", o.threads, 1),
+               "symbolic workers per analysis (default 1); extra\n"
+               "workers join once one worker holds more than one\n"
+               "64-path lane batch",
+               o.threads, 1),
         positiveOpt("--freq", "HZ",
                     "operating frequency [Hz]  (default 1e8)", o.freqHz),
         choiceOpt("--eval-mode", "M",
@@ -100,9 +103,9 @@ peakOptions(CliOptions &o)
                   "reported number)",
                   o.staticPrune),
         switchOpt("--packed-explore",
-                  "drain the exploration frontier through the bit-\n"
-                  "parallel kernel, up to 64 paths per sweep (never\n"
-                  "changes a reported number)",
+                  "reference frontier: every exploration path through\n"
+                  "the 64-lane kernel (the default picks scalar or\n"
+                  "lanes per worker; never changes a reported number)",
                   o.packedExplore),
         stringOpt("--json", "FILE", "write the suite report as JSON",
                   o.jsonPath),

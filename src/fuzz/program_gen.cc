@@ -184,12 +184,29 @@ class Gen {
 
     /** A port read feeding one to three branches on its bits, each
      *  over one instruction: X under the symbolic engine, so every
-     *  branch whose tested bit is still port-derived forks. */
+     *  branch whose tested bit is still port-derived forks. They
+     *  follow a branch on the port word XORed with itself, zero for
+     *  every concrete word but X while any port bit is: the engine
+     *  forks into an arm that halts at once and one that runs on
+     *  alone, the shape in which an exploration worker's lane batch
+     *  narrows back to one path that forks again, while a run with a
+     *  fully pinned port goes straight on. It draws nothing from the
+     *  stream, and r11 is free until a loop sets it. */
     void
     forkPrologue()
     {
         std::string reg = dataReg();
         emit("mov &0x0020, " + reg);
+        std::string cont = "fork" + std::to_string(labelId_++);
+        emit("mov " + reg + ", r11");
+        emit("xor " + reg + ", r11");
+        emit("jz " + cont);
+        emit("mov #1, &0x01f0"); // halt
+        out_ += cont + ":\n";
+        // Outlast the halting arm, so the survivor runs alone before
+        // it forks again.
+        for (unsigned i = 0; i < 4; ++i)
+            emit("nop");
         unsigned n = 1 + rng_.below(3);
         for (unsigned i = 0; i < n; ++i) {
             std::string label = "fork" + std::to_string(labelId_++);

@@ -11,6 +11,7 @@
 #include "power/analysis.hh"
 #include "power/packed_run.hh"
 #include "sim/packed_simulator.hh"
+#include "sym/testing.hh"
 
 namespace ulpeak {
 namespace fuzz {
@@ -186,6 +187,12 @@ reportDiff(const peak::Report &a, const peak::Report &b,
     num("dedupMerges", a.dedupMerges, b.dedupMerges);
     seq("flatTraceW", a.flatTraceW, b.flatTraceW);
     seq("peakActive", a.peakActive, b.peakActive);
+    if (a.snapshotMode == b.snapshotMode) {
+        num("snapshotBytesCopied", double(a.snapshotBytesCopied),
+            double(b.snapshotBytesCopied));
+        num("snapshotBytesFull", double(a.snapshotBytesFull),
+            double(b.snapshotBytesFull));
+    }
     return os.str();
 }
 
@@ -193,7 +200,8 @@ InvarianceDraw
 drawInvariance(Rng &rng, unsigned threads)
 {
     // The shared context. The reference keeps the Options defaults
-    // for the four knobs: 1 thread, EventDriven, Delta, scalar.
+    // for the four knobs: 1 thread, EventDriven, Delta, and its
+    // frontier is forced scalar when it runs.
     InvarianceDraw d;
     peak::Options &ref = d.reference;
     ref.recordEnvelope = true;
@@ -205,9 +213,10 @@ drawInvariance(Rng &rng, unsigned threads)
         ref.scenario = randomModeScenario(rng);
     ref.staticPrune = rng.chance(25);
 
-    // One of the 15 other knob points, one bit per axis.
+    // One of the 16 knob points, one bit per axis; point 0 is the
+    // production default (automatic frontier).
     d.variant = ref;
-    unsigned point = 1 + rng.below(15);
+    unsigned point = rng.below(16);
     if (point & 1)
         d.variant.numThreads = threads;
     if (point & 2)
@@ -225,9 +234,21 @@ configInvarianceCheck(msp::System &sys, const isa::Image &image,
 {
     PropertyResult res;
     InvarianceDraw d = drawInvariance(rng, threads);
-    peak::Report ref = peak::analyze(sys, image, d.reference);
+    peak::Report ref;
+    {
+        sym::testing::ScopedFrontier scalar(
+            sym::testing::Frontier::Scalar);
+        ref = peak::analyze(sys, image, d.reference);
+    }
     peak::Report var = peak::analyze(sys, image, d.variant);
     std::string diff = reportDiff(ref, var);
+    // Lanes before workers: a thief only takes from a deque holding
+    // more than one lane batch, which a tree of at most that many
+    // paths plus its root never fills.
+    if (var.steals && var.pathsExplored <= PackedSimulator::kLanes + 1)
+        diff += "steals: " + std::to_string(var.steals) +
+                " from a frontier of at most one lane batch (" +
+                std::to_string(var.pathsExplored) + " paths)\n";
     if (!diff.empty()) {
         const peak::Options &v = d.variant;
         std::ostringstream os;
@@ -240,7 +261,8 @@ configInvarianceCheck(msp::System &sys, const isa::Image &image,
            << (v.snapshotMode == sym::SnapshotMode::Full ? "Full"
                                                          : "Delta")
            << " snapshots, "
-           << (v.packedExplore ? "packed" : "scalar") << " frontier:\n"
+           << (v.packedExplore ? "packed" : "automatic")
+           << " frontier:\n"
            << diff;
         res.ok = false;
         res.detail = os.str();

@@ -61,9 +61,10 @@ enum class ReportScope {
      *  ever-active set: the reported bounds. */
     Bounds,
     /** Bounds plus the tree statistics (totalCycles, pathsExplored,
-     *  dedupMerges), flatTraceW and peakActive: every field that does
-     *  not depend on scheduling (steals, per-worker cycles, packed
-     *  batch counters, snapshot traffic and timings never take part). */
+     *  dedupMerges), flatTraceW, peakActive and -- when both reports
+     *  used the same SnapshotMode -- the snapshot byte counters: every
+     *  field that does not depend on scheduling (steals, per-worker
+     *  cycles, packed batch counters and timings never take part). */
     All,
 };
 
@@ -82,8 +83,10 @@ std::string reportDiff(const peak::Report &a, const peak::Report &b,
  * random DVFS scenario (one in three each), staticPrune one in four,
  * envelope and active-set recording on -- and differ only in the knob
  * point: the reference is 1 thread, EventDriven, Delta snapshots and
- * the scalar frontier, the variant one of the other 15 points of
- * threads{1, K} x EvalMode x SnapshotMode x packedExplore.
+ * (forced by configInvarianceCheck through sym/testing.hh) the
+ * scalar frontier; the variant is one of the 16 points of
+ * threads{1, K} x EvalMode x SnapshotMode x frontier{automatic,
+ * packed}, its packed frontier being packedExplore.
  */
 struct InvarianceDraw {
     peak::Options reference;
@@ -96,6 +99,9 @@ InvarianceDraw drawInvariance(Rng &rng, unsigned threads);
  * configurations of drawInvariance(@p rng, @p threads) and require
  * reportDiff(..., ReportScope::All) to be empty. Programs both
  * configurations reject pass, but the rejection must be identical.
+ * The variant must also keep the scheduler's lanes-before-workers
+ * rule: no steals from a tree of at most one lane batch plus its
+ * root.
  */
 PropertyResult configInvarianceCheck(msp::System &sys,
                                      const isa::Image &image, Rng &rng,

@@ -136,7 +136,8 @@ struct ProgramResult {
     uint64_t snapshotBytesCopied = 0;
     uint64_t snapshotBytesFull = 0;
     std::vector<uint64_t> perWorkerCycles;
-    /// Packed-frontier counters (zero unless packedExplore)
+    /// Packed-frontier counters (zero when no exploration worker
+    /// ever had two paths pending, unless packedExplore)
     uint64_t packedBatches = 0;
     uint64_t packedSweeps = 0;
     uint64_t packedLaneCycles = 0;

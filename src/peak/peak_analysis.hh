@@ -64,10 +64,11 @@ struct Options {
      *  number (fuzz property 9), so it is excluded from the cache
      *  key like evalMode and snapshotMode. */
     bool staticPrune = false;
-    /** Packed 64-lane frontier exploration
-     *  (SymbolicConfig::packedExplore, `ulpeak --packed-explore`):
-     *  drain pending paths through the bit-parallel kernel, up to 64
-     *  per sweep. Never changes a reported number (fuzz property 3,
+    /** Reference frontier (SymbolicConfig::packedExplore, `ulpeak
+     *  --packed-explore`): every pending path through the
+     *  bit-parallel kernel, up to 64 per sweep, where the default
+     *  uses the lanes only while two or more paths are pending.
+     *  Never changes a reported number (fuzz property 3,
      *  `ulfuzz --mode invariance`), so it is excluded from the cache
      *  key like evalMode and snapshotMode. */
     bool packedExplore = false;
@@ -105,9 +106,14 @@ struct Report {
     uint32_t steals = 0;
     uint64_t snapshotBytesCopied = 0;
     uint64_t snapshotBytesFull = 0;
+    /** The fork snapshot form the two byte counters were measured in
+     *  (Options::snapshotMode); they are scheduling-independent, so
+     *  two reports of one form must agree on them. */
+    sym::SnapshotMode snapshotMode = sym::SnapshotMode::Delta;
     std::vector<uint64_t> perWorkerCycles;
-    /** Packed-frontier scheduling counters (zero unless
-     *  Options::packedExplore; scheduling-dependent, like steals). */
+    /** Packed-frontier scheduling counters (zero when no worker's
+     *  frontier ever widened past one path; scheduling-dependent,
+     *  like steals). */
     uint64_t packedBatches = 0;
     uint64_t packedSweeps = 0;
     uint64_t packedLaneCycles = 0;

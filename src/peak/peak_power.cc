@@ -38,6 +38,7 @@ analyze(msp::System &sys, const isa::Image &image, const Options &opts)
     r.steals = sr.steals;
     r.snapshotBytesCopied = sr.snapshotBytesCopied;
     r.snapshotBytesFull = sr.snapshotBytesFull;
+    r.snapshotMode = opts.snapshotMode;
     r.perWorkerCycles = sr.perWorkerCycles;
     r.packedBatches = sr.packedBatches;
     r.packedSweeps = sr.packedSweeps;

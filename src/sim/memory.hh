@@ -13,12 +13,26 @@
  * RAM at [ramBase, ramBase + ramSize), ROM (program + interrupt vectors)
  * at [romBase, 0x10000). Word-aligned access only: the ULP core performs
  * word operations (byte mode is out of scope, see DESIGN.md).
+ *
+ * RAM is held as shared copy-on-write pages of kPageWords words (a
+ * value plane and an X plane each), and the ROM image as one shared
+ * block, so copying a Memory, snapshot() and restore() are pointer
+ * copies: the execution-tree forks and the 64 packed-lane memories
+ * share every page none of them has written. A write clones the page
+ * it touches only while that page is shared, and a write that leaves
+ * the word unchanged clones nothing. Page references are counted
+ * atomically, so copies may live on different threads; loadRom is a
+ * setup-time call and must not race with other copies of its ROM.
  */
 
 #ifndef ULPEAK_SIM_MEMORY_HH
 #define ULPEAK_SIM_MEMORY_HH
 
+#include <array>
+#include <atomic>
 #include <cstdint>
+#include <memory>
+#include <utility>
 #include <vector>
 
 #include "logic/v4.hh"
@@ -26,6 +40,50 @@
 namespace ulpeak {
 
 class Memory {
+  public:
+    /** Words per copy-on-write RAM page. */
+    static constexpr uint32_t kPageWords = 64;
+
+  private:
+    struct Page {
+        std::atomic<uint32_t> refs{1};
+        std::array<uint16_t, kPageWords> val;
+        std::array<uint16_t, kPageWords> x;
+    };
+
+    /** A counted reference to a shared page. The count is acquired on
+     *  the uniqueness test, so a page another thread read before
+     *  dropping its reference is never written under it. */
+    class PageRef {
+      public:
+        PageRef() = default;
+        explicit PageRef(Page *p) : p_(p) {}
+        PageRef(const PageRef &o) : p_(o.p_)
+        {
+            if (p_)
+                p_->refs.fetch_add(1, std::memory_order_relaxed);
+        }
+        PageRef(PageRef &&o) noexcept : p_(std::exchange(o.p_, nullptr)) {}
+        PageRef &
+        operator=(PageRef o) noexcept
+        {
+            std::swap(p_, o.p_);
+            return *this;
+        }
+        ~PageRef()
+        {
+            if (p_ && p_->refs.fetch_sub(1, std::memory_order_acq_rel) == 1)
+                delete p_;
+        }
+        const Page &operator*() const { return *p_; }
+        const Page *operator->() const { return p_; }
+        /** The page for writing, cloned first while it is shared. */
+        Page &mut();
+
+      private:
+        Page *p_ = nullptr;
+    };
+
   public:
     Memory(uint32_t ram_base, uint32_t ram_size, uint32_t rom_base);
 
@@ -72,23 +130,38 @@ class Memory {
     uint32_t ramSize() const { return ramSize_; }
     uint32_t romBase() const { return romBase_; }
 
+    /** Whether this memory and @p o hold the RAM page of @p addr (or,
+     *  for a ROM address, the ROM image) as one shared copy: the
+     *  observable side of copy-on-write. */
+    bool shares(const Memory &o, uint32_t addr) const;
+
     /** Mix the RAM contents into @p h (FNV-1a) for state dedup. */
     void hashInto(uint64_t &h) const;
 
     /// @name Snapshot / restore for execution-tree forking
+    /// Both share the RAM pages (O(pages) pointer copies).
     /// @{
     struct Snapshot {
-        std::vector<uint16_t> ramVal;
-        std::vector<uint16_t> ramX;
+        std::vector<PageRef> ram;
     };
-    Snapshot snapshot() const;
-    void restore(const Snapshot &s);
+    Snapshot snapshot() const { return Snapshot{ram_}; }
+    void restore(const Snapshot &s) { ram_ = s.ram; }
     /// @}
 
   private:
+    /** The page holding RAM word @p i, and @p i's offset in it. */
+    std::pair<size_t, size_t>
+    locate(uint32_t addr) const
+    {
+        size_t i = (addr - ramBase_) / 2;
+        return {i / kPageWords, i % kPageWords};
+    }
+    /** Store (@p val, @p x) at RAM address @p addr. */
+    void store(uint32_t addr, uint16_t val, uint16_t x);
+
     uint32_t ramBase_, ramSize_, romBase_;
-    std::vector<uint16_t> ramVal_, ramX_;
-    std::vector<uint16_t> rom_;
+    std::vector<PageRef> ram_;
+    std::shared_ptr<std::vector<uint16_t>> rom_;
 };
 
 } // namespace ulpeak

@@ -16,6 +16,7 @@
 #include "isa/encoding.hh"
 #include "lint/lint.hh"
 #include "power/packed_run.hh"
+#include "sym/testing.hh"
 
 namespace ulpeak {
 namespace sym {
@@ -23,6 +24,14 @@ namespace sym {
 namespace {
 
 constexpr uint32_t kNoForcedPc = UINT32_MAX;
+
+using testing::Frontier;
+
+/** Paths a worker's deque must hold beyond which thieves may take
+ * from it: one full lane batch. Up to that size the owner's own lanes
+ * absorb the frontier, and splitting it would only halve two workers'
+ * batches (lanes before threads). */
+constexpr size_t kStealSurplus = PackedSimulator::kLanes;
 
 /** Dedup-map shards; a power of two well above any sane worker
  * count, so concurrent forks rarely collide on a shard mutex. */
@@ -123,11 +132,14 @@ enum class CycleEnd { Continue, Leaf, Fork, Failed };
  *    TreeNode pointer by the one worker that owns the node;
  *  - each worker owns a work deque (queues[]) with a private mutex:
  *    the owner pushes/pops at the back (depth-first, cache-warm),
- *    thieves take from the front (the oldest entry, closest to the
- *    root, statistically the largest unexplored subtree).
+ *    thieves take from the front (the oldest entries, closest to the
+ *    root, statistically the largest unexplored subtrees), and only
+ *    from a deque holding more than kStealSurplus paths, a batch at a
+ *    time.
  *
- * Idle workers sleep on idleCv; inflight counts queued + running
- * paths and reaching zero is the termination condition.
+ * Idle workers sleep on idleCv until some deque holds such a surplus;
+ * inflight counts queued + running paths and reaching zero is the
+ * termination condition.
  */
 struct SharedState {
     struct Shard {
@@ -147,7 +159,9 @@ struct SharedState {
 
     std::mutex idleMu;
     std::condition_variable idleCv;
-    std::atomic<uint32_t> queued{0};   ///< entries sitting in queues
+    /** Deques holding more than kStealSurplus paths (updated under
+     *  the deque's own mutex, so each deque counts at most once). */
+    std::atomic<uint32_t> surplus{0};
     std::atomic<uint32_t> inflight{0}; ///< queued + running paths
 
     /// @name Statistics (atomic: many writers)
@@ -188,62 +202,93 @@ struct SharedState {
         idleCv.notify_all();
     }
 
-    /** Enqueue @p p on @p worker's deque and wake one sleeper. */
+    /** Enqueue @p p on @p worker's deque; wake one sleeper when the
+     *  deque starts holding a surplus. */
     void
     push(unsigned worker, Pending &&p)
     {
         inflight.fetch_add(1, std::memory_order_relaxed);
+        bool newSurplus;
         {
             std::lock_guard<std::mutex> lock(queues[worker].mu);
             queues[worker].q.push_back(std::move(p));
+            newSurplus = queues[worker].q.size() == kStealSurplus + 1;
+            if (newSurplus)
+                surplus.fetch_add(1, std::memory_order_release);
         }
-        queued.fetch_add(1, std::memory_order_release);
-        if (queues.size() > 1) {
-            std::lock_guard<std::mutex> lock(idleMu);
-            idleCv.notify_one();
-        }
+        if (newSurplus && queues.size() > 1)
+            wakeOne();
+    }
+
+    void
+    wakeOne()
+    {
+        std::lock_guard<std::mutex> lock(idleMu);
+        idleCv.notify_one();
+    }
+
+    /** Paths queued on @p worker's deque. */
+    size_t
+    queuedOn(unsigned worker)
+    {
+        std::lock_guard<std::mutex> lock(queues[worker].mu);
+        return queues[worker].q.size();
     }
 
     bool
     popOwn(unsigned worker, Pending &out)
     {
         std::lock_guard<std::mutex> lock(queues[worker].mu);
-        if (queues[worker].q.empty())
+        std::deque<Pending> &q = queues[worker].q;
+        if (q.empty())
             return false;
-        out = std::move(queues[worker].q.back());
-        queues[worker].q.pop_back();
-        queued.fetch_sub(1, std::memory_order_relaxed);
+        if (q.size() == kStealSurplus + 1)
+            surplus.fetch_sub(1, std::memory_order_relaxed);
+        out = std::move(q.back());
+        q.pop_back();
         return true;
     }
 
-    bool
-    stealFrom(unsigned thief, Pending &out)
+    /** Move one surplus batch -- the oldest paths beyond kStealSurplus,
+     *  at most one lane batch -- from another worker's deque to
+     *  @p thief's; returns how many paths moved. */
+    size_t
+    stealBatch(unsigned thief)
     {
+        if (queues.size() < 2 ||
+            surplus.load(std::memory_order_acquire) == 0)
+            return 0;
+        std::vector<Pending> batch;
+        bool more = false;
         unsigned n = unsigned(queues.size());
-        for (unsigned i = 1; i < n; ++i) {
-            unsigned victim = (thief + i) % n;
-            std::lock_guard<std::mutex> lock(queues[victim].mu);
-            if (queues[victim].q.empty())
+        for (unsigned i = 1; i < n && batch.empty(); ++i) {
+            std::lock_guard<std::mutex> lock(queues[(thief + i) % n].mu);
+            std::deque<Pending> &q = queues[(thief + i) % n].q;
+            if (q.size() <= kStealSurplus)
                 continue;
-            out = std::move(queues[victim].q.front());
-            queues[victim].q.pop_front();
-            queued.fetch_sub(1, std::memory_order_relaxed);
-            steals.fetch_add(1, std::memory_order_relaxed);
-            return true;
+            size_t take = std::min(q.size() - kStealSurplus,
+                                   size_t(PackedSimulator::kLanes));
+            batch.reserve(take);
+            for (size_t k = 0; k < take; ++k) {
+                batch.push_back(std::move(q.front()));
+                q.pop_front();
+            }
+            more = q.size() > kStealSurplus;
+            if (!more)
+                surplus.fetch_sub(1, std::memory_order_relaxed);
         }
-        return false;
-    }
-
-    /** Pop from @p worker's own deque, else steal; the taken path
-     *  counts as explored. */
-    bool
-    take(unsigned worker, Pending &out)
-    {
-        if (!popOwn(worker, out) &&
-            !(queues.size() > 1 && stealFrom(worker, out)))
-            return false;
-        pathsExplored.fetch_add(1, std::memory_order_relaxed);
-        return true;
+        if (batch.empty())
+            return 0;
+        {
+            std::lock_guard<std::mutex> lock(queues[thief].mu);
+            for (Pending &p : batch)
+                queues[thief].q.push_back(std::move(p));
+        }
+        steals.fetch_add(uint32_t(batch.size()),
+                         std::memory_order_relaxed);
+        if (more)
+            wakeOne(); // the rest is another thief's batch
+        return batch.size();
     }
 
     /** A taken path has ended (fork, leaf or failure). */
@@ -259,91 +304,48 @@ struct SharedState {
 
 /**
  * One exploration worker: a simulator (plus, for workers beyond the
- * first, a private System clone) that takes pending paths, simulates
- * them to the next fork or leaf, and commits traces to the tree
- * through the nodes it owns. Peak candidates and activity sets are
- * tracked locally and merged after the pool drains.
+ * first, a private System clone elaborated on the worker's first
+ * steal) that takes pending paths, simulates them to the next fork or
+ * leaf, and commits traces to the tree through the nodes it owns.
+ * Peak candidates and activity sets are tracked locally and merged
+ * after the pool drains.
  *
  * Two frontiers step the paths: the scalar one runs one path at a
- * time on the Simulator (runPath), the packed one up to 64 on the
+ * time on the Simulator (runScalar), the packed one up to 64 on the
  * lanes of a PackedSimulator (stepBatch). They differ only in what
  * they read off their simulator; every rule of Algorithm 1 and 2 --
  * the cycle budgets, the per-cycle pricing and end-of-cycle
  * classification, fork targets, dedup keys, snapshot capture and the
  * node commit -- exists once, below, and takes those readings as
- * values.
+ * values. Which frontier runs is the worker's own choice, made per
+ * path (step): a narrow frontier runs scalar, a wide one on lanes,
+ * and a lane batch that narrows back to one path hands it back to
+ * the scalar simulator.
  */
 class Worker {
   public:
     Worker(msp::System &base, const SymbolicConfig &cfg,
-           const isa::Image &image, unsigned id, bool owns_clone)
-        : cfg_(cfg), id_(id)
+           const isa::Image &image, unsigned id, Frontier frontier)
+        : cfg_(cfg), id_(id), frontier_(frontier), base_(&base),
+          image_(&image)
     {
-        if (owns_clone) {
-            owned_ = std::make_unique<msp::System>(
-                base.netlist().library());
-            sys_ = owned_.get();
-            if (netlistStructureHash(sys_->netlist()) !=
-                netlistStructureHash(base.netlist()))
-                throw std::logic_error(
-                    "nondeterministic netlist elaboration: worker "
-                    "clone differs structurally from the base "
-                    "system");
-        } else {
-            sys_ = &base;
-        }
-        sys_->memory().reset();
-        sys_->loadImage(image);
-        sys_->clearHalted();
-        sim_ = std::make_unique<Simulator>(sys_->netlist(),
-                                           cfg.evalMode);
-        sys_->attach(*sim_);
-        ctx_ = std::make_unique<power::PowerContext>(sys_->netlist(),
-                                                     cfg_.freqHz);
-        if (cfg_.scenario.hasModes()) {
-            // One (energy scale, clock) pair per schedule phase,
-            // resolved once against the library the netlist was
-            // built with (identical across worker clones).
-            const CellLibrary &lib = sys_->netlist().library();
-            const scenario::Scenario &scen = cfg_.scenario;
-            for (uint64_t ph = 0; ph < scen.modePeriod(); ++ph) {
-                const scenario::OperatingMode &m = scen.modeAt(ph);
-                modes_.emplace_back(lib.energyScale(m.vdd), m.freqHz);
-            }
-        } else {
-            // The reference operating point: scale 1 at the reference
-            // clock prices bit-identically to the unscaled formulas.
-            modes_.emplace_back(1.0, cfg_.freqHz);
-        }
-        if (cfg_.recordActiveSets)
-            everActive_.assign(sys_->netlist().numGates(), 0);
-        if (cfg_.packedExplore) {
-            psim_ = std::make_unique<PackedSimulator>(
-                sys_->netlist());
-            // Per-lane behavioral memory; contents are overwritten at
-            // every lane load, but the ROM image (not part of memory
-            // snapshots) must already be in the copies.
-            laneMem_.assign(PackedSimulator::kLanes, sys_->memory());
-            psim_->setHookFn(
-                sys_->handles().memHookId,
-                PackedFnRef::member<&Worker::packedMemHook>(*this));
-            psim_->addEdgeFn(
-                PackedFnRef::member<&Worker::packedMemEdge>(*this));
-            // Prime one sweep: edge functions only run when
-            // cycle() > 0, and a loaded lane's first step must run
-            // them against the loaded state exactly like the scalar
-            // restore-then-step sequence. The priming sweep itself is
-            // inert -- every lane is all-X (the memory hook sees an X
-            // enable and returns X data without billing). Then every
-            // lane retires until a pending path is loaded into it.
-            psim_->step();
-            psim_->retireLanes(~uint64_t(0));
-            lanes_.resize(PackedSimulator::kLanes);
-        }
+        if (id == 0)
+            buildSystem(base);
     }
 
-    msp::System &sys() { return *sys_; }
     Simulator &sim() { return *sim_; }
+
+    /** Install the static-prune mask in this worker's simulator, now
+     *  or when its System clone is built. */
+    void
+    setStaticPrune(std::shared_ptr<const std::vector<uint8_t>> mask,
+                   uint64_t engage)
+    {
+        pruneMask_ = std::move(mask);
+        pruneEngage_ = engage;
+        if (sim_)
+            sim_->setStaticPrune(pruneMask_, pruneEngage_);
+    }
 
     /** Take-simulate-commit until all work drains or fails. */
     void
@@ -357,7 +359,7 @@ class Worker {
             // terminate the process); convert them into the engine's
             // normal failure reporting.
             try {
-                busy = cfg_.packedExplore ? runBatch(sh) : runPath(sh);
+                busy = step(sh);
             } catch (const std::exception &e) {
                 sh.fail(std::string("worker exception: ") + e.what());
             }
@@ -371,7 +373,7 @@ class Worker {
             std::unique_lock<std::mutex> lock(sh.idleMu);
             sh.idleCv.wait(lock, [&] {
                 return sh.failed.load() || sh.inflight.load() == 0 ||
-                       sh.queued.load(std::memory_order_acquire) > 0;
+                       sh.surplus.load(std::memory_order_acquire) > 0;
             });
             if (sh.failed.load() || sh.inflight.load() == 0)
                 break;
@@ -410,6 +412,131 @@ class Worker {
     /// @}
 
   private:
+    /** Wrap @p sys (worker 0: the caller's System; others: a clone):
+     *  load the image, attach a simulator, resolve the pricing. */
+    void
+    buildSystem(msp::System &sys)
+    {
+        sys_ = &sys;
+        sys_->memory().reset();
+        sys_->loadImage(*image_);
+        sys_->clearHalted();
+        sim_ = std::make_unique<Simulator>(sys_->netlist(),
+                                           cfg_.evalMode);
+        sys_->attach(*sim_);
+        if (pruneMask_)
+            sim_->setStaticPrune(pruneMask_, pruneEngage_);
+        ctx_ = std::make_unique<power::PowerContext>(sys_->netlist(),
+                                                     cfg_.freqHz);
+        if (cfg_.scenario.hasModes()) {
+            // One (energy scale, clock) pair per schedule phase,
+            // resolved once against the library the netlist was
+            // built with (identical across worker clones).
+            const CellLibrary &lib = sys_->netlist().library();
+            const scenario::Scenario &scen = cfg_.scenario;
+            for (uint64_t ph = 0; ph < scen.modePeriod(); ++ph) {
+                const scenario::OperatingMode &m = scen.modeAt(ph);
+                modes_.emplace_back(lib.energyScale(m.vdd), m.freqHz);
+            }
+        } else {
+            // The reference operating point: scale 1 at the reference
+            // clock prices bit-identically to the unscaled formulas.
+            modes_.emplace_back(1.0, cfg_.freqHz);
+        }
+        if (cfg_.recordActiveSets)
+            everActive_.assign(sys_->netlist().numGates(), 0);
+    }
+
+    /** Elaborate this worker's System clone (first steal only). */
+    void
+    ensureSystem()
+    {
+        if (sys_)
+            return;
+        owned_ = std::make_unique<msp::System>(base_->netlist().library());
+        if (netlistStructureHash(owned_->netlist()) !=
+            netlistStructureHash(base_->netlist()))
+            throw std::logic_error(
+                "nondeterministic netlist elaboration: worker clone "
+                "differs structurally from the base system");
+        buildSystem(*owned_);
+    }
+
+    /** Build the lanes the first time this worker's frontier widens. */
+    void
+    ensureLanes()
+    {
+        if (psim_)
+            return;
+        psim_ = std::make_unique<PackedSimulator>(sys_->netlist());
+        // Per-lane behavioral memory; contents are overwritten at
+        // every lane load, but the ROM image (not part of memory
+        // snapshots) must already be in the copies.
+        laneMem_.assign(PackedSimulator::kLanes, sys_->memory());
+        psim_->setHookFn(
+            sys_->handles().memHookId,
+            PackedFnRef::member<&Worker::packedMemHook>(*this));
+        psim_->addEdgeFn(
+            PackedFnRef::member<&Worker::packedMemEdge>(*this));
+        // Prime one sweep: edge functions only run when cycle() > 0,
+        // and a loaded lane's first step must run them against the
+        // loaded state exactly like the scalar restore-then-step
+        // sequence. The priming sweep itself is inert -- every lane
+        // is all-X (the memory hook sees an X enable and returns X
+        // data without billing). Then every lane retires until a
+        // pending path is loaded into it.
+        psim_->step();
+        psim_->retireLanes(~uint64_t(0));
+        lanes_.resize(PackedSimulator::kLanes);
+    }
+
+    // ---- Scheduling: which frontier steps the next paths ----
+
+    /** Steal a surplus batch into the own deque; its size, or 0. */
+    size_t
+    steal(SharedState &sh)
+    {
+        size_t n = sh.stealBatch(id_);
+        if (n)
+            ensureSystem();
+        return n;
+    }
+
+    /** Pop from the own deque, else steal a batch and pop from it;
+     *  the taken path counts as explored. */
+    bool
+    take(SharedState &sh, Pending &out)
+    {
+        if (!sh.popOwn(id_, out) &&
+            !(steal(sh) && sh.popOwn(id_, out)))
+            return false;
+        sh.pathsExplored.fetch_add(1, std::memory_order_relaxed);
+        return true;
+    }
+
+    /**
+     * One scheduling decision: the lanes step while any lane is live
+     * or the own deque holds two or more paths (stealing a batch when
+     * it is empty); otherwise the one queued path runs on the scalar
+     * simulator, which is cheaper per cycle than a one-lane sweep.
+     * Single-path programs therefore never build the lanes. False
+     * when no work was found.
+     */
+    bool
+    step(SharedState &sh)
+    {
+        if (!(psim_ && psim_->liveMask())) {
+            size_t queued = sh.queuedOn(id_);
+            if (!queued && !(queued = steal(sh)))
+                return false;
+            if (frontier_ == Frontier::Scalar ||
+                (frontier_ == Frontier::Auto && queued < 2))
+                return runPath(sh);
+        }
+        runBatch(sh);
+        return true;
+    }
+
     // ---- Algorithm 1 and 2, once for both frontiers ----
 
     /** The cycle budgets, applied before a frontier simulates @p n
@@ -684,18 +811,27 @@ class Worker {
     runPath(SharedState &sh)
     {
         Pending p;
-        if (!sh.take(id_, p))
+        if (!take(sh, p))
             return false;
+        if (p.simDelta)
+            sim_->restore(*p.simDelta);
+        else
+            sim_->restore(*p.simFull);
+        sys_->restore(*p.sysSnap);
+        runScalar(sh, p.path, p.base());
+        return true;
+    }
+
+    /** Run @p path, whose state the scalar simulator and System hold,
+     *  to its fork, leaf or failure; @p base is the full snapshot its
+     *  state is stored against (the diff base of its fork capture). */
+    void
+    runScalar(SharedState &sh, Path &path,
+              const std::shared_ptr<const Simulator::Snapshot> &base)
+    {
         msp::System &sys = *sys_;
         Simulator &sim = *sim_;
         const msp::CpuHandles &h = sys.handles();
-        if (p.simDelta)
-            sim.restore(*p.simDelta);
-        else
-            sim.restore(*p.simFull);
-        sys.restore(*p.sysSnap);
-        Path &path = p.path;
-
         while (!sh.failed.load() &&
                reserveCycles(sh, 1, path.pathCycles)) {
             StepInputs in = takeStepInputs(path);
@@ -737,16 +873,15 @@ class Worker {
                 peakActive.assign(sim.activeGates().begin(),
                                   sim.activeGates().end());
             if (end == CycleEnd::Fork)
-                fork(sh, path, sys.readIr(sim), p.base(),
-                     sim.snapshot(), sys.memory());
+                fork(sh, path, sys.readIr(sim), base, sim.snapshot(),
+                     sys.memory());
             if (end != CycleEnd::Continue)
                 break;
         }
         sh.finishPath();
-        return true;
     }
 
-    // ---- Packed frontier (SymbolicConfig::packedExplore) ----
+    // ---- Packed frontier ----
     //
     // Up to 64 pending paths ride the PackedSimulator's lanes at
     // once: a lane is loaded from a Pending's (delta or full)
@@ -773,15 +908,17 @@ class Worker {
         std::shared_ptr<const Simulator::Snapshot> base;
     };
 
-    /** Refill every free lane while work is available (steals fill
-     *  lanes the own deque cannot), then step the batch; false when
-     *  no lane is live. */
-    bool
+    /** Refill every free lane while work is available (a stolen
+     *  batch fills lanes the own deque cannot), then step the batch.
+     *  When the sweep leaves one live lane and nothing queued, that
+     *  path moves back to the scalar simulator (resumeScalar). */
+    void
     runBatch(SharedState &sh)
     {
+        ensureLanes();
         bool loaded = false;
         Pending p;
-        for (uint64_t free = ~psim_->liveMask(); free && sh.take(id_, p);
+        for (uint64_t free = ~psim_->liveMask(); free && take(sh, p);
              free &= free - 1) {
             loadLane(unsigned(__builtin_ctzll(free)), std::move(p));
             loaded = true;
@@ -789,9 +926,30 @@ class Worker {
         if (loaded)
             sh.packedBatches.fetch_add(1, std::memory_order_relaxed);
         if (!psim_->liveMask())
-            return false;
+            return;
         stepBatch(sh);
-        return true;
+        uint64_t live = psim_->liveMask();
+        if (frontier_ == Frontier::Auto && live && !(live & (live - 1)) &&
+            !sh.failed.load() && !sh.queuedOn(id_))
+            resumeScalar(sh, unsigned(__builtin_ctzll(live)));
+    }
+
+    /** Move lane @p l's path to the scalar simulator -- its lane state
+     *  and lane memory -- and run it on there. The path keeps the
+     *  fork base it was loaded from, so its fork captures and the
+     *  snapshot byte statistics are the scalar run's. */
+    void
+    resumeScalar(SharedState &sh, unsigned l)
+    {
+        Lane &L = lanes_[l];
+        sim_->restore(psim_->extractLaneState(l, L.absCycle));
+        // A live lane is neither halted nor faulted.
+        sys_->restore(msp::System::Snapshot{laneMem_[l].snapshot(),
+                                            false, false});
+        psim_->retireLanes(uint64_t(1) << l);
+        std::shared_ptr<const Simulator::Snapshot> base =
+            std::move(L.base);
+        runScalar(sh, L.path, base);
     }
 
     /** Install @p p into lane @p l -- the packed counterpart of
@@ -963,14 +1121,20 @@ class Worker {
 
     SymbolicConfig cfg_;
     unsigned id_;
+    Frontier frontier_;
+    msp::System *base_;         ///< the caller's System (clone source)
+    const isa::Image *image_;
+    std::shared_ptr<const std::vector<uint8_t>> pruneMask_;
+    uint64_t pruneEngage_ = 0;
     std::unique_ptr<msp::System> owned_;
-    msp::System *sys_ = nullptr;
+    msp::System *sys_ = nullptr; ///< null until the clone is built
     std::unique_ptr<Simulator> sim_;
     std::unique_ptr<power::PowerContext> ctx_;
     /** Per-schedule-phase (energy scale, clock Hz); one reference
      *  entry without operating modes. */
     std::vector<std::pair<double, double>> modes_;
-    /// @name Packed-frontier state (null/empty unless packedExplore)
+    /// @name Packed-frontier state (null/empty until the frontier
+    /// first widens)
     /// @{
     std::unique_ptr<PackedSimulator> psim_;
     std::vector<Memory> laneMem_;
@@ -1021,14 +1185,21 @@ SymbolicEngine::run(const isa::Image &image)
         return res;
     }
 
+    // The frontier: the worker's own choice unless a reference is
+    // forced (sym/testing.hh, or packedExplore's all-lanes reference).
+    Frontier frontier = testing::forcedFrontier();
+    if (frontier == Frontier::Auto && cfg_.packedExplore)
+        frontier = Frontier::Packed;
+
     // Algorithm 1 lines 2-5: everything X, load binary, reset. Worker
-    // 0 wraps the caller's System; extra workers elaborate clones.
+    // 0 wraps the caller's System; extra workers elaborate clones on
+    // their first steal.
     std::vector<std::unique_ptr<Worker>> workers;
     workers.reserve(numWorkers);
     try {
         for (unsigned i = 0; i < numWorkers; ++i)
-            workers.push_back(std::make_unique<Worker>(
-                *sys_, cfg_, image, i, /*owns_clone=*/i > 0));
+            workers.push_back(std::make_unique<Worker>(*sys_, cfg_, image,
+                                                       i, frontier));
     } catch (const std::exception &e) {
         res.ok = false;
         res.error = std::string("worker setup failed: ") + e.what();
@@ -1056,7 +1227,7 @@ SymbolicEngine::run(const isa::Image &image)
         uint64_t engage =
             workers[0]->sim().cycle() + 1 + ca.maxPruneDepth;
         for (auto &w : workers)
-            w->sim().setStaticPrune(mask, engage);
+            w->setStaticPrune(mask, engage);
     }
 
     // Scenario constraints are validated here, not only in the JSON
@@ -1114,18 +1285,17 @@ SymbolicEngine::run(const isa::Image &image)
         sh.push(0, std::move(p));
     }
 
-    if (numWorkers == 1) {
-        workers[0]->explore(sh);
-    } else {
-        std::vector<std::thread> pool;
-        pool.reserve(numWorkers);
-        for (unsigned i = 0; i < numWorkers; ++i) {
-            Worker *w = workers[i].get();
-            pool.emplace_back([&sh, w] { w->explore(sh); });
-        }
-        for (auto &t : pool)
-            t.join();
+    // Worker 0 explores on the calling thread; the others sleep
+    // until a deque holds a surplus batch.
+    std::vector<std::thread> pool;
+    pool.reserve(numWorkers - 1);
+    for (unsigned i = 1; i < numWorkers; ++i) {
+        Worker *w = workers[i].get();
+        pool.emplace_back([&sh, w] { w->explore(sh); });
     }
+    workers[0]->explore(sh);
+    for (auto &t : pool)
+        t.join();
 
     res.totalCycles = sh.totalCycles.load();
     res.pathsExplored = sh.pathsExplored.load();

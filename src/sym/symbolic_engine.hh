@@ -23,11 +23,18 @@
  * snapshots for comparison; both modes are bit-identical by
  * construction (restore(delta) == restore(materialize(delta))).
  *
+ * Each worker picks its frontier per path: it steps a path on the
+ * scalar Simulator while at most one is pending, and batches pending
+ * paths through the 64-lane PackedSimulator once two or more are;
+ * a batch that narrows to one live path with nothing queued hands
+ * that path back to the scalar simulator.
+ *
  * With SymbolicConfig::numThreads > 1 independent execution-tree
  * branches are explored by a worker pool: each worker owns a private
  * work deque (newly forked children push to the owner; idle workers
- * steal from the oldest end of a victim's deque, where the largest
- * unexplored subtrees sit), and the visited-state dedup map is
+ * sleep until a deque holds more than one lane batch, then steal the
+ * surplus from its oldest end, where the largest unexplored subtrees
+ * sit -- lanes before threads), and the visited-state dedup map is
  * sharded by key hash so concurrent forks only contend when they
  * collide on a shard; only tree-node allocation takes a global lock.
  * Per-cycle traces are buffered worker-locally and committed at
@@ -81,8 +88,10 @@ struct SymbolicConfig {
     EvalMode evalMode = EvalMode::EventDriven;
     /**
      * Worker threads exploring independent execution-tree branches
-     * (<= 1: sequential exploration on the calling thread). Each extra
-     * worker elaborates its own System clone; snapshots transfer
+     * (<= 1: sequential exploration on the calling thread, which also
+     * runs worker 0 otherwise). An extra worker only takes work from a
+     * deque holding more than one 64-path lane batch, and elaborates
+     * its own System clone on its first steal; snapshots transfer
      * between clones because netlist construction is deterministic.
      * Peak power/energy/NPE results are scheduling-independent; node
      * numbering inside the tree is not.
@@ -139,12 +148,14 @@ struct SymbolicConfig {
      */
     bool staticPrune = false;
     /**
-     * Drain the pending-path frontier through the 64-lane
-     * PackedSimulator: each worker loads up to 64 pending execution
-     * paths into lanes (stealing to fill), advances all of them with
-     * one event-driven packed step per cycle, and transposes a lane
-     * back to a scalar snapshot when it reaches its next fork / halt
-     * / dedup boundary. Both frontiers share one implementation of
+     * Reference frontier: drain every pending path, single ones
+     * included, through the 64-lane PackedSimulator (by default each
+     * worker uses the lanes only while two or more paths are pending).
+     * Each worker loads up to 64 pending execution paths into lanes,
+     * advances all of them with one event-driven packed step per
+     * cycle, and transposes a lane back to a scalar snapshot when it
+     * reaches its next fork / halt / dedup boundary. Both frontiers
+     * share one implementation of
      * every per-cycle and fork rule (budgets, pricing, failure
      * classification, dedup keys, snapshot capture, node commit) and
      * differ only in what they read. Backed by the packed kernel's
@@ -213,7 +224,8 @@ struct SymbolicResult {
     uint64_t snapshotBytesFull = 0;
     /** Simulated cycles per exploration worker (size numThreads). */
     std::vector<uint64_t> perWorkerCycles;
-    /// @name Packed-frontier counters (zero unless packedExplore)
+    /// @name Packed-frontier counters (zero when no worker ever had
+    /// two paths pending, unless packedExplore)
     /// @{
     /** Lane-refill rounds that loaded at least one pending path. */
     uint64_t packedBatches = 0;

@@ -5,7 +5,8 @@
  * execution-tree forks) under random scenarios, DVFS schedules and
  * static pruning, peak::analyze must report bit-identical results at
  * every point of threads{1, K} x EvalMode x SnapshotMode x
- * packedExplore. These are the guarantees every consumer (batch
+ * frontier{automatic, packed} as under the forced scalar frontier.
+ * These are the guarantees every consumer (batch
  * driver, cache keys, CLI reports) builds on. Also pins the one
  * report comparator, fuzz::reportDiff, and the draw distribution of
  * the `ulfuzz --mode invariance` items.
@@ -84,7 +85,7 @@ ulfuzzInvarianceItem(unsigned i)
 // prune settings.
 TEST(InvarianceDraws, UlfuzzDefaultRunCoversEveryAxis)
 {
-    unsigned threads = 0, sweep = 0, full = 0, packed = 0;
+    unsigned automatic = 0, threads = 0, sweep = 0, full = 0, packed = 0;
     unsigned kinds[3] = {0, 0, 0}, pruned = 0;
     for (unsigned i = 0; i < 16; ++i) {
         InvarianceItem item = ulfuzzInvarianceItem(i);
@@ -94,7 +95,7 @@ TEST(InvarianceDraws, UlfuzzDefaultRunCoversEveryAxis)
         EXPECT_EQ(ref.numThreads, 1u);
         EXPECT_EQ(ref.evalMode, EvalMode::EventDriven);
         EXPECT_EQ(ref.snapshotMode, sym::SnapshotMode::Delta);
-        EXPECT_FALSE(ref.packedExplore);
+        EXPECT_FALSE(ref.packedExplore); // and forced scalar when run
         EXPECT_TRUE(ref.recordEnvelope && ref.recordActiveSets);
         EXPECT_EQ(ref.staticPrune, var.staticPrune);
         uint64_t hr = 0, hv = 0;
@@ -106,8 +107,7 @@ TEST(InvarianceDraws, UlfuzzDefaultRunCoversEveryAxis)
              k = var.evalMode == EvalMode::FullSweep,
              s = var.snapshotMode == sym::SnapshotMode::Full,
              p = var.packedExplore;
-        EXPECT_TRUE(t || k || s || p) << "item " << i
-                                      << " drew the reference point";
+        automatic += !p;
         threads += t;
         sweep += k;
         full += s;
@@ -121,6 +121,7 @@ TEST(InvarianceDraws, UlfuzzDefaultRunCoversEveryAxis)
     EXPECT_GE(sweep, 4u);
     EXPECT_GE(full, 4u);
     EXPECT_GE(packed, 4u);
+    EXPECT_GE(automatic, 4u);
     EXPECT_GT(kinds[0], 0u) << "no unconstrained item";
     EXPECT_GT(kinds[1], 0u) << "no port-scenario item";
     EXPECT_GT(kinds[2], 0u) << "no DVFS item";
@@ -167,6 +168,8 @@ sampleReport()
     r.totalCycles = 400;
     r.pathsExplored = 3;
     r.dedupMerges = 1;
+    r.snapshotBytesCopied = 200;
+    r.snapshotBytesFull = 800;
     return r;
 }
 
@@ -208,6 +211,10 @@ TEST(ReportDiff, EveryCoveredFieldIsNamed)
         {"flatTraceW", false,
          [](peak::Report &r) { r.flatTraceW.push_back(0); }},
         {"peakActive", false, [](peak::Report &r) { r.peakActive[1] = 3; }},
+        {"snapshotBytesCopied", false,
+         [](peak::Report &r) { ++r.snapshotBytesCopied; }},
+        {"snapshotBytesFull", false,
+         [](peak::Report &r) { ++r.snapshotBytesFull; }},
         {"ok", true, [](peak::Report &r) { r.ok = false; }},
     };
     for (const Case &c : cases) {
@@ -224,6 +231,16 @@ TEST(ReportDiff, EveryCoveredFieldIsNamed)
         else
             EXPECT_EQ(bounds, "") << c.field;
     }
+}
+
+// Snapshot byte counters depend on the snapshot form, so reports of
+// two forms do not compare them.
+TEST(ReportDiff, SnapshotBytesCompareWithinOneForm)
+{
+    peak::Report a = sampleReport(), b = a;
+    b.snapshotMode = sym::SnapshotMode::Full;
+    b.snapshotBytesCopied = 1000;
+    EXPECT_EQ(fuzz::reportDiff(a, b), "");
 }
 
 // Two rejections agree only when their errors do.

@@ -1,9 +1,9 @@
 /**
  * @file
- * Tests of the packed-frontier exploration mode
- * (SymbolicConfig::packedExplore): pending execution-tree paths
- * drained through the 64-lane bit-parallel kernel must be invisible
- * in every reported number. Covers the batch scheduler's edge cases
+ * Tests of the exploration frontiers: pending execution-tree paths
+ * drained through the 64-lane bit-parallel kernel -- always
+ * (SymbolicConfig::packedExplore) or by the automatic per-worker
+ * choice -- must be invisible in every reported number. Covers the batch scheduler's edge cases
  * -- frontiers smaller than 64 lanes, lanes halting mid-batch, dedup
  * merges landing inside a batch, per-lane scenario/mode schedule
  * phases -- plus the scalar<->packed state transpose round-trip and
@@ -16,7 +16,9 @@
 #include "fuzz/properties.hh"
 #include "peak/peak_analysis.hh"
 #include "sim/packed_simulator.hh"
+#include "bench430/benchmarks.hh"
 #include "sym/symbolic_engine.hh"
+#include "sym/testing.hh"
 #include "tests/cpu_test_util.hh"
 
 namespace ulpeak {
@@ -64,15 +66,15 @@ forkySource(unsigned rounds)
     return test::wrapProgram(body);
 }
 
-/** Six port-bit tests, each into two equal-length arms (one sets bit
- *  i of r5, the other bit i of r6), then ten nops: a complete binary
- *  tree of 127 paths with no merges, whose leaves all run the same
- *  number of cycles. */
+/** @p levels port-bit tests, each into two equal-length arms (one
+ *  sets bit i of r5, the other bit i of r6), then ten nops: a
+ *  complete binary tree of 2^(levels+1) - 1 paths with no merges,
+ *  whose leaves all run the same number of cycles. */
 std::string
-fanSource()
+fanSource(unsigned levels = 6)
 {
     std::string body = "        mov &0x0020, r4\n";
-    for (unsigned i = 0; i < 6; ++i) {
+    for (unsigned i = 0; i < levels; ++i) {
         std::string bit = "#" + std::to_string(1u << i);
         std::string zero = "fan_zero" + std::to_string(i);
         std::string join = "fan_join" + std::to_string(i);
@@ -88,6 +90,130 @@ fanSource()
     for (unsigned i = 0; i < 10; ++i)
         body += "        nop\n";
     return test::wrapProgram(body);
+}
+
+/** Forks on a port bit: the taken arm halts at once, the other
+ *  counts down a concrete loop for thousands of cycles -- one live
+ *  lane long after the frontier has narrowed -- and then forks once
+ *  more, capturing against the state it was loaded from. */
+std::string
+longTailSource()
+{
+    return test::wrapProgram(R"(
+        mov &0x0020, r5
+        bit #1, r5
+        jz lt_done
+        mov #1000, r4
+lt_loop:
+        dec r4
+        jnz lt_loop
+        mov &0x0020, r5
+        bit #2, r5
+        jz lt_done
+        nop
+lt_done:
+)");
+}
+
+TEST(SymPacked, AutoFrontierMatchesBothReferences)
+{
+    // The automatic frontier against the forced scalar and forced
+    // packed references, at 1, 2 and 4 threads: a single-path
+    // program, one that fills all 64 lanes, the long tail, scheduled
+    // scenarios and static pruning. Everything reportDiff covers,
+    // snapshot byte counters included, must agree.
+    using sym::testing::Frontier;
+    struct Case {
+        const char *name;
+        isa::Image img;
+        const char *scenario;
+        bool prune;
+    };
+    auto bench = [](const char *n) {
+        return bench430::benchmarkByName(n).assembleImage();
+    };
+    const Case cases[] = {
+        {"FFT", bench("FFT"), "unconstrained", false},
+        {"rle", bench("rle"), "unconstrained", false},
+        {"long-tail", isa::assemble(longTailSource()), "unconstrained",
+         false},
+        {"tHold/periodic-sensor", bench("tHold"), "periodic-sensor", false},
+        {"tHold/duty-cycled-dvfs", bench("tHold"), "duty-cycled-dvfs",
+         false},
+        {"tHold/ports-grounded+prune", bench("tHold"), "ports-grounded",
+         true},
+    };
+    msp::System &sys = test::sharedSystem();
+    for (const Case &c : cases) {
+        for (unsigned threads : {1u, 2u, 4u}) {
+            peak::Options o = baseOptions();
+            o.scenario = scenario::Scenario::preset(c.scenario);
+            o.staticPrune = c.prune;
+            o.numThreads = threads;
+            auto run = [&](Frontier f) {
+                sym::testing::ScopedFrontier forced(f);
+                return peak::analyze(sys, c.img, o);
+            };
+            peak::Report scalar = run(Frontier::Scalar);
+            peak::Report packed = run(Frontier::Packed);
+            peak::Report automatic = run(Frontier::Auto);
+            SCOPED_TRACE(std::string(c.name) + ", " +
+                         std::to_string(threads) + " thread(s)");
+            ASSERT_TRUE(scalar.ok) << scalar.error;
+            EXPECT_EQ(fuzz::reportDiff(scalar, automatic), "");
+            EXPECT_EQ(fuzz::reportDiff(scalar, packed), "");
+            EXPECT_EQ(scalar.packedSweeps, 0u);
+            if (scalar.pathsExplored == 1)
+                EXPECT_EQ(automatic.packedSweeps, 0u)
+                    << "a single path never builds the lanes";
+            if (std::string(c.name) == "rle" && threads == 1)
+                EXPECT_GT(automatic.packedLaneCycles,
+                          16 * automatic.packedSweeps)
+                    << "a wide frontier runs on well-filled lanes";
+            if (std::string(c.name) == "long-tail") {
+                // The halting arm ends within a few sweeps; the tail
+                // then goes back to the scalar simulator until its
+                // second fork.
+                EXPECT_GT(scalar.totalCycles, 3000u);
+                EXPECT_EQ(scalar.pathsExplored, 5u);
+                EXPECT_LE(automatic.packedSweeps, 16u);
+            }
+        }
+    }
+}
+
+TEST(SymPacked, LanesBeforeWorkers)
+{
+    // Extra workers only take a surplus beyond one full lane batch. A
+    // 6-level fan never queues more than 64 paths on one deque, so one
+    // worker explores it alone whatever the thread count; a 7-level
+    // fan's last level queues 128 at once, and thieves may take the
+    // surplus. Both must match the scalar reference exactly.
+    msp::System &sys = test::sharedSystem();
+    for (unsigned levels : {6u, 7u}) {
+        isa::Image img = isa::assemble(fanSource(levels));
+        peak::Report ref;
+        {
+            sym::testing::ScopedFrontier scalar(
+                sym::testing::Frontier::Scalar);
+            ref = peak::analyze(sys, img, baseOptions());
+        }
+        ASSERT_TRUE(ref.ok) << ref.error;
+        ASSERT_EQ(ref.pathsExplored, (2u << levels) - 1);
+        peak::Options o = baseOptions();
+        o.numThreads = 4;
+        peak::Report r = peak::analyze(sys, img, o);
+        SCOPED_TRACE(std::to_string(levels) + " levels");
+        EXPECT_EQ(fuzz::reportDiff(ref, r), "");
+        if (levels == 6) {
+            EXPECT_EQ(r.steals, 0u);
+            for (size_t w = 1; w < r.perWorkerCycles.size(); ++w)
+                EXPECT_EQ(r.perWorkerCycles[w], 0u) << "worker " << w;
+        } else {
+            // A steal is a surplus batch: at most 64 paths each.
+            EXPECT_LE(r.steals, 3u * PackedSimulator::kLanes);
+        }
+    }
 }
 
 TEST(SymPacked, SmallFrontierMatchesScalar)

@@ -376,4 +376,20 @@ CellLibrary::maxTransitionValue(CellKind k, unsigned phase) const
     return phase == 1 ? V4::Zero : V4::One;
 }
 
+bool
+CellLibrary::operator==(const CellLibrary &o) const
+{
+    if (name_ != o.name_ || vdd_ != o.vdd_ ||
+        wireCapPerFanout_ != o.wireCapPerFanout_)
+        return false;
+    for (size_t k = 0; k < kNumCellKinds; ++k) {
+        const CellParams &a = params_[k], &b = o.params_[k];
+        if (a.inputCapF != b.inputCapF || a.riseEnergyJ != b.riseEnergyJ ||
+            a.fallEnergyJ != b.fallEnergyJ || a.leakageW != b.leakageW ||
+            a.areaUm2 != b.areaUm2 || a.clkPinEnergyJ != b.clkPinEnergyJ)
+            return false;
+    }
+    return true;
+}
+
 } // namespace ulpeak

@@ -193,6 +193,10 @@ class CellLibrary {
      */
     V4 maxTransitionValue(CellKind k, unsigned phase) const;
 
+    /** Equal content: name, electrical context and every kind's
+     *  parameters (what msp::System keys its shared core by). */
+    bool operator==(const CellLibrary &o) const;
+
   private:
     CellLibrary() = default;
 

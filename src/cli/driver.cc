@@ -76,12 +76,14 @@ peakOptions(CliOptions &o)
                       appendCommaList(v, o.programSpecs);
                       return true;
                   }),
-        intOpt("--jobs", "N", "program-level workers         (default 1)",
+        intOpt("--jobs", "N",
+               "program-level workers (default: all CPUs; a cap)",
                o.jobs, 1),
         intOpt("--threads", "N",
-               "symbolic workers per analysis (default 1); extra\n"
-               "workers join once one worker holds more than one\n"
-               "64-path lane batch",
+               "symbolic workers per analysis (default: all CPUs;\n"
+               "a cap); jobs x threads share the host's CPUs, and\n"
+               "extra workers join once one worker holds more than\n"
+               "one 64-path lane batch",
                o.threads, 1),
         positiveOpt("--freq", "HZ",
                     "operating frequency [Hz]  (default 1e8)", o.freqHz),
@@ -280,8 +282,9 @@ toJson(const peak::BatchReport &rep, const peak::BatchOptions &opts,
         .field("loop_bound", a.inputDependentLoopBound)
         .field("max_total_cycles", a.maxTotalCycles).end();
     if (include_timings)
-        w.key("run").beginObject().field("jobs", opts.jobs)
-            .field("threads", a.numThreads)
+        w.key("run").beginObject().field("jobs", rep.jobs)
+            .field("threads", rep.threads)
+            .field("host_cpus", rep.hostCpus)
             .field("cache", !opts.cacheDir.empty())
             .field("cache_hits", rep.cacheHits)
             .field("cache_misses", rep.cacheMisses)

@@ -47,8 +47,10 @@ namespace cli {
  *  help text are its row of peakOptions. */
 struct CliOptions {
     std::vector<std::string> programSpecs; ///< names / "all" / paths
-    unsigned jobs = 1;
-    unsigned threads = 1;
+    /** Caps on the CPU budget's split (0: uncapped, every CPU of the
+     *  host; util::cpuBudget). */
+    unsigned jobs = 0;
+    unsigned threads = 0;
     double freqHz = 100e6;
     EvalMode evalMode = EvalMode::EventDriven;
     unsigned loopBound = 0;

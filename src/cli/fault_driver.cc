@@ -139,7 +139,8 @@ faultOptions(FaultCliOptions &o)
 {
     return {
         intOpt("--seed", "N", "campaign seed (default 1)", o.seed),
-        intOpt("--jobs", "N", "worker threads (default 1)", o.jobs, 1),
+        intOpt("--jobs", "N", "worker threads (default: all CPUs; a cap)",
+               o.jobs, 1),
         switchOpt("--scalar",
                   "use the scalar runner (default:\n"
                   "64-lane packed; bit-identical)",

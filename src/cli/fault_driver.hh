@@ -47,7 +47,7 @@ namespace cli {
 struct FaultCliOptions {
     std::string programSpec;   ///< registry name or .s path
     uint64_t seed = 1;         ///< --seed
-    unsigned jobs = 1;         ///< --jobs: campaign workers
+    unsigned jobs = 0;         ///< --jobs: cap on campaign workers (0: none)
     bool scalar = false;       ///< --scalar: disable the packed runner
     unsigned cyclesPerSite = 1; ///< --cycles-per-site
     size_t maxSites = 0;       ///< --max-sites (0 = every flop)

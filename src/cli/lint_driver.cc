@@ -24,7 +24,7 @@ struct ScenarioLint {
 };
 
 ScenarioLint
-analyzeScenario(msp::System &sys, const scenario::Scenario &scn,
+analyzeScenario(const msp::System &sys, const scenario::Scenario &scn,
                 const std::string &name)
 {
     lint::ConstAnalysisOptions lo;
@@ -95,7 +95,8 @@ lintOptions(LintCliOptions &o)
                 "files; default: the unconstrained scenario)",
                 o.scenarioSpecs),
         intOpt("--jobs", "N",
-               "scenario workers (default 1; output byte-identical)",
+               "scenario workers (default: all CPUs; a cap; output\n"
+               "byte-identical)",
                o.jobs, 1),
         positiveOpt("--freq", "HZ",
                     "clock of the static peak power bound (default 100e6)",
@@ -182,19 +183,14 @@ runLintCli(int argc, const char *const *argv)
 
         // Scenario analyses are independent; shard them over the
         // worker pool. Results land by index, so the report is
-        // identical for every job count. Worker 0 (this thread) uses
-        // sys; the others elaborate their own System (analyzeConstants
-        // only reads the netlist, but handles() lookups stay
-        // worker-local for symmetry with peak::Batch).
+        // identical for every job count. The analyses only read the
+        // netlist and handles, so every worker shares sys.
         std::vector<ScenarioLint> results(scens.size());
-        std::vector<std::unique_ptr<msp::System>> systems(
-            util::poolWorkers(scens.size(), cli.jobs));
-        util::parallelFor(scens.size(), cli.jobs, [&](unsigned w, size_t i) {
-            if (w && !systems[w])
-                systems[w] = std::make_unique<msp::System>(
-                    CellLibrary::tsmc65Like());
-            results[i] =
-                analyzeScenario(w ? *systems[w] : sys, scens[i], names[i]);
+        unsigned jobs =
+            util::cpuBudget(scens.size(), cli.jobs, 1, util::hostCpus())
+                .jobs;
+        util::parallelFor(scens.size(), jobs, [&](unsigned, size_t i) {
+            results[i] = analyzeScenario(sys, scens[i], names[i]);
             return true;
         });
 

@@ -42,7 +42,7 @@ struct LintCliOptions {
     /** --scenario: names or .json files (scenario::Scenario::resolve
      *  specs); empty = the unconstrained default scenario. */
     std::vector<std::string> scenarioSpecs;
-    unsigned jobs = 1;          ///< --jobs: scenario analysis workers
+    unsigned jobs = 0;          ///< --jobs: cap on scenario workers (0: none)
     double freqHz = 100e6;      ///< --freq: static peak power clock
     unsigned fanoutThreshold = 0; ///< --fanout-threshold (0 = auto)
     unsigned maxDeadListed = 16;  ///< --dead-limit sample size

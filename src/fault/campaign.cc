@@ -328,15 +328,17 @@ runCampaign(const CellLibrary &lib, const isa::Image &image,
     const size_t groupSize = opts.packed ? PackedSimulator::kLanes : 1;
     const size_t nGroups = (nTasks + groupSize - 1) / groupSize;
 
-    // Each worker elaborates its own System and power context on its
-    // first group.
+    // Each worker builds its own System (its own memory over the
+    // shared netlist) and power context on its first group.
     struct Worker {
         std::unique_ptr<msp::System> sys;
         std::unique_ptr<power::PowerContext> ctx;
     };
-    std::vector<Worker> workers(util::poolWorkers(nGroups, opts.jobs));
+    const unsigned jobs =
+        util::cpuBudget(nGroups, opts.jobs, 1, util::hostCpus()).jobs;
+    std::vector<Worker> workers(jobs);
 
-    util::parallelFor(nGroups, opts.jobs, [&](unsigned w, size_t g) {
+    util::parallelFor(nGroups, jobs, [&](unsigned w, size_t g) {
         Worker &wk = workers[w];
         if (!wk.sys) {
             wk.sys = std::make_unique<msp::System>(lib);

@@ -41,8 +41,9 @@ namespace fault {
 
 struct CampaignOptions {
     uint64_t seed = 1;
-    /** Worker threads (<= 1: serial on the calling thread). */
-    unsigned jobs = 1;
+    /** Cap on worker threads (0: uncapped, one per CPU of the host;
+     *  1: serial on the calling thread). */
+    unsigned jobs = 0;
     /** Use the 64-lane packed runner (bit-identical to scalar). */
     bool packed = true;
     /** Injection cycles drawn per site. */

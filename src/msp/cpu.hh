@@ -81,16 +81,25 @@ struct CpuHandles {
 /**
  * A complete simulatable system: netlist + behavioral memory + halt
  * tracking. One System pairs with one Simulator.
+ *
+ * The elaborated core -- the library, the finalized Netlist and the
+ * CpuHandles -- is immutable, so every System built against libraries
+ * of equal content shares one per process (elaborated by the first
+ * System to ask, under a lock; later ones only look it up). Only the
+ * Memory and the halt flags belong to one System, which makes a
+ * System per worker cheap: the batch, campaign and lint pools and the
+ * exploration workers all simulate one shared netlist.
  */
 class System {
   public:
-    /** Build and finalize the netlist against @p lib. */
+    /** Share the core elaborated against @p lib (building it on the
+     *  first call for this library content). */
     explicit System(const CellLibrary &lib);
 
-    const Netlist &netlist() const { return nl_; }
+    const Netlist &netlist() const { return core_->nl; }
     /** The library the netlist was built against (voltage scaling). */
-    const CellLibrary &lib() const { return lib_; }
-    const CpuHandles &handles() const { return h_; }
+    const CellLibrary &lib() const { return core_->lib; }
+    const CpuHandles &handles() const { return core_->h; }
     Memory &memory() { return mem_; }
     const Memory &memory() const { return mem_; }
 
@@ -155,12 +164,23 @@ class System {
     /// @}
 
   private:
+    /** The shared, immutable part. The netlist points at @c lib, so a
+     *  Core never moves. */
+    struct Core {
+        explicit Core(const CellLibrary &l);
+        Core(const Core &) = delete;
+        Core &operator=(const Core &) = delete;
+
+        CellLibrary lib;
+        Netlist nl;
+        CpuHandles h;
+    };
+    static std::shared_ptr<const Core> coreFor(const CellLibrary &lib);
+
     void memHook(Simulator &sim);
     void memEdge(Simulator &sim);
 
-    CellLibrary lib_;
-    Netlist nl_;
-    CpuHandles h_;
+    std::shared_ptr<const Core> core_;
     Memory mem_;
     bool halted_ = false;
     bool xStoreFault_ = false;

@@ -136,8 +136,9 @@ class Levelizer {
   private:
     /**
      * Build the structure-of-arrays kernel view: contiguous kind/nin
-     * arrays, CSR fanins, the level-bucketed schedule, and the CSR
-     * fanout adjacency in the event kernel's wake-bit form.
+     * arrays, CSR fanins, the level-bucketed schedule, the CSR
+     * fanout adjacency in the event kernel's wake-bit form, and the
+     * per-gate seq index and top-level module.
      */
     static void
     flatten(Netlist &nl, const std::vector<uint32_t> &hookOf)
@@ -150,11 +151,13 @@ class Levelizer {
 
         f.kind.resize(n);
         f.nin.resize(n);
+        f.topModuleOf.resize(n);
         f.faninOffset.assign(n + 1, 0);
         for (GateId g = 0; g < n; ++g) {
             const Gate &gate = nl.gates_[g];
             f.kind[g] = gate.kind;
             f.nin[g] = gate.nin;
+            f.topModuleOf[g] = nl.topLevelModuleOf(gate.module);
             f.faninOffset[g + 1] = f.faninOffset[g] + gate.nin;
         }
         // Three pad entries (gate 0) past the end: a kernel may read
@@ -230,7 +233,8 @@ class Levelizer {
         // consumers, then seqWakeBase + the seq index of each flop
         // consumer.
         f.seqWakeBase = uint32_t((f.schedule.size() + 63) / 64 * 64);
-        std::vector<uint32_t> seqIndexOf(n, UINT32_MAX);
+        std::vector<uint32_t> &seqIndexOf = f.seqIndexOf;
+        seqIndexOf.assign(n, UINT32_MAX);
         for (size_t i = 0; i < nl.seqGates_.size(); ++i)
             seqIndexOf[nl.seqGates_[i]] = uint32_t(i);
         f.fanoutOffset.assign(n + 1, 0);

@@ -133,6 +133,16 @@ struct FlatNetlist {
      */
     std::vector<double> transE;
 
+    /// @name Per-gate lookups the kernels share
+    /// @{
+    /** Index in Netlist::seqGates(), or UINT32_MAX for a
+     *  combinational gate. */
+    std::vector<uint32_t> seqIndexOf;
+    /** Netlist::topLevelModuleOf the gate's module: where the
+     *  per-module split bills it. */
+    std::vector<ModuleId> topModuleOf;
+    /// @}
+
     uint32_t numNodes() const { return numGates + numHooks; }
 };
 
@@ -183,9 +193,9 @@ class Netlist {
      * the layout). Built exactly once by finalize() and immutable
      * afterwards: the returned reference stays valid and unchanged
      * for the lifetime of the Netlist, so any number of Simulators
-     * (including the parallel symbolic workers and the batch
-     * driver's per-worker systems) may iterate it concurrently
-     * without synchronization. Calling this before finalize()
+     * (every System of one library shares one netlist, see
+     * msp::System) may iterate it concurrently without
+     * synchronization. Calling this before finalize()
      * returns the empty view (numGates == 0); construction-phase
      * code should use gate()/evalOrder() instead.
      */

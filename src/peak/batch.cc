@@ -243,9 +243,15 @@ analyzeBatch(const CellLibrary &lib,
     const size_t nItems = scens.size() * nProg;
 
     rep.programs.resize(nItems);
+    rep.hostCpus = util::hostCpus();
+    const util::CpuBudget budget = util::cpuBudget(
+        nItems, opts.jobs, opts.analysis.numThreads, rep.hostCpus);
+    rep.jobs = budget.jobs;
+    rep.threads = budget.threads;
     std::vector<Options> scenOpts(scens.size(), opts.analysis);
     for (size_t s = 0; s < scens.size(); ++s) {
         scenOpts[s].scenario = scens[s];
+        scenOpts[s].numThreads = budget.threads;
         for (size_t p = 0; p < nProg; ++p) {
             rep.programs[s * nProg + p].name = programs[p].name;
             rep.programs[s * nProg + p].scenario = scens[s].name;
@@ -256,12 +262,12 @@ analyzeBatch(const CellLibrary &lib,
     cache.open();
 
     std::atomic<unsigned> hits{0}, misses{0};
-    // Each worker elaborates at most one private System, lazily: a
-    // fully-warm suite never pays for netlist construction.
-    std::vector<std::unique_ptr<msp::System>> systems(
-        util::poolWorkers(nItems, opts.jobs));
+    // Each worker builds at most one private System (its own memory
+    // over the shared netlist), lazily: a fully-warm suite never pays
+    // for netlist construction.
+    std::vector<std::unique_ptr<msp::System>> systems(budget.jobs);
 
-    util::parallelFor(nItems, opts.jobs, [&](unsigned w, size_t i) {
+    util::parallelFor(nItems, budget.jobs, [&](unsigned w, size_t i) {
         const Options &aopts = scenOpts[i / nProg];
         const BatchProgram &prog = programs[i % nProg];
         ProgramResult &r = rep.programs[i];

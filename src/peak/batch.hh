@@ -10,13 +10,17 @@
  * per-program requirements into that supply-sizing number (routed
  * through sizing::sizeSuiteSupply).
  *
- * Two levels of parallelism compose: BatchOptions::jobs shards whole
+ * Two levels of parallelism compose: program-level jobs shard whole
  * programs across workers (each worker owns a private msp::System
- * elaborated from the same CellLibrary), while
- * Options::numThreads parallelizes the execution-tree exploration
- * *inside* one analysis. Both are scheduling-independent, so every
- * (jobs, numThreads) combination produces bit-identical per-program
- * numbers -- tests/test_batch.cc locksteps jobs=1 against jobs=N.
+ * over the library's one shared netlist), while exploration threads
+ * parallelize the execution-tree exploration *inside* one analysis.
+ * Both draw from one CPU budget, every CPU of the host
+ * (util::cpuBudget); BatchOptions::jobs and Options::numThreads only
+ * cap the split, and BatchReport says how it was resolved. Both
+ * levels are scheduling-independent, so every (jobs, threads)
+ * combination produces bit-identical per-program numbers --
+ * tests/test_batch.cc locksteps jobs=1 against jobs=N and against
+ * the default budget.
  *
  * A suite can be analyzed under several deployment scenarios at
  * once (BatchOptions::scenarios): analyzeBatch then runs the full
@@ -52,8 +56,7 @@
  *   std::vector<peak::BatchProgram> suite;
  *   for (const auto &b : bench430::allBenchmarks())
  *       suite.push_back({b.name, b.assembleImage()});
- *   peak::BatchOptions opts;
- *   opts.jobs = 4;
+ *   peak::BatchOptions opts; // every CPU, split automatically
  *   opts.cacheDir = ".ulpeak-cache";
  *   peak::BatchReport rep =
  *       peak::analyzeBatch(CellLibrary::tsmc65Like(), suite, opts);
@@ -92,9 +95,11 @@ struct BatchOptions {
      * full matrix plus per-scenario aggregates.
      */
     std::vector<scenario::Scenario> scenarios;
-    /** Program-level workers (<= 1: serial on the calling thread).
-     *  Orthogonal to analysis.numThreads; see the file comment. */
-    unsigned jobs = 1;
+    /** Cap on program-level workers (0: uncapped, the CPU budget
+     *  decides; 1: serial on the calling thread). analysis.numThreads
+     *  caps the exploration threads of each analysis the same way,
+     *  with 0 uncapped; see the file comment. */
+    unsigned jobs = 0;
     /** Disk cache directory; "" disables caching. Created on demand
      *  (analyzeBatch throws util::DiskCacheError when it cannot be);
      *  entries are one small text file per (image, options, library)
@@ -211,6 +216,12 @@ struct BatchReport {
     unsigned cacheHits = 0;
     unsigned cacheMisses = 0;
     double wallSeconds = 0.0; ///< whole-suite wall time
+    /// @name The resolved CPU budget (run provenance, like wallSeconds)
+    /// @{
+    unsigned jobs = 0;     ///< program-level workers
+    unsigned threads = 0;  ///< exploration threads per analysis
+    unsigned hostCpus = 0; ///< the budget: util::hostCpus()
+    /// @}
 };
 
 /** The content hash behind both result caches (this one and

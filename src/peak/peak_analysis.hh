@@ -39,7 +39,9 @@ struct Options {
     /** Simulation kernel; both modes produce bit-identical reports
      *  (enforced by tests/test_benchmarks.cc across bench430). */
     EvalMode evalMode = EvalMode::EventDriven;
-    /** Parallel execution-tree exploration workers (<= 1: serial). */
+    /** Parallel execution-tree exploration workers (<= 1: serial).
+     *  peak::analyzeBatch reads it as a cap on the CPU budget's
+     *  threads per analysis (0: uncapped). */
     unsigned numThreads = 1;
     /** Record the per-cycle peak power envelope and windowed
      *  peak-energy curves (Report::envelope). Byte-identical across

@@ -128,16 +128,10 @@ PackedSimulator::PackedSimulator(const Netlist &nl)
     val_.assign(n, V64::allX());
     prev_.assign(n, V64::allX());
     act_.assign(n, 0);
-    actPrev_.assign(n, 0);
+    dActPrev_.assign(nseq, 0);
     actBits_.assign(bitWords(n), 0);
     actBitsPrev_.assign(bitWords(n), 0);
     loadedPrevEdge_.assign(nseq, ~uint64_t(0));
-    seqIndexOf_.assign(n, UINT32_MAX);
-    for (size_t i = 0; i < nseq; ++i)
-        seqIndexOf_[nl.seqGates()[i]] = uint32_t(i);
-    topModuleOf_.resize(n);
-    for (GateId g = 0; g < n; ++g)
-        topModuleOf_[g] = nl.topLevelModuleOf(nl.gate(g).module);
     pending_.assign(bitWords(f.seqWakeBase + nseq), 0);
     always_.assign(f.seqWakeBase / 64, 0);
     for (uint32_t pos = 0; pos < f.schedule.size(); ++pos) {
@@ -147,6 +141,7 @@ PackedSimulator::PackedSimulator(const Netlist &nl)
     }
     seqNext_.assign(bitWords(nseq), 0);
     seqMarkPrev_.assign(bitWords(nseq), 0);
+    seqDue_.assign(bitWords(nseq), 0);
     markAllSeq();
     hookFns_.resize(nl.hooks().size());
     moduleEnergy_.assign(size_t(nl.numModules()) * kLanes, 0.0);
@@ -206,8 +201,8 @@ PackedSimulator::writeLive(GateId g, uint64_t v, uint64_t k)
     // flop's own next edge reads the forced q.
     setBit(actBits_.data(), g);
     markFanouts(g);
-    if (seqIndexOf_[g] != UINT32_MAX)
-        setBit(seqNext_.data(), seqIndexOf_[g]);
+    if (flat_->seqIndexOf[g] != UINT32_MAX)
+        setBit(seqNext_.data(), flat_->seqIndexOf[g]);
 }
 
 void
@@ -238,7 +233,7 @@ PackedSimulator::injectSeuFlip(GateId g, uint64_t lane_mask)
     val_[g].v ^= m;
     act_[g] |= m;
     setBit(actBits_.data(), g);
-    setBit(seqNext_.data(), seqIndexOf_[g]);
+    setBit(seqNext_.data(), flat_->seqIndexOf[g]);
     return m;
 }
 
@@ -384,7 +379,7 @@ PackedSimulator::evalSeqGate(uint32_t i)
     for (unsigned p = 1; p < nin; ++p)
         ctrlX |= ~prev_[f.fanin[off + p]].k;
     uint64_t xTerm = ~loadedPrevEdge_[i] | ctrlX |
-                     actPrev_[f.fanin[off]] | (newK ^ qk);
+                     dActPrev_[i] | (newK ^ qk);
     uint64_t act = ~held & (actKnown | (~bothKnown & xTerm));
 
     // Retired lanes do not clock: q and the load history hold.
@@ -406,20 +401,32 @@ PackedSimulator::evalSeqGate(uint32_t i)
 void
 PackedSimulator::updateSequential()
 {
-    // The scalar kernel's flop window, lane-unioned: evaluate the flops
+    // The scalar kernel's flop window, lane-unioned: find the flops
     // due at this edge and rotate the marks (Simulator::updateSequential
-    // explains why word-at-a-time rotation is exact).
-    uint64_t *cur = pending_.data() + flat_->seqWakeBase / 64;
+    // explains why word-at-a-time rotation is exact). The due flops
+    // read their D pin's last-cycle activity before act_ is cleared
+    // and before any flop -- possibly another flop's D pin --
+    // overwrites its own entry.
+    const FlatNetlist &f = *flat_;
+    const GateId *seq = nl_->seqGates().data();
+    uint64_t *cur = pending_.data() + f.seqWakeBase / 64;
     uint64_t *next = seqNext_.data();
     uint64_t *prevMarks = seqMarkPrev_.data();
+    uint64_t *due = seqDue_.data();
     for (uint32_t w = 0; w < seqNext_.size(); ++w) {
-        uint64_t due = next[w] | cur[w] | prevMarks[w];
+        due[w] = next[w] | cur[w] | prevMarks[w];
         next[w] = 0;
         prevMarks[w] = cur[w];
         cur[w] = 0;
-        for (; due; due &= due - 1)
-            evalSeqGate(w * 64 + unsigned(__builtin_ctzll(due)));
+        for (uint64_t d = due[w]; d; d &= d - 1) {
+            uint32_t i = w * 64 + unsigned(__builtin_ctzll(d));
+            dActPrev_[i] = act_[f.fanin[f.faninOffset[seq[i]]]];
+        }
     }
+    // Last cycle's activity ends here: clearing through its bitset
+    // lets skipped gates read as inactive without a whole-array pass.
+    forEachBit(actBitsPrev_, [&](GateId g) { act_[g] = 0; });
+    forEachBit(seqDue_, [&](uint32_t i) { evalSeqGate(i); });
 }
 
 void
@@ -523,7 +530,7 @@ PackedSimulator::priceSplit() const
         uint64_t toggled = a & pk & ck & (pv ^ cv);
         const double *e = te + 3 * size_t(g);
         double *modrow =
-            &moduleEnergy_[size_t(topModuleOf_[g]) * kLanes];
+            &moduleEnergy_[size_t(flat_->topModuleOf[g]) * kLanes];
         auto bill = [&](uint64_t lanes, double j) {
             for (uint64_t m = lanes; m; m &= m - 1) {
                 unsigned l = unsigned(__builtin_ctzll(m));
@@ -546,16 +553,10 @@ PackedSimulator::step(PackedFnRef driver)
         for (const PackedFnRef &fn : edgeFns_)
             fn(*this);
 
-    // Rotate activity: act_ takes the planes of the cycle before last
-    // and clears them through their bitset, so skipped gates read as
-    // inactive without a whole-array pass.
-    act_.swap(actPrev_);
-    for (size_t w = 0; w < actBitsPrev_.size(); ++w) {
-        for (uint64_t bits = actBitsPrev_[w]; bits; bits &= bits - 1)
-            act_[w * 64 + unsigned(__builtin_ctzll(bits))] = 0;
-        actBitsPrev_[w] = 0;
-    }
+    // Rotate activity: last cycle's bitset moves to actBitsPrev_;
+    // updateSequential clears act_ through it.
     actBits_.swap(actBitsPrev_);
+    std::fill(actBits_.begin(), actBits_.end(), 0);
     // Previous-cycle planes: only the gates last cycle's bitset covers
     // (evaluated-active or written) can differ from their value.
     if (resyncAll_) {

@@ -254,21 +254,22 @@ class PackedSimulator {
     /// @name Per-gate values and lane masks
     /// @{
     std::vector<V64> val_, prev_;
-    std::vector<uint64_t> act_, actPrev_;
+    std::vector<uint64_t> act_;
     /// @}
-    /** Gate-id bitsets covering the nonzero entries of act_ and
-     *  actPrev_, plus the gates written outside evaluation (setInput,
-     *  forceLane) in that cycle: every gate whose value can differ from
-     *  its previous-cycle planes at the next step, which resyncs only
-     *  these. Supersets: a bit may outlive its lanes. */
+    /** Gate-id bitsets covering the nonzero entries of act_ in this
+     *  and the last cycle, plus the gates written outside evaluation
+     *  (setInput, forceLane) in that cycle: every gate whose value can
+     *  differ from its previous-cycle planes at the next step, which
+     *  resyncs only these. Supersets: a bit may outlive its lanes. */
     std::vector<uint64_t> actBits_, actBitsPrev_;
+    /** Per seq gate: its D pin's lanes active in the last cycle, read
+     *  by the flop's edge (captured for the flops due at it). */
+    std::vector<uint64_t> dActPrev_;
     /** Every gate's previous-cycle planes resync at the next step
      *  (cycle 0 settled the constants, loadLaneState rewrote a lane). */
     bool resyncAll_ = true;
     /** Per seq gate: lanes whose previous edge actually loaded. */
     std::vector<uint64_t> loadedPrevEdge_;
-    std::vector<uint32_t> seqIndexOf_; ///< gate id -> seq index
-    std::vector<ModuleId> topModuleOf_;
     uint64_t live_ = ~uint64_t(0);
 
     /// @name Event-driven worklist state (Simulator's, lane-unioned)
@@ -280,6 +281,7 @@ class PackedSimulator {
     std::vector<uint64_t> always_;
     std::vector<uint64_t> seqNext_;     ///< flops whose own state moved
     std::vector<uint64_t> seqMarkPrev_; ///< last cycle's flop wakeups
+    std::vector<uint64_t> seqDue_;      ///< flops due at this edge
     /// @}
 
     std::vector<PackedFnRef> hookFns_;

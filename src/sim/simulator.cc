@@ -73,12 +73,6 @@ Simulator::Simulator(const Netlist &nl, EvalMode mode)
     actBits_.assign(bitWords(n), 0);
     actBitsPrev_.assign(bitWords(n), 0);
     loadedPrevEdge_.assign(nseq, 1);
-    seqIndexOf_.assign(n, UINT32_MAX);
-    for (size_t i = 0; i < nseq; ++i)
-        seqIndexOf_[nl.seqGates()[i]] = uint32_t(i);
-    topModuleOf_.resize(n);
-    for (GateId g = 0; g < n; ++g)
-        topModuleOf_[g] = nl.topLevelModuleOf(nl.gate(g).module);
     for (GateId g = 0; g < n; ++g)
         if (flat_->kind[g] == CellKind::Input)
             inputGates_.push_back(g);
@@ -224,15 +218,15 @@ Simulator::forceValue(GateId g, V4 v)
     // kernel (the full sweep would recompute it from its fanins,
     // discarding the force): only sequential outputs and Input-kind
     // gates hold forced values.
-    assert(seqIndexOf_[g] != UINT32_MAX ||
+    assert(flat_->seqIndexOf[g] != UINT32_MAX ||
            flat_->kind[g] == CellKind::Input);
     if (mode_ == EvalMode::EventDriven && val_[g] != v) {
         markFanouts(g, /*value_changed=*/true);
         // A forced flop's own next-edge evaluation reads the forced
         // q; a forced input must re-derive its activity flag like a
         // driver-set one.
-        if (seqIndexOf_[g] != UINT32_MAX)
-            setBit(seqNext_.data(), seqIndexOf_[g]);
+        if (flat_->seqIndexOf[g] != UINT32_MAX)
+            setBit(seqNext_.data(), flat_->seqIndexOf[g]);
         else
             markPending(g);
     }
@@ -252,7 +246,7 @@ Simulator::injectSeuFlip(GateId g)
     // Sequential state only: a flipped combinational gate would be
     // recomputed from its fanins by the very next sweep, discarding
     // the flip (same reasoning as forceValue).
-    uint32_t si = seqIndexOf_[g];
+    uint32_t si = flat_->seqIndexOf[g];
     assert(si != UINT32_MAX);
     // An upset can ripple into a proven-constant cone (the proof
     // assumed fault-free operation), so any injection permanently
@@ -552,7 +546,7 @@ Simulator::accumulateEnergy()
     const double *te = flat_->transE.data();
     const V4 *val = val_.data();
     const V4 *prev = prev_.data();
-    const ModuleId *moduleOf = topModuleOf_.data();
+    const ModuleId *moduleOf = flat_->topModuleOf.data();
     double *modE = moduleEnergy_.data();
     double actual = actualEnergy_;
     double bound = boundEnergy_;

@@ -359,8 +359,6 @@ class Simulator {
     /** Per seq gate (indexed by position in seqGates()): last edge
      * actually loaded (enable high). */
     std::vector<uint8_t> loadedPrevEdge_;
-    std::vector<uint32_t> seqIndexOf_; ///< gate id -> seq index
-    std::vector<ModuleId> topModuleOf_;
     std::vector<GateId> inputGates_; ///< all Input-kind gates
 
     /// @name Event-driven worklist state

@@ -46,24 +46,6 @@ constexpr unsigned kDedupShards = 64;
 constexpr size_t kDeltaPromoteNum = 1;
 constexpr size_t kDeltaPromoteDen = 2;
 
-/** Structural identity of a netlist (kinds + CSR fanins): snapshots
- * transfer between Systems only when this matches. */
-uint64_t
-netlistStructureHash(const Netlist &nl)
-{
-    const FlatNetlist &f = nl.flat();
-    uint64_t h = 0xcbf29ce484222325ull;
-    auto mix = [&h](uint64_t x) {
-        h ^= x;
-        h *= 0x100000001b3ull;
-    };
-    for (CellKind k : f.kind)
-        mix(uint64_t(k));
-    for (GateId g : f.fanin)
-        mix(g);
-    return h;
-}
-
 /** One execution path in flight: where it hangs in the tree, the
  * constraints on its next step, its PC bookkeeping, and the trace of
  * the node it is filling (committed at the node's fork or leaf). The
@@ -304,8 +286,8 @@ struct SharedState {
 
 /**
  * One exploration worker: a simulator (plus, for workers beyond the
- * first, a private System clone elaborated on the worker's first
- * steal) that takes pending paths, simulates them to the next fork or
+ * first, a private System clone over the shared netlist, built on the
+ * worker's first steal) that takes pending paths, simulates them to the next fork or
  * leaf, and commits traces to the tree through the nodes it owns.
  * Peak candidates and activity sets are tracked locally and merged
  * after the pool drains.
@@ -447,18 +429,14 @@ class Worker {
             everActive_.assign(sys_->netlist().numGates(), 0);
     }
 
-    /** Elaborate this worker's System clone (first steal only). */
+    /** Build this worker's System clone (first steal only): its own
+     *  memory over the base's shared netlist, so snapshots transfer. */
     void
     ensureSystem()
     {
         if (sys_)
             return;
-        owned_ = std::make_unique<msp::System>(base_->netlist().library());
-        if (netlistStructureHash(owned_->netlist()) !=
-            netlistStructureHash(base_->netlist()))
-            throw std::logic_error(
-                "nondeterministic netlist elaboration: worker clone "
-                "differs structurally from the base system");
+        owned_ = std::make_unique<msp::System>(base_->lib());
         buildSystem(*owned_);
     }
 
@@ -1192,7 +1170,7 @@ SymbolicEngine::run(const isa::Image &image)
         frontier = Frontier::Packed;
 
     // Algorithm 1 lines 2-5: everything X, load binary, reset. Worker
-    // 0 wraps the caller's System; extra workers elaborate clones on
+    // 0 wraps the caller's System; extra workers build clones on
     // their first steal.
     std::vector<std::unique_ptr<Worker>> workers;
     workers.reserve(numWorkers);

@@ -90,9 +90,9 @@ struct SymbolicConfig {
      * Worker threads exploring independent execution-tree branches
      * (<= 1: sequential exploration on the calling thread, which also
      * runs worker 0 otherwise). An extra worker only takes work from a
-     * deque holding more than one 64-path lane batch, and elaborates
-     * its own System clone on its first steal; snapshots transfer
-     * between clones because netlist construction is deterministic.
+     * deque holding more than one 64-path lane batch, and builds its
+     * own System clone on its first steal; snapshots transfer between
+     * clones because every System of one library shares one netlist.
      * Peak power/energy/NPE results are scheduling-independent; node
      * numbering inside the tree is not.
      *

@@ -1,5 +1,6 @@
 #include "util/worker_pool.hh"
 
+#include <algorithm>
 #include <atomic>
 #include <exception>
 #include <mutex>
@@ -8,6 +9,29 @@
 
 namespace ulpeak {
 namespace util {
+
+unsigned
+hostCpus()
+{
+    return std::max(1u, std::thread::hardware_concurrency());
+}
+
+CpuBudget
+cpuBudget(size_t items, unsigned jobs_cap, unsigned threads_cap,
+          unsigned cpus)
+{
+    auto capped = [](size_t n, unsigned cap) {
+        return cap ? std::min<size_t>(n, cap) : n;
+    };
+    cpus = std::max(1u, cpus);
+    CpuBudget b;
+    b.jobs = unsigned(std::max<size_t>(
+        1, capped(std::min<size_t>(items, cpus / std::max(1u, threads_cap)),
+                  jobs_cap)));
+    b.threads = unsigned(std::max<size_t>(1, capped(cpus / b.jobs,
+                                                    threads_cap)));
+    return b;
+}
 
 unsigned
 poolWorkers(size_t items, unsigned jobs)

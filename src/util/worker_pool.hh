@@ -6,6 +6,10 @@
  * Workers claim indices in ascending order from one counter and
  * callers write results by index, so output never depends on the
  * worker count or on scheduling.
+ *
+ * Both pools draw from one CPU budget (cpuBudget): by default every
+ * CPU of the host, split between program-level jobs and exploration
+ * threads per analysis; `--jobs` and `--threads` only cap the split.
  */
 
 #ifndef ULPEAK_UTIL_WORKER_POOL_HH
@@ -16,6 +20,27 @@
 
 namespace ulpeak {
 namespace util {
+
+/** The host's CPUs: std::thread::hardware_concurrency(), at least 1. */
+unsigned hostCpus();
+
+/** How a CPU budget is split: program-level workers, each running
+ *  analyses of this many exploration threads. */
+struct CpuBudget {
+    unsigned jobs = 1;
+    unsigned threads = 1;
+};
+
+/**
+ * Split @p cpus between @p items program-level jobs and the threads of
+ * each job. A cap of 0 means uncapped. Jobs come first:
+ * jobs = min(jobs_cap, items, cpus / threads_cap), then
+ * threads = min(threads_cap, cpus / jobs); both are at least 1, so
+ * jobs * threads never exceeds max(cpus, 1). Outputs never depend on
+ * the split (every pool here is deterministic), only the wall time.
+ */
+CpuBudget cpuBudget(size_t items, unsigned jobs_cap, unsigned threads_cap,
+                    unsigned cpus);
 
 /** The workers parallelFor uses: min(jobs, items), at least one. */
 unsigned poolWorkers(size_t items, unsigned jobs);

@@ -25,6 +25,7 @@
 #include "tests/cpu_test_util.hh"
 #include "tests/fork_util.hh"
 #include "util/disk_cache.hh"
+#include "util/worker_pool.hh"
 
 namespace ulpeak {
 namespace {
@@ -125,6 +126,51 @@ TEST(Batch, DeterministicAcrossWorkerCounts)
     EXPECT_EQ(a.maxPeakPowerProgram, b.maxPeakPowerProgram);
     EXPECT_EQ(a.maxPeakEnergyJ, b.maxPeakEnergyJ);
     EXPECT_EQ(a.maxNpeJPerCycle, b.maxNpeJPerCycle);
+}
+
+// The CLI default -- no --jobs/--threads, so the CPU budget splits
+// the host -- against one job of one thread: the reports (envelopes
+// and the per-mode report included) are byte-identical, and the run
+// block says how the budget was resolved.
+TEST(Batch, DefaultCpuBudgetMatchesSerial)
+{
+    auto run = [](std::vector<const char *> extra, std::string &out) {
+        std::vector<const char *> argv = {
+            "ulpeak", "mult,tHold,intAVG", "--no-cache", "--envelope",
+            "--modes=json", "--scenario", "unconstrained,duty-cycled-dvfs"};
+        argv.insert(argv.end(), extra.begin(), extra.end());
+        cli::CliOptions cli;
+        std::string err;
+        EXPECT_TRUE(cli::parseArgs(int(argv.size()), argv.data(), cli, err))
+            << err;
+        peak::BatchOptions opts = cli::toBatchOptions(cli);
+        std::vector<peak::BatchProgram> suite =
+            cli::resolvePrograms(cli.programSpecs);
+        const CellLibrary lib = CellLibrary::tsmc65Like();
+        peak::BatchReport rep = peak::analyzeBatch(lib, suite, opts);
+        EXPECT_TRUE(rep.ok);
+        out = cli::toJson(rep, opts, /*include_timings=*/false) +
+              cli::toModesJson(rep, cli::buildModeReports(
+                                        rep, opts.scenarios, lib.vdd()));
+        std::string timed = cli::toJson(rep, opts, true);
+        for (std::string field :
+             {"\"jobs\": " + std::to_string(rep.jobs),
+              "\"threads\": " + std::to_string(rep.threads),
+              "\"host_cpus\": " + std::to_string(rep.hostCpus)})
+            EXPECT_NE(timed.find(field), std::string::npos) << field;
+        return rep;
+    };
+    std::string budgeted, serial;
+    peak::BatchReport a = run({}, budgeted);
+    peak::BatchReport b = run({"--jobs", "1", "--threads", "1"}, serial);
+    EXPECT_EQ(budgeted, serial);
+
+    EXPECT_EQ(a.hostCpus, util::hostCpus());
+    EXPECT_EQ(a.jobs, util::cpuBudget(a.programs.size(), 0, 0,
+                                      a.hostCpus).jobs);
+    EXPECT_LE(a.jobs * a.threads, a.hostCpus);
+    EXPECT_EQ(b.jobs, 1u);
+    EXPECT_EQ(b.threads, 1u);
 }
 
 TEST(Batch, SuiteAggregatesAndSizing)

@@ -80,8 +80,9 @@ TEST(CliOptions, UlpeakTable)
         {{"mult"},
          [](const O &o) {
              EXPECT_EQ(o.programSpecs, std::vector<std::string>{"mult"});
-             EXPECT_EQ(o.jobs, 1u);
-             EXPECT_EQ(o.threads, 1u);
+             // Uncapped: the CPU budget splits the host's CPUs.
+             EXPECT_EQ(o.jobs, 0u);
+             EXPECT_EQ(o.threads, 0u);
              EXPECT_EQ(o.freqHz, 100e6);
              EXPECT_EQ(o.evalMode, EvalMode::EventDriven);
              EXPECT_EQ(o.loopBound, 0u);
@@ -191,7 +192,7 @@ TEST(CliOptions, UlfaultTable)
          [](const O &o) {
              EXPECT_EQ(o.programSpec, "mult");
              EXPECT_EQ(o.seed, 1u);
-             EXPECT_EQ(o.jobs, 1u);
+             EXPECT_EQ(o.jobs, 0u); // uncapped
              EXPECT_FALSE(o.scalar);
              EXPECT_EQ(o.cyclesPerSite, 1u);
              EXPECT_EQ(o.maxSites, 0u);
@@ -271,7 +272,7 @@ TEST(CliOptions, UllintTable)
         {{},
          [](const O &o) {
              EXPECT_TRUE(o.scenarioSpecs.empty());
-             EXPECT_EQ(o.jobs, 1u);
+             EXPECT_EQ(o.jobs, 0u); // uncapped
              EXPECT_EQ(o.freqHz, 100e6);
              EXPECT_EQ(o.fanoutThreshold, 0u);
              EXPECT_EQ(o.maxDeadListed, 16u);

@@ -1,10 +1,14 @@
 /**
  * @file
- * Gate-level CPU tests: netlist structure, reset, directed programs
- * covering the ISA, memory-mapped peripherals and halt behaviour.
+ * Gate-level CPU tests: the shared elaborated core, netlist structure,
+ * reset, directed programs covering the ISA, memory-mapped
+ * peripherals and halt behaviour.
  */
 
 #include <gtest/gtest.h>
+
+#include <thread>
+#include <vector>
 
 #include "tests/cpu_test_util.hh"
 
@@ -15,6 +19,42 @@ using test::GateRun;
 using test::runGate;
 using test::sharedSystem;
 using test::wrapProgram;
+
+// First in the file, so the threads race to elaborate the f1610 core
+// (no earlier test built it); the CI runs this binary under TSan.
+TEST(CpuCore, ConcurrentConstructionElaboratesOneCore)
+{
+    constexpr unsigned kThreads = 8;
+    std::vector<std::unique_ptr<msp::System>> systems(kThreads);
+    std::vector<std::thread> pool;
+    for (unsigned t = 0; t < kThreads; ++t)
+        pool.emplace_back([&systems, t] {
+            systems[t] =
+                std::make_unique<msp::System>(CellLibrary::f1610Like());
+        });
+    for (std::thread &t : pool)
+        t.join();
+    for (unsigned t = 1; t < kThreads; ++t)
+        EXPECT_EQ(&systems[t]->netlist(), &systems[0]->netlist()) << t;
+    EXPECT_TRUE(systems[0]->netlist().finalized());
+}
+
+TEST(CpuCore, SystemsOfOneLibraryShareTheNetlistNotTheMemory)
+{
+    msp::System a(CellLibrary::tsmc65Like());
+    msp::System b(CellLibrary::tsmc65Like());
+    msp::System other(CellLibrary::f1610Like());
+    EXPECT_EQ(&a.netlist(), &b.netlist());
+    EXPECT_EQ(&a.handles(), &b.handles());
+    EXPECT_EQ(&a.lib(), &a.netlist().library());
+    EXPECT_NE(&a.netlist(), &other.netlist());
+    EXPECT_EQ(other.lib().name(), CellLibrary::f1610Like().name());
+
+    // Memory and halt state stay per System.
+    EXPECT_NE(&a.memory(), &b.memory());
+    a.memory().write(isa::SystemMap::kRamBase, Word16::known(0x1234));
+    EXPECT_NE(b.memory().read(isa::SystemMap::kRamBase).value, 0x1234);
+}
 
 TEST(CpuNetlist, StructureLooksLikeAProcessor)
 {

@@ -3,13 +3,14 @@
  * Tests of the shared infrastructure in src/util that the batch
  * analysis, fault campaigns and ullint build on: the disk cache
  * (file naming, the magic-line check, best-effort atomic stores,
- * stores racing across processes, unusable directories) and the
+ * stores racing across processes, unusable directories), the
  * program-level worker pool (coverage, inline single worker,
- * fail-fast).
+ * fail-fast) and the CPU budget that sizes it.
  */
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
 #include <filesystem>
 #include <fstream>
@@ -183,6 +184,67 @@ TEST(DiskCache, OverlappingStoresOfTwoProcessesNeverMix)
     EXPECT_TRUE(cache.load(9, expectLines({"writer A", "end A"})))
         << "the entry mixes two writers";
     EXPECT_EQ(tempFiles(dir.path), 0u);
+}
+
+// The split of the benchmark workloads' command lines, a single
+// program and explicit caps, on hosts of 1, 2, 4 and 64 CPUs.
+TEST(CpuBudget, SplitsTheHostBetweenJobsAndThreads)
+{
+    struct Row {
+        const char *what;
+        size_t items;
+        unsigned jobsCap, threadsCap;
+        unsigned cpus;
+        unsigned jobs, threads;
+    };
+    const Row rows[] = {
+        // ulpeak all: 14 programs, no caps.
+        {"suite-cold", 14, 0, 0, 1, 1, 1},
+        {"suite-cold", 14, 0, 0, 2, 2, 1},
+        {"suite-cold", 14, 0, 0, 4, 4, 1},
+        {"suite-cold", 14, 0, 0, 64, 14, 4},
+        // Six forking programs at --threads 2.
+        {"fork-parallel", 6, 0, 2, 1, 1, 1},
+        {"fork-parallel", 6, 0, 2, 2, 1, 2},
+        {"fork-parallel", 6, 0, 2, 4, 2, 2},
+        {"fork-parallel", 6, 0, 2, 64, 6, 2},
+        // 14 programs x 5 scenarios at --jobs 2.
+        {"scenario-matrix", 70, 2, 0, 1, 1, 1},
+        {"scenario-matrix", 70, 2, 0, 2, 2, 1},
+        {"scenario-matrix", 70, 2, 0, 4, 2, 2},
+        {"scenario-matrix", 70, 2, 0, 64, 2, 32},
+        // ulfault --jobs 2: injection groups, one thread each.
+        {"fault-campaign", 11, 2, 1, 1, 1, 1},
+        {"fault-campaign", 11, 2, 1, 2, 2, 1},
+        {"fault-campaign", 11, 2, 1, 4, 2, 1},
+        {"fault-campaign", 11, 2, 1, 64, 2, 1},
+        // One program: every CPU explores it.
+        {"single", 1, 0, 0, 1, 1, 1},
+        {"single", 1, 0, 0, 2, 1, 2},
+        {"single", 1, 0, 0, 4, 1, 4},
+        {"single", 1, 0, 0, 64, 1, 64},
+        // --jobs 4 --threads 4: threads first claim their share.
+        {"jobs4-threads4", 14, 4, 4, 1, 1, 1},
+        {"jobs4-threads4", 14, 4, 4, 2, 1, 2},
+        {"jobs4-threads4", 14, 4, 4, 4, 1, 4},
+        {"jobs4-threads4", 14, 4, 4, 64, 4, 4},
+        // Degenerate inputs still give one worker.
+        {"no items", 0, 0, 0, 4, 1, 4},
+        {"no cpus", 14, 0, 0, 0, 1, 1},
+    };
+    for (const Row &r : rows) {
+        util::CpuBudget b =
+            util::cpuBudget(r.items, r.jobsCap, r.threadsCap, r.cpus);
+        std::string at = std::string(r.what) + " at " +
+                         std::to_string(r.cpus) + " cpus";
+        EXPECT_EQ(b.jobs, r.jobs) << at;
+        EXPECT_EQ(b.threads, r.threads) << at;
+        unsigned caps = (r.jobsCap ? r.jobsCap : 1) *
+                        (r.threadsCap ? r.threadsCap : 1);
+        EXPECT_LE(b.jobs * b.threads, std::max(r.cpus, caps)) << at;
+        EXPECT_LE(b.jobs, std::max<size_t>(r.items, 1)) << at;
+    }
+    EXPECT_GE(util::hostCpus(), 1u);
 }
 
 TEST(WorkerPool, WorkersNeverExceedItemsOrFallBelowOne)

@@ -2,7 +2,6 @@
 
 #include <chrono>
 #include <cstdio>
-#include <memory>
 #include <stdexcept>
 
 #include "cli/json_util.hh"

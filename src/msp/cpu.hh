@@ -87,8 +87,8 @@ struct CpuHandles {
  * of equal content shares one per process (elaborated by the first
  * System to ask, under a lock; later ones only look it up). Only the
  * Memory and the halt flags belong to one System, which makes a
- * System per worker cheap: the batch, campaign and lint pools and the
- * exploration workers all simulate one shared netlist.
+ * System cheap to build: batch analyses, campaign and lint workers
+ * and the exploration workers' clones all simulate one netlist.
  */
 class System {
   public:

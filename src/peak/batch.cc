@@ -4,7 +4,6 @@
 #include <chrono>
 #include <cstdlib>
 #include <istream>
-#include <memory>
 #include <ostream>
 
 #include "msp/cpu.hh"
@@ -262,12 +261,7 @@ analyzeBatch(const CellLibrary &lib,
     cache.open();
 
     std::atomic<unsigned> hits{0}, misses{0};
-    // Each worker builds at most one private System (its own memory
-    // over the shared netlist), lazily: a fully-warm suite never pays
-    // for netlist construction.
-    std::vector<std::unique_ptr<msp::System>> systems(budget.jobs);
-
-    util::parallelFor(nItems, budget.jobs, [&](unsigned w, size_t i) {
+    util::parallelFor(nItems, budget.jobs, [&](unsigned, size_t i) {
         const Options &aopts = scenOpts[i / nProg];
         const BatchProgram &prog = programs[i % nProg];
         ProgramResult &r = rep.programs[i];
@@ -300,9 +294,10 @@ analyzeBatch(const CellLibrary &lib,
         }
 
         try {
-            if (!systems[w])
-                systems[w] = std::make_unique<msp::System>(lib);
-            Report full = analyze(*systems[w], prog.image, aopts);
+            // A System of its own memory over the library's shared
+            // netlist costs a memory image, not an elaboration.
+            msp::System sys(lib);
+            Report full = analyze(sys, prog.image, aopts);
             copyScalars(r, full);
         } catch (const std::exception &e) {
             r.ok = false;

@@ -11,7 +11,7 @@
  * through sizing::sizeSuiteSupply).
  *
  * Two levels of parallelism compose: program-level jobs shard whole
- * programs across workers (each worker owns a private msp::System
+ * programs across workers (each analysis runs on its own msp::System
  * over the library's one shared netlist), while exploration threads
  * parallelize the execution-tree exploration *inside* one analysis.
  * Both draw from one CPU budget, every CPU of the host

@@ -287,8 +287,9 @@ struct SharedState {
 /**
  * One exploration worker: a simulator (plus, for workers beyond the
  * first, a private System clone over the shared netlist, built on the
- * worker's first steal) that takes pending paths, simulates them to the next fork or
- * leaf, and commits traces to the tree through the nodes it owns.
+ * worker's first steal) that takes pending paths, simulates them to
+ * the next fork or leaf, and commits traces to the tree through the
+ * nodes it owns.
  * Peak candidates and activity sets are tracked locally and merged
  * after the pool drains.
  *

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <atomic>
+#include <cstdint>
 #include <exception>
 #include <mutex>
 #include <thread>
@@ -20,16 +21,14 @@ CpuBudget
 cpuBudget(size_t items, unsigned jobs_cap, unsigned threads_cap,
           unsigned cpus)
 {
-    auto capped = [](size_t n, unsigned cap) {
-        return cap ? std::min<size_t>(n, cap) : n;
-    };
+    auto cap = [](unsigned c) { return c ? size_t(c) : SIZE_MAX; };
     cpus = std::max(1u, cpus);
     CpuBudget b;
     b.jobs = unsigned(std::max<size_t>(
-        1, capped(std::min<size_t>(items, cpus / std::max(1u, threads_cap)),
-                  jobs_cap)));
-    b.threads = unsigned(std::max<size_t>(1, capped(cpus / b.jobs,
-                                                    threads_cap)));
+        1, std::min({cap(jobs_cap), items,
+                     size_t(cpus / std::max(1u, threads_cap))})));
+    b.threads = unsigned(std::max<size_t>(
+        1, std::min(cap(threads_cap), size_t(cpus / b.jobs))));
     return b;
 }
 

@@ -73,45 +73,19 @@ runReplay(const FaultCliOptions &cli, const isa::Image &image,
     }
     const fault::Site &site = sites[cli.replaySite];
 
-    cosim::Options gopts;
-    gopts.maxCycles = copts.goldenMaxCycles;
-    gopts.portIn = copts.portIn;
-    gopts.evalMode = copts.evalMode;
-    cosim::Result golden = cosim::run(sys, image, gopts);
-    if (!golden.ok) {
+    fault::CampaignSetup setup(sys, image, copts);
+    if (!setup.golden.ok) {
         std::fprintf(stderr, "ulfault: golden run diverges:\n%s",
-                     golden.report().c_str());
+                     setup.golden.report().c_str());
         return 1;
     }
-
-    power::PowerContext ctx(sys.netlist(), copts.freqHz);
-    fault::RunOptions ropts;
-    ropts.maxCycles = copts.hangCycles ? copts.hangCycles
-                                       : 4 * golden.gateCycles + 64;
-    ropts.portIn = copts.portIn;
-    ropts.evalMode = copts.evalMode;
-    ropts.powerCtx = &ctx;
-
-    peak::Envelope env;
-    if (copts.withEnvelope) {
-        peak::Options aopts = copts.analysis;
-        aopts.freqHz = copts.freqHz;
-        aopts.recordEnvelope = true;
-        peak::Report rep = peak::analyze(sys, image, aopts);
-        if (rep.ok && rep.envelope.present) {
-            env = std::move(rep.envelope);
-            ropts.envelope = &env;
-        } else {
-            std::fprintf(stderr,
-                         "ulfault: envelope analysis failed (%s); "
-                         "replaying without escape check\n",
-                         rep.error.c_str());
-        }
-    }
-
-    std::vector<fault::Injection> faults{{site, cli.replayCycle}};
-    fault::FaultResult r =
-        fault::runFaulted(sys, image, faults, ropts);
+    setup.analyzeEnvelope();
+    if (!setup.envelopeError.empty())
+        std::fprintf(stderr,
+                     "ulfault: envelope analysis failed (%s); "
+                     "replaying without escape check\n",
+                     setup.envelopeError.c_str());
+    fault::FaultResult r = setup.runRow(site, cli.replayCycle);
 
     std::printf("replay: site %u (%s, %s) flipped at cycle %" PRIu64
                 "\n",
@@ -141,10 +115,6 @@ faultOptions(FaultCliOptions &o)
         intOpt("--seed", "N", "campaign seed (default 1)", o.seed),
         intOpt("--jobs", "N", "worker threads (default: all CPUs; a cap)",
                o.jobs, 1),
-        switchOpt("--scalar",
-                  "use the scalar runner (default:\n"
-                  "64-lane packed; bit-identical)",
-                  o.scalar),
         intOpt("--cycles-per-site", "N", "injections per site (default 1)",
                o.cyclesPerSite, 1),
         intOpt("--max-sites", "N", "cap flop sites, 0 = all (default)",
@@ -173,7 +143,7 @@ faultOptions(FaultCliOptions &o)
         switchOpt("--no-cache", "disable the disk cache", o.noCache),
         switchOpt("--no-timings",
                   "omit wall-time/cache fields from --json\n"
-                  "(byte-identical across --jobs/--scalar/cache)",
+                  "(byte-identical across --jobs/cache)",
                   o.noTimings),
         customOpt("--replay", "S@C",
                   "re-run site S's flip at cycle C on the scalar\n"
@@ -241,7 +211,6 @@ toCampaignOptions(const FaultCliOptions &cli)
     fault::CampaignOptions o;
     o.seed = cli.seed;
     o.jobs = cli.jobs;
-    o.packed = !cli.scalar;
     o.cyclesPerSite = cli.cyclesPerSite;
     o.maxFlopSites = cli.maxSites;
     o.ramSites = cli.ramSites;

@@ -22,14 +22,15 @@
  * machine-readable JSON (--json) and CSV (--csv). Timing and
  * cache-provenance fields are isolated exactly like `ulpeak`'s:
  * serializing with @p include_timings = false produces byte-identical
- * JSON for any (--jobs, --scalar/packed, cache state) combination --
- * the campaign determinism contract, pinned by tests/test_fault.cc
- * and the CI smoke.
+ * JSON for any (--jobs, cache state) combination -- the campaign
+ * determinism contract, pinned by tests/test_fault.cc and the CI
+ * smoke.
  *
  * `--replay SITE@CYCLE` re-runs a single injection through the scalar
- * runner and prints the full divergence report (first divergent
- * cycle, state diff, disassembled window) -- the reproduction recipe
- * for any row of a campaign report.
+ * runner, from the campaign's own setup (fault::CampaignSetup: golden
+ * gate, hang budget, envelope), and prints the full divergence report
+ * (first divergent cycle, state diff, disassembled window) -- the
+ * reproduction recipe for any row of a campaign report.
  */
 
 #ifndef ULPEAK_CLI_FAULT_DRIVER_HH
@@ -48,7 +49,6 @@ struct FaultCliOptions {
     std::string programSpec;   ///< registry name or .s path
     uint64_t seed = 1;         ///< --seed
     unsigned jobs = 0;         ///< --jobs: cap on campaign workers (0: none)
-    bool scalar = false;       ///< --scalar: disable the packed runner
     unsigned cyclesPerSite = 1; ///< --cycles-per-site
     size_t maxSites = 0;       ///< --max-sites (0 = every flop)
     size_t ramSites = 0;       ///< --ram-sites
@@ -84,8 +84,7 @@ fault::CampaignOptions toCampaignOptions(const FaultCliOptions &cli);
 
 /** Serialize a campaign report as JSON. With @p include_timings =
  *  false the wall-time and cache-provenance fields are omitted: the
- *  output is byte-identical across --jobs, --scalar vs packed, and
- *  cache states. */
+ *  output is byte-identical across --jobs and cache states. */
 std::string toFaultJson(const fault::CampaignResult &res,
                         const fault::CampaignOptions &opts,
                         const std::string &program,

@@ -1,7 +1,7 @@
 #include "cosim/cosim.hh"
 
+#include <algorithm>
 #include <cstdio>
-#include <deque>
 #include <map>
 #include <sstream>
 
@@ -11,6 +11,8 @@ namespace ulpeak {
 namespace cosim {
 
 namespace {
+
+using Kind = Divergence::Kind;
 
 std::string
 hex4(uint32_t v)
@@ -30,34 +32,20 @@ regName(unsigned r)
     return names[r];
 }
 
-/** Word-fetch over an assembled image (for the disassembler). */
-class ImageFetch {
-  public:
-    explicit ImageFetch(const isa::Image &image)
-    {
-        for (auto &[addr, word] : image.flatten())
-            words_[addr] = word;
-    }
-
-    uint16_t
-    operator()(uint32_t addr) const
-    {
-        auto it = words_.find(addr & 0xfffeu);
-        return it == words_.end() ? 0xffff : it->second;
-    }
-
-  private:
-    std::map<uint32_t, uint16_t> words_;
-};
-
-/** Disassembled window: recent instructions, the divergent one
- *  (marked), and a few after it. */
+/** Disassembled window over @p image: @p recent instructions, the
+ *  divergent one at @p pc (marked), and @p after more. */
 std::string
-disasmWindow(const std::deque<uint32_t> &recent, uint32_t pc,
-             unsigned after, const ImageFetch &fetch)
+disasmWindow(const isa::Image &image, const std::vector<uint32_t> &recent,
+             uint32_t pc, unsigned after)
 {
+    std::map<uint32_t, uint16_t> words;
+    for (auto &[addr, word] : image.flatten())
+        words[addr] = word;
+    auto fn = [&words](uint32_t a) -> uint16_t {
+        auto it = words.find(a & 0xfffeu);
+        return it == words.end() ? 0xffff : it->second;
+    };
     std::ostringstream os;
-    auto fn = [&fetch](uint32_t a) { return fetch(a); };
     for (uint32_t a : recent) {
         if (a == pc)
             continue; // printed below with the marker
@@ -79,22 +67,29 @@ disasmWindow(const std::deque<uint32_t> &recent, uint32_t pc,
     return os.str();
 }
 
+std::string
+writeText(const std::vector<MemWrite> &w, size_t i)
+{
+    return i < w.size() ? "[" + hex4(w[i].addr) + "]=" + hex4(w[i].value)
+                        : "(none)";
+}
+
 } // namespace
 
 const char *
 divergenceKindName(Divergence::Kind k)
 {
     switch (k) {
-      case Divergence::Kind::None: return "none";
-      case Divergence::Kind::Pc: return "pc";
-      case Divergence::Kind::Register: return "register";
-      case Divergence::Kind::MemWrite: return "mem-write";
-      case Divergence::Kind::FinalMemory: return "final-memory";
-      case Divergence::Kind::Cycles: return "cycles";
-      case Divergence::Kind::GateX: return "gate-x";
-      case Divergence::Kind::GateTimeout: return "gate-timeout";
-      case Divergence::Kind::IssTrap: return "iss-trap";
-      case Divergence::Kind::Halt: return "halt";
+      case Kind::None: return "none";
+      case Kind::Pc: return "pc";
+      case Kind::Register: return "register";
+      case Kind::MemWrite: return "mem-write";
+      case Kind::FinalMemory: return "final-memory";
+      case Kind::Cycles: return "cycles";
+      case Kind::GateX: return "gate-x";
+      case Kind::GateTimeout: return "gate-timeout";
+      case Kind::IssTrap: return "iss-trap";
+      case Kind::Halt: return "halt";
     }
     return "?";
 }
@@ -119,13 +114,210 @@ Result::report() const
     return os.str();
 }
 
+Checker::Checker(const isa::Image &iss_image, uint16_t port_in)
+    : image_(iss_image)
+{
+    iss_.loadImage(iss_image);
+    iss_.setPortIn(port_in);
+    iss_.setWriteObserver([this](uint32_t a, uint16_t v) {
+        if (a < isa::SystemMap::kRomBase)
+            issWrites_.push_back({a, v});
+    });
+    iss_.reset();
+    curPc_ = iss_.pc();
+}
+
+void
+Checker::store(V4 wr, Word16 addr, Word16 data)
+{
+    if (wr == V4::X || !addr.isFullyKnown() || !data.isFullyKnown())
+        gateXWrite_ = true;
+    else if (addr.value < isa::SystemMap::kRomBase)
+        gateWrites_.push_back({addr.value, data.value});
+}
+
+bool
+Checker::writesMatch() const
+{
+    return gateWrites_ == issWrites_ && !gateXWrite_;
+}
+
+bool
+Checker::diverge(Kind kind, uint64_t cycle, uint32_t pc)
+{
+    div_.kind = kind;
+    div_.cycle = cycle;
+    div_.instrIndex = retired_;
+    div_.pc = pc;
+    gateCycles_ = cycle;
+    return false;
+}
+
+bool
+Checker::fetch(uint64_t cycle, const Registers &regs)
+{
+    // The previous instruction has fully retired: its register writes
+    // are in the flops, its stores were committed at the preceding
+    // edges.
+    gate_ = regs;
+    const uint32_t prevPc = curPc_;
+    if (!first_) {
+        if (!writesMatch())
+            return diverge(Kind::MemWrite, cycle, prevPc);
+        gateWrites_.clear();
+        issWrites_.clear();
+    }
+    const Word16 pc = regs[0];
+    if (!pc.isFullyKnown())
+        return diverge(Kind::GateX, cycle, prevPc);
+    if (issDone_)
+        return diverge(Kind::Halt, cycle, pc.value);
+    if (pc.value != iss_.pc())
+        return diverge(Kind::Pc, cycle, prevPc);
+    for (unsigned r = 1; r < 16; ++r) {
+        // An X register is not yet initialized by the prologue.
+        if (regs[r].isFullyKnown() && regs[r].value != iss_.reg(r))
+            return diverge(Kind::Register, cycle, prevPc);
+    }
+
+    // Advance the ISS through the instruction now fetched.
+    curPc_ = pc.value;
+    recent_[retired_ % recent_.size()] = curPc_;
+    ++retired_;
+    first_ = false;
+    if (!iss_.step()) {
+        if (!iss_.halted())
+            return diverge(Kind::IssTrap, cycle, curPc_);
+        issDone_ = true;
+    }
+    return true;
+}
+
+void
+Checker::xStore(uint64_t cycle)
+{
+    diverge(Kind::GateX, cycle, curPc_);
+}
+
+void
+Checker::timeout(uint64_t cycle)
+{
+    diverge(Kind::GateTimeout, cycle, curPc_);
+}
+
+bool
+Checker::halt(uint64_t cycle, const Memory &gate_ram)
+{
+    gateCycles_ = cycle;
+    if (!writesMatch())
+        return diverge(Kind::MemWrite, cycle, curPc_);
+    if (!iss_.halted())
+        return diverge(Kind::Halt, cycle, curPc_);
+    if (cycle != iss_.cycles())
+        return diverge(Kind::Cycles, cycle, curPc_);
+    // Every word the gate core knows must match the ISS (words neither
+    // side touched stay X on the gate side and are skipped).
+    for (uint32_t a = gate_ram.ramBase();
+         a < gate_ram.ramBase() + gate_ram.ramSize(); a += 2) {
+        Word16 w = gate_ram.read(a);
+        if (w.isFullyKnown() && w.value != iss_.readMem(a))
+            return diverge(Kind::FinalMemory, cycle, curPc_);
+    }
+    return true;
+}
+
+Result
+Checker::result() const
+{
+    Result res;
+    res.ok = div_.kind == Kind::None;
+    res.instructionsRetired = retired_;
+    res.gateCycles = gateCycles_;
+    res.issCycles = iss_.cycles();
+    res.divergence = div_;
+    return res;
+}
+
+void
+Checker::explain(Divergence &d, const Memory &gate_ram,
+                 unsigned disasm_after) const
+{
+    std::ostringstream os;
+    switch (div_.kind) {
+      case Kind::None:
+        return;
+      case Kind::Pc:
+        os << "  next pc: gate=" << hex4(gate_[0].value)
+           << " iss=" << hex4(iss_.pc()) << "\n";
+        break;
+      case Kind::Register:
+        for (unsigned r = 1; r < 16; ++r)
+            if (gate_[r].isFullyKnown() && gate_[r].value != iss_.reg(r))
+                os << "  " << regName(r)
+                   << ": gate=" << hex4(gate_[r].value)
+                   << " iss=" << hex4(iss_.reg(r)) << "\n";
+        break;
+      case Kind::MemWrite:
+        if (gateXWrite_)
+            os << "  gate store with unknown address/data/enable\n";
+        for (size_t i = 0;
+             i < std::max(gateWrites_.size(), issWrites_.size()); ++i) {
+            std::string g = writeText(gateWrites_, i);
+            std::string s = writeText(issWrites_, i);
+            if (g != s)
+                os << "  write " << i << ": gate " << g << " iss " << s
+                   << "\n";
+        }
+        break;
+      case Kind::FinalMemory:
+        for (uint32_t a = gate_ram.ramBase();
+             a < gate_ram.ramBase() + gate_ram.ramSize(); a += 2) {
+            Word16 w = gate_ram.read(a);
+            if (w.isFullyKnown() && w.value != iss_.readMem(a))
+                os << "  [" << hex4(a) << "]: gate=" << hex4(w.value)
+                   << " iss=" << hex4(iss_.readMem(a)) << "\n";
+        }
+        break;
+      case Kind::Cycles:
+        os << "  cycles: gate=" << div_.cycle
+           << " iss=" << iss_.cycles() << "\n";
+        break;
+      case Kind::GateX:
+        if (gate_[0].isFullyKnown())
+            os << "  store with unknown address or enable\n";
+        else
+            os << "  pc: gate=" << gate_[0].toString()
+               << " (has X bits)\n";
+        break;
+      case Kind::GateTimeout:
+        os << "  gate core still running after " << div_.cycle
+           << " cycles\n";
+        break;
+      case Kind::IssTrap:
+        os << "  iss: " << iss_.haltReason() << "\n";
+        break;
+      case Kind::Halt:
+        if (issDone_)
+            os << "  iss halted (" << iss_.haltReason()
+               << ") but gate core fetched another instruction\n";
+        else
+            os << "  gate core halted; iss still running (pc "
+               << hex4(iss_.pc()) << ")\n";
+        break;
+    }
+    d.detail = os.str();
+    std::vector<uint32_t> recent;
+    for (uint64_t i = retired_ - std::min<uint64_t>(retired_, 4);
+         i < retired_; ++i)
+        recent.push_back(recent_[i % recent_.size()]);
+    d.disasm = disasmWindow(image_, recent, div_.pc, disasm_after);
+}
+
 Result
 run(msp::System &sys, const isa::Image &gate_image,
     const isa::Image &iss_image, const Options &opts)
 {
-    Result res;
     const msp::CpuHandles &h = sys.handles();
-    ImageFetch fetch(iss_image);
 
     sys.memory().reset();
     sys.loadImage(gate_image);
@@ -133,23 +325,11 @@ run(msp::System &sys, const isa::Image &gate_image,
 
     // Gate-side store stream: observe the memory bus at every clock
     // edge (the same stable values System::memEdge commits).
-    std::vector<MemWrite> gateWrites;
-    bool gateXWrite = false;
+    Checker check(iss_image, opts.portIn);
     auto onEdge = [&](Simulator &s) {
-        if (s.value(h.rstn) != V4::One)
-            return;
-        V4 wr = s.value(h.mbWr);
-        if (wr == V4::Zero)
-            return;
-        Word16 addr = s.readBus(h.mab);
-        Word16 data = s.readBus(h.mdbOut);
-        if (wr == V4::X || !addr.isFullyKnown() ||
-            !data.isFullyKnown()) {
-            gateXWrite = true;
-            return;
-        }
-        if (addr.value < isa::SystemMap::kRomBase)
-            gateWrites.push_back({addr.value, data.value});
+        check.edge(s.value(h.rstn), s.value(h.mbWr), [&] {
+            return std::pair(s.readBus(h.mab), s.readBus(h.mdbOut));
+        });
     };
 
     // Declared after onEdge, which it references, so it never outlives
@@ -160,193 +340,39 @@ run(msp::System &sys, const isa::Image &gate_image,
 
     sys.reset(sim, opts.preCycle);
 
-    isa::Iss iss;
-    iss.loadImage(iss_image);
-    iss.setPortIn(opts.portIn);
-    std::vector<MemWrite> issWrites;
-    iss.setWriteObserver([&](uint32_t a, uint16_t v) {
-        if (a < isa::SystemMap::kRomBase)
-            issWrites.push_back({a, uint16_t(v)});
-    });
-    iss.reset();
-
-    std::deque<uint32_t> recentPcs; // last few instruction addresses
-    uint32_t curPc = iss.pc();
-    bool first = true;
-    bool issDone = false;
-
-    auto diverge = [&](Divergence::Kind kind, uint64_t cycle,
-                       uint32_t pc, const std::string &detail) {
-        res.divergence.kind = kind;
-        res.divergence.cycle = cycle;
-        res.divergence.instrIndex = res.instructionsRetired;
-        res.divergence.pc = pc;
-        res.divergence.detail = detail;
-        res.divergence.disasm =
-            disasmWindow(recentPcs, pc, opts.disasmAfter, fetch);
-        res.gateCycles = sim.cycle();
-        res.issCycles = iss.cycles();
-    };
-
-    auto compareWrites = [&](uint32_t pc) {
-        if (gateWrites == issWrites && !gateXWrite)
-            return true;
-        std::ostringstream os;
-        if (gateXWrite)
-            os << "  gate store with unknown address/data/enable\n";
-        size_t n = std::max(gateWrites.size(), issWrites.size());
-        for (size_t i = 0; i < n; ++i) {
-            std::string g = i < gateWrites.size()
-                                ? "[" + hex4(gateWrites[i].addr) +
-                                      "]=" + hex4(gateWrites[i].value)
-                                : "(none)";
-            std::string s = i < issWrites.size()
-                                ? "[" + hex4(issWrites[i].addr) +
-                                      "]=" + hex4(issWrites[i].value)
-                                : "(none)";
-            if (g != s)
-                os << "  write " << i << ": gate " << g << " iss " << s
-                   << "\n";
+    std::vector<float> trace;
+    for (;;) {
+        if (sim.cycle() >= opts.maxCycles) {
+            check.timeout(sim.cycle());
+            break;
         }
-        diverge(Divergence::Kind::MemWrite, sim.cycle(), pc, os.str());
-        return false;
-    };
-
-    while (sim.cycle() < opts.maxCycles) {
         sim.step([&](Simulator &s) {
             sys.driveCycle(s, Word16::known(opts.portIn));
             if (opts.preCycle)
                 opts.preCycle(s);
         });
         if (opts.powerCtx)
-            res.powerTraceW.push_back(
-                float(opts.powerCtx->cycleBoundPowerW(sim)));
-        if (sys.halted())
+            trace.push_back(float(opts.powerCtx->cycleBoundPowerW(sim)));
+        if (sys.halted()) {
+            check.halt(sim.cycle(), sys.memory());
             break;
+        }
         if (sys.xStoreFault()) {
-            diverge(Divergence::Kind::GateX, sim.cycle(), curPc,
-                    "  store with unknown address or enable\n");
-            return res;
+            check.xStore(sim.cycle());
+            break;
         }
         if (sys.fsmState(sim) != msp::kStFetch)
             continue;
-
-        // ---- Instruction boundary ----
-        // The previous instruction has fully retired: its register
-        // writes are in the flops, its stores were committed at the
-        // preceding edges.
-        uint32_t prevPc = curPc;
-        if (!first) {
-            if (!compareWrites(prevPc))
-                return res;
-            gateWrites.clear();
-            issWrites.clear();
-        }
-
-        Word16 pcw = sys.readPc(sim);
-        if (!pcw.isFullyKnown()) {
-            diverge(Divergence::Kind::GateX, sim.cycle(), prevPc,
-                    "  pc: gate=" + pcw.toString() + " (has X bits)\n");
-            return res;
-        }
-        if (issDone) {
-            diverge(Divergence::Kind::Halt, sim.cycle(), pcw.value,
-                    "  iss halted (" + iss.haltReason() +
-                        ") but gate core fetched another "
-                        "instruction\n");
-            return res;
-        }
-        if (pcw.value != iss.pc()) {
-            diverge(Divergence::Kind::Pc, sim.cycle(), prevPc,
-                    "  next pc: gate=" + hex4(pcw.value) +
-                        " iss=" + hex4(iss.pc()) + "\n");
-            return res;
-        }
-        {
-            std::ostringstream os;
-            for (unsigned r = 1; r < 16; ++r) {
-                Word16 w = sys.readReg(sim, r);
-                if (!w.isFullyKnown())
-                    continue; // not yet initialized by the prologue
-                if (w.value != iss.reg(r))
-                    os << "  " << regName(r)
-                       << ": gate=" << hex4(w.value)
-                       << " iss=" << hex4(iss.reg(r)) << "\n";
-            }
-            std::string diff = os.str();
-            if (!diff.empty()) {
-                diverge(Divergence::Kind::Register, sim.cycle(),
-                        prevPc, diff);
-                return res;
-            }
-        }
-
-        // ---- Advance the ISS through the instruction now fetched ----
-        curPc = pcw.value;
-        recentPcs.push_back(curPc);
-        if (recentPcs.size() > 4)
-            recentPcs.pop_front();
-        ++res.instructionsRetired;
-        first = false;
-        if (!iss.step()) {
-            if (!iss.halted()) {
-                diverge(Divergence::Kind::IssTrap, sim.cycle(), curPc,
-                        "  iss: " + iss.haltReason() + "\n");
-                return res;
-            }
-            issDone = true;
-        }
+        Registers regs;
+        for (unsigned r = 0; r < 16; ++r)
+            regs[r] = sys.readReg(sim, r);
+        if (!check.fetch(sim.cycle(), regs))
+            break;
     }
 
-    res.gateCycles = sim.cycle();
-    res.issCycles = iss.cycles();
-
-    if (!sys.halted()) {
-        diverge(Divergence::Kind::GateTimeout, sim.cycle(), curPc,
-                "  gate core still running after " +
-                    std::to_string(sim.cycle()) + " cycles\n");
-        return res;
-    }
-    if (!compareWrites(curPc))
-        return res;
-    if (!iss.halted()) {
-        diverge(Divergence::Kind::Halt, sim.cycle(), curPc,
-                "  gate core halted; iss still running (pc " +
-                    hex4(iss.pc()) + ")\n");
-        return res;
-    }
-    if (sim.cycle() != iss.cycles()) {
-        diverge(Divergence::Kind::Cycles, sim.cycle(), curPc,
-                "  cycles: gate=" + std::to_string(sim.cycle()) +
-                    " iss=" + std::to_string(iss.cycles()) + "\n");
-        return res;
-    }
-
-    // Final RAM sweep: every word the gate core knows must match the
-    // ISS (words neither side touched stay X on the gate side and are
-    // skipped).
-    {
-        std::ostringstream os;
-        const Memory &mem = sys.memory();
-        for (uint32_t a = mem.ramBase();
-             a < mem.ramBase() + mem.ramSize(); a += 2) {
-            Word16 w = mem.read(a);
-            if (!w.isFullyKnown())
-                continue;
-            uint16_t sv = iss.readMem(a);
-            if (w.value != sv)
-                os << "  [" << hex4(a) << "]: gate=" << hex4(w.value)
-                   << " iss=" << hex4(sv) << "\n";
-        }
-        std::string diff = os.str();
-        if (!diff.empty()) {
-            diverge(Divergence::Kind::FinalMemory, sim.cycle(), curPc,
-                    diff);
-            return res;
-        }
-    }
-
-    res.ok = true;
+    Result res = check.result();
+    check.explain(res.divergence, sys.memory(), opts.disasmAfter);
+    res.powerTraceW = std::move(trace);
     return res;
 }
 

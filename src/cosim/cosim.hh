@@ -14,6 +14,9 @@
  * instruction index, the state diff, and a disassembled instruction
  * window around the divergence (src/isa/disassembler).
  *
+ * The rules live once, in cosim::Checker: run() drives one from the
+ * scalar Simulator, the packed fault runner (src/fault) one per lane.
+ *
  * The gate and ISS sides can be given *different* images: that is how
  * the checker checks itself (inject a bug into one side, assert the
  * divergence is caught and located -- tests/test_cosim.cc).
@@ -22,8 +25,10 @@
 #ifndef ULPEAK_COSIM_COSIM_HH
 #define ULPEAK_COSIM_COSIM_HH
 
+#include <array>
 #include <cstdint>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "isa/iss.hh"
@@ -109,6 +114,79 @@ struct Result {
 
     /** Multi-line human-readable divergence report ("" when ok). */
     std::string report() const;
+};
+
+/** The gate-side register file at an instruction boundary (r0 is the
+ *  PC). */
+using Registers = std::array<Word16, 16>;
+
+/**
+ * The lockstep rules of one run. A Checker owns the ISS side and the
+ * boundary bookkeeping; its caller steps the gate side and feeds each
+ * rule what it reads off its simulator. The first divergence, halt()
+ * or timeout() ends the run: the caller stops stepping and reads
+ * result(). Report text is built only by explain().
+ */
+class Checker {
+  public:
+    Checker(const isa::Image &iss_image, uint16_t port_in);
+    Checker(const Checker &) = delete;
+    Checker &operator=(const Checker &) = delete;
+
+    /** At every clock edge: the reset and write-enable nets; @p bus
+     *  returns the {address, data} buses and is read only on a store. */
+    template <typename Bus>
+    void
+    edge(V4 rstn, V4 wr, const Bus &bus)
+    {
+        if (rstn == V4::One && wr != V4::Zero) {
+            std::pair<Word16, Word16> ad = bus();
+            store(wr, ad.first, ad.second);
+        }
+    }
+
+    /** At a post-reset cycle whose FSM is at FETCH: the previous
+     *  instruction's stores, PC, r1..r15; then the ISS executes the
+     *  instruction fetched. False once the run has diverged. */
+    bool fetch(uint64_t cycle, const Registers &regs);
+
+    /** A store with unknown address or enable (System::xStoreFault). */
+    void xStore(uint64_t cycle);
+
+    /** The cycle budget ran out before the core halted. */
+    void timeout(uint64_t cycle);
+
+    /** After the cycle whose edge halted the core: the last stores,
+     *  ISS halted too, cycle counts, the known words of @p gate_ram.
+     *  True when the run passes. */
+    bool halt(uint64_t cycle, const Memory &gate_ram);
+
+    Result result() const;
+
+    /** Fill @p d's detail and window (@p disasm_after instructions
+     *  past its PC); @p gate_ram as passed to halt(). */
+    void explain(Divergence &d, const Memory &gate_ram,
+                 unsigned disasm_after) const;
+
+  private:
+    void store(V4 wr, Word16 addr, Word16 data);
+    bool writesMatch() const;
+    /** Record the divergence; returns false, the rules' verdict. */
+    bool diverge(Divergence::Kind kind, uint64_t cycle, uint32_t pc);
+
+    const isa::Image &image_; ///< for the disassembler
+    isa::Iss iss_;
+    std::vector<MemWrite> gateWrites_, issWrites_;
+    bool gateXWrite_ = false;
+    uint32_t curPc_ = 0;
+    bool first_ = true;
+    bool issDone_ = false;
+    uint64_t retired_ = 0;
+    std::array<uint32_t, 4> recent_{}; ///< PC of instruction i at i % 4
+    /** The last fetch() reading: an X PC marks a GateX at a fetch. */
+    Registers gate_{};
+    Divergence div_;
+    uint64_t gateCycles_ = 0;
 };
 
 /**

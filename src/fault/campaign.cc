@@ -7,6 +7,7 @@
 #include <istream>
 #include <memory>
 #include <ostream>
+#include <string_view>
 
 #include "fuzz/rng.hh"
 #include "peak/batch.hh"
@@ -118,7 +119,8 @@ readEntry(std::istream &in, CampaignResult &out)
         if (k != "row" || site != ir.siteIndex || cycle != ir.cycle)
             return false;
         if (outcome > unsigned(Outcome::Hang) ||
-            kind > unsigned(cosim::Divergence::Kind::Halt))
+            std::string_view(cosim::divergenceKindName(
+                cosim::Divergence::Kind(kind))) == "?")
             return false;
         r.outcome = Outcome(outcome);
         r.applied = applied != 0;
@@ -206,8 +208,8 @@ campaignCacheKey(const CellLibrary &lib, const isa::Image &image,
                  const CampaignOptions &opts)
 {
     return peak::contentKey(kCacheMagic, lib, image, [&opts](uint64_t &h) {
-        // Result-affecting campaign options. jobs, packed and evalMode
-        // are excluded: the determinism contract makes them
+        // Result-affecting campaign options. jobs and evalMode are
+        // excluded: the determinism contract makes them
         // classification-invariant (and the tests lockstep them).
         hashU64(h, opts.seed);
         hashU64(h, opts.cyclesPerSite);
@@ -225,6 +227,55 @@ campaignCacheKey(const CellLibrary &lib, const isa::Image &image,
             opts.analysis.scenario.hashInto(h);
         }
     });
+}
+
+CampaignSetup::CampaignSetup(msp::System &system, const isa::Image &img,
+                             const CampaignOptions &options)
+    : sys(system), image(img), opts(options),
+      ctx(system.netlist(), options.freqHz)
+{
+    cosim::Options gopts;
+    gopts.maxCycles = opts.goldenMaxCycles;
+    gopts.portIn = opts.portIn;
+    gopts.evalMode = opts.evalMode;
+    golden = cosim::run(sys, image, gopts);
+    hangCycles =
+        opts.hangCycles ? opts.hangCycles : 4 * golden.gateCycles + 64;
+}
+
+void
+CampaignSetup::analyzeEnvelope()
+{
+    if (!opts.withEnvelope)
+        return;
+    peak::Options aopts = opts.analysis;
+    aopts.freqHz = opts.freqHz;
+    aopts.evalMode = opts.evalMode;
+    aopts.recordEnvelope = true;
+    peak::Report rep = peak::analyze(sys, image, aopts);
+    if (rep.ok && rep.envelope.present)
+        envelope = std::move(rep.envelope);
+    else
+        envelopeError =
+            rep.error.empty() ? "envelope not recorded" : rep.error;
+}
+
+RunOptions
+CampaignSetup::runOptions() const
+{
+    RunOptions ropts;
+    ropts.maxCycles = hangCycles;
+    ropts.portIn = opts.portIn;
+    ropts.evalMode = opts.evalMode;
+    ropts.powerCtx = &ctx;
+    ropts.envelope = envelope.present ? &envelope : nullptr;
+    return ropts;
+}
+
+FaultResult
+CampaignSetup::runRow(const Site &site, uint64_t cycle)
+{
+    return runFaulted(sys, image, {{site, cycle}}, runOptions());
 }
 
 CampaignResult
@@ -253,27 +304,20 @@ runCampaign(const CellLibrary &lib, const isa::Image &image,
     const uint64_t key =
         cache.enabled() ? campaignCacheKey(lib, image, opts) : 0;
 
-    // Golden (unfaulted) lockstep run: defines the injection-cycle
-    // space and the hang budget, and gates the whole campaign.
-    cosim::Options gopts;
-    gopts.maxCycles = opts.goldenMaxCycles;
-    gopts.portIn = opts.portIn;
-    gopts.evalMode = opts.evalMode;
-    cosim::Result golden = cosim::run(sys, image, gopts);
-    if (!golden.ok) {
+    CampaignSetup setup(sys, image, opts);
+    if (!setup.golden.ok) {
         res.error = "golden run diverges (" +
                     std::string(cosim::divergenceKindName(
-                        golden.divergence.kind)) +
+                        setup.golden.divergence.kind)) +
                     "); campaign refused";
         return res;
     }
-    res.goldenCycles = golden.gateCycles;
-    res.goldenInstructions = golden.instructionsRetired;
-    res.hangCycles = opts.hangCycles ? opts.hangCycles
-                                     : 4 * res.goldenCycles + 64;
+    res.goldenCycles = setup.golden.gateCycles;
+    res.goldenInstructions = setup.golden.instructionsRetired;
+    res.hangCycles = setup.hangCycles;
 
     // Task list: site-major (site, cycle) rows, derived from the seed
-    // alone -- identical for every jobs/packed/evalMode combination.
+    // alone -- identical for every jobs/evalMode combination.
     res.injections.resize(res.sites.size() * opts.cyclesPerSite);
     for (size_t s = 0; s < res.sites.size(); ++s) {
         std::vector<uint64_t> cycles = siteInjectionCycles(
@@ -297,78 +341,38 @@ runCampaign(const CellLibrary &lib, const isa::Image &image,
         return res;
     }
 
-    // Optional X-based envelope for escape detection (failure is a
-    // note, not a campaign error: classification proceeds without).
-    peak::Envelope envelope;
-    if (opts.withEnvelope) {
-        peak::Options aopts = opts.analysis;
-        aopts.freqHz = opts.freqHz;
-        aopts.evalMode = opts.evalMode;
-        aopts.recordEnvelope = true;
-        peak::Report rep = peak::analyze(sys, image, aopts);
-        if (rep.ok && rep.envelope.present) {
-            envelope = std::move(rep.envelope);
-            res.envelopePresent = true;
-            res.envelopeCycles = envelope.cycles();
-            res.envelopePeakW = envelope.peakPowerW();
-        } else {
-            res.envelopeError =
-                rep.error.empty() ? "envelope not recorded"
-                                  : rep.error;
-        }
+    setup.analyzeEnvelope();
+    res.envelopePresent = setup.envelope.present;
+    res.envelopeError = setup.envelopeError;
+    if (res.envelopePresent) {
+        res.envelopeCycles = setup.envelope.cycles();
+        res.envelopePeakW = setup.envelope.peakPowerW();
     }
 
-    RunOptions ropts;
-    ropts.maxCycles = res.hangCycles;
-    ropts.portIn = opts.portIn;
-    ropts.evalMode = opts.evalMode;
-    ropts.envelope = res.envelopePresent ? &envelope : nullptr;
-
+    // 64 rows per packed run; each worker builds its own System (its
+    // own memory over the shared netlist) on its first group.
+    constexpr size_t kLanes = PackedSimulator::kLanes;
+    const RunOptions ropts = setup.runOptions();
     const size_t nTasks = res.injections.size();
-    const size_t groupSize = opts.packed ? PackedSimulator::kLanes : 1;
-    const size_t nGroups = (nTasks + groupSize - 1) / groupSize;
-
-    // Each worker builds its own System (its own memory over the
-    // shared netlist) and power context on its first group.
-    struct Worker {
-        std::unique_ptr<msp::System> sys;
-        std::unique_ptr<power::PowerContext> ctx;
-    };
+    const size_t nGroups = (nTasks + kLanes - 1) / kLanes;
     const unsigned jobs =
         util::cpuBudget(nGroups, opts.jobs, 1, util::hostCpus()).jobs;
-    std::vector<Worker> workers(jobs);
+    std::vector<std::unique_ptr<msp::System>> systems(jobs);
 
     util::parallelFor(nGroups, jobs, [&](unsigned w, size_t g) {
-        Worker &wk = workers[w];
-        if (!wk.sys) {
-            wk.sys = std::make_unique<msp::System>(lib);
-            wk.ctx = std::make_unique<power::PowerContext>(
-                wk.sys->netlist(), opts.freqHz);
+        if (!systems[w])
+            systems[w] = std::make_unique<msp::System>(lib);
+        const size_t base = g * kLanes;
+        const size_t count = std::min(kLanes, nTasks - base);
+        std::array<std::vector<Injection>, kLanes> faults;
+        for (size_t i = 0; i < count; ++i) {
+            const InjectionResult &ir = res.injections[base + i];
+            faults[i].push_back({res.sites[ir.siteIndex], ir.cycle});
         }
-        RunOptions wopts = ropts;
-        wopts.powerCtx = wk.ctx.get();
-        size_t base = g * groupSize;
-        size_t count = std::min(groupSize, nTasks - base);
-        if (opts.packed) {
-            std::array<std::vector<Injection>, PackedSimulator::kLanes>
-                faults;
-            for (size_t i = 0; i < count; ++i) {
-                const InjectionResult &ir = res.injections[base + i];
-                faults[i].push_back({res.sites[ir.siteIndex], ir.cycle});
-            }
-            std::array<FaultResult, PackedSimulator::kLanes> out =
-                runFaultedPacked(*wk.sys, image, faults, wopts);
-            for (size_t i = 0; i < count; ++i)
-                res.injections[base + i].r = std::move(out[i]);
-        } else {
-            for (size_t i = 0; i < count; ++i) {
-                InjectionResult &ir = res.injections[base + i];
-                std::vector<Injection> faults{
-                    {res.sites[ir.siteIndex], ir.cycle}};
-                ir.r = runFaulted(*wk.sys, image, faults, wopts);
-                ir.r.report.clear(); // campaign rows carry none
-            }
-        }
+        std::array<FaultResult, kLanes> out =
+            runFaultedPacked(*systems[w], image, faults, ropts);
+        for (size_t i = 0; i < count; ++i)
+            res.injections[base + i].r = std::move(out[i]);
         return true;
     });
 

@@ -9,12 +9,13 @@
  * Determinism contract (the campaign analogue of the batch layer's):
  * the per-injection classification rows are bit-identical across
  * CampaignOptions::jobs (atomic-claim worker pool over a pre-sized
- * result vector), across packed vs scalar execution (the fault
- * runners' lane-identity invariant), and across EvalMode -- so none
- * of the three participates in the disk-cache key, and `ulfault`'s
- * JSON/CSV output (timings excluded) is byte-identical across all of
- * them. Site lists and injection cycles derive from fuzz::Rng streams
- * of the campaign seed, never from iteration order or scheduling.
+ * result vector) and across EvalMode, and each row is what the scalar
+ * runner reports for that one injection (the packed runner's
+ * lane-identity invariant) -- so neither option participates in the
+ * disk-cache key, and `ulfault`'s JSON/CSV output (timings excluded)
+ * is byte-identical across --jobs and cache states. Site lists and
+ * injection cycles derive from fuzz::Rng streams of the campaign seed,
+ * never from iteration order or scheduling.
  *
  * The campaign first runs the *unfaulted* golden execution: it must
  * lockstep cleanly (otherwise the campaign refuses to run -- fault
@@ -44,8 +45,6 @@ struct CampaignOptions {
     /** Cap on worker threads (0: uncapped, one per CPU of the host;
      *  1: serial on the calling thread). */
     unsigned jobs = 0;
-    /** Use the 64-lane packed runner (bit-identical to scalar). */
-    bool packed = true;
     /** Injection cycles drawn per site. */
     unsigned cyclesPerSite = 1;
     /** Cap on flop sites (0 = every flop); capped lists subsample the
@@ -132,11 +131,42 @@ std::vector<uint64_t> siteInjectionCycles(uint64_t seed,
                                           uint64_t golden_cycles);
 
 /** Cache key over (library, image, result-affecting options);
- *  jobs / packed / evalMode are excluded by the determinism
+ *  jobs and evalMode are excluded by the determinism
  *  contract. Exposed so tests can pin the exclusion rules. */
 uint64_t campaignCacheKey(const CellLibrary &lib,
                           const isa::Image &image,
                           const CampaignOptions &opts);
+
+/**
+ * What every faulted run of one campaign shares: the golden
+ * (unfaulted) lockstep run that gates the campaign, the resolved hang
+ * budget and, with withEnvelope, the envelope that flags escapes.
+ * runCampaign, `ulfault --replay` and the tests' scalar reference all
+ * start here. Holds references to its arguments.
+ */
+struct CampaignSetup {
+    /** Run the golden lockstep on @p sys and resolve the budget. */
+    CampaignSetup(msp::System &sys, const isa::Image &image,
+                  const CampaignOptions &opts);
+
+    /** With opts.withEnvelope, analyze the envelope (a failure lands
+     *  in envelopeError; runs then skip the escape check). */
+    void analyzeEnvelope();
+
+    RunOptions runOptions() const;
+
+    /** The scalar run of one row, report included. */
+    FaultResult runRow(const Site &site, uint64_t cycle);
+
+    msp::System &sys;
+    const isa::Image &image;
+    const CampaignOptions &opts;
+    power::PowerContext ctx; ///< shared by every run
+    cosim::Result golden;    ///< the campaign runs only when ok
+    uint64_t hangCycles = 0; ///< opts.hangCycles or 4 * golden + 64
+    peak::Envelope envelope;
+    std::string envelopeError;
+};
 
 /** Run the campaign of @p opts for @p image on @p lib's system. */
 CampaignResult runCampaign(const CellLibrary &lib,

@@ -4,7 +4,8 @@
  * packed runner. The scalar path is a thin wrapper over cosim::run:
  * the injections ride in through Options::preCycle, so the checking
  * loop, divergence anatomy and power recording are the *same code*
- * the bedrock tests already pin down.
+ * the bedrock tests already pin down. Both runners end a run in
+ * toFaultResult, over fault::classify.
  */
 
 #include "fault/fault.hh"
@@ -41,6 +42,22 @@ classify(const cosim::Result &r)
       default:
         return Outcome::Sdc;
     }
+}
+
+FaultResult
+toFaultResult(const cosim::Result &cr, bool applied)
+{
+    // A run that passed carries the zero Divergence.
+    FaultResult r;
+    r.outcome = classify(cr);
+    r.applied = applied;
+    r.kind = cr.divergence.kind;
+    r.divergenceCycle = cr.divergence.cycle;
+    r.instrIndex = cr.divergence.instrIndex;
+    r.pc = cr.divergence.pc;
+    r.gateCycles = cr.gateCycles;
+    r.instructionsRetired = cr.instructionsRetired;
+    return r;
 }
 
 bool
@@ -135,19 +152,8 @@ runFaulted(msp::System &sys, const isa::Image &image,
     };
 
     cosim::Result cr = cosim::run(sys, image, co);
-
-    FaultResult r;
-    r.outcome = classify(cr);
-    r.applied = applied;
-    r.gateCycles = cr.gateCycles;
-    r.instructionsRetired = cr.instructionsRetired;
-    if (!cr.ok) {
-        r.kind = cr.divergence.kind;
-        r.divergenceCycle = cr.divergence.cycle;
-        r.instrIndex = cr.divergence.instrIndex;
-        r.pc = cr.divergence.pc;
-        r.report = cr.report();
-    }
+    FaultResult r = toFaultResult(cr, applied);
+    r.report = cr.report();
     if (opts.powerCtx)
         applyPowerTrace(r, cr.powerTraceW, opts.envelope);
     return r;

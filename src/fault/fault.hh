@@ -11,10 +11,10 @@
  *             retiring, but architectural state diverged (Pc /
  *             Register / MemWrite / FinalMemory / Cycles / Halt);
  *   crash  -- the core reached a detectably-broken state: an X-valued
- *             store or program counter (Divergence::Kind::GateX);
- *   hang   -- the core never halted within the cycle budget
- *             (Divergence::Kind::GateTimeout), e.g. a corrupted FSM
- *             one-hot that never reaches FETCH again.
+ *             store or program counter (a gate-x divergence);
+ *   hang   -- the core never halted within the cycle budget (a
+ *             gate-timeout divergence), e.g. a corrupted FSM one-hot
+ *             that never reaches FETCH again.
  *
  * Injection semantics: "flip at cycle c" mutates the state in the
  * cycle driver of the step whose cycle() == c -- after the sequential
@@ -27,10 +27,13 @@
  * both values.
  *
  * The packed runner evaluates 64 faulted runs per sweep on
- * PackedSimulator and is bit-identical, lane for lane, to 64 scalar
- * runFaulted calls in every classification field and every recorded
- * power float (the packed lane-identity invariant extended to faulted
- * runs; enforced by tests/test_fault.cc and `ulfuzz --mode fault`).
+ * PackedSimulator, one cosim::Checker per lane, and is bit-identical,
+ * lane for lane, to 64 scalar runFaulted calls in every classification
+ * field and every recorded power float (the packed lane-identity
+ * invariant extended to faulted runs; enforced by tests/test_fault.cc
+ * and `ulfuzz --mode fault`). Campaigns run on the packed runner; the
+ * scalar one reproduces a row with its report (`ulfault --replay`)
+ * and is the reference the tests compare against.
  */
 
 #ifndef ULPEAK_FAULT_FAULT_HH
@@ -111,7 +114,7 @@ struct FaultResult {
     /** At least one flip changed a bit (X-bit and post-halt flips
      *  don't; a double flip of the same bit applies twice). */
     bool applied = false;
-    cosim::Divergence::Kind kind = cosim::Divergence::Kind::None;
+    cosim::Divergence::Kind kind{}; ///< none when masked
     uint64_t divergenceCycle = 0; ///< 0 when masked
     uint64_t instrIndex = 0;      ///< retired before the divergence
     uint32_t pc = 0;              ///< PC of the instruction at fault
@@ -154,6 +157,11 @@ runFaultedPacked(msp::System &sys, const isa::Image &image,
                  const std::array<std::vector<Injection>,
                                   PackedSimulator::kLanes> &faults,
                  const RunOptions &opts);
+
+/** The classification fields of the finished lockstep run @p cr,
+ *  outcome by classify(); the one result mapping of both runners
+ *  (power fields and report left empty). */
+FaultResult toFaultResult(const cosim::Result &cr, bool applied);
 
 /** Fill the power/escape fields of @p r from a recorded trace (shared
  *  by the two runners; exposed for tests). */

@@ -610,58 +610,69 @@ faultedPackedEquivalenceCheck(uint64_t seed,
     return res;
 }
 
-namespace {
-
 std::string
-compareCampaigns(const fault::CampaignResult &a,
-                 const fault::CampaignResult &b, const char *what_a,
-                 const char *what_b)
+scalarRowsDiff(const CellLibrary &lib, const isa::Image &image,
+               const fault::CampaignOptions &opts,
+               std::initializer_list<const fault::CampaignResult *> campaigns)
 {
     std::ostringstream os;
-    if (a.ok != b.ok || (!a.ok && a.error != b.error)) {
-        os << what_a << " ok=" << a.ok << " (" << a.error << "), "
-           << what_b << " ok=" << b.ok << " (" << b.error << ")\n";
-        return os.str();
-    }
-    if (!a.ok)
-        return os.str(); // identical refusal: vacuously deterministic
-    auto field = [&](const char *name, uint64_t va, uint64_t vb) {
-        if (va != vb)
-            os << name << ": " << what_a << "=" << va << " "
-               << what_b << "=" << vb << "\n";
-    };
-    field("goldenCycles", a.goldenCycles, b.goldenCycles);
-    field("goldenInstructions", a.goldenInstructions,
-          b.goldenInstructions);
-    field("hangCycles", a.hangCycles, b.hangCycles);
-    field("sites", a.sites.size(), b.sites.size());
-    field("injections", a.injections.size(), b.injections.size());
-    field("masked", a.masked, b.masked);
-    field("sdc", a.sdc, b.sdc);
-    field("crash", a.crash, b.crash);
-    field("hang", a.hang, b.hang);
-    field("notApplied", a.notApplied, b.notApplied);
-    field("escapes", a.escapes, b.escapes);
-    if (!os.str().empty())
-        return os.str();
-    for (size_t i = 0; i < a.injections.size(); ++i) {
-        const fault::InjectionResult &ra = a.injections[i];
-        const fault::InjectionResult &rb = b.injections[i];
-        if (ra.siteIndex != rb.siteIndex || ra.cycle != rb.cycle ||
-            !ra.r.sameClassification(rb.r)) {
-            os << "injection row " << i << " (site " << ra.siteIndex
-               << " cycle " << ra.cycle << "): classification "
-               << what_a << "=" << fault::outcomeName(ra.r.outcome)
-               << "/" << ra.r.divergenceCycle << " " << what_b << "="
-               << fault::outcomeName(rb.r.outcome) << "/"
-               << rb.r.divergenceCycle << " differ\n";
+    msp::System sys(lib);
+    fault::CampaignSetup setup(sys, image, opts);
+    std::vector<fault::InjectionResult> ref; // built on first use
+    for (const fault::CampaignResult *c : campaigns) {
+        if (c->ok != setup.golden.ok) {
+            os << "campaign ok=" << c->ok << " (" << c->error
+               << "), scalar golden run ok=" << setup.golden.ok << "\n";
             return os.str();
         }
+        if (!c->ok)
+            continue; // refused, as the golden run says it must be
+        if (ref.empty()) {
+            setup.analyzeEnvelope();
+            std::vector<fault::Site> sites =
+                fault::campaignSites(sys.netlist(), sys, opts);
+            for (uint32_t s = 0; s < sites.size(); ++s)
+                for (uint64_t cycle : fault::siteInjectionCycles(
+                         opts.seed, s, opts.cyclesPerSite,
+                         setup.golden.gateCycles))
+                    ref.push_back({s, cycle, setup.runRow(sites[s], cycle)});
+        }
+        auto field = [&](const char *name, uint64_t got, uint64_t want) {
+            if (got != want)
+                os << name << ": campaign " << got << ", scalar " << want
+                   << "\n";
+        };
+        field("golden cycles", c->goldenCycles, setup.golden.gateCycles);
+        field("golden instructions", c->goldenInstructions,
+              setup.golden.instructionsRetired);
+        field("hang cycles", c->hangCycles, setup.hangCycles);
+        field("envelope present", c->envelopePresent,
+              setup.envelope.present);
+        field("rows", c->injections.size(), ref.size());
+        if (!os.str().empty())
+            return os.str();
+        for (size_t i = 0; i < ref.size(); ++i) {
+            const fault::InjectionResult &got = c->injections[i];
+            const fault::InjectionResult &want = ref[i];
+            if (got.siteIndex != want.siteIndex ||
+                got.cycle != want.cycle ||
+                !got.r.sameClassification(want.r)) {
+                os << "row " << i << ": campaign site " << got.siteIndex
+                   << "@" << got.cycle << " "
+                   << fault::outcomeName(got.r.outcome) << "/"
+                   << cosim::divergenceKindName(got.r.kind) << "@"
+                   << got.r.divergenceCycle << ", scalar site "
+                   << want.siteIndex << "@" << want.cycle << " "
+                   << fault::outcomeName(want.r.outcome) << "/"
+                   << cosim::divergenceKindName(want.r.kind) << "@"
+                   << want.r.divergenceCycle << "\n"
+                   << want.r.report;
+                return os.str();
+            }
+        }
     }
-    return os.str();
+    return "";
 }
-
-} // namespace
 
 PropertyResult
 faultCampaignDeterminismCheck(const isa::Image &image, uint64_t seed,
@@ -677,19 +688,12 @@ faultCampaignDeterminismCheck(const isa::Image &image, uint64_t seed,
     opts.goldenMaxCycles = 20000;
     // No cacheDir: the disk cache would trivialize the comparison.
 
-    opts.packed = false;
     opts.jobs = 1;
-    fault::CampaignResult scalar1 = runCampaign(lib, image, opts);
-    opts.packed = true;
-    fault::CampaignResult packed1 = runCampaign(lib, image, opts);
+    fault::CampaignResult serial = runCampaign(lib, image, opts);
     opts.jobs = threads;
-    fault::CampaignResult packedK = runCampaign(lib, image, opts);
-
-    std::string diff = compareCampaigns(scalar1, packed1,
-                                        "scalar-1job", "packed-1job");
-    if (diff.empty())
-        diff = compareCampaigns(packed1, packedK, "packed-1job",
-                                "packed-Kjobs");
+    fault::CampaignResult parallel = runCampaign(lib, image, opts);
+    std::string diff =
+        scalarRowsDiff(lib, image, opts, {&serial, &parallel});
     if (!diff.empty()) {
         res.ok = false;
         res.detail = diff;

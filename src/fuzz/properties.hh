@@ -25,8 +25,10 @@
 #ifndef ULPEAK_FUZZ_PROPERTIES_HH
 #define ULPEAK_FUZZ_PROPERTIES_HH
 
+#include <initializer_list>
 #include <string>
 
+#include "fault/campaign.hh"
 #include "fuzz/netlist_gen.hh"
 #include "fuzz/rng.hh"
 #include "isa/assembler.hh"
@@ -164,13 +166,25 @@ PropertyResult faultedPackedEquivalenceCheck(
     uint64_t seed, const NetlistGenOptions &opts, unsigned cycles);
 
 /**
- * Property 7, program items: fault-campaign determinism. One small campaign over
- * @p image run three ways -- scalar 1 job, packed 1 job, packed
- * @p threads jobs -- must agree on every classification row
- * (FaultResult::sameClassification), every aggregate, and the golden
- * run metadata. Programs whose golden run the campaign refuses
- * (cosim divergence) pass vacuously, but the refusal must be
- * identical across all three configurations.
+ * The scalar reference of campaigns run with @p opts on @p image: the
+ * campaign's setup (fault::CampaignSetup), its (site, cycle) rows
+ * derived afresh from the seed, and each row run alone through the
+ * scalar runner. "" when every one of @p campaigns agrees with it --
+ * the golden gate (a refusal included), the budgets, the envelope
+ * presence and every row (FaultResult::sameClassification); else the
+ * first difference, with the scalar row's divergence report.
+ */
+std::string
+scalarRowsDiff(const CellLibrary &lib, const isa::Image &image,
+               const fault::CampaignOptions &opts,
+               std::initializer_list<const fault::CampaignResult *> campaigns);
+
+/**
+ * Property 7, program items: fault-campaign determinism. One small
+ * campaign over @p image, run at 1 job and at @p threads jobs, must
+ * equal its scalar reference (scalarRowsDiff) both times. Programs
+ * whose golden run the campaign refuses (cosim divergence) pass
+ * vacuously, but both runs must refuse.
  */
 PropertyResult faultCampaignDeterminismCheck(const isa::Image &image,
                                              uint64_t seed,

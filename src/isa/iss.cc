@@ -45,7 +45,7 @@ Iss::reset()
 }
 
 uint16_t
-Iss::readMem(uint32_t addr)
+Iss::readMem(uint32_t addr) const
 {
     addr &= 0xfffe;
     if (addr >= SM::kRomBase)

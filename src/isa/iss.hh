@@ -75,7 +75,7 @@ class Iss {
      * addresses read 0xffff; writes to ROM/unmapped are dropped --
      * matching the gate-level mem_backbone.
      */
-    uint16_t readMem(uint32_t addr);
+    uint16_t readMem(uint32_t addr) const;
     void writeMem(uint32_t addr, uint16_t v);
 
     /**

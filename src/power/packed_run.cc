@@ -8,6 +8,42 @@ constexpr unsigned kLanes = PackedSimulator::kLanes;
 } // namespace
 
 void
+packedReset(PackedSimulator &s, const msp::CpuHandles &h,
+            PackedFnRef pre_cycle)
+{
+    for (unsigned i = 0; i < msp::System::kResetCycles; ++i) {
+        s.step([&](PackedSimulator &ps) {
+            ps.setInput(h.rstn, V64::splat(V4::Zero));
+            ps.setInput(h.irq, V64::splat(V4::Zero));
+            ps.setInputBusAll(h.portIn, Word16::allX());
+            if (pre_cycle)
+                pre_cycle(ps);
+        });
+    }
+}
+
+std::array<int, kLanes>
+packedFsmStates(const PackedSimulator &s, const msp::CpuHandles &h)
+{
+    std::array<int, kLanes> states;
+    states.fill(-1);
+    uint64_t undecoded = 0; // an X state net, or a second 1
+    for (unsigned st = 0; st < msp::kNumStates; ++st) {
+        V64 v = s.value(h.state[st]);
+        undecoded |= ~v.k;
+        for (uint64_t m = v.v; m; m &= m - 1) {
+            unsigned l = unsigned(__builtin_ctzll(m));
+            if (states[l] >= 0)
+                undecoded |= uint64_t(1) << l;
+            states[l] = int(st);
+        }
+    }
+    for (; undecoded; undecoded &= undecoded - 1)
+        states[unsigned(__builtin_ctzll(undecoded))] = -1;
+    return states;
+}
+
+void
 packedMemHook(PackedSimulator &s, const msp::CpuHandles &h,
               std::vector<Memory> &mem)
 {
@@ -102,14 +138,7 @@ runConcretePacked(msp::System &sys, const isa::Image &image,
     psim.setHookFn(h.memHookId, memHook);
     psim.addEdgeFn(memEdge);
 
-    // Reset sequence (System::reset, all lanes in lockstep).
-    for (unsigned i = 0; i < msp::System::kResetCycles; ++i) {
-        psim.step([&](PackedSimulator &s) {
-            s.setInput(h.rstn, V64::splat(V4::Zero));
-            s.setInput(h.irq, V64::splat(V4::Zero));
-            s.setInputBusAll(h.portIn, Word16::allX());
-        });
-    }
+    packedReset(psim, h);
 
     PackedRunResult r;
     std::array<Word16, kLanes> ports;

@@ -64,8 +64,19 @@ PackedRunResult runConcretePacked(msp::System &sys,
                                   const PackedRunOptions &opts,
                                   const RamInit &ram_init = {});
 
-/// @name Per-lane behavioral-memory mirrors (shared with src/fault)
+/// @name Packed mirrors of msp::System (shared with src/fault, src/sym)
 /// @{
+
+/** Mirror of System::reset on every lane: the reset sequence, with
+ *  @p pre_cycle (may be empty) run inside each step's driver after the
+ *  inputs are set, the fault layer's injection point. */
+void packedReset(PackedSimulator &s, const msp::CpuHandles &h,
+                 PackedFnRef pre_cycle = {});
+
+/** Per-lane mirror of System::fsmState: lane l's active FSM state, or
+ *  -1 where its one-hot is not exactly one concrete 1. */
+std::array<int, PackedSimulator::kLanes>
+packedFsmStates(const PackedSimulator &s, const msp::CpuHandles &h);
 
 /** Per-lane mirror of System::memHook: asynchronous RAM/ROM read data
  *  for every live lane, one access-energy bill per accessing lane. */

@@ -981,25 +981,6 @@ class Worker {
                              faultMask_);
     }
 
-    /** Per-lane mirror of System::fsmState. */
-    int
-    fsmStateLane(unsigned l) const
-    {
-        const msp::CpuHandles &h = sys_->handles();
-        int found = -1;
-        for (unsigned s = 0; s < msp::kNumStates; ++s) {
-            V4 v = psim_->valueLane(h.state[s], l);
-            if (v == V4::X)
-                return -1;
-            if (v == V4::One) {
-                if (found >= 0)
-                    return -1;
-                found = int(s);
-            }
-        }
-        return found;
-    }
-
     /** One packed cycle of every live lane: runPath's loop body per
      *  lane, retiring lanes that reach their fork / halt boundary. */
     void
@@ -1056,6 +1037,7 @@ class Worker {
                     everActive_[g] = 1;
         }
 
+        const auto fsm = power::packedFsmStates(ps, h);
         for (uint64_t m = stepped; m; m &= m - 1) {
             unsigned l = unsigned(__builtin_ctzll(m));
             uint64_t lbit = uint64_t(1) << l;
@@ -1068,7 +1050,7 @@ class Worker {
             bool newPeak = false;
             CycleEnd end = endCycle(
                 sh, L.path,
-                {ps.readBusLane(h.pc, l), fsmStateLane(l),
+                {ps.readBusLane(h.pc, l), fsm[l],
                  ps.boundEnergyJ(l), &moduleJ, (faultMask_ & lbit) != 0,
                  (haltedMask_ & lbit) != 0,
                  std::any_of(h.pc.begin(), h.pc.end(),

@@ -193,7 +193,6 @@ TEST(CliOptions, UlfaultTable)
              EXPECT_EQ(o.programSpec, "mult");
              EXPECT_EQ(o.seed, 1u);
              EXPECT_EQ(o.jobs, 0u); // uncapped
-             EXPECT_FALSE(o.scalar);
              EXPECT_EQ(o.cyclesPerSite, 1u);
              EXPECT_EQ(o.maxSites, 0u);
              EXPECT_EQ(o.ramSites, 0u);
@@ -207,7 +206,7 @@ TEST(CliOptions, UlfaultTable)
              EXPECT_FALSE(o.replay);
              EXPECT_FALSE(o.help);
          }},
-        {{"--seed", "7", "--jobs", "2", "--scalar", "--cycles-per-site",
+        {{"--seed", "7", "--jobs", "2", "--cycles-per-site",
           "3", "--max-sites", "16", "--ram-sites", "4", "--hang-cycles",
           "100", "--port", "0xffff", "--freq", "8e6", "--envelope",
           "--top", "4294967295", "--json", "a", "--csv", "b",
@@ -217,7 +216,6 @@ TEST(CliOptions, UlfaultTable)
              EXPECT_EQ(o.programSpec, "tea8");
              EXPECT_EQ(o.seed, 7u);
              EXPECT_EQ(o.jobs, 2u);
-             EXPECT_TRUE(o.scalar);
              EXPECT_EQ(o.cyclesPerSite, 3u);
              EXPECT_EQ(o.maxSites, 16u);
              EXPECT_EQ(o.ramSites, 4u);
@@ -258,6 +256,7 @@ TEST(CliOptions, UlfaultTable)
         {{"mult", "--json"}, nullptr, "--json"},
         {{"mult", "--envelope=json"}, nullptr, "--envelope=json"},
         {{"mult", "--bogus"}, nullptr, "--bogus"},
+        {{"mult", "--scalar"}, nullptr, "--scalar"},
         {{"mult", "tea8"}, nullptr, "PROGRAM"},
         {{}, nullptr, "PROGRAM"},
         {{"--help", "--bogus"}, nullptr, "--bogus"},

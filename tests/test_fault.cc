@@ -4,7 +4,8 @@
  * classification, injection semantics (X-bit no-ops, double flips,
  * reset-cycle flips), divergence-report anatomy under faults, the
  * packed-vs-scalar lane-identity contract, and campaign determinism
- * (jobs / packed / cache) plus the cache-key exclusion rules.
+ * (jobs / cache, every row against its scalar reference) plus the
+ * cache-key exclusion rules.
  *
  * Suites named *Long* are excluded from the quick ctest label and run
  * under `ctest -L long` (see CMakeLists.txt and docs/testing.md).
@@ -251,6 +252,36 @@ TEST(FaultRun, PackedLanesMatchScalarRuns)
     }
 }
 
+// A flip of a live r15 bit is caught by the packed runner at the
+// next instruction boundary, as the register compare it is.
+TEST(FaultRun, PackedR15FlipIsARegisterDivergence)
+{
+    msp::System &sys = test::sharedSystem();
+    isa::Image img = isa::assemble(test::wrapProgram(R"(
+        mov #0x1234, r15
+        mov #8, r4
+r_loop:
+        dec r4
+        jnz r_loop
+    )"));
+    cosim::Result golden = cosim::run(sys, img, {});
+    ASSERT_TRUE(golden.ok) << golden.report();
+
+    std::array<std::vector<fault::Injection>, PackedSimulator::kLanes>
+        lanes;
+    const uint64_t cycle = golden.gateCycles / 2; // inside the loop
+    lanes[0].push_back({siteByName(sys.netlist(), "r15[3]"), cycle});
+    auto packed =
+        fault::runFaultedPacked(sys, img, lanes, fault::RunOptions{});
+    EXPECT_TRUE(packed[0].applied);
+    EXPECT_EQ(packed[0].outcome, fault::Outcome::Sdc);
+    EXPECT_EQ(packed[0].kind, cosim::Divergence::Kind::Register);
+    EXPECT_GT(packed[0].divergenceCycle, cycle);
+    EXPECT_LE(packed[0].divergenceCycle, cycle + 8)
+        << "caught at the next boundary";
+    EXPECT_EQ(packed[1].outcome, fault::Outcome::Masked);
+}
+
 TEST(FaultPower, ApplyPowerTraceFindsFirstPeakAndEscapes)
 {
     fault::FaultResult r;
@@ -291,25 +322,15 @@ TEST(FaultCampaign, RowsAreIdenticalAcrossJobsPackedAndCache)
     EXPECT_EQ(a.masked + a.sdc + a.crash + a.hang,
               a.injections.size());
 
+    // At the default and at 3 jobs, every packed row is what the scalar
+    // runner reports for that injection alone.
     opts.jobs = 3;
     fault::CampaignResult b = fault::runCampaign(lib, img, opts);
-    opts.jobs = 1;
-    opts.packed = false;
-    fault::CampaignResult c = fault::runCampaign(lib, img, opts);
-    ASSERT_TRUE(b.ok && c.ok);
-    for (size_t i = 0; i < a.injections.size(); ++i) {
-        EXPECT_TRUE(a.injections[i].r.sameClassification(
-            b.injections[i].r))
-            << "row " << i << " differs across --jobs";
-        EXPECT_TRUE(a.injections[i].r.sameClassification(
-            c.injections[i].r))
-            << "row " << i << " differs packed vs scalar";
-    }
+    EXPECT_EQ(fuzz::scalarRowsDiff(lib, img, opts, {&a, &b}), "");
 
     // Cache round trip: cold store, warm hit, identical rows.
     // TempDir persists across test-binary runs, so evict this key's
     // entry first to make the first run genuinely cold.
-    opts.packed = true;
     opts.cacheDir = ::testing::TempDir() + "ulfault-cache";
     char stale[600];
     std::snprintf(stale, sizeof stale, "%s/fault-%016llx.txt",
@@ -436,17 +457,19 @@ TEST(FaultCampaign, CacheKeyExcludesExecutionStrategyOnly)
     opts.maxFlopSites = 10;
     uint64_t base = fault::campaignCacheKey(lib, img, opts);
 
-    // The determinism contract: jobs / packed / evalMode cannot
-    // change any row, so they must not change the key.
+    // The determinism contract: jobs and evalMode cannot change any
+    // row, so they must not change the key.
     fault::CampaignOptions o = opts;
     o.jobs = 8;
     EXPECT_EQ(fault::campaignCacheKey(lib, img, o), base);
     o = opts;
-    o.packed = false;
-    EXPECT_EQ(fault::campaignCacheKey(lib, img, o), base);
-    o = opts;
     o.evalMode = EvalMode::FullSweep;
     EXPECT_EQ(fault::campaignCacheKey(lib, img, o), base);
+    // The rows of the packed campaign are what the full-sweep scalar
+    // runner reports for each of them.
+    fault::CampaignResult packed = fault::runCampaign(lib, img, opts);
+    ASSERT_TRUE(packed.ok) << packed.error;
+    EXPECT_EQ(fuzz::scalarRowsDiff(lib, img, o, {&packed}), "");
 
     // Everything result-affecting must.
     o = opts;

@@ -53,7 +53,8 @@ struct CampaignOptions {
     /** Random RAM-bit sites appended after the flop sites. */
     size_t ramSites = 0;
     uint16_t portIn = 0;
-    /** Scalar-path kernel (classification-invariant by contract). */
+    /** Kernel of the golden run, the envelope analysis and scalar
+     *  row runs (classification-invariant by contract). */
     EvalMode evalMode = EvalMode::EventDriven;
     /** Budget of the golden (unfaulted) run. */
     uint64_t goldenMaxCycles = 60000;

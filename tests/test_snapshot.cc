@@ -7,14 +7,20 @@
  * for bit, restore(delta) into any simulator (the original or a
  * fresh clone, either kernel) continues exactly like
  * restore(full), and the empty delta (no cycles between base and
- * capture) round-trips.
+ * capture) round-trips. The dedup keys themselves (full-state
+ * hashes of a bench430 run, in every kernel) are pinned to literal
+ * values.
  */
 
 #include <gtest/gtest.h>
 
+#include "bench430/benchmarks.hh"
 #include "fuzz/netlist_gen.hh"
 #include "fuzz/rng.hh"
+#include "lint/lint.hh"
+#include "power/packed_run.hh"
 #include "sim/simulator.hh"
+#include "tests/cpu_test_util.hh"
 
 namespace ulpeak {
 namespace {
@@ -175,6 +181,92 @@ TEST(SnapshotDelta, MismatchedBaseThrows)
     auto baseB = std::make_shared<const Simulator::Snapshot>(
         simB.snapshot());
     EXPECT_THROW(simA.snapshotDelta(baseB), std::logic_error);
+}
+
+/** PI with an all-X port, this many cycles past reset: X inputs keep
+ *  X activity flowing, so the keys cover values and activity alike. */
+constexpr unsigned kKeyCycles = 60;
+
+struct ScalarKeys {
+    uint64_t full = 0;     ///< hashFullState()
+    uint64_t snapshot = 0; ///< hashSnapshotState(snapshot())
+};
+
+ScalarKeys
+scalarKeys(EvalMode mode, bool prune)
+{
+    msp::System &sys = test::sharedSystem();
+    sys.memory().reset();
+    sys.loadImage(bench430::benchmarkByName("PI").assembleImage());
+    sys.clearHalted();
+    Simulator sim(sys.netlist(), mode);
+    sys.attach(sim);
+    sys.reset(sim);
+    if (prune) {
+        // As the symbolic engine installs it (staticPrune).
+        const msp::CpuHandles &h = sys.handles();
+        lint::ConstAnalysisOptions lopts;
+        lopts.portBits.assign(h.portIn.begin(), h.portIn.end());
+        lopts.drivenConstants = {{h.rstn, V4::One}, {h.irq, V4::Zero}};
+        lint::ConstAnalysis ca =
+            lint::analyzeConstants(sys.netlist(), lopts);
+        sim.setStaticPrune(std::make_shared<const std::vector<uint8_t>>(
+                               std::move(ca.pruneMask)),
+                           sim.cycle() + 1 + ca.maxPruneDepth);
+    }
+    for (unsigned c = 0; c < kKeyCycles; ++c)
+        sim.step([&](Simulator &s) {
+            sys.driveCycle(s, Word16::allX());
+        });
+    EXPECT_FALSE(sys.halted());
+    EXPECT_EQ(sim.staticPruneActive(), prune);
+    return {sim.hashFullState(), sim.hashSnapshotState(sim.snapshot())};
+}
+
+// The dedup keys are literal values: a change to how the state is
+// hashed (byte order, activity encoding, padding) moves every key
+// even when it leaves every reported number alone, and silently
+// invalidates keys persisted next to results. Both scalar kernels and
+// every lane of the packed kernel must produce the same key.
+TEST(DedupKeys, PinnedAcrossKernels)
+{
+    constexpr uint64_t kKey = 523337835501358110ull;
+    constexpr uint64_t kPrunedKey = 8296361778052317545ull;
+    for (EvalMode mode : {EvalMode::EventDriven, EvalMode::FullSweep}) {
+        SCOPED_TRACE(int(mode));
+        ScalarKeys k = scalarKeys(mode, /*prune=*/false);
+        EXPECT_EQ(k.full, kKey);
+        EXPECT_EQ(k.snapshot, kKey);
+        ScalarKeys p = scalarKeys(mode, /*prune=*/true);
+        EXPECT_EQ(p.full, kPrunedKey);
+        EXPECT_EQ(p.snapshot, kPrunedKey);
+    }
+
+    msp::System &sys = test::sharedSystem();
+    sys.memory().reset();
+    sys.loadImage(bench430::benchmarkByName("PI").assembleImage());
+    const msp::CpuHandles &h = sys.handles();
+    std::vector<Memory> mem(PackedSimulator::kLanes, sys.memory());
+    uint64_t halted = 0, fault = 0;
+    auto memHook = [&](PackedSimulator &s) {
+        power::packedMemHook(s, h, mem);
+    };
+    auto memEdge = [&](PackedSimulator &s) {
+        power::packedMemEdge(s, h, mem, halted, fault);
+    };
+    PackedSimulator ps(sys.netlist());
+    ps.setHookFn(h.memHookId, memHook);
+    ps.addEdgeFn(memEdge);
+    power::packedReset(ps, h);
+    for (unsigned c = 0; c < kKeyCycles; ++c)
+        ps.step([&](PackedSimulator &s) {
+            s.setInput(h.rstn, V64::splat(V4::One));
+            s.setInput(h.irq, V64::splat(V4::Zero));
+            s.setInputBusAll(h.portIn, Word16::allX());
+        });
+    EXPECT_EQ(halted, 0u);
+    for (unsigned lane : {0u, 31u, 63u})
+        EXPECT_EQ(ps.hashLaneState(lane), kKey) << "lane " << lane;
 }
 
 } // namespace

@@ -62,7 +62,8 @@ runKernel(msp::System &sys, const Workload &w, EvalMode mode,
             sim.step([&](Simulator &s) { sys.driveCycle(s, port); });
             m.boundEnergyJ += sim.boundEnergyJ();
             m.actualEnergyJ += sim.actualEnergyJ();
-            m.activeGates += sim.activeGates().size();
+            for (uint64_t w : sim.activeBits())
+                m.activeGates += unsigned(__builtin_popcountll(w));
             ++m.cycles;
         }
     }

@@ -2,6 +2,7 @@
 
 #include <sstream>
 
+#include "sim/bitset.hh"
 #include "sim/vcd.hh"
 
 namespace ulpeak {
@@ -28,8 +29,7 @@ recordGateTrace(msp::System &sys, const isa::Image &image,
         std::vector<uint8_t> act(n, 0);
         for (GateId g = 0; g < n; ++g)
             vals[g] = sim.value(g);
-        for (GateId g : sim.activeGates())
-            act[g] = 1;
+        forEachBit(sim.activeBits(), [&](GateId g) { act[g] = 1; });
         t.values.push_back(std::move(vals));
         t.active.push_back(std::move(act));
         // Gate switching only: the VCD flow sees standard cells, not

@@ -3,6 +3,8 @@
 #include <fstream>
 #include <stdexcept>
 
+#include "sim/bitset.hh"
+
 namespace ulpeak {
 namespace power {
 
@@ -71,8 +73,8 @@ runConcrete(msp::System &sys, const isa::Image &image,
                 r.traceModulesW[m].push_back(float(mod[m]));
         }
         if (opts.recordActivity)
-            for (GateId g : sim.activeGates())
-                r.everActive[g] = 1;
+            forEachBit(sim.activeBits(),
+                       [&](GateId g) { r.everActive[g] = 1; });
     }
     r.halted = sys.halted();
     r.totalEnergyJ = opts.modeSchedule.empty()

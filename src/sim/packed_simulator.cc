@@ -5,6 +5,7 @@
 #include <stdexcept>
 
 #include "cell/cell_library.hh"
+#include "sim/bitset.hh"
 
 namespace ulpeak {
 
@@ -69,29 +70,6 @@ packedEvalCell(CellKind k, const V64 *in)
         assert(false && "packedEvalCell on non-combinational kind");
         return V64::allX();
     }
-}
-
-/** Words of a bitset over @p bits bits. */
-size_t
-bitWords(size_t bits)
-{
-    return (bits + 63) / 64;
-}
-
-inline void
-setBit(uint64_t *words, uint32_t i)
-{
-    words[i >> 6] |= uint64_t(1) << (i & 63);
-}
-
-/** Call @p fn(index) for every set bit of @p words, ascending. */
-template <typename Fn>
-inline void
-forEachBit(const std::vector<uint64_t> &words, Fn fn)
-{
-    for (size_t w = 0; w < words.size(); ++w)
-        for (uint64_t bits = words[w]; bits; bits &= bits - 1)
-            fn(uint32_t(w * 64 + unsigned(__builtin_ctzll(bits))));
 }
 
 /**
@@ -480,10 +458,9 @@ void
 PackedSimulator::priceBound()
 {
     // Ascending gate id, one energy term per active lane per gate:
-    // lane l's accumulation order equals the scalar kernel's
-    // canonicalized active-list order, so the float sums match bit
-    // for bit. Behavioral bills are already in bound_, as in the
-    // scalar kernel.
+    // lane l's accumulation order equals the scalar kernel's walk of
+    // its activity bitset, so the float sums match bit for bit.
+    // Behavioral bills are already in bound_, as in the scalar kernel.
     const double *te = flat_->transE.data();
     forEachBit(actBits_, [&](GateId g) {
         uint64_t a = act_[g];
@@ -614,7 +591,8 @@ uint64_t
 PackedSimulator::hashLaneState(unsigned lane) const
 {
     // Per lane, byte for byte what Simulator::hashFullState mixes:
-    // values, the zero-padded activity flags, load history.
+    // values, one 0/1 activity byte per gate zero-padded to a
+    // multiple of 8, load history.
     uint64_t h = 0xcbf29ce484222325ull;
     auto mix = [&h](uint8_t b) {
         h ^= b;
@@ -636,7 +614,8 @@ PackedSimulator::loadLaneState(unsigned lane,
                                const Simulator::Snapshot &s)
 {
     size_t n = val_.size();
-    if (s.val.size() != n)
+    if (s.val.size() != n || s.activeLast.size() != actBits_.size() ||
+        s.loadedPrevEdge.size() != loadedPrevEdge_.size())
         throw std::logic_error(
             "loadLaneState from a snapshot of a different netlist");
     uint64_t m = uint64_t(1) << lane;
@@ -653,7 +632,7 @@ PackedSimulator::loadLaneState(unsigned lane,
                 val_[g].v &= ~m;
         }
         // Loaded activity joins the bitset so the next step clears it.
-        if (s.activeLast[g]) {
+        if (testBit(s.activeLast.data(), uint32_t(g))) {
             act_[g] |= m;
             setBit(actBits_.data(), uint32_t(g));
         } else {
@@ -681,12 +660,10 @@ PackedSimulator::extractLaneState(unsigned lane, uint64_t cycle) const
     s.val.resize(n);
     for (size_t g = 0; g < n; ++g)
         s.val[g] = val_[g].lane(lane);
-    // The scalar active_ array is zero-padded to a whole number of
-    // words for the word-at-a-time delta diff; emit the same shape so
-    // the transpose round-trips byte for byte.
-    s.activeLast.assign((n + 7) & ~size_t(7), 0);
+    s.activeLast.assign(bitWords(n), 0);
     for (size_t g = 0; g < n; ++g)
-        s.activeLast[g] = uint8_t((act_[g] >> lane) & 1);
+        if ((act_[g] >> lane) & 1)
+            setBit(s.activeLast.data(), uint32_t(g));
     s.loadedPrevEdge.resize(loadedPrevEdge_.size());
     for (size_t i = 0; i < loadedPrevEdge_.size(); ++i)
         s.loadedPrevEdge[i] =

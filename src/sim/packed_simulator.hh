@@ -23,7 +23,7 @@
  *    sequential provable-hold analysis);
  *  - per-lane energy accumulators sum the same floating-point terms
  *    in the same ascending-gate-id order as the scalar kernel's
- *    canonicalized active list, so even float rounding matches.
+ *    activity-bitset walk, so even float rounding matches.
  *
  * tests/test_packed_sim.cc and the ulfuzz packed properties (6 and 7)
  * enforce the invariant on fuzz-generated netlists and programs.
@@ -209,9 +209,8 @@ class PackedSimulator {
      * global cycle() says how many sweeps ran, not how old any lane
      * is). For a lane loaded from a snapshot and stepped N times the
      * result is byte-identical to the scalar restore-and-step-N
-     * Simulator::snapshot(): values per lane(), activity as 0/1 bytes
-     * zero-padded to the scalar active_ array's 8-byte-aligned size,
-     * load history as 0/1 bytes.
+     * Simulator::snapshot(): values per lane(), activity as the
+     * gate-id bitset, load history as 0/1 bytes.
      */
     Simulator::Snapshot extractLaneState(unsigned lane,
                                          uint64_t cycle) const;

@@ -9,24 +9,6 @@ namespace ulpeak {
 
 namespace {
 
-size_t
-bitWords(size_t bits)
-{
-    return (bits + 63) / 64;
-}
-
-inline void
-setBit(uint64_t *words, uint32_t i)
-{
-    words[i >> 6] |= uint64_t(1) << (i & 63);
-}
-
-inline bool
-testBit(const uint64_t *words, uint32_t i)
-{
-    return (words[i >> 6] >> (i & 63)) & 1;
-}
-
 /**
  * Algorithm-2 pricing of an active gate by its (previous, current)
  * value pair, indexed prev * 3 + cur (V4 values 0, 1, X = 2): the
@@ -67,9 +49,6 @@ Simulator::Simulator(const Netlist &nl, EvalMode mode)
     size_t nseq = nl.seqGates().size();
     val_.assign(n, V4::X);
     prev_.assign(n, V4::X);
-    // Padded to a multiple of 8 (the snapshot and hash form; the pad
-    // bytes stay 0).
-    active_.assign((n + 7) & ~size_t(7), 0);
     actBits_.assign(bitWords(n), 0);
     actBitsPrev_.assign(bitWords(n), 0);
     loadedPrevEdge_.assign(nseq, 1);
@@ -77,7 +56,6 @@ Simulator::Simulator(const Netlist &nl, EvalMode mode)
         if (flat_->kind[g] == CellKind::Input)
             inputGates_.push_back(g);
     pending_.assign(bitWords(flat_->seqWakeBase + nseq), 0);
-    activeList_.reserve(n / 4 + 64);
     seqNext_.assign(bitWords(nseq), 0);
     seqMarkPrev_.assign(bitWords(nseq), 0);
     markAllSeq();
@@ -262,10 +240,6 @@ Simulator::injectSeuFlip(GateId g)
     // the flop back to its pre-edge value the known->known p == c rule
     // in accumulateEnergy bills no transition energy -- the flag then
     // only feeds X-propagation, exactly like a glitchless hold.
-    // Between steps, activeGates() must agree with isActive().
-    if (!active_[g])
-        activeList_.push_back(g);
-    active_[g] = 1;
     setBit(actBits_.data(), g); // sweepEvent seeds from the bitset
     if (mode_ == EvalMode::EventDriven) {
         markFanouts(g, /*value_changed=*/true);
@@ -343,7 +317,6 @@ Simulator::evalSeq(uint32_t i)
               testBit(actBitsPrev_.data(), in[0]) ||
               (isKnown(newq) != isKnown(q));
     }
-    active_[g] = act;
     if (act)
         setBit(actBits_.data(), g);
     uint8_t loaded = held ? 0 : 1;
@@ -391,7 +364,6 @@ Simulator::evalGate(GateId g)
     bool act;
     if (k == CellKind::Const0 || k == CellKind::Const1) {
         val_[g] = k == CellKind::Const1 ? V4::One : V4::Zero;
-        active_[g] = 0;
         return;
     }
     if (k == CellKind::Input) {
@@ -403,18 +375,16 @@ Simulator::evalGate(GateId g)
     } else {
         const GateId *in = f.fanin.data() + f.faninOffset[g];
         unsigned n = f.nin[g];
-        const uint8_t *active = active_.data();
-        unsigned fanin_active = unsigned(active[in[0]]) |
-                                unsigned(active[in[1]]) << 1 |
-                                unsigned(active[in[2]]) << 2 |
-                                unsigned(active[in[3]]) << 3;
-        fanin_active &= (1u << n) - 1;
         v = truth_[unsigned(k) * kPackedFaninStates +
                    packPins(in, n, val_.data())];
         val_[g] = v;
-        act = v != prev_[g] || (v == V4::X && fanin_active);
+        act = v != prev_[g];
+        if (!act && v == V4::X) {
+            // A held X is active when an active fanin may toggle it.
+            for (unsigned p = 0; p < n; ++p)
+                act |= testBit(actBits_.data(), in[p]);
+        }
     }
-    active_[g] = act;
     if (act) {
         setBit(actBits_.data(), g);
         if (kEvent)
@@ -434,18 +404,19 @@ Simulator::runHook(uint32_t hook_id)
 void
 Simulator::sweepFull()
 {
-    // With an engaged prune mask, a masked gate whose activity flag is
-    // clear already settled to its proven constant and cannot toggle
-    // again: its re-evaluation would reproduce val_ and a clear flag,
-    // so skipping it is exact. A masked gate with the flag still set
-    // (its settle transition, or any pre-engage activity carried in a
-    // restored snapshot) is evaluated normally, which clears the flag.
+    // With an engaged prune mask, a masked gate inactive last cycle
+    // already settled to its proven constant and cannot toggle again:
+    // its re-evaluation would reproduce val_ and inactivity, so
+    // skipping it is exact. A masked gate active last cycle (its
+    // settle transition, or any pre-engage activity carried in a
+    // restored snapshot) is evaluated normally.
     const uint8_t *pm = staticPruneActive() ? pruneMask_->data() : nullptr;
+    const uint64_t *wasActive = actBitsPrev_.data();
     const uint32_t numGates = flat_->numGates;
     for (uint32_t node : flat_->schedule) {
         if (node >= numGates)
             runHook(node - numGates);
-        else if (!(pm && pm[node] && !active_[node]))
+        else if (!(pm && pm[node] && !testBit(wasActive, node)))
             evalGate<false>(node);
     }
 }
@@ -501,48 +472,16 @@ Simulator::sweepEvent()
 }
 
 void
-Simulator::syncActivityBits()
-{
-    // Rebuild the bitset from the flag bytes (a word at a time; the
-    // tail is zero-padded) after they were overwritten wholesale.
-    std::fill(actBits_.begin(), actBits_.end(), 0);
-    const uint8_t *flags = active_.data();
-    for (size_t base = 0; base < active_.size(); base += 8) {
-        uint64_t w;
-        std::memcpy(&w, flags + base, 8);
-        while (w) {
-            unsigned byte = unsigned(__builtin_ctzll(w)) >> 3;
-            setBit(actBits_.data(), uint32_t(base + byte));
-            w &= ~(uint64_t(0xff) << (byte * 8));
-        }
-    }
-}
-
-void
-Simulator::rebuildActiveList()
-{
-    // Canonicalize the activity list: ascending gate id, whatever
-    // order the kernel evaluated in, because floating-point sums are
-    // order-sensitive. This keeps per-cycle energies and the
-    // activeGates() view bit-identical across kernels.
-    activeList_.clear();
-    for (size_t w = 0; w < actBits_.size(); ++w)
-        for (uint64_t bits = actBits_[w]; bits; bits &= bits - 1)
-            activeList_.push_back(
-                GateId(w * 64 + unsigned(__builtin_ctzll(bits))));
-}
-
-void
 Simulator::accumulateEnergy()
 {
-    rebuildActiveList();
-
     // Per-cycle energy: concrete transitions (actual) and the
-    // Algorithm-2 per-cycle peak assignment (bound), in ascending gate
-    // id, one selector lookup per gate (see kEnergySel). Active gates
-    // come in long runs of one module, so the module's sum stays in a
-    // register across its run; each sum still sees the same additions
-    // in the same order.
+    // Algorithm-2 per-cycle peak assignment (bound), one selector
+    // lookup per gate (see kEnergySel), in ascending gate id whatever
+    // order the kernel evaluated in, because floating-point sums are
+    // order-sensitive: this keeps per-cycle energies bit-identical
+    // across kernels. Active gates come in long runs of one module, so
+    // the module's sum stays in a register across its run; each sum
+    // still sees the same additions in the same order.
     const double *te = flat_->transE.data();
     const V4 *val = val_.data();
     const V4 *prev = prev_.data();
@@ -552,7 +491,7 @@ Simulator::accumulateEnergy()
     double bound = boundEnergy_;
     ModuleId m = 0;
     double modSum = modE[0];
-    for (GateId g : activeList_) {
+    forEachBit(actBits_, [&](GateId g) {
         const EnergySelector &sel =
             kEnergySel[unsigned(prev[g]) * 3 + unsigned(val[g])];
         double e = te[3 * size_t(g) + sel.column];
@@ -564,7 +503,7 @@ Simulator::accumulateEnergy()
         actual += e * sel.actual;
         bound += e * sel.bound;
         modSum += e * sel.bound;
-    }
+    });
     modE[m] = modSum;
     actualEnergy_ = actual;
     boundEnergy_ = bound;
@@ -578,17 +517,9 @@ Simulator::step(SimFnRef driver)
         for (const SimFnRef &fn : edgeFns_)
             fn(*this);
 
-    if (mode_ == EvalMode::EventDriven) {
-        // Skipped gates must read as inactive: clear the flags of last
-        // cycle's active set (the only set flags) instead of sweeping
-        // the whole array.
-        for (GateId g : activeList_)
-            active_[g] = 0;
-    }
     actBits_.swap(actBitsPrev_);
     std::fill(actBits_.begin(), actBits_.end(), 0);
     prev_ = val_;
-    activeList_.clear();
     actualEnergy_ = 0.0;
     boundEnergy_ = 0.0;
     behavioralEnergy_ = 0.0;
@@ -619,18 +550,31 @@ Simulator::step(SimFnRef driver)
 Simulator::Snapshot
 Simulator::snapshot() const
 {
-    // Captured between steps: active_ holds the last stepped cycle's
+    // Captured between steps: actBits_ holds the last stepped cycle's
     // activity, which the next step() reads as the previous cycle's.
-    return Snapshot{val_, active_, loadedPrevEdge_, cycle_};
+    return Snapshot{val_, actBits_, loadedPrevEdge_, cycle_};
+}
+
+void
+Simulator::checkShape(const Snapshot &s) const
+{
+    // A foreign snapshot would be copied whole and then indexed by
+    // this netlist's gate ids.
+    if (s.val.size() != val_.size() ||
+        s.activeLast.size() != actBits_.size() ||
+        s.loadedPrevEdge.size() != loadedPrevEdge_.size())
+        throw std::logic_error(
+            "restore from a snapshot of a different netlist");
 }
 
 void
 Simulator::restore(const Snapshot &s)
 {
+    checkShape(s);
     // prev_ is deliberately left alone: the next step() rebuilds it
     // from val_ before any read.
     val_ = s.val;
-    active_ = s.activeLast;
+    actBits_ = s.activeLast;
     loadedPrevEdge_ = s.loadedPrevEdge;
     cycle_ = s.cycle;
     afterRestore();
@@ -640,37 +584,37 @@ namespace {
 
 /** Append (index, new) pairs where @p cur differs from @p base.
  *  Hot path of every delta fork: forks are temporally close to their
- *  base, so almost every byte compares equal -- scan a word at a time
- *  (same idiom as syncActivityBits) and only touch bytes of words
- *  that differ, instead of a branch per element. */
+ *  base, so almost every element compares equal -- byte elements are
+ *  scanned a word at a time, only touching bytes of words that
+ *  differ, instead of a branch per element. */
 template <typename T>
 void
 diffInto(const std::vector<T> &cur, const std::vector<T> &base,
          std::vector<uint32_t> &idx, std::vector<T> &out)
 {
-    static_assert(sizeof(T) == 1,
-                  "word-at-a-time diff assumes byte elements");
     if (cur.size() != base.size())
         throw std::logic_error(
             "delta snapshot against a base from a different netlist");
-    const auto *a = reinterpret_cast<const uint8_t *>(cur.data());
-    const auto *b = reinterpret_cast<const uint8_t *>(base.data());
     size_t n = cur.size();
     size_t i = 0;
-    for (; i + 8 <= n; i += 8) {
-        uint64_t wa, wb;
-        std::memcpy(&wa, a + i, 8);
-        std::memcpy(&wb, b + i, 8);
-        uint64_t d = wa ^ wb;
-        while (d) {
-            unsigned byte = unsigned(__builtin_ctzll(d)) >> 3;
-            idx.push_back(uint32_t(i + byte));
-            out.push_back(cur[i + byte]);
-            d &= ~(uint64_t(0xff) << (byte * 8));
+    if constexpr (sizeof(T) == 1) {
+        const auto *a = reinterpret_cast<const uint8_t *>(cur.data());
+        const auto *b = reinterpret_cast<const uint8_t *>(base.data());
+        for (; i + 8 <= n; i += 8) {
+            uint64_t wa, wb;
+            std::memcpy(&wa, a + i, 8);
+            std::memcpy(&wb, b + i, 8);
+            uint64_t d = wa ^ wb;
+            while (d) {
+                unsigned byte = unsigned(__builtin_ctzll(d)) >> 3;
+                idx.push_back(uint32_t(i + byte));
+                out.push_back(cur[i + byte]);
+                d &= ~(uint64_t(0xff) << (byte * 8));
+            }
         }
     }
     for (; i < n; ++i) {
-        if (a[i] != b[i]) {
+        if (cur[i] != base[i]) {
             idx.push_back(uint32_t(i));
             out.push_back(cur[i]);
         }
@@ -687,55 +631,61 @@ applyDelta(std::vector<T> &dst, const std::vector<T> &base,
         dst[idx[i]] = v[i];
 }
 
+/** The state (@p val, @p act, @p lpe, @p cycle) as a delta against
+ *  @p base: snapshotDelta and deltaBetween. */
+Simulator::DeltaSnapshot
+makeDelta(const std::vector<V4> &val, const std::vector<uint64_t> &act,
+          const std::vector<uint8_t> &lpe, uint64_t cycle,
+          std::shared_ptr<const Simulator::Snapshot> base)
+{
+    Simulator::DeltaSnapshot d;
+    diffInto(val, base->val, d.valIdx, d.valNew);
+    diffInto(act, base->activeLast, d.actIdx, d.actNew);
+    diffInto(lpe, base->loadedPrevEdge, d.seqIdx, d.seqNew);
+    d.cycle = cycle;
+    d.base = std::move(base);
+    return d;
+}
+
 } // namespace
 
 size_t
 Simulator::DeltaSnapshot::deltaBytes() const
 {
     return valIdx.size() * (sizeof(uint32_t) + sizeof(V4)) +
-           actIdx.size() * (sizeof(uint32_t) + sizeof(uint8_t)) +
+           actIdx.size() * (sizeof(uint32_t) + sizeof(uint64_t)) +
            seqIdx.size() * (sizeof(uint32_t) + sizeof(uint8_t));
 }
 
 size_t
 Simulator::bytesOf(const Snapshot &s)
 {
-    return s.val.size() * sizeof(V4) + s.activeLast.size() +
+    return s.val.size() * sizeof(V4) +
+           s.activeLast.size() * sizeof(uint64_t) +
            s.loadedPrevEdge.size();
 }
 
 Simulator::DeltaSnapshot
 Simulator::snapshotDelta(std::shared_ptr<const Snapshot> base) const
 {
-    DeltaSnapshot d;
-    diffInto(val_, base->val, d.valIdx, d.valNew);
-    diffInto(active_, base->activeLast, d.actIdx, d.actNew);
-    diffInto(loadedPrevEdge_, base->loadedPrevEdge, d.seqIdx,
-             d.seqNew);
-    d.cycle = cycle_;
-    d.base = std::move(base);
-    return d;
+    return makeDelta(val_, actBits_, loadedPrevEdge_, cycle_,
+                     std::move(base));
 }
 
 Simulator::DeltaSnapshot
 Simulator::deltaBetween(const Snapshot &cur,
                         std::shared_ptr<const Snapshot> base)
 {
-    DeltaSnapshot d;
-    diffInto(cur.val, base->val, d.valIdx, d.valNew);
-    diffInto(cur.activeLast, base->activeLast, d.actIdx, d.actNew);
-    diffInto(cur.loadedPrevEdge, base->loadedPrevEdge, d.seqIdx,
-             d.seqNew);
-    d.cycle = cur.cycle;
-    d.base = std::move(base);
-    return d;
+    return makeDelta(cur.val, cur.activeLast, cur.loadedPrevEdge,
+                     cur.cycle, std::move(base));
 }
 
 void
 Simulator::restore(const DeltaSnapshot &s)
 {
+    checkShape(*s.base);
     applyDelta(val_, s.base->val, s.valIdx, s.valNew);
-    applyDelta(active_, s.base->activeLast, s.actIdx, s.actNew);
+    applyDelta(actBits_, s.base->activeLast, s.actIdx, s.actNew);
     applyDelta(loadedPrevEdge_, s.base->loadedPrevEdge, s.seqIdx,
                s.seqNew);
     cycle_ = s.cycle;
@@ -745,12 +695,6 @@ Simulator::restore(const DeltaSnapshot &s)
 void
 Simulator::afterRestore()
 {
-    // Rebuild the activity bitset and list so the next step's
-    // flag-clearing pass (event mode) sees every set flag; consumers
-    // observing activeGates() after a restore get the restored cycle's
-    // set.
-    syncActivityBits();
-    rebuildActiveList();
     // The restored state carries no wake marks: re-arm every flop.
     // (Stale pending bits are harmless -- evaluating a clean gate
     // reproduces its full-sweep value and activity.)
@@ -798,18 +742,28 @@ namespace {
 
 /** The shared body of hashFullState / hashSnapshotState: FNV-1a over
  *  (values, activity, load history), restricted to the unmasked runs
- *  when @p runs is non-null. */
+ *  when @p runs is non-null. Activity from the gate-id bitset @p act
+ *  mixes as one 0/1 byte per gate, zero-padded to a multiple of 8
+ *  when unrestricted: the pinned dedup-key format
+ *  (tests/test_snapshot.cc, DedupKeys), which
+ *  PackedSimulator::hashLaneState mixes too. */
 uint64_t
-hashStateBytes(const uint8_t *vals, size_t nval, const uint8_t *act,
-               size_t nact, const uint8_t *lpe, size_t nlpe,
+hashStateBytes(const uint8_t *vals, size_t nval, const uint64_t *act,
+               const uint8_t *lpe, size_t nlpe,
                const std::vector<std::pair<uint32_t, uint32_t>> *runs)
 {
     uint64_t h = 0xcbf29ce484222325ull;
-    auto mix = [&h](const uint8_t *p, size_t len) {
-        for (size_t i = 0; i < len; ++i) {
-            h ^= p[i];
-            h *= 0x100000001b3ull;
-        }
+    auto mixByte = [&h](uint8_t b) {
+        h ^= b;
+        h *= 0x100000001b3ull;
+    };
+    auto mix = [&](const uint8_t *p, size_t len) {
+        for (size_t i = 0; i < len; ++i)
+            mixByte(p[i]);
+    };
+    auto mixAct = [&](uint32_t begin, uint32_t end) {
+        for (uint32_t g = begin; g < end; ++g)
+            mixByte(testBit(act, g));
     };
     if (runs) {
         // Masked gates hold their proven constant and stay inactive
@@ -821,12 +775,14 @@ hashStateBytes(const uint8_t *vals, size_t nval, const uint8_t *act,
         for (const auto &r : *runs)
             mix(vals + r.first, r.second - r.first);
         for (const auto &r : *runs)
-            mix(act + r.first, r.second - r.first);
+            mixAct(r.first, r.second);
         mix(lpe, nlpe);
         return h;
     }
     mix(vals, nval);
-    mix(act, nact);
+    mixAct(0, uint32_t(nval));
+    for (size_t i = nval; i % 8; ++i)
+        mixByte(0);
     mix(lpe, nlpe);
     return h;
 }
@@ -841,8 +797,7 @@ Simulator::hashFullState() const
     // identical continuations under identical drivers.
     return hashStateBytes(
         reinterpret_cast<const uint8_t *>(val_.data()), val_.size(),
-        active_.data(), active_.size(), loadedPrevEdge_.data(),
-        loadedPrevEdge_.size(),
+        actBits_.data(), loadedPrevEdge_.data(), loadedPrevEdge_.size(),
         staticPruneActive() ? &unprunedRuns_ : nullptr);
 }
 
@@ -856,8 +811,8 @@ Simulator::hashSnapshotState(const Snapshot &s) const
                   s.cycle >= pruneEngage_;
     return hashStateBytes(
         reinterpret_cast<const uint8_t *>(s.val.data()), s.val.size(),
-        s.activeLast.data(), s.activeLast.size(),
-        s.loadedPrevEdge.data(), s.loadedPrevEdge.size(),
+        s.activeLast.data(), s.loadedPrevEdge.data(),
+        s.loadedPrevEdge.size(),
         pruned ? &unprunedRuns_ : nullptr);
 }
 

@@ -32,12 +32,13 @@
  *    cycle; each edge evaluates their union and rotates them.
  *
  * Both kernels evaluate a gate by one lookup in cellTruthTable() over
- * its packed fanin values, record activity in a gate-id bitset as they
- * go, and build the per-cycle activity list from it in ascending gate
- * id before the order-sensitive floating-point energy accumulation, so
- * both produce bit-identical values, activity lists, and energies every
- * cycle -- the test suite locksteps the two kernels across the bench430
- * programs to enforce this.
+ * its packed fanin values and record activity in a gate-id bitset as
+ * they go -- the simulator's only activity state. The order-sensitive
+ * floating-point energy accumulation walks that bitset in ascending
+ * gate id, whatever order the kernel evaluated in, so both produce
+ * bit-identical values, activity, and energies every cycle -- the test
+ * suite locksteps the two kernels across the bench430 programs to
+ * enforce this.
  *
  * Activity follows the paper's definition (Section 3.1): a gate is
  * active in a cycle if its value changed, or if it is X and is driven by
@@ -72,6 +73,7 @@
 #include <vector>
 
 #include "netlist/netlist.hh"
+#include "sim/bitset.hh"
 #include "sim/function_ref.hh"
 
 namespace ulpeak {
@@ -83,7 +85,7 @@ class Simulator;
  *
  * The two kernels are interchangeable by contract, not by accident:
  * for any netlist and any driver they produce bit-identical gate
- * values, activity lists, and per-cycle energies (see the file
+ * values, activity, and per-cycle energies (see the file
  * comment for why, and tests/test_simulator.cc /
  * tests/test_benchmarks.cc for the locksteps that enforce it). Every
  * consumer -- peak::analyze, the symbolic engine, the batch driver's
@@ -164,10 +166,11 @@ class Simulator {
     /// @name Reading values
     /// @{
     V4 value(GateId g) const { return val_[g]; }
-    bool isActive(GateId g) const { return active_[g] != 0; }
+    bool isActive(GateId g) const { return testBit(actBits_.data(), g); }
     Word16 readBus(const std::vector<GateId> &bus) const;
-    /** Gates active in the cycle most recently stepped. */
-    const std::vector<GateId> &activeGates() const { return activeList_; }
+    /** Gates active in the cycle most recently stepped, as a gate-id
+     *  bitset (walk it with forEachBit, ascending gate id). */
+    const std::vector<uint64_t> &activeBits() const { return actBits_; }
     /// @}
 
     /**
@@ -208,11 +211,15 @@ class Simulator {
      * after an edit restores the new value without its propagation. */
     struct Snapshot {
         std::vector<V4> val;
-        std::vector<uint8_t> activeLast;
+        /** Gate-id bitset of the last stepped cycle's activity, the
+         *  form activeBits() returns. */
+        std::vector<uint64_t> activeLast;
         std::vector<uint8_t> loadedPrevEdge;
         uint64_t cycle;
     };
     Snapshot snapshot() const;
+    /** Throws std::logic_error for a snapshot of a netlist of another
+     *  shape (gate or sequential-gate count). */
     void restore(const Snapshot &s);
 
     /**
@@ -234,8 +241,8 @@ class Simulator {
         /// @{
         std::vector<uint32_t> valIdx;
         std::vector<V4> valNew;
-        std::vector<uint32_t> actIdx;
-        std::vector<uint8_t> actNew;
+        std::vector<uint32_t> actIdx; ///< word index into activeLast
+        std::vector<uint64_t> actNew; ///< the whole 64-gate word
         std::vector<uint32_t> seqIdx;
         std::vector<uint8_t> seqNew;
         /// @}
@@ -246,21 +253,21 @@ class Simulator {
         size_t deltaBytes() const;
     };
     /** Capture the current state as a delta against @p base, which
-     *  must describe the same netlist (sizes are checked). Same
-     *  between-steps contract as snapshot(). */
+     *  must describe the same netlist (sizes are checked): the delta
+     *  deltaBetween(snapshot(), base) returns, without the full copy.
+     *  Same between-steps contract as snapshot(). */
     DeltaSnapshot
     snapshotDelta(std::shared_ptr<const Snapshot> base) const;
+    /** Same shape check as restore(const Snapshot &), on the base. */
     void restore(const DeltaSnapshot &s);
     /** Expand a delta into the equivalent full Snapshot (the
      *  equivalence-test helper). */
     static Snapshot materialize(const DeltaSnapshot &s);
     /** Heap bytes of a full snapshot of this simulator's netlist. */
     static size_t bytesOf(const Snapshot &s);
-    /** Capture @p cur as a delta against @p base -- snapshotDelta for
-     *  a state that lives in a Snapshot instead of in a Simulator.
-     *  For identical states the produced delta is byte-identical to
-     *  snapshotDelta's (same diff, same base), so the packed
-     *  exploration's fork captures match the scalar engine's exactly. */
+    /** Capture @p cur as a delta against @p base (sizes are
+     *  checked): the symbolic engine's fork capture, for scalar and
+     *  packed paths alike, so both produce the same deltas. */
     static DeltaSnapshot
     deltaBetween(const Snapshot &cur,
                  std::shared_ptr<const Snapshot> base);
@@ -272,7 +279,7 @@ class Simulator {
      * execution the driving scenario admits, from @p engage_cycle on
      * (the analysis' settle bound: reset cycles + 1 + maxPruneDepth).
      * Once cycle() reaches @p engage_cycle, the full sweep skips
-     * masked gates whose activity flag is clear (their value and
+     * masked gates that were inactive last cycle (their value and
      * inactivity are invariants), the event kernel stops enqueueing
      * them, and hashFullState() drops their (constant) bytes --
      * identical states keep identical hashes, so dedup merges stay
@@ -337,9 +344,8 @@ class Simulator {
     void markPending(uint32_t node);
     void markFanouts(GateId g, bool value_changed);
     void markAllSeq();
-    void syncActivityBits();
+    void checkShape(const Snapshot &s) const;
     void afterRestore();
-    void rebuildActiveList();
     void accumulateEnergy();
 
     const Netlist *nl_;
@@ -348,13 +354,12 @@ class Simulator {
     EvalMode mode_;
     std::vector<V4> val_;
     std::vector<V4> prev_;
-    /** Per-gate activity flags of the last stepped cycle: the snapshot
-     *  and hash form (zero-padded to a multiple of 8). */
-    std::vector<uint8_t> active_;
-    /** The same activity as a gate-id bitset, set during evaluation;
-     *  between steps it mirrors active_ bit for bit. */
+    /** Gate-id activity bitset, cleared at the start of each step and
+     *  set as gates evaluate active: between steps, the last stepped
+     *  cycle's activity. */
     std::vector<uint64_t> actBits_;
-    /** actBits_ of the previous cycle (flop D-pin activity). */
+    /** actBits_ of the previous cycle (flop D-pin activity, and the
+     *  pruned full sweep's settled test). */
     std::vector<uint64_t> actBitsPrev_;
     /** Per seq gate (indexed by position in seqGates()): last edge
      * actually loaded (enable high). */
@@ -398,7 +403,6 @@ class Simulator {
     std::vector<std::pair<uint32_t, uint32_t>> unprunedRuns_;
     /// @}
 
-    std::vector<GateId> activeList_;
     double actualEnergy_ = 0.0;
     double boundEnergy_ = 0.0;
     double behavioralEnergy_ = 0.0;

@@ -16,6 +16,7 @@
 #include "isa/encoding.hh"
 #include "lint/lint.hh"
 #include "power/packed_run.hh"
+#include "sim/bitset.hh"
 #include "sym/testing.hh"
 
 namespace ulpeak {
@@ -834,8 +835,8 @@ class Worker {
             });
             ++cyclesRun;
             if (cfg_.recordActiveSets)
-                for (GateId g : sim.activeGates())
-                    everActive_[g] = 1;
+                forEachBit(sim.activeBits(),
+                           [&](GateId g) { everActive_[g] = 1; });
 
             bool newPeak = false;
             CycleEnd end = endCycle(
@@ -848,9 +849,11 @@ class Worker {
                                  return sim.predictSeqValue(g) == V4::X;
                              })},
                 newPeak);
-            if (newPeak && cfg_.recordActiveSets)
-                peakActive.assign(sim.activeGates().begin(),
-                                  sim.activeGates().end());
+            if (newPeak && cfg_.recordActiveSets) {
+                peakActive.clear();
+                forEachBit(sim.activeBits(),
+                           [&](GateId g) { peakActive.push_back(g); });
+            }
             if (end == CycleEnd::Fork)
                 fork(sh, path, sys.readIr(sim), base, sim.snapshot(),
                      sys.memory());
@@ -1060,8 +1063,7 @@ class Worker {
                              })},
                 newPeak);
             if (newPeak && cfg_.recordActiveSets) {
-                // Ascending gate id, like the canonicalized scalar
-                // activeGates() view.
+                // Ascending gate id, like the scalar activeBits() walk.
                 peakActive.clear();
                 size_t n = everActive_.size();
                 for (GateId g = 0; g < n; ++g)

@@ -404,7 +404,7 @@ TEST_P(KernelEquivalence, PerCycleLockstepIdentical)
             << b.name << " cycle " << c;
         ASSERT_EQ(ev.boundEnergyJ(), fs.boundEnergyJ())
             << b.name << " cycle " << c;
-        ASSERT_EQ(ev.activeGates(), fs.activeGates())
+        ASSERT_EQ(ev.activeBits(), fs.activeBits())
             << b.name << " cycle " << c;
         ASSERT_EQ(sysEv.halted(), sysFs.halted()) << b.name;
     }

@@ -66,8 +66,20 @@ snapshotsEqual(const Simulator::Snapshot &a,
            a.loadedPrevEdge == b.loadedPrevEdge && a.cycle == b.cycle;
 }
 
+bool
+deltasEqual(const Simulator::DeltaSnapshot &a,
+            const Simulator::DeltaSnapshot &b)
+{
+    return a.base == b.base && a.valIdx == b.valIdx &&
+           a.valNew == b.valNew && a.actIdx == b.actIdx &&
+           a.actNew == b.actNew && a.seqIdx == b.seqIdx &&
+           a.seqNew == b.seqNew && a.cycle == b.cycle;
+}
+
 // materialize(delta-vs-base) must equal the full snapshot captured
-// at the same instant, across randomized dirty distances and seeds.
+// at the same instant, across randomized dirty distances and seeds;
+// capturing from the live simulator (snapshotDelta) gives the same
+// delta as capturing from the full snapshot (deltaBetween).
 TEST(SnapshotDelta, MaterializeEqualsFullSnapshot)
 {
     for (uint64_t seed = 1; seed <= 8; ++seed) {
@@ -85,9 +97,12 @@ TEST(SnapshotDelta, MaterializeEqualsFullSnapshot)
             runCycles(sim, rig.rn.inputs, rig.sched, at, gap);
             at += gap;
             Simulator::Snapshot full = sim.snapshot();
-            Simulator::DeltaSnapshot delta = sim.snapshotDelta(base);
+            Simulator::DeltaSnapshot delta =
+                Simulator::deltaBetween(full, base);
             EXPECT_TRUE(
                 snapshotsEqual(Simulator::materialize(delta), full))
+                << "seed " << seed << " cycle " << at;
+            EXPECT_TRUE(deltasEqual(sim.snapshotDelta(base), delta))
                 << "seed " << seed << " cycle " << at;
         }
     }
@@ -102,7 +117,8 @@ TEST(SnapshotDelta, EmptyDeltaRoundTrips)
     runCycles(sim, rig.rn.inputs, rig.sched, 0, 10);
     auto base = std::make_shared<const Simulator::Snapshot>(
         sim.snapshot());
-    Simulator::DeltaSnapshot delta = sim.snapshotDelta(base);
+    Simulator::DeltaSnapshot delta =
+        Simulator::deltaBetween(sim.snapshot(), base);
     EXPECT_EQ(delta.deltaBytes(), 0u);
     EXPECT_TRUE(snapshotsEqual(Simulator::materialize(delta), *base));
 
@@ -126,7 +142,8 @@ TEST(SnapshotDelta, RestoreIntoCloneMatchesFullRestore)
             sim.snapshot());
         runCycles(sim, rig.rn.inputs, rig.sched, 12, 9);
         Simulator::Snapshot full = sim.snapshot();
-        Simulator::DeltaSnapshot delta = sim.snapshotDelta(base);
+        Simulator::DeltaSnapshot delta =
+            Simulator::deltaBetween(full, base);
 
         // Continue the original to the end of the schedule.
         runCycles(sim, rig.rn.inputs, rig.sched, 21, 43);
@@ -138,7 +155,7 @@ TEST(SnapshotDelta, RestoreIntoCloneMatchesFullRestore)
         Simulator viaDeltaFullSweep(rig.nl, EvalMode::FullSweep);
         viaDeltaFullSweep.restore(delta);
         EXPECT_EQ(viaFull.hashFullState(), viaDelta.hashFullState());
-        EXPECT_EQ(viaFull.activeGates(), viaDelta.activeGates());
+        EXPECT_EQ(viaFull.activeBits(), viaDelta.activeBits());
 
         for (unsigned c = 21; c < 64; ++c) {
             auto drive = [&](Simulator &s) {
@@ -163,8 +180,8 @@ TEST(SnapshotDelta, RestoreIntoCloneMatchesFullRestore)
     }
 }
 
-// A delta against a base from a different netlist must be rejected
-// loudly, not silently mis-applied.
+// A snapshot or a delta base from a different netlist must be
+// rejected loudly, not silently mis-applied.
 TEST(SnapshotDelta, MismatchedBaseThrows)
 {
     Rig rigA(21, 8);
@@ -181,6 +198,15 @@ TEST(SnapshotDelta, MismatchedBaseThrows)
     auto baseB = std::make_shared<const Simulator::Snapshot>(
         simB.snapshot());
     EXPECT_THROW(simA.snapshotDelta(baseB), std::logic_error);
+    EXPECT_THROW(Simulator::deltaBetween(simA.snapshot(), baseB),
+                 std::logic_error);
+    EXPECT_THROW(simA.restore(*baseB), std::logic_error);
+    Simulator::DeltaSnapshot deltaB =
+        Simulator::deltaBetween(*baseB, baseB);
+    EXPECT_THROW(simA.restore(deltaB), std::logic_error);
+    // The rejected restores left simA's state alone.
+    runCycles(simA, rigA.rn.inputs, rigA.sched, 4, 4);
+    EXPECT_EQ(simA.cycle(), 8u);
 }
 
 /** PI with an all-X port, this many cycles past reset: X inputs keep

@@ -440,12 +440,8 @@ Simulator::sweepEvent()
     // sequential gate provably kept its value) and their sequential
     // consumers. actBits_ holds exactly the active sequential gates
     // (including upsets) at this point.
-    for (uint32_t w = 0; w < actBits_.size(); ++w) {
-        for (uint64_t bits = actBits_[w]; bits; bits &= bits - 1) {
-            GateId g = w * 64 + unsigned(__builtin_ctzll(bits));
-            markFanouts(g, val_[g] != prev_[g]);
-        }
-    }
+    forEachBit(actBits_,
+               [&](GateId g) { markFanouts(g, val_[g] != prev_[g]); });
 
     // Drain in ascending position, a topological order: evaluating a
     // node only marks strictly higher positions, so re-reading the

@@ -251,9 +251,10 @@ scalarKeys(EvalMode mode, bool prune)
 
 // The dedup keys are literal values: a change to how the state is
 // hashed (byte order, activity encoding, padding) moves every key
-// even when it leaves every reported number alone, and silently
-// invalidates keys persisted next to results. Both scalar kernels and
-// every lane of the packed kernel must produce the same key.
+// even when it leaves every tested report alone, and keys also break
+// exact peak-power ties between candidates, so a moved key can move
+// the reported peak cycle. Both scalar kernels and every lane of the
+// packed kernel must produce the same key.
 TEST(DedupKeys, PinnedAcrossKernels)
 {
     constexpr uint64_t kKey = 523337835501358110ull;

@@ -99,62 +99,6 @@ cellName(CellKind k)
     }
 }
 
-V4
-evalCell(CellKind k, const V4 *in)
-{
-    switch (k) {
-      case CellKind::Const0:
-        return V4::Zero;
-      case CellKind::Const1:
-        return V4::One;
-      case CellKind::Buf:
-        return in[0];
-      case CellKind::Inv:
-        return v4Not(in[0]);
-      case CellKind::And2:
-        return v4And(in[0], in[1]);
-      case CellKind::And3:
-        return v4And(v4And(in[0], in[1]), in[2]);
-      case CellKind::And4:
-        return v4And(v4And(in[0], in[1]), v4And(in[2], in[3]));
-      case CellKind::Or2:
-        return v4Or(in[0], in[1]);
-      case CellKind::Or3:
-        return v4Or(v4Or(in[0], in[1]), in[2]);
-      case CellKind::Or4:
-        return v4Or(v4Or(in[0], in[1]), v4Or(in[2], in[3]));
-      case CellKind::Nand2:
-        return v4Not(v4And(in[0], in[1]));
-      case CellKind::Nand3:
-        return v4Not(v4And(v4And(in[0], in[1]), in[2]));
-      case CellKind::Nand4:
-        return v4Not(v4And(v4And(in[0], in[1]), v4And(in[2], in[3])));
-      case CellKind::Nor2:
-        return v4Not(v4Or(in[0], in[1]));
-      case CellKind::Nor3:
-        return v4Not(v4Or(v4Or(in[0], in[1]), in[2]));
-      case CellKind::Nor4:
-        return v4Not(v4Or(v4Or(in[0], in[1]), v4Or(in[2], in[3])));
-      case CellKind::Xor2:
-        return v4Xor(in[0], in[1]);
-      case CellKind::Xnor2:
-        return v4Not(v4Xor(in[0], in[1]));
-      case CellKind::Mux2:
-        return v4Mux(in[2], in[0], in[1]);
-      case CellKind::Aoi21:
-        return v4Not(v4Or(v4And(in[0], in[1]), in[2]));
-      case CellKind::Oai21:
-        return v4Not(v4And(v4Or(in[0], in[1]), in[2]));
-      case CellKind::Aoi22:
-        return v4Not(v4Or(v4And(in[0], in[1]), v4And(in[2], in[3])));
-      case CellKind::Oai22:
-        return v4Not(v4And(v4Or(in[0], in[1]), v4Or(in[2], in[3])));
-      default:
-        assert(false && "evalCell called on non-combinational kind");
-        return V4::X;
-    }
-}
-
 const V4 *
 cellTruthTable()
 {

@@ -23,6 +23,7 @@
 #define ULPEAK_CELL_CELL_LIBRARY_HH
 
 #include <array>
+#include <cassert>
 #include <cstdint>
 #include <string>
 
@@ -79,10 +80,73 @@ unsigned cellFaninCount(CellKind k);
 const char *cellName(CellKind k);
 
 /**
- * Evaluate the combinational function of @p k over three-valued inputs.
- * Must not be called for sequential or source kinds.
+ * Evaluate the combinational function of @p k over three-valued
+ * inputs: the one per-kind cell composition. @p V is V4 (one value)
+ * or V64 (64 lanes, logic/v64.hh), whose ops share names and agree
+ * lane for lane, so the scalar kernel's truth table (built from the
+ * V4 instance) and the packed kernel (the V64 instance) compute the
+ * same function. Must not be called for sequential or Input kinds.
  */
-V4 evalCell(CellKind k, const V4 *in);
+template <typename V>
+V
+evalCell(CellKind k, const V *in)
+{
+    switch (k) {
+      case CellKind::Const0:
+        return logicSplat<V>(V4::Zero);
+      case CellKind::Const1:
+        return logicSplat<V>(V4::One);
+      case CellKind::Buf:
+        return in[0];
+      case CellKind::Inv:
+        return logicNot(in[0]);
+      case CellKind::And2:
+        return logicAnd(in[0], in[1]);
+      case CellKind::And3:
+        return logicAnd(logicAnd(in[0], in[1]), in[2]);
+      case CellKind::And4:
+        return logicAnd(logicAnd(in[0], in[1]), logicAnd(in[2], in[3]));
+      case CellKind::Or2:
+        return logicOr(in[0], in[1]);
+      case CellKind::Or3:
+        return logicOr(logicOr(in[0], in[1]), in[2]);
+      case CellKind::Or4:
+        return logicOr(logicOr(in[0], in[1]), logicOr(in[2], in[3]));
+      case CellKind::Nand2:
+        return logicNot(logicAnd(in[0], in[1]));
+      case CellKind::Nand3:
+        return logicNot(logicAnd(logicAnd(in[0], in[1]), in[2]));
+      case CellKind::Nand4:
+        return logicNot(
+            logicAnd(logicAnd(in[0], in[1]), logicAnd(in[2], in[3])));
+      case CellKind::Nor2:
+        return logicNot(logicOr(in[0], in[1]));
+      case CellKind::Nor3:
+        return logicNot(logicOr(logicOr(in[0], in[1]), in[2]));
+      case CellKind::Nor4:
+        return logicNot(
+            logicOr(logicOr(in[0], in[1]), logicOr(in[2], in[3])));
+      case CellKind::Xor2:
+        return logicXor(in[0], in[1]);
+      case CellKind::Xnor2:
+        return logicNot(logicXor(in[0], in[1]));
+      case CellKind::Mux2:
+        return logicMux(in[2], in[0], in[1]);
+      case CellKind::Aoi21:
+        return logicNot(logicOr(logicAnd(in[0], in[1]), in[2]));
+      case CellKind::Oai21:
+        return logicNot(logicAnd(logicOr(in[0], in[1]), in[2]));
+      case CellKind::Aoi22:
+        return logicNot(
+            logicOr(logicAnd(in[0], in[1]), logicAnd(in[2], in[3])));
+      case CellKind::Oai22:
+        return logicNot(
+            logicAnd(logicOr(in[0], in[1]), logicOr(in[2], in[3])));
+      default:
+        assert(false && "evalCell called on non-combinational kind");
+        return logicSplat<V>(V4::X);
+    }
+}
 
 /**
  * Index of a packed fanin vector: pin p's V4 value occupies bits
@@ -93,7 +157,7 @@ constexpr unsigned kPackedFaninStates = 256;
 /**
  * Truth tables of every combinational kind over packed fanins:
  * entry [k * kPackedFaninStates + idx] is evalCell(k, unpack(idx)).
- * Built once, from evalCell itself, so a table lookup and evalCell
+ * Built once, from evalCell<V4> itself, so a table lookup and evalCell
  * agree by construction (tests/test_cell_library.cc checks every kind
  * over all 3^nin inputs). Entries of non-combinational kinds, and of
  * indices no fanin vector packs to, are X.

@@ -2,8 +2,9 @@
 
 namespace ulpeak {
 
-// The hot ops (v4And/v4Or/v4Xor/v4Not/v4Mux) are constexpr in v4.hh;
-// only the cold string/character helpers stay out of line.
+// The hot ops (logicAnd/logicOr/logicXor/logicNot/logicMux) are
+// constexpr in v4.hh; only the cold string/character helpers stay out
+// of line.
 
 char
 v4Char(V4 v)

@@ -43,10 +43,23 @@ fromBool(bool b)
 // so they live here as constexpr header functions: out-of-line calls
 // per signal cost more than the operation itself
 // (BENCH_sim_kernel.json tracks the kernel throughput this protects).
+// logic/v64.hh overloads every name for 64 packed lanes, so the one
+// evalCell template serves both types.
+
+/** @p v in every lane of a logic type: the value itself for V4 (one
+ *  lane); v64.hh specializes it for V64. */
+template <typename V> constexpr V logicSplat(V4 v);
+
+template <>
+constexpr V4
+logicSplat<V4>(V4 v)
+{
+    return v;
+}
 
 /** Kleene AND: 0 dominates, X otherwise unless both 1. */
 constexpr V4
-v4And(V4 a, V4 b)
+logicAnd(V4 a, V4 b)
 {
     if (a == V4::Zero || b == V4::Zero)
         return V4::Zero;
@@ -57,7 +70,7 @@ v4And(V4 a, V4 b)
 
 /** Kleene OR: 1 dominates, X otherwise unless both 0. */
 constexpr V4
-v4Or(V4 a, V4 b)
+logicOr(V4 a, V4 b)
 {
     if (a == V4::One || b == V4::One)
         return V4::One;
@@ -68,7 +81,7 @@ v4Or(V4 a, V4 b)
 
 /** XOR: X if either operand is X. */
 constexpr V4
-v4Xor(V4 a, V4 b)
+logicXor(V4 a, V4 b)
 {
     if (a == V4::X || b == V4::X)
         return V4::X;
@@ -77,7 +90,7 @@ v4Xor(V4 a, V4 b)
 
 /** NOT: X maps to X. */
 constexpr V4
-v4Not(V4 a)
+logicNot(V4 a)
 {
     if (a == V4::X)
         return V4::X;
@@ -94,7 +107,7 @@ v4Not(V4 a)
  * sound because the real cell output cannot differ from both inputs.
  */
 constexpr V4
-v4Mux(V4 sel, V4 a, V4 b)
+logicMux(V4 sel, V4 a, V4 b)
 {
     if (sel == V4::Zero)
         return a;

@@ -16,10 +16,12 @@
  * (v is always a subset of k), so two V64s are lane-wise equal exactly
  * when both planes are equal -- the packed analogue of Word16 keeping
  * X bits of `value` at 0. Every operation below preserves canonical
- * form and computes, in each lane, exactly the scalar v4And / v4Or /
- * v4Xor / v4Not / v4Mux of that lane's operands (tests/test_logic.cc
- * pins this against the scalar truth tables). PackedSimulator builds
- * on these ops to sweep a netlist once for 64 input patterns.
+ * form and computes, in each lane, exactly the scalar op of the same
+ * name (logicAnd / logicOr / logicXor / logicNot / logicMux in v4.hh)
+ * on that lane's operands (tests/test_logic.cc pins this against the
+ * scalar truth tables). Sharing the names lets one evalCell template
+ * (cell/cell_library.hh) compose a cell for either type, so the
+ * packed kernel evaluates exactly the scalar composition.
  */
 
 #ifndef ULPEAK_LOGIC_V64_HH
@@ -112,10 +114,18 @@ struct V64 {
     std::string toString() const;
 };
 
-/** Lane-wise Kleene AND (64 x v4And). A known 0 forces the lane known
- *  regardless of the other operand. */
+/** @p val in all 64 lanes (the V64 form of logicSplat). */
+template <>
 constexpr V64
-v64And(V64 a, V64 b)
+logicSplat<V64>(V4 val)
+{
+    return V64::splat(val);
+}
+
+/** Lane-wise Kleene AND (64 scalar logicAnd). A known 0 forces the
+ *  lane known regardless of the other operand. */
+constexpr V64
+logicAnd(V64 a, V64 b)
 {
     V64 r;
     r.v = a.v & b.v;
@@ -123,10 +133,10 @@ v64And(V64 a, V64 b)
     return r;
 }
 
-/** Lane-wise Kleene OR (64 x v4Or). A known 1 dominates. Canonical
- *  since v bits only appear where some operand was known-1. */
+/** Lane-wise Kleene OR (64 scalar logicOr). A known 1 dominates.
+ *  Canonical since v bits only appear where some operand was known-1. */
 constexpr V64
-v64Or(V64 a, V64 b)
+logicOr(V64 a, V64 b)
 {
     V64 r;
     r.v = a.v | b.v;
@@ -134,9 +144,9 @@ v64Or(V64 a, V64 b)
     return r;
 }
 
-/** Lane-wise XOR (64 x v4Xor): X if either lane is X. */
+/** Lane-wise XOR (64 scalar logicXor): X if either lane is X. */
 constexpr V64
-v64Xor(V64 a, V64 b)
+logicXor(V64 a, V64 b)
 {
     V64 r;
     r.k = a.k & b.k;
@@ -144,9 +154,9 @@ v64Xor(V64 a, V64 b)
     return r;
 }
 
-/** Lane-wise NOT (64 x v4Not). */
+/** Lane-wise NOT (64 scalar logicNot). */
 constexpr V64
-v64Not(V64 a)
+logicNot(V64 a)
 {
     V64 r;
     r.k = a.k;
@@ -154,10 +164,10 @@ v64Not(V64 a)
     return r;
 }
 
-/** Lane-wise 2:1 mux (64 x v4Mux): sel 0 -> a, 1 -> b; an X select
- *  resolves only where the data lanes are known and agree. */
+/** Lane-wise 2:1 mux (64 scalar logicMux): sel 0 -> a, 1 -> b; an X
+ *  select resolves only where the data lanes are known and agree. */
 constexpr V64
-v64Mux(V64 sel, V64 a, V64 b)
+logicMux(V64 sel, V64 a, V64 b)
 {
     uint64_t sel0 = sel.k & ~sel.v;
     uint64_t sel1 = sel.v;

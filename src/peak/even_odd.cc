@@ -63,9 +63,9 @@ buildMaxVcd(const Netlist &nl, const GateTrace &trace, bool even)
                 prev = lib.maxTransitionValue(nl.gate(g).kind, 1);
                 cur = lib.maxTransitionValue(nl.gate(g).kind, 2);
             } else if (cur == V4::X) {
-                cur = v4Not(prev);
+                cur = logicNot(prev);
             } else if (prev == V4::X) {
-                prev = v4Not(cur);
+                prev = logicNot(cur);
             }
         }
     }

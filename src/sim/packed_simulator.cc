@@ -11,67 +11,6 @@ namespace ulpeak {
 
 namespace {
 
-/** Lane-exact packed mirror of evalCell (cell_library.cc): the same
- *  op composition per kind, over V64 planes instead of one V4. */
-V64
-packedEvalCell(CellKind k, const V64 *in)
-{
-    switch (k) {
-      case CellKind::Const0:
-        return V64::splat(V4::Zero);
-      case CellKind::Const1:
-        return V64::splat(V4::One);
-      case CellKind::Buf:
-        return in[0];
-      case CellKind::Inv:
-        return v64Not(in[0]);
-      case CellKind::And2:
-        return v64And(in[0], in[1]);
-      case CellKind::And3:
-        return v64And(v64And(in[0], in[1]), in[2]);
-      case CellKind::And4:
-        return v64And(v64And(in[0], in[1]), v64And(in[2], in[3]));
-      case CellKind::Or2:
-        return v64Or(in[0], in[1]);
-      case CellKind::Or3:
-        return v64Or(v64Or(in[0], in[1]), in[2]);
-      case CellKind::Or4:
-        return v64Or(v64Or(in[0], in[1]), v64Or(in[2], in[3]));
-      case CellKind::Nand2:
-        return v64Not(v64And(in[0], in[1]));
-      case CellKind::Nand3:
-        return v64Not(v64And(v64And(in[0], in[1]), in[2]));
-      case CellKind::Nand4:
-        return v64Not(
-            v64And(v64And(in[0], in[1]), v64And(in[2], in[3])));
-      case CellKind::Nor2:
-        return v64Not(v64Or(in[0], in[1]));
-      case CellKind::Nor3:
-        return v64Not(v64Or(v64Or(in[0], in[1]), in[2]));
-      case CellKind::Nor4:
-        return v64Not(v64Or(v64Or(in[0], in[1]), v64Or(in[2], in[3])));
-      case CellKind::Xor2:
-        return v64Xor(in[0], in[1]);
-      case CellKind::Xnor2:
-        return v64Not(v64Xor(in[0], in[1]));
-      case CellKind::Mux2:
-        return v64Mux(in[2], in[0], in[1]);
-      case CellKind::Aoi21:
-        return v64Not(v64Or(v64And(in[0], in[1]), in[2]));
-      case CellKind::Oai21:
-        return v64Not(v64And(v64Or(in[0], in[1]), in[2]));
-      case CellKind::Aoi22:
-        return v64Not(
-            v64Or(v64And(in[0], in[1]), v64And(in[2], in[3])));
-      case CellKind::Oai22:
-        return v64Not(
-            v64And(v64Or(in[0], in[1]), v64Or(in[2], in[3])));
-      default:
-        assert(false && "packedEvalCell on non-combinational kind");
-        return V64::allX();
-    }
-}
-
 /**
  * Algorithm-2 pricing classes of an active gate, per lane, from its
  * previous (pv, pk) and current (cv, ck) planes -- the packed form of
@@ -95,7 +34,7 @@ priceMasks(uint64_t a, uint64_t pv, uint64_t pk, uint64_t cv, uint64_t ck)
 } // namespace
 
 PackedSimulator::PackedSimulator(const Netlist &nl)
-    : nl_(&nl), flat_(&nl.flat())
+    : nl_(&nl), flat_(&nl.flat()), wake_(nl.flat(), nl.seqGates().size())
 {
     if (!nl.finalized())
         throw std::logic_error(
@@ -110,17 +49,12 @@ PackedSimulator::PackedSimulator(const Netlist &nl)
     actBits_.assign(bitWords(n), 0);
     actBitsPrev_.assign(bitWords(n), 0);
     loadedPrevEdge_.assign(nseq, ~uint64_t(0));
-    pending_.assign(bitWords(f.seqWakeBase + nseq), 0);
     always_.assign(f.seqWakeBase / 64, 0);
     for (uint32_t pos = 0; pos < f.schedule.size(); ++pos) {
         uint32_t node = f.schedule[pos];
         if (node >= f.numGates || f.kind[node] == CellKind::Input)
             setBit(always_.data(), pos);
     }
-    seqNext_.assign(bitWords(nseq), 0);
-    seqMarkPrev_.assign(bitWords(nseq), 0);
-    seqDue_.assign(bitWords(nseq), 0);
-    markAllSeq();
     hookFns_.resize(nl.hooks().size());
     moduleEnergy_.assign(size_t(nl.numModules()) * kLanes, 0.0);
 }
@@ -136,29 +70,6 @@ PackedSimulator::addEdgeFn(PackedFnRef fn)
 {
     if (fn)
         edgeFns_.push_back(fn);
-}
-
-inline void
-PackedSimulator::markFanouts(GateId g)
-{
-    // A gate active in any lane wakes every combinational consumer for
-    // this cycle and every flop consumer for the next two edges (the
-    // flop tail of pending_, see Simulator::markFanouts).
-    const FlatNetlist &f = *flat_;
-    uint64_t *pending = pending_.data();
-    for (uint32_t i = f.fanoutOffset[g]; i < f.fanoutOffset[g + 1]; ++i)
-        setBit(pending, f.fanoutPos[i]);
-}
-
-void
-PackedSimulator::markAllSeq()
-{
-    // Every flop pending for the next two edges (Simulator::markAllSeq).
-    size_t nseq = nl_->seqGates().size();
-    uint64_t *cur = pending_.data() + flat_->seqWakeBase / 64;
-    std::fill(cur, pending_.data() + pending_.size(), ~uint64_t(0));
-    if (nseq % 64)
-        pending_.back() = (uint64_t(1) << (nseq % 64)) - 1;
 }
 
 void
@@ -178,9 +89,9 @@ PackedSimulator::writeLive(GateId g, uint64_t v, uint64_t k)
     // bit below), so the gate itself evaluates as unchanged. A forced
     // flop's own next edge reads the forced q.
     setBit(actBits_.data(), g);
-    markFanouts(g);
+    wake_.markFanouts(g);
     if (flat_->seqIndexOf[g] != UINT32_MAX)
-        setBit(seqNext_.data(), flat_->seqIndexOf[g]);
+        wake_.markSeq(flat_->seqIndexOf[g]);
 }
 
 void
@@ -188,14 +99,6 @@ PackedSimulator::setInput(GateId g, V64 v)
 {
     assert(flat_->kind[g] == CellKind::Input);
     writeLive(g, v.v, v.k);
-}
-
-void
-PackedSimulator::setInputLane(GateId g, unsigned lane, V4 v)
-{
-    V64 cur = value(g);
-    cur.setLane(lane, v);
-    setInput(g, cur);
 }
 
 uint64_t
@@ -211,7 +114,7 @@ PackedSimulator::injectSeuFlip(GateId g, uint64_t lane_mask)
     val_[g].v ^= m;
     act_[g] |= m;
     setBit(actBits_.data(), g);
-    setBit(seqNext_.data(), flat_->seqIndexOf[g]);
+    wake_.markSeq(flat_->seqIndexOf[g]);
     return m;
 }
 
@@ -367,44 +270,29 @@ PackedSimulator::evalSeqGate(uint32_t i)
     val_[g].k = (newK & live) | (qk & ~live);
     act &= live;
     act_[g] = act;
-    if (act)
+    if (act) {
         setBit(actBits_.data(), g);
-    // Changed state (q or load history) feeds this flop's own
-    // next-edge evaluation.
-    if (act || loaded != loadedPrevEdge_[i])
-        setBit(seqNext_.data(), i);
+        wake_.markSeq(i); // wake rule (b), see WakeQueue
+    }
     loadedPrevEdge_[i] = loaded;
 }
 
 void
 PackedSimulator::updateSequential()
 {
-    // The scalar kernel's flop window, lane-unioned: find the flops
-    // due at this edge and rotate the marks (Simulator::updateSequential
-    // explains why word-at-a-time rotation is exact). The due flops
-    // read their D pin's last-cycle activity before act_ is cleared
-    // and before any flop -- possibly another flop's D pin --
-    // overwrites its own entry.
+    // The due flops read their D pin's last-cycle activity before
+    // act_ is cleared and before any flop -- possibly another flop's
+    // D pin -- overwrites its own entry.
     const FlatNetlist &f = *flat_;
     const GateId *seq = nl_->seqGates().data();
-    uint64_t *cur = pending_.data() + f.seqWakeBase / 64;
-    uint64_t *next = seqNext_.data();
-    uint64_t *prevMarks = seqMarkPrev_.data();
-    uint64_t *due = seqDue_.data();
-    for (uint32_t w = 0; w < seqNext_.size(); ++w) {
-        due[w] = next[w] | cur[w] | prevMarks[w];
-        next[w] = 0;
-        prevMarks[w] = cur[w];
-        cur[w] = 0;
-        for (uint64_t d = due[w]; d; d &= d - 1) {
-            uint32_t i = w * 64 + unsigned(__builtin_ctzll(d));
-            dActPrev_[i] = act_[f.fanin[f.faninOffset[seq[i]]]];
-        }
-    }
+    const std::vector<uint64_t> &due = wake_.takeDue();
+    forEachBit(due, [&](uint32_t i) {
+        dActPrev_[i] = act_[f.fanin[f.faninOffset[seq[i]]]];
+    });
     // Last cycle's activity ends here: clearing through its bitset
     // lets skipped gates read as inactive without a whole-array pass.
     forEachBit(actBitsPrev_, [&](GateId g) { act_[g] = 0; });
-    forEachBit(seqDue_, [&](uint32_t i) { evalSeqGate(i); });
+    forEachBit(due, [&](uint32_t i) { evalSeqGate(i); });
 }
 
 void
@@ -440,7 +328,7 @@ PackedSimulator::evalNode(uint32_t node)
             ins[p] = val_[src];
             faninAct |= act_[src];
         }
-        V64 v = packedEvalCell(f.kind[g], ins);
+        V64 v = evalCell(f.kind[g], ins);
         val_[g] = v;
         a = v.diffMask(prev_[g]) | (~v.k & faninAct);
         break;
@@ -450,7 +338,7 @@ PackedSimulator::evalNode(uint32_t node)
     act_[g] = a;
     if (a) {
         setBit(actBits_.data(), g);
-        markFanouts(g);
+        wake_.markFanouts(g);
     }
 }
 
@@ -558,27 +446,15 @@ PackedSimulator::step(PackedFnRef driver)
         // leave X without being active, so every gate resyncs.
         for (uint32_t node : f.schedule)
             evalNode(node);
-        std::fill(pending_.begin(), pending_.end(), 0);
-        markAllSeq();
+        wake_.clear();
+        wake_.armAllSeq();
         resyncAll_ = true;
     } else {
         // Seed from this edge's active flops (and upsets / writes),
-        // plus the nodes that run every cycle, then drain in ascending
-        // position -- a topological order, since evaluating a node
-        // only marks strictly higher positions.
-        forEachBit(actBits_, [&](GateId g) { markFanouts(g); });
-        uint64_t *pending = pending_.data();
-        for (size_t w = 0; w < always_.size(); ++w)
-            pending[w] |= always_[w];
-        const uint32_t *schedule = f.schedule.data();
-        for (uint32_t w = 0; w < f.seqWakeBase / 64; ++w) {
-            uint64_t bits;
-            while ((bits = pending[w]) != 0) {
-                pending[w] = bits & (bits - 1);
-                evalNode(
-                    schedule[w * 64 + unsigned(__builtin_ctzll(bits))]);
-            }
-        }
+        // plus the nodes that run every cycle, then drain.
+        forEachBit(actBits_, [&](GateId g) { wake_.markFanouts(g); });
+        wake_.markPositions(always_);
+        wake_.drain([&](uint32_t node) { evalNode(node); });
     }
 
     priceBound();
@@ -648,7 +524,7 @@ PackedSimulator::loadLaneState(unsigned lane,
     live_ |= m;
     // Simulator::afterRestore: the loaded state carries no wake marks,
     // so re-arm every flop; every gate's previous-cycle planes resync.
-    markAllSeq();
+    wake_.armAllSeq();
     resyncAll_ = true;
 }
 

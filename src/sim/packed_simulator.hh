@@ -16,8 +16,9 @@
  * (either EvalMode; the two scalar kernels are themselves bit-identical
  * by contract). This holds by construction:
  *
- *  - the V64 ops are lane-exact to the scalar v4 ops, so any cell
- *    composition evaluates lane-exactly;
+ *  - the V64 ops are lane-exact to the scalar V4 ops of the same
+ *    names, and both kernels compose cells through the one evalCell
+ *    template, so every cell evaluates lane-exactly;
  *  - activity masks compute the scalar activity rule per lane
  *    (value-changed, X-propagation through active fanins, and the
  *    sequential provable-hold analysis);
@@ -32,14 +33,18 @@
  * EvalMode::EventDriven: a pending bitset over schedule positions is
  * filled from FlatNetlist::fanoutPos by every gate active in any lane
  * and drained in ascending position, so a combinational gate is
- * evaluated only when one of its fanins is active in some lane, and
- * flops wake over the scalar kernel's two-edge window. Hooks and Input
- * gates run every cycle; cycle 0 evaluates everything once. The union
- * stays small: on the MSP430 core (5,890 scheduled gates) the `ulfault`
- * campaigns over `mult` and `tea8` at seeds 1 and 7 evaluate 750-1,064
- * combinational gates per sweep (13-18%), and 64 random port schedules
- * of the GA stressmark 865 (15%). A gate-id activity bitset bounds the
- * per-cycle bookkeeping by the active set as well.
+ * evaluated only when one of its fanins is active in some lane, and a
+ * flop only when a fanin was active in the cycle before or the flop
+ * was active at the previous edge, in some lane. The queue, its drain
+ * and that rule are the scalar kernel's own WakeQueue
+ * (sim/wake_queue.hh), and gates evaluate through the same evalCell
+ * template. Hooks and Input gates run every cycle; cycle 0 evaluates
+ * everything once. The union stays small: on the MSP430 core (5,890
+ * scheduled gates) the `ulfault` campaigns over `mult` and `tea8` at
+ * seeds 1 and 7 evaluate 750-1,064 combinational gates per sweep
+ * (13-18%), and 64 random port schedules of the GA stressmark 865
+ * (15%). A gate-id activity bitset bounds the per-cycle bookkeeping by
+ * the active set as well.
  *
  * Lanes are retired by the caller once it no longer reads them
  * (retireLanes): a retired lane stops clocking -- its flops hold,
@@ -58,13 +63,14 @@
  *
  * Beyond the embarrassingly multi-pattern consumers (ulfuzz lane
  * sweeps, batched concrete trace validation, fault campaigns), the
- * symbolic engine's packed frontier mode (SymbolicConfig::packedExplore)
- * drives independent pending execution paths through the lanes:
- * loadLaneState / extractLaneState transpose scalar
- * Simulator::Snapshots into and out of a lane, and forceLane /
- * predictSeqValueLane give the engine its per-lane fork machinery --
- * each backed by the lane-identity invariant above, so a lane's
- * continuation is bit-identical to the scalar restore-and-run.
+ * symbolic engine's exploration frontier drives independent pending
+ * execution paths through the lanes: by default once two or more paths
+ * are pending (SymbolicConfig::packedExplore forces every path through
+ * the lanes, as the reference). loadLaneState / extractLaneState
+ * transpose scalar Simulator::Snapshots into and out of a lane, and
+ * forceLane / predictSeqValueLane give the engine its per-lane fork
+ * machinery -- each backed by the lane-identity invariant above, so a
+ * lane's continuation is bit-identical to the scalar restore-and-run.
  */
 
 #ifndef ULPEAK_SIM_PACKED_SIMULATOR_HH
@@ -78,6 +84,7 @@
 #include "netlist/netlist.hh"
 #include "sim/function_ref.hh"
 #include "sim/simulator.hh"
+#include "sim/wake_queue.hh"
 
 namespace ulpeak {
 
@@ -116,7 +123,6 @@ class PackedSimulator {
     /// @{
     /** Retired lanes keep their value whatever @p v holds there. */
     void setInput(GateId g, V64 v);
-    void setInputLane(GateId g, unsigned lane, V4 v);
     /** The same scalar value on every lane of every bus bit. */
     void setInputBusAll(const std::vector<GateId> &bus, Word16 w);
     /** Per-lane words: bus bit b of lane l takes lanes[l].bit(b). */
@@ -196,7 +202,7 @@ class PackedSimulator {
      * reason they are absent from Snapshot: step() rebuilds them
      * before any read). Legal between steps, while other lanes are
      * live. Like Simulator::restore it re-arms every flop for the
-     * next two edges; the lane's energies are undefined until the next
+     * next edge; the lane's energies are undefined until the next
      * step. The next step()'s edge functions run against the loaded
      * values, mirroring the scalar restore-then-step sequence, so the
      * caller must have pre-stepped the simulator once (cycle() > 0)
@@ -238,8 +244,6 @@ class PackedSimulator {
     /** Write @p v over gate @p g's live lanes and wake its consumers
      *  if any lane changed (setInput / forceLane). */
     void writeLive(GateId g, uint64_t v, uint64_t k);
-    void markFanouts(GateId g);
-    void markAllSeq();
     void updateSequential();
     void evalSeqGate(uint32_t i);
     void evalNode(uint32_t node);
@@ -271,17 +275,11 @@ class PackedSimulator {
     std::vector<uint64_t> loadedPrevEdge_;
     uint64_t live_ = ~uint64_t(0);
 
-    /// @name Event-driven worklist state (Simulator's, lane-unioned)
-    /// @{
-    /** Schedule positions to evaluate this cycle, then from
-     *  seqWakeBase on the flops woken by this cycle's activity. */
-    std::vector<uint64_t> pending_;
-    /** Hook and Input positions: OR-ed into pending_ every cycle. */
+    /** Pending evaluations and the flop wake rule, lane-unioned
+     *  (Simulator's WakeQueue). */
+    WakeQueue wake_;
+    /** Hook and Input positions: marked in wake_ every cycle. */
     std::vector<uint64_t> always_;
-    std::vector<uint64_t> seqNext_;     ///< flops whose own state moved
-    std::vector<uint64_t> seqMarkPrev_; ///< last cycle's flop wakeups
-    std::vector<uint64_t> seqDue_;      ///< flops due at this edge
-    /// @}
 
     std::vector<PackedFnRef> hookFns_;
     std::vector<PackedFnRef> edgeFns_;

@@ -41,7 +41,8 @@ constexpr EnergySelector kEnergySel[9] = {
 } // namespace
 
 Simulator::Simulator(const Netlist &nl, EvalMode mode)
-    : nl_(&nl), flat_(&nl.flat()), truth_(cellTruthTable()), mode_(mode)
+    : nl_(&nl), flat_(&nl.flat()), truth_(cellTruthTable()), mode_(mode),
+      wake_(nl.flat(), nl.seqGates().size())
 {
     if (!nl.finalized())
         throw std::logic_error("Simulator requires a finalized netlist");
@@ -55,10 +56,6 @@ Simulator::Simulator(const Netlist &nl, EvalMode mode)
     for (GateId g = 0; g < n; ++g)
         if (flat_->kind[g] == CellKind::Input)
             inputGates_.push_back(g);
-    pending_.assign(bitWords(flat_->seqWakeBase + nseq), 0);
-    seqNext_.assign(bitWords(nseq), 0);
-    seqMarkPrev_.assign(bitWords(nseq), 0);
-    markAllSeq();
     hookFns_.resize(nl.hooks().size());
     moduleEnergy_.assign(nl.numModules(), 0.0);
 }
@@ -79,49 +76,24 @@ Simulator::addEdgeFn(SimFnRef fn)
 inline void
 Simulator::markFanouts(GateId g, bool value_changed)
 {
-    // An active gate wakes its flop consumers for the next two edges
-    // (see seqMarkPrev_) and its combinational consumers for this
-    // cycle. A combinational consumer must re-evaluate when a fanin's
-    // value changed. When the fanin is merely X-active (value held),
-    // only X-valued consumers can be affected: a known-valued consumer
-    // of unchanged fanins recomputes the same known value and stays
-    // inactive (Section 3.1's X rule applies to X outputs only).
-    const FlatNetlist &f = *flat_;
-    uint64_t *pending = pending_.data();
-    uint32_t begin = f.fanoutOffset[g];
-    uint32_t end = f.fanoutOffset[g + 1];
+    // An active gate wakes its flop consumers for the next edge and
+    // its combinational consumers for this cycle. A combinational
+    // consumer must re-evaluate when a fanin's value changed. When the
+    // fanin is merely X-active (value held), only X-valued consumers
+    // can be affected: a known-valued consumer of unchanged fanins
+    // recomputes the same known value and stays inactive (Section
+    // 3.1's X rule applies to X outputs only).
     if (value_changed) {
-        for (uint32_t i = begin; i < end; ++i)
-            setBit(pending, f.fanoutPos[i]);
+        wake_.markFanouts(g);
         return;
     }
-    // Branch-free: flop bits always, gate bits if the consumer is X (a
-    // flop bit reads a harmless in-range dummy value).
-    for (uint32_t i = begin; i < end; ++i) {
-        uint32_t w = f.fanoutPos[i];
+    // Flop bits always, gate bits if the consumer is X (a flop bit
+    // reads a harmless in-range dummy value).
+    const FlatNetlist &f = *flat_;
+    wake_.markFanoutsIf(g, [&](uint32_t w) {
         bool seq = w >= f.seqWakeBase;
-        bool x = val_[f.schedule[seq ? 0 : w]] == V4::X;
-        pending[w >> 6] |= uint64_t(seq | x) << (w & 63);
-    }
-}
-
-inline void
-Simulator::markPending(uint32_t node)
-{
-    setBit(pending_.data(), flat_->posOfNode[node]);
-}
-
-void
-Simulator::markAllSeq()
-{
-    // Every flop pending for the next two edges (the current-cycle
-    // marks drain at the next edge and, shifted into seqMarkPrev_, at
-    // the one after).
-    size_t nseq = nl_->seqGates().size();
-    uint64_t *cur = pending_.data() + flat_->seqWakeBase / 64;
-    std::fill(cur, pending_.data() + pending_.size(), ~uint64_t(0));
-    if (nseq % 64)
-        pending_.back() = (uint64_t(1) << (nseq % 64)) - 1;
+        return seq | (val_[f.schedule[seq ? 0 : w]] == V4::X);
+    });
 }
 
 void
@@ -170,7 +142,7 @@ Simulator::setInput(GateId g, V4 v)
         // evaluates as unchanged and would never propagate the edit.
         if (val_[g] != v)
             markFanouts(g, /*value_changed=*/true);
-        markPending(g);
+        wake_.markNode(g);
     }
     val_[g] = v;
 }
@@ -204,9 +176,9 @@ Simulator::forceValue(GateId g, V4 v)
         // q; a forced input must re-derive its activity flag like a
         // driver-set one.
         if (flat_->seqIndexOf[g] != UINT32_MAX)
-            setBit(seqNext_.data(), flat_->seqIndexOf[g]);
+            wake_.markSeq(flat_->seqIndexOf[g]);
         else
-            markPending(g);
+            wake_.markNode(g);
     }
     val_[g] = v;
 }
@@ -244,7 +216,7 @@ Simulator::injectSeuFlip(GateId g)
     if (mode_ == EvalMode::EventDriven) {
         markFanouts(g, /*value_changed=*/true);
         // The flipped q feeds this flop's own next-edge evaluation.
-        setBit(seqNext_.data(), si);
+        wake_.markSeq(si);
     }
     return true;
 }
@@ -317,15 +289,12 @@ Simulator::evalSeq(uint32_t i)
               testBit(actBitsPrev_.data(), in[0]) ||
               (isKnown(newq) != isKnown(q));
     }
-    if (act)
+    if (act) {
         setBit(actBits_.data(), g);
-    uint8_t loaded = held ? 0 : 1;
-    if (kEvent && (act || loaded != loadedPrevEdge_[i])) {
-        // Changed state (q or load history) feeds this flop's own
-        // next-edge evaluation.
-        setBit(seqNext_.data(), i);
+        if (kEvent)
+            wake_.markSeq(i); // wake rule (b), see WakeQueue
     }
-    loadedPrevEdge_[i] = loaded;
+    loadedPrevEdge_[i] = held ? 0 : 1;
 }
 
 void
@@ -336,22 +305,7 @@ Simulator::updateSequential()
             evalSeq<false>(i);
         return;
     }
-    // Evaluate the flops due at this edge and rotate the windows:
-    // last cycle's consumer marks expire, this cycle's become "last
-    // cycle". A flop's evaluation only ever re-marks its own index in
-    // seqNext_ (for the next edge), and its word is cleared before
-    // its bits are walked, so word-at-a-time rotation is exact.
-    uint64_t *cur = pending_.data() + flat_->seqWakeBase / 64;
-    uint64_t *next = seqNext_.data();
-    uint64_t *prevMarks = seqMarkPrev_.data();
-    for (uint32_t w = 0; w < seqNext_.size(); ++w) {
-        uint64_t due = next[w] | cur[w] | prevMarks[w];
-        next[w] = 0;
-        prevMarks[w] = cur[w];
-        cur[w] = 0;
-        for (; due; due &= due - 1)
-            evalSeq<true>(w * 64 + unsigned(__builtin_ctzll(due)));
-    }
+    forEachBit(wake_.takeDue(), [&](uint32_t i) { evalSeq<true>(i); });
 }
 
 template <bool kEvent>
@@ -430,12 +384,12 @@ Simulator::sweepEvent()
     // bill per-access energy, so skipping them would diverge from the
     // full sweep.
     for (uint32_t hid = 0; hid < f.numHooks; ++hid)
-        markPending(f.numGates + hid);
+        wake_.markNode(f.numGates + hid);
     // Unknown inputs count as active every cycle (Section 3.1) even
     // when untouched; driver-touched inputs were marked by setInput().
     for (GateId g : inputGates_)
         if (val_[g] == V4::X)
-            markPending(g);
+            wake_.markNode(g);
     // Active sequential outputs wake their fanout cones (an inactive
     // sequential gate provably kept its value) and their sequential
     // consumers. actBits_ holds exactly the active sequential gates
@@ -443,28 +397,16 @@ Simulator::sweepEvent()
     forEachBit(actBits_,
                [&](GateId g) { markFanouts(g, val_[g] != prev_[g]); });
 
-    // Drain in ascending position, a topological order: evaluating a
-    // node only marks strictly higher positions, so re-reading the
-    // current word after each evaluation picks up its new marks in
-    // order. An engaged prune mask (tested once, here) drops
-    // proven-constant gates as they come up: re-evaluating one
-    // reproduces its settled value and inactivity, so skipping is
-    // value- and energy-neutral.
+    // An engaged prune mask (tested once, here) drops proven-constant
+    // gates as they come up: re-evaluating one reproduces its settled
+    // value and inactivity, so skipping is value- and energy-neutral.
     const uint8_t *pm = staticPruneActive() ? pruneMask_->data() : nullptr;
-    uint64_t *pending = pending_.data();
-    const uint32_t *schedule = f.schedule.data();
-    for (uint32_t w = 0; w < f.seqWakeBase / 64; ++w) {
-        uint64_t bits;
-        while ((bits = pending[w]) != 0) {
-            pending[w] = bits & (bits - 1);
-            uint32_t node =
-                schedule[w * 64 + unsigned(__builtin_ctzll(bits))];
-            if (node >= f.numGates)
-                runHook(node - f.numGates);
-            else if (!(pm && pm[node]))
-                evalGate<true>(node);
-        }
-    }
+    wake_.drain([&](uint32_t node) {
+        if (node >= f.numGates)
+            runHook(node - f.numGates);
+        else if (!(pm && pm[node]))
+            evalGate<true>(node);
+    });
 }
 
 void
@@ -530,11 +472,10 @@ Simulator::step(SimFnRef driver)
         // The first cycle resolves the power-on state (constants leave
         // X, everything is potentially stale): evaluate everything
         // once, then start event-driven from a consistent state. The
-        // oblivious sweep records no wake marks, so re-arm every flop
-        // for the next two edges.
+        // oblivious sweep records no wake marks, so re-arm every flop.
         sweepFull();
-        std::fill(pending_.begin(), pending_.end(), 0);
-        markAllSeq();
+        wake_.clear();
+        wake_.armAllSeq();
     } else {
         sweepEvent();
     }
@@ -695,7 +636,7 @@ Simulator::afterRestore()
     // (Stale pending bits are harmless -- evaluating a clean gate
     // reproduces its full-sweep value and activity.)
     if (mode_ == EvalMode::EventDriven)
-        markAllSeq();
+        wake_.armAllSeq();
 }
 
 Simulator::Snapshot
@@ -721,17 +662,6 @@ Simulator::predictSeqValue(GateId g) const
         ins[p] = val_[f.fanin[off + p]];
     bool held = false;
     return evalSeqCell(f.kind[g], val_[g], ins, held);
-}
-
-uint64_t
-Simulator::hashSeqState() const
-{
-    uint64_t h = 0xcbf29ce484222325ull;
-    for (GateId g : nl_->seqGates()) {
-        h ^= uint8_t(val_[g]);
-        h *= 0x100000001b3ull;
-    }
-    return h;
 }
 
 namespace {

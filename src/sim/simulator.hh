@@ -25,11 +25,12 @@
  *    such as RAM contents can change between cycles without any
  *    netlist-visible event, and hooks bill per-access energy). Skipped
  *    gates are exactly the gates a full sweep would have re-evaluated
- *    to an identical (value, activity) pair. Flops wake over a two-edge
- *    window held in three seq-index bitsets: next edge only, marked
- *    this cycle (the flop tail of the pending bitset, so one walk of
- *    the fanout CSR marks both kinds of consumer), and marked last
- *    cycle; each edge evaluates their union and rotates them.
+ *    to an identical (value, activity) pair. Flops wake for one edge:
+ *    an edge evaluates a flop only when one of its fanins was active
+ *    in the cycle before or the flop itself was active at the previous
+ *    edge, and every other flop provably keeps its state. The pending
+ *    bitset, its drain and this rule are the WakeQueue
+ *    (sim/wake_queue.hh) PackedSimulator drains too.
  *
  * Both kernels evaluate a gate by one lookup in cellTruthTable() over
  * its packed fanin values and record activity in a gate-id bitset as
@@ -75,6 +76,7 @@
 #include "netlist/netlist.hh"
 #include "sim/bitset.hh"
 #include "sim/function_ref.hh"
+#include "sim/wake_queue.hh"
 
 namespace ulpeak {
 
@@ -308,8 +310,6 @@ class Simulator {
                cycle_ >= pruneEngage_;
     }
 
-    /** FNV-1a hash over all sequential gate outputs. */
-    uint64_t hashSeqState() const;
     /** FNV-1a hash over the complete snapshot state (values,
      *  activity, load history). Equal hashes mean identical
      *  continuations; the symbolic engine's dedup keys use this so a
@@ -341,9 +341,7 @@ class Simulator {
     void updateSequential();
     void sweepFull();
     void sweepEvent();
-    void markPending(uint32_t node);
     void markFanouts(GateId g, bool value_changed);
-    void markAllSeq();
     void checkShape(const Snapshot &s) const;
     void afterRestore();
     void accumulateEnergy();
@@ -366,29 +364,9 @@ class Simulator {
     std::vector<uint8_t> loadedPrevEdge_;
     std::vector<GateId> inputGates_; ///< all Input-kind gates
 
-    /// @name Event-driven worklist state
-    /// @{
-    /**
-     * Wake bits in FlatNetlist::fanoutPos's numbering: bits below
-     * seqWakeBase are schedule positions awaiting evaluation this
-     * cycle; the bits from seqWakeBase on are the flops woken by this
-     * cycle's activity.
-     */
-    std::vector<uint64_t> pending_;
-    /**
-     * Flop wake-up windows, as seq-index bitsets. A flop's edge-c
-     * inputs are all cycle-(c-1) quantities (fanin values, D-pin
-     * activity, own state), so any gate activity in cycle c wakes its
-     * sequential consumers for the next two edges: the first sees the
-     * rise, the second the fall of the activity term. The flop part of
-     * pending_ collects this cycle's consumer wakeups, seqMarkPrev_
-     * last cycle's, and seqNext_ flops whose own state changed (next
-     * edge only). Each edge evaluates the union of the three, then
-     * shifts this cycle's marks into seqMarkPrev_.
-     */
-    std::vector<uint64_t> seqNext_;
-    std::vector<uint64_t> seqMarkPrev_;
-    /// @}
+    /** The event-driven kernel's pending evaluations and the flop
+     *  wake rule (see WakeQueue). */
+    WakeQueue wake_;
 
     std::vector<SimFnRef> hookFns_;
     std::vector<SimFnRef> edgeFns_;

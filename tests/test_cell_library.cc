@@ -7,7 +7,10 @@
 
 #include <gtest/gtest.h>
 
+#include <vector>
+
 #include "cell/cell_library.hh"
+#include "logic/v64.hh"
 
 namespace ulpeak {
 namespace {
@@ -126,27 +129,118 @@ pow3(unsigned n)
     return n == 0 ? 1 : 3 * pow3(n - 1);
 }
 
-TEST(CellTable, TruthTableMatchesEvalCellOnAllInputs)
+/** Each combinational kind as a plain boolean function, stated
+ *  independently of evalCell's composition. */
+bool
+cellSpec(CellKind k, const bool *in)
 {
-    // The kernels' lookup and the reference evaluator agree on every
-    // combinational kind over all 3^nin inputs in {0, 1, X}.
+    bool a = in[0], b = in[1], c = in[2], d = in[3];
+    switch (k) {
+      case CellKind::Const0: return false;
+      case CellKind::Const1: return true;
+      case CellKind::Buf: return a;
+      case CellKind::Inv: return !a;
+      case CellKind::And2: return a && b;
+      case CellKind::And3: return a && b && c;
+      case CellKind::And4: return a && b && c && d;
+      case CellKind::Or2: return a || b;
+      case CellKind::Or3: return a || b || c;
+      case CellKind::Or4: return a || b || c || d;
+      case CellKind::Nand2: return !(a && b);
+      case CellKind::Nand3: return !(a && b && c);
+      case CellKind::Nand4: return !(a && b && c && d);
+      case CellKind::Nor2: return !(a || b);
+      case CellKind::Nor3: return !(a || b || c);
+      case CellKind::Nor4: return !(a || b || c || d);
+      case CellKind::Xor2: return a != b;
+      case CellKind::Xnor2: return a == b;
+      case CellKind::Mux2: return c ? b : a;
+      case CellKind::Aoi21: return !((a && b) || c);
+      case CellKind::Oai21: return !((a || b) && c);
+      case CellKind::Aoi22: return !((a && b) || (c && d));
+      case CellKind::Oai22: return !((a || b) && (c || d));
+      default:
+        ADD_FAILURE() << "no spec for " << cellName(k);
+        return false;
+    }
+}
+
+/** The spec over three-valued inputs: the common output of every 0/1
+ *  completion of the X inputs, X when they differ. Each cell is a
+ *  read-once formula (and Mux2's X-select rule is the same
+ *  completion rule), so this is exactly what evalCell must give. */
+V4
+cellSpecV4(CellKind k, const V4 *in, unsigned nin)
+{
+    bool seen[2] = {false, false};
+    for (unsigned m = 0; m < (1u << nin); ++m) {
+        bool b[4] = {false, false, false, false};
+        bool consistent = true;
+        for (unsigned p = 0; p < nin; ++p) {
+            b[p] = (m >> p) & 1;
+            if (in[p] != V4::X && fromBool(b[p]) != in[p])
+                consistent = false;
+        }
+        if (consistent)
+            seen[cellSpec(k, b)] = true;
+    }
+    return seen[0] && seen[1] ? V4::X : fromBool(seen[1]);
+}
+
+/** Every combinational kind (Const0..Oai22). */
+std::vector<CellKind>
+combinationalKinds()
+{
+    std::vector<CellKind> kinds;
+    for (size_t k = 0; k < kNumCellKinds; ++k)
+        if (CellKind(k) != CellKind::Input && !isSequential(CellKind(k)))
+            kinds.push_back(CellKind(k));
+    return kinds;
+}
+
+TEST(CellTable, TruthTableMatchesTheCellSpecOnAllInputs)
+{
+    // The kernels' lookup, the evaluator it is built from and the
+    // independent spec agree on every combinational kind over all
+    // 3^nin inputs in {0, 1, X}.
     const V4 *table = cellTruthTable();
-    unsigned kinds = 0;
-    for (size_t k = 0; k < kNumCellKinds; ++k) {
-        CellKind kind = CellKind(k);
-        if (kind == CellKind::Input || isSequential(kind))
-            continue;
-        ++kinds;
+    std::vector<CellKind> kinds = combinationalKinds();
+    for (CellKind kind : kinds) {
         unsigned nin = cellFaninCount(kind);
         for (unsigned c = 0; c < pow3(nin); ++c) {
             V4 in[4] = {Z, Z, Z, Z};
             unsigned idx = ternaryAssignment(c, nin, in);
-            ASSERT_EQ(table[k * kPackedFaninStates + idx],
-                      evalCell(kind, in))
+            V4 want = cellSpecV4(kind, in, nin);
+            ASSERT_EQ(evalCell(kind, in), want)
+                << cellName(kind) << " input #" << c;
+            ASSERT_EQ(table[size_t(kind) * kPackedFaninStates + idx], want)
                 << cellName(kind) << " input #" << c;
         }
     }
-    EXPECT_EQ(kinds, 23u) << "every combinational kind, Const0..Oai22";
+    EXPECT_EQ(kinds.size(), 23u);
+}
+
+TEST(CellTable, PackedLanesMatchTheCellSpec)
+{
+    // The packed kernel's evalCell<V64> with one input assignment per
+    // lane (3^4 = 81 assignments, two words) against the spec, lane
+    // for lane.
+    for (CellKind kind : combinationalKinds()) {
+        unsigned nin = cellFaninCount(kind);
+        for (unsigned base = 0; base < pow3(nin); base += 64) {
+            V64 in[4];
+            V4 lanes[64][4];
+            for (unsigned l = 0; l < 64 && base + l < pow3(nin); ++l) {
+                ternaryAssignment(base + l, nin, lanes[l]);
+                for (unsigned p = 0; p < nin; ++p)
+                    in[p].setLane(l, lanes[l][p]);
+            }
+            V64 out = evalCell(kind, in);
+            for (unsigned l = 0; l < 64 && base + l < pow3(nin); ++l)
+                ASSERT_EQ(out.lane(l), cellSpecV4(kind, lanes[l], nin))
+                    << cellName(kind) << " input #" << base + l;
+        }
+    }
 }
 
 TEST(Library, RiseCostsMoreThanFall)

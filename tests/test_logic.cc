@@ -14,44 +14,44 @@ namespace {
 
 TEST(V4, AndTruthTable)
 {
-    EXPECT_EQ(v4And(V4::Zero, V4::Zero), V4::Zero);
-    EXPECT_EQ(v4And(V4::Zero, V4::One), V4::Zero);
-    EXPECT_EQ(v4And(V4::One, V4::One), V4::One);
-    EXPECT_EQ(v4And(V4::Zero, V4::X), V4::Zero);
-    EXPECT_EQ(v4And(V4::X, V4::Zero), V4::Zero);
-    EXPECT_EQ(v4And(V4::One, V4::X), V4::X);
-    EXPECT_EQ(v4And(V4::X, V4::X), V4::X);
+    EXPECT_EQ(logicAnd(V4::Zero, V4::Zero), V4::Zero);
+    EXPECT_EQ(logicAnd(V4::Zero, V4::One), V4::Zero);
+    EXPECT_EQ(logicAnd(V4::One, V4::One), V4::One);
+    EXPECT_EQ(logicAnd(V4::Zero, V4::X), V4::Zero);
+    EXPECT_EQ(logicAnd(V4::X, V4::Zero), V4::Zero);
+    EXPECT_EQ(logicAnd(V4::One, V4::X), V4::X);
+    EXPECT_EQ(logicAnd(V4::X, V4::X), V4::X);
 }
 
 TEST(V4, OrTruthTable)
 {
-    EXPECT_EQ(v4Or(V4::Zero, V4::Zero), V4::Zero);
-    EXPECT_EQ(v4Or(V4::One, V4::Zero), V4::One);
-    EXPECT_EQ(v4Or(V4::One, V4::X), V4::One);
-    EXPECT_EQ(v4Or(V4::X, V4::One), V4::One);
-    EXPECT_EQ(v4Or(V4::Zero, V4::X), V4::X);
-    EXPECT_EQ(v4Or(V4::X, V4::X), V4::X);
+    EXPECT_EQ(logicOr(V4::Zero, V4::Zero), V4::Zero);
+    EXPECT_EQ(logicOr(V4::One, V4::Zero), V4::One);
+    EXPECT_EQ(logicOr(V4::One, V4::X), V4::One);
+    EXPECT_EQ(logicOr(V4::X, V4::One), V4::One);
+    EXPECT_EQ(logicOr(V4::Zero, V4::X), V4::X);
+    EXPECT_EQ(logicOr(V4::X, V4::X), V4::X);
 }
 
 TEST(V4, XorAndNot)
 {
-    EXPECT_EQ(v4Xor(V4::Zero, V4::One), V4::One);
-    EXPECT_EQ(v4Xor(V4::One, V4::One), V4::Zero);
-    EXPECT_EQ(v4Xor(V4::X, V4::One), V4::X);
-    EXPECT_EQ(v4Xor(V4::Zero, V4::X), V4::X);
-    EXPECT_EQ(v4Not(V4::Zero), V4::One);
-    EXPECT_EQ(v4Not(V4::One), V4::Zero);
-    EXPECT_EQ(v4Not(V4::X), V4::X);
+    EXPECT_EQ(logicXor(V4::Zero, V4::One), V4::One);
+    EXPECT_EQ(logicXor(V4::One, V4::One), V4::Zero);
+    EXPECT_EQ(logicXor(V4::X, V4::One), V4::X);
+    EXPECT_EQ(logicXor(V4::Zero, V4::X), V4::X);
+    EXPECT_EQ(logicNot(V4::Zero), V4::One);
+    EXPECT_EQ(logicNot(V4::One), V4::Zero);
+    EXPECT_EQ(logicNot(V4::X), V4::X);
 }
 
 TEST(V4, MuxSelectsExactly)
 {
-    EXPECT_EQ(v4Mux(V4::Zero, V4::X, V4::One), V4::X);
-    EXPECT_EQ(v4Mux(V4::One, V4::X, V4::One), V4::One);
+    EXPECT_EQ(logicMux(V4::Zero, V4::X, V4::One), V4::X);
+    EXPECT_EQ(logicMux(V4::One, V4::X, V4::One), V4::One);
     // X select: known-equal inputs resolve, anything else is X.
-    EXPECT_EQ(v4Mux(V4::X, V4::One, V4::One), V4::One);
-    EXPECT_EQ(v4Mux(V4::X, V4::Zero, V4::One), V4::X);
-    EXPECT_EQ(v4Mux(V4::X, V4::X, V4::X), V4::X);
+    EXPECT_EQ(logicMux(V4::X, V4::One, V4::One), V4::One);
+    EXPECT_EQ(logicMux(V4::X, V4::Zero, V4::One), V4::X);
+    EXPECT_EQ(logicMux(V4::X, V4::X, V4::X), V4::X);
 }
 
 TEST(V4, CharRoundTrip)
@@ -172,16 +172,16 @@ TEST(V64, OpsMatchScalarTruthTables)
 {
     V64 a, b;
     fillOperands(a, b);
-    V64 rAnd = v64And(a, b);
-    V64 rOr = v64Or(a, b);
-    V64 rXor = v64Xor(a, b);
-    V64 rNot = v64Not(a);
+    V64 rAnd = logicAnd(a, b);
+    V64 rOr = logicOr(a, b);
+    V64 rXor = logicXor(a, b);
+    V64 rNot = logicNot(a);
     for (unsigned l = 0; l < 64; ++l) {
         V4 va = a.lane(l), vb = b.lane(l);
-        EXPECT_EQ(rAnd.lane(l), v4And(va, vb)) << "lane " << l;
-        EXPECT_EQ(rOr.lane(l), v4Or(va, vb)) << "lane " << l;
-        EXPECT_EQ(rXor.lane(l), v4Xor(va, vb)) << "lane " << l;
-        EXPECT_EQ(rNot.lane(l), v4Not(va)) << "lane " << l;
+        EXPECT_EQ(rAnd.lane(l), logicAnd(va, vb)) << "lane " << l;
+        EXPECT_EQ(rOr.lane(l), logicOr(va, vb)) << "lane " << l;
+        EXPECT_EQ(rXor.lane(l), logicXor(va, vb)) << "lane " << l;
+        EXPECT_EQ(rNot.lane(l), logicNot(va)) << "lane " << l;
     }
     // Results stay canonical (X lanes read 0 on the value plane).
     for (const V64 &r : {rAnd, rOr, rXor, rNot})
@@ -194,9 +194,9 @@ TEST(V64, MuxMatchesScalarAllCombinations)
     for (V4 sel : kVals)
         for (V4 va : kVals)
             for (V4 vb : kVals) {
-                V64 r = v64Mux(V64::splat(sel), V64::splat(va),
+                V64 r = logicMux(V64::splat(sel), V64::splat(va),
                                V64::splat(vb));
-                V4 expect = v4Mux(sel, va, vb);
+                V4 expect = logicMux(sel, va, vb);
                 for (unsigned l = 0; l < 64; ++l)
                     EXPECT_EQ(r.lane(l), expect)
                         << v4Char(sel) << v4Char(va) << v4Char(vb)
@@ -216,18 +216,18 @@ TEST(V64, RandomizedLaneExactness)
     };
     for (unsigned iter = 0; iter < 200; ++iter) {
         V64 sel = randomV64(), a = randomV64(), b = randomV64();
-        V64 rAnd = v64And(a, b);
-        V64 rOr = v64Or(a, b);
-        V64 rXor = v64Xor(a, b);
-        V64 rNot = v64Not(a);
-        V64 rMux = v64Mux(sel, a, b);
+        V64 rAnd = logicAnd(a, b);
+        V64 rOr = logicOr(a, b);
+        V64 rXor = logicXor(a, b);
+        V64 rNot = logicNot(a);
+        V64 rMux = logicMux(sel, a, b);
         for (unsigned l = 0; l < 64; ++l) {
-            ASSERT_EQ(rAnd.lane(l), v4And(a.lane(l), b.lane(l)));
-            ASSERT_EQ(rOr.lane(l), v4Or(a.lane(l), b.lane(l)));
-            ASSERT_EQ(rXor.lane(l), v4Xor(a.lane(l), b.lane(l)));
-            ASSERT_EQ(rNot.lane(l), v4Not(a.lane(l)));
+            ASSERT_EQ(rAnd.lane(l), logicAnd(a.lane(l), b.lane(l)));
+            ASSERT_EQ(rOr.lane(l), logicOr(a.lane(l), b.lane(l)));
+            ASSERT_EQ(rXor.lane(l), logicXor(a.lane(l), b.lane(l)));
+            ASSERT_EQ(rNot.lane(l), logicNot(a.lane(l)));
             ASSERT_EQ(rMux.lane(l),
-                      v4Mux(sel.lane(l), a.lane(l), b.lane(l)));
+                      logicMux(sel.lane(l), a.lane(l), b.lane(l)));
         }
     }
 }

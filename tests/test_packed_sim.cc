@@ -351,7 +351,9 @@ const WakeCase kWakeCases[] = {
          if (ph != Phase::Between || c != 6)
              return;
          ls.in[4][Lockstep::Bd] = V4::One; // lane 4 settled at 0
-         ls.psim->setInputLane(ls.B.d, 4, V4::One);
+         V64 v = ls.psim->value(ls.B.d);
+         v.setLane(4, V4::One);
+         ls.psim->setInput(ls.B.d, v);
          ls.twins[4].setInput(ls.B.d, V4::One);
      }},
     {"forceLane between steps",
@@ -401,7 +403,9 @@ const WakeCase kWakeCases[] = {
          // Lane 3's A.d toggled this cycle; write it back before the
          // comparison reads the lazily priced split.
          V4 was = ls.laneInput(3, Lockstep::Ad, c - 1);
-         ls.psim->setInputLane(ls.A.d, 3, was);
+         V64 v = ls.psim->value(ls.A.d);
+         v.setLane(3, was);
+         ls.psim->setInput(ls.A.d, v);
          ls.twins[3].setInput(ls.A.d, was);
      }},
 };

@@ -206,13 +206,13 @@ TEST(Simulator, SnapshotRestoreRoundTrip)
     for (int i = 0; i < 3; ++i)
         sim.step(drv);
     Simulator::Snapshot snap = sim.snapshot();
-    uint64_t h0 = sim.hashSeqState();
+    uint64_t h0 = sim.hashFullState();
     sim.step(drv);
     sim.step(drv);
     EXPECT_NE(sim.cycle(), snap.cycle);
     sim.restore(snap);
     EXPECT_EQ(sim.cycle(), snap.cycle);
-    EXPECT_EQ(sim.hashSeqState(), h0);
+    EXPECT_EQ(sim.hashFullState(), h0);
 }
 
 // Step both kernels with the same driver and require bit-identical
@@ -231,7 +231,7 @@ expectLockstepCycle(Simulator &ev, Simulator &fs, const char *what,
         << what << " cycle " << c;
     ASSERT_EQ(ev.moduleBoundEnergyJ(), fs.moduleBoundEnergyJ())
         << what << " cycle " << c;
-    ASSERT_EQ(ev.hashSeqState(), fs.hashSeqState())
+    ASSERT_EQ(ev.hashFullState(), fs.hashFullState())
         << what << " cycle " << c;
 }
 
@@ -355,14 +355,15 @@ expectSameGates(Simulator &a, Simulator &b, const char *what, uint64_t c)
     }
 }
 
-TEST(SimulatorKernel, DPinActivityPulseSpansTheTwoEdgeWindow)
+TEST(SimulatorKernel, DPinActivityPulseEndsAtTheSelfWokenEdge)
 {
     // x is an always-active X input. r (enable e) captures it only on
     // the pulse, so d = buf(r) stays X throughout and is active in
     // exactly one cycle: a pure activity pulse, no value change. The
-    // flop q on d must see the rise of its D-pin activity at the next
-    // edge (q active) and the fall at the edge after (q inactive
-    // again), in lockstep with the full sweep.
+    // flop q on d is woken by d's activity at the next edge (q
+    // active), and by its own activity at the edge after, where the
+    // pulse has ended (q inactive again) -- in lockstep with the full
+    // sweep, with no second edge of D-pin wake.
     CellLibrary lib = CellLibrary::tsmc65Like();
     Netlist nl(lib);
     Builder b(nl);
@@ -492,7 +493,7 @@ TEST(SimulatorKernel, RestoreOverStaleWakeBitsMatchesFreshSimulator)
     Simulator::Snapshot snap = stale.snapshot();
 
     stale.setInput(a[0], V4::X);
-    stale.forceValue(cnt[1], v4Not(stale.value(cnt[1])));
+    stale.forceValue(cnt[1], logicNot(stale.value(cnt[1])));
     stale.injectSeuFlip(q[2]);
     stale.restore(snap);
 
@@ -560,12 +561,12 @@ fk_loop:
     };
 
     std::vector<double> tailA = runTail(0x00ff);
-    uint64_t hashA = sim->hashSeqState();
+    uint64_t hashA = sim->hashFullState();
 
     sim->restore(simSnap);
     sys.restore(sysSnap);
     std::vector<double> tailB = runTail(0xff00);
-    uint64_t hashB = sim->hashSeqState();
+    uint64_t hashB = sim->hashFullState();
     EXPECT_NE(hashA, hashB) << "different ports must diverge";
     EXPECT_NE(tailA, tailB);
 
@@ -574,7 +575,7 @@ fk_loop:
     sys.restore(sysSnap);
     std::vector<double> tailA2 = runTail(0x00ff);
     EXPECT_EQ(tailA, tailA2);
-    EXPECT_EQ(sim->hashSeqState(), hashA);
+    EXPECT_EQ(sim->hashFullState(), hashA);
 
     // A fresh, snapshot-free run reaches the same states/energies.
     auto fresh = freshTo(kForkAt, 0x00ff);
@@ -584,7 +585,7 @@ fk_loop:
         freshTail.push_back(fresh->boundEnergyJ());
     }
     EXPECT_EQ(tailA, freshTail);
-    EXPECT_EQ(fresh->hashSeqState(), hashA);
+    EXPECT_EQ(fresh->hashFullState(), hashA);
 }
 
 TEST(Simulator, HashDiffersForDifferentState)
@@ -600,10 +601,10 @@ TEST(Simulator, HashDiffersForDifferentState)
     Simulator sim(nl);
     sim.step([&](Simulator &s) { s.setInput(a, V4::Zero); });
     sim.step([&](Simulator &s) { s.setInput(a, V4::Zero); });
-    uint64_t h0 = sim.hashSeqState();
+    uint64_t h0 = sim.hashFullState();
     sim.step([&](Simulator &s) { s.setInput(a, V4::One); });
     sim.step([&](Simulator &s) { s.setInput(a, V4::One); });
-    EXPECT_NE(sim.hashSeqState(), h0);
+    EXPECT_NE(sim.hashFullState(), h0);
 }
 
 } // namespace

@@ -306,19 +306,29 @@ TEST(WorkerPool, FailFastStopsClaiming)
 
 TEST(WorkerPool, AnExceptionStopsThePoolAndReachesTheCaller)
 {
-    for (unsigned jobs : {1u, 4u}) {
-        std::atomic<unsigned> ran{0};
-        EXPECT_THROW(util::parallelFor(1000, jobs,
-                                       [&](unsigned, size_t i) {
-                                           ++ran;
-                                           if (i == 5)
-                                               throw std::runtime_error("5");
-                                           return true;
-                                       }),
-                     std::runtime_error)
-            << "jobs " << jobs;
-        EXPECT_LT(ran.load(), 1000u) << "jobs " << jobs;
-    }
+    // One worker claims in order and stops at the throw.
+    unsigned ran = 0;
+    EXPECT_THROW(util::parallelFor(1000, 1,
+                                   [&](unsigned, size_t i) {
+                                       ++ran;
+                                       if (i == 5)
+                                           throw std::runtime_error("5");
+                                       return true;
+                                   }),
+                 std::runtime_error);
+    EXPECT_EQ(ran, 6u);
+
+    // With several workers, each item throws, so a worker runs at
+    // most the one item it claimed before the stop.
+    std::atomic<unsigned> ranMany{0};
+    EXPECT_THROW(util::parallelFor(1000, 4,
+                                   [&](unsigned, size_t) -> bool {
+                                       ++ranMany;
+                                       throw std::runtime_error("any");
+                                   }),
+                 std::runtime_error);
+    EXPECT_GE(ranMany.load(), 1u);
+    EXPECT_LE(ranMany.load(), 4u);
 }
 
 } // namespace

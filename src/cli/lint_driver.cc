@@ -30,7 +30,7 @@ analyzeScenario(const msp::System &sys, const scenario::Scenario &scn,
     lo.scenario = scn;
     const msp::CpuHandles &h = sys.handles();
     lo.portBits.assign(h.portIn.begin(), h.portIn.end());
-    lo.drivenConstants = {{h.rstn, V4::One}, {h.irq, V4::Zero}};
+    lo.drivenConstants = sys.runPins();
 
     ScenarioLint out;
     out.name = name;

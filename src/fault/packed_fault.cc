@@ -6,8 +6,9 @@
  * classification field is bit-identical to 64 scalar runFaulted calls
  * (the packed lane-identity invariant extended through the checker):
  *
- *  - per-lane behavioral memory, the reset sequence and the FSM decode
- *    are the packed mirrors of msp::System in power/packed_run.hh;
+ *  - per-lane behavioral memory, the bus rules, the reset sequence
+ *    and the FSM decode are msp::PackedSystem's, the lane counterpart
+ *    of the scalar runner's msp::System;
  *  - a lane whose run ends is retired from the simulator exactly where
  *    the scalar loop stops stepping: its checking stops, its state and
  *    memory freeze, no further injection lands, and it costs the
@@ -21,7 +22,7 @@
 
 #include <memory>
 
-#include "power/packed_run.hh"
+#include "msp/cpu.hh"
 
 namespace ulpeak {
 namespace fault {
@@ -37,24 +38,16 @@ runFaultedPacked(msp::System &sys, const isa::Image &image,
 
     sys.memory().reset();
     sys.loadImage(image);
-    std::vector<Memory> mem(kLanes, sys.memory());
+    msp::PackedSystem lanes(sys);
 
     // One checker per lane. A lane whose run ends is retired from the
     // simulator, so the simulator's live mask is the running lanes.
     std::array<std::unique_ptr<cosim::Checker>, kLanes> check;
     for (auto &c : check)
         c = std::make_unique<cosim::Checker>(image, opts.portIn);
-    uint64_t halted_mask = 0;
-    uint64_t fault_mask = 0;
     std::array<bool, kLanes> applied{};
     std::array<std::vector<float>, kLanes> traceW;
 
-    auto memHook = [&](PackedSimulator &s) {
-        power::packedMemHook(s, h, mem);
-    };
-    auto memEdge = [&](PackedSimulator &s) {
-        power::packedMemEdge(s, h, mem, halted_mask, fault_mask);
-    };
     auto observeStores = [&](PackedSimulator &s) {
         V64 rstn = s.value(h.rstn);
         V64 wr = s.value(h.mbWr);
@@ -73,8 +66,7 @@ runFaultedPacked(msp::System &sys, const isa::Image &image,
     // lanes still feed the observer, so the halting store itself is
     // observed exactly as in the scalar run.
     PackedSimulator psim(sys.netlist());
-    psim.setHookFn(h.memHookId, memHook);
-    psim.addEdgeFn(memEdge);
+    lanes.attach(psim);
     psim.addEdgeFn(observeStores);
 
     auto applyInjections = [&](PackedSimulator &s) {
@@ -88,23 +80,21 @@ runFaultedPacked(msp::System &sys, const isa::Image &image,
                                                   uint64_t(1) << l) != 0;
                 else
                     applied[l] |=
-                        mem[l].flipBit(inj.site.addr, inj.site.bit);
+                        lanes.memory(l).flipBit(inj.site.addr,
+                                                inj.site.bit);
             }
         }
     };
 
-    power::packedReset(psim, h, applyInjections);
+    lanes.reset(psim, applyInjections);
 
     // cosim::run's loop body per lane.
     while (psim.liveMask() && psim.cycle() < opts.maxCycles) {
         uint64_t stepping = psim.liveMask();
         psim.step([&](PackedSimulator &s) {
-            s.setInput(h.rstn, V64::splat(V4::One));
-            s.setInput(h.irq, V64::splat(V4::Zero));
-            s.setInputBusAll(h.portIn, Word16::known(opts.portIn));
+            lanes.driveCycle(s, Word16::known(opts.portIn));
             applyInjections(s);
         });
-        const auto fsm = power::packedFsmStates(psim, h);
         for (; stepping; stepping &= stepping - 1) {
             unsigned l = unsigned(__builtin_ctzll(stepping));
             uint64_t bit = uint64_t(1) << l;
@@ -112,11 +102,11 @@ runFaultedPacked(msp::System &sys, const isa::Image &image,
             if (opts.powerCtx)
                 traceW[l].push_back(float(opts.powerCtx->cyclePowerW(
                     psim.boundEnergyJ(l))));
-            if (halted_mask & bit) {
-                c.halt(psim.cycle(), mem[l]);
-            } else if (fault_mask & bit) {
+            if (lanes.haltedMask() & bit) {
+                c.halt(psim.cycle(), lanes.memory(l));
+            } else if (lanes.xStoreMask() & bit) {
                 c.xStore(psim.cycle());
-            } else if (fsm[l] != msp::kStFetch) {
+            } else if (lanes.fsmState(psim, l) != msp::kStFetch) {
                 continue;
             } else {
                 cosim::Registers regs;

@@ -410,7 +410,8 @@ packedKernelEquivalenceCheck(uint64_t seed,
                    << ": per-module energies differ\n";
                 return fail();
             }
-            if (psim.hashLaneState(l) != sim.hashFullState()) {
+            if (sim.hashSnapshotState(psim.extractLaneState(
+                    l, sim.cycle())) != sim.hashFullState()) {
                 os << "cycle " << c << " lane " << l
                    << ": full-state hashes differ\n";
                 return fail();
@@ -598,7 +599,8 @@ faultedPackedEquivalenceCheck(uint64_t seed,
                    << sim.boundEnergyJ() << ")\n";
                 return fail();
             }
-            if (psim.hashLaneState(l) != sim.hashFullState()) {
+            if (sim.hashSnapshotState(psim.extractLaneState(
+                    l, sim.cycle())) != sim.hashFullState()) {
                 os << "cycle " << c << " lane " << l
                    << ": full-state hashes differ\n";
                 return fail();
@@ -1032,7 +1034,7 @@ staticPruneCheck(msp::System &sys, const isa::Image &image, Rng &rng)
     lo.scenario = scn;
     const msp::CpuHandles &h = sys.handles();
     lo.portBits.assign(h.portIn.begin(), h.portIn.end());
-    lo.drivenConstants = {{h.rstn, V4::One}, {h.irq, V4::Zero}};
+    lo.drivenConstants = sys.runPins();
     lint::ConstAnalysis ca = lint::analyzeConstants(nl, lo);
 
     // Drive one concrete scenario-obeying run and check every masked

@@ -2,19 +2,147 @@
  * @file
  * Top-level assembly of the ULP system: declares the cross-module
  * wires, invokes the module builders, finalizes the netlist and
- * implements the behavioral RAM/ROM macro hook plus halt detection.
+ * implements the environment around the core -- the behavioral
+ * RAM/ROM macro's bus rules, halt detection, the reset sequence, the
+ * run pins and the FSM decode -- once for System and PackedSystem.
  */
 
 #include "msp/cpu.hh"
 
 #include <mutex>
 #include <stdexcept>
+#include <type_traits>
 #include <vector>
 
 #include "msp/internal.hh"
 
 namespace ulpeak {
 namespace msp {
+
+namespace {
+
+/** One access's read data, and whether it is billed. */
+struct BusRead {
+    Word16 data;
+    bool billed;
+};
+
+/** The read rule of the RAM/ROM macro, one access (@p addr reads the
+ *  address bus under a 1 enable). Enable 0 reads 0, an X enable or
+ *  address all-X; RAM/ROM reads memory and is billed once (read and
+ *  write cycles alike); peripheral space reads 0 (the backbone routes
+ *  in-netlist data), unmapped space 0xffff (a pulled-up bus). */
+template <typename AddrFn>
+inline BusRead
+readRule(const Memory &mem, V4 en, const AddrFn &addr)
+{
+    if (en == V4::Zero)
+        return {Word16::known(0), false};
+    if (en == V4::X)
+        return {Word16::allX(), false};
+    Word16 a = addr();
+    if (!a.isFullyKnown())
+        return {Word16::allX(), false};
+    if (mem.inRam(a.value) || mem.inRom(a.value))
+        return {mem.read(a.value), true};
+    if (a.value < 0x0200)
+        return {Word16::known(0), false};
+    return {Word16::known(0xffff), false};
+}
+
+enum class Commit { None, XStore, Halt };
+
+/** The commit rule of the RAM/ROM macro, one edge, from the stable
+ *  values of the completed cycle (@p addr / @p data read the buses
+ *  when needed). No write unless rstn is 1 (external reset inhibits
+ *  writes while control nets may be X); an X write enable or address
+ *  is an X-store fault; RAM is written, a store to kDone halts, the
+ *  rest is dropped (peripherals latch from the netlist). */
+template <typename AddrFn, typename DataFn>
+inline Commit
+commitRule(Memory &mem, V4 rstn, V4 wr, const AddrFn &addr,
+           const DataFn &data)
+{
+    if (rstn != V4::One || wr == V4::Zero)
+        return Commit::None;
+    if (wr == V4::X)
+        return Commit::XStore;
+    Word16 a = addr();
+    if (!a.isFullyKnown())
+        return Commit::XStore;
+    if (mem.inRam(a.value))
+        mem.write(a.value, data());
+    else if (a.value == SystemMap::kDone)
+        return Commit::Halt;
+    return Commit::None;
+}
+
+/** The FSM decode: the index of the one state net reading 1, or -1
+ *  when one reads X or the reading is not one-hot. */
+template <typename ValueFn>
+inline int
+decodeFsm(const CpuHandles &h, const ValueFn &value)
+{
+    int found = -1;
+    for (unsigned s = 0; s < kNumStates; ++s) {
+        V4 v = value(h.state[s]);
+        if (v == V4::X)
+            return -1;
+        if (v == V4::One) {
+            if (found >= 0)
+                return -1;
+            found = int(s);
+        }
+    }
+    return found;
+}
+
+/** Hold @p pins and drive the input port: the one input writer of
+ *  each kernel (a packed write sets every live lane). */
+void
+drivePins(Simulator &s, const CpuHandles &h, const PinValues &pins,
+          Word16 port)
+{
+    for (const auto &[g, v] : pins)
+        s.setInput(g, v);
+    s.setInputBus(h.portIn, port);
+}
+
+/** A packed Word16 port drives every lane alike: a splat, far cheaper
+ *  than the per-lane transpose of setInputBusLanes. */
+template <typename Port>
+void
+drivePins(PackedSimulator &s, const CpuHandles &h, const PinValues &pins,
+          const Port &port)
+{
+    for (const auto &[g, v] : pins)
+        s.setInput(g, V64::splat(v));
+    if constexpr (std::is_same_v<Port, Word16>) {
+        for (size_t i = 0; i < h.portIn.size(); ++i)
+            s.setInput(h.portIn[i], V64::splat(port.bit(unsigned(i))));
+    } else {
+        s.setInputBusLanes(h.portIn, port);
+    }
+}
+
+/** The reset sequence (Algorithm 1 line 4) on either kernel: reset
+ *  asserted, irq low and an X port for kResetCycles cycles;
+ *  @p pre_cycle (if set) runs after the inputs are set. */
+template <typename Sim, typename PreCycle>
+void
+resetSequence(Sim &sim, const CpuHandles &h, const PreCycle &pre_cycle)
+{
+    const PinValues held = {{h.rstn, V4::Zero}, {h.irq, V4::Zero}};
+    for (unsigned i = 0; i < System::kResetCycles; ++i) {
+        sim.step([&](Sim &s) {
+            drivePins(s, h, held, Word16::allX());
+            if (pre_cycle)
+                pre_cycle(s);
+        });
+    }
+}
+
+} // namespace
 
 System::Core::Core(const CellLibrary &l) : lib(l), nl(lib)
 {
@@ -62,6 +190,8 @@ System::Core::Core(const CellLibrary &l) : lib(l), nl(lib)
     h.memHookId = nl.addHook(std::move(hook));
 
     nl.finalize();
+
+    runPins = {{h.rstn, V4::One}, {h.irq, V4::Zero}};
 }
 
 std::shared_ptr<const System::Core>
@@ -112,84 +242,38 @@ System::reset(Simulator &sim,
 {
     halted_ = false;
     xStoreFault_ = false;
-    for (unsigned i = 0; i < kResetCycles; ++i) {
-        sim.step([&](Simulator &s) {
-            s.setInput(core_->h.rstn, V4::Zero);
-            s.setInput(core_->h.irq, V4::Zero);
-            s.setInputBus(core_->h.portIn, Word16::allX());
-            if (pre_cycle)
-                pre_cycle(s);
-        });
-    }
+    resetSequence(sim, core_->h, pre_cycle);
 }
 
 void
 System::driveCycle(Simulator &sim, Word16 port_in)
 {
-    sim.setInput(core_->h.rstn, V4::One);
-    sim.setInput(core_->h.irq, V4::Zero);
-    sim.setInputBus(core_->h.portIn, port_in);
+    drivePins(sim, core_->h, core_->runPins, port_in);
 }
 
 void
 System::memHook(Simulator &sim)
 {
     const CpuHandles &h = core_->h;
-    V4 en = sim.value(h.mbEn);
-    if (en == V4::Zero) {
-        sim.setInputBus(h.memData, Word16::known(0));
-        return;
-    }
-    Word16 addr = sim.readBus(h.mab);
-    if (en == V4::X || !addr.isFullyKnown()) {
-        sim.setInputBus(h.memData, Word16::allX());
-        return;
-    }
-    uint32_t a = addr.value;
-    if (mem_.inRam(a) || mem_.inRom(a)) {
-        sim.setInputBus(h.memData, mem_.read(a));
-        // Every presented RAM/ROM access (read or write cycle) is
-        // billed once here; the edge function only commits the data.
+    BusRead r = readRule(mem_, sim.value(h.mbEn),
+                         [&] { return sim.readBus(h.mab); });
+    sim.setInputBus(h.memData, r.data);
+    if (r.billed)
         sim.addBehavioralEnergyJ(kMemAccessEnergyJ, h.modMemBackbone);
-    } else if (a < 0x0200) {
-        // Peripheral space: the backbone routes in-netlist data.
-        sim.setInputBus(h.memData, Word16::known(0));
-    } else {
-        // Unmapped: pulled-up bus.
-        sim.setInputBus(h.memData, Word16::known(0xffff));
-    }
 }
 
 void
 System::memEdge(Simulator &sim)
 {
     const CpuHandles &h = core_->h;
-    // Values read here are the stable values of the cycle that just
-    // completed. While reset is asserted the core's control nets may
-    // still be X; external reset inhibits writes.
-    if (sim.value(h.rstn) != V4::One)
-        return;
-    V4 wr = sim.value(h.mbWr);
-    if (wr == V4::Zero)
-        return;
-    if (wr == V4::X) {
+    Commit c = commitRule(
+        mem_, sim.value(h.rstn), sim.value(h.mbWr),
+        [&] { return sim.readBus(h.mab); },
+        [&] { return sim.readBus(h.mdbOut); });
+    if (c == Commit::XStore)
         xStoreFault_ = true;
-        return;
-    }
-    Word16 addr = sim.readBus(h.mab);
-    if (!addr.isFullyKnown()) {
-        xStoreFault_ = true;
-        return;
-    }
-    uint32_t a = addr.value;
-    Word16 data = sim.readBus(h.mdbOut);
-    if (mem_.inRam(a)) {
-        mem_.write(a, data);
-    } else if (a == SystemMap::kDone) {
+    else if (c == Commit::Halt)
         halted_ = true;
-    }
-    // ROM / peripheral / unmapped writes: peripherals latch from the
-    // netlist themselves; everything else is dropped.
 }
 
 Word16
@@ -213,18 +297,7 @@ System::readIr(const Simulator &sim) const
 int
 System::fsmState(const Simulator &sim) const
 {
-    int found = -1;
-    for (unsigned s = 0; s < kNumStates; ++s) {
-        V4 v = sim.value(core_->h.state[s]);
-        if (v == V4::X)
-            return -1;
-        if (v == V4::One) {
-            if (found >= 0)
-                return -1;
-            found = int(s);
-        }
-    }
-    return found;
+    return decodeFsm(core_->h, [&](GateId g) { return sim.value(g); });
 }
 
 System::Snapshot
@@ -239,6 +312,96 @@ System::restore(const Snapshot &s)
     mem_.restore(s.mem);
     halted_ = s.halted;
     xStoreFault_ = s.xStoreFault;
+}
+
+PackedSystem::PackedSystem(const System &sys)
+    : core_(sys.core_), mem_(kLanes, sys.memory())
+{
+}
+
+void
+PackedSystem::attach(PackedSimulator &ps)
+{
+    ps.setHookFn(core_->h.memHookId,
+                 PackedFnRef::member<&PackedSystem::memHook>(*this));
+    ps.addEdgeFn(PackedFnRef::member<&PackedSystem::memEdge>(*this));
+}
+
+void
+PackedSystem::reset(PackedSimulator &ps, PackedFnRef pre_cycle)
+{
+    halted_ = 0;
+    xStore_ = 0;
+    resetSequence(ps, core_->h, pre_cycle);
+}
+
+void
+PackedSystem::driveCycle(PackedSimulator &ps, const LaneWords &ports)
+{
+    drivePins(ps, core_->h, core_->runPins, ports);
+}
+
+void
+PackedSystem::driveCycle(PackedSimulator &ps, Word16 port)
+{
+    drivePins(ps, core_->h, core_->runPins, port);
+}
+
+int
+PackedSystem::fsmState(const PackedSimulator &ps, unsigned lane) const
+{
+    return decodeFsm(core_->h,
+                     [&](GateId g) { return ps.valueLane(g, lane); });
+}
+
+void
+PackedSystem::restore(unsigned lane, const System::Snapshot &s)
+{
+    uint64_t bit = uint64_t(1) << lane;
+    mem_[lane].restore(s.mem);
+    halted_ = s.halted ? halted_ | bit : halted_ & ~bit;
+    xStore_ = s.xStoreFault ? xStore_ | bit : xStore_ & ~bit;
+}
+
+void
+PackedSystem::memHook(PackedSimulator &ps)
+{
+    // Retired lanes are skipped: setInput would drop their data.
+    const CpuHandles &h = core_->h;
+    LaneWords data;
+    uint64_t billed = 0;
+    V64 en = ps.value(h.mbEn);
+    for (uint64_t live = ps.liveMask(); live; live &= live - 1) {
+        unsigned l = unsigned(__builtin_ctzll(live));
+        BusRead r = readRule(mem_[l], en.lane(l),
+                             [&] { return ps.readBusLane(h.mab, l); });
+        data[l] = r.data;
+        if (r.billed)
+            billed |= uint64_t(1) << l;
+    }
+    ps.setInputBusLanes(h.memData, data);
+    if (billed)
+        ps.addBehavioralEnergyJ(System::kMemAccessEnergyJ,
+                                h.modMemBackbone, billed);
+}
+
+void
+PackedSystem::memEdge(PackedSimulator &ps)
+{
+    const CpuHandles &h = core_->h;
+    V64 rstn = ps.value(h.rstn);
+    V64 wr = ps.value(h.mbWr);
+    for (uint64_t m = ps.liveMask() & ~halted_; m; m &= m - 1) {
+        unsigned l = unsigned(__builtin_ctzll(m));
+        Commit c = commitRule(
+            mem_[l], rstn.lane(l), wr.lane(l),
+            [&] { return ps.readBusLane(h.mab, l); },
+            [&] { return ps.readBusLane(h.mdbOut, l); });
+        if (c == Commit::XStore)
+            xStore_ |= uint64_t(1) << l;
+        else if (c == Commit::Halt)
+            halted_ |= uint64_t(1) << l;
+    }
 }
 
 } // namespace msp

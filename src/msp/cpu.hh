@@ -23,6 +23,7 @@
 #include "isa/iss.hh"
 #include "netlist/netlist.hh"
 #include "sim/memory.hh"
+#include "sim/packed_simulator.hh"
 #include "sim/simulator.hh"
 
 namespace ulpeak {
@@ -78,9 +79,15 @@ struct CpuHandles {
              modClk = 0, modDbg = 0;
 };
 
+/** Input pins and the value each is held at (the form of
+ *  lint::ConstAnalysisOptions::drivenConstants). */
+using PinValues = std::vector<std::pair<GateId, V4>>;
+
 /**
  * A complete simulatable system: netlist + behavioral memory + halt
- * tracking. One System pairs with one Simulator.
+ * tracking. One System pairs with one Simulator; PackedSystem is the
+ * same environment around 64 lanes, through the same bus rules, reset
+ * sequence, run pins and FSM decode (src/msp/cpu.cc).
  *
  * The elaborated core -- the library, the finalized Netlist and the
  * CpuHandles -- is immutable, so every System built against libraries
@@ -131,10 +138,15 @@ class System {
                    nullptr);
 
     /**
-     * Per-cycle input driver: deasserts reset, holds irq at 0 (Ch. 6
-     * mechanism) and drives the input port with @p port_in.
+     * Per-cycle input driver: holds the run pins (reset deasserted,
+     * irq at 0 -- the Ch. 6 mechanism) and drives the input port with
+     * @p port_in.
      */
     void driveCycle(Simulator &sim, Word16 port_in);
+
+    /** The pins driveCycle holds constant while the core runs: what
+     *  static analyses take as driven constants. */
+    const PinValues &runPins() const { return core_->runPins; }
 
     bool halted() const { return halted_; }
     void clearHalted() { halted_ = false; }
@@ -163,7 +175,14 @@ class System {
     void restore(const Snapshot &s);
     /// @}
 
+    /** The cycle's bus read and the edge's commit (attach registers
+     *  them). */
+    void memHook(Simulator &sim);
+    void memEdge(Simulator &sim);
+
   private:
+    friend class PackedSystem;
+
     /** The shared, immutable part. The netlist points at @c lib, so a
      *  Core never moves. */
     struct Core {
@@ -174,16 +193,66 @@ class System {
         CellLibrary lib;
         Netlist nl;
         CpuHandles h;
+        PinValues runPins;
     };
     static std::shared_ptr<const Core> coreFor(const CellLibrary &lib);
-
-    void memHook(Simulator &sim);
-    void memEdge(Simulator &sim);
 
     std::shared_ptr<const Core> core_;
     Memory mem_;
     bool halted_ = false;
     bool xStoreFault_ = false;
+};
+
+/**
+ * System around the 64 lanes of a PackedSimulator: a Memory copy, halt
+ * bit and X-store bit per lane. Each live lane is bit-identical to a
+ * System around a scalar Simulator stepped with that lane's inputs.
+ * The hook and edge skip retired lanes, whose scalar run stopped
+ * stepping; the edge also skips halted lanes, whose scalar run steps
+ * no edge after the halting one. The hook bills every accessing lane
+ * in one masked addBehavioralEnergyJ, so float sums keep the scalar
+ * order. It registers member functions, so it does not move.
+ */
+class PackedSystem {
+  public:
+    static constexpr unsigned kLanes = PackedSimulator::kLanes;
+    using LaneWords = std::array<Word16, kLanes>;
+
+    /** Every lane's memory starts as a copy of @p sys's (its loaded
+     *  image, ROM included); no lane is halted or faulted. */
+    explicit PackedSystem(const System &sys);
+    PackedSystem(const PackedSystem &) = delete;
+    PackedSystem &operator=(const PackedSystem &) = delete;
+
+    Memory &memory(unsigned lane) { return mem_[lane]; }
+
+    /** Register the memory hook and edge function on @p ps. Once per
+     *  PackedSimulator. */
+    void attach(PackedSimulator &ps);
+    /** System::reset on every lane (clears every halt and fault). */
+    void reset(PackedSimulator &ps, PackedFnRef pre_cycle = {});
+    /** System::driveCycle with lane l's port at @p ports[l], or every
+     *  lane's at @p port. */
+    void driveCycle(PackedSimulator &ps, const LaneWords &ports);
+    void driveCycle(PackedSimulator &ps, Word16 port);
+    /** System::fsmState of lane @p lane. */
+    int fsmState(const PackedSimulator &ps, unsigned lane) const;
+
+    uint64_t haltedMask() const { return halted_; }
+    uint64_t xStoreMask() const { return xStore_; }
+
+    /** Install a System::Snapshot into lane @p lane. */
+    void restore(unsigned lane, const System::Snapshot &s);
+
+    /** System::memHook / memEdge on every live lane. */
+    void memHook(PackedSimulator &ps);
+    void memEdge(PackedSimulator &ps);
+
+  private:
+    std::shared_ptr<const System::Core> core_;
+    std::vector<Memory> mem_;
+    uint64_t halted_ = 0;
+    uint64_t xStore_ = 0;
 };
 
 } // namespace msp

@@ -8,12 +8,13 @@
  *
  * Per lane, runConcretePacked() is bit-identical to power::runConcrete
  * with ConcreteRunOptions{maxCycles, portSchedule = that lane's
- * schedule}: each lane owns a private copy of the behavioral memory,
- * halts independently (a lane is retired right after the step that
- * halted it, exactly where the scalar run stops stepping), and its
- * recorded trace floats are the same sums in the same order (the
- * PackedSimulator lane-identity invariant). tests/test_packed_sim.cc and the ulfuzz packed property
- * lockstep the two.
+ * schedule}: msp::PackedSystem gives each lane a private copy of the
+ * behavioral memory under the scalar System's bus rules, a lane halts
+ * independently (it is retired right after the step that halted it,
+ * exactly where the scalar run stops stepping), and its recorded
+ * trace floats are the same sums in the same order (the
+ * PackedSimulator lane-identity invariant). tests/test_packed_sim.cc
+ * and the ulfuzz packed property lockstep the two.
  */
 
 #ifndef ULPEAK_POWER_PACKED_RUN_HH
@@ -63,39 +64,6 @@ PackedRunResult runConcretePacked(msp::System &sys,
                                   const PowerContext &ctx,
                                   const PackedRunOptions &opts,
                                   const RamInit &ram_init = {});
-
-/// @name Packed mirrors of msp::System (shared with src/fault, src/sym)
-/// @{
-
-/** Mirror of System::reset on every lane: the reset sequence, with
- *  @p pre_cycle (may be empty) run inside each step's driver after the
- *  inputs are set, the fault layer's injection point. */
-void packedReset(PackedSimulator &s, const msp::CpuHandles &h,
-                 PackedFnRef pre_cycle = {});
-
-/** Per-lane mirror of System::fsmState: lane l's active FSM state, or
- *  -1 where its one-hot is not exactly one concrete 1. */
-std::array<int, PackedSimulator::kLanes>
-packedFsmStates(const PackedSimulator &s, const msp::CpuHandles &h);
-
-/** Per-lane mirror of System::memHook: asynchronous RAM/ROM read data
- *  for every live lane, one access-energy bill per accessing lane. */
-void packedMemHook(PackedSimulator &s, const msp::CpuHandles &h,
-                   std::vector<Memory> &mem);
-
-/**
- * Per-lane mirror of System::memEdge. Retired lanes are skipped
- * outright (their scalar counterpart stopped stepping before this
- * edge, so nothing may commit); additionally lanes already in
- * @p halted_mask are skipped, keeping memory, fault flag and halt
- * state bit-identical to independent scalar runs while other lanes
- * keep going.
- */
-void packedMemEdge(PackedSimulator &s, const msp::CpuHandles &h,
-                   std::vector<Memory> &mem, uint64_t &halted_mask,
-                   uint64_t &fault_mask);
-
-/// @}
 
 } // namespace power
 } // namespace ulpeak

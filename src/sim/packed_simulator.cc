@@ -119,14 +119,6 @@ PackedSimulator::injectSeuFlip(GateId g, uint64_t lane_mask)
 }
 
 void
-PackedSimulator::setInputBusAll(const std::vector<GateId> &bus,
-                                Word16 w)
-{
-    for (size_t i = 0; i < bus.size(); ++i)
-        setInput(bus[i], V64::splat(w.bit(unsigned(i))));
-}
-
-void
 PackedSimulator::setInputBusLanes(const std::vector<GateId> &bus,
                                   const std::array<Word16, kLanes> &lanes)
 {
@@ -188,11 +180,8 @@ PackedSimulator::addBehavioralEnergyJ(double j, ModuleId top_module,
     assert(!priced_ && "addBehavioralEnergyJ outside a step");
     lane_mask &= live_;
     bills_.push_back({j, top_module, lane_mask});
-    for (uint64_t m = lane_mask; m; m &= m - 1) {
-        unsigned l = unsigned(__builtin_ctzll(m));
-        bound_[l] += j;
-        behavioral_[l] += j;
-    }
+    for (uint64_t m = lane_mask; m; m &= m - 1)
+        bound_[unsigned(__builtin_ctzll(m))] += j;
 }
 
 void
@@ -431,7 +420,6 @@ PackedSimulator::step(PackedFnRef driver)
         forEachBit(actBitsPrev_, [&](GateId g) { prev_[g] = val_[g]; });
     }
     bound_.fill(0.0);
-    behavioral_.fill(0.0);
     bills_.clear();
     priced_ = false;
     splitValid_ = false;
@@ -461,28 +449,6 @@ PackedSimulator::step(PackedFnRef driver)
     priced_ = true;
     splitValid_ = false;
     ++cycle_;
-}
-
-uint64_t
-PackedSimulator::hashLaneState(unsigned lane) const
-{
-    // Per lane, byte for byte what Simulator::hashFullState mixes:
-    // values, one 0/1 activity byte per gate zero-padded to a
-    // multiple of 8, load history.
-    uint64_t h = 0xcbf29ce484222325ull;
-    auto mix = [&h](uint8_t b) {
-        h ^= b;
-        h *= 0x100000001b3ull;
-    };
-    size_t n = val_.size();
-    for (size_t g = 0; g < n; ++g)
-        mix(uint8_t(val_[g].lane(lane)));
-    size_t padded = (n + 7) & ~size_t(7);
-    for (size_t g = 0; g < padded; ++g)
-        mix(g < n ? uint8_t((act_[g] >> lane) & 1) : uint8_t(0));
-    for (size_t i = 0; i < loadedPrevEdge_.size(); ++i)
-        mix(uint8_t((loadedPrevEdge_[i] >> lane) & 1));
-    return h;
 }
 
 void

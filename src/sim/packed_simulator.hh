@@ -11,10 +11,11 @@
  *
  * Lane-identity invariant: while lane i is live (see below), it is
  * bit-identical -- per-cycle gate values, activity flags, actual /
- * bound / behavioral / per-module energies, and the full-state hash --
- * to an independent scalar Simulator run driven with lane i's inputs
- * (either EvalMode; the two scalar kernels are themselves bit-identical
- * by contract). This holds by construction:
+ * bound / per-module energies, and the full-state hash of its
+ * extractLaneState snapshot -- to an independent scalar Simulator run
+ * driven with lane i's inputs (either EvalMode; the two scalar kernels
+ * are themselves bit-identical by contract). This holds by
+ * construction:
  *
  *  - the V64 ops are lane-exact to the scalar V4 ops of the same
  *    names, and both kernels compose cells through the one evalCell
@@ -123,8 +124,6 @@ class PackedSimulator {
     /// @{
     /** Retired lanes keep their value whatever @p v holds there. */
     void setInput(GateId g, V64 v);
-    /** The same scalar value on every lane of every bus bit. */
-    void setInputBusAll(const std::vector<GateId> &bus, Word16 w);
     /** Per-lane words: bus bit b of lane l takes lanes[l].bit(b). */
     void setInputBusLanes(const std::vector<GateId> &bus,
                           const std::array<Word16, kLanes> &lanes);
@@ -174,11 +173,6 @@ class PackedSimulator {
     /// @{
     double actualEnergyJ(unsigned lane) const;
     double boundEnergyJ(unsigned lane) const { return bound_[lane]; }
-    double
-    behavioralEnergyJ(unsigned lane) const
-    {
-        return behavioral_[lane];
-    }
     /** Lane @p lane's per-module split, shaped like the scalar
      *  Simulator::moduleBoundEnergyJ() vector. */
     std::vector<double> moduleBoundEnergyLaneJ(unsigned lane) const;
@@ -187,10 +181,6 @@ class PackedSimulator {
     void addBehavioralEnergyJ(double j, ModuleId top_module,
                               uint64_t lane_mask);
     /// @}
-
-    /** Per-lane FNV-1a over the complete inter-step state, identical
-     *  to the scalar Simulator::hashFullState() of that lane's run. */
-    uint64_t hashLaneState(unsigned lane) const;
 
     /// @name Lane <-> scalar snapshot transpose (symbolic frontier)
     /// @{
@@ -285,7 +275,6 @@ class PackedSimulator {
     std::vector<PackedFnRef> edgeFns_;
 
     std::array<double, kLanes> bound_{};
-    std::array<double, kLanes> behavioral_{};
     /** This cycle's addBehavioralEnergyJ calls, in order: the split
      *  replays them ahead of the gate terms. */
     struct BehavioralBill {

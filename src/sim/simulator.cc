@@ -671,8 +671,7 @@ namespace {
  *  when @p runs is non-null. Activity from the gate-id bitset @p act
  *  mixes as one 0/1 byte per gate, zero-padded to a multiple of 8
  *  when unrestricted: the pinned dedup-key format
- *  (tests/test_snapshot.cc, DedupKeys), which
- *  PackedSimulator::hashLaneState mixes too. */
+ *  (tests/test_snapshot.cc, DedupKeys). */
 uint64_t
 hashStateBytes(const uint8_t *vals, size_t nval, const uint64_t *act,
                const uint8_t *lpe, size_t nlpe,

@@ -15,8 +15,8 @@
 #include "isa/disassembler.hh"
 #include "isa/encoding.hh"
 #include "lint/lint.hh"
-#include "power/packed_run.hh"
 #include "sim/bitset.hh"
+#include "sim/packed_simulator.hh"
 #include "sym/testing.hh"
 
 namespace ulpeak {
@@ -452,12 +452,8 @@ class Worker {
         // Per-lane behavioral memory; contents are overwritten at
         // every lane load, but the ROM image (not part of memory
         // snapshots) must already be in the copies.
-        laneMem_.assign(PackedSimulator::kLanes, sys_->memory());
-        psim_->setHookFn(
-            sys_->handles().memHookId,
-            PackedFnRef::member<&Worker::packedMemHook>(*this));
-        psim_->addEdgeFn(
-            PackedFnRef::member<&Worker::packedMemEdge>(*this));
+        laneSys_ = std::make_unique<msp::PackedSystem>(*sys_);
+        laneSys_->attach(*psim_);
         // Prime one sweep: edge functions only run when cycle() > 0,
         // and a loaded lane's first step must run them against the
         // loaded state exactly like the scalar restore-then-step
@@ -926,8 +922,8 @@ class Worker {
         Lane &L = lanes_[l];
         sim_->restore(psim_->extractLaneState(l, L.absCycle));
         // A live lane is neither halted nor faulted.
-        sys_->restore(msp::System::Snapshot{laneMem_[l].snapshot(),
-                                            false, false});
+        sys_->restore(msp::System::Snapshot{
+            laneSys_->memory(l).snapshot(), false, false});
         psim_->retireLanes(uint64_t(1) << l);
         std::shared_ptr<const Simulator::Snapshot> base =
             std::move(L.base);
@@ -950,12 +946,7 @@ class Worker {
             L.absCycle = p.simFull->cycle;
         }
         L.base = p.base();
-        laneMem_[l].restore(p.sysSnap->mem);
-        // Pending paths are never halted or faulted (either would
-        // have ended the parent as a leaf / failure, not a fork).
-        uint64_t bit = uint64_t(1) << l;
-        haltedMask_ &= ~bit;
-        faultMask_ &= ~bit;
+        laneSys_->restore(l, *p.sysSnap);
         L.path = std::move(p.path);
     }
 
@@ -966,22 +957,6 @@ class Worker {
         lanes_[l].base.reset();
         psim_->retireLanes(uint64_t(1) << l);
         sh.finishPath();
-    }
-
-    /** The packed simulator's memory hook and edge (registered as
-     *  direct calls). Retired lanes -- those not carrying a pending
-     *  path -- are skipped by both: their scalar counterparts are not
-     *  stepping here, so nothing may commit. */
-    void
-    packedMemHook(PackedSimulator &s)
-    {
-        power::packedMemHook(s, sys_->handles(), laneMem_);
-    }
-    void
-    packedMemEdge(PackedSimulator &s)
-    {
-        power::packedMemEdge(s, sys_->handles(), laneMem_, haltedMask_,
-                             faultMask_);
     }
 
     /** One packed cycle of every live lane: runPath's loop body per
@@ -1002,7 +977,7 @@ class Worker {
             return;
 
         std::array<StepInputs, PackedSimulator::kLanes> in;
-        std::array<Word16, PackedSimulator::kLanes> ports;
+        msp::PackedSystem::LaneWords ports;
         ports.fill(Word16::allX());
         for (uint64_t m = stepped; m; m &= m - 1) {
             unsigned l = unsigned(__builtin_ctzll(m));
@@ -1010,12 +985,9 @@ class Worker {
             ports[l] = in[l].port;
         }
         ps.step([&](PackedSimulator &s) {
-            // driveCycle splatted to all lanes (retired lanes drop
-            // the writes), then runPath's per-path forces narrowed to
-            // single lanes.
-            s.setInput(h.rstn, V64::splat(V4::One));
-            s.setInput(h.irq, V64::splat(V4::Zero));
-            s.setInputBusLanes(h.portIn, ports);
+            // driveCycle per lane (retired lanes drop the writes),
+            // then runPath's per-path forces narrowed to single lanes.
+            laneSys_->driveCycle(s, ports);
             for (uint64_t m = stepped; m; m &= m - 1) {
                 unsigned l = unsigned(__builtin_ctzll(m));
                 if (in[l].applyRegs)
@@ -1040,7 +1012,6 @@ class Worker {
                     everActive_[g] = 1;
         }
 
-        const auto fsm = power::packedFsmStates(ps, h);
         for (uint64_t m = stepped; m; m &= m - 1) {
             unsigned l = unsigned(__builtin_ctzll(m));
             uint64_t lbit = uint64_t(1) << l;
@@ -1053,9 +1024,10 @@ class Worker {
             bool newPeak = false;
             CycleEnd end = endCycle(
                 sh, L.path,
-                {ps.readBusLane(h.pc, l), fsm[l],
-                 ps.boundEnergyJ(l), &moduleJ, (faultMask_ & lbit) != 0,
-                 (haltedMask_ & lbit) != 0,
+                {ps.readBusLane(h.pc, l), laneSys_->fsmState(ps, l),
+                 ps.boundEnergyJ(l), &moduleJ,
+                 (laneSys_->xStoreMask() & lbit) != 0,
+                 (laneSys_->haltedMask() & lbit) != 0,
                  std::any_of(h.pc.begin(), h.pc.end(),
                              [&](GateId g) {
                                  return ps.predictSeqValueLane(g, l) ==
@@ -1076,7 +1048,7 @@ class Worker {
                 (end == CycleEnd::Fork &&
                  !fork(sh, L.path, ps.readBusLane(h.ir, l), L.base,
                        ps.extractLaneState(l, L.absCycle),
-                       laneMem_[l])))
+                       laneSys_->memory(l))))
                 return;
             retireLane(sh, l);
         }
@@ -1100,12 +1072,10 @@ class Worker {
     /// first widens)
     /// @{
     std::unique_ptr<PackedSimulator> psim_;
-    std::vector<Memory> laneMem_;
+    std::unique_ptr<msp::PackedSystem> laneSys_;
     /** Lanes carrying a pending path are the simulator's live lanes;
      *  the rest are retired. */
     std::vector<Lane> lanes_;
-    uint64_t haltedMask_ = 0;
-    uint64_t faultMask_ = 0;
     /// @}
 };
 
@@ -1182,8 +1152,7 @@ SymbolicEngine::run(const isa::Image &image)
         lopts.scenario = cfg_.scenario;
         const msp::CpuHandles &h = sys_->handles();
         lopts.portBits.assign(h.portIn.begin(), h.portIn.end());
-        lopts.drivenConstants = {{h.rstn, V4::One},
-                                 {h.irq, V4::Zero}};
+        lopts.drivenConstants = sys_->runPins();
         lint::ConstAnalysis ca = lint::analyzeConstants(nl, lopts);
         auto mask = std::make_shared<const std::vector<uint8_t>>(
             std::move(ca.pruneMask));

@@ -7,6 +7,8 @@
 
 #include <gtest/gtest.h>
 
+#include <memory>
+#include <string>
 #include <thread>
 #include <vector>
 
@@ -274,6 +276,243 @@ TEST(CpuRun, UninitializedRegisterStaysX)
     ASSERT_TRUE(r.halted);
     EXPECT_TRUE(r.regKnown[4]);
     EXPECT_FALSE(r.regKnown[11]) << "r11 was never written";
+}
+
+// ---- The RAM/ROM macro's bus rules against a literal spec ----
+
+/** The address classes of the bus-rule spec. */
+enum class Addr { X, Ram, Rom, Done, Periph, Unmapped };
+
+constexpr uint16_t kSpecRam = isa::SystemMap::kRamBase + 0x10;
+constexpr uint16_t kSpecRom = isa::SystemMap::kRomBase + 0x20;
+constexpr uint16_t kRamWord = 0x1111, kRomWord = 0x2222;
+constexpr uint16_t kStoreWord = 0xbeef;
+
+Word16
+addrOf(Addr a)
+{
+    switch (a) {
+    case Addr::X:
+        return Word16(kSpecRam, 0x0004); // one X bit
+    case Addr::Ram:
+        return Word16::known(kSpecRam);
+    case Addr::Rom:
+        return Word16::known(kSpecRom);
+    case Addr::Done:
+        return Word16::known(isa::SystemMap::kDone);
+    case Addr::Periph:
+        return Word16::known(0x0100);
+    case Addr::Unmapped:
+        return Word16::known(0x1000);
+    }
+    return Word16::allX();
+}
+
+/** What the bus nets read in one cycle. */
+struct Access {
+    V4 rstn, en, wr;
+    Addr addr;
+};
+
+/** What one access did: the hook's read data and bill, and the edge's
+ *  effects as "W" (RAM written), "H" (halt), "F" (X-store fault) or
+ *  "." (none), with a "?" for any effect the spec has no room for (a
+ *  stray bill, another lane's commit, a clobbered word). */
+struct Outcome {
+    Word16 data;
+    bool billed = false;
+    std::string commit;
+};
+
+/** A System over the shared core with one RAM and one ROM word. */
+std::unique_ptr<msp::System>
+specSystem()
+{
+    auto sys = std::make_unique<msp::System>(sharedSystem().lib());
+    sys->memory().loadRam(kSpecRam, {kRamWord});
+    sys->memory().loadRom(kSpecRom, {kRomWord});
+    return sys;
+}
+
+/** @p sim's state with the bus nets set to @p a (the write data is
+ *  always kStoreWord). */
+Simulator::Snapshot
+accessState(const Simulator &sim, const Access &a)
+{
+    const msp::CpuHandles &h = sharedSystem().handles();
+    Simulator::Snapshot s = sim.snapshot();
+    s.val[h.rstn] = a.rstn;
+    s.val[h.mbEn] = a.en;
+    s.val[h.mbWr] = a.wr;
+    Word16 addr = addrOf(a.addr), data = Word16::known(kStoreWord);
+    for (unsigned i = 0; i < 16; ++i) {
+        s.val[h.mab[i]] = addr.bit(i);
+        s.val[h.mdbOut[i]] = data.bit(i);
+    }
+    return s;
+}
+
+std::string
+effects(const Memory &mem, bool halted, bool fault)
+{
+    std::string e;
+    if (mem.read(kSpecRam) == Word16::known(kStoreWord))
+        e += "W";
+    else if (!(mem.read(kSpecRam) == Word16::known(kRamWord)))
+        e += "?"; // RAM clobbered
+    if (!(mem.read(kSpecRom) == Word16::known(kRomWord)))
+        e += "?"; // ROM written
+    if (halted)
+        e += "H";
+    if (fault)
+        e += "F";
+    return e.empty() ? "." : e;
+}
+
+/** One access through System::memHook then System::memEdge. */
+Outcome
+viaSystem(const Access &a)
+{
+    auto sys = specSystem();
+    const msp::CpuHandles &h = sys->handles();
+    Simulator sim(sys->netlist());
+    sim.restore(accessState(sim, a));
+    sys->memHook(sim);
+    sys->memEdge(sim);
+    Outcome o;
+    o.data = sim.readBus(h.memData);
+    double billJ = sim.moduleBoundEnergyJ()[h.modMemBackbone];
+    o.billed = billJ == msp::System::kMemAccessEnergyJ &&
+               sim.behavioralEnergyJ() == billJ;
+    if (!o.billed && (billJ != 0.0 || sim.behavioralEnergyJ() != 0.0))
+        o.commit = "?"; // billed something else
+    o.commit += effects(sys->memory(), sys->halted(), sys->xStoreFault());
+    return o;
+}
+
+/** One access through PackedSystem's hook then edge, in lane @p lane
+ *  only (the other lanes read all-X nets, which neither bill nor
+ *  commit). */
+Outcome
+viaLane(const Access &a, unsigned lane)
+{
+    auto sys = specSystem();
+    const msp::CpuHandles &h = sys->handles();
+    msp::PackedSystem lanes(*sys);
+    PackedSimulator ps(sys->netlist());
+    ps.loadLaneState(lane, accessState(Simulator(sys->netlist()), a));
+    lanes.memHook(ps);
+    lanes.memEdge(ps);
+    Outcome o;
+    o.data = ps.readBusLane(h.memData, lane);
+    o.billed = ps.boundEnergyJ(lane) == msp::System::kMemAccessEnergyJ;
+    if (!o.billed && ps.boundEnergyJ(lane) != 0.0)
+        o.commit = "?";
+    uint64_t bit = uint64_t(1) << lane;
+    for (unsigned l = 0; l < msp::PackedSystem::kLanes; ++l)
+        if (l != lane && ps.boundEnergyJ(l) != 0.0)
+            o.commit += "?"; // another lane billed
+    if ((lanes.haltedMask() | lanes.xStoreMask()) & ~bit)
+        o.commit += "?"; // another lane committed
+    o.commit += effects(lanes.memory(lane), lanes.haltedMask() & bit,
+                        lanes.xStoreMask() & bit);
+    return o;
+}
+
+/** Every kernel the rules run in: System, and lanes 0, 31, 63. */
+template <typename Check>
+void
+forEachKernel(const Access &a, const Check &check)
+{
+    check(viaSystem(a), "System");
+    for (unsigned lane : {0u, 31u, 63u})
+        check(viaLane(a, lane), "lane " + std::to_string(lane));
+}
+
+const char *
+v4Name(V4 v)
+{
+    return v == V4::Zero ? "0" : v == V4::One ? "1" : "X";
+}
+
+TEST(CpuBus, ReadRuleMatchesTheSpec)
+{
+    constexpr uint16_t kAllX = 0xffff;
+    struct Row {
+        V4 en;
+        Addr addr;
+        uint16_t value, xmask;
+        bool billed;
+    };
+    // Enable 0 reads 0 and X reads all-X wherever it points; under a 1
+    // enable an X address bit reads all-X, RAM and ROM read memory and
+    // bill one access, the peripheral space reads 0 and unmapped space
+    // the pulled-up 0xffff.
+    const Row spec[] = {
+        {V4::Zero, Addr::X, 0, 0, false},
+        {V4::Zero, Addr::Ram, 0, 0, false},
+        {V4::Zero, Addr::Rom, 0, 0, false},
+        {V4::Zero, Addr::Periph, 0, 0, false},
+        {V4::Zero, Addr::Unmapped, 0, 0, false},
+        {V4::One, Addr::X, 0, kAllX, false},
+        {V4::One, Addr::Ram, kRamWord, 0, true},
+        {V4::One, Addr::Rom, kRomWord, 0, true},
+        {V4::One, Addr::Periph, 0, 0, false},
+        {V4::One, Addr::Unmapped, 0xffff, 0, false},
+        {V4::X, Addr::X, 0, kAllX, false},
+        {V4::X, Addr::Ram, 0, kAllX, false},
+        {V4::X, Addr::Rom, 0, kAllX, false},
+        {V4::X, Addr::Periph, 0, kAllX, false},
+        {V4::X, Addr::Unmapped, 0, kAllX, false},
+    };
+    for (const Row &r : spec) {
+        // Reset asserted: the edge commits nothing.
+        Access a{V4::Zero, r.en, V4::One, r.addr};
+        forEachKernel(a, [&](const Outcome &o, const std::string &who) {
+            SCOPED_TRACE(who + ": en " + v4Name(r.en) + " addr class " +
+                         std::to_string(int(r.addr)));
+            EXPECT_EQ(o.data, Word16(r.value, r.xmask));
+            EXPECT_EQ(o.billed, r.billed);
+            EXPECT_EQ(o.commit, ".");
+        });
+    }
+}
+
+TEST(CpuBus, CommitRuleMatchesTheSpec)
+{
+    struct Row {
+        V4 rstn, wr;
+        /** Effect per address class, in Addr order: X, RAM, ROM,
+         *  kDone, peripheral, unmapped. */
+        const char *effect[6];
+    };
+    // No write unless rstn is 1; an X write enable or X address is an
+    // X-store fault; RAM is written, kDone halts, the rest is dropped.
+    const Row spec[] = {
+        {V4::Zero, V4::Zero, {".", ".", ".", ".", ".", "."}},
+        {V4::Zero, V4::One, {".", ".", ".", ".", ".", "."}},
+        {V4::Zero, V4::X, {".", ".", ".", ".", ".", "."}},
+        {V4::One, V4::Zero, {".", ".", ".", ".", ".", "."}},
+        {V4::One, V4::One, {"F", "W", ".", "H", ".", "."}},
+        {V4::One, V4::X, {"F", "F", "F", "F", "F", "F"}},
+        {V4::X, V4::Zero, {".", ".", ".", ".", ".", "."}},
+        {V4::X, V4::One, {".", ".", ".", ".", ".", "."}},
+        {V4::X, V4::X, {".", ".", ".", ".", ".", "."}},
+    };
+    for (const Row &r : spec) {
+        for (int c = 0; c < 6; ++c) {
+            // Enable 0: the hook reads 0 and bills nothing.
+            Access a{r.rstn, V4::Zero, r.wr, Addr(c)};
+            forEachKernel(a, [&](const Outcome &o, const std::string &who) {
+                SCOPED_TRACE(who + ": rstn " + v4Name(r.rstn) + " wr " +
+                             v4Name(r.wr) + " addr class " +
+                             std::to_string(c));
+                EXPECT_EQ(o.commit, r.effect[c]);
+                EXPECT_EQ(o.data, Word16::known(0));
+                EXPECT_FALSE(o.billed);
+            });
+        }
+    }
 }
 
 } // namespace

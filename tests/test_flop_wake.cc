@@ -173,7 +173,8 @@ laneDiff(const PackedSimulator &p, unsigned l, const Simulator &t)
         p.boundEnergyJ(l) != t.boundEnergyJ() ||
         p.moduleBoundEnergyLaneJ(l) != t.moduleBoundEnergyJ())
         return "energies";
-    if (p.hashLaneState(l) != t.hashFullState())
+    if (t.hashSnapshotState(p.extractLaneState(l, t.cycle())) !=
+        t.hashFullState())
         return "full-state hash";
     return "";
 }

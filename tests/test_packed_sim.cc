@@ -81,7 +81,9 @@ expectLaneIdentity(uint64_t seed, EvalMode mode, unsigned cycles)
             ASSERT_EQ(psim.moduleBoundEnergyLaneJ(l),
                       sims[l].moduleBoundEnergyJ())
                 << "cycle " << c << " lane " << l;
-            ASSERT_EQ(psim.hashLaneState(l), sims[l].hashFullState())
+            ASSERT_EQ(sims[l].hashSnapshotState(
+                          psim.extractLaneState(l, sims[l].cycle())),
+                      sims[l].hashFullState())
                 << "cycle " << c << " lane " << l;
         }
     }
@@ -319,7 +321,8 @@ struct Lockstep {
                 live ? p.actualEnergyJ(l) == t.actualEnergyJ() &&
                            p.boundEnergyJ(l) == t.boundEnergyJ() &&
                            mod == t.moduleBoundEnergyJ() &&
-                           p.hashLaneState(l) == t.hashFullState()
+                           t.hashSnapshotState(p.extractLaneState(
+                               l, t.cycle())) == t.hashFullState()
                      : p.actualEnergyJ(l) == 0.0 &&
                            p.boundEnergyJ(l) == 0.0 &&
                            mod == std::vector<double>(mod.size(), 0.0);

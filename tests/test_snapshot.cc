@@ -18,7 +18,7 @@
 #include "fuzz/netlist_gen.hh"
 #include "fuzz/rng.hh"
 #include "lint/lint.hh"
-#include "power/packed_run.hh"
+#include "msp/cpu.hh"
 #include "sim/simulator.hh"
 #include "tests/cpu_test_util.hh"
 
@@ -233,7 +233,7 @@ scalarKeys(EvalMode mode, bool prune)
         const msp::CpuHandles &h = sys.handles();
         lint::ConstAnalysisOptions lopts;
         lopts.portBits.assign(h.portIn.begin(), h.portIn.end());
-        lopts.drivenConstants = {{h.rstn, V4::One}, {h.irq, V4::Zero}};
+        lopts.drivenConstants = sys.runPins();
         lint::ConstAnalysis ca =
             lint::analyzeConstants(sys.netlist(), lopts);
         sim.setStaticPrune(std::make_shared<const std::vector<uint8_t>>(
@@ -272,28 +272,23 @@ TEST(DedupKeys, PinnedAcrossKernels)
     msp::System &sys = test::sharedSystem();
     sys.memory().reset();
     sys.loadImage(bench430::benchmarkByName("PI").assembleImage());
-    const msp::CpuHandles &h = sys.handles();
-    std::vector<Memory> mem(PackedSimulator::kLanes, sys.memory());
-    uint64_t halted = 0, fault = 0;
-    auto memHook = [&](PackedSimulator &s) {
-        power::packedMemHook(s, h, mem);
-    };
-    auto memEdge = [&](PackedSimulator &s) {
-        power::packedMemEdge(s, h, mem, halted, fault);
-    };
+    msp::PackedSystem lanes(sys);
     PackedSimulator ps(sys.netlist());
-    ps.setHookFn(h.memHookId, memHook);
-    ps.addEdgeFn(memEdge);
-    power::packedReset(ps, h);
+    lanes.attach(ps);
+    lanes.reset(ps);
     for (unsigned c = 0; c < kKeyCycles; ++c)
         ps.step([&](PackedSimulator &s) {
-            s.setInput(h.rstn, V64::splat(V4::One));
-            s.setInput(h.irq, V64::splat(V4::Zero));
-            s.setInputBusAll(h.portIn, Word16::allX());
+            lanes.driveCycle(s, Word16::allX());
         });
-    EXPECT_EQ(halted, 0u);
+    EXPECT_EQ(lanes.haltedMask(), 0u);
+    // The engine's dedup-key path: a lane's extracted snapshot, hashed
+    // by an unpruned scalar simulator.
+    Simulator hasher(sys.netlist());
     for (unsigned lane : {0u, 31u, 63u})
-        EXPECT_EQ(ps.hashLaneState(lane), kKey) << "lane " << lane;
+        EXPECT_EQ(hasher.hashSnapshotState(
+                      ps.extractLaneState(lane, ps.cycle())),
+                  kKey)
+            << "lane " << lane;
 }
 
 } // namespace

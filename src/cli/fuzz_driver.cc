@@ -4,6 +4,8 @@
 #include <chrono>
 #include <cstdio>
 #include <cstring>
+#include <memory>
+#include <mutex>
 #include <string>
 #include <vector>
 
@@ -11,6 +13,7 @@
 #include "fuzz/program_gen.hh"
 #include "fuzz/properties.hh"
 #include "fuzz/rng.hh"
+#include "util/worker_pool.hh"
 
 namespace ulpeak {
 namespace cli {
@@ -164,8 +167,9 @@ fuzzOptions(FuzzCliOptions &o)
                            "body items per program (default 24)",
                            o.instructions));
     table.push_back(intOpt("--threads", "K",
-                           "the K of threads{1, K} (default 4)", o.threads,
-                           2));
+                           "the K of threads{1, K}, and a cap\n"
+                           "on the items run at once (default 4)",
+                           o.threads, 2));
     table.push_back(intOpt("--kernel-cycles", "N",
                            "cycles per netlist run (default 64)",
                            o.kernelCycles));
@@ -230,11 +234,11 @@ parseFuzzArgs(int argc, const char *const *argv, FuzzCliOptions &out,
 
 namespace {
 
-/** Run item @p index of @p w; prints the report and returns false on
- *  a failure. */
+/** Run item @p index of @p w with @p sys; appends what it prints to
+ *  @p out and returns false on a failure. */
 bool
 runItem(const FuzzCliOptions &cli, msp::System &sys, const WorkList &w,
-        unsigned index)
+        unsigned index, std::string &out)
 {
     uint64_t seed = fuzz::Rng::deriveStream(cli.seed, w.stream + index);
     fuzz::PropertyResult r;
@@ -253,8 +257,8 @@ runItem(const FuzzCliOptions &cli, msp::System &sys, const WorkList &w,
                          ? fuzz::generateForkingProgram(rng, gen).source
                          : fuzz::generateProgram(rng, gen).source;
             if (cli.dumpPrograms)
-                std::printf("--- %s item %u ---\n%s\n", w.mode, index,
-                            source.c_str());
+                out += std::string("--- ") + w.mode + " item " +
+                       std::to_string(index) + " ---\n" + source + "\n";
             r = w.program(sys, isa::assemble(source), rng, cli.threads);
         }
     } catch (const std::exception &e) {
@@ -262,11 +266,11 @@ runItem(const FuzzCliOptions &cli, msp::System &sys, const WorkList &w,
     }
     if (r.ok)
         return true;
-    std::printf("%s item %u (seed %llu) %s:\n%s", w.mode, index,
-                (unsigned long long)cli.seed, w.failure,
-                r.detail.c_str());
+    out += std::string(w.mode) + " item " + std::to_string(index) +
+           " (seed " + std::to_string(cli.seed) + ") " + w.failure +
+           ":\n" + r.detail;
     if (!source.empty())
-        std::printf("program:\n%s\n", source.c_str());
+        out += "program:\n" + source + "\n";
     return false;
 }
 
@@ -285,31 +289,64 @@ runFuzzCli(int argc, const char *const *argv)
     }
 
     auto t0 = std::chrono::steady_clock::now();
+
+    // The run's items in table order: each mode's netlist items, then
+    // its program items.
+    struct Item {
+        const WorkList *w;
+        unsigned index;
+        bool ok = true;
+        bool done = false;
+        std::string out; ///< what the item prints, in item order
+    };
+    std::vector<Item> items;
+    for (const WorkList &w : kWorkLists) {
+        if (cli.mode != "all" && cli.mode != w.mode)
+            continue;
+        unsigned first = 0;
+        for (const WorkList *p = kWorkLists; p != &w; ++p)
+            if (std::strcmp(p->mode, w.mode) == 0)
+                first += cli.counts[p->flag];
+        for (unsigned i = first; i < first + cli.counts[w.flag]; ++i)
+            if (cli.only < 0 || unsigned(cli.only) == i)
+                items.push_back({&w, i});
+    }
+
+    // Items run on the CPU budget, at most --threads at once, each
+    // worker on a System of its own (they share one netlist). Every
+    // item's output waits for its predecessors', so stdout is the
+    // serial run's whatever the scheduling.
+    const unsigned jobs =
+        util::cpuBudget(items.size(), cli.threads, 1, util::hostCpus())
+            .jobs;
+    std::vector<std::unique_ptr<msp::System>> systems(jobs);
+    std::mutex outMu;
+    size_t printed = 0;
+    util::parallelFor(items.size(), jobs, [&](unsigned worker, size_t i) {
+        if (!systems[worker])
+            systems[worker] =
+                std::make_unique<msp::System>(CellLibrary::tsmc65Like());
+        Item &item = items[i];
+        std::string out;
+        bool ok = runItem(cli, *systems[worker], *item.w, item.index, out);
+        std::lock_guard<std::mutex> lock(outMu);
+        item.ok = ok;
+        item.out = std::move(out);
+        item.done = true;
+        for (; printed < items.size() && items[printed].done; ++printed)
+            std::fputs(items[printed].out.c_str(), stdout);
+        return true;
+    });
+
     struct Tally {
         unsigned run = 0;
         unsigned failed = 0;
     };
     std::map<std::string, Tally> tallies;
-
-    // One System serves every property: the netlist is immutable, and
-    // each run reloads the behavioral memory.
-    msp::System sys(CellLibrary::tsmc65Like());
-
-    for (const WorkList &w : kWorkLists) {
-        if (cli.mode != "all" && cli.mode != w.mode)
-            continue;
-        Tally &t = tallies[w.mode];
-        unsigned first = 0;
-        for (const WorkList *p = kWorkLists; p != &w; ++p)
-            if (std::strcmp(p->mode, w.mode) == 0)
-                first += cli.counts[p->flag];
-        for (unsigned i = first; i < first + cli.counts[w.flag]; ++i) {
-            if (cli.only >= 0 && unsigned(cli.only) != i)
-                continue;
-            ++t.run;
-            if (!runItem(cli, sys, w, i))
-                ++t.failed;
-        }
+    for (const Item &item : items) {
+        Tally &t = tallies[item.w->mode];
+        ++t.run;
+        t.failed += !item.ok;
     }
 
     unsigned failed = 0;

@@ -36,7 +36,9 @@
  *
  * Every work item derives its own PRNG stream from (--seed, mode,
  * index); a mode's netlist items come first in its index space, then
- * its program items. Each failure prints the mode and item index, so
+ * its program items. Items run in parallel on the CPU budget, and each
+ * item's output is printed in item order, so stdout does not depend
+ * on the scheduling. Each failure prints the mode and item index, so
  * `ulfuzz --seed S --mode M --only I` replays one failing item
  * exactly. Exit code 0 = all properties hold, 1 = any divergence or
  * mismatch (the report is printed), 2 = usage error.
@@ -62,7 +64,9 @@ struct FuzzCliOptions {
      *  "--scn-programs", ...); parseFuzzArgs fills in every default. */
     std::map<std::string, unsigned> counts;
     unsigned instructions = 24; ///< --instr: body items per program
-    unsigned threads = 4;       ///< --threads: the K of threads{1, K}
+    /** --threads: the K of threads{1, K}, and a cap on the items
+     *  that run at once (the CPU budget, util::cpuBudget, decides). */
+    unsigned threads = 4;
     unsigned kernelCycles = 64; ///< --kernel-cycles per netlist
     long only = -1;             ///< --only INDEX: replay one item
     std::string mode = "all";   ///< --mode: all or one mode name

@@ -204,11 +204,13 @@ drawInvariance(Rng &rng, unsigned threads)
     peak::Options &ref = d.reference;
     ref.recordEnvelope = true;
     ref.recordActiveSets = true;
-    unsigned kind = rng.below(3);
-    if (kind == 1)
-        ref.scenario = randomScenario(rng);
-    else if (kind == 2)
-        ref.scenario = randomModeScenario(rng);
+    auto randomKind = [&rng] {
+        unsigned kind = rng.below(3);
+        return kind == 1   ? randomScenario(rng)
+               : kind == 2 ? randomModeScenario(rng)
+                           : scenario::Scenario();
+    };
+    ref.scenario = randomKind();
     ref.staticPrune = rng.chance(25);
 
     // One of the 16 knob points, one bit per axis; point 0 is the
@@ -223,6 +225,12 @@ drawInvariance(Rng &rng, unsigned threads)
         d.variant.snapshotMode = sym::SnapshotMode::Full;
     if (point & 8)
         d.variant.packedExplore = true;
+    if (rng.chance(50)) {
+        d.group.resize(2 + rng.below(4));
+        d.groupIndex = rng.below(uint32_t(d.group.size()));
+        for (size_t k = 0; k < d.group.size(); ++k)
+            d.group[k] = k == d.groupIndex ? ref.scenario : randomKind();
+    }
     return d;
 }
 
@@ -238,7 +246,11 @@ configInvarianceCheck(msp::System &sys, const isa::Image &image,
             sym::testing::Frontier::Scalar);
         ref = peak::analyze(sys, image, d.reference);
     }
-    peak::Report var = peak::analyze(sys, image, d.variant);
+    peak::Report var =
+        d.group.empty()
+            ? peak::analyze(sys, image, d.variant)
+            : std::move(peak::analyzeGroup(sys, image, d.variant,
+                                           d.group)[d.groupIndex]);
     std::string diff = reportDiff(ref, var);
     // Lanes before workers: a thief only takes from a deque holding
     // more than one lane batch, which a tree of at most that many
@@ -260,8 +272,13 @@ configInvarianceCheck(msp::System &sys, const isa::Image &image,
                                                          : "Delta")
            << " snapshots, "
            << (v.packedExplore ? "packed" : "automatic")
-           << " frontier:\n"
-           << diff;
+           << " frontier";
+        if (!d.group.empty()) {
+            os << ", entry " << d.groupIndex << " of a group of";
+            for (const scenario::Scenario &g : d.group)
+                os << " [" << g.summary() << "]";
+        }
+        os << ":\n" << diff;
         res.ok = false;
         res.detail = os.str();
     }

@@ -86,19 +86,27 @@ std::string reportDiff(const peak::Report &a, const peak::Report &b,
  * envelope and active-set recording on -- and differ only in the knob
  * point: the reference is 1 thread, EventDriven, Delta snapshots and
  * (forced by configInvarianceCheck through sym/testing.hh) the
- * scalar frontier; the variant is one of the 16 points of
- * threads{1, K} x EvalMode x SnapshotMode x frontier{automatic,
- * packed}, its packed frontier being packedExplore.
+ * scalar frontier, analyzed alone; the variant is one of the 16
+ * points of threads{1, K} x EvalMode x SnapshotMode x
+ * frontier{automatic, packed}, its packed frontier being
+ * packedExplore, and in one draw of two it is analyzed in an analysis
+ * group (peak::analyzeGroup) with 1-4 sibling scenarios of the same
+ * three kinds.
  */
 struct InvarianceDraw {
     peak::Options reference;
     peak::Options variant;
+    /** Empty: the variant runs alone. Otherwise the group's scenarios,
+     *  the variant's own at @ref groupIndex. */
+    std::vector<scenario::Scenario> group;
+    size_t groupIndex = 0;
 };
 InvarianceDraw drawInvariance(Rng &rng, unsigned threads);
 
 /**
  * Property 3: configuration invariance. Analyze @p image under both
- * configurations of drawInvariance(@p rng, @p threads) and require
+ * configurations of drawInvariance(@p rng, @p threads) -- the variant
+ * in its analysis group when the draw has one -- and require
  * reportDiff(..., ReportScope::All) to be empty. Programs both
  * configurations reject pass, but the rejection must be identical.
  * The variant must also keep the scheduler's lanes-before-workers

@@ -1,5 +1,6 @@
 #include "peak/batch.hh"
 
+#include <algorithm>
 #include <atomic>
 #include <chrono>
 #include <cstdlib>
@@ -243,36 +244,41 @@ analyzeBatch(const CellLibrary &lib,
 
     rep.programs.resize(nItems);
     rep.hostCpus = util::hostCpus();
-    const util::CpuBudget budget = util::cpuBudget(
-        nItems, opts.jobs, opts.analysis.numThreads, rep.hostCpus);
-    rep.jobs = budget.jobs;
-    rep.threads = budget.threads;
-    std::vector<Options> scenOpts(scens.size(), opts.analysis);
-    for (size_t s = 0; s < scens.size(); ++s) {
-        scenOpts[s].scenario = scens[s];
-        scenOpts[s].numThreads = budget.threads;
+    for (size_t s = 0; s < scens.size(); ++s)
         for (size_t p = 0; p < nProg; ++p) {
             rep.programs[s * nProg + p].name = programs[p].name;
             rep.programs[s * nProg + p].scenario = scens[s].name;
         }
-    }
+    auto optionsOf = [&](size_t item) {
+        Options o = opts.analysis;
+        o.scenario = scens[item / nProg];
+        return o;
+    };
 
     util::DiskCache cache(opts.cacheDir, "", kCacheMagic);
     cache.open();
 
+    // Cache lookups first, over the whole matrix.
+    std::vector<uint64_t> keys(nItems, 0);
+    std::vector<uint8_t> hit(nItems, 0);
     std::atomic<unsigned> hits{0}, misses{0};
-    util::parallelFor(nItems, budget.jobs, [&](unsigned, size_t i) {
-        const Options &aopts = scenOpts[i / nProg];
-        const BatchProgram &prog = programs[i % nProg];
-        ProgramResult &r = rep.programs[i];
-        Clock::time_point t0 = Clock::now();
-
-        uint64_t key = 0;
-        if (cache.enabled()) {
-            key = cacheKey(lib, prog.image, aopts);
-            if (cache.load(key, [&](std::istream &in) {
-                    return readEntry(in, r, aopts.recordEnvelope);
-                })) {
+    if (cache.enabled()) {
+        util::parallelFor(
+            nItems,
+            util::cpuBudget(nItems, opts.jobs, opts.analysis.numThreads,
+                            rep.hostCpus)
+                .jobs,
+            [&](unsigned, size_t i) {
+                const Options aopts = optionsOf(i);
+                ProgramResult &r = rep.programs[i];
+                Clock::time_point t0 = Clock::now();
+                keys[i] = cacheKey(lib, programs[i % nProg].image, aopts);
+                if (!cache.load(keys[i], [&](std::istream &in) {
+                        return readEntry(in, r, aopts.recordEnvelope);
+                    })) {
+                    ++misses;
+                    return true;
+                }
                 if (r.envelope.present) {
                     // Window curves are derived data: rebuild them
                     // from the cached trace exactly as the cold path
@@ -285,29 +291,88 @@ analyzeBatch(const CellLibrary &lib,
                         buildWindowCurves(r.envelope,
                                           1.0 / aopts.freqHz);
                 }
-                r.cached = true;
+                r.cached = hit[i] = 1;
                 ++hits;
                 r.wallSeconds = secondsSince(t0);
                 return true;
-            }
-            ++misses;
-        }
+            });
+    }
 
+    // The misses in analysis groups: the scenarios of one image share
+    // one exploration (peak::analyzeGroup), so their paths share the
+    // simulator lanes; every other option is the suite's. Groups
+    // follow the programs' input order.
+    std::vector<std::vector<size_t>> groups;
+    {
+        std::vector<std::vector<std::pair<uint32_t, uint16_t>>> images;
+        std::vector<size_t> groupOfImage;
+        for (size_t p = 0; p < nProg; ++p) {
+            auto words = programs[p].image.flatten();
+            size_t img = size_t(
+                std::find(images.begin(), images.end(), words) -
+                images.begin());
+            if (img == images.size()) {
+                images.push_back(std::move(words));
+                groupOfImage.push_back(SIZE_MAX);
+            }
+            for (size_t s = 0; s < scens.size(); ++s) {
+                size_t i = s * nProg + p;
+                if (hit[i])
+                    continue;
+                if (groupOfImage[img] == SIZE_MAX) {
+                    groupOfImage[img] = groups.size();
+                    groups.emplace_back();
+                }
+                groups[groupOfImage[img]].push_back(i);
+            }
+        }
+    }
+
+    // Each group is one item of the CPU budget.
+    const util::CpuBudget budget =
+        util::cpuBudget(groups.empty() ? nItems : groups.size(), opts.jobs,
+                        opts.analysis.numThreads, rep.hostCpus);
+    rep.jobs = budget.jobs;
+    rep.threads = budget.threads;
+    Options gopts = opts.analysis;
+    gopts.numThreads = budget.threads;
+
+    util::parallelFor(groups.size(), budget.jobs, [&](unsigned, size_t g) {
+        const std::vector<size_t> &items = groups[g];
+        Clock::time_point t0 = Clock::now();
+        std::vector<scenario::Scenario> groupScens;
+        for (size_t i : items)
+            groupScens.push_back(scens[i / nProg]);
+        std::vector<Report> full;
+        std::string error;
         try {
             // A System of its own memory over the library's shared
             // netlist costs a memory image, not an elaboration.
             msp::System sys(lib);
-            Report full = analyze(sys, prog.image, aopts);
-            copyScalars(r, full);
+            full = analyzeGroup(sys, programs[items.front() % nProg].image,
+                                gopts, groupScens);
         } catch (const std::exception &e) {
-            r.ok = false;
-            r.error = e.what();
+            error = e.what();
         }
-        if (r.ok)
-            cache.store(key,
-                        [&](std::ostream &out) { writeEntry(out, r); });
-        r.wallSeconds = secondsSince(t0);
-        return r.ok || !opts.failFast;
+        bool ok = true;
+        for (size_t k = 0; k < items.size(); ++k) {
+            ProgramResult &r = rep.programs[items[k]];
+            if (full.empty()) {
+                r.ok = false;
+                r.error = error;
+            } else {
+                copyScalars(r, full[k]);
+                full[k] = Report(); // frees the execution tree
+            }
+            if (r.ok)
+                cache.store(keys[items[k]],
+                            [&](std::ostream &out) { writeEntry(out, r); });
+            ok &= r.ok;
+        }
+        // One exploration ran the whole group: its rows share its time.
+        for (size_t i : items)
+            rep.programs[i].wallSeconds = secondsSince(t0);
+        return ok || !opts.failFast;
     });
 
     rep.cacheHits = hits.load();

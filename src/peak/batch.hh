@@ -30,7 +30,11 @@
  * aggregates (maxima, envelope, supply sizing), so one invocation
  * reports how much each added constraint tightens the suite's
  * requirements. The top-level aggregates always describe the first
- * scenario, which keeps single-scenario callers unchanged.
+ * scenario, which keeps single-scenario callers unchanged. The
+ * scenarios of one program run as one analysis group
+ * (peak::analyzeGroup): one exploration, one program-level work item,
+ * whose analyses share the simulator lanes; every row is the one its
+ * scenario gets alone.
  *
  * Results are cached on disk (BatchOptions::cacheDir) keyed by the
  * FNV-1a hash of (cache format version, cell library contents, image
@@ -106,9 +110,10 @@ struct BatchOptions {
      *  key, written atomically (util::DiskCache), so concurrent batch
      *  runs, threads or processes, may safely share a directory. */
     std::string cacheDir;
-    /** Stop claiming further programs after the first failure.
-     *  Unclaimed programs are reported as skipped (ok = false). The
-     *  default analyzes every program and reports all failures. */
+    /** Stop claiming further analysis groups after the first failure.
+     *  The rows of unclaimed groups are reported as skipped (ok =
+     *  false). The default analyzes every program and reports all
+     *  failures. */
     bool failFast = false;
 };
 
@@ -135,7 +140,8 @@ struct ProgramResult {
     uint32_t dedupMerges = 0;
     /// @name Run-provenance statistics (like wallSeconds: zero on
     /// cache hits, scheduling-dependent, excluded from determinism
-    /// comparisons and from the cache)
+    /// comparisons and from the cache; the row's share of its
+    /// group's run, see sym::SymbolicResult)
     /// @{
     uint32_t steals = 0;
     uint64_t snapshotBytesCopied = 0;
@@ -153,8 +159,9 @@ struct ProgramResult {
      *  trace; window curves are rebuilt deterministically on load. */
     Envelope envelope;
 
-    double wallSeconds = 0.0; ///< this run's wall time (cache hits
-                              ///< included; near zero when warm)
+    /** Wall time of the row's cache lookup when it hit, else of its
+     *  analysis group's run (shared by the group's rows). */
+    double wallSeconds = 0.0;
 };
 
 /** Per-scenario suite aggregates (one entry per analyzed scenario,

@@ -128,6 +128,18 @@ struct Report {
 Report analyze(msp::System &sys, const isa::Image &image,
                const Options &opts);
 
+/**
+ * analyze() of @p image once per entry of @p scenarios
+ * (opts.scenario is ignored) as one analysis group: one exploration
+ * whose analyses share the simulator lanes
+ * (sym::SymbolicEngine::run). Report k is identical to analyze()
+ * under @p scenarios[k], the execution tree included; analyze() is
+ * the group of one.
+ */
+std::vector<Report> analyzeGroup(
+    msp::System &sys, const isa::Image &image, const Options &opts,
+    const std::vector<scenario::Scenario> &scenarios);
+
 /** Count active gates per top-level module (activity-map figures). */
 std::vector<std::pair<std::string, size_t>>
 activeGatesPerModule(const Netlist &nl,

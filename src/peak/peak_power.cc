@@ -5,26 +5,13 @@
 namespace ulpeak {
 namespace peak {
 
+namespace {
+
+/** The report of one analysis: @p sr under @p opts and @p scen. */
 Report
-analyze(msp::System &sys, const isa::Image &image, const Options &opts)
+makeReport(sym::SymbolicResult &&sr, const Options &opts,
+           const scenario::Scenario &scen)
 {
-    sym::SymbolicConfig cfg;
-    cfg.freqHz = opts.freqHz;
-    cfg.recordActiveSets = opts.recordActiveSets;
-    cfg.recordModuleTrace = opts.recordModuleTrace;
-    cfg.inputDependentLoopBound = opts.inputDependentLoopBound;
-    cfg.maxTotalCycles = opts.maxTotalCycles;
-    cfg.evalMode = opts.evalMode;
-    cfg.numThreads = opts.numThreads;
-    cfg.recordEnvelope = opts.recordEnvelope;
-    cfg.scenario = opts.scenario;
-    cfg.snapshotMode = opts.snapshotMode;
-    cfg.staticPrune = opts.staticPrune;
-    cfg.packedExplore = opts.packedExplore;
-
-    sym::SymbolicEngine engine(sys, cfg);
-    sym::SymbolicResult sr = engine.run(image);
-
     Report r;
     r.ok = sr.ok;
     r.error = sr.error;
@@ -49,8 +36,8 @@ analyze(msp::System &sys, const isa::Image &image, const Options &opts)
         r.envelope.present = true;
         r.envelope.powerW = std::move(sr.envelopeW);
         r.envelope.windows = opts.envelopeWindows;
-        if (opts.scenario.hasModes())
-            buildWindowCurves(r.envelope, opts.scenario.phaseTclkS());
+        if (scen.hasModes())
+            buildWindowCurves(r.envelope, scen.phaseTclkS());
         else
             buildWindowCurves(r.envelope, 1.0 / opts.freqHz);
     }
@@ -58,6 +45,42 @@ analyze(msp::System &sys, const isa::Image &image, const Options &opts)
     r.peakActive = sr.peakActive;
     r.sym = std::move(sr);
     return r;
+}
+
+} // namespace
+
+Report
+analyze(msp::System &sys, const isa::Image &image, const Options &opts)
+{
+    return std::move(
+        analyzeGroup(sys, image, opts, {opts.scenario}).front());
+}
+
+std::vector<Report>
+analyzeGroup(msp::System &sys, const isa::Image &image,
+             const Options &opts,
+             const std::vector<scenario::Scenario> &scenarios)
+{
+    sym::SymbolicConfig cfg;
+    cfg.freqHz = opts.freqHz;
+    cfg.recordActiveSets = opts.recordActiveSets;
+    cfg.recordModuleTrace = opts.recordModuleTrace;
+    cfg.inputDependentLoopBound = opts.inputDependentLoopBound;
+    cfg.maxTotalCycles = opts.maxTotalCycles;
+    cfg.evalMode = opts.evalMode;
+    cfg.numThreads = opts.numThreads;
+    cfg.recordEnvelope = opts.recordEnvelope;
+    cfg.snapshotMode = opts.snapshotMode;
+    cfg.staticPrune = opts.staticPrune;
+    cfg.packedExplore = opts.packedExplore;
+
+    std::vector<sym::SymbolicResult> sr =
+        sym::SymbolicEngine(sys, cfg).run(image, scenarios);
+    std::vector<Report> reports;
+    reports.reserve(sr.size());
+    for (size_t k = 0; k < sr.size(); ++k)
+        reports.push_back(makeReport(std::move(sr[k]), opts, scenarios[k]));
+    return reports;
 }
 
 std::vector<std::pair<std::string, size_t>>

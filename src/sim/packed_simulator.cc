@@ -122,19 +122,35 @@ void
 PackedSimulator::setInputBusLanes(const std::vector<GateId> &bus,
                                   const std::array<Word16, kLanes> &lanes)
 {
-    for (size_t i = 0; i < bus.size(); ++i) {
-        uint64_t bit = uint64_t(1) << i;
-        V64 v;
-        for (unsigned l = 0; l < kLanes; ++l) {
-            uint64_t m = uint64_t(1) << l;
-            if (lanes[l].xmask & bit)
-                continue; // lane stays X
-            v.k |= m;
-            if (lanes[l].value & bit)
-                v.v |= m;
-        }
-        setInput(bus[i], v);
+    // A bit-matrix transpose: row l holds lane l's known bits (low
+    // half-word) and known value bits (high half-word); after it,
+    // row c holds column c across the lanes -- the known plane of bus
+    // bit c for c < 16, its value plane at c + 16. Lanes 0-31 and
+    // 32-63 ride the low and high halves of each word, two 32x32
+    // transposes at once: five rounds of block swaps instead of a
+    // branch per lane and bit.
+    assert(bus.size() <= 16);
+    uint64_t row[32];
+    for (unsigned l = 0; l < 32; ++l) {
+        auto half = [&](const Word16 &w) {
+            uint64_t known = uint16_t(~w.xmask);
+            return known | uint64_t(w.value & known) << 16;
+        };
+        row[l] = half(lanes[l]) | half(lanes[l + 32]) << 32;
     }
+    static constexpr uint64_t kMask[] = {
+        0x0000ffff0000ffffull, 0x00ff00ff00ff00ffull,
+        0x0f0f0f0f0f0f0f0full, 0x3333333333333333ull,
+        0x5555555555555555ull};
+    for (unsigned round = 0, j = 16; j; ++round, j >>= 1)
+        for (unsigned r = 0; r < 32; r = (r + j + 1) & ~j) {
+            // Swap the upper-right and lower-left j x j blocks.
+            uint64_t t = ((row[r] >> j) ^ row[r + j]) & kMask[round];
+            row[r + j] ^= t;
+            row[r] ^= t << j;
+        }
+    for (size_t i = 0; i < bus.size(); ++i)
+        setInput(bus[i], V64(row[i + 16], row[i]));
 }
 
 Word16
@@ -460,33 +476,23 @@ PackedSimulator::loadLaneState(unsigned lane,
         s.loadedPrevEdge.size() != loadedPrevEdge_.size())
         throw std::logic_error(
             "loadLaneState from a snapshot of a different netlist");
+    // Branch-free: a lane load transposes every gate of a snapshot,
+    // and the values are as unpredictable as the states they encode.
     uint64_t m = uint64_t(1) << lane;
     for (size_t g = 0; g < n; ++g) {
-        V4 v = s.val[g];
-        if (v == V4::X) {
-            val_[g].v &= ~m;
-            val_[g].k &= ~m;
-        } else {
-            val_[g].k |= m;
-            if (v == V4::One)
-                val_[g].v |= m;
-            else
-                val_[g].v &= ~m;
-        }
-        // Loaded activity joins the bitset so the next step clears it.
-        if (testBit(s.activeLast.data(), uint32_t(g))) {
-            act_[g] |= m;
-            setBit(actBits_.data(), uint32_t(g));
-        } else {
-            act_[g] &= ~m;
-        }
+        uint64_t b = uint64_t(s.val[g]); // Zero 0, One 1, X 2
+        val_[g].k = (val_[g].k & ~m) | ((b >> 1 ^ 1) << lane);
+        val_[g].v = (val_[g].v & ~m) | ((b & 1) << lane);
+        act_[g] = (act_[g] & ~m) |
+                  uint64_t(testBit(s.activeLast.data(), uint32_t(g)))
+                      << lane;
     }
-    for (size_t i = 0; i < loadedPrevEdge_.size(); ++i) {
-        if (s.loadedPrevEdge[i])
-            loadedPrevEdge_[i] |= m;
-        else
-            loadedPrevEdge_[i] &= ~m;
-    }
+    // Loaded activity joins the bitset so the next step clears it.
+    for (size_t w = 0; w < actBits_.size(); ++w)
+        actBits_[w] |= s.activeLast[w];
+    for (size_t i = 0; i < loadedPrevEdge_.size(); ++i)
+        loadedPrevEdge_[i] = (loadedPrevEdge_[i] & ~m) |
+                             uint64_t(s.loadedPrevEdge[i] != 0) << lane;
     live_ |= m;
     // Simulator::afterRestore: the loaded state carries no wake marks,
     // so re-arm every flop; every gate's previous-cycle planes resync.
@@ -500,12 +506,12 @@ PackedSimulator::extractLaneState(unsigned lane, uint64_t cycle) const
     Simulator::Snapshot s;
     size_t n = val_.size();
     s.val.resize(n);
-    for (size_t g = 0; g < n; ++g)
-        s.val[g] = val_[g].lane(lane);
+    for (size_t g = 0; g < n; ++g) // branch-free V4: X = 2 when unknown
+        s.val[g] = V4(((val_[g].v >> lane) & 1) |
+                      ((~val_[g].k >> lane) & 1) << 1);
     s.activeLast.assign(bitWords(n), 0);
     for (size_t g = 0; g < n; ++g)
-        if ((act_[g] >> lane) & 1)
-            setBit(s.activeLast.data(), uint32_t(g));
+        s.activeLast[g / 64] |= ((act_[g] >> lane) & 1) << (g % 64);
     s.loadedPrevEdge.resize(loadedPrevEdge_.size());
     for (size_t i = 0; i < loadedPrevEdge_.size(); ++i)
         s.loadedPrevEdge[i] =

@@ -51,8 +51,10 @@ constexpr size_t kDeltaPromoteDen = 2;
  * constraints on its next step, its PC bookkeeping, and the trace of
  * the node it is filling (committed at the node's fork or leaf). The
  * scalar frontier steps one Path at a time, the packed frontier one
- * per lane; queued paths carry an empty trace. */
+ * per lane; queued paths carry an empty trace. Node ids, keys and
+ * traces belong to the path's context. */
 struct Path {
+    uint32_t ctx = 0;  ///< the analysis of the group the path belongs to
     uint32_t node = 0;
     TreeNode *nodePtr = nullptr;
     uint64_t nodeKey = 0;  ///< dedup key that created the node (0: root)
@@ -103,49 +105,31 @@ struct CycleReading {
 /** How a simulated cycle leaves its path (Algorithm 1). */
 enum class CycleEnd { Continue, Leaf, Fork, Failed };
 
-/**
- * State shared by all exploration workers. Three independent lock
- * domains replace the old single engine mutex:
- *
- *  - the visited-state dedup map is sharded by key hash (shards[]),
- *    so two workers forking at the same time only contend when their
- *    keys land in the same shard;
- *  - tree-node allocation takes treeMu; everything else about a node
- *    (its trace, its edges) is written lock-free through the stable
- *    TreeNode pointer by the one worker that owns the node;
- *  - each worker owns a work deque (queues[]) with a private mutex:
- *    the owner pushes/pops at the back (depth-first, cache-warm),
- *    thieves take from the front (the oldest entries, closest to the
- *    root, statistically the largest unexplored subtrees), and only
- *    from a deque holding more than kStealSurplus paths, a batch at a
- *    time.
- *
- * Idle workers sleep on idleCv until some deque holds such a surplus;
- * inflight counts queued + running paths and reaching zero is the
- * termination condition.
- */
-struct SharedState {
-    struct Shard {
-        std::mutex mu;
-        std::unordered_map<uint64_t, uint32_t> visited;
-    };
-    std::array<Shard, kDedupShards> shards;
+/** One visited-state dedup shard. */
+struct Shard {
+    std::mutex mu;
+    std::unordered_map<uint64_t, uint32_t> visited;
+};
 
+/**
+ * One analysis of a group: its scenario and the per-phase pricing it
+ * implies, and everything an ungrouped run owns --
+ * the visited-state map (sharded by key hash, so two workers forking
+ * at the same time only contend when their keys land in one shard),
+ * the tree (node allocation takes treeMu; everything else about a
+ * node is written lock-free through the stable TreeNode pointer by
+ * the one worker that owns the node), the cycle budget, the
+ * statistics and the failure.
+ */
+struct Context {
+    const scenario::Scenario *scen = nullptr;
+    /** Per-schedule-phase (energy scale, clock Hz); one reference
+     *  entry without operating modes. */
+    std::vector<std::pair<double, double>> modes;
+
+    std::array<Shard, kDedupShards> shards;
     std::mutex treeMu; ///< node allocation (and maxNodes accounting)
     ExecTree *tree = nullptr;
-
-    struct WorkerQueue {
-        std::mutex mu;
-        std::deque<Pending> q;
-    };
-    std::deque<WorkerQueue> queues; ///< deque: mutexes never move
-
-    std::mutex idleMu;
-    std::condition_variable idleCv;
-    /** Deques holding more than kStealSurplus paths (updated under
-     *  the deque's own mutex, so each deque counts at most once). */
-    std::atomic<uint32_t> surplus{0};
-    std::atomic<uint32_t> inflight{0}; ///< queued + running paths
 
     /// @name Statistics (atomic: many writers)
     /// @{
@@ -161,8 +145,42 @@ struct SharedState {
     /// @}
 
     std::atomic<bool> failed{false};
+    std::string error; ///< the first failure (SharedState::fail)
+};
+
+/**
+ * State shared by all exploration workers of one group. Besides the
+ * contexts' own locks:
+ *
+ *  - each worker owns a work deque (queues[]) with a private mutex:
+ *    the owner pushes/pops at the back (depth-first, cache-warm),
+ *    thieves take from the front (the oldest entries, closest to the
+ *    root, statistically the largest unexplored subtrees), and only
+ *    from a deque holding more than kStealSurplus paths, a batch at a
+ *    time. A deque holds the paths of every context.
+ *
+ * Idle workers sleep on idleCv until some deque holds such a surplus;
+ * inflight counts queued + running paths and reaching zero (or every
+ * context failing) is the termination condition.
+ */
+struct SharedState {
+    std::deque<Context> contexts; ///< deque: mutexes never move
+
+    struct WorkerQueue {
+        std::mutex mu;
+        std::deque<Pending> q;
+    };
+    std::deque<WorkerQueue> queues; ///< deque: mutexes never move
+
+    std::mutex idleMu;
+    std::condition_variable idleCv;
+    /** Deques holding more than kStealSurplus paths (updated under
+     *  the deque's own mutex, so each deque counts at most once). */
+    std::atomic<uint32_t> surplus{0};
+    std::atomic<uint32_t> inflight{0}; ///< queued + running paths
+
     std::mutex errMu;
-    std::string error;
+    std::atomic<size_t> failedContexts{0};
 
     static unsigned
     shardOf(uint64_t key)
@@ -173,16 +191,36 @@ struct SharedState {
                (kDedupShards - 1);
     }
 
+    Context &ctx(const Path &p) { return contexts[p.ctx]; }
+
+    /** Every context failed: nothing is left to explore. */
+    bool
+    allFailed() const
+    {
+        return failedContexts.load() == contexts.size();
+    }
+
+    /** Fail @p c with @p msg (the first failure's message stays). */
     void
-    fail(const std::string &msg)
+    fail(Context &c, const std::string &msg)
     {
         {
             std::lock_guard<std::mutex> lock(errMu);
-            if (!failed.exchange(true))
-                error = msg;
+            if (c.failed.exchange(true))
+                return;
+            c.error = msg;
+            ++failedContexts;
         }
         std::lock_guard<std::mutex> lock(idleMu);
         idleCv.notify_all();
+    }
+
+    /** A failure no single context owns (a worker exception). */
+    void
+    failAll(const std::string &msg)
+    {
+        for (Context &c : contexts)
+            fail(c, msg);
     }
 
     /** Enqueue @p p on @p worker's deque; wake one sleeper when the
@@ -262,13 +300,13 @@ struct SharedState {
         }
         if (batch.empty())
             return 0;
+        for (const Pending &p : batch)
+            ctx(p.path).steals.fetch_add(1, std::memory_order_relaxed);
         {
             std::lock_guard<std::mutex> lock(queues[thief].mu);
             for (Pending &p : batch)
                 queues[thief].q.push_back(std::move(p));
         }
-        steals.fetch_add(uint32_t(batch.size()),
-                         std::memory_order_relaxed);
         if (more)
             wakeOne(); // the rest is another thief's batch
         return batch.size();
@@ -309,10 +347,14 @@ struct SharedState {
 class Worker {
   public:
     Worker(msp::System &base, const SymbolicConfig &cfg,
-           const isa::Image &image, unsigned id, Frontier frontier)
+           const isa::Image &image, unsigned id, Frontier frontier,
+           size_t contexts)
         : cfg_(cfg), id_(id), frontier_(frontier), base_(&base),
-          image_(&image)
+          image_(&image), cand_(contexts)
     {
+        if (cfg_.recordActiveSets)
+            for (Candidate &c : cand_)
+                c.everActive.assign(base.netlist().numGates(), 0);
         if (id == 0)
             buildSystem(base);
     }
@@ -336,7 +378,7 @@ class Worker {
     explore(SharedState &sh)
     {
         for (;;) {
-            if (sh.failed.load())
+            if (sh.allFailed())
                 break;
             bool busy = true;
             // Exceptions must not escape a worker thread (that would
@@ -345,7 +387,8 @@ class Worker {
             try {
                 busy = step(sh);
             } catch (const std::exception &e) {
-                sh.fail(std::string("worker exception: ") + e.what());
+                sh.failAll(std::string("worker exception: ") +
+                           e.what());
             }
             if (busy)
                 continue;
@@ -356,44 +399,47 @@ class Worker {
                 std::this_thread::yield();
             std::unique_lock<std::mutex> lock(sh.idleMu);
             sh.idleCv.wait(lock, [&] {
-                return sh.failed.load() || sh.inflight.load() == 0 ||
+                return sh.allFailed() || sh.inflight.load() == 0 ||
                        sh.surplus.load(std::memory_order_acquire) > 0;
             });
-            if (sh.failed.load() || sh.inflight.load() == 0)
+            if (sh.allFailed() || sh.inflight.load() == 0)
                 break;
         }
         std::lock_guard<std::mutex> lock(sh.idleMu);
         sh.idleCv.notify_all();
     }
 
-    /// @name Locally-merged results
-    /// @{
-    double peakPowerW = 0.0;
-    uint32_t peakNode = 0;
-    uint32_t peakCycleInNode = 0;
-    /** Canonical identity of the peak candidate for tie-breaking:
-     * (node dedup key, cycle index). Node keys are
-     * partition-independent, unlike node ids, so exact power ties
-     * resolve to the same logical cycle under any scheduling. */
-    uint64_t peakNodeKey = 0;
-    std::vector<uint32_t> peakActive;
-    std::vector<uint8_t> everActive_;
-    uint64_t cyclesRun = 0; ///< cycles this worker simulated
+    /** One context's peak candidate, activity sets and cycles in
+     *  this worker, merged across workers after the pool drains. */
+    struct Candidate {
+        double peakPowerW = 0.0;
+        uint32_t peakNode = 0;
+        uint32_t peakCycleInNode = 0;
+        /** Canonical identity of the peak candidate for tie-breaking:
+         * (node dedup key, cycle index). Node keys are
+         * partition-independent, unlike node ids, so exact power ties
+         * resolve to the same logical cycle under any scheduling. */
+        uint64_t peakNodeKey = 0;
+        std::vector<uint32_t> peakActive;
+        std::vector<uint8_t> everActive;
+        uint64_t cyclesRun = 0; ///< cycles this worker simulated
 
-    /** Strict-weak "better candidate" order used both within a worker
-     * and for the final cross-worker merge. */
-    bool
-    betterCandidate(double w, uint64_t node_key, uint32_t cycle) const
-    {
-        if (w != peakPowerW)
-            return w > peakPowerW;
-        if (peakPowerW == 0.0)
-            return false; // no candidate yet is only beaten by w > 0
-        if (node_key != peakNodeKey)
-            return node_key < peakNodeKey;
-        return cycle < peakCycleInNode;
-    }
-    /// @}
+        /** Strict-weak "better candidate" order used both within a
+         * worker and for the final cross-worker merge. */
+        bool
+        better(double w, uint64_t node_key, uint32_t cycle) const
+        {
+            if (w != peakPowerW)
+                return w > peakPowerW;
+            if (peakPowerW == 0.0)
+                return false; // no candidate yet is only beaten by w > 0
+            if (node_key != peakNodeKey)
+                return node_key < peakNodeKey;
+            return cycle < peakCycleInNode;
+        }
+    };
+
+    const Candidate &candidate(size_t ctx) const { return cand_[ctx]; }
 
   private:
     /** Wrap @p sys (worker 0: the caller's System; others: a clone):
@@ -412,23 +458,6 @@ class Worker {
             sim_->setStaticPrune(pruneMask_, pruneEngage_);
         ctx_ = std::make_unique<power::PowerContext>(sys_->netlist(),
                                                      cfg_.freqHz);
-        if (cfg_.scenario.hasModes()) {
-            // One (energy scale, clock) pair per schedule phase,
-            // resolved once against the library the netlist was
-            // built with (identical across worker clones).
-            const CellLibrary &lib = sys_->netlist().library();
-            const scenario::Scenario &scen = cfg_.scenario;
-            for (uint64_t ph = 0; ph < scen.modePeriod(); ++ph) {
-                const scenario::OperatingMode &m = scen.modeAt(ph);
-                modes_.emplace_back(lib.energyScale(m.vdd), m.freqHz);
-            }
-        } else {
-            // The reference operating point: scale 1 at the reference
-            // clock prices bit-identically to the unscaled formulas.
-            modes_.emplace_back(1.0, cfg_.freqHz);
-        }
-        if (cfg_.recordActiveSets)
-            everActive_.assign(sys_->netlist().numGates(), 0);
     }
 
     /** Build this worker's System clone (first steal only): its own
@@ -464,6 +493,8 @@ class Worker {
         psim_->step();
         psim_->retireLanes(~uint64_t(0));
         lanes_.resize(PackedSimulator::kLanes);
+        ctxLanes_.resize(cand_.size());
+        loaded_.resize(cand_.size());
     }
 
     // ---- Scheduling: which frontier steps the next paths ----
@@ -479,15 +510,22 @@ class Worker {
     }
 
     /** Pop from the own deque, else steal a batch and pop from it;
-     *  the taken path counts as explored. */
+     *  the taken path counts as explored. Paths of failed contexts
+     *  are dropped on the way. */
     bool
     take(SharedState &sh, Pending &out)
     {
-        if (!sh.popOwn(id_, out) &&
-            !(steal(sh) && sh.popOwn(id_, out)))
-            return false;
-        sh.pathsExplored.fetch_add(1, std::memory_order_relaxed);
-        return true;
+        for (;;) {
+            if (!sh.popOwn(id_, out) &&
+                !(steal(sh) && sh.popOwn(id_, out)))
+                return false;
+            Context &c = sh.ctx(out.path);
+            if (!c.failed.load()) {
+                c.pathsExplored.fetch_add(1, std::memory_order_relaxed);
+                return true;
+            }
+            sh.finishPath(); // its analysis failed: drop it
+        }
     }
 
     /**
@@ -515,18 +553,19 @@ class Worker {
 
     // ---- Algorithm 1 and 2, once for both frontiers ----
 
-    /** The cycle budgets, applied before a frontier simulates @p n
-     *  cycles on paths of which the longest has run @p longest
-     *  cycles. The cycles are reserved against maxTotalCycles before
-     *  they run, so neither a 64-lane sweep nor racing workers can
-     *  overrun the budget; a refused reservation is handed back, so
-     *  totalCycles counts simulated cycles only. Returns false when
-     *  the engine failed. */
+    /** The cycle budgets of context @p c, applied before a frontier
+     *  simulates @p n of its cycles on paths of which the longest has
+     *  run @p longest cycles. The cycles are reserved against
+     *  maxTotalCycles before they run, so neither a 64-lane sweep nor
+     *  racing workers can overrun the budget; a refused reservation
+     *  is handed back, so totalCycles counts simulated cycles only.
+     *  Returns false when the context failed. */
     bool
-    reserveCycles(SharedState &sh, uint64_t n, uint64_t longest)
+    reserveCycles(SharedState &sh, Context &c, uint64_t n,
+                  uint64_t longest)
     {
         uint64_t before =
-            sh.totalCycles.fetch_add(n, std::memory_order_relaxed);
+            c.totalCycles.fetch_add(n, std::memory_order_relaxed);
         const char *err = nullptr;
         if (before + n > cfg_.maxTotalCycles)
             err = "symbolic cycle budget exhausted";
@@ -535,8 +574,8 @@ class Worker {
                   "unbounded loop?)";
         if (!err)
             return true;
-        sh.totalCycles.fetch_sub(n, std::memory_order_relaxed);
-        sh.fail(err);
+        c.totalCycles.fetch_sub(n, std::memory_order_relaxed);
+        sh.fail(c, err);
         return false;
     }
 
@@ -548,12 +587,13 @@ class Worker {
         uint32_t forcedPc = kNoForcedPc;
     };
 
-    /** @p path's next-cycle inputs; the one-shot forces are consumed. */
-    StepInputs
-    takeStepInputs(Path &path) const
+    /** @p path's next-cycle inputs under its context's scenario
+     *  @p scen; the one-shot forces are consumed. */
+    static StepInputs
+    takeStepInputs(const scenario::Scenario &scen, Path &path)
     {
-        StepInputs in{cfg_.scenario.portWordAt(path.pathCycles),
-                      path.applyInit, path.forcedPc};
+        StepInputs in{scen.portWordAt(path.pathCycles), path.applyInit,
+                      path.forcedPc};
         path.applyInit = false;
         path.forcedPc = kNoForcedPc;
         return in;
@@ -567,20 +607,23 @@ class Worker {
      * of the cycle's end. A leaf is committed here; a fork is left to
      * the caller, which holds the state to capture. Sets @p new_peak
      * when the cycle became this worker's peak candidate, so the
-     * caller can record its active set.
+     * caller can record its active set. A failure fails the path's
+     * context.
      */
     CycleEnd
     endCycle(SharedState &sh, Path &path, const CycleReading &r,
              bool &new_peak)
     {
+        Context &c = sh.ctx(path);
+        Candidate &cand = cand_[path.ctx];
         // The post-reset index of the cycle just simulated selects
         // the operating mode its power is computed at.
         const std::pair<double, double> &mode =
-            modes_[size_t(path.pathCycles % modes_.size())];
+            c.modes[size_t(path.pathCycles % c.modes.size())];
         ++path.pathCycles;
 
         if (!r.pc.isFullyKnown()) {
-            sh.fail("PC became X without fork interception");
+            sh.fail(c, "PC became X without fork interception");
             return CycleEnd::Failed;
         }
         path.lastPc = r.pc.value;
@@ -601,17 +644,17 @@ class Worker {
             path.cycleInfo.push_back(info);
         }
         uint32_t cyc = uint32_t(path.powerW.size() - 1);
-        new_peak = betterCandidate(w, path.nodeKey, cyc);
+        new_peak = cand.better(w, path.nodeKey, cyc);
         if (new_peak) {
-            peakPowerW = w;
-            peakNode = path.node;
-            peakCycleInNode = cyc;
-            peakNodeKey = path.nodeKey;
+            cand.peakPowerW = w;
+            cand.peakNode = path.node;
+            cand.peakCycleInNode = cyc;
+            cand.peakNodeKey = path.nodeKey;
         }
 
         if (r.xStore) {
-            sh.fail("store with unknown address or enable "
-                    "(X-store); see DESIGN.md section 5");
+            sh.fail(c, "store with unknown address or enable "
+                       "(X-store); see DESIGN.md section 5");
             return CycleEnd::Failed;
         }
         if (r.halted) {
@@ -619,8 +662,8 @@ class Worker {
             return CycleEnd::Leaf;
         }
         if (r.fsm == msp::kStHalt) {
-            sh.fail("core trapped (invalid instruction) at pc~0x" +
-                    std::to_string(path.lastPc));
+            sh.fail(c, "core trapped (invalid instruction) at pc~0x" +
+                           std::to_string(path.lastPc));
             return CycleEnd::Failed;
         }
         // Algorithm 1 line 17: will PC_next be X?
@@ -646,27 +689,27 @@ class Worker {
      *  captures the same representations and the byte statistics are
      *  deterministic. */
     void
-    captureFork(SharedState &sh,
+    captureFork(Context &c,
                 const std::shared_ptr<const Simulator::Snapshot> &base,
                 Simulator::Snapshot snap, Pending &out) const
     {
         size_t full_bytes = Simulator::bytesOf(*base);
-        sh.snapshotBytesFull.fetch_add(full_bytes,
-                                       std::memory_order_relaxed);
+        c.snapshotBytesFull.fetch_add(full_bytes,
+                                      std::memory_order_relaxed);
         if (cfg_.snapshotMode == SnapshotMode::Delta) {
             Simulator::DeltaSnapshot d =
                 Simulator::deltaBetween(snap, base);
             if (d.deltaBytes() * kDeltaPromoteDen <=
                 full_bytes * kDeltaPromoteNum) {
-                sh.snapshotBytesCopied.fetch_add(
+                c.snapshotBytesCopied.fetch_add(
                     d.deltaBytes(), std::memory_order_relaxed);
                 out.simDelta = std::make_shared<
                     const Simulator::DeltaSnapshot>(std::move(d));
                 return;
             }
         }
-        sh.snapshotBytesCopied.fetch_add(full_bytes,
-                                         std::memory_order_relaxed);
+        c.snapshotBytesCopied.fetch_add(full_bytes,
+                                        std::memory_order_relaxed);
         out.simFull =
             std::make_shared<const Simulator::Snapshot>(std::move(snap));
     }
@@ -677,7 +720,7 @@ class Worker {
      * capture the fork state (@p snap and @p mem, the path restored
      * from @p base), commit the node, and resolve each target against
      * the sharded dedup map, queueing new children on this worker's
-     * deque. Returns false when the engine failed.
+     * deque. Returns false when the path's context failed.
      *
      * Dedup keys hash the full simulator state + memory + schedule
      * phase + fork target: hashing the complete state, not just the
@@ -693,15 +736,16 @@ class Worker {
          const std::shared_ptr<const Simulator::Snapshot> &base,
          Simulator::Snapshot snap, const Memory &mem)
     {
+        Context &c = sh.ctx(path);
         if (!ir.isFullyKnown()) {
-            sh.fail("X program counter with unknown IR");
+            sh.fail(c, "X program counter with unknown IR");
             return false;
         }
         isa::Decoded dec = isa::decode(ir.value, 0, 0);
         if (!dec.valid || !isa::isJump(dec.instr.op)) {
-            sh.fail("unresolvable X program counter (op " +
-                    std::string(isa::opName(dec.instr.op)) +
-                    "): indirect jump through unknown data");
+            sh.fail(c, "unresolvable X program counter (op " +
+                           std::string(isa::opName(dec.instr.op)) +
+                           "): indirect jump through unknown data");
             return false;
         }
         // At EXEC of a jump the PC holds the fall-through address.
@@ -722,12 +766,13 @@ class Worker {
         uint64_t keyBase = sim_->hashSnapshotState(snap);
         mem.hashInto(keyBase);
         keyBase ^= 0xda942042e4dd58b5ull *
-                   (cfg_.scenario.dedupPhase(path.pathCycles) + 1);
+                   (c.scen->dedupPhase(path.pathCycles) + 1);
         Pending child;
-        captureFork(sh, base, std::move(snap), child);
+        captureFork(c, base, std::move(snap), child);
         // A forking path is neither halted nor faulted.
         child.sysSnap = std::make_shared<const msp::System::Snapshot>(
             msp::System::Snapshot{mem.snapshot(), false, false});
+        child.path.ctx = path.ctx;
         child.path.lastPc = path.lastPc;
         child.path.curInstr = path.curInstr;
         child.path.pathCycles = path.pathCycles;
@@ -738,8 +783,7 @@ class Worker {
         for (unsigned t = 0; t < numTargets; ++t) {
             uint64_t key = keyBase ^ 0x9e3779b97f4a7c15ull *
                                          (uint64_t(targets[t]) + 1);
-            SharedState::Shard &shard =
-                sh.shards[SharedState::shardOf(key)];
+            Shard &shard = c.shards[SharedState::shardOf(key)];
             Pending next = child;
             {
                 std::lock_guard<std::mutex> lock(shard.mu);
@@ -750,7 +794,7 @@ class Worker {
                     // simulate the identical continuation); merge.
                     nodePtr->edges.push_back(
                         TreeEdge{targets[t], it->second, true});
-                    sh.dedupMerges.fetch_add(
+                    c.dedupMerges.fetch_add(
                         1, std::memory_order_relaxed);
                     continue;
                 }
@@ -759,14 +803,14 @@ class Worker {
                 // reverse), so a racing twin either sees our map
                 // entry or blocks until it does.
                 {
-                    std::lock_guard<std::mutex> tlock(sh.treeMu);
-                    if (sh.tree->numNodes() >= cfg_.maxNodes) {
-                        sh.fail("execution tree node budget "
-                                "exhausted");
+                    std::lock_guard<std::mutex> tlock(c.treeMu);
+                    if (c.tree->numNodes() >= cfg_.maxNodes) {
+                        sh.fail(c, "execution tree node budget "
+                                   "exhausted");
                         return false;
                     }
-                    next.path.node = sh.tree->newNode(path.node);
-                    next.path.nodePtr = &sh.tree->node(next.path.node);
+                    next.path.node = c.tree->newNode(path.node);
+                    next.path.nodePtr = &c.tree->node(next.path.node);
                 }
                 shard.visited.emplace(key, next.path.node);
             }
@@ -808,9 +852,11 @@ class Worker {
         msp::System &sys = *sys_;
         Simulator &sim = *sim_;
         const msp::CpuHandles &h = sys.handles();
-        while (!sh.failed.load() &&
-               reserveCycles(sh, 1, path.pathCycles)) {
-            StepInputs in = takeStepInputs(path);
+        Context &c = sh.ctx(path);
+        Candidate &cand = cand_[path.ctx];
+        while (!c.failed.load() &&
+               reserveCycles(sh, c, 1, path.pathCycles)) {
+            StepInputs in = takeStepInputs(*c.scen, path);
             sim.step([&](Simulator &s) {
                 // Algorithm 1 line 11, generalized: the scenario
                 // says which port bits are X this cycle.
@@ -819,8 +865,7 @@ class Worker {
                 // boot-X registers once, right after reset, the same
                 // way forks narrow the PC.
                 if (in.applyRegs)
-                    for (const auto &[reg, value] :
-                         cfg_.scenario.regInit)
+                    for (const auto &[reg, value] : c.scen->regInit)
                         s.forceBus(h.regs[reg], Word16::known(value));
                 // Algorithm 1's update_PC_next: constrain only the PC
                 // flops, right after the edge, before fetch logic
@@ -829,10 +874,10 @@ class Worker {
                     s.forceBus(h.pc,
                                Word16::known(uint16_t(in.forcedPc)));
             });
-            ++cyclesRun;
+            ++cand.cyclesRun;
             if (cfg_.recordActiveSets)
                 forEachBit(sim.activeBits(),
-                           [&](GateId g) { everActive_[g] = 1; });
+                           [&](GateId g) { cand.everActive[g] = 1; });
 
             bool newPeak = false;
             CycleEnd end = endCycle(
@@ -846,9 +891,10 @@ class Worker {
                              })},
                 newPeak);
             if (newPeak && cfg_.recordActiveSets) {
-                peakActive.clear();
-                forEachBit(sim.activeBits(),
-                           [&](GateId g) { peakActive.push_back(g); });
+                cand.peakActive.clear();
+                forEachBit(sim.activeBits(), [&](GateId g) {
+                    cand.peakActive.push_back(g);
+                });
             }
             if (end == CycleEnd::Fork)
                 fork(sh, path, sys.readIr(sim), base, sim.snapshot(),
@@ -862,18 +908,20 @@ class Worker {
     // ---- Packed frontier ----
     //
     // Up to 64 pending paths ride the PackedSimulator's lanes at
-    // once: a lane is loaded from a Pending's (delta or full)
-    // snapshot and advanced by the shared event-driven packed step
-    // until it reaches its own fork / halt / failure boundary, where
-    // the transposed lane state goes through the same fork as a
-    // scalar path. The lane-identity invariant of the packed kernel
-    // makes every per-lane byte -- values, activity, energies, and
-    // therefore hashes, keys, traces and snapshots -- equal to the
-    // scalar run's, which is the whole bit-identity argument: same
-    // keys => same node set, edges and merge counts; same traces =>
-    // same peak/energy/NPE/envelope; same snapshot bytes => same byte
-    // statistics. Only scheduling statistics (steals, batch/occupancy
-    // counters, per-worker cycles) differ.
+    // once, from any context of the group: a lane is loaded from a
+    // Pending's (delta or full) snapshot and advanced by the shared
+    // event-driven packed step, under its own context's port word,
+    // forces and pricing, until it reaches its own fork / halt /
+    // failure boundary, where the transposed lane state goes through
+    // the same fork as a scalar path. The lane-identity invariant of
+    // the packed kernel makes every per-lane byte -- values,
+    // activity, energies, and therefore hashes, keys, traces and
+    // snapshots -- equal to the scalar run's, which is the whole
+    // bit-identity argument: same keys => same node set, edges and
+    // merge counts; same traces => same peak/energy/NPE/envelope;
+    // same snapshot bytes => same byte statistics. Only scheduling
+    // statistics (steals, batch/occupancy counters, per-worker
+    // cycles) differ.
 
     /** One lane's in-flight path. */
     struct Lane {
@@ -894,21 +942,23 @@ class Worker {
     runBatch(SharedState &sh)
     {
         ensureLanes();
-        bool loaded = false;
+        std::fill(loaded_.begin(), loaded_.end(), 0);
         Pending p;
         for (uint64_t free = ~psim_->liveMask(); free && take(sh, p);
              free &= free - 1) {
+            loaded_[p.path.ctx] = 1;
             loadLane(unsigned(__builtin_ctzll(free)), std::move(p));
-            loaded = true;
         }
-        if (loaded)
-            sh.packedBatches.fetch_add(1, std::memory_order_relaxed);
+        for (size_t k = 0; k < loaded_.size(); ++k)
+            if (loaded_[k])
+                sh.contexts[k].packedBatches.fetch_add(
+                    1, std::memory_order_relaxed);
         if (!psim_->liveMask())
             return;
         stepBatch(sh);
         uint64_t live = psim_->liveMask();
         if (frontier_ == Frontier::Auto && live && !(live & (live - 1)) &&
-            !sh.failed.load() && !sh.queuedOn(id_))
+            !sh.queuedOn(id_))
             resumeScalar(sh, unsigned(__builtin_ctzll(live)));
     }
 
@@ -959,21 +1009,53 @@ class Worker {
         sh.finishPath();
     }
 
+    /** Free every live lane of context @p ctx (it failed). */
+    void
+    retireContext(SharedState &sh, uint32_t ctx)
+    {
+        for (uint64_t m = psim_->liveMask(); m; m &= m - 1) {
+            unsigned l = unsigned(__builtin_ctzll(m));
+            if (lanes_[l].path.ctx == ctx)
+                retireLane(sh, l);
+        }
+    }
+
     /** One packed cycle of every live lane: runPath's loop body per
-     *  lane, retiring lanes that reach their fork / halt boundary. */
+     *  lane, retiring lanes that reach their fork / halt boundary and
+     *  the lanes of contexts that fail. */
     void
     stepBatch(SharedState &sh)
     {
         PackedSimulator &ps = *psim_;
         const msp::CpuHandles &h = sys_->handles();
+        // The live lanes of each context, and the cycle budgets; the
+        // lanes of a context that failed (here or on another worker)
+        // stop.
+        std::fill(ctxLanes_.begin(), ctxLanes_.end(), 0);
+        for (uint64_t m = ps.liveMask(); m; m &= m - 1) {
+            unsigned l = unsigned(__builtin_ctzll(m));
+            ctxLanes_[lanes_[l].path.ctx] |= uint64_t(1) << l;
+        }
+        for (uint32_t k = 0; k < ctxLanes_.size(); ++k) {
+            uint64_t lanes = ctxLanes_[k];
+            if (!lanes)
+                continue;
+            uint64_t longest = 0;
+            for (uint64_t m = lanes; m; m &= m - 1)
+                longest = std::max(
+                    longest,
+                    lanes_[unsigned(__builtin_ctzll(m))].path.pathCycles);
+            Context &c = sh.contexts[k];
+            if (c.failed.load() ||
+                !reserveCycles(sh, c,
+                               unsigned(__builtin_popcountll(lanes)),
+                               longest)) {
+                retireContext(sh, k);
+                ctxLanes_[k] = 0;
+            }
+        }
         const uint64_t stepped = ps.liveMask();
-        const unsigned nLive = unsigned(__builtin_popcountll(stepped));
-        uint64_t longest = 0;
-        for (uint64_t m = stepped; m; m &= m - 1)
-            longest = std::max(
-                longest,
-                lanes_[unsigned(__builtin_ctzll(m))].path.pathCycles);
-        if (!reserveCycles(sh, nLive, longest))
+        if (!stepped)
             return;
 
         std::array<StepInputs, PackedSimulator::kLanes> in;
@@ -981,7 +1063,8 @@ class Worker {
         ports.fill(Word16::allX());
         for (uint64_t m = stepped; m; m &= m - 1) {
             unsigned l = unsigned(__builtin_ctzll(m));
-            in[l] = takeStepInputs(lanes_[l].path);
+            Path &path = lanes_[l].path;
+            in[l] = takeStepInputs(*sh.ctx(path).scen, path);
             ports[l] = in[l].port;
         }
         ps.step([&](PackedSimulator &s) {
@@ -992,7 +1075,7 @@ class Worker {
                 unsigned l = unsigned(__builtin_ctzll(m));
                 if (in[l].applyRegs)
                     for (const auto &[reg, value] :
-                         cfg_.scenario.regInit)
+                         sh.ctx(lanes_[l].path).scen->regInit)
                         s.forceBusLane(h.regs[reg], l,
                                        Word16::known(value));
                 if (in[l].forcedPc != kNoForcedPc)
@@ -1000,21 +1083,30 @@ class Worker {
                         h.pc, l, Word16::known(uint16_t(in[l].forcedPc)));
             }
         });
-        sh.packedSweeps.fetch_add(1, std::memory_order_relaxed);
-        sh.packedLaneCycles.fetch_add(nLive,
-                                      std::memory_order_relaxed);
-        cyclesRun += nLive;
+        for (uint32_t k = 0; k < ctxLanes_.size(); ++k) {
+            if (!ctxLanes_[k])
+                continue;
+            uint64_t n = uint64_t(__builtin_popcountll(ctxLanes_[k]));
+            Context &c = sh.contexts[k];
+            c.packedSweeps.fetch_add(1, std::memory_order_relaxed);
+            c.packedLaneCycles.fetch_add(n, std::memory_order_relaxed);
+            cand_[k].cyclesRun += n;
+        }
 
         if (cfg_.recordActiveSets) {
-            size_t n = everActive_.size();
+            size_t n = base_->netlist().numGates();
             for (GateId g = 0; g < n; ++g)
-                if (ps.activeMask(g) & stepped)
-                    everActive_[g] = 1;
+                if (uint64_t act = ps.activeMask(g) & stepped)
+                    for (size_t k = 0; k < ctxLanes_.size(); ++k)
+                        if (act & ctxLanes_[k])
+                            cand_[k].everActive[g] = 1;
         }
 
         for (uint64_t m = stepped; m; m &= m - 1) {
             unsigned l = unsigned(__builtin_ctzll(m));
             uint64_t lbit = uint64_t(1) << l;
+            if (!(ps.liveMask() & lbit))
+                continue; // its context failed earlier in this sweep
             Lane &L = lanes_[l];
             ++L.absCycle;
 
@@ -1036,11 +1128,12 @@ class Worker {
                 newPeak);
             if (newPeak && cfg_.recordActiveSets) {
                 // Ascending gate id, like the scalar activeBits() walk.
-                peakActive.clear();
-                size_t n = everActive_.size();
+                std::vector<uint32_t> &peak = cand_[L.path.ctx].peakActive;
+                peak.clear();
+                size_t n = base_->netlist().numGates();
                 for (GateId g = 0; g < n; ++g)
                     if (ps.activeMask(g) & lbit)
-                        peakActive.push_back(g);
+                        peak.push_back(g);
             }
             if (end == CycleEnd::Continue)
                 continue;
@@ -1048,8 +1141,10 @@ class Worker {
                 (end == CycleEnd::Fork &&
                  !fork(sh, L.path, ps.readBusLane(h.ir, l), L.base,
                        ps.extractLaneState(l, L.absCycle),
-                       laneSys_->memory(l))))
-                return;
+                       laneSys_->memory(l)))) {
+                retireContext(sh, L.path.ctx);
+                continue;
+            }
             retireLane(sh, l);
         }
     }
@@ -1065,9 +1160,7 @@ class Worker {
     msp::System *sys_ = nullptr; ///< null until the clone is built
     std::unique_ptr<Simulator> sim_;
     std::unique_ptr<power::PowerContext> ctx_;
-    /** Per-schedule-phase (energy scale, clock Hz); one reference
-     *  entry without operating modes. */
-    std::vector<std::pair<double, double>> modes_;
+    std::vector<Candidate> cand_; ///< per context
     /// @name Packed-frontier state (null/empty until the frontier
     /// first widens)
     /// @{
@@ -1076,9 +1169,63 @@ class Worker {
     /** Lanes carrying a pending path are the simulator's live lanes;
      *  the rest are retired. */
     std::vector<Lane> lanes_;
+    /** Per context: its live lanes in this sweep / whether this
+     *  refill loaded one of its paths. */
+    std::vector<uint64_t> ctxLanes_;
+    std::vector<uint8_t> loaded_;
     /// @}
 };
 
+/** The scenario checks an analysis must pass before it explores:
+ *  schedules, register and RAM constraints against @p sys (the
+ *  parsers check the same; programmatic scenarios must fail as
+ *  cleanly). Empty when @p scen is usable. */
+std::string
+scenarioError(const scenario::Scenario &scen, const msp::System &sys)
+{
+    try {
+        scen.validate();
+    } catch (const std::exception &e) {
+        return e.what();
+    }
+    for (const auto &[reg, value] : scen.regInit) {
+        (void)value;
+        if (reg < 4 || reg > 15)
+            return "scenario reg_init register r" + std::to_string(reg) +
+                   " is not a general-purpose register "
+                   "(4..15; r0-r3 are pc/sp/sr/cg)";
+    }
+    for (const auto &[addr, words] : scen.ramInit) {
+        char range[32];
+        std::snprintf(range, sizeof range, "0x%04x", addr);
+        if (words.empty())
+            return std::string("scenario ram_init at ") + range +
+                   " has no words";
+        uint32_t last = addr + uint32_t(words.size() - 1) * 2;
+        if (!sys.memory().inRam(addr) || !sys.memory().inRam(last))
+            return std::string("scenario ram_init range [") + range +
+                   ", +" + std::to_string(words.size()) +
+                   " words] is outside RAM";
+    }
+    return {};
+}
+
+/** Per-schedule-phase (energy scale, clock Hz) of @p scen, resolved
+ *  against @p lib; the reference point (scale 1 at @p freq_hz, which
+ *  prices bit-identically to the unscaled formulas) without modes. */
+std::vector<std::pair<double, double>>
+phasePricing(const scenario::Scenario &scen, const CellLibrary &lib,
+             double freq_hz)
+{
+    std::vector<std::pair<double, double>> modes;
+    if (!scen.hasModes())
+        return {{1.0, freq_hz}};
+    for (uint64_t ph = 0; ph < scen.modePeriod(); ++ph) {
+        const scenario::OperatingMode &m = scen.modeAt(ph);
+        modes.emplace_back(lib.energyScale(m.vdd), m.freqHz);
+    }
+    return modes;
+}
 
 } // namespace
 
@@ -1091,7 +1238,37 @@ SymbolicEngine::SymbolicEngine(msp::System &sys,
 SymbolicResult
 SymbolicEngine::run(const isa::Image &image)
 {
-    SymbolicResult res;
+    return explore(image, {cfg_.scenario}).front();
+}
+
+std::vector<SymbolicResult>
+SymbolicEngine::run(const isa::Image &image,
+                    const std::vector<scenario::Scenario> &scenarios)
+{
+    if (scenarios.size() == 1)
+        return explore(image, scenarios);
+    // A static-prune mask is proved for one scenario, so pruned
+    // analyses never share a run (the default results read as failed
+    // and run alone below).
+    std::vector<SymbolicResult> res =
+        cfg_.staticPrune ? std::vector<SymbolicResult>(scenarios.size())
+                         : explore(image, scenarios);
+    // A failed analysis reports how far it got (cycles, paths and
+    // merges up to the failing step), which depends on the order its
+    // paths ran in, and its siblings change that order: run it alone,
+    // exactly as ungrouped.
+    for (size_t k = 0; k < res.size(); ++k)
+        if (!res[k].ok)
+            res[k] = std::move(explore(image, {scenarios[k]}).front());
+    return res;
+}
+
+std::vector<SymbolicResult>
+SymbolicEngine::explore(const isa::Image &image,
+                        const std::vector<scenario::Scenario> &scenarios)
+{
+    const size_t K = scenarios.size();
+    std::vector<SymbolicResult> results(K);
     const Netlist &nl = sys_->netlist();
 
     unsigned numWorkers = cfg_.numThreads > 1 ? cfg_.numThreads : 1;
@@ -1106,17 +1283,27 @@ SymbolicEngine::run(const isa::Image &image)
             numWorkers = std::max(2u, hw);
     }
 
-    // Mode-schedule consistency first (like the regInit/ramInit
-    // validation below, programmatic scenarios must fail as cleanly
-    // as JSON ones) -- worker construction resolves mode voltages
-    // against the library, so a broken schedule must never get there.
-    try {
-        cfg_.scenario.validate();
-    } catch (const std::exception &e) {
-        res.ok = false;
-        res.error = e.what();
-        return res;
+    // Scenario consistency first: worker construction resolves mode
+    // voltages against the library, so a broken schedule must never
+    // get there. An analysis with an unusable scenario fails alone.
+    SharedState sh;
+    sh.contexts.resize(K);
+    size_t usable = 0;
+    for (size_t k = 0; k < K; ++k) {
+        Context &c = sh.contexts[k];
+        c.scen = &scenarios[k];
+        c.tree = &results[k].tree;
+        results[k].error = scenarioError(scenarios[k], *sys_);
+        if (!results[k].error.empty()) {
+            c.failed = true;
+            ++sh.failedContexts;
+            continue;
+        }
+        c.modes = phasePricing(scenarios[k], nl.library(), cfg_.freqHz);
+        ++usable;
     }
+    if (!usable)
+        return results;
 
     // The frontier: the worker's own choice unless a reference is
     // forced (sym/testing.hh, or packedExplore's all-lanes reference).
@@ -1131,25 +1318,27 @@ SymbolicEngine::run(const isa::Image &image)
     workers.reserve(numWorkers);
     try {
         for (unsigned i = 0; i < numWorkers; ++i)
-            workers.push_back(std::make_unique<Worker>(*sys_, cfg_, image,
-                                                       i, frontier));
+            workers.push_back(std::make_unique<Worker>(
+                *sys_, cfg_, image, i, frontier, K));
     } catch (const std::exception &e) {
-        res.ok = false;
-        res.error = std::string("worker setup failed: ") + e.what();
-        return res;
+        for (SymbolicResult &r : results)
+            if (r.error.empty())
+                r.error = std::string("worker setup failed: ") + e.what();
+        return results;
     }
     sys_->reset(workers[0]->sim());
 
     if (cfg_.staticPrune) {
         // Static quiescence: prove gates constant under the scenario
-        // and let every worker simulator skip them once settled. The
+        // (one: SymbolicEngine::run never groups pruned analyses) and
+        // let every worker simulator skip them once settled. The
         // engage cycle is the settle bound relative to the end of
         // reset: one cycle for the depth-0 combinational cones plus
         // one per sequential stage the deepest pruned proof crosses.
         // Bit-identity of all reported numbers with the unpruned
         // analysis is enforced by fuzz property 9.
         lint::ConstAnalysisOptions lopts;
-        lopts.scenario = cfg_.scenario;
+        lopts.scenario = scenarios.front();
         const msp::CpuHandles &h = sys_->handles();
         lopts.portBits.assign(h.portIn.begin(), h.portIn.end());
         lopts.drivenConstants = sys_->runPins();
@@ -1162,58 +1351,29 @@ SymbolicEngine::run(const isa::Image &image)
             w->setStaticPrune(mask, engage);
     }
 
-    // Scenario constraints are validated here, not only in the JSON
-    // parser: scenarios built programmatically must fail as cleanly
-    // as ones read from files.
-    for (const auto &[reg, value] : cfg_.scenario.regInit) {
-        (void)value;
-        if (reg < 4 || reg > 15) {
-            res.ok = false;
-            res.error = "scenario reg_init register r" +
-                        std::to_string(reg) +
-                        " is not a general-purpose register "
-                        "(4..15; r0-r3 are pc/sp/sr/cg)";
-            return res;
-        }
-    }
-    // Scenario initial-memory constraints, applied to the base
-    // system before the root snapshot so every path inherits them.
-    for (const auto &[addr, words] : cfg_.scenario.ramInit) {
-        char range[32];
-        std::snprintf(range, sizeof range, "0x%04x", addr);
-        if (words.empty()) {
-            res.ok = false;
-            res.error = std::string("scenario ram_init at ") + range +
-                        " has no words";
-            return res;
-        }
-        uint32_t last = addr + uint32_t(words.size() - 1) * 2;
-        if (!sys_->memory().inRam(addr) ||
-            !sys_->memory().inRam(last)) {
-            res.ok = false;
-            res.error = std::string("scenario ram_init range [") +
-                        range + ", +" +
-                        std::to_string(words.size()) +
-                        " words] is outside RAM";
-            return res;
-        }
-        sys_->memory().loadRam(addr, words);
-    }
-
-    SharedState sh;
-    sh.tree = &res.tree;
     sh.queues.resize(numWorkers);
 
-    uint32_t root = res.tree.newNode(kNoNode);
-    {
+    // One root path per analysis, all from the one reset state; the
+    // scenario's initial-memory constraints go into its root memory,
+    // so every path of the analysis inherits them.
+    auto rootSim = std::make_shared<const Simulator::Snapshot>(
+        workers[0]->sim().snapshot());
+    const msp::System::Snapshot resetSys = sys_->snapshot();
+    for (size_t k = 0; k < K; ++k) {
+        Context &c = sh.contexts[k];
+        if (c.failed)
+            continue;
+        sys_->restore(resetSys);
+        for (const auto &[addr, words] : c.scen->ramInit)
+            sys_->memory().loadRam(addr, words);
         Pending p;
-        p.simFull = std::make_shared<const Simulator::Snapshot>(
-            workers[0]->sim().snapshot());
-        p.sysSnap = std::make_shared<const msp::System::Snapshot>(
-            sys_->snapshot());
-        p.path.node = root;
-        p.path.nodePtr = &res.tree.node(root);
-        p.path.applyInit = !cfg_.scenario.regInit.empty();
+        p.simFull = rootSim;
+        p.sysSnap =
+            std::make_shared<const msp::System::Snapshot>(sys_->snapshot());
+        p.path.ctx = uint32_t(k);
+        p.path.node = c.tree->newNode(kNoNode);
+        p.path.nodePtr = &c.tree->node(p.path.node);
+        p.path.applyInit = !c.scen->regInit.empty();
         sh.push(0, std::move(p));
     }
 
@@ -1229,80 +1389,84 @@ SymbolicEngine::run(const isa::Image &image)
     for (auto &t : pool)
         t.join();
 
-    res.totalCycles = sh.totalCycles.load();
-    res.pathsExplored = sh.pathsExplored.load();
-    res.dedupMerges = sh.dedupMerges.load();
-    res.steals = sh.steals.load();
-    res.snapshotBytesCopied = sh.snapshotBytesCopied.load();
-    res.snapshotBytesFull = sh.snapshotBytesFull.load();
-    res.packedBatches = sh.packedBatches.load();
-    res.packedSweeps = sh.packedSweeps.load();
-    res.packedLaneCycles = sh.packedLaneCycles.load();
-    res.perWorkerCycles.reserve(numWorkers);
-    for (auto &w : workers)
-        res.perWorkerCycles.push_back(w->cyclesRun);
+    for (size_t k = 0; k < K; ++k) {
+        Context &c = sh.contexts[k];
+        SymbolicResult &res = results[k];
+        if (!res.error.empty())
+            continue; // never explored
+        res.totalCycles = c.totalCycles.load();
+        res.pathsExplored = c.pathsExplored.load();
+        res.dedupMerges = c.dedupMerges.load();
+        res.steals = c.steals.load();
+        res.snapshotBytesCopied = c.snapshotBytesCopied.load();
+        res.snapshotBytesFull = c.snapshotBytesFull.load();
+        res.packedBatches = c.packedBatches.load();
+        res.packedSweeps = c.packedSweeps.load();
+        res.packedLaneCycles = c.packedLaneCycles.load();
+        res.perWorkerCycles.reserve(numWorkers);
+        for (auto &w : workers)
+            res.perWorkerCycles.push_back(w->candidate(k).cyclesRun);
 
-    if (sh.failed.load()) {
-        res.ok = false;
-        res.error = sh.error;
-        return res;
-    }
+        if (c.failed) {
+            res.error = c.error;
+            continue;
+        }
 
-    // Deterministic merge: candidates are ordered by (power, then
-    // canonical node key / cycle on exact ties), so the winning cycle
-    // -- including its recorded active set -- is the same logical
-    // cycle under any work partition or thread scheduling.
-    if (cfg_.recordActiveSets)
-        res.everActive.assign(nl.numGates(), 0);
-    const Worker *best = nullptr;
-    for (auto &w : workers) {
-        if (w->peakPowerW > 0.0 &&
-            (!best || best->betterCandidate(w->peakPowerW,
-                                            w->peakNodeKey,
-                                            w->peakCycleInNode)))
-            best = w.get();
+        // Deterministic merge: candidates are ordered by (power, then
+        // canonical node key / cycle on exact ties), so the winning
+        // cycle -- including its recorded active set -- is the same
+        // logical cycle under any work partition or thread
+        // scheduling.
         if (cfg_.recordActiveSets)
-            for (size_t g = 0; g < w->everActive_.size(); ++g)
-                res.everActive[g] |= w->everActive_[g];
-    }
-    if (best) {
-        res.peakPowerW = best->peakPowerW;
-        res.peakNode = best->peakNode;
-        res.peakCycleInNode = best->peakCycleInNode;
-        res.peakActive = best->peakActive;
-    }
+            res.everActive.assign(nl.numGates(), 0);
+        const Worker::Candidate *best = nullptr;
+        for (auto &w : workers) {
+            const Worker::Candidate &cand = w->candidate(k);
+            if (cand.peakPowerW > 0.0 &&
+                (!best || best->better(cand.peakPowerW, cand.peakNodeKey,
+                                       cand.peakCycleInNode)))
+                best = &cand;
+            if (cfg_.recordActiveSets)
+                for (size_t g = 0; g < cand.everActive.size(); ++g)
+                    res.everActive[g] |= cand.everActive[g];
+        }
+        if (best) {
+            res.peakPowerW = best->peakPowerW;
+            res.peakNode = best->peakNode;
+            res.peakCycleInNode = best->peakCycleInNode;
+            res.peakActive = best->peakActive;
+        }
 
-    // ---- Section 3.3: peak energy over the tree ----
-    power::PowerContext ctx(nl, cfg_.freqHz);
-    try {
-        PathEnergy pe =
-            cfg_.scenario.hasModes()
-                ? res.tree.maxPathEnergy(
-                      cfg_.scenario.phaseTclkS(),
-                      cfg_.inputDependentLoopBound)
-                : res.tree.maxPathEnergy(
-                      ctx.tclkS(), cfg_.inputDependentLoopBound);
-        res.peakEnergyJ = pe.energyJ;
-        res.maxPathCycles = pe.cycles;
-        res.npeJPerCycle =
-            pe.cycles ? pe.energyJ / double(pe.cycles) : 0.0;
-        // ---- Per-cycle peak power envelope over the tree ----
-        // Computed from the tree rather than max-merged inside the
-        // workers: a dedup race can hang the same logical node under
-        // either racing parent, and only the tree walk sees both
-        // resulting offsets -- worker-local merges would be
-        // scheduling-dependent exactly there.
-        if (cfg_.recordEnvelope)
-            res.envelopeW = res.tree.envelopePowerW(
-                cfg_.inputDependentLoopBound);
-    } catch (const std::exception &e) {
-        res.ok = false;
-        res.error = e.what();
-        return res;
+        // ---- Section 3.3: peak energy over the tree ----
+        const scenario::Scenario &scen = *c.scen;
+        power::PowerContext ctx(nl, cfg_.freqHz);
+        try {
+            PathEnergy pe =
+                scen.hasModes()
+                    ? res.tree.maxPathEnergy(scen.phaseTclkS(),
+                                             cfg_.inputDependentLoopBound)
+                    : res.tree.maxPathEnergy(
+                          ctx.tclkS(), cfg_.inputDependentLoopBound);
+            res.peakEnergyJ = pe.energyJ;
+            res.maxPathCycles = pe.cycles;
+            res.npeJPerCycle =
+                pe.cycles ? pe.energyJ / double(pe.cycles) : 0.0;
+            // ---- Per-cycle peak power envelope over the tree ----
+            // Computed from the tree rather than max-merged inside
+            // the workers: a dedup race can hang the same logical
+            // node under either racing parent, and only the tree walk
+            // sees both resulting offsets -- worker-local merges
+            // would be scheduling-dependent exactly there.
+            if (cfg_.recordEnvelope)
+                res.envelopeW = res.tree.envelopePowerW(
+                    cfg_.inputDependentLoopBound);
+        } catch (const std::exception &e) {
+            res.error = e.what();
+            continue;
+        }
+        res.ok = true;
     }
-
-    res.ok = true;
-    return res;
+    return results;
 }
 
 } // namespace sym

@@ -44,6 +44,15 @@
  * scheduling; only tree node numbering and the steal/per-worker
  * statistics vary).
  *
+ * One run can analyze an application under several scenarios at once
+ * (an analysis group, SymbolicEngine::run with a scenario list): each
+ * analysis is a context with its own scenario, dedup map, tree, cycle
+ * budget, peak candidate and failure, and every pending path carries
+ * its context. The frontier rule sees the group's paths as one
+ * frontier, so the analyses of one program share the 64 lanes; lane
+ * identity keeps every context's result bit-identical to the
+ * analysis run alone.
+ *
  * The inputs driven each cycle come from SymbolicConfig::scenario:
  * the default unconstrained scenario drives every port bit X
  * (Algorithm 1 line 11); a constrained scenario pins port bits
@@ -126,7 +135,8 @@ struct SymbolicConfig {
      * initial-register constraints. The default admits every
      * execution (all ports X -- the classic Algorithm 1 flow).
      * Results are bounds over exactly the scenario's executions and
-     * can only tighten as constraints are added.
+     * can only tighten as constraints are added. An analysis group
+     * (SymbolicEngine::run with a scenario list) ignores it.
      */
     scenario::Scenario scenario;
     /** Fork snapshot form; Delta is the fast default, Full the
@@ -210,7 +220,10 @@ struct SymbolicResult {
     /// the same snapshots whoever runs it). Scheduling-dependent
     /// (excluded from determinism comparisons, like timings):
     /// steals, perWorkerCycles, packedBatches, packedSweeps,
-    /// packedLaneCycles.
+    /// packedLaneCycles. In an analysis group these count the
+    /// analysis's own share: its stolen paths, its cycles per worker,
+    /// the refills that loaded and the sweeps that stepped one of its
+    /// paths, and its lane cycles.
     /// @{
     uint64_t totalCycles = 0;
     uint32_t pathsExplored = 0;
@@ -245,7 +258,25 @@ class SymbolicEngine {
     /** Run Algorithm 1 + per-cycle Algorithm 2 on @p image. */
     SymbolicResult run(const isa::Image &image);
 
+    /**
+     * Analyze @p image once per entry of @p scenarios in one
+     * exploration (SymbolicConfig::scenario is ignored): result k is
+     * bit-identical to run(image) with scenario @p scenarios[k],
+     * failures included -- an analysis that fails in the group runs
+     * again alone, because how far a failing exploration got depends
+     * on the order it ran in. Under staticPrune (a mask proved per
+     * scenario) every analysis runs alone.
+     */
+    std::vector<SymbolicResult>
+    run(const isa::Image &image,
+        const std::vector<scenario::Scenario> &scenarios);
+
   private:
+    /** One exploration of the group @p scenarios. */
+    std::vector<SymbolicResult>
+    explore(const isa::Image &image,
+            const std::vector<scenario::Scenario> &scenarios);
+
     msp::System *sys_;
     SymbolicConfig cfg_;
 };

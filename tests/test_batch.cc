@@ -14,6 +14,7 @@
 #include <algorithm>
 #include <filesystem>
 #include <fstream>
+#include <map>
 
 #include <unistd.h>
 
@@ -21,6 +22,7 @@
 #include "cli/driver.hh"
 #include "cli/fault_driver.hh"
 #include "fault/campaign.hh"
+#include "fuzz/properties.hh"
 #include "peak/batch.hh"
 #include "tests/cpu_test_util.hh"
 #include "tests/fork_util.hh"
@@ -166,7 +168,9 @@ TEST(Batch, DefaultCpuBudgetMatchesSerial)
     EXPECT_EQ(budgeted, serial);
 
     EXPECT_EQ(a.hostCpus, util::hostCpus());
-    EXPECT_EQ(a.jobs, util::cpuBudget(a.programs.size(), 0, 0,
+    // One budget item per analysis group: a program's scenarios share
+    // one exploration.
+    EXPECT_EQ(a.jobs, util::cpuBudget(a.programs.size() / 2, 0, 0,
                                       a.hostCpus).jobs);
     EXPECT_LE(a.jobs * a.threads, a.hostCpus);
     EXPECT_EQ(b.jobs, 1u);
@@ -575,6 +579,109 @@ TEST(Batch, CacheKeysPinned)
     f.ramSites = 4;
     f.withEnvelope = true;
     EXPECT_EQ(fault::campaignCacheKey(lib, img, f), 0xfe2ddf84509c5cbbull);
+}
+
+/** Everything a batch row reports and caches, field by field. */
+void
+expectSameRow(const peak::ProgramResult &a, const peak::ProgramResult &b)
+{
+    SCOPED_TRACE(a.name + " / " + a.scenario);
+    EXPECT_EQ(a.name, b.name);
+    EXPECT_EQ(a.scenario, b.scenario);
+    EXPECT_EQ(a.ok, b.ok);
+    EXPECT_EQ(a.error, b.error);
+    EXPECT_EQ(a.peakPowerW, b.peakPowerW);
+    EXPECT_EQ(a.peakEnergyJ, b.peakEnergyJ);
+    EXPECT_EQ(a.npeJPerCycle, b.npeJPerCycle);
+    EXPECT_EQ(a.maxPathCycles, b.maxPathCycles);
+    EXPECT_EQ(a.totalCycles, b.totalCycles);
+    EXPECT_EQ(a.pathsExplored, b.pathsExplored);
+    EXPECT_EQ(a.dedupMerges, b.dedupMerges);
+    EXPECT_EQ(a.envelope.powerW, b.envelope.powerW);
+    EXPECT_EQ(a.envelope.peakWindowEnergyJ, b.envelope.peakWindowEnergyJ);
+}
+
+/** Every file of cache directory @p dir by name, with its bytes. */
+std::map<std::string, std::string>
+cacheFiles(const fs::path &dir)
+{
+    std::map<std::string, std::string> files;
+    for (const auto &e : fs::directory_iterator(dir)) {
+        std::ifstream in(e.path(), std::ios::binary);
+        files[e.path().filename().string()] =
+            std::string(std::istreambuf_iterator<char>(in), {});
+    }
+    return files;
+}
+
+// The scenarios of one program run as one analysis group. Every row,
+// every cache file and a budget failure are the same as when each
+// scenario runs on its own.
+TEST(Batch, GroupedMatchesUngrouped)
+{
+    const CellLibrary lib = CellLibrary::tsmc65Like();
+    std::vector<scenario::Scenario> presets;
+    for (const std::string &name : scenario::Scenario::presetNames())
+        presets.push_back(scenario::Scenario::preset(name));
+    ASSERT_EQ(presets.size(), 5u);
+    auto suite = cli::resolvePrograms({"mult", "binSearch", "PI"});
+
+    // Grouped: the 5-preset matrix in one batch; ungrouped: a batch
+    // per preset.
+    auto runBoth = [&](peak::BatchOptions opts, const fs::path &grouped,
+                       const fs::path &single) {
+        opts.scenarios = presets;
+        opts.cacheDir = grouped.string();
+        peak::BatchReport all = peak::analyzeBatch(lib, suite, opts);
+        EXPECT_EQ(all.programs.size(), presets.size() * suite.size());
+        opts.cacheDir = single.string();
+        for (size_t s = 0; s < presets.size(); ++s) {
+            opts.scenarios = {presets[s]};
+            peak::BatchReport one = peak::analyzeBatch(lib, suite, opts);
+            for (size_t p = 0; p < suite.size(); ++p)
+                expectSameRow(all.programs[s * suite.size() + p],
+                              one.programs[p]);
+        }
+        return all;
+    };
+
+    peak::BatchOptions opts;
+    opts.analysis.recordEnvelope = true;
+    TempDir grouped, single;
+    peak::BatchReport all = runBoth(opts, grouped.path, single.path);
+    EXPECT_TRUE(all.ok);
+    EXPECT_EQ(cacheFiles(grouped.path), cacheFiles(single.path));
+    EXPECT_EQ(cacheFiles(grouped.path).size(), all.programs.size());
+
+    // The full reports, trees included, against each scenario alone.
+    msp::System sys(lib);
+    for (const peak::BatchProgram &prog : suite) {
+        std::vector<peak::Report> group =
+            peak::analyzeGroup(sys, prog.image, opts.analysis, presets);
+        ASSERT_EQ(group.size(), presets.size());
+        for (size_t s = 0; s < presets.size(); ++s) {
+            peak::Options alone = opts.analysis;
+            alone.scenario = presets[s];
+            EXPECT_EQ(fuzz::reportDiff(
+                          group[s], peak::analyze(sys, prog.image, alone)),
+                      "")
+                << prog.name << " / " << presets[s].name;
+        }
+    }
+
+    // PI under duty-cycled-dvfs needs more cycles than the others: at
+    // this budget it alone fails, with the ungrouped error and counts.
+    opts.analysis.maxTotalCycles = 8000;
+    suite = cli::resolvePrograms({"PI"});
+    TempDir grouped2, single2;
+    all = runBoth(opts, grouped2.path, single2.path);
+    for (const peak::ProgramResult &r : all.programs) {
+        bool dvfs = r.scenario == "duty-cycled-dvfs";
+        EXPECT_EQ(r.ok, !dvfs) << r.scenario;
+        if (dvfs)
+            EXPECT_EQ(r.error, "symbolic cycle budget exhausted");
+    }
+    EXPECT_EQ(cacheFiles(grouped2.path), cacheFiles(single2.path));
 }
 
 TEST(Batch, OneFailingProgramDoesNotPoisonTheSuite)

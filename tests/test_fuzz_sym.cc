@@ -81,12 +81,12 @@ ulfuzzInvarianceItem(unsigned i)
 }
 
 // The first 16 draws of `ulfuzz --seed 1 --mode invariance` (its
-// default count) reach every knob, every scenario kind and both
-// prune settings.
+// default count) reach every knob, every scenario kind, both prune
+// settings and both sides of the grouping axis.
 TEST(InvarianceDraws, UlfuzzDefaultRunCoversEveryAxis)
 {
     unsigned automatic = 0, threads = 0, sweep = 0, full = 0, packed = 0;
-    unsigned kinds[3] = {0, 0, 0}, pruned = 0;
+    unsigned kinds[3] = {0, 0, 0}, pruned = 0, grouped = 0;
     for (unsigned i = 0; i < 16; ++i) {
         InvarianceItem item = ulfuzzInvarianceItem(i);
         fuzz::InvarianceDraw d = fuzz::drawInvariance(item.rng, 4);
@@ -116,6 +116,15 @@ TEST(InvarianceDraws, UlfuzzDefaultRunCoversEveryAxis)
                 : ref.scenario.isUnconstrained() ? 0
                                                  : 1];
         pruned += ref.staticPrune;
+        if (!d.group.empty()) {
+            ++grouped;
+            EXPECT_GE(d.group.size(), 2u);
+            EXPECT_LE(d.group.size(), 5u);
+            ASSERT_LT(d.groupIndex, d.group.size());
+            uint64_t hg = 0;
+            d.group[d.groupIndex].hashInto(hg);
+            EXPECT_EQ(hg, hr);
+        }
     }
     EXPECT_GE(threads, 4u);
     EXPECT_GE(sweep, 4u);
@@ -127,6 +136,8 @@ TEST(InvarianceDraws, UlfuzzDefaultRunCoversEveryAxis)
     EXPECT_GT(kinds[2], 0u) << "no DVFS item";
     EXPECT_GT(pruned, 0u);
     EXPECT_LT(pruned, 16u);
+    EXPECT_GE(grouped, 4u);
+    EXPECT_LE(grouped, 12u);
 }
 
 // The same 16 items exercise the fork machinery: most of them fork,

@@ -89,6 +89,55 @@ expectLaneIdentity(uint64_t seed, EvalMode mode, unsigned cycles)
     }
 }
 
+// The word-level transpose of setInputBusLanes against per-lane
+// writes of the same bits: random words with X bits, on a bus of
+// every width, with some lanes retired (they keep what they held).
+TEST(PackedSim, SetInputBusLanesMatchesPerLaneWrites)
+{
+    CellLibrary lib = CellLibrary::tsmc65Like();
+    Netlist nl(lib);
+    ModuleId m = nl.addModule("bus");
+    std::vector<GateId> bus;
+    for (unsigned i = 0; i < 16; ++i)
+        bus.push_back(nl.addGate(CellKind::Input, {}, m));
+    GateId acc = bus[0];
+    for (unsigned i = 1; i < 16; ++i)
+        acc = nl.addGate(CellKind::Xor2, {acc, bus[i]}, m);
+    nl.finalize();
+
+    fuzz::Rng rng(42);
+    auto randomWord = [&rng] {
+        Word16 w;
+        w.xmask = uint16_t(rng.next() & rng.next()); // ~1/4 X bits
+        w.value = uint16_t(rng.next()) & ~w.xmask;
+        return w;
+    };
+    for (unsigned round = 0; round < 64; ++round) {
+        PackedSimulator ps(nl);
+        std::array<Word16, kLanes> before, lanes;
+        for (Word16 &w : before)
+            w = randomWord();
+        ps.setInputBusLanes(bus, before);
+        uint64_t retired = round ? rng.next() & rng.next() : 0;
+        ps.retireLanes(retired);
+        for (Word16 &w : lanes)
+            w = randomWord();
+        size_t width = 1 + round % 16;
+        std::vector<GateId> sub(bus.begin(), bus.begin() + long(width));
+        ps.setInputBusLanes(sub, lanes);
+        for (size_t i = 0; i < 16; ++i) {
+            V64 want;
+            for (unsigned l = 0; l < kLanes; ++l) {
+                bool wrote = i < width && !(retired >> l & 1);
+                want.setLane(l, (wrote ? lanes[l] : before[l])
+                                    .bit(unsigned(i)));
+            }
+            ASSERT_EQ(ps.value(bus[i]), want)
+                << "round " << round << " bus bit " << i;
+        }
+    }
+}
+
 TEST(PackedSim, LaneIdentityEventDriven)
 {
     expectLaneIdentity(0x11u, EvalMode::EventDriven, 48);

@@ -135,10 +135,10 @@ class Levelizer {
 
   private:
     /**
-     * Build the structure-of-arrays kernel view: contiguous kind/nin
-     * arrays, CSR fanins, the level-bucketed schedule, the CSR
-     * fanout adjacency in the event kernel's wake-bit form, and the
-     * per-gate seq index and top-level module.
+     * Build the kernel view: the level-bucketed schedule as one
+     * NodeRecord per position, the CSR fanout adjacency in the event
+     * kernel's wake-bit form, and the per-gate seq index and
+     * top-level module.
      */
     static void
     flatten(Netlist &nl, const std::vector<uint32_t> &hookOf)
@@ -149,90 +149,64 @@ class Levelizer {
         f.numGates = n;
         f.numHooks = h;
 
-        f.kind.resize(n);
-        f.nin.resize(n);
         f.topModuleOf.resize(n);
-        f.faninOffset.assign(n + 1, 0);
-        for (GateId g = 0; g < n; ++g) {
-            const Gate &gate = nl.gates_[g];
-            f.kind[g] = gate.kind;
-            f.nin[g] = gate.nin;
-            f.topModuleOf[g] = nl.topLevelModuleOf(gate.module);
-            f.faninOffset[g + 1] = f.faninOffset[g] + gate.nin;
-        }
-        // Three pad entries (gate 0) past the end: a kernel may read
-        // four pins of any gate and mask off the ones it does not have.
-        f.fanin.assign(f.faninOffset[n] + 3, 0);
-        for (GateId g = 0; g < n; ++g) {
-            const Gate &gate = nl.gates_[g];
-            for (unsigned p = 0; p < gate.nin; ++p)
-                f.fanin[f.faninOffset[g] + p] = gate.in[p];
-        }
+        for (GateId g = 0; g < n; ++g)
+            f.topModuleOf[g] = nl.topLevelModuleOf(nl.gates_[g].module);
+        auto scheduled = [&](uint32_t node) {
+            return node >= n || !isSequential(nl.gates_[node].kind);
+        };
 
         // Levels, walked in the already-computed topological order so
         // every fanin/dependency level is final when consumed.
-        f.levelOfNode.assign(n + h, 0);
+        // Sequential outputs are level-0 sources of the combinational
+        // phase; the gate itself is unscheduled.
+        std::vector<uint32_t> level(n + h, 0);
         for (const EvalItem &item : nl.order_) {
             if (item.type == EvalItem::Type::Hook) {
-                uint32_t node = n + item.index;
                 uint32_t lvl = 0;
                 for (GateId dep : nl.hooks_[item.index].depends)
-                    lvl = std::max(lvl, f.levelOfNode[dep] + 1);
-                f.levelOfNode[node] = lvl;
+                    lvl = std::max(lvl, level[dep] + 1);
+                level[n + item.index] = lvl;
                 continue;
             }
             GateId g = item.index;
             const Gate &gate = nl.gates_[g];
-            if (isSequential(gate.kind)) {
-                // Sequential outputs are level-0 sources of the
-                // combinational phase; the gate itself is unscheduled.
-                f.levelOfNode[g] = 0;
+            if (!scheduled(g))
                 continue;
-            }
             uint32_t lvl = 0;
             if (hookOf[g] != UINT32_MAX)
-                lvl = f.levelOfNode[n + hookOf[g]] + 1;
+                lvl = level[n + hookOf[g]] + 1;
             for (unsigned p = 0; p < gate.nin; ++p)
-                lvl = std::max(lvl, f.levelOfNode[gate.in[p]] + 1);
-            f.levelOfNode[g] = lvl;
+                lvl = std::max(lvl, level[gate.in[p]] + 1);
+            level[g] = lvl;
         }
 
         // Bucket the schedulable nodes by level, ascending node id
         // within a level (counting sort keeps it stable).
         uint32_t numLevels = 0;
         for (uint32_t node = 0; node < n + h; ++node)
-            if (node >= n || !isSequential(nl.gates_[node].kind))
-                numLevels =
-                    std::max(numLevels, f.levelOfNode[node] + 1);
+            if (scheduled(node))
+                numLevels = std::max(numLevels, level[node] + 1);
         f.numLevels = numLevels;
         f.levelOffset.assign(numLevels + 1, 0);
-        for (uint32_t node = 0; node < n + h; ++node) {
-            if (node < n && isSequential(nl.gates_[node].kind))
-                continue;
-            ++f.levelOffset[f.levelOfNode[node] + 1];
-        }
+        for (uint32_t node = 0; node < n + h; ++node)
+            if (scheduled(node))
+                ++f.levelOffset[level[node] + 1];
         for (uint32_t l = 0; l < numLevels; ++l)
             f.levelOffset[l + 1] += f.levelOffset[l];
-        f.schedule.resize(f.levelOffset[numLevels]);
+        f.records.resize(f.levelOffset[numLevels]);
         f.posOfNode.assign(n + h, kNoLevel);
         std::vector<uint32_t> lfill(f.levelOffset.begin(),
                                     f.levelOffset.end() - 1);
-        for (uint32_t node = 0; node < n + h; ++node) {
-            if (node < n && isSequential(nl.gates_[node].kind))
-                continue;
-            uint32_t pos = lfill[f.levelOfNode[node]]++;
-            f.schedule[pos] = node;
-            f.posOfNode[node] = pos;
-        }
-        for (GateId g = 0; g < n; ++g)
-            if (isSequential(nl.gates_[g].kind))
-                f.levelOfNode[g] = kNoLevel;
+        for (uint32_t node = 0; node < n + h; ++node)
+            if (scheduled(node))
+                f.posOfNode[node] = lfill[level[node]]++;
 
         // Fanout CSR (two-pass fill; needs posOfNode above): per
         // producer, the schedule positions of its combinational
         // consumers, then seqWakeBase + the seq index of each flop
         // consumer.
-        f.seqWakeBase = uint32_t((f.schedule.size() + 63) / 64 * 64);
+        f.seqWakeBase = uint32_t((f.records.size() + 63) / 64 * 64);
         std::vector<uint32_t> &seqIndexOf = f.seqIndexOf;
         seqIndexOf.assign(n, UINT32_MAX);
         for (size_t i = 0; i < nl.seqGates_.size(); ++i)
@@ -258,6 +232,31 @@ class Levelizer {
                 for (unsigned p = 0; p < gate.nin; ++p)
                     f.fanoutPos[fill[gate.in[p]]++] = wake;
             }
+        }
+
+        // One record per position.
+        static_assert(kNumCellKinds * kPackedFaninStates <= 0x10000,
+                      "a truth-table row fits NodeRecord::row");
+        for (uint32_t node = 0; node < n + h; ++node) {
+            if (!scheduled(node))
+                continue;
+            NodeRecord &r = f.records[f.posOfNode[node]];
+            r.node = node;
+            if (node >= n) {
+                r.cls = NodeClass::Hook;
+                continue;
+            }
+            const Gate &gate = nl.gates_[node];
+            r.cls = gate.kind == CellKind::Input ? NodeClass::Input
+                    : gate.kind == CellKind::Const0 ||
+                            gate.kind == CellKind::Const1
+                        ? NodeClass::Const
+                        : NodeClass::Logic;
+            r.row = uint16_t(unsigned(gate.kind) * kPackedFaninStates);
+            r.pinMask = uint8_t((1u << (2 * gate.nin)) - 1);
+            for (unsigned p = 0; p < 4; ++p)
+                r.in[p] = gate.nin ? gate.in[p < gate.nin ? p : 0] : 0;
+            r.fanout = f.fanoutsOf(node);
         }
     }
 };

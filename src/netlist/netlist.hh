@@ -61,9 +61,44 @@ struct BehavioralHook {
 
 constexpr uint32_t kNoLevel = std::numeric_limits<uint32_t>::max();
 
+/** How the kernels evaluate a schedule position (NodeRecord::cls). */
+enum class NodeClass : uint8_t {
+    Logic, ///< combinational cell: truth-table lookup
+    Input, ///< value set by a driver or hook; X counts as active
+    Const, ///< tie cell: settles once, never active
+    Hook,  ///< behavioral hook: runs its callback
+};
+
+/** A node's entries in FlatNetlist::fanoutPos: [begin, end). */
+struct FanoutRange {
+    uint32_t begin = 0;
+    uint32_t end = 0;
+};
+
 /**
- * Structure-of-arrays view of a finalized netlist -- the data the
- * simulation kernel actually iterates. Built once by finalize().
+ * Everything a kernel reads to evaluate one schedule position, in one
+ * 32-byte entry: the drain loads this record and touches no other
+ * per-node array until it prices or marks.
+ */
+struct alignas(32) NodeRecord {
+    uint32_t node = 0; ///< gate id, or numGates + hook id
+    /** kind * kPackedFaninStates: the node's cellTruthTable() row (a
+     *  Const's value is the row's entry 0). */
+    uint16_t row = 0;
+    /** (1 << 2 * nin) - 1: the packed-fanin bits the cell has. */
+    uint8_t pinMask = 0;
+    NodeClass cls = NodeClass::Logic;
+    /** Fanins. Pins past nin repeat pin 0, so four pins can be read
+     *  at every record, and an OR over all four pins' activity is the
+     *  OR over the cell's own pins. Zero for pinless nodes. */
+    std::array<GateId, 4> in = {0, 0, 0, 0};
+    FanoutRange fanout; ///< empty for hooks
+};
+static_assert(sizeof(NodeRecord) == 32, "one record per half line");
+
+/**
+ * The kernel view of a finalized netlist -- the data the simulation
+ * kernels actually iterate. Built once by finalize().
  *
  * Nodes: ids [0, numGates) are gates; [numGates, numGates + numHooks)
  * are behavioral hooks. The combinational schedule covers every node
@@ -76,53 +111,48 @@ constexpr uint32_t kNoLevel = std::numeric_limits<uint32_t>::max();
  * its deepest dependency; a hook-driven input one level above its
  * hook; a combinational gate one level above its deepest fanin. Within
  * a level no node depends on another, so any within-level order is a
- * valid topological order; @ref schedule stores levels contiguously,
+ * valid topological order; @ref records stores levels contiguously,
  * ascending node id within each level. The full-sweep kernel walks
- * @ref schedule front to back; the event-driven kernel keeps a pending
+ * @ref records front to back; the event-driven kernel keeps a pending
  * bitset over schedule positions and drains it in ascending position
  * -- the same order, since every consumer sits at a higher level than
  * its producers and so at a higher position.
+ *
+ * Only the schedule is position-ordered. Sequential gates read their
+ * Gate (Netlist::gate) at the edge, and everything per gate --
+ * pricing, activity, values, the gate-id fanout index -- stays in
+ * gate-id order.
  */
 struct FlatNetlist {
     uint32_t numGates = 0;
     uint32_t numHooks = 0;
     uint32_t numLevels = 0;
 
-    /// @name Per-gate SoA mirrors of the Gate fields
+    /// @name Level-bucketed combinational schedule
     /// @{
-    std::vector<CellKind> kind;
-    std::vector<uint8_t> nin;
-    std::vector<uint32_t> faninOffset; ///< [numGates + 1] into fanin
-    /** CSR fanin lists, plus three trailing pad entries (gate 0) so
-     *  four pins can be read at any gate's offset. */
-    std::vector<GateId> fanin;
+    std::vector<uint32_t> levelOffset; ///< [numLevels + 1] into records
+    /** One record per schedule position, by level. */
+    std::vector<NodeRecord> records;
+    std::vector<uint32_t> posOfNode; ///< index into records; kNoLevel
+                                     ///< for seq
     /// @}
 
     /**
      * CSR fanout adjacency, in the event kernel's wake-bit form. For
      * each gate: first the schedule positions (indices into
-     * @ref schedule) of the combinational gates it feeds, then, for
+     * @ref records) of the combinational gates it feeds, then, for
      * each flop reading it on any pin, @ref seqWakeBase + the flop's
      * index in Netlist::seqGates(). Hooks always run, so they do not
      * appear. One bitset covering [0, seqWakeBase + #flops) thus
      * marks both kinds of consumer with a single OR per entry. Entries
      * may repeat when a gate feeds several pins of one consumer; the
-     * bitset dedups.
+     * bitset dedups. A scheduled node's range is also in its record.
      */
     std::vector<uint32_t> fanoutOffset; ///< [numGates + 1] into fanoutPos
     std::vector<uint32_t> fanoutPos;
-    /** First sequential wake bit: schedule.size() rounded up to a
+    /** First sequential wake bit: records.size() rounded up to a
      *  multiple of 64, so flop bits start on a word boundary. */
     uint32_t seqWakeBase = 0;
-
-    /// @name Level-bucketed combinational schedule
-    /// @{
-    std::vector<uint32_t> levelOffset; ///< [numLevels + 1] into schedule
-    std::vector<uint32_t> schedule;    ///< node ids, by level
-    std::vector<uint32_t> levelOfNode; ///< [nodes]; kNoLevel for seq
-    std::vector<uint32_t> posOfNode;   ///< index into schedule; kNoLevel
-                                       ///< for seq
-    /// @}
 
     /**
      * Per-gate transition energies [J], three per gate at
@@ -144,6 +174,12 @@ struct FlatNetlist {
     /// @}
 
     uint32_t numNodes() const { return numGates + numHooks; }
+    /** Gate @p g's wake entries in @ref fanoutPos. */
+    FanoutRange
+    fanoutsOf(GateId g) const
+    {
+        return {fanoutOffset[g], fanoutOffset[g + 1]};
+    }
 };
 
 /** Column of FlatNetlist::transE. */

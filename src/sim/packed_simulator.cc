@@ -50,9 +50,9 @@ PackedSimulator::PackedSimulator(const Netlist &nl)
     actBitsPrev_.assign(bitWords(n), 0);
     loadedPrevEdge_.assign(nseq, ~uint64_t(0));
     always_.assign(f.seqWakeBase / 64, 0);
-    for (uint32_t pos = 0; pos < f.schedule.size(); ++pos) {
-        uint32_t node = f.schedule[pos];
-        if (node >= f.numGates || f.kind[node] == CellKind::Input)
+    for (uint32_t pos = 0; pos < f.records.size(); ++pos) {
+        NodeClass c = f.records[pos].cls;
+        if (c == NodeClass::Hook || c == NodeClass::Input)
             setBit(always_.data(), pos);
     }
     hookFns_.resize(nl.hooks().size());
@@ -89,7 +89,7 @@ PackedSimulator::writeLive(GateId g, uint64_t v, uint64_t k)
     // bit below), so the gate itself evaluates as unchanged. A forced
     // flop's own next edge reads the forced q.
     setBit(actBits_.data(), g);
-    wake_.markFanouts(g);
+    wake_.markFanouts(flat_->fanoutsOf(g));
     if (flat_->seqIndexOf[g] != UINT32_MAX)
         wake_.markSeq(flat_->seqIndexOf[g]);
 }
@@ -97,14 +97,14 @@ PackedSimulator::writeLive(GateId g, uint64_t v, uint64_t k)
 void
 PackedSimulator::setInput(GateId g, V64 v)
 {
-    assert(flat_->kind[g] == CellKind::Input);
+    assert(nl_->gate(g).kind == CellKind::Input);
     writeLive(g, v.v, v.k);
 }
 
 uint64_t
 PackedSimulator::injectSeuFlip(GateId g, uint64_t lane_mask)
 {
-    assert(isSequential(flat_->kind[g]));
+    assert(isSequential(nl_->gate(g).kind));
     uint64_t m = lane_mask & live_ & val_[g].k;
     if (!m)
         return 0;
@@ -203,28 +203,27 @@ PackedSimulator::addBehavioralEnergyJ(double j, ModuleId top_module,
 void
 PackedSimulator::evalSeqGate(uint32_t i)
 {
-    const FlatNetlist &f = *flat_;
     GateId g = nl_->seqGates()[i];
-    uint32_t off = f.faninOffset[g];
-    unsigned nin = f.nin[g];
+    const Gate &gate = nl_->gate(g);
+    const GateId *in = gate.in.data();
     uint64_t qv = prev_[g].v, qk = prev_[g].k;
-    V64 d = prev_[f.fanin[off]];
+    V64 d = prev_[in[0]];
     uint64_t dv = d.v, dk = d.k;
     // Absent pins behave as constant 1 (enable on, reset released),
     // exactly like evalSeqCell's defaults.
     V64 en = V64::splat(V4::One), rstn = V64::splat(V4::One);
-    switch (f.kind[g]) {
+    switch (gate.kind) {
       case CellKind::Dff:
         break;
       case CellKind::Dffe:
-        en = prev_[f.fanin[off + 1]];
+        en = prev_[in[1]];
         break;
       case CellKind::Dffr:
-        rstn = prev_[f.fanin[off + 1]];
+        rstn = prev_[in[1]];
         break;
       case CellKind::Dffre:
-        en = prev_[f.fanin[off + 1]];
-        rstn = prev_[f.fanin[off + 2]];
+        en = prev_[in[1]];
+        rstn = prev_[in[2]];
         break;
       default:
         assert(false && "evalSeqGate on non-sequential kind");
@@ -262,8 +261,8 @@ PackedSimulator::evalSeqGate(uint32_t i)
     uint64_t bothKnown = newK & qk;
     uint64_t actKnown = bothKnown & (newV ^ qv);
     uint64_t ctrlX = 0;
-    for (unsigned p = 1; p < nin; ++p)
-        ctrlX |= ~prev_[f.fanin[off + p]].k;
+    for (unsigned p = 1; p < gate.nin; ++p)
+        ctrlX |= ~prev_[in[p]].k;
     uint64_t xTerm = ~loadedPrevEdge_[i] | ctrlX |
                      dActPrev_[i] | (newK ^ qk);
     uint64_t act = ~held & (actKnown | (~bothKnown & xTerm));
@@ -288,11 +287,10 @@ PackedSimulator::updateSequential()
     // The due flops read their D pin's last-cycle activity before
     // act_ is cleared and before any flop -- possibly another flop's
     // D pin -- overwrites its own entry.
-    const FlatNetlist &f = *flat_;
     const GateId *seq = nl_->seqGates().data();
     const std::vector<uint64_t> &due = wake_.takeDue();
     forEachBit(due, [&](uint32_t i) {
-        dActPrev_[i] = act_[f.fanin[f.faninOffset[seq[i]]]];
+        dActPrev_[i] = act_[nl_->gate(seq[i]).in[0]];
     });
     // Last cycle's activity ends here: clearing through its bitset
     // lets skipped gates read as inactive without a whole-array pass.
@@ -300,50 +298,50 @@ PackedSimulator::updateSequential()
     forEachBit(due, [&](uint32_t i) { evalSeqGate(i); });
 }
 
-void
-PackedSimulator::evalNode(uint32_t node)
+PackedSimulator::SweepView
+PackedSimulator::sweepView()
 {
-    const FlatNetlist &f = *flat_;
-    if (node >= f.numGates) {
-        const PackedFnRef &fn = hookFns_[node - f.numGates];
-        if (fn)
-            fn(*this);
-        return;
-    }
-    GateId g = node;
+    return {flat_->records.data(), val_.data(),    prev_.data(),
+            act_.data(),           actBits_.data(), live_,
+            wake_.marks()};
+}
+
+inline void
+PackedSimulator::evalPos(const SweepView &v, uint32_t pos)
+{
+    const NodeRecord &r = v.rec[pos];
+    const GateId g = r.node;
     uint64_t a;
-    switch (f.kind[g]) {
-      case CellKind::Const0:
-        val_[g] = V64::splat(V4::Zero);
-        return;
-      case CellKind::Const1:
-        val_[g] = V64::splat(V4::One);
-        return;
-      case CellKind::Input:
-        // Changed lanes are active; X lanes may toggle at any time.
-        a = val_[g].diffMask(prev_[g]) | ~val_[g].k;
-        break;
-      default: {
-        V64 ins[4];
-        uint64_t faninAct = 0;
-        uint32_t off = f.faninOffset[g];
-        unsigned nin = f.nin[g];
-        for (unsigned p = 0; p < nin; ++p) {
-            GateId src = f.fanin[off + p];
-            ins[p] = val_[src];
-            faninAct |= act_[src];
+    if (__builtin_expect(r.cls != NodeClass::Logic, 0)) {
+        if (r.cls == NodeClass::Hook) {
+            const PackedFnRef &fn = hookFns_[g - flat_->numGates];
+            if (fn)
+                fn(*this);
+            return;
         }
-        V64 v = evalCell(f.kind[g], ins);
-        val_[g] = v;
-        a = v.diffMask(prev_[g]) | (~v.k & faninAct);
-        break;
-      }
+        if (r.cls == NodeClass::Const) {
+            v.val[g] = V64::splat(cellTruthTable()[r.row]);
+            return;
+        }
+        // Input: changed lanes are active; X lanes may toggle at any
+        // time.
+        a = v.val[g].diffMask(v.prev[g]) | ~v.val[g].k;
+    } else {
+        // Four pins whatever the arity: the pads repeat pin 0, so
+        // they add no activity and evalCell reads only real pins.
+        const V64 ins[4] = {v.val[r.in[0]], v.val[r.in[1]],
+                            v.val[r.in[2]], v.val[r.in[3]]};
+        uint64_t faninAct = v.act[r.in[0]] | v.act[r.in[1]] |
+                            v.act[r.in[2]] | v.act[r.in[3]];
+        V64 out = evalCell(CellKind(r.row / kPackedFaninStates), ins);
+        v.val[g] = out;
+        a = out.diffMask(v.prev[g]) | (~out.k & faninAct);
     }
-    a &= live_;
-    act_[g] = a;
+    a &= v.live;
+    v.act[g] = a;
     if (a) {
-        setBit(actBits_.data(), g);
-        wake_.markFanouts(g);
+        setBit(v.actBits, g);
+        v.wake.markFanouts(r.fanout);
     }
 }
 
@@ -448,17 +446,20 @@ PackedSimulator::step(PackedFnRef driver)
         // The power-on state is all X and constants have not settled:
         // evaluate everything once, then re-arm every flop. Constants
         // leave X without being active, so every gate resyncs.
-        for (uint32_t node : f.schedule)
-            evalNode(node);
+        const SweepView v = sweepView();
+        for (uint32_t pos = 0; pos < f.records.size(); ++pos)
+            evalPos(v, pos);
         wake_.clear();
         wake_.armAllSeq();
         resyncAll_ = true;
     } else {
         // Seed from this edge's active flops (and upsets / writes),
         // plus the nodes that run every cycle, then drain.
-        forEachBit(actBits_, [&](GateId g) { wake_.markFanouts(g); });
+        forEachBit(actBits_,
+                   [&](GateId g) { wake_.markFanouts(f.fanoutsOf(g)); });
         wake_.markPositions(always_);
-        wake_.drain([&](uint32_t node) { evalNode(node); });
+        const SweepView v = sweepView();
+        wake_.drain([&](uint32_t pos) { evalPos(v, pos); });
     }
 
     priceBound();
@@ -525,8 +526,8 @@ PackedSimulator::forceLane(GateId g, unsigned lane, V4 v)
 {
     // Same restriction as Simulator::forceValue: a scheduled
     // combinational gate would be recomputed by its next evaluation.
-    assert(isSequential(flat_->kind[g]) ||
-           flat_->kind[g] == CellKind::Input);
+    assert(isSequential(nl_->gate(g).kind) ||
+           nl_->gate(g).kind == CellKind::Input);
     V64 cur = value(g);
     cur.setLane(lane, v);
     writeLive(g, cur.v, cur.k);
@@ -543,13 +544,12 @@ PackedSimulator::forceBusLane(const std::vector<GateId> &bus,
 V4
 PackedSimulator::predictSeqValueLane(GateId g, unsigned lane) const
 {
-    const FlatNetlist &f = *flat_;
-    uint32_t off = f.faninOffset[g];
+    const Gate &gate = nl_->gate(g);
     V4 ins[3];
-    for (unsigned p = 0; p < f.nin[g]; ++p)
-        ins[p] = valueLane(f.fanin[off + p], lane);
+    for (unsigned p = 0; p < gate.nin; ++p)
+        ins[p] = valueLane(gate.in[p], lane);
     bool held = false;
-    return evalSeqCell(f.kind[g], valueLane(g, lane), ins, held);
+    return evalSeqCell(gate.kind, valueLane(g, lane), ins, held);
 }
 
 } // namespace ulpeak

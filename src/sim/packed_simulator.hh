@@ -35,15 +35,15 @@
  * filled from FlatNetlist::fanoutPos by every gate active in any lane
  * and drained in ascending position, so a combinational gate is
  * evaluated only when one of its fanins is active in some lane, and a
- * flop only when a fanin was active in the cycle before or the flop
- * was active at the previous edge, in some lane. The queue, its drain
- * and that rule are the scalar kernel's own WakeQueue
- * (sim/wake_queue.hh), and gates evaluate through the same evalCell
- * template. Hooks and Input gates run every cycle; cycle 0 evaluates
- * everything once. The union stays small: on the MSP430 core (5,890
- * scheduled gates) the `ulfault` campaigns over `mult` and `tea8` at
- * seeds 1 and 7 evaluate 750-1,064 combinational gates per sweep
- * (13-18%), and 64 random port schedules of the GA stressmark 865
+ * flop only when a fanin was active in the cycle before or the flop was
+ * active at the previous edge, in some lane. The queue, its drain and
+ * that rule are the scalar kernel's own WakeQueue (sim/wake_queue.hh),
+ * and positions evaluate from the same NodeRecords through the same
+ * evalCell template. Hooks and Input gates run every cycle; cycle 0
+ * evaluates everything once. The union stays small: on the MSP430 core
+ * (5,890 scheduled gates) the `ulfault` campaigns over `mult` and
+ * `tea8` at seeds 1 and 7 evaluate 750-1,064 combinational gates per
+ * sweep (13-18%), and 64 random port schedules of the GA stressmark 865
  * (15%). A gate-id activity bitset bounds the per-cycle bookkeeping by
  * the active set as well.
  *
@@ -236,7 +236,22 @@ class PackedSimulator {
     void writeLive(GateId g, uint64_t v, uint64_t k);
     void updateSequential();
     void evalSeqGate(uint32_t i);
-    void evalNode(uint32_t node);
+    /** The arrays a sweep reads and writes, held in locals across
+     *  hook calls (Simulator::SweepView's counterpart; hooks do not
+     *  change which lanes are live). */
+    struct SweepView {
+        const NodeRecord *rec;
+        V64 *val;
+        const V64 *prev;
+        uint64_t *act;
+        uint64_t *actBits;
+        uint64_t live;
+        WakeQueue::Marks wake;
+    };
+    SweepView sweepView();
+    /** Evaluate schedule position @p pos from its NodeRecord across
+     *  the lanes (Simulator::evalPos's counterpart). */
+    void evalPos(const SweepView &v, uint32_t pos);
     void priceBound();
     /** Price the actual energy and the per-module split on first
      *  read (see the file comment). */

@@ -54,7 +54,7 @@ Simulator::Simulator(const Netlist &nl, EvalMode mode)
     actBitsPrev_.assign(bitWords(n), 0);
     loadedPrevEdge_.assign(nseq, 1);
     for (GateId g = 0; g < n; ++g)
-        if (flat_->kind[g] == CellKind::Input)
+        if (nl.gate(g).kind == CellKind::Input)
             inputGates_.push_back(g);
     hookFns_.resize(nl.hooks().size());
     moduleEnergy_.assign(nl.numModules(), 0.0);
@@ -73,8 +73,23 @@ Simulator::addEdgeFn(SimFnRef fn)
         edgeFns_.push_back(fn);
 }
 
+Simulator::SweepView
+Simulator::sweepView()
+{
+    return {flat_->records.data(),
+            truth_,
+            val_.data(),
+            prev_.data(),
+            actBits_.data(),
+            actBitsPrev_.data(),
+            staticPruneActive() ? pruneMask_->data() : nullptr,
+            flat_->seqWakeBase,
+            wake_.marks()};
+}
+
 inline void
-Simulator::markFanouts(GateId g, bool value_changed)
+Simulator::markFanouts(const SweepView &v, FanoutRange r,
+                       bool value_changed)
 {
     // An active gate wakes its flop consumers for the next edge and
     // its combinational consumers for this cycle. A combinational
@@ -84,15 +99,14 @@ Simulator::markFanouts(GateId g, bool value_changed)
     // recomputes the same known value and stays inactive (Section
     // 3.1's X rule applies to X outputs only).
     if (value_changed) {
-        wake_.markFanouts(g);
+        v.wake.markFanouts(r);
         return;
     }
     // Flop bits always, gate bits if the consumer is X (a flop bit
     // reads a harmless in-range dummy value).
-    const FlatNetlist &f = *flat_;
-    wake_.markFanoutsIf(g, [&](uint32_t w) {
-        bool seq = w >= f.seqWakeBase;
-        return seq | (val_[f.schedule[seq ? 0 : w]] == V4::X);
+    v.wake.markFanoutsIf(r, [&](uint32_t w) {
+        bool seq = w >= v.seqWakeBase;
+        return seq | (v.val[v.rec[seq ? 0 : w].node] == V4::X);
     });
 }
 
@@ -141,7 +155,7 @@ Simulator::setInput(GateId g, V4 v)
         // prologue copies val_ into prev_, so the input itself
         // evaluates as unchanged and would never propagate the edit.
         if (val_[g] != v)
-            markFanouts(g, /*value_changed=*/true);
+            wake_.markFanouts(flat_->fanoutsOf(g));
         wake_.markNode(g);
     }
     val_[g] = v;
@@ -169,9 +183,9 @@ Simulator::forceValue(GateId g, V4 v)
     // discarding the force): only sequential outputs and Input-kind
     // gates hold forced values.
     assert(flat_->seqIndexOf[g] != UINT32_MAX ||
-           flat_->kind[g] == CellKind::Input);
+           nl_->gate(g).kind == CellKind::Input);
     if (mode_ == EvalMode::EventDriven && val_[g] != v) {
-        markFanouts(g, /*value_changed=*/true);
+        wake_.markFanouts(flat_->fanoutsOf(g));
         // A forced flop's own next-edge evaluation reads the forced
         // q; a forced input must re-derive its activity flag like a
         // driver-set one.
@@ -214,7 +228,7 @@ Simulator::injectSeuFlip(GateId g)
     // only feeds X-propagation, exactly like a glitchless hold.
     setBit(actBits_.data(), g); // sweepEvent seeds from the bitset
     if (mode_ == EvalMode::EventDriven) {
-        markFanouts(g, /*value_changed=*/true);
+        wake_.markFanouts(flat_->fanoutsOf(g));
         // The flipped q feeds this flop's own next-edge evaluation.
         wake_.markSeq(si);
     }
@@ -241,16 +255,18 @@ Simulator::addBehavioralEnergyJ(double j, ModuleId top_module)
 
 namespace {
 
-/** The values of the fanins at @p in, two bits each, with pins at or
- *  past @p nin masked to 0: the cellTruthTable() index. It reads four
- *  pins whatever the arity (safe at any gate, the fanin array is
- *  padded), so no loop trip count or branch depends on the arity. */
+/** The values of record @p r's fanins, two bits each, with pins
+ *  past the cell's arity masked to 0: the offset into its
+ *  cellTruthTable() row. It reads four pins whatever the arity (the
+ *  pads repeat pin 0), so no loop trip count or branch depends on the
+ *  arity. */
 inline unsigned
-packPins(const GateId *in, unsigned nin, const V4 *vals)
+packPins(const NodeRecord &r, const V4 *vals)
 {
-    unsigned idx = unsigned(vals[in[0]]) | unsigned(vals[in[1]]) << 2 |
-                   unsigned(vals[in[2]]) << 4 | unsigned(vals[in[3]]) << 6;
-    return idx & ((1u << (2 * nin)) - 1);
+    unsigned idx = unsigned(vals[r.in[0]]) | unsigned(vals[r.in[1]]) << 2 |
+                   unsigned(vals[r.in[2]]) << 4 |
+                   unsigned(vals[r.in[3]]) << 6;
+    return idx & r.pinMask;
 }
 
 } // namespace
@@ -259,16 +275,16 @@ template <bool kEvent>
 inline void
 Simulator::evalSeq(uint32_t i)
 {
-    const FlatNetlist &f = *flat_;
     GateId g = nl_->seqGates()[i];
-    const GateId *in = f.fanin.data() + f.faninOffset[g];
-    unsigned n = f.nin[g];
+    const Gate &gate = nl_->gate(g);
+    const GateId *in = gate.in.data();
+    unsigned n = gate.nin;
     V4 ins[3];
     for (unsigned p = 0; p < n; ++p)
         ins[p] = prev_[in[p]];
     V4 q = prev_[g];
     bool held = false;
-    V4 newq = evalSeqCell(f.kind[g], q, ins, held);
+    V4 newq = evalSeqCell(gate.kind, q, ins, held);
     val_[g] = newq;
 
     bool act;
@@ -310,39 +326,53 @@ Simulator::updateSequential()
 
 template <bool kEvent>
 inline void
-Simulator::evalGate(GateId g)
+Simulator::evalPos(const SweepView &v, uint32_t pos)
 {
-    const FlatNetlist &f = *flat_;
-    CellKind k = f.kind[g];
-    V4 v;
+    const NodeRecord &r = v.rec[pos];
+    const GateId g = r.node;
+    // A proven-constant gate (see setStaticPrune) that was inactive
+    // last cycle has settled: re-evaluating it would reproduce its
+    // value and inactivity, so skipping it is exact. One active last
+    // cycle (its settle transition, or pre-engage activity carried in
+    // a restored snapshot) is evaluated normally.
+    auto pruned = [&] {
+        return v.pm && v.pm[g] && !testBit(v.actPrev, g);
+    };
+    V4 out;
     bool act;
-    if (k == CellKind::Const0 || k == CellKind::Const1) {
-        val_[g] = k == CellKind::Const1 ? V4::One : V4::Zero;
-        return;
-    }
-    if (k == CellKind::Input) {
-        // Value was set by the driver or a hook (or holds over from
-        // the previous cycle). An unknown input may toggle at any
-        // time, so X counts as active.
-        v = val_[g];
-        act = v != prev_[g] || v == V4::X;
+    if (__builtin_expect(r.cls != NodeClass::Logic, 0)) {
+        if (r.cls == NodeClass::Hook) {
+            runHook(g - flat_->numGates);
+            return;
+        }
+        if (pruned())
+            return;
+        if (r.cls == NodeClass::Const) {
+            v.val[g] = v.truth[r.row];
+            return;
+        }
+        // Input: the value was set by the driver or a hook (or holds
+        // over from the previous cycle). An unknown input may toggle
+        // at any time, so X counts as active.
+        out = v.val[g];
+        act = out != v.prev[g] || out == V4::X;
     } else {
-        const GateId *in = f.fanin.data() + f.faninOffset[g];
-        unsigned n = f.nin[g];
-        v = truth_[unsigned(k) * kPackedFaninStates +
-                   packPins(in, n, val_.data())];
-        val_[g] = v;
-        act = v != prev_[g];
-        if (!act && v == V4::X) {
-            // A held X is active when an active fanin may toggle it.
-            for (unsigned p = 0; p < n; ++p)
-                act |= testBit(actBits_.data(), in[p]);
+        if (pruned())
+            return;
+        out = v.truth[r.row + packPins(r, v.val)];
+        v.val[g] = out;
+        act = out != v.prev[g];
+        if (!act && out == V4::X) {
+            // A held X is active when an active fanin may toggle it
+            // (the pads repeat pin 0, so they add nothing).
+            act = testBit(v.act, r.in[0]) | testBit(v.act, r.in[1]) |
+                  testBit(v.act, r.in[2]) | testBit(v.act, r.in[3]);
         }
     }
     if (act) {
-        setBit(actBits_.data(), g);
+        setBit(v.act, g);
         if (kEvent)
-            markFanouts(g, v != prev_[g]);
+            markFanouts(v, r.fanout, out != v.prev[g]);
     }
 }
 
@@ -358,21 +388,10 @@ Simulator::runHook(uint32_t hook_id)
 void
 Simulator::sweepFull()
 {
-    // With an engaged prune mask, a masked gate inactive last cycle
-    // already settled to its proven constant and cannot toggle again:
-    // its re-evaluation would reproduce val_ and inactivity, so
-    // skipping it is exact. A masked gate active last cycle (its
-    // settle transition, or any pre-engage activity carried in a
-    // restored snapshot) is evaluated normally.
-    const uint8_t *pm = staticPruneActive() ? pruneMask_->data() : nullptr;
-    const uint64_t *wasActive = actBitsPrev_.data();
-    const uint32_t numGates = flat_->numGates;
-    for (uint32_t node : flat_->schedule) {
-        if (node >= numGates)
-            runHook(node - numGates);
-        else if (!(pm && pm[node] && !testBit(wasActive, node)))
-            evalGate<false>(node);
-    }
+    const SweepView v = sweepView();
+    const uint32_t npos = uint32_t(flat_->records.size());
+    for (uint32_t pos = 0; pos < npos; ++pos)
+        evalPos<false>(v, pos);
 }
 
 void
@@ -394,19 +413,11 @@ Simulator::sweepEvent()
     // sequential gate provably kept its value) and their sequential
     // consumers. actBits_ holds exactly the active sequential gates
     // (including upsets) at this point.
-    forEachBit(actBits_,
-               [&](GateId g) { markFanouts(g, val_[g] != prev_[g]); });
-
-    // An engaged prune mask (tested once, here) drops proven-constant
-    // gates as they come up: re-evaluating one reproduces its settled
-    // value and inactivity, so skipping is value- and energy-neutral.
-    const uint8_t *pm = staticPruneActive() ? pruneMask_->data() : nullptr;
-    wake_.drain([&](uint32_t node) {
-        if (node >= f.numGates)
-            runHook(node - f.numGates);
-        else if (!(pm && pm[node]))
-            evalGate<true>(node);
+    const SweepView v = sweepView();
+    forEachBit(actBits_, [&](GateId g) {
+        markFanouts(v, f.fanoutsOf(g), val_[g] != prev_[g]);
     });
+    wake_.drain([&](uint32_t pos) { evalPos<true>(v, pos); });
 }
 
 void
@@ -655,13 +666,12 @@ Simulator::materialize(const DeltaSnapshot &s)
 V4
 Simulator::predictSeqValue(GateId g) const
 {
-    const FlatNetlist &f = *flat_;
-    uint32_t off = f.faninOffset[g];
+    const Gate &gate = nl_->gate(g);
     V4 ins[3];
-    for (unsigned p = 0; p < f.nin[g]; ++p)
-        ins[p] = val_[f.fanin[off + p]];
+    for (unsigned p = 0; p < gate.nin; ++p)
+        ins[p] = val_[gate.in[p]];
     bool held = false;
-    return evalSeqCell(f.kind[g], val_[g], ins, held);
+    return evalSeqCell(gate.kind, val_[g], ins, held);
 }
 
 namespace {

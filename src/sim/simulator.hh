@@ -6,8 +6,8 @@
  * Each step() evaluates one clock cycle: sequential outputs update from
  * the previous cycle's stable values, the cycle driver sets primary
  * inputs, behavioral hooks (RAM) run at their levelized position, and
- * combinational gates are evaluated over the netlist's flat
- * structure-of-arrays view (Netlist::flat()). Two kernels implement
+ * combinational gates are evaluated from the netlist's flat kernel
+ * view (Netlist::flat()). Two kernels implement
  * the combinational phase:
  *
  *  - EvalMode::FullSweep evaluates every scheduled node once per
@@ -32,14 +32,16 @@
  *    bitset, its drain and this rule are the WakeQueue
  *    (sim/wake_queue.hh) PackedSimulator drains too.
  *
- * Both kernels evaluate a gate by one lookup in cellTruthTable() over
- * its packed fanin values and record activity in a gate-id bitset as
- * they go -- the simulator's only activity state. The order-sensitive
- * floating-point energy accumulation walks that bitset in ascending
- * gate id, whatever order the kernel evaluated in, so both produce
- * bit-identical values, activity, and energies every cycle -- the test
- * suite locksteps the two kernels across the bench430 programs to
- * enforce this.
+ * Both kernels evaluate a schedule position through one evaluator that
+ * reads the position's NodeRecord (the drain hands it positions, the
+ * full sweep walks them all): a logic gate is one lookup in
+ * cellTruthTable() over its packed fanin values. Activity goes into a
+ * gate-id bitset as they go -- the simulator's only activity state. The
+ * order-sensitive floating-point energy accumulation walks that bitset
+ * in ascending gate id, whatever order the kernel evaluated in, so both
+ * produce bit-identical values, activity, and energies every cycle --
+ * the test suite locksteps the two kernels across the bench430 programs
+ * to enforce this.
  *
  * Activity follows the paper's definition (Section 3.1): a gate is
  * active in a cycle if its value changed, or if it is X and is driven by
@@ -280,10 +282,10 @@ class Simulator {
      * pruneMask): gates proven to hold one constant value in every
      * execution the driving scenario admits, from @p engage_cycle on
      * (the analysis' settle bound: reset cycles + 1 + maxPruneDepth).
-     * Once cycle() reaches @p engage_cycle, the full sweep skips
-     * masked gates that were inactive last cycle (their value and
-     * inactivity are invariants), the event kernel stops enqueueing
-     * them, and hashFullState() drops their (constant) bytes --
+     * Once cycle() reaches @p engage_cycle, both kernels skip masked
+     * gates that were inactive last cycle (their value and
+     * inactivity are invariants), and hashFullState() drops their
+     * (constant) bytes --
      * identical states keep identical hashes, so dedup merges stay
      * sound. The mask covers gates only (size numGates); sequential
      * gates and hook-driven nets must not be masked.
@@ -335,13 +337,34 @@ class Simulator {
     V4 predictSeqValue(GateId g) const;
 
   private:
-    template <bool kEvent> void evalGate(GateId g);
+    /**
+     * The arrays a sweep reads and writes, as raw pointers. A sweep
+     * holds one in locals: a hook call may change any member, so a
+     * read through `this` would be repeated at every position.
+     */
+    struct SweepView {
+        const NodeRecord *rec;
+        const V4 *truth;
+        V4 *val;
+        const V4 *prev;
+        uint64_t *act;
+        const uint64_t *actPrev;
+        const uint8_t *pm; ///< the engaged prune mask, or null
+        uint32_t seqWakeBase;
+        WakeQueue::Marks wake;
+    };
+    SweepView sweepView();
+    /** Evaluate schedule position @p pos from its NodeRecord: the
+     *  one combinational evaluator of both kernels, skipping the
+     *  settled gates of an engaged prune mask. */
+    template <bool kEvent> void evalPos(const SweepView &v, uint32_t pos);
     template <bool kEvent> void evalSeq(uint32_t i);
     void runHook(uint32_t hook_id);
     void updateSequential();
     void sweepFull();
     void sweepEvent();
-    void markFanouts(GateId g, bool value_changed);
+    static void markFanouts(const SweepView &v, FanoutRange r,
+                            bool value_changed);
     void checkShape(const Snapshot &s) const;
     void afterRestore();
     void accumulateEnergy();

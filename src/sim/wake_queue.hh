@@ -87,28 +87,40 @@ class WakeQueue {
             bits_[w] |= positions[w];
     }
 
-    /** Wake every consumer of active gate @p g: its combinational
-     *  consumers this cycle, its flops at the next edge. */
-    void
-    markFanouts(GateId g)
-    {
-        markFanoutsIf(g, [](uint32_t) { return true; });
-    }
+    /**
+     * The queue's marking state as raw pointers: the fanout CSR and
+     * the pending bits. A drain's evaluator marks through a copy held
+     * in locals, so its hot loop reloads nothing per position.
+     */
+    struct Marks {
+        const uint32_t *fanoutPos;
+        uint64_t *bits;
 
-    /** markFanouts restricted to the wake bits @p w for which
-     *  @p keep(w) holds; branch-free, for a cheap @p keep. */
-    template <typename Keep>
-    void
-    markFanoutsIf(GateId g, Keep keep)
-    {
-        const FlatNetlist &f = *flat_;
-        uint64_t *bits = bits_.data();
-        for (uint32_t i = f.fanoutOffset[g]; i < f.fanoutOffset[g + 1];
-             ++i) {
-            uint32_t w = f.fanoutPos[i];
-            bits[w >> 6] |= uint64_t(keep(w)) << (w & 63);
+        /** Wake every consumer in @p r (a record's fanout, or
+         *  FlatNetlist::fanoutsOf a gate): its combinational
+         *  consumers this cycle, its flops at the next edge. */
+        void
+        markFanouts(FanoutRange r) const
+        {
+            markFanoutsIf(r, [](uint32_t) { return true; });
         }
-    }
+
+        /** markFanouts restricted to the wake bits @p w for which
+         *  @p keep(w) holds; branch-free, for a cheap @p keep. */
+        template <typename Keep>
+        void
+        markFanoutsIf(FanoutRange r, Keep keep) const
+        {
+            for (uint32_t i = r.begin; i < r.end; ++i) {
+                uint32_t w = fanoutPos[i];
+                bits[w >> 6] |= uint64_t(keep(w)) << (w & 63);
+            }
+        }
+    };
+    Marks marks() { return {flat_->fanoutPos.data(), bits_.data()}; }
+
+    /** Marks::markFanouts. */
+    void markFanouts(FanoutRange r) { marks().markFanouts(r); }
 
     /** Every flop due at the next edge: the start of the wake rule's
      *  induction (see the class comment). Keeps the other marks. */
@@ -140,23 +152,21 @@ class WakeQueue {
 
     /**
      * Evaluate the pending schedule positions in ascending order,
-     * calling @p eval_node(node) for each, until none is left.
+     * calling @p eval_pos(pos) for each, until none is left.
      * Ascending position is a topological order: evaluating a node
      * only marks strictly higher positions, so re-reading the current
      * word after each evaluation picks its new marks up in order.
      */
     template <typename Fn>
     void
-    drain(Fn &&eval_node)
+    drain(Fn &&eval_pos)
     {
-        const uint32_t *schedule = flat_->schedule.data();
         uint64_t *bits = bits_.data();
         for (uint32_t w = 0; w < flat_->seqWakeBase / 64; ++w) {
             uint64_t pending;
             while ((pending = bits[w]) != 0) {
                 bits[w] = pending & (pending - 1);
-                eval_node(
-                    schedule[w * 64 + unsigned(__builtin_ctzll(pending))]);
+                eval_pos(w * 64 + unsigned(__builtin_ctzll(pending)));
             }
         }
     }

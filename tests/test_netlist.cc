@@ -7,10 +7,76 @@
 
 #include <algorithm>
 
+#include "msp/cpu.hh"
 #include "netlist/netlist.hh"
 
 namespace ulpeak {
 namespace {
+
+/** Level of scheduled node @p node: the level bucket holding its
+ *  position. */
+uint32_t
+levelOf(const FlatNetlist &f, uint32_t node)
+{
+    uint32_t pos = f.posOfNode[node];
+    return uint32_t(std::upper_bound(f.levelOffset.begin(),
+                                     f.levelOffset.end(), pos) -
+                    f.levelOffset.begin()) -
+           1;
+}
+
+/**
+ * Pin every schedule position's NodeRecord against its Gate: node,
+ * class, truth-table row, pin mask, fanins, pads (pin 0 repeated, so
+ * a four-pin activity OR adds nothing) and the fanout range; and
+ * posOfNode inverts record.node.
+ */
+void
+expectRecordsMirrorGates(const Netlist &nl)
+{
+    const FlatNetlist &f = nl.flat();
+    uint32_t n = f.numGates;
+    ASSERT_EQ(f.levelOffset.back(), f.records.size());
+    std::vector<unsigned> seen(f.numNodes(), 0);
+    for (uint32_t pos = 0; pos < f.records.size(); ++pos) {
+        const NodeRecord &r = f.records[pos];
+        ASSERT_LT(r.node, f.numNodes()) << "pos " << pos;
+        ++seen[r.node];
+        EXPECT_EQ(f.posOfNode[r.node], pos) << "pos " << pos;
+        if (r.node >= n) {
+            EXPECT_EQ(r.cls, NodeClass::Hook) << "pos " << pos;
+            EXPECT_EQ(r.fanout.begin, r.fanout.end) << "pos " << pos;
+            continue;
+        }
+        const Gate &gate = nl.gate(r.node);
+        NodeClass cls = NodeClass::Logic;
+        if (gate.kind == CellKind::Input)
+            cls = NodeClass::Input;
+        else if (gate.kind == CellKind::Const0 ||
+                 gate.kind == CellKind::Const1)
+            cls = NodeClass::Const;
+        EXPECT_EQ(r.cls, cls) << "pos " << pos;
+        EXPECT_EQ(r.row, unsigned(gate.kind) * kPackedFaninStates)
+            << "pos " << pos;
+        EXPECT_EQ(r.pinMask, (1u << (2 * gate.nin)) - 1) << "pos " << pos;
+        for (unsigned p = 0; p < 4; ++p) {
+            GateId want = p < gate.nin ? gate.in[p]
+                          : gate.nin   ? gate.in[0]
+                                       : 0;
+            EXPECT_EQ(r.in[p], want) << "pos " << pos << " pin " << p;
+        }
+        EXPECT_EQ(r.fanout.begin, f.fanoutOffset[r.node]) << "pos " << pos;
+        EXPECT_EQ(r.fanout.end, f.fanoutOffset[r.node + 1])
+            << "pos " << pos;
+    }
+    for (uint32_t node = 0; node < f.numNodes(); ++node) {
+        bool seq = node < n && isSequential(nl.gate(node).kind);
+        EXPECT_EQ(seen[node], seq ? 0u : 1u) << "node " << node;
+        if (seq) {
+            EXPECT_EQ(f.posOfNode[node], kNoLevel) << "node " << node;
+        }
+    }
+}
 
 class NetlistTest : public ::testing::Test {
   protected:
@@ -72,13 +138,8 @@ TEST_F(NetlistTest, FlatViewMirrorsGates)
 
     const FlatNetlist &f = nl.flat();
     ASSERT_EQ(f.numGates, nl.numGates());
+    expectRecordsMirrorGates(nl);
     for (GateId g = 0; g < nl.numGates(); ++g) {
-        const Gate &gate = nl.gate(g);
-        EXPECT_EQ(f.kind[g], gate.kind);
-        EXPECT_EQ(f.nin[g], gate.nin);
-        ASSERT_EQ(f.faninOffset[g + 1] - f.faninOffset[g], gate.nin);
-        for (unsigned p = 0; p < gate.nin; ++p)
-            EXPECT_EQ(f.fanin[f.faninOffset[g] + p], gate.in[p]);
         ASSERT_EQ(f.transE.size(), 3 * nl.numGates());
         EXPECT_EQ(f.transE[3 * g + kTransRise], nl.riseEnergyJ(g));
         EXPECT_EQ(f.transE[3 * g + kTransFall], nl.fallEnergyJ(g));
@@ -91,14 +152,14 @@ TEST_F(NetlistTest, FlatViewMirrorsGates)
     // then the flop consumers past seqWakeBase. The Dff q consumes c
     // at the edge, so c has only a sequential entry; q feeds d.
     ASSERT_EQ(f.seqWakeBase % 64, 0u);
-    ASSERT_GE(f.seqWakeBase, f.schedule.size());
+    ASSERT_GE(f.seqWakeBase, f.records.size());
     auto fanoutsOf = [&](GateId g) {
         std::vector<GateId> out;
         for (uint32_t i = f.fanoutOffset[g]; i < f.fanoutOffset[g + 1];
              ++i) {
             uint32_t w = f.fanoutPos[i];
             out.push_back(w < f.seqWakeBase
-                              ? f.schedule[w]
+                              ? f.records[w].node
                               : nl.seqGates()[w - f.seqWakeBase]);
         }
         return out;
@@ -126,32 +187,20 @@ TEST_F(NetlistTest, FlatScheduleIsLevelizedTopologicalOrder)
     ASSERT_EQ(f.numHooks, 1u);
 
     // Every non-sequential node is scheduled exactly once, level
-    // buckets are contiguous, and posOfNode inverts the schedule.
-    std::vector<unsigned> seen(f.numNodes(), 0);
-    for (uint32_t l = 0; l < f.numLevels; ++l) {
-        for (uint32_t i = f.levelOffset[l]; i < f.levelOffset[l + 1];
-             ++i) {
-            uint32_t node = f.schedule[i];
-            ++seen[node];
-            EXPECT_EQ(f.levelOfNode[node], l);
-            EXPECT_EQ(f.posOfNode[node], i);
-        }
-    }
-    for (uint32_t node = 0; node < f.numNodes(); ++node) {
-        bool seq = node < n && isSequential(nl.gate(node).kind);
-        EXPECT_EQ(seen[node], seq ? 0u : 1u) << "node " << node;
-        if (seq)
-            EXPECT_EQ(f.levelOfNode[node], kNoLevel);
-    }
+    // buckets are contiguous and ascending, and posOfNode inverts the
+    // schedule.
+    expectRecordsMirrorGates(nl);
+    for (uint32_t l = 0; l < f.numLevels; ++l)
+        EXPECT_LT(f.levelOffset[l], f.levelOffset[l + 1]) << "level " << l;
 
     // Dependencies strictly precede consumers: combinational fanins,
     // hook dependencies, and hook outputs all sit at lower levels.
-    EXPECT_LT(f.levelOfNode[a], f.levelOfNode[b]);
-    EXPECT_LT(f.levelOfNode[b], f.levelOfNode[c]);
+    EXPECT_LT(levelOf(f, a), levelOf(f, b));
+    EXPECT_LT(levelOf(f, b), levelOf(f, c));
     uint32_t hookNode = n + 0;
-    EXPECT_LT(f.levelOfNode[c], f.levelOfNode[hookNode]);
-    EXPECT_LT(f.levelOfNode[hookNode], f.levelOfNode[hookOut]);
-    EXPECT_LT(f.levelOfNode[hookOut], f.levelOfNode[d]);
+    EXPECT_LT(levelOf(f, c), levelOf(f, hookNode));
+    EXPECT_LT(levelOf(f, hookNode), levelOf(f, hookOut));
+    EXPECT_LT(levelOf(f, hookOut), levelOf(f, d));
 
     // Every combinational fanout position lies strictly above its
     // producer's (the event kernel's ascending-position drain relies
@@ -170,6 +219,46 @@ TEST_F(NetlistTest, FlatScheduleIsLevelizedTopologicalOrder)
                 EXPECT_GT(w, f.posOfNode[g]) << "gate " << g;
         }
     }
+}
+
+// Hooks, Inputs and Consts share levels with logic: the tie cells
+// beside an Input at level 0, a hook beside two level-2 gates, its
+// Input output beside a level-3 gate.
+TEST_F(NetlistTest, RecordsMirrorGatesAcrossClasses)
+{
+    ModuleId m = nl.addModule("m");
+    GateId a = nl.addGate(CellKind::Input, {}, m);
+    GateId one = nl.addGate(CellKind::Const1, {}, m);
+    GateId zero = nl.addGate(CellKind::Const0, {}, m);
+    GateId inv = nl.addGate(CellKind::Inv, {a}, m);
+    GateId nand = nl.addGate(CellKind::Nand3, {inv, one, a}, m);
+    GateId mux = nl.addGate(CellKind::Mux2, {inv, zero, a}, m);
+    GateId q = nl.addGate(CellKind::Dffre, {nand, mux, one}, m);
+    GateId hookOut = nl.addGate(CellKind::Input, {}, m);
+    nl.addHook(BehavioralHook{"h", {inv}, {hookOut}});
+    GateId aoi = nl.addGate(CellKind::Aoi22, {nand, q, mux, inv}, m);
+    GateId xo = nl.addGate(CellKind::Xor2, {hookOut, aoi}, m);
+    GateId buf = nl.addGate(CellKind::Buf, {hookOut}, m);
+    nl.finalize();
+
+    const FlatNetlist &f = nl.flat();
+    expectRecordsMirrorGates(nl);
+    uint32_t hookNode = f.numGates;
+    EXPECT_EQ(levelOf(f, one), levelOf(f, a));
+    EXPECT_EQ(levelOf(f, zero), levelOf(f, a));
+    EXPECT_EQ(levelOf(f, hookNode), levelOf(f, nand));
+    EXPECT_EQ(levelOf(f, hookNode), levelOf(f, mux));
+    EXPECT_EQ(levelOf(f, hookOut), levelOf(f, aoi));
+    EXPECT_EQ(levelOf(f, buf), levelOf(f, xo));
+    EXPECT_EQ(f.records[f.posOfNode[inv]].in,
+              (std::array<GateId, 4>{a, a, a, a}));
+}
+
+TEST(NetlistRecords, MirrorGatesOnMsp430Core)
+{
+    msp::System sys(CellLibrary::tsmc65Like());
+    expectRecordsMirrorGates(sys.netlist());
+    EXPECT_GT(sys.netlist().flat().numHooks, 0u);
 }
 
 TEST_F(NetlistTest, CombinationalLoopDetected)

@@ -148,6 +148,60 @@ TEST(PackedSim, LaneIdentityFullSweep)
     expectLaneIdentity(0x22u, EvalMode::FullSweep, 48);
 }
 
+// The pad rule: a 2-input gate's records read four pins, and its two
+// pad pins must never bring activity into the held-X rule. Gate 0 is
+// an Input held at X, active every cycle -- what a pad pointing at
+// gate 0 would read. The And2 holds X behind a held flop and a settled
+// 1: inactive in the scalar kernel in either mode, and in the lanes
+// that hold the flop while the other lanes wake the gate.
+TEST(PackedSim, HeldXGateIgnoresPadActivity)
+{
+    CellLibrary lib = CellLibrary::tsmc65Like();
+    Netlist nl(lib);
+    ModuleId m = nl.addModule("m");
+    GateId noisy = nl.addGate(CellKind::Input, {}, m);
+    ASSERT_EQ(noisy, 0u);
+    GateId en = nl.addGate(CellKind::Input, {}, m);
+    GateId one = nl.addGate(CellKind::Input, {}, m);
+    GateId q = nl.addGate(CellKind::Dffe, {noisy, en}, m);
+    GateId and2 = nl.addGate(CellKind::And2, {q, one}, m);
+    nl.finalize();
+
+    for (EvalMode mode : {EvalMode::FullSweep, EvalMode::EventDriven}) {
+        Simulator sim(nl, mode);
+        auto drive = [&](Simulator &s) {
+            s.setInput(noisy, V4::X);
+            s.setInput(en, V4::Zero);
+            s.setInput(one, V4::One);
+        };
+        for (unsigned c = 0; c < 6; ++c) {
+            sim.step(drive);
+            ASSERT_TRUE(sim.isActive(noisy));
+            EXPECT_EQ(sim.value(and2), V4::X);
+            if (c >= 2) {
+                EXPECT_FALSE(sim.isActive(and2))
+                    << "cycle " << c << " mode " << int(mode);
+            }
+        }
+    }
+
+    // Lane 0 holds the flop (en 0); lane 1 loads X every edge, so its
+    // flop stays active and the gate is evaluated in every lane.
+    PackedSimulator psim(nl);
+    auto pdrive = [&](PackedSimulator &s) {
+        s.setInput(noisy, V64::allX());
+        s.setInput(en, V64(uint64_t(2), ~uint64_t(0)));
+        s.setInput(one, V64::splat(V4::One));
+    };
+    for (unsigned c = 0; c < 6; ++c) {
+        psim.step(pdrive);
+        EXPECT_EQ(psim.valueLane(and2, 0), V4::X);
+        if (c >= 2) {
+            EXPECT_EQ(psim.activeMask(and2) & 3u, 2u) << "cycle " << c;
+        }
+    }
+}
+
 TEST(PackedSim, FuzzPropertyHolds)
 {
     // The exact check ulfuzz --mode packed runs (lanes alternate

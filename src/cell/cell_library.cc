@@ -127,58 +127,6 @@ cellTruthTable()
     return table.data();
 }
 
-V4
-evalSeqCell(CellKind k, V4 q, const V4 *in, bool &held)
-{
-    held = false;
-    V4 d = in[0];
-    V4 en = V4::One;
-    V4 rstn = V4::One;
-    switch (k) {
-      case CellKind::Dff:
-        break;
-      case CellKind::Dffe:
-        en = in[1];
-        break;
-      case CellKind::Dffr:
-        rstn = in[1];
-        break;
-      case CellKind::Dffre:
-        en = in[1];
-        rstn = in[2];
-        break;
-      default:
-        assert(false && "evalSeqCell called on non-sequential kind");
-        return V4::X;
-    }
-
-    // Enable gating. en==0 provably holds the present value, including
-    // unknown values: the flop cannot toggle, which the activity tracker
-    // exploits. en==X takes the value only when hold and load agree.
-    V4 loaded = d;
-    if (en == V4::Zero) {
-        held = true;
-        loaded = q;
-    } else if (en == V4::X) {
-        loaded = (q == d && isKnown(q)) ? q : V4::X;
-        held = (loaded == q && isKnown(q));
-    }
-
-    // Reset (modeled synchronously in the cycle-based simulator). An X
-    // reset yields 0 only when the loaded value is also 0. Reset
-    // overrides any hold the enable established: the output is
-    // provably kept only if it was already 0.
-    if (rstn == V4::Zero) {
-        held = q == V4::Zero;
-        return V4::Zero;
-    }
-    if (rstn == V4::X) {
-        held = false;
-        return loaded == V4::Zero ? V4::Zero : V4::X;
-    }
-    return loaded;
-}
-
 namespace {
 
 /**

@@ -164,17 +164,99 @@ constexpr unsigned kPackedFaninStates = 256;
  */
 const V4 *cellTruthTable();
 
+/** A lane mask of logic type @p V: bool for V4, one bit per lane
+ *  (uint64_t) for V64. */
+template <typename V>
+using LaneMask = decltype(logicKnown(V()));
+
+/** One clock edge of a sequential cell. */
+template <typename V>
+struct SeqEdge {
+    V next;             ///< value after the edge
+    LaneMask<V> held;   ///< provably kept its value, even an X one
+    LaneMask<V> active; ///< may have toggled at this edge
+};
+
 /**
- * Compute the next state of a sequential cell at a clock edge.
+ * Clock a sequential cell: the one flop evaluator of both kernels,
+ * instantiated for V4 and V64 like evalCell.
  *
- * @param k     sequential cell kind
- * @param q     present output value
- * @param in    fanin values at the edge (d [, en][, rstn])
- * @param held  out-param: set true when the cell provably kept its value
- *              (e.g. enable low), which the activity tracker uses to rule
- *              out a toggle even for X values.
+ * @param k            sequential cell kind
+ * @param q            present output value
+ * @param in           fanin values at the edge (d [, en][, rstn]);
+ *                     absent pins read 1 (enable on, reset released)
+ * @param loaded_prev  the cell loaded (was not held) at the previous edge
+ * @param d_active     the D pin was active in the cycle before the edge
+ *
+ * Reset (modeled synchronously) clears, a low enable keeps q, and an X
+ * pin resolves only where both choices agree. The hold proof: a low
+ * enable holds any value, an X enable holds where q equals d and is
+ * known, a low reset holds only a known 0 and an X reset never holds.
+ * The activity rule (Section 3.1): a held cell is inactive; a
+ * known-to-known edge is active when the value changed; an X-involved
+ * edge may have toggled unless it provably reloaded the same unknown
+ * as before -- the cell loaded at the previous edge, no control pin is
+ * X, the D pin was inactive and q's knownness is unchanged.
+ *
+ * Always inlined: GCC keeps the V4 instance out of line otherwise, and
+ * returning the three fields through the stack cost the scalar
+ * full-sweep kernel about 5% of its cycles/s on FFT.
  */
-V4 evalSeqCell(CellKind k, V4 q, const V4 *in, bool &held);
+template <typename V>
+[[gnu::always_inline]] inline SeqEdge<V>
+evalSeqEdge(CellKind k, V q, const V *in, LaneMask<V> loaded_prev,
+            LaneMask<V> d_active)
+{
+    V d = in[0];
+    V en = logicSplat<V>(V4::One);
+    V rstn = logicSplat<V>(V4::One);
+    switch (k) {
+      case CellKind::Dff:
+        break;
+      case CellKind::Dffe:
+        en = in[1];
+        break;
+      case CellKind::Dffr:
+        rstn = in[1];
+        break;
+      case CellKind::Dffre:
+        en = in[1];
+        rstn = in[2];
+        break;
+      default:
+        assert(false && "evalSeqEdge called on non-sequential kind");
+        return {logicSplat<V>(V4::X), LaneMask<V>(), LaneMask<V>()};
+    }
+    SeqEdge<V> e;
+    e.next = logicAnd(rstn, logicMux(en, q, d));
+    LaneMask<V> en_held =
+        logicIsZero(en) | (laneNot(logicKnown(en)) & logicSame(q, d));
+    e.held = (logicIsOne(rstn) & en_held) |
+             (logicIsZero(rstn) & logicIsZero(q));
+    LaneMask<V> both_known = logicKnown(e.next) & logicKnown(q);
+    LaneMask<V> x_may_toggle =
+        laneNot(loaded_prev) | laneNot(logicKnown(en)) |
+        laneNot(logicKnown(rstn)) | d_active |
+        (logicKnown(e.next) ^ logicKnown(q));
+    e.active = laneNot(e.held) &
+               ((both_known & laneNot(logicSame(e.next, q))) |
+                (laneNot(both_known) & x_may_toggle));
+    return e;
+}
+
+/**
+ * The next state and hold proof of evalSeqEdge alone: what the
+ * predictors and the lint const analysis read. @p held is set where
+ * the cell provably kept its value (e.g. enable low).
+ */
+template <typename V>
+V
+evalSeqCell(CellKind k, V q, const V *in, LaneMask<V> &held)
+{
+    SeqEdge<V> e = evalSeqEdge(k, q, in, LaneMask<V>(), LaneMask<V>());
+    held = e.held;
+    return e.next;
+}
 
 /** Per-cell electrical / power parameters. */
 struct CellParams {

@@ -154,7 +154,7 @@ findFloatingInputs(const Netlist &nl, std::vector<Issue> &issues)
             Issue is;
             is.kind = IssueKind::FloatingInput;
             is.severity = Severity::Error;
-            is.gates = {g};
+            is.gates.push_back(g);
             std::ostringstream os;
             os << describeGate(nl, g) << ": fanin pin " << i
                << " is unconnected";
@@ -189,7 +189,7 @@ findMultiDrivers(const Netlist &nl, std::vector<Issue> &issues)
         Issue is;
         is.kind = IssueKind::MultiDriver;
         is.severity = Severity::Error;
-        is.gates = {g};
+        is.gates.push_back(g);
         std::ostringstream os;
         os << describeGate(nl, g) << ": driven by " << drivers
            << " hook(s)"
@@ -273,7 +273,7 @@ findFanoutHotspots(const Netlist &nl, const Adjacency &adj,
         Issue is;
         is.kind = IssueKind::FanoutHotspot;
         is.severity = Severity::Info;
-        is.gates = {hc.second};
+        is.gates.push_back(hc.second);
         std::ostringstream os;
         os << describeGate(nl, hc.second) << ": fanout " << hc.first
            << " (threshold " << threshold << ")";

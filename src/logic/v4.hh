@@ -14,6 +14,7 @@
 
 #include <cstdint>
 #include <string>
+#include <type_traits>
 
 namespace ulpeak {
 
@@ -97,6 +98,32 @@ logicNot(V4 a)
     return a == V4::One ? V4::Zero : V4::One;
 }
 
+// Lane masks: the per-lane predicates the flop evaluator
+// (evalSeqEdge, cell/cell_library.hh) states its hold and activity
+// rules in. A V4 mask is a bool; v64.hh gives each predicate a
+// 64-lane uint64_t form.
+
+/** Lanes that are known (0 or 1). */
+constexpr bool logicKnown(V4 a) { return isKnown(a); }
+/** Lanes that are a known 0. */
+constexpr bool logicIsZero(V4 a) { return a == V4::Zero; }
+/** Lanes that are a known 1. */
+constexpr bool logicIsOne(V4 a) { return a == V4::One; }
+/** Lanes where @p a and @p b are known and equal. */
+constexpr bool logicSame(V4 a, V4 b) { return a == b && isKnown(a); }
+/** The complement of a lane mask: a bool (V4) or a uint64_t (V64). */
+template <typename M>
+constexpr M
+laneNot(M m)
+{
+    static_assert(std::is_same_v<M, bool> || std::is_same_v<M, uint64_t>,
+                  "laneNot takes a V4 or V64 lane mask");
+    if constexpr (std::is_same_v<M, bool>)
+        return !m;
+    else
+        return ~m;
+}
+
 /**
  * 2:1 multiplexer with X-pessimistic select. When the select is X the
  * result is the common value of the two data inputs if they agree and are
@@ -113,9 +140,7 @@ logicMux(V4 sel, V4 a, V4 b)
         return a;
     if (sel == V4::One)
         return b;
-    if (a == b && isKnown(a))
-        return a;
-    return V4::X;
+    return logicSame(a, b) ? a : V4::X;
 }
 
 /** Single-character representation: '0', '1' or 'x' (VCD style). */

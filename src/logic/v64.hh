@@ -164,15 +164,25 @@ logicNot(V64 a)
     return r;
 }
 
+/** The lane-mask predicates of v4.hh, one bit per lane. */
+constexpr uint64_t logicKnown(V64 a) { return a.k; }
+constexpr uint64_t logicIsZero(V64 a) { return a.k & ~a.v; }
+constexpr uint64_t logicIsOne(V64 a) { return a.v; }
+constexpr uint64_t
+logicSame(V64 a, V64 b)
+{
+    return a.k & b.k & ~(a.v ^ b.v);
+}
+
 /** Lane-wise 2:1 mux (64 scalar logicMux): sel 0 -> a, 1 -> b; an X
  *  select resolves only where the data lanes are known and agree. */
 constexpr V64
 logicMux(V64 sel, V64 a, V64 b)
 {
-    uint64_t sel0 = sel.k & ~sel.v;
-    uint64_t sel1 = sel.v;
-    uint64_t selx = ~sel.k;
-    uint64_t agree = a.k & b.k & ~(a.v ^ b.v);
+    uint64_t sel0 = logicIsZero(sel);
+    uint64_t sel1 = logicIsOne(sel);
+    uint64_t selx = laneNot(logicKnown(sel));
+    uint64_t agree = logicSame(a, b);
     V64 r;
     r.k = (sel0 & a.k) | (sel1 & b.k) | (selx & agree);
     r.v = ((sel0 & a.v) | (sel1 & b.v) | (selx & agree & a.v));

@@ -205,80 +205,23 @@ PackedSimulator::evalSeqGate(uint32_t i)
 {
     GateId g = nl_->seqGates()[i];
     const Gate &gate = nl_->gate(g);
-    const GateId *in = gate.in.data();
-    uint64_t qv = prev_[g].v, qk = prev_[g].k;
-    V64 d = prev_[in[0]];
-    uint64_t dv = d.v, dk = d.k;
-    // Absent pins behave as constant 1 (enable on, reset released),
-    // exactly like evalSeqCell's defaults.
-    V64 en = V64::splat(V4::One), rstn = V64::splat(V4::One);
-    switch (gate.kind) {
-      case CellKind::Dff:
-        break;
-      case CellKind::Dffe:
-        en = prev_[in[1]];
-        break;
-      case CellKind::Dffr:
-        rstn = prev_[in[1]];
-        break;
-      case CellKind::Dffre:
-        en = prev_[in[1]];
-        rstn = prev_[in[2]];
-        break;
-      default:
-        assert(false && "evalSeqGate on non-sequential kind");
-        return;
-    }
-    uint64_t env = en.v, enk = en.k;
-    uint64_t rv = rstn.v, rk = rstn.k;
-
-    // Enable stage (evalSeqCell): en==1 loads d, en==0 provably holds
-    // q, en==X resolves only where q and d are known-equal (and then
-    // the hold is provable too).
-    uint64_t en1 = env; // canonical: v subset of k
-    uint64_t en0 = enk & ~env;
-    uint64_t enx = ~enk;
-    uint64_t agree = qk & dk & ~(qv ^ dv);
-    uint64_t loadedK = (en1 & dk) | (en0 & qk) | (enx & agree);
-    uint64_t loadedV = (en1 & dv) | (en0 & qv) | (enx & agree & qv);
-    uint64_t held = en0 | (enx & agree);
-
-    // Reset stage: rstn==0 clears (provable hold only if q was already
-    // 0); rstn==X yields 0 only where the loaded value is 0, and never
-    // proves a hold.
-    uint64_t r1 = rv;
-    uint64_t r0 = rk & ~rv;
-    uint64_t rx = ~rk;
-    uint64_t newV = r1 & loadedV;
-    uint64_t newK = (r1 & loadedK) | r0 | (rx & loadedK & ~loadedV);
-    held = (r1 & held) | (r0 & qk & ~qv);
-
-    // Activity (evalSeqGate in simulator.cc, per lane): held lanes are
-    // inactive; known->known lanes toggle on value change; lanes
-    // involving X may have toggled unless the previous edge loaded,
-    // no control pin is X, the D pin was inactive and knownness is
-    // unchanged.
-    uint64_t bothKnown = newK & qk;
-    uint64_t actKnown = bothKnown & (newV ^ qv);
-    uint64_t ctrlX = 0;
-    for (unsigned p = 1; p < gate.nin; ++p)
-        ctrlX |= ~prev_[in[p]].k;
-    uint64_t xTerm = ~loadedPrevEdge_[i] | ctrlX |
-                     dActPrev_[i] | (newK ^ qk);
-    uint64_t act = ~held & (actKnown | (~bothKnown & xTerm));
-
+    V64 ins[3];
+    for (unsigned p = 0; p < gate.nin; ++p)
+        ins[p] = prev_[gate.in[p]];
+    V64 q = prev_[g];
+    SeqEdge<V64> e = evalSeqEdge(gate.kind, q, ins, loadedPrevEdge_[i],
+                                 dActPrev_[i]);
     // Retired lanes do not clock: q and the load history hold.
     uint64_t live = live_;
-    uint64_t loaded = (~held & live) | (loadedPrevEdge_[i] & ~live);
-    val_[g].v = (newV & live) | (qv & ~live);
-    val_[g].k = (newK & live) | (qk & ~live);
-    act &= live;
+    val_[g] = V64((e.next.v & live) | (q.v & ~live),
+                  (e.next.k & live) | (q.k & ~live));
+    uint64_t act = e.active & live;
     act_[g] = act;
     if (act) {
         setBit(actBits_.data(), g);
         wake_.markSeq(i); // wake rule (b), see WakeQueue
     }
-    loadedPrevEdge_[i] = loaded;
+    loadedPrevEdge_[i] = (~e.held & live) | (loadedPrevEdge_[i] & ~live);
 }
 
 void
@@ -541,15 +484,15 @@ PackedSimulator::forceBusLane(const std::vector<GateId> &bus,
         forceLane(bus[i], lane, w.bit(unsigned(i)));
 }
 
-V4
-PackedSimulator::predictSeqValueLane(GateId g, unsigned lane) const
+V64
+PackedSimulator::predictSeqValue(GateId g) const
 {
     const Gate &gate = nl_->gate(g);
-    V4 ins[3];
+    V64 ins[3];
     for (unsigned p = 0; p < gate.nin; ++p)
-        ins[p] = valueLane(gate.in[p], lane);
-    bool held = false;
-    return evalSeqCell(gate.kind, valueLane(g, lane), ins, held);
+        ins[p] = val_[gate.in[p]];
+    uint64_t held = 0;
+    return evalSeqCell(gate.kind, val_[g], ins, held);
 }
 
 } // namespace ulpeak

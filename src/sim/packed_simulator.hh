@@ -20,9 +20,11 @@
  *  - the V64 ops are lane-exact to the scalar V4 ops of the same
  *    names, and both kernels compose cells through the one evalCell
  *    template, so every cell evaluates lane-exactly;
- *  - activity masks compute the scalar activity rule per lane
- *    (value-changed, X-propagation through active fanins, and the
- *    sequential provable-hold analysis);
+ *  - both kernels clock flops through the one evalSeqEdge template
+ *    (cell/cell_library.hh), so next state, provable hold and flop
+ *    activity are one rule per lane; combinational activity masks
+ *    compute the scalar rule per lane (value-changed, X-propagation
+ *    through active fanins);
  *  - per-lane energy accumulators sum the same floating-point terms
  *    in the same ascending-gate-id order as the scalar kernel's
  *    activity-bitset walk, so even float rounding matches.
@@ -69,7 +71,7 @@
  * are pending (SymbolicConfig::packedExplore forces every path through
  * the lanes, as the reference). loadLaneState / extractLaneState
  * transpose scalar Simulator::Snapshots into and out of a lane, and
- * forceLane / predictSeqValueLane give the engine its per-lane fork
+ * forceLane / predictSeqValue give the engine its per-lane fork
  * machinery -- each backed by the lane-identity invariant above, so a
  * lane's continuation is bit-identical to the scalar restore-and-run.
  */
@@ -225,10 +227,10 @@ class PackedSimulator {
     void forceBusLane(const std::vector<GateId> &bus, unsigned lane,
                       Word16 w);
 
-    /** Per-lane Simulator::predictSeqValue: the value sequential gate
-     *  @p g will take at the next edge in lane @p lane, from the
+    /** Simulator::predictSeqValue in every lane: the value
+     *  sequential gate @p g will take at the next edge, from each
      *  lane's current stable values. */
-    V4 predictSeqValueLane(GateId g, unsigned lane) const;
+    V64 predictSeqValue(GateId g) const;
 
   private:
     /** Write @p v over gate @p g's live lanes and wake its consumers

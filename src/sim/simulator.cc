@@ -277,40 +277,19 @@ Simulator::evalSeq(uint32_t i)
 {
     GateId g = nl_->seqGates()[i];
     const Gate &gate = nl_->gate(g);
-    const GateId *in = gate.in.data();
-    unsigned n = gate.nin;
     V4 ins[3];
-    for (unsigned p = 0; p < n; ++p)
-        ins[p] = prev_[in[p]];
-    V4 q = prev_[g];
-    bool held = false;
-    V4 newq = evalSeqCell(gate.kind, q, ins, held);
-    val_[g] = newq;
-
-    bool act;
-    bool x_involved = !isKnown(newq) || !isKnown(q);
-    if (held) {
-        act = false;
-    } else if (!x_involved) {
-        act = newq != q;
-    } else {
-        // An unknown output may have toggled at this edge unless we
-        // can prove the loaded value is the same unknown as before:
-        // the flop loaded at the previous edge too, its D pin was
-        // inactive then, and no control pin is X.
-        bool ctrl_x = false;
-        for (unsigned p = 1; p < n; ++p)
-            ctrl_x |= !isKnown(ins[p]);
-        act = !loadedPrevEdge_[i] || ctrl_x ||
-              testBit(actBitsPrev_.data(), in[0]) ||
-              (isKnown(newq) != isKnown(q));
-    }
-    if (act) {
+    for (unsigned p = 0; p < gate.nin; ++p)
+        ins[p] = prev_[gate.in[p]];
+    SeqEdge<V4> e = evalSeqEdge(gate.kind, prev_[g], ins,
+                                loadedPrevEdge_[i] != 0,
+                                testBit(actBitsPrev_.data(), gate.in[0]));
+    val_[g] = e.next;
+    if (e.active) {
         setBit(actBits_.data(), g);
         if (kEvent)
             wake_.markSeq(i); // wake rule (b), see WakeQueue
     }
-    loadedPrevEdge_[i] = held ? 0 : 1;
+    loadedPrevEdge_[i] = e.held ? 0 : 1;
 }
 
 void

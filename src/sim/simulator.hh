@@ -46,8 +46,11 @@
  * Activity follows the paper's definition (Section 3.1): a gate is
  * active in a cycle if its value changed, or if it is X and is driven by
  * an active gate. Sequential gates additionally use provable-hold
- * information (enable low) to rule out toggles of unknown values. Per
- * cycle the simulator produces two energies:
+ * information (enable low) to rule out toggles of unknown values; their
+ * next state, hold proof and activity come from evalSeqEdge
+ * (cell/cell_library.hh), the one flop evaluator PackedSimulator
+ * instantiates for its lanes too. Per cycle the simulator produces two
+ * energies:
  *
  *  - actualEnergy: energy of the concrete transitions that occurred
  *    (meaningful for concrete, X-free runs -- this is ordinary

@@ -204,23 +204,6 @@ ExecTree::envelopePowerW(unsigned loop_bound,
 }
 
 PathEnergy
-ExecTree::maxPathEnergy(double tclk, unsigned loop_bound) const
-{
-    if (nodes_.empty())
-        return PathEnergy{};
-    // Per-node self energies in the node's own per-cycle
-    // multiply-accumulate order (bit-identical to summing inline).
-    std::vector<double> self(nodes_.size(), 0.0);
-    for (size_t id = 0; id < nodes_.size(); ++id)
-        for (float w : nodes_[id].powerW)
-            self[id] += double(w) * tclk;
-    EnergyMemo memo;
-    memo.state.assign(nodes_.size(), 0);
-    memo.best.assign(nodes_.size(), PathEnergy{});
-    return visit(*this, 0, self, loop_bound, memo);
-}
-
-PathEnergy
 ExecTree::maxPathEnergy(const std::vector<double> &tclk_by_phase,
                         unsigned loop_bound) const
 {

@@ -86,27 +86,20 @@ class ExecTree {
     std::vector<FlatRef> flattenRefs() const;
 
     /**
-     * Maximum root-to-leaf path energy at @p tclk seconds/cycle
-     * (Section 3.3). Merge cross-edges are followed with memoization;
-     * a back-edge (cycle) multiplies the loop-body energy by
-     * @p loop_bound, and is an error when loop_bound == 0.
+     * Maximum root-to-leaf path energy (Section 3.3) under a
+     * repeating per-cycle clock schedule: post-reset cycle c costs
+     * powerW * tclk_by_phase[c % period] seconds (the operating-mode
+     * schedules of scenario::Scenario, where each phase runs at its
+     * mode's clock; a single entry is one fixed clock). Merge
+     * cross-edges are followed with memoization; a back-edge (cycle)
+     * multiplies the loop-body energy by @p loop_bound, and is an
+     * error when loop_bound == 0. Node start phases are reconstructed
+     * from parent pointers; the engine's dedup keys include the
+     * schedule phase, so every offset a merged node is reachable at
+     * is congruent mod the period and the body of a back-edge loop
+     * always spans a whole number of periods -- making the per-phase
+     * costing well-defined and scheduling-independent.
      * @throws std::runtime_error for unbounded back-edges.
-     */
-    PathEnergy maxPathEnergy(double tclk,
-                             unsigned loop_bound = 0) const;
-
-    /**
-     * maxPathEnergy under a repeating per-cycle clock schedule:
-     * post-reset cycle c costs powerW * tclk_by_phase[c % period]
-     * seconds (the operating-mode schedules of scenario::Scenario,
-     * where each phase runs at its mode's clock). Node start phases
-     * are reconstructed from parent pointers; the engine's dedup
-     * keys include the schedule phase, so every offset a merged node
-     * is reachable at is congruent mod the period and the body of a
-     * back-edge loop always spans a whole number of periods --
-     * making the per-phase costing well-defined and
-     * scheduling-independent. With a single-entry schedule this is
-     * exactly maxPathEnergy(tclk_by_phase[0], loop_bound).
      */
     PathEnergy maxPathEnergy(const std::vector<double> &tclk_by_phase,
                              unsigned loop_bound = 0) const;

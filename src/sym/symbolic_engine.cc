@@ -1102,6 +1102,11 @@ class Worker {
                             cand_[k].everActive[g] = 1;
         }
 
+        // The lanes whose PC would load an X at the next edge
+        // (runPath's predictSeqValue test, every lane at once).
+        uint64_t pcNextX = 0;
+        for (GateId g : h.pc)
+            pcNextX |= ~ps.predictSeqValue(g).k;
         for (uint64_t m = stepped; m; m &= m - 1) {
             unsigned l = unsigned(__builtin_ctzll(m));
             uint64_t lbit = uint64_t(1) << l;
@@ -1120,11 +1125,7 @@ class Worker {
                  ps.boundEnergyJ(l), &moduleJ,
                  (laneSys_->xStoreMask() & lbit) != 0,
                  (laneSys_->haltedMask() & lbit) != 0,
-                 std::any_of(h.pc.begin(), h.pc.end(),
-                             [&](GateId g) {
-                                 return ps.predictSeqValueLane(g, l) ==
-                                        V4::X;
-                             })},
+                 (pcNextX & lbit) != 0},
                 newPeak);
             if (newPeak && cfg_.recordActiveSets) {
                 // Ascending gate id, like the scalar activeBits() walk.
@@ -1438,15 +1439,13 @@ SymbolicEngine::explore(const isa::Image &image,
         }
 
         // ---- Section 3.3: peak energy over the tree ----
-        const scenario::Scenario &scen = *c.scen;
-        power::PowerContext ctx(nl, cfg_.freqHz);
+        // Each phase's cycle lasts one period of its mode's clock.
+        std::vector<double> tclk;
+        for (const auto &mode : c.modes)
+            tclk.push_back(1.0 / mode.second);
         try {
-            PathEnergy pe =
-                scen.hasModes()
-                    ? res.tree.maxPathEnergy(scen.phaseTclkS(),
-                                             cfg_.inputDependentLoopBound)
-                    : res.tree.maxPathEnergy(
-                          ctx.tclkS(), cfg_.inputDependentLoopBound);
+            PathEnergy pe = res.tree.maxPathEnergy(
+                tclk, cfg_.inputDependentLoopBound);
             res.peakEnergyJ = pe.energyJ;
             res.maxPathCycles = pe.cycles;
             res.npeJPerCycle =

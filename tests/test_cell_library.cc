@@ -7,6 +7,7 @@
 
 #include <gtest/gtest.h>
 
+#include <array>
 #include <vector>
 
 #include "cell/cell_library.hh"
@@ -165,14 +166,12 @@ cellSpec(CellKind k, const bool *in)
     }
 }
 
-/** The spec over three-valued inputs: the common output of every 0/1
- *  completion of the X inputs, X when they differ. Each cell is a
- *  read-once formula (and Mux2's X-select rule is the same
- *  completion rule), so this is exactly what evalCell must give. */
-V4
-cellSpecV4(CellKind k, const V4 *in, unsigned nin)
+/** Which outputs the cell's 0/1 resolutions of @p in reach:
+ *  seen[b] is set when some completion of the X inputs gives b. */
+std::array<bool, 2>
+resolvedOutputs(CellKind k, const V4 *in, unsigned nin)
 {
-    bool seen[2] = {false, false};
+    std::array<bool, 2> seen = {false, false};
     for (unsigned m = 0; m < (1u << nin); ++m) {
         bool b[4] = {false, false, false, false};
         bool consistent = true;
@@ -184,6 +183,17 @@ cellSpecV4(CellKind k, const V4 *in, unsigned nin)
         if (consistent)
             seen[cellSpec(k, b)] = true;
     }
+    return seen;
+}
+
+/** The spec over three-valued inputs: the common output of every 0/1
+ *  completion of the X inputs, X when they differ. Each cell is a
+ *  read-once formula (and Mux2's X-select rule is the same
+ *  completion rule), so this is exactly what evalCell must give. */
+V4
+cellSpecV4(CellKind k, const V4 *in, unsigned nin)
+{
+    std::array<bool, 2> seen = resolvedOutputs(k, in, nin);
     return seen[0] && seen[1] ? V4::X : fromBool(seen[1]);
 }
 
@@ -239,6 +249,185 @@ TEST(CellTable, PackedLanesMatchTheCellSpec)
             for (unsigned l = 0; l < 64 && base + l < pow3(nin); ++l)
                 ASSERT_EQ(out.lane(l), cellSpecV4(kind, lanes[l], nin))
                     << cellName(kind) << " input #" << base + l;
+        }
+    }
+}
+
+TEST(CellTable, ThreeValuedEvaluationIsSoundAndExact)
+{
+    // Soundness: a known output equals the cell's output under every
+    // 0/1 resolution of the X inputs. Exactness: an X output has two
+    // resolutions whose outputs differ. Checked for evalCell<V4> and
+    // the truth table on every input vector of every non-constant
+    // combinational kind.
+    const V4 *table = cellTruthTable();
+    unsigned vectors = 0, unsound = 0, inexact = 0;
+    for (CellKind kind : combinationalKinds()) {
+        unsigned nin = cellFaninCount(kind);
+        if (nin == 0)
+            continue;
+        for (unsigned c = 0; c < pow3(nin); ++c, ++vectors) {
+            V4 in[4] = {Z, Z, Z, Z};
+            unsigned idx = ternaryAssignment(c, nin, in);
+            std::array<bool, 2> seen = resolvedOutputs(kind, in, nin);
+            for (V4 out : {evalCell(kind, in),
+                           table[size_t(kind) * kPackedFaninStates + idx]}) {
+                if (out != X && seen[out == O ? 0 : 1])
+                    ++unsound;
+                if (out == X && !(seen[0] && seen[1]))
+                    ++inexact;
+            }
+        }
+    }
+    EXPECT_EQ(vectors, 735u);
+    EXPECT_EQ(unsound, 0u);
+    EXPECT_EQ(inexact, 0u);
+}
+
+/** The sequential kinds. */
+constexpr CellKind kSeqKinds[] = {CellKind::Dff, CellKind::Dffe,
+                                  CellKind::Dffr, CellKind::Dffre};
+
+/**
+ * The flop spec as a literal table over (en, rstn) -- an absent pin
+ * reads 1 -- with one character per (q, d) in the order (0,0), (0,1),
+ * (0,X), (1,0), ..., (X,X): the next state, and whether the hold is
+ * provable. Enable low keeps q and holds; enable X keeps q where q and
+ * d are known and equal (and only there holds); reset low clears and
+ * holds only a 0; reset X keeps a loaded 0, otherwise gives X, and
+ * never holds.
+ */
+struct SeqRow {
+    V4 en, rstn;
+    const char *next;
+    const char *held;
+};
+const SeqRow kSeqTable[] = {
+    {O, O, "01x01x01x", "000000000"},
+    {Z, O, "000111xxx", "111111111"},
+    {X, O, "0xxx1xxxx", "100010000"},
+    {O, Z, "000000000", "111000000"},
+    {Z, Z, "000000000", "111000000"},
+    {X, Z, "000000000", "111000000"},
+    {O, X, "0xx0xx0xx", "000000000"},
+    {Z, X, "000xxxxxx", "000000000"},
+    {X, X, "0xxxxxxxx", "000000000"},
+};
+
+/** A flop's fanins for (d, en, rstn), in its pin order. */
+void
+seqPins(CellKind k, V4 d, V4 en, V4 rstn, V4 *in)
+{
+    in[0] = d;
+    switch (k) {
+      case CellKind::Dffe: in[1] = en; break;
+      case CellKind::Dffr: in[1] = rstn; break;
+      case CellKind::Dffre: in[1] = en; in[2] = rstn; break;
+      default: break;
+    }
+}
+
+/** The activity rule stated branch by branch: a held flop is
+ *  inactive, a known-to-known edge is active when the value changed,
+ *  and any other edge unless it reloaded the same unknown (loaded at
+ *  the previous edge, no X control pin, D inactive, knownness
+ *  unchanged). */
+bool
+seqActivitySpec(V4 q, V4 next, bool held, bool ctrl_x, bool loaded_prev,
+                bool d_active)
+{
+    if (held)
+        return false;
+    if (q != X && next != X)
+        return q != next;
+    return !loaded_prev || ctrl_x || d_active ||
+           (q != X) != (next != X);
+}
+
+TEST(SeqCell, EveryEdgeMatchesTheLiteralTable)
+{
+    // Every kind, every (q, pins) in {0, 1, X} and every load history
+    // and D activity: next state and hold against the table, activity
+    // against the branchwise rule.
+    unsigned checked = 0;
+    for (CellKind kind : kSeqKinds) {
+        for (const SeqRow &row : kSeqTable) {
+            bool has_en = kind == CellKind::Dffe || kind == CellKind::Dffre;
+            bool has_rstn =
+                kind == CellKind::Dffr || kind == CellKind::Dffre;
+            if ((!has_en && row.en != O) || (!has_rstn && row.rstn != O))
+                continue;
+            bool ctrl_x = row.en == X || row.rstn == X;
+            for (unsigned c = 0; c < 9; ++c) {
+                V4 q = V4(c / 3), d = V4(c % 3);
+                V4 in[3];
+                seqPins(kind, d, row.en, row.rstn, in);
+                V4 want = v4FromChar(row.next[c]);
+                bool want_held = row.held[c] == '1';
+                bool held = !want_held;
+                ASSERT_EQ(evalSeqCell(kind, q, in, held), want)
+                    << cellName(kind) << " row " << &row - kSeqTable
+                    << " (q, d) #" << c;
+                ASSERT_EQ(held, want_held)
+                    << cellName(kind) << " row " << &row - kSeqTable
+                    << " (q, d) #" << c;
+                for (unsigned h = 0; h < 4; ++h, ++checked) {
+                    bool loaded_prev = h & 1, d_active = h & 2;
+                    SeqEdge<V4> e =
+                        evalSeqEdge(kind, q, in, loaded_prev, d_active);
+                    ASSERT_EQ(e.next, want);
+                    ASSERT_EQ(e.held, want_held);
+                    ASSERT_EQ(e.active,
+                              seqActivitySpec(q, want, want_held, ctrl_x,
+                                              loaded_prev, d_active))
+                        << cellName(kind) << " row " << &row - kSeqTable
+                        << " (q, d) #" << c << " history " << h;
+                }
+            }
+        }
+    }
+    // (9 + 27 + 27 + 81) (q, pins) combinations x 4 histories.
+    EXPECT_EQ(checked, 144u * 4);
+}
+
+TEST(SeqCell, PackedLanesMatchTheScalarInstance)
+{
+    // evalSeqEdge<V64> with a different (q, d, en, rstn, load
+    // history, D activity) in every lane -- 324 combinations over six
+    // words -- against evalSeqEdge<V4> lane for lane.
+    const unsigned n = 81 * 4;
+    for (CellKind kind : kSeqKinds) {
+        for (unsigned base = 0; base < n; base += 64) {
+            V64 q, in[3];
+            uint64_t loaded_prev = 0, d_active = 0;
+            V4 lq[64], lin[64][3] = {};
+            bool lloaded[64], ldact[64];
+            for (unsigned l = 0; l < 64 && base + l < n; ++l) {
+                unsigned c = base + l;
+                V4 v[4];
+                ternaryAssignment(c % 81, 4, v);
+                lq[l] = v[0];
+                seqPins(kind, v[1], v[2], v[3], lin[l]);
+                lloaded[l] = (c / 81) & 1;
+                ldact[l] = (c / 81) & 2;
+                q.setLane(l, lq[l]);
+                for (unsigned p = 0; p < cellFaninCount(kind); ++p)
+                    in[p].setLane(l, lin[l][p]);
+                loaded_prev |= uint64_t(lloaded[l]) << l;
+                d_active |= uint64_t(ldact[l]) << l;
+            }
+            SeqEdge<V64> e =
+                evalSeqEdge(kind, q, in, loaded_prev, d_active);
+            for (unsigned l = 0; l < 64 && base + l < n; ++l) {
+                SeqEdge<V4> s = evalSeqEdge(kind, lq[l], lin[l],
+                                            lloaded[l], ldact[l]);
+                ASSERT_EQ(e.next.lane(l), s.next)
+                    << cellName(kind) << " combination #" << base + l;
+                ASSERT_EQ(bool((e.held >> l) & 1), s.held)
+                    << cellName(kind) << " combination #" << base + l;
+                ASSERT_EQ(bool((e.active >> l) & 1), s.active)
+                    << cellName(kind) << " combination #" << base + l;
+            }
         }
     }
 }

@@ -180,7 +180,7 @@ TEST(ExecTree, FlattenAndEnergyLinear)
     uint32_t root = t.newNode(sym::kNoNode);
     t.node(root).powerW = {1.0f, 2.0f, 3.0f};
     EXPECT_EQ(t.totalCycles(), 3u);
-    auto pe = t.maxPathEnergy(1.0);
+    auto pe = t.maxPathEnergy({1.0});
     EXPECT_DOUBLE_EQ(pe.energyJ, 6.0);
     EXPECT_EQ(pe.cycles, 3u);
 }
@@ -195,7 +195,7 @@ TEST(ExecTree, MaxPathPicksWorseBranch)
     uint32_t b = t.newNode(root);
     t.node(b).powerW = {1.0f, 1.0f, 1.0f, 1.0f};
     t.node(root).edges = {{0x100, a, false}, {0x102, b, false}};
-    auto pe = t.maxPathEnergy(1.0);
+    auto pe = t.maxPathEnergy({1.0});
     EXPECT_DOUBLE_EQ(pe.energyJ, 6.0); // root + a
     EXPECT_EQ(pe.cycles, 2u);
 }
@@ -215,7 +215,7 @@ TEST(ExecTree, MergedCrossEdgeMemoized)
     t.node(root).edges = {{0, a, false}, {0, b, false}};
     t.node(a).edges = {{0, join, false}};
     t.node(b).edges = {{0, join, true}};
-    auto pe = t.maxPathEnergy(1.0);
+    auto pe = t.maxPathEnergy({1.0});
     EXPECT_DOUBLE_EQ(pe.energyJ, 1.0 + 4.0 + 10.0);
 }
 
@@ -228,8 +228,8 @@ TEST(ExecTree, BackEdgeRequiresBound)
     t.node(loop).powerW = {2.0f};
     t.node(root).edges = {{0, loop, false}};
     t.node(loop).edges = {{0, loop, true}}; // self back-edge
-    EXPECT_THROW(t.maxPathEnergy(1.0, 0), std::runtime_error);
-    auto pe = t.maxPathEnergy(1.0, 5);
+    EXPECT_THROW(t.maxPathEnergy({1.0}, 0), std::runtime_error);
+    auto pe = t.maxPathEnergy({1.0}, 5);
     // Loop body repeats 5 times: 1 + 2*5.
     EXPECT_DOUBLE_EQ(pe.energyJ, 11.0);
 }

@@ -268,6 +268,12 @@ struct CellParams {
     double clkPinEnergyJ = 0.0; ///< per-cycle clock-pin energy (seq only)
 };
 
+/** Test seam, defined only by tests: recalibrates a library's
+ *  parameters. Every built-in library's rise costs at least its fall,
+ *  so a test of Algorithm 2's charge on a fall-dominant cell needs a
+ *  library of its own. */
+struct CellLibraryTestAccess;
+
 /**
  * A calibrated cell library: parameters for every kind plus the global
  * electrical context (supply, wire load per fanout).
@@ -344,6 +350,7 @@ class CellLibrary {
     bool operator==(const CellLibrary &o) const;
 
   private:
+    friend struct CellLibraryTestAccess;
     CellLibrary() = default;
 
     std::string name_;

@@ -146,28 +146,6 @@ writeEntry(std::ostream &out, const ProgramResult &r)
 }
 /// @}
 
-void
-copyScalars(ProgramResult &r, Report &full)
-{
-    r.ok = full.ok;
-    r.error = full.error;
-    r.peakPowerW = full.peakPowerW;
-    r.peakEnergyJ = full.peakEnergyJ;
-    r.npeJPerCycle = full.npeJPerCycle;
-    r.maxPathCycles = full.maxPathCycles;
-    r.totalCycles = full.totalCycles;
-    r.pathsExplored = full.pathsExplored;
-    r.dedupMerges = full.dedupMerges;
-    r.steals = full.steals;
-    r.snapshotBytesCopied = full.snapshotBytesCopied;
-    r.snapshotBytesFull = full.snapshotBytesFull;
-    r.perWorkerCycles = std::move(full.perWorkerCycles);
-    r.packedBatches = full.packedBatches;
-    r.packedSweeps = full.packedSweeps;
-    r.packedLaneCycles = full.packedLaneCycles;
-    r.envelope = std::move(full.envelope);
-}
-
 } // namespace
 
 uint64_t
@@ -361,8 +339,8 @@ analyzeBatch(const CellLibrary &lib,
                 r.ok = false;
                 r.error = error;
             } else {
-                copyScalars(r, full[k]);
-                full[k] = Report(); // frees the execution tree
+                r.envelope = std::move(full[k].envelope);
+                static_cast<sym::AnalysisSummary &>(r) = std::move(full[k]);
             }
             if (r.ok)
                 cache.store(keys[items[k]],

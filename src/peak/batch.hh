@@ -117,42 +117,21 @@ struct BatchOptions {
     bool failFast = false;
 };
 
-/** Per-program results: the scalars of peak::Report (the bulky tree
- *  members are dropped, which is the point of a cached suite), plus
+/** Per-program results: the summary of peak::Report (its bulky
+ *  traces are dropped, which is the point of a cached suite), plus
  *  the per-cycle envelope when Options::recordEnvelope asked for it
  *  (the envelope is the profile being sized against, so the batch
- *  layer carries and caches it). */
-struct ProgramResult {
+ *  layer carries and caches it). @ref error is the analysis error or
+ *  the skip reason. The cache stores the bounds, totalCycles,
+ *  pathsExplored and dedupMerges; the other statistics are run
+ *  provenance like wallSeconds: zero on cache hits, excluded from
+ *  determinism comparisons, and the row's share of its group's run
+ *  (see sym::AnalysisSummary). */
+struct ProgramResult : sym::AnalysisSummary {
     std::string name;
     /** Scenario this row was analyzed under (its Scenario::name). */
     std::string scenario;
-    bool ok = false;
     bool cached = false; ///< served from the disk cache
-    std::string error;   ///< analysis error, or the skip reason
-
-    double peakPowerW = 0.0;
-    double peakEnergyJ = 0.0;
-    double npeJPerCycle = 0.0;
-    uint64_t maxPathCycles = 0;
-
-    uint64_t totalCycles = 0;
-    uint32_t pathsExplored = 0;
-    uint32_t dedupMerges = 0;
-    /// @name Run-provenance statistics (like wallSeconds: zero on
-    /// cache hits, scheduling-dependent, excluded from determinism
-    /// comparisons and from the cache; the row's share of its
-    /// group's run, see sym::SymbolicResult)
-    /// @{
-    uint32_t steals = 0;
-    uint64_t snapshotBytesCopied = 0;
-    uint64_t snapshotBytesFull = 0;
-    std::vector<uint64_t> perWorkerCycles;
-    /// Packed-frontier counters (zero when no exploration worker
-    /// ever had two paths pending, unless packedExplore)
-    uint64_t packedBatches = 0;
-    uint64_t packedSweeps = 0;
-    uint64_t packedLaneCycles = 0;
-    /// @}
 
     /** Peak power envelope + windowed peak-energy curves, when
      *  Options::recordEnvelope. The cache stores only the power

@@ -13,23 +13,7 @@ makeReport(sym::SymbolicResult &&sr, const Options &opts,
            const scenario::Scenario &scen)
 {
     Report r;
-    r.ok = sr.ok;
-    r.error = sr.error;
-    r.peakPowerW = sr.peakPowerW;
-    r.peakEnergyJ = sr.peakEnergyJ;
-    r.npeJPerCycle = sr.npeJPerCycle;
-    r.maxPathCycles = sr.maxPathCycles;
-    r.totalCycles = sr.totalCycles;
-    r.pathsExplored = sr.pathsExplored;
-    r.dedupMerges = sr.dedupMerges;
-    r.steals = sr.steals;
-    r.snapshotBytesCopied = sr.snapshotBytesCopied;
-    r.snapshotBytesFull = sr.snapshotBytesFull;
     r.snapshotMode = opts.snapshotMode;
-    r.perWorkerCycles = sr.perWorkerCycles;
-    r.packedBatches = sr.packedBatches;
-    r.packedSweeps = sr.packedSweeps;
-    r.packedLaneCycles = sr.packedLaneCycles;
     if (sr.ok)
         r.flatTraceW = sr.tree.flatten();
     if (sr.ok && opts.recordEnvelope) {
@@ -41,13 +25,21 @@ makeReport(sym::SymbolicResult &&sr, const Options &opts,
         else
             buildWindowCurves(r.envelope, 1.0 / opts.freqHz);
     }
-    r.everActive = sr.everActive;
-    r.peakActive = sr.peakActive;
-    r.sym = std::move(sr);
+    r.everActive = std::move(sr.everActive);
+    r.peakActive = std::move(sr.peakActive);
+    static_cast<sym::AnalysisSummary &>(r) = std::move(sr);
     return r;
 }
 
 } // namespace
+
+sym::SymbolicConfig
+symConfigFor(const Options &opts)
+{
+    sym::SymbolicConfig cfg;
+    static_cast<sym::AnalysisOptions &>(cfg) = opts;
+    return cfg;
+}
 
 Report
 analyze(msp::System &sys, const isa::Image &image, const Options &opts)
@@ -61,21 +53,8 @@ analyzeGroup(msp::System &sys, const isa::Image &image,
              const Options &opts,
              const std::vector<scenario::Scenario> &scenarios)
 {
-    sym::SymbolicConfig cfg;
-    cfg.freqHz = opts.freqHz;
-    cfg.recordActiveSets = opts.recordActiveSets;
-    cfg.recordModuleTrace = opts.recordModuleTrace;
-    cfg.inputDependentLoopBound = opts.inputDependentLoopBound;
-    cfg.maxTotalCycles = opts.maxTotalCycles;
-    cfg.evalMode = opts.evalMode;
-    cfg.numThreads = opts.numThreads;
-    cfg.recordEnvelope = opts.recordEnvelope;
-    cfg.snapshotMode = opts.snapshotMode;
-    cfg.staticPrune = opts.staticPrune;
-    cfg.packedExplore = opts.packedExplore;
-
     std::vector<sym::SymbolicResult> sr =
-        sym::SymbolicEngine(sys, cfg).run(image, scenarios);
+        sym::SymbolicEngine(sys, symConfigFor(opts)).run(image, scenarios);
     std::vector<Report> reports;
     reports.reserve(sr.size());
     for (size_t k = 0; k < sr.size(); ++k)

@@ -83,17 +83,20 @@ enum class SnapshotMode : uint8_t {
     Delta, ///< dirtied entries against a shared base (default)
 };
 
-struct SymbolicConfig {
+/**
+ * One analysis request, minus the engine's own budgets: the options
+ * sym::SymbolicConfig and peak::Options share, declared once
+ * (peak::symConfigFor maps one onto the other).
+ */
+struct AnalysisOptions {
     double freqHz = 100e6;
     /** Cycle budget over all paths. Cycles are reserved against it
      *  before they are simulated, so no frontier or thread count
      *  simulates more; running out fails the analysis. */
     uint64_t maxTotalCycles = 3000000;
-    /** Cycles one root-to-leaf path may run (a missing halt or an
-     *  unbounded loop otherwise never ends). */
-    uint64_t maxPathCycles = 100000;
-    uint32_t maxNodes = 300000;
-    /** Combinational kernel used by the exploration simulators. */
+    /** Combinational kernel used by the exploration simulators; both
+     *  modes produce bit-identical results (enforced by
+     *  tests/test_benchmarks.cc across bench430). */
     EvalMode evalMode = EvalMode::EventDriven;
     /**
      * Worker threads exploring independent execution-tree branches
@@ -107,10 +110,11 @@ struct SymbolicConfig {
      *
      * This parallelizes *within* one application's analysis and is
      * orthogonal to the *program-level* sharding of a suite
-     * (peak::BatchOptions::jobs in peak/batch.hh); the two compose,
-     * and because results are scheduling-independent here and
-     * programs are independent there, every (jobs, numThreads)
-     * combination reports bit-identical numbers
+     * (peak::BatchOptions::jobs in peak/batch.hh), which reads it as
+     * a cap on the CPU budget's threads per analysis (0: uncapped);
+     * the two compose, and because results are scheduling-independent
+     * here and programs are independent there, every (jobs,
+     * numThreads) combination reports bit-identical numbers
      * (tests/test_symbolic.cc and tests/test_batch.cc pin the two
      * halves of that claim).
      */
@@ -135,19 +139,23 @@ struct SymbolicConfig {
      * initial-register constraints. The default admits every
      * execution (all ports X -- the classic Algorithm 1 flow).
      * Results are bounds over exactly the scenario's executions and
-     * can only tighten as constraints are added. An analysis group
+     * can only tighten as constraints are added
+     * (fuzz::scenarioDominanceCheck); it participates in the batch
+     * result cache key by content. An analysis group
      * (SymbolicEngine::run with a scenario list) ignores it.
      */
     scenario::Scenario scenario;
     /** Fork snapshot form; Delta is the fast default, Full the
-     *  reference. Never changes any reported number. */
+     *  reference. Never changes any reported number, so it is
+     *  excluded from the batch result cache key like evalMode. */
     SnapshotMode snapshotMode = SnapshotMode::Delta;
     /**
      * Run lint::analyzeConstants over the scenario before exploring
      * and install its prune mask in every worker simulator
-     * (Simulator::setStaticPrune): gates the static analysis proves
-     * constant under this scenario drop out of the event-driven
-     * worklists, the full sweep, and the fork-time dedup hashing.
+     * (Simulator::setStaticPrune, `ulpeak --static-prune`): gates
+     * the static analysis proves constant under this scenario drop
+     * out of the event-driven worklists, the full sweep, and the
+     * fork-time dedup hashing.
      * Opt-in and bit-identity-neutral: every reported number --
      * peak power, peak energy, NPE, envelope, activity sets -- is
      * identical with and without it (fuzz property 9, `ulfuzz
@@ -158,9 +166,10 @@ struct SymbolicConfig {
      */
     bool staticPrune = false;
     /**
-     * Reference frontier: drain every pending path, single ones
-     * included, through the 64-lane PackedSimulator (by default each
-     * worker uses the lanes only while two or more paths are pending).
+     * Reference frontier (`ulpeak --packed-explore`): drain every
+     * pending path, single ones included, through the 64-lane
+     * PackedSimulator (by default each worker uses the lanes only
+     * while two or more paths are pending).
      * Each worker loads up to 64 pending execution paths into lanes,
      * advances all of them with one event-driven packed step per
      * cycle, and transposes a lane back to a scalar snapshot when it
@@ -181,38 +190,33 @@ struct SymbolicConfig {
     bool packedExplore = false;
 };
 
-struct SymbolicResult {
+/** The engine's configuration: the shared analysis options plus the
+ *  engine's own exploration budgets. */
+struct SymbolicConfig : AnalysisOptions {
+    /** Cycles one root-to-leaf path may run (a missing halt or an
+     *  unbounded loop otherwise never ends). */
+    uint64_t maxPathCycles = 100000;
+    uint32_t maxNodes = 300000;
+};
+
+/**
+ * One analysis answer, minus its bulky members: the bounds and
+ * exploration statistics SymbolicResult, peak::Report and
+ * peak::ProgramResult share, declared once.
+ */
+struct AnalysisSummary {
     bool ok = false;
     std::string error;
 
-    ExecTree tree;
-
-    /// @name Peak power (Section 3.2)
+    /// @name Bounds
     /// @{
-    double peakPowerW = 0.0;
-    uint32_t peakNode = 0;
-    uint32_t peakCycleInNode = 0;
-    /// @}
-
-    /// @name Peak energy (Section 3.3)
-    /// @{
-    double peakEnergyJ = 0.0;
-    uint64_t maxPathCycles = 0;
+    double peakPowerW = 0.0;   ///< Section 3.2; Figure 5.1's X-based bars
+    double peakEnergyJ = 0.0;  ///< Section 3.3 bound
     /** Normalized peak energy [J/cycle] -- the NPE axis of the
      *  paper's Figures 2.2b / 4.1b / 5.2. */
     double npeJPerCycle = 0.0;
+    uint64_t maxPathCycles = 0; ///< longest root-to-leaf path [cycles]
     /// @}
-
-    /// @name Activity sets (when recordActiveSets)
-    /// @{
-    std::vector<uint8_t> everActive;  ///< per gate: 1 if ever active
-    std::vector<uint32_t> peakActive; ///< gates active at the peak
-    /// @}
-
-    /** Per-cycle upper-bound power envelope env[c] = max over all
-     *  execution-tree walks of power(walk, c), when
-     *  SymbolicConfig::recordEnvelope. */
-    std::vector<float> envelopeW;
 
     /// @name Exploration statistics
     /// Scheduling-independent: totalCycles, pathsExplored,
@@ -249,6 +253,27 @@ struct SymbolicResult {
     uint64_t packedLaneCycles = 0;
     /// @}
     /// @}
+};
+
+/** The engine's answer: the summary plus the execution tree, the
+ *  peak's location, activity sets and the envelope trace. */
+struct SymbolicResult : AnalysisSummary {
+    ExecTree tree;
+
+    /** Where the peak power cycle sits in the tree. */
+    uint32_t peakNode = 0;
+    uint32_t peakCycleInNode = 0;
+
+    /// @name Activity sets (when recordActiveSets)
+    /// @{
+    std::vector<uint8_t> everActive;  ///< per gate: 1 if ever active
+    std::vector<uint32_t> peakActive; ///< gates active at the peak
+    /// @}
+
+    /** Per-cycle upper-bound power envelope env[c] = max over all
+     *  execution-tree walks of power(walk, c), when
+     *  SymbolicConfig::recordEnvelope. */
+    std::vector<float> envelopeW;
 };
 
 class SymbolicEngine {

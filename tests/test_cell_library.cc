@@ -7,13 +7,29 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <array>
+#include <string>
 #include <vector>
 
 #include "cell/cell_library.hh"
 #include "logic/v64.hh"
+#include "netlist/netlist.hh"
+#include "sim/packed_simulator.hh"
+#include "sim/simulator.hh"
 
 namespace ulpeak {
+
+/** Recalibrates one kind's internal rise and fall energies. */
+struct CellLibraryTestAccess {
+    static void
+    setEnergies(CellLibrary &lib, CellKind k, double rise_j, double fall_j)
+    {
+        lib.params_[size_t(k)].riseEnergyJ = rise_j;
+        lib.params_[size_t(k)].fallEnergyJ = fall_j;
+    }
+};
+
 namespace {
 
 V4 Z = V4::Zero, O = V4::One, X = V4::X;
@@ -427,6 +443,78 @@ TEST(SeqCell, PackedLanesMatchTheScalarInstance)
                     << cellName(kind) << " combination #" << base + l;
                 ASSERT_EQ(bool((e.active >> l) & 1), s.active)
                     << cellName(kind) << " combination #" << base + l;
+            }
+        }
+    }
+}
+
+/**
+ * Algorithm 2's charge of one active gate for every (prev, cur) in
+ * {0,1,X}^2, in both kernels. A Buf of a driven input sees exactly the
+ * pair driven, and its own module's bound energy is its charge. The
+ * charge is the worst transition energy over the concrete resolutions
+ * of the pair (so at least each of them), a known p == c bills 0, and
+ * each packed lane, one pair per lane, bills the scalar amount. It
+ * runs on the rise-dominant built-in library and on a fall-dominant
+ * recalibration, so a charge that reads one fixed column fails.
+ */
+TEST(CellCharge, EveryPairCoversItsConcreteResolutionsInBothKernels)
+{
+    CellLibrary fallHeavy = CellLibrary::tsmc65Like();
+    CellLibraryTestAccess::setEnergies(fallHeavy, CellKind::Buf, 1.0e-15,
+                                       3.0e-15);
+    const V4 vals[3] = {Z, O, X};
+    auto resolutions = [](V4 v) {
+        return v == X ? std::vector<V4>{Z, O} : std::vector<V4>{v};
+    };
+    for (const CellLibrary &lib : {CellLibrary::tsmc65Like(), fallHeavy}) {
+        Netlist nl(lib);
+        ModuleId src = nl.addModule("src"), dut = nl.addModule("dut");
+        GateId a = nl.addGate(CellKind::Input, {}, src);
+        GateId g = nl.addGate(CellKind::Buf, {a}, dut);
+        nl.finalize();
+        const double rise = nl.riseEnergyJ(g), fall = nl.fallEnergyJ(g);
+        ASSERT_NE(rise, fall);
+        auto transition = [&](V4 p, V4 c) {
+            return p == c ? 0.0 : c == O ? rise : fall;
+        };
+
+        // Lane i drives pair i = (vals[i / 3], vals[i % 3]); the other
+        // lanes stay X.
+        PackedSimulator psim(nl);
+        V64 first = V64::allX(), second = V64::allX();
+        for (unsigned i = 0; i < 9; ++i) {
+            first.setLane(i, vals[i / 3]);
+            second.setLane(i, vals[i % 3]);
+        }
+        psim.step([&](PackedSimulator &s) { s.setInput(a, first); });
+        psim.step([&](PackedSimulator &s) { s.setInput(a, second); });
+
+        for (unsigned i = 0; i < 9; ++i) {
+            const V4 p = vals[i / 3], c = vals[i % 3];
+            double worst = 0.0;
+            for (V4 rp : resolutions(p))
+                for (V4 rc : resolutions(c))
+                    worst = std::max(worst, transition(rp, rc));
+            for (EvalMode mode :
+                 {EvalMode::EventDriven, EvalMode::FullSweep}) {
+                Simulator sim(nl, mode);
+                sim.step([&](Simulator &s) { s.setInput(a, p); });
+                sim.step([&](Simulator &s) { s.setInput(a, c); });
+                ASSERT_EQ(sim.value(g), c);
+                const double charge = sim.moduleBoundEnergyJ()[dut];
+                const std::string at =
+                    std::string(rise < fall ? "fall-dominant" : "built-in") +
+                    " library, pair " + "01X"[unsigned(p)] + " -> " +
+                    "01X"[unsigned(c)];
+                for (V4 rp : resolutions(p))
+                    for (V4 rc : resolutions(c))
+                        EXPECT_GE(charge, transition(rp, rc)) << at;
+                EXPECT_EQ(charge, worst) << at;
+                if (p != X && p == c)
+                    EXPECT_EQ(charge, 0.0) << at;
+                EXPECT_EQ(psim.moduleBoundEnergyLaneJ(i)[dut], charge)
+                    << at;
             }
         }
     }

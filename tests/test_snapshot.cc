@@ -6,13 +6,18 @@
  * dirty pattern -- materialize() reproduces the full snapshot bit
  * for bit, restore(delta) into any simulator (the original or a
  * fresh clone, either kernel) continues exactly like
- * restore(full), and the empty delta (no cycles between base and
- * capture) round-trips. The dedup keys themselves (full-state
+ * restore(full), the empty delta (no cycles between base and
+ * capture) round-trips, and a delta's activity and load-history
+ * entries are needed (a constructed fork continues differently with
+ * either plane from its base). The dedup keys themselves (full-state
  * hashes of a bench430 run, in every kernel) are pinned to literal
  * values.
  */
 
 #include <gtest/gtest.h>
+
+#include <memory>
+#include <string>
 
 #include "bench430/benchmarks.hh"
 #include "fuzz/netlist_gen.hh"
@@ -177,6 +182,98 @@ TEST(SnapshotDelta, RestoreIntoCloneMatchesFullRestore)
         EXPECT_EQ(viaDelta.hashFullState(), sim.hashFullState())
             << "restored continuation diverged from the "
                "straight-line run";
+    }
+}
+
+/** The first difference between @p a and @p b after a step (values,
+ *  activity, energies), or "" when they agree. */
+std::string
+firstDifference(const Simulator &a, const Simulator &b)
+{
+    for (GateId g = 0; g < GateId(a.netlist().numGates()); ++g)
+        if (a.value(g) != b.value(g))
+            return "value of gate " + std::to_string(g);
+    if (a.activeBits() != b.activeBits())
+        return "activity";
+    if (a.boundEnergyJ() != b.boundEnergyJ())
+        return "bound energy";
+    if (a.actualEnergyJ() != b.actualEnergyJ())
+        return "actual energy";
+    return "";
+}
+
+// A fork's delta must carry its own activity and load-history planes:
+// restored with either plane taken from the base instead, a fork
+// continues differently. Forks of bench430 programs do not show it (a
+// full fork-tree walk of rle, binSearch, PI, tHold, div and inSort with
+// both planes from the reset snapshot stepped identically to the true
+// restore), so the counterexample is a constructed one. F1 = Dffe(x, en)
+// holds an X once en drops, B = Buf(F1) and F2 = Dff(B), G = Dffe(B, en).
+// The base is taken while F1 still loads (B active, G loaded); the fork
+// after two held edges (B quiet, G held). At the next edge, en = 1:
+//  - F2 reloads the same X with B quiet, so it is inactive -- with the
+//    base's activity, B looks active and F2 is billed;
+//  - G loads the X after a held edge, so it may toggle -- with the
+//    base's load history, G looks reloaded and is not billed.
+TEST(SnapshotDelta, ForkNeedsItsOwnActivityAndLoadHistory)
+{
+    CellLibrary lib = CellLibrary::tsmc65Like();
+    Netlist nl(lib);
+    ModuleId m = nl.addModule("m");
+    GateId x = nl.addGate(CellKind::Input, {}, m);
+    GateId en = nl.addGate(CellKind::Input, {}, m);
+    GateId f1 = nl.addGate(CellKind::Dffe, {x, en}, m);
+    GateId b = nl.addGate(CellKind::Buf, {f1}, m);
+    GateId f2 = nl.addGate(CellKind::Dff, {b}, m);
+    GateId g = nl.addGate(CellKind::Dffe, {b, en}, m);
+    nl.finalize();
+
+    // en as each step drives it (x is X throughout); an edge reads the
+    // previous step's en. Edges 1-3 load, the base follows step 2,
+    // edges 4 and 5 hold, the fork follows step 5, and edge 6 loads.
+    const V4 enAt[] = {V4::One,  V4::One, V4::One, V4::Zero,
+                       V4::Zero, V4::One, V4::One};
+    auto drive = [&](unsigned c) {
+        return [&, c](Simulator &s) {
+            s.setInput(x, V4::X);
+            s.setInput(en, enAt[c]);
+        };
+    };
+    for (EvalMode mode : {EvalMode::EventDriven, EvalMode::FullSweep}) {
+        SCOPED_TRACE(int(mode));
+        Simulator sim(nl, mode);
+        for (unsigned c = 0; c < 3; ++c)
+            sim.step(drive(c));
+        EXPECT_TRUE(sim.isActive(b));
+        auto base =
+            std::make_shared<const Simulator::Snapshot>(sim.snapshot());
+        for (unsigned c = 3; c < 6; ++c)
+            sim.step(drive(c));
+        EXPECT_FALSE(sim.isActive(b));
+        const Simulator::DeltaSnapshot fork =
+            Simulator::deltaBetween(sim.snapshot(), base);
+
+        Simulator::DeltaSnapshot actFromBase = fork;
+        actFromBase.actIdx.clear();
+        actFromBase.actNew.clear();
+        Simulator::DeltaSnapshot loadFromBase = fork;
+        loadFromBase.seqIdx.clear();
+        loadFromBase.seqNew.clear();
+        Simulator truth(nl, mode), noAct(nl, mode), noLoad(nl, mode);
+        truth.restore(fork);
+        noAct.restore(actFromBase);
+        noLoad.restore(loadFromBase);
+        for (Simulator *s : {&sim, &truth, &noAct, &noLoad})
+            s->step(drive(6));
+
+        EXPECT_EQ(firstDifference(truth, sim), "");
+        EXPECT_FALSE(truth.isActive(f2));
+        EXPECT_TRUE(noAct.isActive(f2));
+        EXPECT_EQ(firstDifference(truth, noAct), "activity");
+        EXPECT_TRUE(truth.isActive(g));
+        EXPECT_FALSE(noLoad.isActive(g));
+        EXPECT_EQ(firstDifference(truth, noLoad), "activity");
+        EXPECT_LT(noLoad.boundEnergyJ(), truth.boundEnergyJ());
     }
 }
 

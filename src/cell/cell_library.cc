@@ -232,14 +232,6 @@ CellLibrary::transitionEnergyJ(CellKind k, bool rising,
 }
 
 double
-CellLibrary::maxTransitionEnergyJ(CellKind k, unsigned fanouts) const
-{
-    double r = transitionEnergyJ(k, true, fanouts);
-    double f = transitionEnergyJ(k, false, fanouts);
-    return r > f ? r : f;
-}
-
-double
 CellLibrary::energyScale(double vdd_v) const
 {
     if (!(vdd_v > 0.0) || !std::isfinite(vdd_v))
@@ -256,16 +248,6 @@ CellLibrary::scaledTransitionEnergyJ(CellKind k, bool rising,
                                      double vdd_v) const
 {
     return transitionEnergyJ(k, rising, fanouts) * energyScale(vdd_v);
-}
-
-V4
-CellLibrary::maxTransitionValue(CellKind k, unsigned phase) const
-{
-    // Rising transitions are the costlier ones for all cells in this
-    // library (they charge the output load), so the maximum-power
-    // transition is 0 -> 1.
-    (void)k;
-    return phase == 1 ? V4::Zero : V4::One;
 }
 
 bool

@@ -308,9 +308,6 @@ class CellLibrary {
     double transitionEnergyJ(CellKind k, bool rising,
                              unsigned fanouts) const;
 
-    /** Algorithm 2's maxTransition: the costlier of rise/fall. */
-    double maxTransitionEnergyJ(CellKind k, unsigned fanouts) const;
-
     /**
      * Dynamic-energy scale factor of running this library at supply
      * @p vdd_v instead of its calibration voltage: (vdd_v / vdd())^2.
@@ -336,14 +333,6 @@ class CellLibrary {
     double scaledTransitionEnergyJ(CellKind k, bool rising,
                                    unsigned fanouts,
                                    double vdd_v) const;
-
-    /**
-     * The first/second cycle values of the maximum-power transition of
-     * cell @p k (paper: maxTransition(g,1) / maxTransition(g,2)). For
-     * every cell here the rising output transition is the expensive one,
-     * so this returns 0 then 1.
-     */
-    V4 maxTransitionValue(CellKind k, unsigned phase) const;
 
     /** Equal content: name, electrical context and every kind's
      *  parameters (what msp::System keys its shared core by). */

@@ -309,7 +309,7 @@ runFuzzCli(int argc, const char *const *argv)
                 first += cli.counts[p->flag];
         for (unsigned i = first; i < first + cli.counts[w.flag]; ++i)
             if (cli.only < 0 || unsigned(cli.only) == i)
-                items.push_back({&w, i});
+                items.push_back({&w, i, true, false, {}});
     }
 
     // Items run on the CPU budget, at most --threads at once, each

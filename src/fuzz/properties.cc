@@ -18,47 +18,286 @@ namespace fuzz {
 
 namespace {
 
-/** Compare complete simulator state after one lockstep cycle. */
-bool
-compareCycle(const Netlist &nl, const Simulator &a, const Simulator &b,
-             const char *label_b, std::ostringstream &os)
+/** What one side of a lockstep shows after a cycle: its complete
+ *  state (values, activity bitset, load history), its full-state hash
+ *  in the scalar format, and the cycle's energies. */
+struct CycleState {
+    Simulator::Snapshot state;
+    uint64_t hash;
+    double actualJ;
+    double boundJ;
+    std::vector<double> moduleJ;
+};
+
+CycleState
+cycleState(const Simulator &s)
 {
-    for (GateId g = 0; g < GateId(nl.numGates()); ++g) {
-        if (a.value(g) != b.value(g)) {
-            os << "cycle " << a.cycle() << " gate " << g
-               << ": value FullSweep=" << v4Char(a.value(g)) << " "
-               << label_b << "=" << v4Char(b.value(g)) << "\n";
-            return false;
+    return {s.snapshot(), s.hashFullState(), s.actualEnergyJ(),
+            s.boundEnergyJ(), s.moduleBoundEnergyJ()};
+}
+
+/** Lane @p lane of @p p, aged and hashed as the scalar @p ref. */
+CycleState
+cycleState(const PackedSimulator &p, unsigned lane, const Simulator &ref)
+{
+    Simulator::Snapshot s = p.extractLaneState(lane, ref.cycle());
+    uint64_t hash = ref.hashSnapshotState(s);
+    return {std::move(s), hash, p.actualEnergyJ(lane), p.boundEnergyJ(lane),
+            p.moduleBoundEnergyLaneJ(lane)};
+}
+
+/**
+ * The state comparator of properties 2, 6 and 7: "" when @p a and
+ * @p b agree on every gate's value and activity, the activity bitset,
+ * the actual, bound and per-module energies and the full-state hash;
+ * else the first difference, the sides named @p la and @p lb.
+ */
+std::string
+stateDiff(const CycleState &a, const char *la, const CycleState &b,
+          const char *lb)
+{
+    const std::vector<V4> &va = a.state.val, &vb = b.state.val;
+    const uint64_t *aa = a.state.activeLast.data();
+    const uint64_t *ab = b.state.activeLast.data();
+    auto gateDiff = [&](GateId g, const char *what, char x, char y) {
+        return " gate " + std::to_string(g) + ": " + what + " " + la +
+               "=" + x + " " + lb + "=" + y + "\n";
+    };
+    for (GateId g = 0; g < GateId(va.size()); ++g) {
+        if (va[g] != vb[g])
+            return gateDiff(g, "value", v4Char(va[g]), v4Char(vb[g]));
+        if (testBit(aa, g) != testBit(ab, g))
+            return gateDiff(g, "activity", "01"[testBit(aa, g)],
+                            "01"[testBit(ab, g)]);
+    }
+    if (a.state.activeLast != b.state.activeLast)
+        return ": activity bitsets differ\n";
+    if (a.actualJ != b.actualJ || a.boundJ != b.boundJ) {
+        std::ostringstream os;
+        os << ": energy " << la << "=(" << a.actualJ << ", " << a.boundJ
+           << ") " << lb << "=(" << b.actualJ << ", " << b.boundJ
+           << ")\n";
+        return os.str();
+    }
+    if (a.moduleJ != b.moduleJ)
+        return ": per-module energies differ\n";
+    if (a.hash != b.hash)
+        return ": full-state hashes differ\n";
+    return "";
+}
+
+/**
+ * Properties 6 and 7, netlist items: one PackedSimulator against 64
+ * scalar Simulators on a random netlist from @p seed, each lane with
+ * its own input schedule and, when @p seu, its own SEU flips (lane 0
+ * stays fault-free as the in-item control), all derived so any lane
+ * reproduces from (seed, lane) alone. Scalar lanes alternate EvalMode
+ * so both kernels anchor the comparison. After every cycle each lane
+ * must pass stateDiff against its scalar run, and each flip must be
+ * applied (or be an X-bit no-op) alike through both injection APIs.
+ */
+PropertyResult
+laneLockstep(uint64_t seed, const NetlistGenOptions &opts,
+             unsigned cycles, bool seu)
+{
+    constexpr unsigned kLanes = PackedSimulator::kLanes;
+    Rng rng(seed);
+    CellLibrary lib = CellLibrary::tsmc65Like();
+    Netlist nl(lib);
+    RandomNetlist rn = buildRandomNetlist(nl, rng, opts);
+    unsigned nin = unsigned(rn.inputs.size());
+    const std::vector<GateId> &seq = nl.seqGates();
+
+    struct Flip {
+        GateId gate;
+        unsigned cycle;
+    };
+    std::array<std::vector<std::vector<V4>>, kLanes> sched;
+    std::array<std::vector<Flip>, kLanes> flips;
+    for (unsigned l = 0; l < kLanes; ++l) {
+        Rng lrng(Rng::deriveStream(seed, l));
+        sched[l] =
+            makeInputSchedule(lrng, nin, cycles, opts.inputXPercent);
+        if (!seu || l == 0 || seq.empty())
+            continue;
+        unsigned n = 1 + lrng.below(3);
+        for (unsigned f = 0; f < n; ++f)
+            flips[l].push_back({seq[lrng.below(unsigned(seq.size()))],
+                                lrng.below(cycles)});
+    }
+
+    PackedSimulator psim(nl);
+    std::vector<Simulator> sims;
+    sims.reserve(kLanes);
+    for (unsigned l = 0; l < kLanes; ++l)
+        sims.emplace_back(nl, (l % 2) ? EvalMode::FullSweep
+                                      : EvalMode::EventDriven);
+
+    for (unsigned c = 0; c < cycles; ++c) {
+        std::array<std::vector<bool>, kLanes> appP, appS;
+        psim.step([&](PackedSimulator &s) {
+            for (unsigned i = 0; i < nin; ++i) {
+                V64 v;
+                for (unsigned l = 0; l < kLanes; ++l)
+                    v.setLane(l, sched[l][c][i]);
+                s.setInput(rn.inputs[i], v);
+            }
+            for (unsigned l = 0; l < kLanes; ++l)
+                for (const Flip &f : flips[l])
+                    if (f.cycle == c)
+                        appP[l].push_back(
+                            s.injectSeuFlip(f.gate, 1ull << l) != 0);
+        });
+        for (unsigned l = 0; l < kLanes; ++l) {
+            Simulator &sim = sims[l];
+            sim.step([&](Simulator &s) {
+                for (unsigned i = 0; i < nin; ++i)
+                    s.setInput(rn.inputs[i], sched[l][c][i]);
+                for (const Flip &f : flips[l])
+                    if (f.cycle == c)
+                        appS[l].push_back(s.injectSeuFlip(f.gate));
+            });
+            std::string diff =
+                appP[l] != appS[l]
+                    ? ": applied-flip decisions differ\n"
+                    : stateDiff(cycleState(psim, l, sim), "packed",
+                                cycleState(sim), "scalar");
+            if (!diff.empty())
+                return {false, "seed " + std::to_string(seed) +
+                                   ": cycle " + std::to_string(c) +
+                                   " lane " + std::to_string(l) + diff};
         }
-        if (a.isActive(g) != b.isActive(g)) {
-            os << "cycle " << a.cycle() << " gate " << g
-               << ": activity FullSweep=" << a.isActive(g) << " "
-               << label_b << "=" << b.isActive(g) << "\n";
-            return false;
+    }
+    return {};
+}
+
+/**
+ * @p n port words, one per simulator cycle: a fresh random word each,
+ * under @p scn's pin pattern from the end of reset on. runConcrete
+ * indexes its schedule by absolute simulator cycle, so the first
+ * kResetCycles words cover reset (values free: the run drives reset
+ * itself) and word kResetCycles + c realizes the pattern of post-reset
+ * cycle c.
+ */
+std::vector<uint16_t>
+portWords(Rng &rng, size_t n, const scenario::Scenario &scn = {})
+{
+    std::vector<uint16_t> words(n);
+    for (size_t a = 0; a < n; ++a) {
+        uint16_t w = rng.word();
+        if (a >= msp::System::kResetCycles) {
+            const scenario::PortPattern &p =
+                scn.patternAt(uint64_t(a) - msp::System::kResetCycles);
+            w = uint16_t((w & ~p.pinned) | p.value);
         }
+        words[a] = w;
     }
-    if (a.activeBits() != b.activeBits()) {
-        os << "cycle " << a.cycle() << ": activity bitsets differ\n";
-        return false;
+    return words;
+}
+
+/**
+ * The envelope-bound check of properties 4, 5, 6 and 8: "" when the
+ * concrete run @p run halted within @p max_cycles and its trace lies
+ * under @p env at every cycle (validateTraceBound's length-aware
+ * semantics: outliving the envelope is a violation, halting earlier
+ * is not); else why not, with the envelope value at the first
+ * violation.
+ */
+std::string
+envelopeEscape(const std::string &run, const std::vector<float> &env,
+               bool halted, const std::vector<float> &trace,
+               uint64_t max_cycles)
+{
+    std::ostringstream os;
+    if (!halted) {
+        os << run << " still live after " << max_cycles
+           << " cycles (envelope covers " << env.size() << ")\n";
+        return os.str();
     }
-    if (a.actualEnergyJ() != b.actualEnergyJ() ||
-        a.boundEnergyJ() != b.boundEnergyJ()) {
-        os << "cycle " << a.cycle()
-           << ": energy FullSweep=(" << a.actualEnergyJ() << ", "
-           << a.boundEnergyJ() << ") " << label_b << "=("
-           << b.actualEnergyJ() << ", " << b.boundEnergyJ() << ")\n";
-        return false;
+    peak::TraceValidation v = peak::validateTraceBound(env, trace);
+    if (v.bounds)
+        return "";
+    const size_t at = size_t(v.firstViolationCycle);
+    os << run << ": envelope violated at " << v.violations << " of "
+       << trace.size() << " cycles, first at cycle " << at << " (";
+    if (at < env.size())
+        os << "env=" << env[at] << " W, ";
+    else
+        os << "beyond the " << env.size() << "-cycle envelope, ";
+    os << "concrete=" << trace[at] << " W, max excess "
+       << v.maxViolationW << " W)\n";
+    return os.str();
+}
+
+/**
+ * The concrete side of properties 4, 5 and 8: @p runs runs of
+ * @p image obeying @p scn -- @p words port words from portWords, its
+ * RAM init and its operating-mode pricing -- each of which must pass
+ * envelopeEscape against @p env within @p max_cycles. "" when all do.
+ */
+std::string
+concreteEscape(msp::System &sys, const isa::Image &image, Rng &rng,
+               const scenario::Scenario &scn, double freq_hz,
+               const std::vector<float> &env, unsigned runs,
+               size_t words, uint64_t max_cycles, const std::string &what)
+{
+    power::PowerContext ctx(sys.netlist(), freq_hz);
+    for (unsigned run = 0; run < runs; ++run) {
+        power::ConcreteRunOptions ropts;
+        ropts.maxCycles = max_cycles;
+        ropts.portSchedule = portWords(rng, words, scn);
+        if (scn.hasModes())
+            ropts.modeSchedule = scn.phasePricing(sys.lib(), freq_hz);
+        power::ConcreteRunResult c =
+            power::runConcrete(sys, image, ctx, ropts, scn.ramInit);
+        std::string esc =
+            envelopeEscape(what + " " + std::to_string(run), env,
+                           c.halted, c.traceW, max_cycles);
+        if (!esc.empty())
+            return esc;
     }
-    if (a.moduleBoundEnergyJ() != b.moduleBoundEnergyJ()) {
-        os << "cycle " << a.cycle()
-           << ": per-module energies differ\n";
-        return false;
+    return "";
+}
+
+/**
+ * The dominance check of properties 5 and 8: "" when @p tight lies at
+ * or under @p loose -- peak power and peak energy within the relative
+ * @p slack, the envelope pointwise within @p env_slack and no longer
+ * (exactly as long when @p equal_length) -- else the first excess,
+ * the reports named @p tn and @p ln.
+ */
+std::string
+dominanceDiff(const peak::Report &tight, const char *tn,
+              const peak::Report &loose, const char *ln, double slack,
+              double env_slack, bool equal_length)
+{
+    std::ostringstream os;
+    auto exceeds = [&](const std::string &what, double t, double l,
+                       double s) {
+        if (t <= l * s)
+            return false;
+        os << what << ": " << tn << " " << t << " > " << ln << " " << l
+           << "\n";
+        return true;
+    };
+    if (exceeds("peakPowerW", tight.peakPowerW, loose.peakPowerW,
+                slack) ||
+        exceeds("peakEnergyJ", tight.peakEnergyJ, loose.peakEnergyJ,
+                slack))
+        return os.str();
+    const std::vector<float> &et = tight.envelope.powerW;
+    const std::vector<float> &el = loose.envelope.powerW;
+    if (equal_length ? et.size() != el.size() : et.size() > el.size()) {
+        os << tn << " envelope lasts " << et.size() << " cycles, " << ln
+           << " " << el.size()
+           << (equal_length ? " (identical trees expected)\n" : "\n");
+        return os.str();
     }
-    if (a.hashFullState() != b.hashFullState()) {
-        os << "cycle " << a.cycle() << ": full-state hashes differ\n";
-        return false;
-    }
-    return true;
+    for (size_t c = 0; c < et.size(); ++c)
+        if (exceeds("envelope cycle " + std::to_string(c), et[c], el[c],
+                    env_slack))
+            break;
+    return os.str();
 }
 
 } // namespace
@@ -67,7 +306,6 @@ PropertyResult
 kernelEquivalenceCheck(uint64_t seed, const NetlistGenOptions &opts,
                        unsigned cycles)
 {
-    PropertyResult res;
     Rng rng(seed);
     CellLibrary lib = CellLibrary::tsmc65Like();
     Netlist nl(lib);
@@ -83,7 +321,10 @@ kernelEquivalenceCheck(uint64_t seed, const NetlistGenOptions &opts,
     unsigned forkAt = cycles / 2;
     Simulator::Snapshot snap;
 
-    std::ostringstream os;
+    auto fail = [&](const std::string &detail) {
+        return PropertyResult{false,
+                              "seed " + std::to_string(seed) + ": " + detail};
+    };
     for (unsigned c = 0; c < cycles; ++c) {
         auto drive = [&](Simulator &s) {
             for (size_t i = 0; i < rn.inputs.size(); ++i)
@@ -91,14 +332,13 @@ kernelEquivalenceCheck(uint64_t seed, const NetlistGenOptions &opts,
         };
         full.step(drive);
         event.step(drive);
-        if (!compareCycle(nl, full, event, "EventDriven", os)) {
-            res.ok = false;
-            res.detail = "seed " + std::to_string(seed) + ": " +
-                         os.str();
-            return res;
-        }
+        CycleState e = cycleState(event);
+        std::string diff =
+            stateDiff(cycleState(full), "FullSweep", e, "EventDriven");
+        if (!diff.empty())
+            return fail("cycle " + std::to_string(full.cycle()) + diff);
         if (c == forkAt)
-            snap = event.snapshot();
+            snap = std::move(e.state);
     }
 
     // Replay the suffix from the snapshot on a third simulator: the
@@ -111,13 +351,10 @@ kernelEquivalenceCheck(uint64_t seed, const NetlistGenOptions &opts,
         });
     }
     if (cycles > forkAt + 1 &&
-        forked.hashFullState() != event.hashFullState()) {
-        res.ok = false;
-        res.detail = "seed " + std::to_string(seed) +
-                     ": snapshot/restore replay diverged from the "
-                     "straight-line run\n";
-    }
-    return res;
+        forked.hashFullState() != event.hashFullState())
+        return fail("snapshot/restore replay diverged from the "
+                    "straight-line run\n");
+    return {};
 }
 
 std::string
@@ -289,60 +526,19 @@ PropertyResult
 envelopeBoundCheck(msp::System &sys, const isa::Image &image,
                    Rng &rng, unsigned concrete_runs)
 {
-    PropertyResult res;
     peak::Options opts;
     opts.recordEnvelope = true;
     peak::Report x = peak::analyze(sys, image, opts);
     if (!x.ok)
-        return res; // rejected programs have nothing to bound
-    const peak::Envelope &env = x.envelope;
-
-    power::PowerContext ctx(sys.netlist(), opts.freqHz);
-    for (unsigned run = 0; run < concrete_runs; ++run) {
-        power::ConcreteRunOptions copts;
-        // Fresh random port word every cycle: each concrete run is
-        // one input assignment of the all-X symbolic port.
-        copts.portSchedule.resize(64);
-        for (uint16_t &w : copts.portSchedule)
-            w = rng.word();
-        // Enough room to *detect* a run outliving the envelope
-        // rather than truncating at exactly its length.
-        copts.maxCycles = env.powerW.size() + 256;
-        power::ConcreteRunResult c =
-            power::runConcrete(sys, image, ctx, copts);
-
-        std::ostringstream os;
-        if (!c.halted) {
-            os << "concrete run " << run << " still live after "
-               << copts.maxCycles << " cycles (envelope covers "
-               << env.powerW.size() << ")\n";
-            res.ok = false;
-            res.detail = os.str();
-            return res;
-        }
-        peak::TraceValidation v =
-            peak::validateTraceBound(env.powerW, c.traceW);
-        if (!v.bounds) {
-            os << "concrete run " << run << ": envelope violated at "
-               << v.violations << " of " << c.traceW.size()
-               << " cycles, first at cycle " << v.firstViolationCycle
-               << " (";
-            if (v.firstViolationCycle < env.powerW.size())
-                os << "env="
-                   << env.powerW[size_t(v.firstViolationCycle)]
-                   << " W, ";
-            else
-                os << "beyond the " << env.powerW.size()
-                   << "-cycle envelope, ";
-            os << "concrete="
-               << c.traceW[size_t(v.firstViolationCycle)]
-               << " W, max excess " << v.maxViolationW << " W)\n";
-            res.ok = false;
-            res.detail = os.str();
-            return res;
-        }
-    }
-    return res;
+        return {}; // rejected programs have nothing to bound
+    // A fresh random port word every cycle: each concrete run is one
+    // input assignment of the all-X symbolic port. The run has room to
+    // *outlive* the envelope rather than stop at exactly its length.
+    const std::vector<float> &env = x.envelope.powerW;
+    std::string esc =
+        concreteEscape(sys, image, rng, {}, opts.freqHz, env,
+                       concrete_runs, 64, env.size() + 256, "concrete run");
+    return {esc.empty(), esc};
 }
 
 PropertyResult
@@ -350,92 +546,7 @@ packedKernelEquivalenceCheck(uint64_t seed,
                              const NetlistGenOptions &opts,
                              unsigned cycles)
 {
-    constexpr unsigned kLanes = PackedSimulator::kLanes;
-    PropertyResult res;
-    Rng rng(seed);
-    CellLibrary lib = CellLibrary::tsmc65Like();
-    Netlist nl(lib);
-    RandomNetlist rn = buildRandomNetlist(nl, rng, opts);
-    unsigned nin = unsigned(rn.inputs.size());
-
-    // One independent input schedule per lane, derived so any single
-    // lane reproduces from (seed, lane) alone.
-    std::array<std::vector<std::vector<V4>>, kLanes> sched;
-    for (unsigned l = 0; l < kLanes; ++l) {
-        Rng lrng(Rng::deriveStream(seed, l));
-        sched[l] =
-            makeInputSchedule(lrng, nin, cycles, opts.inputXPercent);
-    }
-
-    PackedSimulator psim(nl);
-    std::vector<Simulator> sims;
-    sims.reserve(kLanes);
-    for (unsigned l = 0; l < kLanes; ++l)
-        sims.emplace_back(nl, (l % 2) ? EvalMode::FullSweep
-                                      : EvalMode::EventDriven);
-
-    std::ostringstream os;
-    auto fail = [&]() {
-        res.ok = false;
-        res.detail = "seed " + std::to_string(seed) + ": " + os.str();
-        return res;
-    };
-
-    for (unsigned c = 0; c < cycles; ++c) {
-        psim.step([&](PackedSimulator &s) {
-            for (unsigned i = 0; i < nin; ++i) {
-                V64 v;
-                for (unsigned l = 0; l < kLanes; ++l)
-                    v.setLane(l, sched[l][c][i]);
-                s.setInput(rn.inputs[i], v);
-            }
-        });
-        for (unsigned l = 0; l < kLanes; ++l) {
-            Simulator &sim = sims[l];
-            sim.step([&](Simulator &s) {
-                for (unsigned i = 0; i < nin; ++i)
-                    s.setInput(rn.inputs[i], sched[l][c][i]);
-            });
-            for (GateId g = 0; g < GateId(nl.numGates()); ++g) {
-                if (psim.valueLane(g, l) != sim.value(g)) {
-                    os << "cycle " << c << " lane " << l << " gate "
-                       << g << ": value packed="
-                       << v4Char(psim.valueLane(g, l)) << " scalar="
-                       << v4Char(sim.value(g)) << "\n";
-                    return fail();
-                }
-                bool pact = (psim.activeMask(g) >> l) & 1;
-                if (pact != sim.isActive(g)) {
-                    os << "cycle " << c << " lane " << l << " gate "
-                       << g << ": activity packed=" << pact
-                       << " scalar=" << sim.isActive(g) << "\n";
-                    return fail();
-                }
-            }
-            if (psim.actualEnergyJ(l) != sim.actualEnergyJ() ||
-                psim.boundEnergyJ(l) != sim.boundEnergyJ()) {
-                os << "cycle " << c << " lane " << l
-                   << ": energy packed=(" << psim.actualEnergyJ(l)
-                   << ", " << psim.boundEnergyJ(l) << ") scalar=("
-                   << sim.actualEnergyJ() << ", "
-                   << sim.boundEnergyJ() << ")\n";
-                return fail();
-            }
-            if (psim.moduleBoundEnergyLaneJ(l) !=
-                sim.moduleBoundEnergyJ()) {
-                os << "cycle " << c << " lane " << l
-                   << ": per-module energies differ\n";
-                return fail();
-            }
-            if (sim.hashSnapshotState(psim.extractLaneState(
-                    l, sim.cycle())) != sim.hashFullState()) {
-                os << "cycle " << c << " lane " << l
-                   << ": full-state hashes differ\n";
-                return fail();
-            }
-        }
-    }
-    return res;
+    return laneLockstep(seed, opts, cycles, false);
 }
 
 PropertyResult
@@ -443,47 +554,27 @@ packedEnvelopeBatchCheck(msp::System &sys, const isa::Image &image,
                          Rng &rng, unsigned verify_lanes)
 {
     constexpr unsigned kLanes = PackedSimulator::kLanes;
-    PropertyResult res;
     peak::Options opts;
     opts.recordEnvelope = true;
     peak::Report x = peak::analyze(sys, image, opts);
     if (!x.ok)
-        return res; // rejected programs have nothing to bound
-    const peak::Envelope &env = x.envelope;
+        return {}; // rejected programs have nothing to bound
+    const std::vector<float> &env = x.envelope.powerW;
 
     power::PowerContext ctx(sys.netlist(), opts.freqHz);
     power::PackedRunOptions popts;
-    popts.maxCycles = env.powerW.size() + 256;
-    for (unsigned l = 0; l < kLanes; ++l) {
-        popts.portSchedules[l].resize(64);
-        for (uint16_t &w : popts.portSchedules[l])
-            w = rng.word();
-    }
+    popts.maxCycles = env.size() + 256;
+    for (unsigned l = 0; l < kLanes; ++l)
+        popts.portSchedules[l] = portWords(rng, 64);
     power::PackedRunResult pr =
         power::runConcretePacked(sys, image, ctx, popts);
-
-    std::ostringstream os;
     for (unsigned l = 0; l < kLanes; ++l) {
         const power::PackedLaneResult &lane = pr.lanes[l];
-        if (!lane.halted) {
-            os << "packed lane " << l << " still live after "
-               << popts.maxCycles << " cycles (envelope covers "
-               << env.powerW.size() << ")\n";
-            res.ok = false;
-            res.detail = os.str();
-            return res;
-        }
-        peak::TraceValidation v =
-            peak::validateTraceBound(env.powerW, lane.traceW);
-        if (!v.bounds) {
-            os << "packed lane " << l << ": envelope violated at "
-               << v.violations << " of " << lane.traceW.size()
-               << " cycles, first at cycle " << v.firstViolationCycle
-               << " (max excess " << v.maxViolationW << " W)\n";
-            res.ok = false;
-            res.detail = os.str();
-            return res;
-        }
+        std::string esc =
+            envelopeEscape("packed lane " + std::to_string(l), env,
+                           lane.halted, lane.traceW, popts.maxCycles);
+        if (!esc.empty())
+            return {false, esc};
     }
 
     // Lane-identity spot check: re-run a few lanes on the scalar
@@ -498,17 +589,16 @@ packedEnvelopeBatchCheck(msp::System &sys, const isa::Image &image,
         const power::PackedLaneResult &lane = pr.lanes[l];
         if (c.halted != lane.halted || c.traceW != lane.traceW ||
             c.totalEnergyJ != lane.totalEnergyJ) {
+            std::ostringstream os;
             os << "lane " << l
                << " diverges from its scalar run (halted "
                << lane.halted << " vs " << c.halted << ", "
                << lane.traceW.size() << " vs " << c.traceW.size()
                << " trace cycles)\n";
-            res.ok = false;
-            res.detail = os.str();
-            return res;
+            return {false, os.str()};
         }
     }
-    return res;
+    return {};
 }
 
 PropertyResult
@@ -516,115 +606,7 @@ faultedPackedEquivalenceCheck(uint64_t seed,
                               const NetlistGenOptions &opts,
                               unsigned cycles)
 {
-    constexpr unsigned kLanes = PackedSimulator::kLanes;
-    PropertyResult res;
-    Rng rng(seed);
-    CellLibrary lib = CellLibrary::tsmc65Like();
-    Netlist nl(lib);
-    RandomNetlist rn = buildRandomNetlist(nl, rng, opts);
-    unsigned nin = unsigned(rn.inputs.size());
-    const std::vector<GateId> &seq = nl.seqGates();
-
-    // Per-lane input schedules and per-lane SEU flips, both derived
-    // so any lane reproduces from (seed, lane) alone. Lane 0 stays
-    // fault-free as the in-item control.
-    struct Flip {
-        GateId gate;
-        unsigned cycle;
-    };
-    std::array<std::vector<std::vector<V4>>, kLanes> sched;
-    std::array<std::vector<Flip>, kLanes> flips;
-    for (unsigned l = 0; l < kLanes; ++l) {
-        Rng lrng(Rng::deriveStream(seed, l));
-        sched[l] =
-            makeInputSchedule(lrng, nin, cycles, opts.inputXPercent);
-        if (l == 0 || seq.empty())
-            continue;
-        unsigned n = 1 + lrng.below(3);
-        for (unsigned f = 0; f < n; ++f)
-            flips[l].push_back({seq[lrng.below(unsigned(seq.size()))],
-                                lrng.below(cycles)});
-    }
-
-    PackedSimulator psim(nl);
-    std::vector<Simulator> sims;
-    sims.reserve(kLanes);
-    for (unsigned l = 0; l < kLanes; ++l)
-        sims.emplace_back(nl, (l % 2) ? EvalMode::FullSweep
-                                      : EvalMode::EventDriven);
-
-    std::ostringstream os;
-    auto fail = [&]() {
-        res.ok = false;
-        res.detail = "seed " + std::to_string(seed) + ": " + os.str();
-        return res;
-    };
-
-    for (unsigned c = 0; c < cycles; ++c) {
-        // applied decisions (X-bit flips are no-ops) must agree
-        // flip-for-flip between the two injection APIs.
-        std::array<std::vector<bool>, kLanes> appP, appS;
-        psim.step([&](PackedSimulator &s) {
-            for (unsigned i = 0; i < nin; ++i) {
-                V64 v;
-                for (unsigned l = 0; l < kLanes; ++l)
-                    v.setLane(l, sched[l][c][i]);
-                s.setInput(rn.inputs[i], v);
-            }
-            for (unsigned l = 0; l < kLanes; ++l)
-                for (const Flip &f : flips[l])
-                    if (f.cycle == c)
-                        appP[l].push_back(
-                            s.injectSeuFlip(f.gate, 1ull << l) != 0);
-        });
-        for (unsigned l = 0; l < kLanes; ++l) {
-            Simulator &sim = sims[l];
-            sim.step([&](Simulator &s) {
-                for (unsigned i = 0; i < nin; ++i)
-                    s.setInput(rn.inputs[i], sched[l][c][i]);
-                for (const Flip &f : flips[l])
-                    if (f.cycle == c)
-                        appS[l].push_back(s.injectSeuFlip(f.gate));
-            });
-            if (appP[l] != appS[l]) {
-                os << "cycle " << c << " lane " << l
-                   << ": applied-flip decisions differ\n";
-                return fail();
-            }
-            for (GateId g = 0; g < GateId(nl.numGates()); ++g) {
-                if (psim.valueLane(g, l) != sim.value(g)) {
-                    os << "cycle " << c << " lane " << l << " gate "
-                       << g << ": value packed="
-                       << v4Char(psim.valueLane(g, l)) << " scalar="
-                       << v4Char(sim.value(g)) << "\n";
-                    return fail();
-                }
-                bool pact = (psim.activeMask(g) >> l) & 1;
-                if (pact != sim.isActive(g)) {
-                    os << "cycle " << c << " lane " << l << " gate "
-                       << g << ": activity packed=" << pact
-                       << " scalar=" << sim.isActive(g) << "\n";
-                    return fail();
-                }
-            }
-            if (psim.actualEnergyJ(l) != sim.actualEnergyJ() ||
-                psim.boundEnergyJ(l) != sim.boundEnergyJ()) {
-                os << "cycle " << c << " lane " << l
-                   << ": energy packed=(" << psim.actualEnergyJ(l)
-                   << ", " << psim.boundEnergyJ(l) << ") scalar=("
-                   << sim.actualEnergyJ() << ", "
-                   << sim.boundEnergyJ() << ")\n";
-                return fail();
-            }
-            if (sim.hashSnapshotState(psim.extractLaneState(
-                    l, sim.cycle())) != sim.hashFullState()) {
-                os << "cycle " << c << " lane " << l
-                   << ": full-state hashes differ\n";
-                return fail();
-            }
-        }
-    }
-    return res;
+    return laneLockstep(seed, opts, cycles, true);
 }
 
 std::string
@@ -746,111 +728,34 @@ PropertyResult
 scenarioDominanceCheck(msp::System &sys, const isa::Image &image,
                        Rng &rng, unsigned concrete_runs)
 {
-    PropertyResult res;
-    peak::Options uopts;
-    uopts.recordEnvelope = true;
-    peak::Report unc = peak::analyze(sys, image, uopts);
-    if (!unc.ok)
-        return res; // rejected programs have nothing to dominate
-
     scenario::Scenario scn = randomScenario(rng);
-    peak::Options copts = uopts;
-    copts.scenario = scn;
-    peak::Report con = peak::analyze(sys, image, copts);
-    if (!con.ok) {
-        // A scheduled scenario multiplies distinct states (phase
-        // joins the dedup key), so budget exhaustion is a legitimate
-        // outcome, not a dominance violation.
-        return res;
-    }
-
-    std::ostringstream os;
+    peak::Options opts;
+    opts.recordEnvelope = true;
+    std::vector<peak::Report> twins =
+        peak::analyzeGroup(sys, image, opts, {scenario::Scenario(), scn});
+    const peak::Report &unc = twins[0], &con = twins[1];
+    // Rejected programs have nothing to dominate. A scheduled scenario
+    // multiplies distinct states (phase joins the dedup key), so its
+    // budget exhaustion is a legitimate outcome, not a violation.
+    if (!unc.ok || !con.ok)
+        return {};
 
     // Bound dominance. Exact arithmetic guarantees <=; the analyses
     // sum different (nested) active sets in floating point, so allow
     // a relative whisker far below any real violation.
     const double slack = 1.0 + 1e-9;
-    auto dominated = [&](const char *what, double c, double u) {
-        if (c <= u * slack)
-            return true;
-        os << what << ": constrained " << c << " > unconstrained "
-           << u << " (scenario " << scn.summary() << ")\n";
-        return false;
-    };
-    if (!dominated("peakPowerW", con.peakPowerW, unc.peakPowerW) ||
-        !dominated("peakEnergyJ", con.peakEnergyJ,
-                   unc.peakEnergyJ)) {
-        res.ok = false;
-        res.detail = os.str();
-        return res;
-    }
-    const std::vector<float> &envC = con.envelope.powerW;
-    const std::vector<float> &envU = unc.envelope.powerW;
-    if (envC.size() > envU.size()) {
-        res.ok = false;
-        res.detail = "constrained envelope outlives the "
-                     "unconstrained one (" +
-                     std::to_string(envC.size()) + " vs " +
-                     std::to_string(envU.size()) + " cycles)\n";
-        return res;
-    }
-    for (size_t c = 0; c < envC.size(); ++c) {
-        if (double(envC[c]) > double(envU[c]) * slack) {
-            os << "envelope cycle " << c << ": constrained "
-               << envC[c] << " > unconstrained " << envU[c]
-               << " (scenario " << scn.summary() << ")\n";
-            res.ok = false;
-            res.detail = os.str();
-            return res;
-        }
-    }
-
+    std::string diff = dominanceDiff(con, "constrained", unc,
+                                     "unconstrained", slack, slack, false);
     // Concrete runs obeying the scenario lie under *its* envelope.
-    // runConcrete indexes its schedule by absolute simulator cycle,
-    // so the first kResetCycles entries cover reset (values free:
-    // the engine drives reset cycles itself) and entry
-    // kResetCycles + c realizes the scenario pattern of cycle c.
-    power::PowerContext ctx(sys.netlist(), copts.freqHz);
-    for (unsigned run = 0; run < concrete_runs; ++run) {
-        power::ConcreteRunOptions ropts;
-        ropts.maxCycles =
-            envC.size() + msp::System::kResetCycles + 256;
-        ropts.portSchedule.resize(size_t(ropts.maxCycles));
-        for (size_t a = 0; a < ropts.portSchedule.size(); ++a) {
-            uint16_t w = rng.word();
-            if (a >= msp::System::kResetCycles) {
-                const scenario::PortPattern &p = scn.patternAt(
-                    uint64_t(a) - msp::System::kResetCycles);
-                w = uint16_t((w & ~p.pinned) | p.value);
-            }
-            ropts.portSchedule[a] = w;
-        }
-        power::ConcreteRunResult c = power::runConcrete(
-            sys, image, ctx, ropts, scn.ramInit);
-        if (!c.halted) {
-            os << "scenario-obeying concrete run " << run
-               << " still live after " << ropts.maxCycles
-               << " cycles (envelope covers " << envC.size()
-               << ")\n";
-            res.ok = false;
-            res.detail = os.str();
-            return res;
-        }
-        peak::TraceValidation v =
-            peak::validateTraceBound(envC, c.traceW);
-        if (!v.bounds) {
-            os << "scenario-obeying concrete run " << run
-               << ": envelope violated at " << v.violations << " of "
-               << c.traceW.size() << " cycles, first at cycle "
-               << v.firstViolationCycle << " (max excess "
-               << v.maxViolationW << " W, scenario " << scn.summary()
-               << ")\n";
-            res.ok = false;
-            res.detail = os.str();
-            return res;
-        }
-    }
-    return res;
+    const std::vector<float> &env = con.envelope.powerW;
+    const uint64_t span = env.size() + msp::System::kResetCycles + 256;
+    if (diff.empty())
+        diff = concreteEscape(sys, image, rng, scn, opts.freqHz, env,
+                              concrete_runs, span, span,
+                              "scenario-obeying concrete run");
+    if (diff.empty())
+        return {};
+    return {false, "scenario " + scn.summary() + ": " + diff};
 }
 
 scenario::Scenario
@@ -880,7 +785,6 @@ PropertyResult
 modeDominanceCheck(msp::System &sys, const isa::Image &image,
                    Rng &rng, unsigned concrete_runs)
 {
-    PropertyResult res;
     scenario::Scenario base = randomModeScenario(rng);
 
     // The lowered twin: every mode's (vdd, freq) scaled by a factor
@@ -896,28 +800,18 @@ modeDominanceCheck(msp::System &sys, const isa::Image &image,
             double(5 + rng.below(span)) / 10.0;
     }
 
-    peak::Options bopts;
-    bopts.recordEnvelope = true;
-    bopts.scenario = base;
-    peak::Report rb = peak::analyze(sys, image, bopts);
+    peak::Options opts;
+    opts.recordEnvelope = true;
+    std::vector<peak::Report> twins =
+        peak::analyzeGroup(sys, image, opts, {base, low});
+    const peak::Report &rb = twins[0], &rl = twins[1];
     if (!rb.ok)
-        return res; // rejected / budget-exhausted: vacuous
+        return {}; // rejected / budget-exhausted: vacuous
 
-    peak::Options lopts = bopts;
-    lopts.scenario = low;
-    peak::Report rl = peak::analyze(sys, image, lopts);
-    std::ostringstream os;
-    if (!rl.ok) {
-        // Operating modes only re-price cycles; the explored tree --
-        // and therefore the cycle budget spent -- is identical, so a
-        // lowered analysis can never fail where the base succeeded.
-        res.ok = false;
-        res.detail = "lowered-mode analysis failed (" + rl.error +
-                     ") though the base mode analysis succeeded "
-                     "(scenario " + base.summary() + ")";
-        return res;
-    }
-
+    // Operating modes only re-price cycles; the explored tree -- and
+    // therefore the cycle budget spent -- is identical, so a lowered
+    // analysis can never fail where the base succeeded.
+    //
     // Scalar dominance. Per-cycle powers are stored as float in the
     // tree nodes, and maxPathEnergy multiplies them back by 1/freq,
     // so the base and lowered path sums carry *independent* ~1e-7
@@ -927,92 +821,25 @@ modeDominanceCheck(msp::System &sys, const isa::Image &image,
     // 10%). The per-cycle envelope powers themselves are monotone
     // rounding chains of the same bound, so they must dominate with
     // NO slack and equal length.
-    const double slack = 1.0 + 1e-6;
-    auto dominated = [&](const char *what, double l, double b) {
-        if (l <= b * slack)
-            return true;
-        os << what << ": lowered " << l << " > base " << b
-           << " (scenario " << base.summary() << ")\n";
-        return false;
-    };
-    if (!dominated("peakPowerW", rl.peakPowerW, rb.peakPowerW) ||
-        !dominated("peakEnergyJ", rl.peakEnergyJ, rb.peakEnergyJ)) {
-        res.ok = false;
-        res.detail = os.str();
-        return res;
-    }
-    const std::vector<float> &envL = rl.envelope.powerW;
-    const std::vector<float> &envB = rb.envelope.powerW;
-    if (envL.size() != envB.size()) {
-        res.ok = false;
-        res.detail = "lowered envelope length " +
-                     std::to_string(envL.size()) +
-                     " != base length " + std::to_string(envB.size()) +
-                     " (identical trees expected)\n";
-        return res;
-    }
-    for (size_t c = 0; c < envL.size(); ++c) {
-        if (envL[c] > envB[c]) {
-            os << "envelope cycle " << c << ": lowered " << envL[c]
-               << " > base " << envB[c] << " (scenario "
-               << base.summary() << ")\n";
-            res.ok = false;
-            res.detail = os.str();
-            return res;
-        }
-    }
+    std::string diff =
+        !rl.ok ? "lowered-mode analysis failed (" + rl.error +
+                     ") though the base mode analysis succeeded\n"
+               : dominanceDiff(rl, "lowered", rb, "base", 1.0 + 1e-6, 1.0,
+                               true);
 
     // Mode-obeying concrete runs lie under the mode-priced envelope:
     // the concrete side prices each cycle with the same (energy
     // scale, mode clock) schedule the symbolic side used.
-    const CellLibrary &lib = sys.lib();
-    std::vector<std::pair<double, double>> mf;
-    for (uint64_t ph = 0; ph < low.modePeriod(); ++ph) {
-        const scenario::OperatingMode &m = low.modeAt(ph);
-        mf.emplace_back(lib.energyScale(m.vdd), m.freqHz);
-    }
-    power::PowerContext ctx(sys.netlist(), lopts.freqHz);
-    for (unsigned run = 0; run < concrete_runs; ++run) {
-        power::ConcreteRunOptions ropts;
-        ropts.maxCycles =
-            envL.size() + msp::System::kResetCycles + 256;
-        ropts.modeSchedule = mf;
-        ropts.portSchedule.resize(size_t(ropts.maxCycles));
-        for (size_t a = 0; a < ropts.portSchedule.size(); ++a) {
-            uint16_t w = rng.word();
-            if (a >= msp::System::kResetCycles) {
-                const scenario::PortPattern &p = low.patternAt(
-                    uint64_t(a) - msp::System::kResetCycles);
-                w = uint16_t((w & ~p.pinned) | p.value);
-            }
-            ropts.portSchedule[a] = w;
-        }
-        power::ConcreteRunResult c = power::runConcrete(
-            sys, image, ctx, ropts, low.ramInit);
-        if (!c.halted) {
-            os << "mode-obeying concrete run " << run
-               << " still live after " << ropts.maxCycles
-               << " cycles (envelope covers " << envL.size()
-               << ")\n";
-            res.ok = false;
-            res.detail = os.str();
-            return res;
-        }
-        peak::TraceValidation v =
-            peak::validateTraceBound(envL, c.traceW);
-        if (!v.bounds) {
-            os << "mode-obeying concrete run " << run
-               << ": mode envelope violated at " << v.violations
-               << " of " << c.traceW.size()
-               << " cycles, first at cycle " << v.firstViolationCycle
-               << " (max excess " << v.maxViolationW
-               << " W, scenario " << low.summary() << ")\n";
-            res.ok = false;
-            res.detail = os.str();
-            return res;
-        }
-    }
-    return res;
+    const std::vector<float> &env = rl.envelope.powerW;
+    const uint64_t span = env.size() + msp::System::kResetCycles + 256;
+    if (diff.empty())
+        diff = concreteEscape(sys, image, rng, low, opts.freqHz, env,
+                              concrete_runs, span, span,
+                              "mode-obeying concrete run");
+    if (diff.empty())
+        return {};
+    return {false, "scenario " + base.summary() + ", lowered to " +
+                       low.summary() + ": " + diff};
 }
 
 PropertyResult

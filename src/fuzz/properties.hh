@@ -20,6 +20,13 @@
  *
  * Each check returns a PropertyResult whose detail names the first
  * mismatch precisely enough to debug from the printed seed alone.
+ * Every claim is checked by one piece of code: properties 2, 6 and 7
+ * share one simulator-state comparator (values, activity, actual /
+ * bound / per-module energies, full-state hash), properties 4, 5, 6
+ * and 8 one envelope-bound check of a concrete trace (a run that never
+ * halts, or the first cycle over the envelope with the envelope value
+ * there), and properties 5 and 8 one dominance check, each analyzing
+ * its twin scenarios as one analysis group (peak::analyzeGroup).
  */
 
 #ifndef ULPEAK_FUZZ_PROPERTIES_HH
@@ -48,9 +55,11 @@ struct PropertyResult {
 /**
  * Property 2: generate a random netlist and input schedule from
  * @p seed, run FullSweep and EventDriven simulators in lockstep for
- * @p cycles, compare values / activity / energies after every cycle.
- * Also locksteps a third simulator restored from a mid-run snapshot
- * to pin snapshot/restore transparency in both kernels.
+ * @p cycles, and compare their complete state after every cycle
+ * with the comparator properties 6 and 7 use: values, activity,
+ * actual / bound / per-module energies, full-state hash. Also
+ * locksteps a third simulator restored from a mid-run snapshot to pin
+ * snapshot/restore transparency in both kernels.
  */
 PropertyResult kernelEquivalenceCheck(uint64_t seed,
                                       const NetlistGenOptions &opts,
@@ -124,7 +133,8 @@ PropertyResult configInvarianceCheck(msp::System &sys,
  * schedules and check each concrete power trace lies under the
  * envelope at every cycle (validateTraceBound's length-aware
  * semantics: a concrete run outliving the envelope is a violation,
- * a concrete run halting earlier is not). Programs the symbolic
+ * a concrete run halting earlier is not; a failure names the envelope
+ * value at the first violating cycle). Programs the symbolic
  * engine rejects (unbounded loops, indirect X jumps) pass vacuously.
  */
 PropertyResult envelopeBoundCheck(msp::System &sys,
@@ -132,9 +142,9 @@ PropertyResult envelopeBoundCheck(msp::System &sys,
                                   unsigned concrete_runs = 3);
 
 /**
- * Property 6, netlist items: packed-kernel lane identity. Generate a random netlist
- * from @p seed and 64 independent input schedules (one per lane,
- * derived streams), run one PackedSimulator against 64 scalar
+ * Property 6, netlist items: packed-kernel lane identity. Generate a
+ * random netlist from @p seed and 64 independent input schedules (one
+ * per lane, derived streams), run one PackedSimulator against 64 scalar
  * Simulators in lockstep for @p cycles, and require every lane to be
  * bit-identical to its scalar run after every cycle: gate values,
  * activity, actual / bound / per-module energies, and the full-state
@@ -146,10 +156,11 @@ PropertyResult packedKernelEquivalenceCheck(uint64_t seed,
                                             unsigned cycles);
 
 /**
- * Property 6, program items: packed envelope batching. Analyze @p image with envelope
- * recording, then run one 64-lane packed batch of seeded random port
- * schedules: every lane must halt within the envelope length + slack
- * and lie under the envelope at every cycle (validateTraceBound), and
+ * Property 6, program items: packed envelope batching. Analyze
+ * @p image with envelope recording, then run one 64-lane packed batch
+ * of seeded random port schedules: every lane must pass property 4's
+ * envelope-bound check (halt within the envelope length + slack, lie
+ * under the envelope at every cycle), and
  * @p verify_lanes of the lanes are re-run on the scalar runConcrete
  * path and must match float-for-float (trace, halt flag, total
  * energy). Programs the symbolic engine rejects pass vacuously.
@@ -161,14 +172,16 @@ PropertyResult packedEnvelopeBatchCheck(msp::System &sys,
 
 /**
  * Property 7, netlist items: faulted packed-kernel lane identity.
- * The property-6 lockstep (one PackedSimulator vs 64 scalar Simulators on a random
- * netlist, 64 derived input schedules, scalar lanes alternating
- * EvalMode) with per-lane random SEU bit-flips injected into random
- * sequential gates at random cycles through the in-driver injection
- * API (Simulator::injectSeuFlip vs PackedSimulator::injectSeuFlip).
- * Requires bit-identical per-lane state after every cycle *and*
- * identical applied/not-applied (X-bit no-op) decisions per flip.
- * Netlists without sequential gates degrade to the fault-free check.
+ * The property-6 lockstep itself (one PackedSimulator vs 64 scalar
+ * Simulators on a random netlist, 64 derived input schedules, scalar
+ * lanes alternating EvalMode, every lane compared in full, per-module
+ * energies included) with per-lane random SEU bit-flips injected into
+ * random sequential gates at random cycles through the in-driver
+ * injection API (Simulator::injectSeuFlip vs
+ * PackedSimulator::injectSeuFlip), which must also agree on every
+ * flip's applied/not-applied (X-bit no-op) decision. Lane 0 stays
+ * fault-free; netlists without sequential gates degrade to the
+ * fault-free check.
  */
 PropertyResult faultedPackedEquivalenceCheck(
     uint64_t seed, const NetlistGenOptions &opts, unsigned cycles);
@@ -208,10 +221,11 @@ scenario::Scenario randomScenario(Rng &rng);
  * subset of the unconstrained executions, so every bound it produces
  * must lie at or under the unconstrained one: peak power, peak
  * energy, and the envelope pointwise (the envelope may also only get
- * shorter). Additionally every concrete run *obeying* the scenario
- * (port words drawn per-cycle inside the scenario's constraint) must
- * lie under the scenario's own envelope. Programs either analysis
- * rejects pass vacuously.
+ * shorter). The two scenarios run as one analysis group. Additionally
+ * every concrete run *obeying* the scenario (port words drawn
+ * per-cycle inside the scenario's constraint) must pass property 4's
+ * envelope-bound check against the scenario's own envelope. Programs
+ * either analysis rejects pass vacuously.
  * Comparisons allow a ~1e-9 relative slack: per-cycle bound sums are
  * floating-point and the constrained tree sums fewer, smaller terms.
  */
@@ -232,16 +246,18 @@ scenario::Scenario randomModeScenario(Rng &rng);
  * scenario, derive a "lowered" twin whose every mode has (vdd, freq)
  * scaled by factors <= 1 (mode 0 strictly). Lowering an operating
  * point changes only how cycles are *priced*, never which executions
- * exist, so the two analyses explore identical trees and the lowered
- * report must only tighten: peak power / peak energy at or under the
- * base (1e-6 relative slack: per-cycle powers are float-narrowed
- * before the path-energy sum crosses a freq * 1/freq round-trip, and
- * the two analyses round independently), and the envelope pointwise
- * at or under with NO
+ * exist, so the two analyses (one analysis group) explore identical
+ * trees and the lowered report must only tighten: peak power / peak
+ * energy at or under the base (1e-6 relative slack: per-cycle powers
+ * are float-narrowed before the path-energy sum crosses a
+ * freq * 1/freq round-trip, and the two analyses round
+ * independently), and the envelope pointwise at or under with NO
  * slack and identical length (per-cycle powers scale by exact IEEE
- * multiplications, which are monotone). Mode-obeying concrete runs (ConcreteRunOptions::modeSchedule built
- * from the scenario) must stay under the mode-priced envelope.
- * Programs either analysis rejects pass vacuously.
+ * multiplications, which are monotone). Mode-obeying concrete runs
+ * (ConcreteRunOptions::modeSchedule from Scenario::phasePricing)
+ * must pass property 4's envelope-bound check against the
+ * mode-priced envelope. Programs the base analysis rejects pass
+ * vacuously; the lowered one must then not reject.
  */
 PropertyResult modeDominanceCheck(msp::System &sys,
                                   const isa::Image &image, Rng &rng,

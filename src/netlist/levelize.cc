@@ -66,33 +66,27 @@ class Levelizer {
             for (GateId dep : nl.hooks_[i].depends)
                 addEdge(dep, uint32_t(n + i));
 
-        // Kahn's algorithm. Sequential outputs, constants and plain
-        // primary inputs start ready; they are emitted in the order so
-        // the simulator has a complete per-cycle visit sequence.
+        // Kahn's algorithm, which also computes each node's level: one
+        // above its deepest fanin, dependency or driving hook.
+        // Sequential outputs, constants and plain primary inputs start
+        // ready at level 0 (a flop is a level-0 source of the
+        // combinational phase; the flop itself is unscheduled).
         std::queue<uint32_t> ready;
         for (uint32_t v = 0; v < n + h; ++v)
             if (indeg[v] == 0)
                 ready.push(v);
 
-        nl.order_.clear();
-        nl.order_.reserve(n + h);
+        std::vector<uint32_t> level(n + h, 0);
         size_t emitted = 0;
         while (!ready.empty()) {
             uint32_t v = ready.front();
             ready.pop();
             ++emitted;
-            EvalItem item;
-            if (v < n) {
-                item.type = EvalItem::Type::Gate;
-                item.index = v;
-            } else {
-                item.type = EvalItem::Type::Hook;
-                item.index = uint32_t(v - n);
-            }
-            nl.order_.push_back(item);
-            for (uint32_t s : succ[v])
+            for (uint32_t s : succ[v]) {
+                level[s] = std::max(level[s], level[v] + 1);
                 if (--indeg[s] == 0)
                     ready.push(s);
+            }
         }
 
         if (emitted != n + h) {
@@ -130,18 +124,18 @@ class Levelizer {
             nl.clockEnergy_ += lib.params(k).clkPinEnergyJ;
         }
 
-        flatten(nl, hookOf);
+        flatten(nl, level);
     }
 
   private:
     /**
-     * Build the kernel view: the level-bucketed schedule as one
-     * NodeRecord per position, the CSR fanout adjacency in the event
-     * kernel's wake-bit form, and the per-gate seq index and
-     * top-level module.
+     * Build the kernel view from each node's @p level: the
+     * level-bucketed schedule as one NodeRecord per position, the CSR
+     * fanout adjacency in the event kernel's wake-bit form, and the
+     * per-gate seq index and top-level module.
      */
     static void
-    flatten(Netlist &nl, const std::vector<uint32_t> &hookOf)
+    flatten(Netlist &nl, const std::vector<uint32_t> &level)
     {
         const uint32_t n = uint32_t(nl.gates_.size());
         const uint32_t h = uint32_t(nl.hooks_.size());
@@ -155,31 +149,6 @@ class Levelizer {
         auto scheduled = [&](uint32_t node) {
             return node >= n || !isSequential(nl.gates_[node].kind);
         };
-
-        // Levels, walked in the already-computed topological order so
-        // every fanin/dependency level is final when consumed.
-        // Sequential outputs are level-0 sources of the combinational
-        // phase; the gate itself is unscheduled.
-        std::vector<uint32_t> level(n + h, 0);
-        for (const EvalItem &item : nl.order_) {
-            if (item.type == EvalItem::Type::Hook) {
-                uint32_t lvl = 0;
-                for (GateId dep : nl.hooks_[item.index].depends)
-                    lvl = std::max(lvl, level[dep] + 1);
-                level[n + item.index] = lvl;
-                continue;
-            }
-            GateId g = item.index;
-            const Gate &gate = nl.gates_[g];
-            if (!scheduled(g))
-                continue;
-            uint32_t lvl = 0;
-            if (hookOf[g] != UINT32_MAX)
-                lvl = level[n + hookOf[g]] + 1;
-            for (unsigned p = 0; p < gate.nin; ++p)
-                lvl = std::max(lvl, level[gate.in[p]] + 1);
-            level[g] = lvl;
-        }
 
         // Bucket the schedulable nodes by level, ascending node id
         // within a level (counting sort keeps it stable).

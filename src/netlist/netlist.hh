@@ -45,13 +45,6 @@ struct Gate {
     std::array<GateId, 4> in = {kNoGate, kNoGate, kNoGate, kNoGate};
 };
 
-/** An evaluation step produced by levelization. */
-struct EvalItem {
-    enum class Type : uint8_t { Gate, Hook };
-    Type type = Type::Gate;
-    uint32_t index = 0; ///< gate id, or hook id
-};
-
 /** Declaration of a behavioral block (e.g. a RAM macro). */
 struct BehavioralHook {
     std::string name;
@@ -221,7 +214,6 @@ class Netlist {
     const CellLibrary &library() const { return *lib_; }
     bool finalized() const { return finalized_; }
 
-    const std::vector<EvalItem> &evalOrder() const { return order_; }
     const std::vector<GateId> &seqGates() const { return seqGates_; }
     const std::vector<BehavioralHook> &hooks() const { return hooks_; }
     /**
@@ -233,7 +225,7 @@ class Netlist {
      * msp::System) may iterate it concurrently without
      * synchronization. Calling this before finalize()
      * returns the empty view (numGates == 0); construction-phase
-     * code should use gate()/evalOrder() instead.
+     * code should use gate() instead.
      */
     const FlatNetlist &flat() const { return flat_; }
 
@@ -292,7 +284,6 @@ class Netlist {
     std::unordered_map<std::string, GateId> names_;
     std::unordered_map<GateId, std::string> reverseNames_;
 
-    std::vector<EvalItem> order_;
     FlatNetlist flat_;
     std::vector<GateId> seqGates_;
     std::vector<uint32_t> fanoutCount_;

@@ -102,16 +102,6 @@ matchIndexed(const std::string &s, std::string &off, std::string &base)
 }
 
 bool
-readsMultResult(const std::string &code)
-{
-    std::string c = lower(code);
-    return c.find("&0x013a") != std::string::npos ||
-           c.find("&0x013c") != std::string::npos ||
-           c.find("&reslo") != std::string::npos ||
-           c.find("&reshi") != std::string::npos;
-}
-
-bool
 writesOp2(const std::string &code)
 {
     std::string mn, op1, op2;

@@ -269,7 +269,8 @@ analyzeBatch(const CellLibrary &lib,
                         buildWindowCurves(r.envelope,
                                           1.0 / aopts.freqHz);
                 }
-                r.cached = hit[i] = 1;
+                r.cached = true;
+                hit[i] = 1;
                 ++hits;
                 r.wallSeconds = secondsSince(t0);
                 return true;

@@ -47,7 +47,6 @@ buildMaxVcd(const Netlist &nl, const GateTrace &trace, bool even)
     // (c-1, c) pairs whose second element has the requested parity.
     std::vector<std::vector<V4>> vals = trace.values;
     const size_t n = nl.numGates();
-    const CellLibrary &lib = nl.library();
 
     for (size_t c = 1; c < vals.size(); ++c) {
         bool isEven = (c % 2) == 0;
@@ -59,9 +58,11 @@ buildMaxVcd(const Netlist &nl, const GateTrace &trace, bool even)
             V4 &prev = vals[c - 1][g];
             V4 &cur = vals[c][g];
             if (cur == V4::X && prev == V4::X) {
-                // maxTransition lookup into the cell library.
-                prev = lib.maxTransitionValue(nl.gate(g).kind, 1);
-                cur = lib.maxTransitionValue(nl.gate(g).kind, 2);
+                // maxTransition: the costlier edge of this gate, the
+                // one the kernels bill as kTransMax.
+                bool rising = nl.riseEnergyJ(g) >= nl.fallEnergyJ(g);
+                prev = rising ? V4::Zero : V4::One;
+                cur = logicNot(prev);
             } else if (cur == V4::X) {
                 cur = logicNot(prev);
             } else if (prev == V4::X) {

@@ -30,10 +30,17 @@ statisticalPower(const Netlist &nl, double freq_hz,
     r.density.assign(n, 0.0);
     r.probOne.assign(n, 0.5);
 
-    for (const EvalItem &item : nl.evalOrder()) {
-        if (item.type == EvalItem::Type::Hook)
+    // Registers resample once per cycle; the design-tool default
+    // assumes they toggle at the default rate with P(1)=0.5 (no
+    // knowledge of the state machine).
+    for (GateId g : nl.seqGates())
+        r.density[g] = default_toggle_rate;
+
+    // The rest in schedule order, so every fanin is final when read.
+    for (const NodeRecord &rec : nl.flat().records) {
+        if (rec.cls == NodeClass::Hook)
             continue;
-        GateId g = item.index;
+        GateId g = rec.node;
         const Gate &gate = nl.gate(g);
         CellKind k = gate.kind;
         switch (k) {
@@ -52,15 +59,6 @@ statisticalPower(const Netlist &nl, double freq_hz,
           default:
             break;
         }
-        if (isSequential(k)) {
-            // Registers resample once per cycle; the design-tool
-            // default assumes they toggle at the default rate with
-            // P(1)=0.5 (no knowledge of the state machine).
-            r.probOne[g] = 0.5;
-            r.density[g] = default_toggle_rate;
-            continue;
-        }
-
         unsigned nin = gate.nin;
         unsigned combos = 1u << nin;
         double p1 = 0.0;

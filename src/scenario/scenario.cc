@@ -7,6 +7,7 @@
 #include <sstream>
 #include <stdexcept>
 
+#include "cell/cell_library.hh"
 #include "util/content_hash.hh"
 
 namespace ulpeak {
@@ -390,6 +391,19 @@ Scenario::phaseTclkS() const
     for (uint64_t ph = 0; ph < period; ++ph)
         tclk.push_back(1.0 / modeAt(ph).freqHz);
     return tclk;
+}
+
+std::vector<std::pair<double, double>>
+Scenario::phasePricing(const CellLibrary &lib, double freq_hz) const
+{
+    if (!hasModes())
+        return {{1.0, freq_hz}};
+    std::vector<std::pair<double, double>> pricing;
+    for (uint64_t ph = 0; ph < modePeriod(); ++ph) {
+        const OperatingMode &m = modeAt(ph);
+        pricing.emplace_back(lib.energyScale(m.vdd), m.freqHz);
+    }
+    return pricing;
 }
 
 void

@@ -58,6 +58,9 @@
 #include "logic/v4.hh"
 
 namespace ulpeak {
+
+class CellLibrary;
+
 namespace scenario {
 
 /** One cycle's three-valued port constraint: bit i of @ref pinned
@@ -193,6 +196,13 @@ struct Scenario {
      *  -- the per-phase tclk vector ExecTree::maxPathEnergy and the
      *  windowed energy curves consume. Only valid when hasModes(). */
     std::vector<double> phaseTclkS() const;
+    /** Per-phase (energy scale, clock Hz) resolved against @p lib,
+     *  size modePeriod(): how the engine prices each cycle, and the
+     *  form power::ConcreteRunOptions::modeSchedule takes. Without
+     *  modes, the reference point: scale 1 at @p freq_hz, which
+     *  prices bit-identically to the unscaled formulas. */
+    std::vector<std::pair<double, double>>
+    phasePricing(const CellLibrary &lib, double freq_hz) const;
     /** Throw std::runtime_error on structural inconsistencies:
      *  schedule without modes or with out-of-range indices,
      *  non-positive vdd/freq, duplicate mode names, assertions

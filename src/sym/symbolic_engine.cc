@@ -1211,23 +1211,6 @@ scenarioError(const scenario::Scenario &scen, const msp::System &sys)
     return {};
 }
 
-/** Per-schedule-phase (energy scale, clock Hz) of @p scen, resolved
- *  against @p lib; the reference point (scale 1 at @p freq_hz, which
- *  prices bit-identically to the unscaled formulas) without modes. */
-std::vector<std::pair<double, double>>
-phasePricing(const scenario::Scenario &scen, const CellLibrary &lib,
-             double freq_hz)
-{
-    std::vector<std::pair<double, double>> modes;
-    if (!scen.hasModes())
-        return {{1.0, freq_hz}};
-    for (uint64_t ph = 0; ph < scen.modePeriod(); ++ph) {
-        const scenario::OperatingMode &m = scen.modeAt(ph);
-        modes.emplace_back(lib.energyScale(m.vdd), m.freqHz);
-    }
-    return modes;
-}
-
 } // namespace
 
 SymbolicEngine::SymbolicEngine(msp::System &sys,
@@ -1300,7 +1283,7 @@ SymbolicEngine::explore(const isa::Image &image,
             ++sh.failedContexts;
             continue;
         }
-        c.modes = phasePricing(scenarios[k], nl.library(), cfg_.freqHz);
+        c.modes = scenarios[k].phasePricing(nl.library(), cfg_.freqHz);
         ++usable;
     }
     if (!usable)

@@ -15,6 +15,7 @@
 #include "cell/cell_library.hh"
 #include "logic/v64.hh"
 #include "netlist/netlist.hh"
+#include "peak/even_odd.hh"
 #include "sim/packed_simulator.hh"
 #include "sim/simulator.hh"
 
@@ -541,14 +542,30 @@ TEST(Library, FanoutIncreasesRiseEnergy)
                      lib.transitionEnergyJ(CellKind::Nand2, false, 1));
 }
 
-TEST(Library, MaxTransitionMatchesAlgorithm2Lookup)
+/**
+ * Algorithm 2's maxTransition in the literal VCD flow: a gate active
+ * over an X -> X pair is assigned its costlier edge, so the VCD bills
+ * what the kernels bill (kTransMax), on a fall-dominant cell too.
+ */
+TEST(Library, MaxVcdBillsTheCostlierEdgeOfAnXPair)
 {
-    CellLibrary lib = CellLibrary::tsmc65Like();
-    EXPECT_DOUBLE_EQ(lib.maxTransitionEnergyJ(CellKind::Xor2, 3),
-                     lib.transitionEnergyJ(CellKind::Xor2, true, 3));
-    // maxTransition(g,1)=0 then maxTransition(g,2)=1: a rising edge.
-    EXPECT_EQ(lib.maxTransitionValue(CellKind::Xor2, 1), V4::Zero);
-    EXPECT_EQ(lib.maxTransitionValue(CellKind::Xor2, 2), V4::One);
+    CellLibrary fallHeavy = CellLibrary::tsmc65Like();
+    CellLibraryTestAccess::setEnergies(fallHeavy, CellKind::Buf, 1.0e-15,
+                                       3.0e-15);
+    for (const CellLibrary &lib : {CellLibrary::tsmc65Like(), fallHeavy}) {
+        Netlist nl(lib);
+        GateId a = nl.addGate(CellKind::Input, {}, kTopModule);
+        GateId g = nl.addGate(CellKind::Buf, {a}, kTopModule);
+        nl.finalize();
+        ASSERT_NE(nl.riseEnergyJ(g), nl.fallEnergyJ(g));
+        peak::GateTrace trace;
+        trace.values = {{X, X}, {X, X}};
+        trace.active = {{0, 0}, {0, 1}};
+        std::vector<double> e = peak::switchingEnergyFromVcd(
+            nl, peak::buildMaxVcd(nl, trace, false));
+        ASSERT_EQ(e.size(), 2u);
+        EXPECT_EQ(e[1], nl.maxEnergyJ(g));
+    }
 }
 
 TEST(Library, F1610ProfileIsHigherEnergy)

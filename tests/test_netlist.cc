@@ -116,11 +116,7 @@ TEST_F(NetlistTest, LevelizeOrdersFanins)
     GateId d = nl.addGate(CellKind::Inv, {c}, m);
     nl.finalize();
 
-    std::vector<int> pos(nl.numGates(), -1);
-    int i = 0;
-    for (const EvalItem &item : nl.evalOrder())
-        if (item.type == EvalItem::Type::Gate)
-            pos[item.index] = i++;
+    const std::vector<uint32_t> &pos = nl.flat().posOfNode;
     EXPECT_LT(pos[a], pos[b]);
     EXPECT_LT(pos[b], pos[c]);
     EXPECT_LT(pos[c], pos[d]);
@@ -320,19 +316,9 @@ TEST_F(NetlistTest, HookSchedulingBetweenDependsAndOutputs)
     nl.addHook(hook);
     nl.finalize();
 
-    int posAddrInv = -1, posHook = -1, posData = -1, posUser = -1;
-    int i = 0;
-    for (const EvalItem &item : nl.evalOrder()) {
-        if (item.type == EvalItem::Type::Hook)
-            posHook = i;
-        else if (item.index == addrInv)
-            posAddrInv = i;
-        else if (item.index == data)
-            posData = i;
-        else if (item.index == user)
-            posUser = i;
-        ++i;
-    }
+    const std::vector<uint32_t> &pos = nl.flat().posOfNode;
+    uint32_t posAddrInv = pos[addrInv], posHook = pos[nl.numGates()],
+             posData = pos[data], posUser = pos[user];
     EXPECT_LT(posAddrInv, posHook);
     EXPECT_LT(posHook, posData);
     EXPECT_LT(posData, posUser);

@@ -17,6 +17,7 @@
 #include <thread>
 
 #include "bench430/benchmarks.hh"
+#include "cell/cell_library.hh"
 #include "cli/driver.hh"
 #include "fuzz/properties.hh"
 #include "peak/batch.hh"
@@ -483,6 +484,16 @@ TEST(Scenario, ModeJsonParsing)
     ASSERT_EQ(s.phaseTclkS().size(), 4u);
     EXPECT_DOUBLE_EQ(s.phaseTclkS()[0], 1.0 / 100e6);
     EXPECT_DOUBLE_EQ(s.phaseTclkS()[2], 1.0 / 8e6);
+
+    // The per-phase pricing the engine and concrete runs share:
+    // (vdd / vdd_lib)^2 at each phase's clock, the reference point
+    // without modes.
+    CellLibrary lib = CellLibrary::tsmc65Like();
+    ASSERT_EQ(lib.vdd(), 1.0);
+    using Pricing = std::vector<std::pair<double, double>>;
+    EXPECT_EQ(s.phasePricing(lib, 25e6),
+              (Pricing{{1.0, 100e6}, {0.36, 8e6}, {0.36, 8e6}, {1.0, 100e6}}));
+    EXPECT_EQ(Scenario().phasePricing(lib, 25e6), (Pricing{{1.0, 25e6}}));
 }
 
 TEST(Scenario, ModeJsonRejectsMalformedInputs)

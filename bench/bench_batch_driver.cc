@@ -11,19 +11,21 @@
  * unchanged suite must be >= 10x faster than the cold run.
  */
 
+#include <algorithm>
 #include <cstdio>
 #include <filesystem>
-#include <fstream>
-#include <thread>
+#include <string>
+#include <vector>
 
 #include "bench/bench_util.hh"
 #include "cli/driver.hh"
 #include "peak/batch.hh"
 
 int
-main()
+main(int argc, char **argv)
 {
     using namespace ulpeak;
+    bench_util::parseArgs(argc, argv);
     bench_util::printHeader(
         "batch driver: suite wall time, serial vs parallel vs cache");
 
@@ -36,8 +38,7 @@ main()
     // At least 2 jobs so the worker pool is exercised even on a
     // single-core machine (where it cannot win wall time, but must
     // still produce identical results).
-    unsigned hw = std::thread::hardware_concurrency();
-    unsigned par = hw < 2 ? 2 : (hw < 8 ? hw : 8);
+    unsigned par = std::clamp(util::hostCpus(), 2u, 8u);
 
     struct Config {
         const char *name;
@@ -52,76 +53,52 @@ main()
     };
 
     std::string baselineJson;
-    double coldSec = 0.0, warmSec = 0.0, parallelSec = 0.0;
+    std::vector<double> walls; // in the order of configs
     std::printf("%-20s %5s %6s %10s %9s\n", "config", "jobs", "cache",
                 "wall [s]", "speedup");
-    std::string json = "{\n  \"bench\": \"batch_driver\",\n"
-                       "  \"programs\": " +
-                       std::to_string(suite.size()) +
-                       ",\n  \"configs\": [\n";
-    bool first = true;
+    bench_util::JsonReport json("batch_driver");
+    json.field("programs", suite.size()).key("configs").beginArray();
     for (const Config &c : configs) {
         peak::BatchOptions opts;
         opts.jobs = c.jobs;
         opts.cacheDir = c.cache ? cacheDir : "";
         peak::BatchReport rep = peak::analyzeBatch(
             CellLibrary::tsmc65Like(), suite, opts);
-        if (!rep.ok) {
-            std::fprintf(stderr, "FATAL: suite failed under %s\n",
-                         c.name);
-            return 1;
-        }
+        if (!rep.ok)
+            bench_util::fatal("suite failed under %s\n", c.name);
         // Every configuration must report the same suite, bit for
         // bit, before any timing is trusted.
         std::string j = cli::toJson(rep, opts,
                                     /*include_timings=*/false);
         if (baselineJson.empty())
             baselineJson = j;
-        else if (j != baselineJson) {
-            std::fprintf(stderr,
-                         "FATAL: %s changed the suite results\n",
-                         c.name);
-            return 1;
-        }
+        else if (j != baselineJson)
+            bench_util::fatal("%s changed the suite results\n", c.name);
 
-        if (std::string(c.name) == "serial-cold")
-            coldSec = rep.wallSeconds;
-        if (std::string(c.name) == "parallel-cold")
-            parallelSec = rep.wallSeconds;
-        if (std::string(c.name) == "parallel-warm")
-            warmSec = rep.wallSeconds;
-        double speedup =
-            coldSec > 0 ? coldSec / rep.wallSeconds : 0.0;
+        walls.push_back(rep.wallSeconds);
+        double speedup = walls[0] > 0 ? walls[0] / rep.wallSeconds : 0.0;
         std::printf("%-20s %5u %6s %10.3f %8.1fx\n", c.name, c.jobs,
                     c.cache ? "yes" : "no", rep.wallSeconds, speedup);
-        if (!first)
-            json += ",\n";
-        first = false;
-        char row[256];
-        std::snprintf(row, sizeof(row),
-                      "    {\"name\": \"%s\", \"jobs\": %u, "
-                      "\"cache\": %s, \"wall_seconds\": %.4f, "
-                      "\"speedup_vs_serial_cold\": %.1f}",
-                      c.name, c.jobs, c.cache ? "true" : "false",
-                      rep.wallSeconds, speedup);
-        json += row;
+        json.beginObject(cli::Layout::Inline)
+            .field("name", c.name).field("jobs", c.jobs)
+            .field("cache", c.cache).field("wall_seconds", rep.wallSeconds)
+            .field("speedup_vs_serial_cold", speedup).end();
     }
+    const double coldSec = walls[0], parallelSec = walls[1],
+                 warmSec = walls[3];
     double warmSpeedup = warmSec > 0 ? coldSec / warmSec : 0.0;
     double parSpeedup = parallelSec > 0 ? coldSec / parallelSec : 0.0;
-    json += ",\n    {\"name\": \"summary\", "
-            "\"warm_speedup_vs_cold\": " +
-            std::to_string(warmSpeedup) +
-            ", \"parallel_speedup_vs_serial\": " +
-            std::to_string(parSpeedup) + "}\n  ]\n}\n";
+    json.beginObject(cli::Layout::Inline)
+        .field("name", "summary")
+        .field("warm_speedup_vs_cold", warmSpeedup)
+        .field("parallel_speedup_vs_serial", parSpeedup).end();
+    json.end();
 
     std::filesystem::remove_all(cacheDir);
-    std::ofstream out(bench_util::outDir() +
-                      "BENCH_batch_driver.json");
-    out << json;
     std::printf("warm-cache speedup vs cold: %.0fx (acceptance: >= "
                 "10x)\n",
                 warmSpeedup);
-    std::printf("wrote %sBENCH_batch_driver.json\n",
-                bench_util::outDir().c_str());
-    return warmSpeedup >= 10.0 ? 0 : 1;
+    json.write();
+    bench_util::gate("warm-cache speedup vs cold", warmSpeedup, 10.0);
+    return 0;
 }

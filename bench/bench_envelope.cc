@@ -13,10 +13,7 @@
  * copy).
  */
 
-#include <chrono>
-#include <cmath>
 #include <cstdio>
-#include <fstream>
 #include <string>
 #include <vector>
 
@@ -24,24 +21,11 @@
 #include "peak/peak_analysis.hh"
 #include "sizing/sizing.hh"
 
-namespace ulpeak {
-namespace {
-
-double
-seconds(std::chrono::steady_clock::time_point t0)
-{
-    return std::chrono::duration<double>(
-               std::chrono::steady_clock::now() - t0)
-        .count();
-}
-
-} // namespace
-} // namespace ulpeak
-
 int
-main()
+main(int argc, char **argv)
 {
     using namespace ulpeak;
+    bench_util::parseArgs(argc, argv);
     bench_util::printHeader(
         "peak envelope: overhead vs plain analyze, profile-vs-point "
         "sizing gap");
@@ -56,11 +40,8 @@ main()
                 "env cycles", "analyze [s]", "+env [s]", "overhead",
                 "peak [mW]", "sustain [mW]");
 
-    std::string json = "{\n  \"bench\": \"envelope\",\n"
-                       "  \"reps\": " +
-                       std::to_string(kReps) +
-                       ",\n  \"programs\": [\n";
-    bool first = true;
+    bench_util::JsonReport json("envelope");
+    json.field("reps", kReps).key("programs").beginArray();
     for (const std::string &name : names) {
         isa::Image img =
             bench430::benchmarkByName(name).assembleImage();
@@ -74,37 +55,30 @@ main()
         double tPlain = 1e9, tEnv = 1e9;
         peak::Report r;
         for (int rep = 0; rep < kReps; ++rep) {
-            auto t0 = std::chrono::steady_clock::now();
-            peak::Report a = peak::analyze(sys, img, plain);
-            tPlain = std::min(tPlain, seconds(t0));
-            t0 = std::chrono::steady_clock::now();
-            r = peak::analyze(sys, img, withEnv);
-            tEnv = std::min(tEnv, seconds(t0));
-            if (!a.ok || !r.ok) {
-                std::fprintf(stderr, "FATAL: analysis failed on %s\n",
-                             name.c_str());
-                return 1;
-            }
+            peak::Report a;
+            tPlain = std::min(tPlain, bench_util::timeOnce([&] {
+                a = peak::analyze(sys, img, plain);
+            }));
+            tEnv = std::min(tEnv, bench_util::timeOnce([&] {
+                r = peak::analyze(sys, img, withEnv);
+            }));
+            if (!a.ok || !r.ok)
+                bench_util::fatal("analysis failed on %s\n",
+                                  name.c_str());
         }
 
         // Consistency gates before any timing is trusted.
         double envPeak = r.envelope.peakPowerW();
-        if (float(envPeak) != float(r.peakPowerW)) {
-            std::fprintf(stderr,
-                         "FATAL: envelope peak %.17g != scalar peak "
-                         "%.17g on %s\n",
-                         envPeak, r.peakPowerW, name.c_str());
-            return 1;
-        }
-        if (r.envelope.cycles() < r.maxPathCycles) {
-            std::fprintf(stderr,
-                         "FATAL: envelope (%zu cycles) shorter than "
-                         "the max-energy path (%llu) on %s\n",
-                         r.envelope.cycles(),
-                         (unsigned long long)r.maxPathCycles,
-                         name.c_str());
-            return 1;
-        }
+        if (float(envPeak) != float(r.peakPowerW))
+            bench_util::fatal("envelope peak %.17g != scalar peak %.17g "
+                              "on %s\n",
+                              envPeak, r.peakPowerW, name.c_str());
+        if (r.envelope.cycles() < r.maxPathCycles)
+            bench_util::fatal("envelope (%zu cycles) shorter than the "
+                              "max-energy path (%llu) on %s\n",
+                              r.envelope.cycles(),
+                              (unsigned long long)r.maxPathCycles,
+                              name.c_str());
 
         double tclk = 1.0 / withEnv.freqHz;
         sizing::EnvelopeSupply es = sizing::sizeEnvelopeSupply(
@@ -117,24 +91,16 @@ main()
                     tEnv - tPlain, overheadPct, envPeak * 1e3,
                     es.sustainedPowerW * 1e3);
 
-        char row[512];
-        std::snprintf(
-            row, sizeof(row),
-            "    {\"name\": \"%s\", \"envelope_cycles\": %zu, "
-            "\"analyze_sec\": %.6f, \"envelope_extra_sec\": %.6f, "
-            "\"overhead_pct\": %.2f, \"peak_power_w\": %.9g, "
-            "\"sustained_power_w\": %.9g}",
-            name.c_str(), r.envelope.cycles(), tPlain, tEnv - tPlain,
-            overheadPct, envPeak, es.sustainedPowerW);
-        json += (first ? "" : ",\n");
-        json += row;
-        first = false;
+        json.beginObject(cli::Layout::Inline)
+            .field("name", name)
+            .field("envelope_cycles", r.envelope.cycles())
+            .field("analyze_sec", tPlain)
+            .field("envelope_extra_sec", tEnv - tPlain)
+            .field("overhead_pct", overheadPct)
+            .field("peak_power_w", envPeak)
+            .field("sustained_power_w", es.sustainedPowerW).end();
     }
-    json += "\n  ]\n}\n";
-
-    std::ofstream out(bench_util::outDir() + "BENCH_envelope.json");
-    out << json;
-    std::printf("wrote %sBENCH_envelope.json\n",
-                bench_util::outDir().c_str());
+    json.end();
+    json.write();
     return 0;
 }

@@ -13,15 +13,12 @@
  *
  * `bench_fault_campaign --min-ratio R` additionally exits 1 if the
  * packed/scalar per-injection throughput ratio falls below R; CI runs
- * it with a conservative floor.
+ * it with `--min-ratio 9`.
  */
 
-#include <chrono>
+#include <array>
 #include <cstdio>
-#include <cstdlib>
-#include <fstream>
 #include <string>
-#include <thread>
 #include <vector>
 
 #include "bench/bench_util.hh"
@@ -32,39 +29,21 @@
 namespace ulpeak {
 namespace {
 
-constexpr unsigned kLanes = PackedSimulator::kLanes;
-constexpr unsigned kScalarRuns = 8; ///< scalar reference subset
-
-struct Measurement {
-    double sec = 0.0;
-    uint64_t injections = 0;
-    uint64_t gateCycles = 0;
-    double injectionsPerSec() const
-    {
-        return sec > 0 ? double(injections) / sec : 0.0;
-    }
-};
-
 /** The `mult` image with one deterministic concrete input set folded
  *  in (its inputs live in uninitialized RAM, which would diverge the
  *  golden lockstep) -- the same folding `ulfault` performs. */
 isa::Image
 multImage(uint16_t &port)
 {
-    for (const bench430::Benchmark &b : bench430::allBenchmarks()) {
-        if (std::string(b.name) != "mult")
-            continue;
-        fuzz::Rng rng(fuzz::Rng::deriveStream(7, 3ull << 40));
-        baseline::InputSet in = b.makeInput(rng);
-        isa::Image image = isa::assemble(b.source);
-        for (auto &[addr, words] : in.ram)
-            image.segments.push_back({addr, words});
-        if (b.usesPort)
-            port = in.portIn;
-        return image;
-    }
-    std::fprintf(stderr, "FATAL: no bench430 benchmark named mult\n");
-    std::exit(1);
+    const bench430::Benchmark &b = bench430::benchmarkByName("mult");
+    fuzz::Rng rng(fuzz::Rng::deriveStream(7, 3ull << 40));
+    baseline::InputSet in = b.makeInput(rng);
+    isa::Image image = isa::assemble(b.source);
+    for (auto &[addr, words] : in.ram)
+        image.segments.push_back({addr, words});
+    if (b.usesPort)
+        port = in.portIn;
+    return image;
 }
 
 } // namespace
@@ -74,20 +53,11 @@ int
 main(int argc, char **argv)
 {
     using namespace ulpeak;
+    constexpr unsigned kLanes = PackedSimulator::kLanes;
+    constexpr unsigned kScalarRuns = 8; ///< scalar reference subset
 
-    double min_ratio = 0.0;
-    for (int i = 1; i < argc; ++i) {
-        std::string arg = argv[i];
-        if (arg == "--min-ratio" && i + 1 < argc) {
-            min_ratio = std::atof(argv[++i]);
-        } else {
-            std::fprintf(
-                stderr,
-                "usage: bench_fault_campaign [--min-ratio R]\n");
-            return 2;
-        }
-    }
-
+    const bench_util::Args args =
+        bench_util::parseArgs(argc, argv, {}, bench_util::kMinRatio);
     bench_util::printHeader("fault campaign: 64-lane packed vs "
                             "scalar faulted injections/sec");
 
@@ -99,11 +69,9 @@ main(int argc, char **argv)
     cosim::Options gopts;
     gopts.portIn = port;
     cosim::Result golden = cosim::run(sys, image, gopts);
-    if (!golden.ok) {
-        std::fprintf(stderr, "FATAL: golden run diverges:\n%s",
-                     golden.report().c_str());
-        return 1;
-    }
+    if (!golden.ok)
+        bench_util::fatal("golden run diverges:\n%s",
+                          golden.report().c_str());
 
     fault::RunOptions ropts;
     ropts.maxCycles = 4 * golden.gateCycles + 64;
@@ -123,115 +91,72 @@ main(int argc, char **argv)
     }
 
     // Warmup both paths (page in the netlist, stabilize the clock).
-    {
-        fault::RunOptions wopts = ropts;
-        wopts.maxCycles = golden.gateCycles / 2;
-        fault::runFaulted(sys, image, lanes[0], wopts);
-        std::array<std::vector<fault::Injection>, kLanes> wl = lanes;
-        fault::runFaultedPacked(sys, image, wl, wopts);
-    }
+    fault::RunOptions wopts = ropts;
+    wopts.maxCycles = golden.gateCycles / 2;
+    fault::runFaulted(sys, image, lanes[0], wopts);
+    fault::runFaultedPacked(sys, image, lanes, wopts);
 
-    // Scalar reference: the first kScalarRuns injections, one faulted
-    // lockstep run each. These double as the identity check below.
-    Measurement scalar;
-    std::vector<fault::FaultResult> refs(kScalarRuns);
-    {
-        auto t0 = std::chrono::steady_clock::now();
-        for (unsigned l = 0; l < kScalarRuns; ++l) {
-            refs[l] = fault::runFaulted(sys, image, lanes[l], ropts);
-            scalar.gateCycles += refs[l].gateCycles;
-        }
-        auto t1 = std::chrono::steady_clock::now();
-        scalar.sec = std::chrono::duration<double>(t1 - t0).count();
-        scalar.injections = kScalarRuns;
-    }
+    // The first kScalarRuns injections run one faulted lockstep run
+    // each, then all 64 in one sweep; the timed lanes must classify
+    // as the timed scalar runs do (outcome, divergence anatomy,
+    // power).
+    auto race = bench_util::raceLanes(
+        kScalarRuns,
+        [&](unsigned l) {
+            return fault::runFaulted(sys, image, lanes[l], ropts);
+        },
+        [&] { return fault::runFaultedPacked(sys, image, lanes, ropts); },
+        [](const fault::FaultResult &ref,
+           const fault::FaultResult &lane) -> std::string {
+            if (ref.sameClassification(lane))
+                return "";
+            return std::string("classifies differently from the scalar "
+                               "run of the same injection (") +
+                   fault::outcomeName(lane.outcome) + " vs " +
+                   fault::outcomeName(ref.outcome) + ")";
+        });
+    uint64_t scalarCycles = 0, packedCycles = 0;
+    for (const fault::FaultResult &r : race.refs)
+        scalarCycles += r.gateCycles;
+    for (const fault::FaultResult &r : race.lanes)
+        packedCycles += r.gateCycles;
+    double scalarRate = bench_util::perSec(kScalarRuns, race.scalarSec);
+    double packedRate = bench_util::perSec(kLanes, race.packedSec);
+    double ratio = scalarRate > 0 ? packedRate / scalarRate : 0.0;
 
-    // Packed batch: all 64 faulted runs in one sweep.
-    Measurement packed;
-    std::array<fault::FaultResult, kLanes> pr;
-    {
-        auto t0 = std::chrono::steady_clock::now();
-        pr = fault::runFaultedPacked(sys, image, lanes, ropts);
-        auto t1 = std::chrono::steady_clock::now();
-        packed.sec = std::chrono::duration<double>(t1 - t0).count();
-        packed.injections = kLanes;
-        for (unsigned l = 0; l < kLanes; ++l)
-            packed.gateCycles += pr[l].gateCycles;
-    }
-
-    // Trust the timing only if the timed lanes classify identically
-    // to the timed scalar runs (outcome, divergence anatomy, power).
-    for (unsigned l = 0; l < kScalarRuns; ++l) {
-        if (!refs[l].sameClassification(pr[l])) {
-            std::fprintf(stderr,
-                         "FATAL: packed lane %u classifies "
-                         "differently from the scalar run of the "
-                         "same injection (%s vs %s)\n",
-                         l, fault::outcomeName(pr[l].outcome),
-                         fault::outcomeName(refs[l].outcome));
-            return 1;
-        }
-    }
-
-    double ratio = scalar.injectionsPerSec() > 0
-                       ? packed.injectionsPerSec() /
-                             scalar.injectionsPerSec()
-                       : 0.0;
     std::printf("%-16s %10s %16s %16s %9s\n", "workload", "inj",
                 "scalar inj/s", "packed inj/s", "ratio");
     std::printf("%-16s %7u/%2u %16.1f %16.1f %8.2fx\n", "mult",
-                kScalarRuns, kLanes, scalar.injectionsPerSec(),
-                packed.injectionsPerSec(), ratio);
+                kScalarRuns, kLanes, scalarRate, packedRate, ratio);
 
-    char json[2048];
-    std::snprintf(
-        json, sizeof(json),
-        "{\n"
-        "  \"bench\": \"fault_campaign\",\n"
-        "  \"workload\": {\n"
-        "    \"description\": \"bench430 mult with a seed-derived "
-        "folded input set; one random flop SEU per run at a random "
-        "cycle of the %llu-cycle golden execution, power recording "
-        "on\",\n"
-        "    \"scalar_reference_injections\": %u,\n"
-        "    \"packed_lanes\": %u\n"
-        "  },\n"
-        "  \"host_cpus\": %u,\n"
-        "  \"methodology\": \"scalar = fault::runFaulted once per "
-        "injection, sequentially; packed = one "
-        "fault::runFaultedPacked sweep carrying all 64 injections; "
-        "injections/sec = faulted lockstep runs / wall seconds; the "
-        "timed packed lanes are checked classification-identical "
-        "(outcome, divergence cycle, instruction index, peak power "
-        "float) to the timed scalar runs before the ratio is "
-        "reported\",\n"
-        "  \"scalar\": {\"injections\": %llu, \"gate_cycles\": %llu, "
-        "\"wall_s\": %.4f, \"injections_per_sec\": %.1f},\n"
-        "  \"packed\": {\"injections\": %llu, \"gate_cycles\": %llu, "
-        "\"wall_s\": %.4f, \"injections_per_sec\": %.1f},\n"
-        "  \"per_injection_throughput_ratio\": %.2f\n"
-        "}\n",
-        (unsigned long long)golden.gateCycles, kScalarRuns, kLanes,
-        std::thread::hardware_concurrency(),
-        (unsigned long long)scalar.injections,
-        (unsigned long long)scalar.gateCycles, scalar.sec,
-        scalar.injectionsPerSec(),
-        (unsigned long long)packed.injections,
-        (unsigned long long)packed.gateCycles, packed.sec,
-        packed.injectionsPerSec(), ratio);
-
-    std::ofstream out(bench_util::outDir() +
-                      "BENCH_fault_campaign.json");
-    out << json;
-    std::printf("wrote %sBENCH_fault_campaign.json\n",
-                bench_util::outDir().c_str());
-
-    if (min_ratio > 0.0 && ratio < min_ratio) {
-        std::fprintf(stderr,
-                     "FATAL: per-injection throughput ratio %.2fx is "
-                     "below the required %.2fx\n",
-                     ratio, min_ratio);
-        return 1;
-    }
+    bench_util::JsonReport json("fault_campaign");
+    json.key("workload").beginObject()
+        .field("description",
+               "bench430 mult with a seed-derived folded input set; one "
+               "random flop SEU per run at a random cycle of the " +
+                   std::to_string(golden.gateCycles) +
+                   "-cycle golden execution, power recording on")
+        .field("scalar_reference_injections", kScalarRuns)
+        .field("packed_lanes", kLanes).end();
+    json.field("methodology",
+               "scalar = fault::runFaulted once per injection, "
+               "sequentially; packed = one fault::runFaultedPacked sweep "
+               "carrying all 64 injections; injections/sec = faulted "
+               "lockstep runs / wall seconds; the timed packed lanes are "
+               "checked classification-identical (outcome, divergence "
+               "cycle, instruction index, peak power float) to the timed "
+               "scalar runs before the ratio is reported");
+    json.key("scalar").beginObject(cli::Layout::Inline)
+        .field("injections", kScalarRuns).field("gate_cycles", scalarCycles)
+        .field("wall_s", race.scalarSec)
+        .field("injections_per_sec", scalarRate).end();
+    json.key("packed").beginObject(cli::Layout::Inline)
+        .field("injections", kLanes).field("gate_cycles", packedCycles)
+        .field("wall_s", race.packedSec)
+        .field("injections_per_sec", packedRate).end();
+    json.field("per_injection_throughput_ratio", ratio);
+    json.write();
+    bench_util::gate("per-injection throughput ratio", ratio,
+                     args.minRatio);
     return 0;
 }

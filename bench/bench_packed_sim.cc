@@ -14,55 +14,24 @@
  * with `--min-ratio 15`.
  */
 
-#include <chrono>
 #include <cstdio>
-#include <cstdlib>
-#include <fstream>
 #include <string>
-#include <thread>
-#include <vector>
 
 #include "baseline/baselines.hh"
 #include "bench/bench_util.hh"
 #include "power/packed_run.hh"
 
-namespace ulpeak {
-namespace {
-
-constexpr unsigned kLanes = PackedSimulator::kLanes;
-constexpr uint64_t kMaxCycles = 3000;
-constexpr unsigned kScalarLanes = 8; ///< scalar reference subset
-constexpr unsigned kScheduleLen = 16;
-
-struct Measurement {
-    double sec = 0.0;
-    uint64_t patternCycles = 0;
-    double perPatternCyclesPerSec() const
-    {
-        return sec > 0 ? double(patternCycles) / sec : 0.0;
-    }
-};
-
-} // namespace
-} // namespace ulpeak
-
 int
 main(int argc, char **argv)
 {
     using namespace ulpeak;
+    constexpr unsigned kLanes = PackedSimulator::kLanes;
+    constexpr uint64_t kMaxCycles = 3000;
+    constexpr unsigned kScalarLanes = 8; ///< scalar reference subset
+    constexpr unsigned kScheduleLen = 16;
 
-    double min_ratio = 0.0;
-    for (int i = 1; i < argc; ++i) {
-        std::string arg = argv[i];
-        if (arg == "--min-ratio" && i + 1 < argc) {
-            min_ratio = std::atof(argv[++i]);
-        } else {
-            std::fprintf(stderr,
-                         "usage: bench_packed_sim [--min-ratio R]\n");
-            return 2;
-        }
-    }
-
+    const bench_util::Args args =
+        bench_util::parseArgs(argc, argv, {}, bench_util::kMinRatio);
     bench_util::printHeader(
         "packed sim: 64-lane batch vs scalar per-pattern cycles/sec");
 
@@ -84,116 +53,71 @@ main(int argc, char **argv)
         for (uint16_t &w : popts.portSchedules[l])
             w = rng.word();
     }
+    auto scalarRun = [&](unsigned lane, uint64_t max_cycles) {
+        power::ConcreteRunOptions copts;
+        copts.maxCycles = max_cycles;
+        copts.portSchedule = popts.portSchedules[lane];
+        return power::runConcrete(sys, image, ctx, copts);
+    };
 
     // Warmup both paths (page in the netlist, stabilize the clock).
-    {
-        power::ConcreteRunOptions copts;
-        copts.maxCycles = 500;
-        copts.portSchedule = popts.portSchedules[0];
-        power::runConcrete(sys, image, ctx, copts);
-        power::PackedRunOptions wopts = popts;
-        wopts.maxCycles = 500;
-        power::runConcretePacked(sys, image, ctx, wopts);
-    }
+    scalarRun(0, 500);
+    power::PackedRunOptions wopts = popts;
+    wopts.maxCycles = 500;
+    power::runConcretePacked(sys, image, ctx, wopts);
 
-    // Scalar reference: the first kScalarLanes schedules, one run
-    // each. These results double as the lane-identity check below.
-    Measurement scalar;
-    std::vector<power::ConcreteRunResult> refs(kScalarLanes);
-    {
-        auto t0 = std::chrono::steady_clock::now();
-        for (unsigned l = 0; l < kScalarLanes; ++l) {
-            power::ConcreteRunOptions copts;
-            copts.maxCycles = kMaxCycles;
-            copts.portSchedule = popts.portSchedules[l];
-            refs[l] = power::runConcrete(sys, image, ctx, copts);
-            scalar.patternCycles += refs[l].traceW.size();
-        }
-        auto t1 = std::chrono::steady_clock::now();
-        scalar.sec = std::chrono::duration<double>(t1 - t0).count();
-    }
+    // The first kScalarLanes schedules run one by one, then all 64 in
+    // one sweep; the timed lanes must be float-identical to the timed
+    // scalar runs.
+    auto race = bench_util::raceLanes(
+        kScalarLanes, [&](unsigned l) { return scalarRun(l, kMaxCycles); },
+        [&] { return power::runConcretePacked(sys, image, ctx, popts).lanes; },
+        [](const power::ConcreteRunResult &ref,
+           const power::PackedLaneResult &lane) -> std::string {
+            if (ref.halted == lane.halted && ref.traceW == lane.traceW &&
+                ref.totalEnergyJ == lane.totalEnergyJ)
+                return "";
+            return "diverges from the scalar run of the same schedule";
+        });
+    uint64_t scalarCycles = 0, packedCycles = 0;
+    for (const power::ConcreteRunResult &r : race.refs)
+        scalarCycles += r.traceW.size();
+    for (const power::PackedLaneResult &r : race.lanes)
+        packedCycles += r.traceW.size();
+    double scalarRate = bench_util::perSec(scalarCycles, race.scalarSec);
+    double packedRate = bench_util::perSec(packedCycles, race.packedSec);
+    double ratio = scalarRate > 0 ? packedRate / scalarRate : 0.0;
 
-    // Packed batch: all 64 schedules in one sweep.
-    Measurement packed;
-    power::PackedRunResult pr;
-    {
-        auto t0 = std::chrono::steady_clock::now();
-        pr = power::runConcretePacked(sys, image, ctx, popts);
-        auto t1 = std::chrono::steady_clock::now();
-        packed.sec = std::chrono::duration<double>(t1 - t0).count();
-        for (unsigned l = 0; l < kLanes; ++l)
-            packed.patternCycles += pr.lanes[l].traceW.size();
-    }
-
-    // Trust the timing only if the timed lanes are float-identical to
-    // the timed scalar runs.
-    for (unsigned l = 0; l < kScalarLanes; ++l) {
-        if (refs[l].halted != pr.lanes[l].halted ||
-            refs[l].traceW != pr.lanes[l].traceW ||
-            refs[l].totalEnergyJ != pr.lanes[l].totalEnergyJ) {
-            std::fprintf(stderr,
-                         "FATAL: packed lane %u diverges from the "
-                         "scalar run of the same schedule\n",
-                         l);
-            return 1;
-        }
-    }
-
-    double ratio = scalar.perPatternCyclesPerSec() > 0
-                       ? packed.perPatternCyclesPerSec() /
-                             scalar.perPatternCyclesPerSec()
-                       : 0.0;
     std::printf("%-16s %10s %16s %16s %9s\n", "workload", "lanes",
                 "scalar pat-c/s", "packed pat-c/s", "ratio");
     std::printf("%-16s %7u/%2u %16.0f %16.0f %8.2fx\n", "stressmark",
-                kScalarLanes, kLanes,
-                scalar.perPatternCyclesPerSec(),
-                packed.perPatternCyclesPerSec(), ratio);
+                kScalarLanes, kLanes, scalarRate, packedRate, ratio);
 
-    char json[2048];
-    std::snprintf(
-        json, sizeof(json),
-        "{\n"
-        "  \"bench\": \"packed_sim\",\n"
-        "  \"workload\": {\n"
-        "    \"description\": \"GA stressmark (population 8, "
-        "generations 3, evalCycles 400) run concretely under %u-word "
-        "random port schedules, max %llu cycles per pattern\",\n"
-        "    \"scalar_reference_patterns\": %u,\n"
-        "    \"packed_lanes\": %u\n"
-        "  },\n"
-        "  \"host_cpus\": %u,\n"
-        "  \"methodology\": \"scalar = power::runConcrete once per "
-        "schedule, sequentially; packed = one "
-        "power::runConcretePacked sweep carrying all 64 schedules; "
-        "per-pattern cycles/sec = sum of recorded per-lane trace "
-        "cycles / wall seconds; the timed packed lanes are checked "
-        "float-identical to the timed scalar runs before the ratio "
-        "is reported\",\n"
-        "  \"scalar\": {\"pattern_cycles\": %llu, \"wall_s\": %.4f, "
-        "\"pattern_cycles_per_sec\": %.0f},\n"
-        "  \"packed\": {\"pattern_cycles\": %llu, \"wall_s\": %.4f, "
-        "\"pattern_cycles_per_sec\": %.0f},\n"
-        "  \"per_pattern_throughput_ratio\": %.2f\n"
-        "}\n",
-        kScheduleLen, (unsigned long long)kMaxCycles, kScalarLanes,
-        kLanes, std::thread::hardware_concurrency(),
-        (unsigned long long)scalar.patternCycles, scalar.sec,
-        scalar.perPatternCyclesPerSec(),
-        (unsigned long long)packed.patternCycles, packed.sec,
-        packed.perPatternCyclesPerSec(), ratio);
-
-    std::ofstream out(bench_util::outDir() + "BENCH_packed_sim.json");
-    out << json;
-    std::printf("wrote %sBENCH_packed_sim.json\n",
-                bench_util::outDir().c_str());
-
-    if (min_ratio > 0.0 && ratio < min_ratio) {
-        std::fprintf(stderr,
-                     "FATAL: per-pattern throughput ratio %.2fx is "
-                     "below the required %.2fx\n",
-                     ratio, min_ratio);
-        return 1;
-    }
+    bench_util::JsonReport json("packed_sim");
+    json.key("workload").beginObject()
+        .field("description",
+               "GA stressmark (population 8, generations 3, evalCycles "
+               "400) run concretely under " + std::to_string(kScheduleLen) +
+                   "-word random port schedules, max " +
+                   std::to_string(kMaxCycles) + " cycles per pattern")
+        .field("scalar_reference_patterns", kScalarLanes)
+        .field("packed_lanes", kLanes).end();
+    json.field("methodology",
+               "scalar = power::runConcrete once per schedule, "
+               "sequentially; packed = one power::runConcretePacked "
+               "sweep carrying all 64 schedules; per-pattern cycles/sec "
+               "= sum of recorded per-lane trace cycles / wall seconds; "
+               "the timed packed lanes are checked float-identical to "
+               "the timed scalar runs before the ratio is reported");
+    json.key("scalar").beginObject(cli::Layout::Inline)
+        .field("pattern_cycles", scalarCycles).field("wall_s", race.scalarSec)
+        .field("pattern_cycles_per_sec", std::round(scalarRate)).end();
+    json.key("packed").beginObject(cli::Layout::Inline)
+        .field("pattern_cycles", packedCycles).field("wall_s", race.packedSec)
+        .field("pattern_cycles_per_sec", std::round(packedRate)).end();
+    json.field("per_pattern_throughput_ratio", ratio);
+    json.write();
+    bench_util::gate("per-pattern throughput ratio", ratio,
+                     args.minRatio);
     return 0;
 }

@@ -15,12 +15,9 @@
  * at the repository root is a copy).
  */
 
-#include <algorithm>
-#include <chrono>
+#include <cmath>
 #include <cstdio>
-#include <fstream>
 #include <string>
-#include <thread>
 #include <vector>
 
 #include "baseline/baselines.hh"
@@ -51,62 +48,40 @@ runKernel(msp::System &sys, const Workload &w, EvalMode mode,
           uint64_t target_cycles)
 {
     Measurement m;
-    auto t0 = std::chrono::steady_clock::now();
-    while (m.cycles < target_cycles) {
-        sys.memory().reset();
-        sys.loadImage(w.image);
-        for (auto &[addr, words] : w.ram)
-            sys.memory().loadRam(addr, words);
-        sys.clearHalted();
-        Simulator sim(sys.netlist(), mode);
-        sys.attach(sim);
-        sys.reset(sim);
-        Word16 port = w.portX ? Word16::allX() : Word16::known(0x5a5a);
-        while (m.cycles < target_cycles && !sys.halted()) {
-            sim.step([&](Simulator &s) { sys.driveCycle(s, port); });
-            m.boundEnergyJ += sim.boundEnergyJ();
-            m.actualEnergyJ += sim.actualEnergyJ();
-            for (uint64_t w : sim.activeBits())
-                m.activeGates += unsigned(__builtin_popcountll(w));
-            ++m.cycles;
+    double sec = bench_util::timeOnce([&] {
+        while (m.cycles < target_cycles) {
+            sys.memory().reset();
+            sys.loadImage(w.image);
+            for (auto &[addr, words] : w.ram)
+                sys.memory().loadRam(addr, words);
+            sys.clearHalted();
+            Simulator sim(sys.netlist(), mode);
+            sys.attach(sim);
+            sys.reset(sim);
+            Word16 port =
+                w.portX ? Word16::allX() : Word16::known(0x5a5a);
+            while (m.cycles < target_cycles && !sys.halted()) {
+                sim.step([&](Simulator &s) { sys.driveCycle(s, port); });
+                m.boundEnergyJ += sim.boundEnergyJ();
+                m.actualEnergyJ += sim.actualEnergyJ();
+                for (uint64_t w : sim.activeBits())
+                    m.activeGates += unsigned(__builtin_popcountll(w));
+                ++m.cycles;
+            }
         }
-    }
-    auto t1 = std::chrono::steady_clock::now();
-    double sec = std::chrono::duration<double>(t1 - t0).count();
-    m.cyclesPerSec = sec > 0 ? double(m.cycles) / sec : 0.0;
+    });
+    m.cyclesPerSec = bench_util::perSec(double(m.cycles), sec);
     return m;
-}
-
-/** The @p p quantile of @p v, interpolated between the closest ranks. */
-double
-quantile(std::vector<double> v, double p)
-{
-    std::sort(v.begin(), v.end());
-    double pos = p * double(v.size() - 1);
-    size_t lo = size_t(pos);
-    size_t hi = std::min(lo + 1, v.size() - 1);
-    return v[lo] + (pos - double(lo)) * (v[hi] - v[lo]);
-}
-
-/** Median and interquartile range of per-round cycles/sec. */
-struct Spread {
-    double median, iqr;
-};
-
-Spread
-spreadOf(const std::vector<double> &rounds)
-{
-    return {quantile(rounds, 0.5),
-            quantile(rounds, 0.75) - quantile(rounds, 0.25)};
 }
 
 } // namespace
 } // namespace ulpeak
 
 int
-main()
+main(int argc, char **argv)
 {
     using namespace ulpeak;
+    bench_util::parseArgs(argc, argv);
     bench_util::printHeader(
         "sim kernel: full-sweep vs event-driven cycles/sec");
 
@@ -138,70 +113,50 @@ main()
     constexpr unsigned kRounds = 5;
     constexpr uint64_t kRoundCycles = 4000;
 
-    std::string json = "{\n  \"bench\": \"sim_kernel\",\n"
-                       "  \"host_cpus\": " +
-                       std::to_string(std::thread::hardware_concurrency()) +
-                       ",\n  \"rounds\": " + std::to_string(kRounds) +
-                       ",\n  \"round_cycles\": " +
-                       std::to_string(kRoundCycles) +
-                       ",\n  \"workloads\": [\n";
+    bench_util::JsonReport json("sim_kernel");
+    json.field("rounds", kRounds).field("round_cycles", kRoundCycles);
+    json.key("workloads").beginArray();
     std::printf("%-16s %22s %22s %9s\n", "workload",
                 "fullsweep c/s (IQR)", "event c/s (IQR)", "speedup");
-    bool first = true;
     for (const Workload &w : workloads) {
         runKernel(sys, w, EvalMode::FullSweep, kWarmup);
         std::vector<double> fsRounds, evRounds;
         for (unsigned r = 0; r < kRounds; ++r) {
             Measurement fs, ev;
-            if (r % 2 == 0) {
-                fs = runKernel(sys, w, EvalMode::FullSweep, kRoundCycles);
-                ev = runKernel(sys, w, EvalMode::EventDriven, kRoundCycles);
-            } else {
-                ev = runKernel(sys, w, EvalMode::EventDriven, kRoundCycles);
-                fs = runKernel(sys, w, EvalMode::FullSweep, kRoundCycles);
-            }
+            auto run = [&](EvalMode m) {
+                return runKernel(sys, w, m, kRoundCycles);
+            };
+            bench_util::inOrder(r, [&] { fs = run(EvalMode::FullSweep); },
+                                [&] { ev = run(EvalMode::EventDriven); });
             if (fs.boundEnergyJ != ev.boundEnergyJ ||
                 fs.actualEnergyJ != ev.actualEnergyJ ||
-                fs.activeGates != ev.activeGates) {
-                std::fprintf(stderr,
-                             "FATAL: kernels differ on %s round %u: "
-                             "bound %.17g vs %.17g, actual %.17g vs "
-                             "%.17g, active gates %llu vs %llu\n",
-                             w.name.c_str(), r, fs.boundEnergyJ,
-                             ev.boundEnergyJ, fs.actualEnergyJ,
-                             ev.actualEnergyJ,
-                             (unsigned long long)fs.activeGates,
-                             (unsigned long long)ev.activeGates);
-                return 1;
-            }
+                fs.activeGates != ev.activeGates)
+                bench_util::fatal(
+                    "kernels differ on %s round %u: bound %.17g vs "
+                    "%.17g, actual %.17g vs %.17g, active gates %llu vs "
+                    "%llu\n",
+                    w.name.c_str(), r, fs.boundEnergyJ, ev.boundEnergyJ,
+                    fs.actualEnergyJ, ev.actualEnergyJ,
+                    (unsigned long long)fs.activeGates,
+                    (unsigned long long)ev.activeGates);
             fsRounds.push_back(fs.cyclesPerSec);
             evRounds.push_back(ev.cyclesPerSec);
         }
-        Spread fs = spreadOf(fsRounds), ev = spreadOf(evRounds);
+        bench_util::Spread fs = bench_util::spreadOf(fsRounds);
+        bench_util::Spread ev = bench_util::spreadOf(evRounds);
         double speedup = ev.median / fs.median;
         std::printf("%-16s %14.0f (%5.0f) %14.0f (%5.0f) %8.2fx\n",
                     w.name.c_str(), fs.median, fs.iqr, ev.median, ev.iqr,
                     speedup);
-        if (!first)
-            json += ",\n";
-        first = false;
-        char row[320];
-        std::snprintf(row, sizeof(row),
-                      "    {\"name\": \"%s\", "
-                      "\"fullsweep_cycles_per_sec\": %.0f, "
-                      "\"fullsweep_iqr\": %.0f, "
-                      "\"event_cycles_per_sec\": %.0f, "
-                      "\"event_iqr\": %.0f, "
-                      "\"speedup\": %.2f}",
-                      w.name.c_str(), fs.median, fs.iqr, ev.median,
-                      ev.iqr, speedup);
-        json += row;
+        json.beginObject(cli::Layout::Inline)
+            .field("name", w.name)
+            .field("fullsweep_cycles_per_sec", std::round(fs.median))
+            .field("fullsweep_iqr", std::round(fs.iqr))
+            .field("event_cycles_per_sec", std::round(ev.median))
+            .field("event_iqr", std::round(ev.iqr))
+            .field("speedup", speedup).end();
     }
-    json += "\n  ]\n}\n";
-
-    std::ofstream out(bench_util::outDir() + "BENCH_sim_kernel.json");
-    out << json;
-    std::printf("wrote %sBENCH_sim_kernel.json\n",
-                bench_util::outDir().c_str());
+    json.end();
+    json.write();
     return 0;
 }

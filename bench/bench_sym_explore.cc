@@ -33,20 +33,11 @@
  *                   scales at least Xx over 1 thread -- auto-skipped
  *                   (with a note) when the host has fewer than 4
  *                   CPUs, where scaling numbers are noise.
- *
- * Usage: bench_sym_explore [branch_rounds] [reps] [max_threads]
- *                          [--min-ratio X] [--min-scaling X]
  */
 
-#include <algorithm>
-#include <chrono>
 #include <cinttypes>
 #include <cstdio>
-#include <cstdlib>
-#include <cstring>
-#include <fstream>
 #include <string>
-#include <thread>
 #include <vector>
 
 #include "bench/bench_util.hh"
@@ -56,14 +47,6 @@
 
 namespace ulpeak {
 namespace {
-
-double
-seconds(std::chrono::steady_clock::time_point t0)
-{
-    return std::chrono::duration<double>(
-               std::chrono::steady_clock::now() - t0)
-        .count();
-}
 
 /** A program whose exploration tree is wide and whose per-node runs
  *  are short: rounds of port-dependent branches over a live
@@ -91,17 +74,25 @@ forkStressSource(unsigned rounds)
  *  frontier @p f; the last report goes to @p out. */
 double
 timeAnalysis(msp::System &sys, const isa::Image &img,
-             const peak::Options &o, sym::testing::Frontier f, int reps,
-             peak::Report &out)
+             const peak::Options &o, sym::testing::Frontier f,
+             unsigned reps, peak::Report &out)
 {
     sym::testing::ScopedFrontier forced(f);
-    double best = 1e9;
-    for (int i = 0; i < reps; ++i) {
-        auto t0 = std::chrono::steady_clock::now();
-        out = peak::analyze(sys, img, o);
-        best = std::min(best, seconds(t0));
-    }
-    return best;
+    return bench_util::bestOf(reps,
+                              [&] { out = peak::analyze(sys, img, o); });
+}
+
+/** End the bench unless @p rep reports what @p ref does
+ *  (fuzz::reportDiff); @p what names the configuration of @p rep. */
+void
+requireSame(const peak::Report &ref, const peak::Report &rep,
+            const std::string &what)
+{
+    std::string diff = fuzz::reportDiff(ref, rep);
+    if (!diff.empty())
+        bench_util::fatal("%s diverged from the scalar 1-thread "
+                          "reference -- timing aborted:\n%s",
+                          what.c_str(), diff.c_str());
 }
 
 double
@@ -119,23 +110,13 @@ int
 main(int argc, char **argv)
 {
     using namespace ulpeak;
-    unsigned positional[3] = {32, 3, 8};
-    int npos = 0;
-    double minRatio = 0.0, minScaling = 0.0;
-    for (int i = 1; i < argc; ++i) {
-        if (!std::strcmp(argv[i], "--min-ratio") && i + 1 < argc) {
-            minRatio = std::atof(argv[++i]);
-        } else if (!std::strcmp(argv[i], "--min-scaling") &&
-                   i + 1 < argc) {
-            minScaling = std::atof(argv[++i]);
-        } else if (npos < 3) {
-            positional[npos++] = unsigned(std::atoi(argv[i]));
-        }
-    }
-    unsigned rounds = positional[0];
-    int reps = int(positional[1]);
-    unsigned maxThreads = positional[2];
-    unsigned hostCpus = std::thread::hardware_concurrency();
+    using sym::testing::Frontier;
+    const bench_util::Args args = bench_util::parseArgs(
+        argc, argv, {{"branch_rounds", 32}, {"reps", 3}, {"max_threads", 8}},
+        bench_util::kMinRatio | bench_util::kMinScaling);
+    const unsigned rounds = args.counts[0], reps = args.counts[1],
+                   maxThreads = args.counts[2];
+    const unsigned hostCpus = util::hostCpus();
 
     bench_util::printHeader(
         "sym exploration core: fork throughput and thread scaling");
@@ -147,17 +128,13 @@ main(int argc, char **argv)
     for (unsigned t = 1; t <= maxThreads; t *= 2)
         threadCounts.push_back(t);
 
-    // Reference run: every other thread count must reproduce these
-    // numbers bit for bit before its timing means anything.
-    using sym::testing::Frontier;
-    peak::Options ref;
+    // Reference run: every other configuration must reproduce this
+    // report (fuzz::reportDiff) before its timing means anything.
     peak::Report refRep;
-    timeAnalysis(sys, img, ref, Frontier::Scalar, 1, refRep);
-    if (!refRep.ok) {
-        std::fprintf(stderr, "reference analysis failed: %s\n",
-                     refRep.error.c_str());
-        return 1;
-    }
+    timeAnalysis(sys, img, {}, Frontier::Scalar, 1, refRep);
+    if (!refRep.ok)
+        bench_util::fatal("reference analysis failed: %s\n",
+                          refRep.error.c_str());
     std::printf("fork stress: %u rounds, %u paths, %" PRIu64
                 " cycles, %u dedup merges\n",
                 rounds, refRep.pathsExplored, refRep.totalCycles,
@@ -167,88 +144,70 @@ main(int argc, char **argv)
     // vs what full copies at every fork would have stored.
     peak::Options fullSnap;
     fullSnap.snapshotMode = sym::SnapshotMode::Full;
-    peak::Report fullRep = peak::analyze(sys, img, fullSnap);
+    requireSame(refRep, peak::analyze(sys, img, fullSnap),
+                "full-copy snapshots");
     double deltaRatio =
         refRep.snapshotBytesCopied
             ? double(refRep.snapshotBytesFull) /
                   double(refRep.snapshotBytesCopied)
             : 0.0;
-    if (fullRep.peakPowerW != refRep.peakPowerW) {
-        std::fprintf(stderr, "snapshot modes diverged\n");
-        return 1;
-    }
     std::printf("fork snapshots: delta %.2f MB vs full-copy %.2f MB "
                 "(%.1fx less copied)\n\n",
                 double(refRep.snapshotBytesCopied) / 1e6,
                 double(refRep.snapshotBytesFull) / 1e6, deltaRatio);
 
+    bench_util::JsonReport json("sym_explore");
+    json.field("branch_rounds", rounds).field("paths", refRep.pathsExplored)
+        .field("total_cycles", refRep.totalCycles).field("reps", reps)
+        .field("snapshot_bytes_delta", refRep.snapshotBytesCopied)
+        .field("snapshot_bytes_full", refRep.snapshotBytesFull);
+
     std::printf("scalar reference frontier:\n");
     std::printf("%-8s %10s %12s %12s %8s\n", "threads", "wall [s]",
                 "forks/sec", "cycles/sec", "scaling");
-
-    std::string json =
-        "{\n  \"bench\": \"sym_explore\",\n"
-        "  \"branch_rounds\": " + std::to_string(rounds) +
-        ",\n  \"host_cpus\": " + std::to_string(hostCpus) +
-        ",\n  \"paths\": " + std::to_string(refRep.pathsExplored) +
-        ",\n  \"total_cycles\": " +
-        std::to_string(refRep.totalCycles) +
-        ",\n  \"reps\": " + std::to_string(reps) +
-        ",\n  \"snapshot_bytes_delta\": " +
-        std::to_string(refRep.snapshotBytesCopied) +
-        ",\n  \"snapshot_bytes_full\": " +
-        std::to_string(refRep.snapshotBytesFull) +
-        ",\n  \"runs\": [\n";
-
+    json.key("runs").beginArray();
     double wall1 = 0.0;
-    bool first = true;
-    std::vector<std::pair<unsigned, double>> scalarWalls;
+    std::vector<double> scalarWalls; // index: position in threadCounts
+    // The --min-scaling gate reads the widest thread count the host
+    // has CPUs for.
+    unsigned gateT = 1;
+    double gateWall = 0.0;
     for (unsigned t : threadCounts) {
         peak::Options opts;
         opts.numThreads = t;
         peak::Report rep;
         double best =
             timeAnalysis(sys, img, opts, Frontier::Scalar, reps, rep);
-        if (!rep.ok || rep.peakPowerW != refRep.peakPowerW ||
-            rep.peakEnergyJ != refRep.peakEnergyJ ||
-            rep.npeJPerCycle != refRep.npeJPerCycle ||
-            rep.pathsExplored != refRep.pathsExplored) {
-            std::fprintf(stderr,
-                         "threads=%u diverged from the 1-thread "
-                         "reference -- timing aborted\n", t);
-            return 1;
-        }
+        requireSame(refRep, rep, "threads=" + std::to_string(t));
         if (t == 1)
             wall1 = best;
-        scalarWalls.emplace_back(t, best);
+        if (t <= hostCpus)
+            gateT = t, gateWall = best;
+        scalarWalls.push_back(best);
         double forksPerSec = double(rep.pathsExplored) / best;
         double cyclesPerSec = double(rep.totalCycles) / best;
         std::printf("%-8u %10.3f %12.0f %12.0f %7.2fx\n", t, best,
                     forksPerSec, cyclesPerSec, wall1 / best);
-        char buf[256];
-        std::snprintf(buf, sizeof buf,
-                      "    {\"threads\": %u, \"wall_s\": %.4f, "
-                      "\"forks_per_sec\": %.0f, \"cycles_per_sec\": "
-                      "%.0f, \"scaling_vs_1t\": %.3f}",
-                      t, best, forksPerSec, cyclesPerSec,
-                      wall1 / best);
-        json += std::string(first ? "" : ",\n") + buf;
-        first = false;
+        json.beginObject(cli::Layout::Inline)
+            .field("threads", t).field("wall_s", best)
+            .field("forks_per_sec", std::round(forksPerSec))
+            .field("cycles_per_sec", std::round(cyclesPerSec))
+            .field("scaling_vs_1t", wall1 / best).end();
     }
-    json += "\n  ],\n";
+    json.end();
 
     // Packed-frontier section: the same exploration drained through
-    // the 64-lane batched sweep, same bit-identity bar, reported as a
+    // the 64-lane batched sweep, same identity bar, reported as a
     // forks/sec ratio against the scalar engine at the same thread
     // count.
     std::printf("\npacked frontier (64-lane batched sweeps):\n");
     std::printf("%-8s %10s %12s %10s %10s\n", "threads", "wall [s]",
                 "forks/sec", "occupancy", "vs scalar");
-    json += "  \"packed\": [\n";
-    first = true;
+    json.key("packed").beginArray();
     double packedRatio1t = 0.0;
-    for (unsigned t : threadCounts) {
-        if (t > 2 && t != threadCounts.back())
+    for (size_t i = 0; i < threadCounts.size(); ++i) {
+        const unsigned t = threadCounts[i];
+        if (t > 2 && i + 1 != threadCounts.size())
             continue; // 1, 2 and the widest point tell the story
         peak::Options opts;
         opts.numThreads = t;
@@ -256,43 +215,27 @@ main(int argc, char **argv)
         peak::Report rep;
         double best =
             timeAnalysis(sys, img, opts, Frontier::Auto, reps, rep);
-        if (!rep.ok || rep.peakPowerW != refRep.peakPowerW ||
-            rep.peakEnergyJ != refRep.peakEnergyJ ||
-            rep.npeJPerCycle != refRep.npeJPerCycle ||
-            rep.pathsExplored != refRep.pathsExplored) {
-            std::fprintf(stderr,
-                         "packed threads=%u diverged from the scalar "
-                         "reference -- timing aborted\n", t);
-            return 1;
-        }
-        double scalarBest = 0.0;
-        for (auto &sw : scalarWalls)
-            if (sw.first == t)
-                scalarBest = sw.second;
+        requireSame(refRep, rep, "packed threads=" + std::to_string(t));
         double forksPerSec = double(rep.pathsExplored) / best;
-        double ratio = scalarBest / best;
+        double ratio = scalarWalls[i] / best;
         if (t == 1)
             packedRatio1t = ratio;
         std::printf("%-8u %10.3f %12.0f %9.1f%% %9.2fx\n", t, best,
                     forksPerSec, 100.0 * occupancy(rep), ratio);
-        char buf[256];
-        std::snprintf(buf, sizeof buf,
-                      "    {\"threads\": %u, \"wall_s\": %.4f, "
-                      "\"forks_per_sec\": %.0f, \"lane_occupancy\": "
-                      "%.3f, \"ratio_vs_scalar\": %.3f}",
-                      t, best, forksPerSec, occupancy(rep), ratio);
-        json += std::string(first ? "" : ",\n") + buf;
-        first = false;
+        json.beginObject(cli::Layout::Inline)
+            .field("threads", t).field("wall_s", best)
+            .field("forks_per_sec", std::round(forksPerSec))
+            .field("lane_occupancy", occupancy(rep))
+            .field("ratio_vs_scalar", ratio).end();
     }
-    json += "\n  ],\n";
+    json.end();
 
     // Per-program frontier section: the forking bench430 programs
     // under each frontier at 1, 2 and 4 threads.
-    std::printf("\nforking bench430 programs (best of %d):\n", reps);
+    std::printf("\nforking bench430 programs (best of %u):\n", reps);
     std::printf("%-10s %-9s %7s %10s %10s %7s\n", "program", "frontier",
                 "threads", "wall [s]", "occupancy", "steals");
-    json += "  \"programs\": [\n";
-    first = true;
+    json.key("programs").beginArray();
     bool autoScales = true, occupancyHolds = true;
     const struct {
         const char *name;
@@ -313,15 +256,10 @@ main(int argc, char **argv)
                 peak::Report rep;
                 double best = timeAnalysis(sys, pimg, popts, fr.frontier,
                                            reps, rep);
-                std::string diff = fuzz::reportDiff(pref, rep);
-                if (!diff.empty()) {
-                    std::fprintf(stderr,
-                                 "%s, %s frontier, %u threads diverged "
-                                 "from the scalar reference -- timing "
-                                 "aborted:\n%s",
-                                 prog, fr.name, t, diff.c_str());
-                    return 1;
-                }
+                requireSame(pref, rep,
+                            std::string(prog) + ", " + fr.name +
+                                " frontier, " + std::to_string(t) +
+                                " threads");
                 if (t == 1) {
                     wall1 = best;
                     occ1 = occupancy(rep);
@@ -334,65 +272,39 @@ main(int argc, char **argv)
                 std::printf("%-10s %-9s %7u %10.4f %9.1f%% %7u\n", prog,
                             fr.name, t, best, 100.0 * occupancy(rep),
                             rep.steals);
-                char buf[320];
-                std::snprintf(buf, sizeof buf,
-                              "    {\"program\": \"%s\", \"frontier\": "
-                              "\"%s\", \"threads\": %u, \"wall_s\": "
-                              "%.4f, \"lane_occupancy\": %.3f, "
-                              "\"packed_sweeps\": %" PRIu64
-                              ", \"steals\": %u}",
-                              prog, fr.name, t, best, occupancy(rep),
-                              rep.packedSweeps, rep.steals);
-                json += std::string(first ? "" : ",\n") + buf;
-                first = false;
+                json.beginObject(cli::Layout::Inline)
+                    .field("program", prog).field("frontier", fr.name)
+                    .field("threads", t).field("wall_s", best)
+                    .field("lane_occupancy", occupancy(rep))
+                    .field("packed_sweeps", rep.packedSweeps)
+                    .field("steals", rep.steals).end();
             }
         }
     }
+    json.end();
     std::printf("acceptance: automatic 4-thread within 10%% of 1-thread "
                 "on every program: %s; automatic lane occupancy never "
                 "falls as threads rise: %s\n",
                 autoScales ? "yes" : "NO", occupancyHolds ? "yes" : "NO");
-    json += std::string("\n  ],\n  \"auto_threads4_within_10pct\": ") +
-            (autoScales ? "true" : "false") +
-            ",\n  \"auto_occupancy_nondecreasing\": " +
-            (occupancyHolds ? "true" : "false") + "\n}\n";
+    json.field("auto_threads4_within_10pct", autoScales)
+        .field("auto_occupancy_nondecreasing", occupancyHolds);
+    std::printf("\n");
+    json.write();
 
-    std::ofstream(bench_util::outDir() + "BENCH_sym_explore.json")
-        << json;
-    std::printf("\nwrote %sBENCH_sym_explore.json\n",
-                bench_util::outDir().c_str());
-
-    if (minRatio > 0.0 && packedRatio1t < minRatio) {
-        std::fprintf(stderr,
-                     "FAIL: packed/scalar forks/sec ratio %.2fx at 1 "
-                     "thread below the --min-ratio gate %.2fx\n",
-                     packedRatio1t, minRatio);
-        return 1;
-    }
-    if (minScaling > 0.0) {
-        if (hostCpus < 4) {
-            std::printf("--min-scaling gate skipped: host has %u "
-                        "CPUs (< 4), scaling numbers are noise\n",
-                        hostCpus);
-        } else {
-            unsigned gateT = 1;
-            double gateWall = wall1;
-            for (auto &sw : scalarWalls)
-                if (sw.first <= hostCpus && sw.first > gateT) {
-                    gateT = sw.first;
-                    gateWall = sw.second;
-                }
-            double scaling = gateWall > 0.0 ? wall1 / gateWall : 0.0;
-            if (scaling < minScaling) {
-                std::fprintf(stderr,
-                             "FAIL: %u-thread scaling %.2fx below "
-                             "the --min-scaling gate %.2fx\n",
-                             gateT, scaling, minScaling);
-                return 1;
-            }
-            std::printf("--min-scaling gate: %.2fx at %u threads "
-                        ">= %.2fx\n", scaling, gateT, minScaling);
-        }
+    bench_util::gate("packed/scalar forks/sec ratio at 1 thread "
+                     "(--min-ratio)",
+                     packedRatio1t, args.minRatio);
+    if (args.minScaling > 0.0 && hostCpus < 4) {
+        std::printf("--min-scaling gate skipped: host has %u CPUs (< 4), "
+                    "scaling numbers are noise\n",
+                    hostCpus);
+    } else if (args.minScaling > 0.0) {
+        double scaling = gateWall > 0.0 ? wall1 / gateWall : 0.0;
+        bench_util::gate(std::to_string(gateT) +
+                             "-thread scaling (--min-scaling)",
+                         scaling, args.minScaling);
+        std::printf("--min-scaling gate: %.2fx at %u threads >= %.2fx\n",
+                    scaling, gateT, args.minScaling);
     }
     return 0;
 }

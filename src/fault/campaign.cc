@@ -7,6 +7,8 @@
 #include <istream>
 #include <memory>
 #include <ostream>
+#include <set>
+#include <string>
 #include <string_view>
 
 #include "fuzz/rng.hh"
@@ -64,7 +66,8 @@ writeEntry(std::ostream &out, const CampaignResult &res)
 }
 
 /** Parse the campaign body into @p out; false on corruption (re-run,
- *  @p out untouched). The row (site, cycle) pairs must match the
+ *  @p out untouched), a repeated header key included, as in the batch
+ *  reader. The row (site, cycle) pairs must match the
  *  freshly derived task list -- a key collision can never smuggle in
  *  rows of a different campaign shape. */
 bool
@@ -74,7 +77,10 @@ readEntry(std::istream &in, CampaignResult &out)
     std::string k;
     uint64_t rows = UINT64_MAX;
     std::string peakBits;
+    std::set<std::string> seen; // a repeated header key is malformed
     while (in >> k) {
+        if (!seen.insert(k).second)
+            return false;
         if (k == "golden_cycles") {
             if (!(in >> res.goldenCycles))
                 return false;

@@ -898,10 +898,11 @@ staticPruneCheck(msp::System &sys, const isa::Image &image, Rng &rng)
     sys.reset(sim);
     const uint64_t engage = sim.cycle() + 1 + ca.maxPruneDepth;
     const uint64_t maxCycles = sim.cycle() + 400;
+    // Indexed by simulator cycle, as runConcrete indexes its schedule.
+    const std::vector<uint16_t> words =
+        portWords(rng, size_t(maxCycles), scn);
     while (!sys.halted() && sim.cycle() < maxCycles) {
-        const scenario::PortPattern &p =
-            scn.patternAt(sim.cycle() - msp::System::kResetCycles);
-        uint16_t w = uint16_t((rng.word() & ~p.pinned) | p.value);
+        const uint16_t w = words[size_t(sim.cycle())];
         sim.step([&](Simulator &s) {
             sys.driveCycle(s, Word16::known(w));
         });

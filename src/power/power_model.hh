@@ -62,14 +62,6 @@ class PowerContext {
                freq_hz;
     }
 
-    /** Mode-scaled energy of one cycle [J] (frequency-free form of
-     *  the mode cyclePowerW overload; power = this * freq_hz). */
-    double
-    cycleEnergyJ(double switching_j, double energy_scale) const
-    {
-        return (switching_j + staticPerCycle_) * energy_scale;
-    }
-
     /** Bound power of the cycle most recently stepped on @p sim. */
     double
     cycleBoundPowerW(const Simulator &sim) const
@@ -83,12 +75,6 @@ class PowerContext {
                      double freq_hz) const
     {
         return cyclePowerW(sim.boundEnergyJ(), energy_scale, freq_hz);
-    }
-    /** Concrete-transition power of the last cycle. */
-    double
-    cycleActualPowerW(const Simulator &sim) const
-    {
-        return cyclePowerW(sim.actualEnergyJ());
     }
 
     /**

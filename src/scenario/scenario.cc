@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cctype>
 #include <cmath>
+#include <cstdio>
 #include <fstream>
 #include <sstream>
 #include <stdexcept>
@@ -409,6 +410,25 @@ Scenario::phasePricing(const CellLibrary &lib, double freq_hz) const
 void
 Scenario::validate() const
 {
+    for (const auto &[reg, value] : regInit) {
+        (void)value;
+        if (reg < 4 || reg > 15)
+            throw std::runtime_error(
+                "scenario '" + name + "': reg_init register r" +
+                std::to_string(reg) +
+                " is not a general-purpose register (4..15; r0-r3 are "
+                "pc/sp/sr/cg)");
+    }
+    for (const auto &[addr, words] : ramInit) {
+        (void)words;
+        if (addr & 1) {
+            char hex[16];
+            std::snprintf(hex, sizeof hex, "0x%04x", unsigned(addr));
+            throw std::runtime_error("scenario '" + name +
+                                     "': ram_init addr " + hex +
+                                     " is not word-aligned");
+        }
+    }
     if (!modeSchedule.empty() && modes.empty())
         throw std::runtime_error(
             "scenario '" + name +
@@ -617,9 +637,6 @@ Scenario::fromJson(const std::string &text)
                         "ram_init entries must be {addr, words}");
                 uint32_t addr =
                     asUint(*e.find("addr"), 0xffff, "ram_init addr");
-                if (addr & 1)
-                    throw std::runtime_error(
-                        "ram_init addr must be word-aligned");
                 const JsonValue &wv = *e.find("words");
                 if (wv.kind != JsonValue::Array || wv.items.empty())
                     throw std::runtime_error(
@@ -640,10 +657,6 @@ Scenario::fromJson(const std::string &text)
                         "reg_init entries must be {reg, value}");
                 uint32_t reg =
                     asUint(*e.find("reg"), 15, "reg_init reg");
-                if (reg < 4)
-                    throw std::runtime_error(
-                        "reg_init reg must be a general-purpose "
-                        "register (4..15); r0-r3 are pc/sp/sr/cg");
                 uint32_t val = asUint(*e.find("value"), 0xffff,
                                       "reg_init value");
                 s.regInit.emplace_back(reg, uint16_t(val));

@@ -204,11 +204,13 @@ struct Scenario {
     std::vector<std::pair<double, double>>
     phasePricing(const CellLibrary &lib, double freq_hz) const;
     /** Throw std::runtime_error on structural inconsistencies:
-     *  schedule without modes or with out-of-range indices,
-     *  non-positive vdd/freq, duplicate mode names, assertions
-     *  naming unknown modes or non-positive ceilings. The JSON
-     *  parser and the symbolic engine both call this, so a broken
-     *  scenario fails loudly wherever it was built. */
+     *  reg_init outside the general-purpose registers r4..r15,
+     *  ram_init at an odd address, schedule without modes or with
+     *  out-of-range indices, non-positive vdd/freq, duplicate mode
+     *  names, assertions naming unknown modes or non-positive
+     *  ceilings. The JSON parser and the symbolic engine both call
+     *  this, so a broken scenario fails loudly wherever it was built.
+     *  (RAM ranges need the memory map; the engine checks those.) */
     void validate() const;
     /// @}
 

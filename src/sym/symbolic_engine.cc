@@ -1178,9 +1178,9 @@ class Worker {
 };
 
 /** The scenario checks an analysis must pass before it explores:
- *  schedules, register and RAM constraints against @p sys (the
- *  parsers check the same; programmatic scenarios must fail as
- *  cleanly). Empty when @p scen is usable. */
+ *  Scenario::validate (the rules the parser applies too, so
+ *  programmatic scenarios fail as cleanly), then the RAM constraints
+ *  against @p sys's memory map. Empty when @p scen is usable. */
 std::string
 scenarioError(const scenario::Scenario &scen, const msp::System &sys)
 {
@@ -1188,13 +1188,6 @@ scenarioError(const scenario::Scenario &scen, const msp::System &sys)
         scen.validate();
     } catch (const std::exception &e) {
         return e.what();
-    }
-    for (const auto &[reg, value] : scen.regInit) {
-        (void)value;
-        if (reg < 4 || reg > 15)
-            return "scenario reg_init register r" + std::to_string(reg) +
-                   " is not a general-purpose register "
-                   "(4..15; r0-r3 are pc/sp/sr/cg)";
     }
     for (const auto &[addr, words] : scen.ramInit) {
         char range[32];

@@ -16,6 +16,8 @@
 #include <cstdio>
 #include <filesystem>
 #include <fstream>
+#include <sstream>
+#include <string>
 
 #include <unistd.h>
 
@@ -387,9 +389,10 @@ TEST(FaultCampaign, ForkedProcessesShareOneCacheDirectory)
     fs::remove_all(dir);
 }
 
-// A cache entry whose header parses but whose rows are rejected is a
-// miss that leaves nothing behind: the re-run reports, and stores,
-// exactly what a --no-cache campaign reports.
+// A cache entry whose header parses but whose rows are rejected, or
+// whose header repeats a key, is a miss that leaves nothing behind:
+// the re-run reports, and stores, exactly what a --no-cache campaign
+// reports.
 TEST(FaultCampaign, RejectedCacheEntryLeavesNoFieldsBehind)
 {
     namespace fs = std::filesystem;
@@ -423,6 +426,20 @@ TEST(FaultCampaign, RejectedCacheEntryLeavesNoFieldsBehind)
     fault::CampaignResult warm = fault::runCampaign(lib, img, opts);
     EXPECT_TRUE(warm.cacheHit);
     EXPECT_EQ(cli::toFaultJson(warm, opts, "loop", false), reference);
+
+    // A valid entry with a header key repeated (a second, different
+    // hang_cycles line before the rows) is malformed too.
+    std::stringstream text;
+    text << std::ifstream(entry).rdbuf();
+    std::string body = text.str();
+    size_t rows = body.find("\nrows ");
+    ASSERT_NE(rows, std::string::npos) << body;
+    body.insert(rows + 1, "hang_cycles " +
+                              std::to_string(warm.hangCycles + 1) + "\n");
+    std::ofstream(entry) << body;
+    fault::CampaignResult repeated = fault::runCampaign(lib, img, opts);
+    EXPECT_FALSE(repeated.cacheHit);
+    EXPECT_EQ(cli::toFaultJson(repeated, opts, "loop", false), reference);
     fs::remove_all(dir);
 }
 

@@ -301,6 +301,13 @@ TEST(Scenario, ProgrammaticConstraintsAreValidated)
     regSpecial.scenario.regInit.push_back({2, 0}); // r2 = sr
     peak::Report c = peak::analyze(sys, img, regSpecial);
     EXPECT_FALSE(c.ok);
+
+    // An odd RAM address is rejected, not rounded down to its word.
+    peak::Options oddAddr;
+    oddAddr.scenario.ramInit.push_back({0x0201, {5}});
+    peak::Report d = peak::analyze(sys, img, oddAddr);
+    EXPECT_FALSE(d.ok);
+    EXPECT_NE(d.error.find("ram_init"), std::string::npos) << d.error;
 }
 
 // A bad --scenario spec is a usage error (exit 2), never an uncaught

@@ -318,6 +318,11 @@ toJson(const peak::BatchReport &rep, const peak::BatchOptions &opts,
                 .field("packed_batches", r.packedBatches)
                 .field("packed_sweeps", r.packedSweeps)
                 .field("packed_lane_cycles", r.packedLaneCycles)
+                .field("lane_loads", r.laneLoads)
+                .field("lane_continues", r.laneContinues)
+                .field("lane_copies", r.laneCopies)
+                .field("lane_extracts", r.laneExtracts)
+                .field("fork_captures", r.forkCaptures)
                 .field("per_worker_cycles", r.perWorkerCycles).end();
         }
         w.end();

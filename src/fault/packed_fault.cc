@@ -48,14 +48,22 @@ runFaultedPacked(msp::System &sys, const isa::Image &image,
     std::array<bool, kLanes> applied{};
     std::array<std::vector<float>, kLanes> traceW;
 
+    // Bus and register reads transpose all 64 lanes at once, the
+    // first time a lane needs them in a cycle.
+    msp::PackedSystem::LaneWords mab, mdb;
     auto observeStores = [&](PackedSimulator &s) {
         V64 rstn = s.value(h.rstn);
         V64 wr = s.value(h.mbWr);
+        bool read = false;
         for (uint64_t live = s.liveMask(); live; live &= live - 1) {
             unsigned l = unsigned(__builtin_ctzll(live));
             check[l]->edge(rstn.lane(l), wr.lane(l), [&] {
-                return std::pair(s.readBusLane(h.mab, l),
-                                 s.readBusLane(h.mdbOut, l));
+                if (!read) {
+                    mab = s.readBusLanes(h.mab);
+                    mdb = s.readBusLanes(h.mdbOut);
+                    read = true;
+                }
+                return std::pair(mab[l], mdb[l]);
             });
         }
     };
@@ -89,8 +97,10 @@ runFaultedPacked(msp::System &sys, const isa::Image &image,
     lanes.reset(psim, applyInjections);
 
     // cosim::run's loop body per lane.
+    std::array<msp::PackedSystem::LaneWords, 16> regs;
     while (psim.liveMask() && psim.cycle() < opts.maxCycles) {
         uint64_t stepping = psim.liveMask();
+        bool regsRead = false;
         psim.step([&](PackedSimulator &s) {
             lanes.driveCycle(s, Word16::known(opts.portIn));
             applyInjections(s);
@@ -109,10 +119,15 @@ runFaultedPacked(msp::System &sys, const isa::Image &image,
             } else if (lanes.fsmState(psim, l) != msp::kStFetch) {
                 continue;
             } else {
-                cosim::Registers regs;
+                if (!regsRead) {
+                    for (unsigned r = 0; r < 16; ++r)
+                        regs[r] = psim.readBusLanes(h.regs[r]);
+                    regsRead = true;
+                }
+                cosim::Registers lane;
                 for (unsigned r = 0; r < 16; ++r)
-                    regs[r] = psim.readBusLane(h.regs[r], l);
-                if (c.fetch(psim.cycle(), regs))
+                    lane[r] = regs[r][l];
+                if (c.fetch(psim.cycle(), lane))
                     continue;
             }
             psim.retireLanes(bit);

@@ -422,7 +422,10 @@ reportDiff(const peak::Report &a, const peak::Report &b,
     num("dedupMerges", a.dedupMerges, b.dedupMerges);
     seq("flatTraceW", a.flatTraceW, b.flatTraceW);
     seq("peakActive", a.peakActive, b.peakActive);
-    if (a.snapshotMode == b.snapshotMode) {
+    // Snapshot bytes depend on the snapshot form, and on the lanes: a
+    // lane fork captures only for the children that leave them.
+    if (a.snapshotMode == b.snapshotMode && !a.packedSweeps &&
+        !b.packedSweeps) {
         num("snapshotBytesCopied", double(a.snapshotBytesCopied),
             double(b.snapshotBytesCopied));
         num("snapshotBytesFull", double(a.snapshotBytesFull),

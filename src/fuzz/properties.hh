@@ -73,9 +73,10 @@ enum class ReportScope {
     Bounds,
     /** Bounds plus the tree statistics (totalCycles, pathsExplored,
      *  dedupMerges), flatTraceW, peakActive and -- when both reports
-     *  used the same SnapshotMode -- the snapshot byte counters: every
-     *  field that does not depend on scheduling (steals, per-worker
-     *  cycles, packed batch counters and timings never take part). */
+     *  used the same SnapshotMode and neither swept the lanes -- the
+     *  snapshot byte counters: every field that does not depend on
+     *  scheduling (steals, per-worker cycles, packed-frontier
+     *  counters and timings never take part). */
     All,
 };
 

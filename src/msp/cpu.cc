@@ -366,15 +366,18 @@ PackedSystem::restore(unsigned lane, const System::Snapshot &s)
 void
 PackedSystem::memHook(PackedSimulator &ps)
 {
-    // Retired lanes are skipped: setInput would drop their data.
+    // Retired lanes are skipped: setInput would drop their data. The
+    // address bus is transposed once, when some lane reads.
     const CpuHandles &h = core_->h;
-    LaneWords data;
+    LaneWords data, addr;
     uint64_t billed = 0;
     V64 en = ps.value(h.mbEn);
-    for (uint64_t live = ps.liveMask(); live; live &= live - 1) {
+    uint64_t live = ps.liveMask();
+    if (en.v & en.k & live)
+        addr = ps.readBusLanes(h.mab);
+    for (; live; live &= live - 1) {
         unsigned l = unsigned(__builtin_ctzll(live));
-        BusRead r = readRule(mem_[l], en.lane(l),
-                             [&] { return ps.readBusLane(h.mab, l); });
+        BusRead r = readRule(mem_[l], en.lane(l), [&] { return addr[l]; });
         data[l] = r.data;
         if (r.billed)
             billed |= uint64_t(1) << l;
@@ -388,15 +391,21 @@ PackedSystem::memHook(PackedSimulator &ps)
 void
 PackedSystem::memEdge(PackedSimulator &ps)
 {
+    // The buses are transposed once, when some lane commits.
     const CpuHandles &h = core_->h;
     V64 rstn = ps.value(h.rstn);
     V64 wr = ps.value(h.mbWr);
-    for (uint64_t m = ps.liveMask() & ~halted_; m; m &= m - 1) {
+    uint64_t lanes = ps.liveMask() & ~halted_;
+    LaneWords addr, data;
+    if (rstn.v & rstn.k & wr.v & wr.k & lanes) {
+        addr = ps.readBusLanes(h.mab);
+        data = ps.readBusLanes(h.mdbOut);
+    }
+    for (uint64_t m = lanes; m; m &= m - 1) {
         unsigned l = unsigned(__builtin_ctzll(m));
-        Commit c = commitRule(
-            mem_[l], rstn.lane(l), wr.lane(l),
-            [&] { return ps.readBusLane(h.mab, l); },
-            [&] { return ps.readBusLane(h.mdbOut, l); });
+        Commit c = commitRule(mem_[l], rstn.lane(l), wr.lane(l),
+                              [&] { return addr[l]; },
+                              [&] { return data[l]; });
         if (c == Commit::XStore)
             xStore_ |= uint64_t(1) << l;
         else if (c == Commit::Halt)

@@ -31,6 +31,32 @@ priceMasks(uint64_t a, uint64_t pv, uint64_t pk, uint64_t cv, uint64_t ck)
             a & ((pv & ~cv) | (~pk & ck & ~cv)), a & ~pk & ~ck};
 }
 
+/**
+ * The lane <-> bus-bit transpose of setInputBusLanes and readBusLanes,
+ * an involution. Row l < 32 holds lane l's known bits (low half-word)
+ * and value bits (high half-word) in its low 32 bits, lane l + 32's
+ * in its high 32 bits; after the transpose, row c holds column c
+ * across the lanes -- the known plane of bus bit c for c < 16, its
+ * value plane at c + 16 -- and back. Lanes 0-31 and 32-63 ride the
+ * low and high halves of each word, two 32x32 transposes at once:
+ * five rounds of block swaps instead of a branch per lane and bit.
+ */
+void
+transposeLanes(uint64_t (&row)[32])
+{
+    static constexpr uint64_t kMask[] = {
+        0x0000ffff0000ffffull, 0x00ff00ff00ff00ffull,
+        0x0f0f0f0f0f0f0f0full, 0x3333333333333333ull,
+        0x5555555555555555ull};
+    for (unsigned round = 0, j = 16; j; ++round, j >>= 1)
+        for (unsigned r = 0; r < 32; r = (r + j + 1) & ~j) {
+            // Swap the upper-right and lower-left j x j blocks.
+            uint64_t t = ((row[r] >> j) ^ row[r + j]) & kMask[round];
+            row[r + j] ^= t;
+            row[r] ^= t << j;
+        }
+}
+
 } // namespace
 
 PackedSimulator::PackedSimulator(const Netlist &nl)
@@ -122,13 +148,6 @@ void
 PackedSimulator::setInputBusLanes(const std::vector<GateId> &bus,
                                   const std::array<Word16, kLanes> &lanes)
 {
-    // A bit-matrix transpose: row l holds lane l's known bits (low
-    // half-word) and known value bits (high half-word); after it,
-    // row c holds column c across the lanes -- the known plane of bus
-    // bit c for c < 16, its value plane at c + 16. Lanes 0-31 and
-    // 32-63 ride the low and high halves of each word, two 32x32
-    // transposes at once: five rounds of block swaps instead of a
-    // branch per lane and bit.
     assert(bus.size() <= 16);
     uint64_t row[32];
     for (unsigned l = 0; l < 32; ++l) {
@@ -138,17 +157,7 @@ PackedSimulator::setInputBusLanes(const std::vector<GateId> &bus,
         };
         row[l] = half(lanes[l]) | half(lanes[l + 32]) << 32;
     }
-    static constexpr uint64_t kMask[] = {
-        0x0000ffff0000ffffull, 0x00ff00ff00ff00ffull,
-        0x0f0f0f0f0f0f0f0full, 0x3333333333333333ull,
-        0x5555555555555555ull};
-    for (unsigned round = 0, j = 16; j; ++round, j >>= 1)
-        for (unsigned r = 0; r < 32; r = (r + j + 1) & ~j) {
-            // Swap the upper-right and lower-left j x j blocks.
-            uint64_t t = ((row[r] >> j) ^ row[r + j]) & kMask[round];
-            row[r + j] ^= t;
-            row[r] ^= t << j;
-        }
+    transposeLanes(row);
     for (size_t i = 0; i < bus.size(); ++i)
         setInput(bus[i], V64(row[i + 16], row[i]));
 }
@@ -157,8 +166,6 @@ Word16
 PackedSimulator::readBusLane(const std::vector<GateId> &bus,
                              unsigned lane) const
 {
-    // Branch-free: the fault checker reads whole register files per
-    // lane at every instruction boundary.
     unsigned value = 0, xmask = 0;
     for (size_t i = 0; i < bus.size(); ++i) {
         const V64 &v = val_[bus[i]];
@@ -166,6 +173,30 @@ PackedSimulator::readBusLane(const std::vector<GateId> &bus,
         xmask |= unsigned((~v.k >> lane) & 1) << i;
     }
     return Word16(uint16_t(value), uint16_t(xmask));
+}
+
+std::array<Word16, PackedSimulator::kLanes>
+PackedSimulator::readBusLanes(const std::vector<GateId> &bus) const
+{
+    // setInputBusLanes backwards: planes in, one transpose, words out.
+    // Bits past the bus read known 0, as readBusLane leaves them.
+    assert(bus.size() <= 16);
+    uint64_t row[32];
+    for (size_t i = 0; i < 16; ++i) {
+        bool on = i < bus.size();
+        row[i] = on ? val_[bus[i]].k : ~uint64_t(0);
+        row[i + 16] = on ? val_[bus[i]].v : 0;
+    }
+    transposeLanes(row);
+    std::array<Word16, kLanes> out;
+    for (unsigned l = 0; l < 32; ++l) {
+        auto word = [](uint64_t half) {
+            return Word16(uint16_t(half >> 16), uint16_t(~half));
+        };
+        out[l] = word(row[l]);
+        out[l + 32] = word(row[l] >> 32);
+    }
+    return out;
 }
 
 double
@@ -427,13 +458,18 @@ PackedSimulator::loadLaneState(unsigned lane,
         uint64_t b = uint64_t(s.val[g]); // Zero 0, One 1, X 2
         val_[g].k = (val_[g].k & ~m) | ((b >> 1 ^ 1) << lane);
         val_[g].v = (val_[g].v & ~m) | ((b & 1) << lane);
-        act_[g] = (act_[g] & ~m) |
-                  uint64_t(testBit(s.activeLast.data(), uint32_t(g)))
-                      << lane;
     }
-    // Loaded activity joins the bitset so the next step clears it.
-    for (size_t w = 0; w < actBits_.size(); ++w)
-        actBits_[w] |= s.activeLast[w];
+    // Activity is nonzero only at gates of the lane-unioned bitset,
+    // which the loaded activity joins, so the next step clears it.
+    for (size_t w = 0; w < actBits_.size(); ++w) {
+        uint64_t loaded = s.activeLast[w];
+        for (uint64_t any = actBits_[w] | loaded; any; any &= any - 1) {
+            unsigned i = unsigned(__builtin_ctzll(any));
+            uint64_t &a = act_[w * 64 + i];
+            a = (a & ~m) | (loaded >> i & 1) << lane;
+        }
+        actBits_[w] |= loaded;
+    }
     for (size_t i = 0; i < loadedPrevEdge_.size(); ++i)
         loadedPrevEdge_[i] = (loadedPrevEdge_[i] & ~m) |
                              uint64_t(s.loadedPrevEdge[i] != 0) << lane;
@@ -447,21 +483,45 @@ PackedSimulator::loadLaneState(unsigned lane,
 Simulator::Snapshot
 PackedSimulator::extractLaneState(unsigned lane, uint64_t cycle) const
 {
+    const LaneBytes b = laneBytes(lane);
     Simulator::Snapshot s;
-    size_t n = val_.size();
+    size_t n = b.numGates();
     s.val.resize(n);
-    for (size_t g = 0; g < n; ++g) // branch-free V4: X = 2 when unknown
-        s.val[g] = V4(((val_[g].v >> lane) & 1) |
-                      ((~val_[g].k >> lane) & 1) << 1);
-    s.activeLast.assign(bitWords(n), 0);
     for (size_t g = 0; g < n; ++g)
-        s.activeLast[g / 64] |= ((act_[g] >> lane) & 1) << (g % 64);
-    s.loadedPrevEdge.resize(loadedPrevEdge_.size());
-    for (size_t i = 0; i < loadedPrevEdge_.size(); ++i)
-        s.loadedPrevEdge[i] =
-            uint8_t((loadedPrevEdge_[i] >> lane) & 1);
+        s.val[g] = V4(b.val(g));
+    s.activeLast.resize(bitWords(n));
+    for (size_t w = 0; w < s.activeLast.size(); ++w)
+        s.activeLast[w] = b.activeWord(w);
+    s.loadedPrevEdge.resize(b.numSeq());
+    for (size_t i = 0; i < b.numSeq(); ++i)
+        s.loadedPrevEdge[i] = b.loaded(i);
     s.cycle = cycle;
     return s;
+}
+
+void
+PackedSimulator::copyLane(unsigned from, unsigned to)
+{
+    // Branch-free masked bit moves over flat word arrays (value plane
+    // pairs and per-flop masks alike). Activity is nonzero only at gates of the lane-unioned bitset,
+    // and the previous-cycle planes resync at the next step instead
+    // of moving here. The copied state is a stepped lane's, so the
+    // wake marks and activity bitsets that cover it already cover the
+    // copy.
+    const uint64_t toBit = uint64_t(1) << to;
+    auto move = [from, to, toBit](uint64_t *w, size_t n) {
+        for (size_t i = 0; i < n; ++i)
+            w[i] = (w[i] & ~toBit) | ((w[i] >> from) & 1) << to;
+    };
+    static_assert(sizeof(V64) == 2 * sizeof(uint64_t));
+    move(&val_[0].v, 2 * val_.size());
+    move(dActPrev_.data(), dActPrev_.size());
+    move(loadedPrevEdge_.data(), loadedPrevEdge_.size());
+    forEachBit(actBits_, [&](GateId g) {
+        act_[g] = (act_[g] & ~toBit) | ((act_[g] >> from) & 1) << to;
+    });
+    resyncAll_ = true;
+    live_ |= toBit;
 }
 
 void

@@ -53,8 +53,9 @@
  * (retireLanes): a retired lane stops clocking -- its flops hold,
  * input writes, forces and injections skip it, and it is never
  * active, so it bills nothing and wakes nothing. loadLaneState
- * revives a lane. The invariant above is "while live", which is what
- * a scalar run does when its runner stops stepping it.
+ * (from a scalar snapshot) and copyLane (from a lane that has just
+ * stepped) revive a lane. The invariant above is "while live", which
+ * is what a scalar run does when its runner stops stepping it.
  *
  * Only the bound energy, which every consumer reads each cycle, is
  * priced during step(). The actual energy and the per-module split
@@ -69,16 +70,22 @@
  * symbolic engine's exploration frontier drives independent pending
  * execution paths through the lanes: by default once two or more paths
  * are pending (SymbolicConfig::packedExplore forces every path through
- * the lanes, as the reference). loadLaneState / extractLaneState
- * transpose scalar Simulator::Snapshots into and out of a lane, and
- * forceLane / predictSeqValue give the engine its per-lane fork
- * machinery -- each backed by the lane-identity invariant above, so a
- * lane's continuation is bit-identical to the scalar restore-and-run.
+ * the lanes, as the reference). A path that forks on a lane stays on
+ * the lanes: laneBytes feeds the lane's state to the one full-state
+ * hash (Simulator::hashStateBytes) where it is, predictSeqValue and
+ * readBusLanes give the fork test its PC and IR, forceBusLane narrows
+ * the continuing child's PC, and copyLane moves a second child into
+ * a free lane. loadLaneState / extractLaneState transpose scalar
+ * Simulator::Snapshots into and out of a lane only for paths that
+ * enter or leave the lanes. Each is backed by the lane-identity
+ * invariant above, so a lane's continuation is bit-identical to the
+ * scalar restore-and-run.
  */
 
 #ifndef ULPEAK_SIM_PACKED_SIMULATOR_HH
 #define ULPEAK_SIM_PACKED_SIMULATOR_HH
 
+#include <algorithm>
 #include <array>
 #include <type_traits>
 #include <vector>
@@ -143,6 +150,11 @@ class PackedSimulator {
     uint64_t activeMask(GateId g) const { return act_[g]; }
     Word16 readBusLane(const std::vector<GateId> &bus,
                        unsigned lane) const;
+    /** readBusLane of every lane at once, in one transpose (the read
+     *  twin of setInputBusLanes); retired lanes read their frozen
+     *  values. */
+    std::array<Word16, kLanes>
+    readBusLanes(const std::vector<GateId> &bus) const;
     /// @}
 
     /// @name Lane retirement
@@ -212,6 +224,85 @@ class PackedSimulator {
      */
     Simulator::Snapshot extractLaneState(unsigned lane,
                                          uint64_t cycle) const;
+    /**
+     * Copy live lane @p from into lane @p to and revive it: gate
+     * values and previous-cycle planes, activity, the flops' D-pin
+     * activity and load history, one masked bit move per word. Legal
+     * between steps, right after a step() in which @p from was live:
+     * the lane-unioned wake marks of that step already cover the copy,
+     * so unlike loadLaneState nothing is re-armed or resynced, and
+     * both lanes continue exactly as @p from alone would. The copy's
+     * energies are undefined until the next step.
+     */
+    void copyLane(unsigned from, unsigned to);
+
+    /** Lane @p lane's state as a byte source of
+     *  Simulator::hashStateBytes, read in place: the bytes of the
+     *  snapshot extractLaneState would return. */
+    class LaneBytes {
+      public:
+        LaneBytes(const PackedSimulator &ps, unsigned lane)
+            : ps_(&ps), lane_(lane)
+        {
+        }
+        size_t numGates() const { return ps_->val_.size(); }
+        uint8_t
+        val(size_t g) const // branch-free V4: X = 2 when unknown
+        {
+            const V64 &v = ps_->val_[g];
+            return uint8_t(((v.v >> lane_) & 1) |
+                           ((~v.k >> lane_) & 1) << 1);
+        }
+        void
+        valWords(size_t w, uint64_t &ones, uint64_t &unknown) const
+        {
+            const V64 *val = ps_->val_.data() + w * 64;
+            size_t n = std::min<size_t>(64, numGates() - w * 64);
+            ones = unknown = 0;
+            if (n < 64) {
+                for (size_t i = 0; i < n; ++i) {
+                    ones |= (val[i].v >> lane_ & 1) << i;
+                    unknown |= (~val[i].k >> lane_ & 1) << i;
+                }
+                return;
+            }
+            for (size_t j = 0; j < 64; j += 8) {
+                // The lane's bit of eight gates to one byte each, then
+                // the eight bytes gathered into one.
+                uint64_t yo = 0, yu = 0;
+                for (unsigned i = 0; i < 8; ++i) {
+                    yo |= (val[j + i].v >> lane_ & 1) << (8 * i);
+                    yu |= (~val[j + i].k >> lane_ & 1) << (8 * i);
+                }
+                constexpr uint64_t kGather = 0x0102040810204080ull;
+                ones |= ((yo * kGather) >> 56) << j;
+                unknown |= ((yu * kGather) >> 56) << j;
+            }
+        }
+        /** Only gates of the lane-unioned activity bitset can be
+         *  active in any lane. */
+        uint64_t
+        activeWord(size_t w) const
+        {
+            uint64_t m = 0;
+            for (uint64_t any = ps_->actBits_[w]; any; any &= any - 1) {
+                unsigned i = unsigned(__builtin_ctzll(any));
+                m |= (ps_->act_[w * 64 + i] >> lane_ & 1) << i;
+            }
+            return m;
+        }
+        size_t numSeq() const { return ps_->loadedPrevEdge_.size(); }
+        uint8_t
+        loaded(size_t i) const
+        {
+            return uint8_t((ps_->loadedPrevEdge_[i] >> lane_) & 1);
+        }
+
+      private:
+        const PackedSimulator *ps_;
+        unsigned lane_;
+    };
+    LaneBytes laneBytes(unsigned lane) const { return {*this, lane}; }
     /// @}
 
     /**

@@ -653,66 +653,16 @@ Simulator::predictSeqValue(GateId g) const
     return evalSeqCell(gate.kind, val_[g], ins, held);
 }
 
-namespace {
-
-/** The shared body of hashFullState / hashSnapshotState: FNV-1a over
- *  (values, activity, load history), restricted to the unmasked runs
- *  when @p runs is non-null. Activity from the gate-id bitset @p act
- *  mixes as one 0/1 byte per gate, zero-padded to a multiple of 8
- *  when unrestricted: the pinned dedup-key format
- *  (tests/test_snapshot.cc, DedupKeys). */
-uint64_t
-hashStateBytes(const uint8_t *vals, size_t nval, const uint64_t *act,
-               const uint8_t *lpe, size_t nlpe,
-               const std::vector<std::pair<uint32_t, uint32_t>> *runs)
-{
-    uint64_t h = 0xcbf29ce484222325ull;
-    auto mixByte = [&h](uint8_t b) {
-        h ^= b;
-        h *= 0x100000001b3ull;
-    };
-    auto mix = [&](const uint8_t *p, size_t len) {
-        for (size_t i = 0; i < len; ++i)
-            mixByte(p[i]);
-    };
-    auto mixAct = [&](uint32_t begin, uint32_t end) {
-        for (uint32_t g = begin; g < end; ++g)
-            mixByte(testBit(act, g));
-    };
-    if (runs) {
-        // Masked gates hold their proven constant and stay inactive
-        // in every reachable state, so their bytes carry no
-        // information: hash only the unmasked runs. The basis is a
-        // pure function of (mask, engage, cycle), identical across
-        // workers, kernels, and snapshot modes, so dedup keys stay
-        // scheduling-independent.
-        for (const auto &r : *runs)
-            mix(vals + r.first, r.second - r.first);
-        for (const auto &r : *runs)
-            mixAct(r.first, r.second);
-        mix(lpe, nlpe);
-        return h;
-    }
-    mix(vals, nval);
-    mixAct(0, uint32_t(nval));
-    for (size_t i = nval; i % 8; ++i)
-        mixByte(0);
-    mix(lpe, nlpe);
-    return h;
-}
-
-} // namespace
-
 uint64_t
 Simulator::hashFullState() const
 {
     // FNV-1a over everything snapshot() captures (except the cycle
     // counter): two simulators with equal full-state hashes produce
     // identical continuations under identical drivers.
-    return hashStateBytes(
-        reinterpret_cast<const uint8_t *>(val_.data()), val_.size(),
-        actBits_.data(), loadedPrevEdge_.data(), loadedPrevEdge_.size(),
-        staticPruneActive() ? &unprunedRuns_ : nullptr);
+    return hashState(StateBytes{val_.data(), actBits_.data(),
+                                loadedPrevEdge_.data(), val_.size(),
+                                loadedPrevEdge_.size()},
+                     cycle_);
 }
 
 uint64_t
@@ -721,13 +671,10 @@ Simulator::hashSnapshotState(const Snapshot &s) const
     // Same basis rule as hashFullState, with the engage test applied
     // to the snapshot's cycle (the state's own age, not this
     // simulator's).
-    bool pruned = pruneMask_ && !pruneDisabled_ &&
-                  s.cycle >= pruneEngage_;
-    return hashStateBytes(
-        reinterpret_cast<const uint8_t *>(s.val.data()), s.val.size(),
-        s.activeLast.data(), s.loadedPrevEdge.data(),
-        s.loadedPrevEdge.size(),
-        pruned ? &unprunedRuns_ : nullptr);
+    return hashState(StateBytes{s.val.data(), s.activeLast.data(),
+                                s.loadedPrevEdge.data(), s.val.size(),
+                                s.loadedPrevEdge.size()},
+                     s.cycle);
 }
 
 } // namespace ulpeak

@@ -74,6 +74,9 @@
 #ifndef ULPEAK_SIM_SIMULATOR_HH
 #define ULPEAK_SIM_SIMULATOR_HH
 
+#include <algorithm>
+#include <array>
+#include <cstring>
 #include <memory>
 #include <type_traits>
 #include <vector>
@@ -311,8 +314,7 @@ class Simulator {
     bool
     staticPruneActive() const
     {
-        return pruneMask_ && !pruneDisabled_ &&
-               cycle_ >= pruneEngage_;
+        return pruneBasisAt(cycle_) != nullptr;
     }
 
     /** FNV-1a hash over the complete snapshot state (values,
@@ -325,10 +327,20 @@ class Simulator {
      *  state, with this simulator's prune configuration applied
      *  against @p s.cycle (the snapshot's own engage test). For a
      *  snapshot of this simulator's current state the result equals
-     *  hashFullState() bit for bit -- the packed exploration hashes
-     *  extracted lane snapshots through this so its dedup keys match
-     *  the scalar engine's. */
+     *  hashFullState() bit for bit. */
     uint64_t hashSnapshotState(const Snapshot &s) const;
+    /** hashFullState over any state byte source @p src (see
+     *  hashStateBytes), with this simulator's prune configuration
+     *  applied against @p cycle, the state's own age. The packed
+     *  exploration hashes a lane where it is through this
+     *  (PackedSimulator::laneBytes), so its dedup keys match the
+     *  scalar engine's without a transpose. */
+    template <typename Src>
+    uint64_t
+    hashState(const Src &src, uint64_t cycle) const
+    {
+        return hashStateBytes(src, pruneBasisAt(cycle));
+    }
 
     /**
      * Predict the value a sequential gate will take at the next clock
@@ -370,6 +382,154 @@ class Simulator {
                             bool value_changed);
     void checkShape(const Snapshot &s) const;
     void afterRestore();
+    /** The hash basis of a state @p cycle cycles old: the unmasked
+     *  runs while pruning is engaged at that age, else null. */
+    const std::vector<std::pair<uint32_t, uint32_t>> *
+    pruneBasisAt(uint64_t cycle) const
+    {
+        return pruneMask_ && !pruneDisabled_ && cycle >= pruneEngage_
+                   ? &unprunedRuns_
+                   : nullptr;
+    }
+
+    /** The state of a Snapshot (or of a simulator's live arrays) as a
+     *  byte source of hashStateBytes. */
+    struct StateBytes {
+        const V4 *vals;
+        const uint64_t *act; ///< gate-id activity bitset
+        const uint8_t *lpe;
+        size_t nval, nlpe;
+
+        size_t numGates() const { return nval; }
+        void
+        valWords(size_t w, uint64_t &ones, uint64_t &unknown) const
+        {
+            size_t lo = w * 64, n = std::min<size_t>(64, nval - lo);
+            ones = unknown = 0;
+            if (n < 64) {
+                for (size_t i = 0; i < n; ++i) {
+                    ones |= uint64_t(vals[lo + i] == V4::One) << i;
+                    unknown |= uint64_t(vals[lo + i] == V4::X) << i;
+                }
+                return;
+            }
+            for (unsigned j = 0; j < 8; ++j) {
+                // V4 bytes are 0, 1 or 2: gather each byte's bit 0 and
+                // bit 1 into one byte each.
+                uint64_t x;
+                std::memcpy(&x, vals + lo + 8 * j, 8);
+                constexpr uint64_t kLow = 0x0101010101010101ull;
+                constexpr uint64_t kGather = 0x0102040810204080ull;
+                ones |= (((x & kLow) * kGather) >> 56) << (8 * j);
+                unknown |= (((x >> 1 & kLow) * kGather) >> 56) << (8 * j);
+            }
+        }
+        uint64_t activeWord(size_t w) const { return act[w]; }
+        size_t numSeq() const { return nlpe; }
+        uint8_t loaded(size_t i) const { return lpe[i]; }
+    };
+
+    /**
+     * The full-state hash, one body for every place a state lives:
+     * FNV-1a over (values, activity, load history) of the byte source
+     * @p src, restricted to the unmasked runs @p runs when non-null.
+     * A source gives numGates(); valWords(w, ones, unknown) and
+     * activeWord(w), the gates 64w..64w+63 that read One, that read X
+     * and that are active, as bits; numSeq() and loaded(i) (0/1).
+     * Values mix as their V4 byte (Zero 0, One 1, X 2), activity as
+     * one 0/1 byte per gate, zero-padded to a multiple of 8 when
+     * unrestricted: the pinned dedup-key format
+     * (tests/test_snapshot.cc, DedupKeys).
+     *
+     * Most value and activity bytes are zero, and k zero bytes mix as
+     * one multiply by the FNV prime to the k: only the nonzero bytes
+     * cost a step of the byte chain.
+     */
+    template <typename Src>
+    static uint64_t
+    hashStateBytes(const Src &src,
+                   const std::vector<std::pair<uint32_t, uint32_t>> *runs)
+    {
+        constexpr uint64_t kPrime = 0x100000001b3ull;
+        static constexpr std::array<uint64_t, 65> kPow = [] {
+            std::array<uint64_t, 65> p{};
+            p[0] = 1;
+            for (size_t k = 1; k < p.size(); ++k)
+                p[k] = p[k - 1] * kPrime;
+            return p;
+        }();
+        // The masks first, off the byte chain: they are most of the
+        // work of a lane source, and independent of the hash.
+        size_t n = src.numGates();
+        std::vector<uint64_t> ones(bitWords(n)), unknown(bitWords(n)),
+            active(bitWords(n));
+        for (size_t w = 0; w < ones.size(); ++w) {
+            src.valWords(w, ones[w], unknown[w]);
+            active[w] = src.activeWord(w);
+        }
+        uint64_t h = 0xcbf29ce484222325ull;
+        auto mix = [&h](uint8_t b) {
+            h ^= b;
+            h *= kPrime;
+        };
+        auto skip = [&h](size_t k) { // k zero bytes
+            for (; k > 64; k -= 64)
+                h *= kPow[64];
+            h *= kPow[k];
+        };
+        // The bytes of gates [begin, end): byte(g) where @p mask has
+        // g's bit, zero elsewhere.
+        auto mixGates = [&](size_t begin, size_t end,
+                            const std::vector<uint64_t> &mask,
+                            auto byte) {
+            size_t pos = begin;
+            for (size_t w = begin / 64; w * 64 < end; ++w) {
+                size_t lo = w * 64;
+                uint64_t m = mask[w];
+                if (begin > lo)
+                    m &= ~uint64_t(0) << (begin - lo);
+                if (end < lo + 64)
+                    m &= (uint64_t(1) << (end - lo)) - 1;
+                for (; m; m &= m - 1) {
+                    size_t g = lo + unsigned(__builtin_ctzll(m));
+                    skip(g - pos);
+                    mix(byte(g));
+                    pos = g + 1;
+                }
+            }
+            skip(end - pos);
+        };
+        std::vector<uint64_t> &nonzero = ones;
+        for (size_t w = 0; w < ones.size(); ++w)
+            nonzero[w] |= unknown[w];
+        auto vals = [&](size_t begin, size_t end) {
+            mixGates(begin, end, nonzero, [&](size_t g) {
+                return uint8_t(1 + (unknown[g / 64] >> (g % 64) & 1));
+            });
+        };
+        auto acts = [&](size_t begin, size_t end) {
+            mixGates(begin, end, active, [](size_t) { return uint8_t(1); });
+        };
+        if (runs) {
+            // Masked gates hold their proven constant and stay
+            // inactive in every reachable state, so their bytes carry
+            // no information: hash only the unmasked runs. The basis
+            // is a pure function of (mask, engage, cycle), identical
+            // across workers, kernels, snapshot modes and lanes, so
+            // dedup keys stay scheduling-independent.
+            for (const auto &r : *runs)
+                vals(r.first, r.second);
+            for (const auto &r : *runs)
+                acts(r.first, r.second);
+        } else {
+            vals(0, n);
+            acts(0, n);
+            skip((8 - n % 8) % 8);
+        }
+        for (size_t i = 0, ns = src.numSeq(); i < ns; ++i)
+            mix(src.loaded(i));
+        return h;
+    }
     void accumulateEnergy();
 
     const Netlist *nl_;

@@ -142,6 +142,11 @@ struct Context {
     std::atomic<uint64_t> packedBatches{0};
     std::atomic<uint64_t> packedSweeps{0};
     std::atomic<uint64_t> packedLaneCycles{0};
+    std::atomic<uint64_t> laneLoads{0};
+    std::atomic<uint64_t> laneContinues{0};
+    std::atomic<uint64_t> laneCopies{0};
+    std::atomic<uint64_t> laneExtracts{0};
+    std::atomic<uint64_t> forkCaptures{0};
     /// @}
 
     std::atomic<bool> failed{false};
@@ -239,6 +244,14 @@ struct SharedState {
         }
         if (newSurplus && queues.size() > 1)
             wakeOne();
+    }
+
+    /** A path that starts running without passing a deque (a forked
+     *  child copied into a lane). */
+    void
+    adopt()
+    {
+        inflight.fetch_add(1, std::memory_order_relaxed);
     }
 
     void
@@ -682,17 +695,22 @@ class Worker {
         n.endsHalted = ends_halted;
     }
 
-    /** Capture the fork state @p snap for the children in @p out: a
-     *  delta against @p base, promoted to a fresh full snapshot when
-     *  the path has diverged too far (or always, in Full mode). The
-     *  choice is a pure function of path state, so every scheduling
-     *  captures the same representations and the byte statistics are
-     *  deterministic. */
+    /** Capture a fork state -- simulator state @p snap and memory
+     *  @p mem of a path whose state is stored against @p base -- into
+     *  @p out for the children that leave through a deque: a delta
+     *  against @p base, promoted to a fresh full snapshot when the
+     *  path has diverged too far (or always, in Full mode). The
+     *  representation is a pure function of path state. */
     void
     captureFork(Context &c,
                 const std::shared_ptr<const Simulator::Snapshot> &base,
-                Simulator::Snapshot snap, Pending &out) const
+                Simulator::Snapshot snap, const Memory &mem,
+                Pending &out) const
     {
+        c.forkCaptures.fetch_add(1, std::memory_order_relaxed);
+        // A forking path is neither halted nor faulted.
+        out.sysSnap = std::make_shared<const msp::System::Snapshot>(
+            msp::System::Snapshot{mem.snapshot(), false, false});
         size_t full_bytes = Simulator::bytesOf(*base);
         c.snapshotBytesFull.fetch_add(full_bytes,
                                       std::memory_order_relaxed);
@@ -716,11 +734,13 @@ class Worker {
 
     /**
      * Algorithm 1 lines 17-24 for @p path, whose PC_next is X: resolve
-     * the feasible targets from the (concrete) IR @p ir, key and
-     * capture the fork state (@p snap and @p mem, the path restored
-     * from @p base), commit the node, and resolve each target against
-     * the sharded dedup map, queueing new children on this worker's
-     * deque. Returns false when the path's context failed.
+     * the feasible targets from the (concrete) IR @p ir, key the fork
+     * state (@p state_hash, the simulator state's full-state hash, and
+     * memory @p mem), commit the node, and resolve each target against
+     * the sharded dedup map. The new children go to @p kids in target
+     * order, each to run on from the fork state under its forced PC;
+     * the caller places them. Returns how many, or -1 when the path's
+     * context failed.
      *
      * Dedup keys hash the full simulator state + memory + schedule
      * phase + fork target: hashing the complete state, not just the
@@ -731,22 +751,21 @@ class Worker {
      * participates because under a scheduled scenario the same state
      * continues differently at different points of the period.
      */
-    bool
-    fork(SharedState &sh, Path &path, Word16 ir,
-         const std::shared_ptr<const Simulator::Snapshot> &base,
-         Simulator::Snapshot snap, const Memory &mem)
+    int
+    fork(SharedState &sh, Path &path, Word16 ir, uint64_t state_hash,
+         const Memory &mem, std::array<Path, 2> &kids)
     {
         Context &c = sh.ctx(path);
         if (!ir.isFullyKnown()) {
             sh.fail(c, "X program counter with unknown IR");
-            return false;
+            return -1;
         }
         isa::Decoded dec = isa::decode(ir.value, 0, 0);
         if (!dec.valid || !isa::isJump(dec.instr.op)) {
             sh.fail(c, "unresolvable X program counter (op " +
                            std::string(isa::opName(dec.instr.op)) +
                            "): indirect jump through unknown data");
-            return false;
+            return -1;
         }
         // At EXEC of a jump the PC holds the fall-through address.
         uint32_t fallThrough = path.lastPc;
@@ -757,34 +776,27 @@ class Worker {
         uint32_t targets[2] = {taken, fallThrough};
         unsigned numTargets = taken == fallThrough ? 1 : 2;
 
-        // Hash and capture before touching any shared structure: both
-        // read only worker-local state, and they are the heavy part
-        // of a fork. The state is hashed once (target and schedule
-        // phase enter via final mixes); hashSnapshotState applies the
-        // static-prune basis rule against the snapshot's own cycle.
-        // The snapshots are shared by all children.
-        uint64_t keyBase = sim_->hashSnapshotState(snap);
+        // The state is hashed once (target and schedule phase enter
+        // via final mixes), by the caller, where the state is.
+        uint64_t keyBase = state_hash;
         mem.hashInto(keyBase);
         keyBase ^= 0xda942042e4dd58b5ull *
                    (c.scen->dedupPhase(path.pathCycles) + 1);
-        Pending child;
-        captureFork(c, base, std::move(snap), child);
-        // A forking path is neither halted nor faulted.
-        child.sysSnap = std::make_shared<const msp::System::Snapshot>(
-            msp::System::Snapshot{mem.snapshot(), false, false});
-        child.path.ctx = path.ctx;
-        child.path.lastPc = path.lastPc;
-        child.path.curInstr = path.curInstr;
-        child.path.pathCycles = path.pathCycles;
+        Path child;
+        child.ctx = path.ctx;
+        child.lastPc = path.lastPc;
+        child.curInstr = path.curInstr;
+        child.pathCycles = path.pathCycles;
 
         TreeNode *nodePtr = path.nodePtr;
         nodePtr->branchPc = (path.lastPc - 2) & 0xffff;
         commitNode(path, false);
+        int n = 0;
         for (unsigned t = 0; t < numTargets; ++t) {
             uint64_t key = keyBase ^ 0x9e3779b97f4a7c15ull *
                                          (uint64_t(targets[t]) + 1);
             Shard &shard = c.shards[SharedState::shardOf(key)];
-            Pending next = child;
+            uint32_t node;
             {
                 std::lock_guard<std::mutex> lock(shard.mu);
                 auto it = shard.visited.find(key);
@@ -807,20 +819,21 @@ class Worker {
                     if (c.tree->numNodes() >= cfg_.maxNodes) {
                         sh.fail(c, "execution tree node budget "
                                    "exhausted");
-                        return false;
+                        return -1;
                     }
-                    next.path.node = c.tree->newNode(path.node);
-                    next.path.nodePtr = &c.tree->node(next.path.node);
+                    node = c.tree->newNode(path.node);
+                    kids[n] = child;
+                    kids[n].nodePtr = &c.tree->node(node);
                 }
-                shard.visited.emplace(key, next.path.node);
+                shard.visited.emplace(key, node);
             }
-            nodePtr->edges.push_back(
-                TreeEdge{targets[t], next.path.node, false});
-            next.path.nodeKey = key;
-            next.path.forcedPc = targets[t];
-            sh.push(id_, std::move(next));
+            nodePtr->edges.push_back(TreeEdge{targets[t], node, false});
+            Path &k = kids[n++];
+            k.node = node;
+            k.nodeKey = key;
+            k.forcedPc = targets[t];
         }
-        return true;
+        return n;
     }
 
     // ---- Scalar frontier ----
@@ -896,9 +909,23 @@ class Worker {
                     cand.peakActive.push_back(g);
                 });
             }
-            if (end == CycleEnd::Fork)
-                fork(sh, path, sys.readIr(sim), base, sim.snapshot(),
-                     sys.memory());
+            if (end == CycleEnd::Fork) {
+                // Every scalar fork captures, so the scalar frontier's
+                // byte statistics do not depend on dedup races.
+                std::array<Path, 2> kids;
+                int n = fork(sh, path, sys.readIr(sim),
+                             sim.hashFullState(), sys.memory(), kids);
+                if (n >= 0) {
+                    Pending out;
+                    captureFork(c, base, sim.snapshot(), sys.memory(),
+                                out);
+                    for (int i = 0; i < n; ++i) {
+                        Pending next = out;
+                        next.path = std::move(kids[size_t(i)]);
+                        sh.push(id_, std::move(next));
+                    }
+                }
+            }
             if (end != CycleEnd::Continue)
                 break;
         }
@@ -907,30 +934,35 @@ class Worker {
 
     // ---- Packed frontier ----
     //
-    // Up to 64 pending paths ride the PackedSimulator's lanes at
-    // once, from any context of the group: a lane is loaded from a
-    // Pending's (delta or full) snapshot and advanced by the shared
-    // event-driven packed step, under its own context's port word,
-    // forces and pricing, until it reaches its own fork / halt /
-    // failure boundary, where the transposed lane state goes through
-    // the same fork as a scalar path. The lane-identity invariant of
-    // the packed kernel makes every per-lane byte -- values,
-    // activity, energies, and therefore hashes, keys, traces and
-    // snapshots -- equal to the scalar run's, which is the whole
+    // Up to 64 paths ride the PackedSimulator's lanes at once, from
+    // any context of the group: a lane is loaded from a Pending's
+    // (delta or full) snapshot and advanced by the shared event-driven
+    // packed step, under its own context's port word, forces and
+    // pricing, until it reaches its own fork / halt / failure
+    // boundary. A fork is keyed where the lane is, and its children
+    // stay on the lanes: the first continues in the forking lane, a
+    // second is copied into a free lane, and only a child no lane can
+    // take is extracted, captured and queued. The lane-identity
+    // invariant of the packed kernel makes every per-lane byte --
+    // values, activity, energies, and therefore hashes, keys and
+    // traces -- equal to the scalar run's, which is the whole
     // bit-identity argument: same keys => same node set, edges and
-    // merge counts; same traces => same peak/energy/NPE/envelope;
-    // same snapshot bytes => same byte statistics. Only scheduling
-    // statistics (steals, batch/occupancy counters, per-worker
-    // cycles) differ.
+    // merge counts; same traces => same peak/energy/NPE/envelope.
+    // Only scheduling statistics (steals, snapshot bytes, batch,
+    // occupancy and lane counters, per-worker cycles) differ.
 
     /** One lane's in-flight path. */
     struct Lane {
         Path path;
         /** Absolute simulator cycle of the lane (the scalar sim's
-         *  cycle() after restore + steps); stamps extracted
-         *  snapshots so prune engagement and deltas line up. */
+         *  cycle() after restore + steps): the age its state is
+         *  hashed and extracted at, so prune engagement and deltas
+         *  line up. */
         uint64_t absCycle = 0;
-        /** Pending::base() of the state the lane was loaded from. */
+        /** The diff base of the lane's fork captures: Pending::base() of
+         *  the state its first path was loaded from, or of its latest
+         *  capture, inherited by the paths that continue in it or are
+         *  copied from it. */
         std::shared_ptr<const Simulator::Snapshot> base;
     };
 
@@ -947,7 +979,7 @@ class Worker {
         for (uint64_t free = ~psim_->liveMask(); free && take(sh, p);
              free &= free - 1) {
             loaded_[p.path.ctx] = 1;
-            loadLane(unsigned(__builtin_ctzll(free)), std::move(p));
+            loadLane(sh, unsigned(__builtin_ctzll(free)), std::move(p));
         }
         for (size_t k = 0; k < loaded_.size(); ++k)
             if (loaded_[k])
@@ -962,15 +994,23 @@ class Worker {
             resumeScalar(sh, unsigned(__builtin_ctzll(live)));
     }
 
+    /** Lane @p l's state as a scalar snapshot, for a path leaving the
+     *  lanes. */
+    Simulator::Snapshot
+    extractLane(Context &c, unsigned l)
+    {
+        c.laneExtracts.fetch_add(1, std::memory_order_relaxed);
+        return psim_->extractLaneState(l, lanes_[l].absCycle);
+    }
+
     /** Move lane @p l's path to the scalar simulator -- its lane state
-     *  and lane memory -- and run it on there. The path keeps the
-     *  fork base it was loaded from, so its fork captures and the
-     *  snapshot byte statistics are the scalar run's. */
+     *  and lane memory -- and run it on there. The path keeps its
+     *  lane's fork base as the diff base of its captures. */
     void
     resumeScalar(SharedState &sh, unsigned l)
     {
         Lane &L = lanes_[l];
-        sim_->restore(psim_->extractLaneState(l, L.absCycle));
+        sim_->restore(extractLane(sh.ctx(L.path), l));
         // A live lane is neither halted nor faulted.
         sys_->restore(msp::System::Snapshot{
             laneSys_->memory(l).snapshot(), false, false});
@@ -983,9 +1023,10 @@ class Worker {
     /** Install @p p into lane @p l -- the packed counterpart of
      *  runPath's restore prologue. */
     void
-    loadLane(unsigned l, Pending p)
+    loadLane(SharedState &sh, unsigned l, Pending p)
     {
         Lane &L = lanes_[l];
+        sh.ctx(p.path).laneLoads.fetch_add(1, std::memory_order_relaxed);
         if (p.simDelta) {
             Simulator::Snapshot snap =
                 Simulator::materialize(*p.simDelta);
@@ -1020,9 +1061,63 @@ class Worker {
         }
     }
 
+    /**
+     * Place the @p n new children @p kids of lane @p l's fork; the
+     * lane still holds the fork state. The first continues in lane
+     * @p l and a further one is copied into a free lane, each under
+     * its forced PC at the next step; only a child no lane can take
+     * leaves the lanes -- extracted, captured against Lane::base and
+     * queued. In-lane children count as explored here (a queued one
+     * counts when it is taken), and the first keeps the parent's
+     * inflight slot. A lane filled by a copy joins @p fresh: it did
+     * not step in this sweep.
+     */
+    void
+    placeChildren(SharedState &sh, unsigned l, std::array<Path, 2> &kids,
+                  int n, uint64_t &fresh)
+    {
+        if (n == 0) {
+            retireLane(sh, l); // every target merged
+            return;
+        }
+        Lane &L = lanes_[l];
+        Context &c = sh.ctx(L.path);
+        Pending out; // the capture, made once, when a child leaves
+        for (size_t i = 1; i < size_t(n); ++i) {
+            uint64_t free = ~psim_->liveMask();
+            if (!free) {
+                if (!out.sysSnap) {
+                    captureFork(c, L.base, extractLane(c, l),
+                                laneSys_->memory(l), out);
+                    // A promoted capture is the lane's new, nearby diff
+                    // base, as it is for the scalar children it queues.
+                    L.base = out.base();
+                }
+                Pending next = out;
+                next.path = std::move(kids[i]);
+                sh.push(id_, std::move(next));
+                continue;
+            }
+            unsigned d = unsigned(__builtin_ctzll(free));
+            psim_->copyLane(l, d);
+            laneSys_->restore(d, msp::System::Snapshot{
+                                     laneSys_->memory(l).snapshot(),
+                                     false, false});
+            lanes_[d] = Lane{std::move(kids[i]), L.absCycle, L.base};
+            fresh |= uint64_t(1) << d;
+            sh.adopt();
+            c.pathsExplored.fetch_add(1, std::memory_order_relaxed);
+            c.laneCopies.fetch_add(1, std::memory_order_relaxed);
+        }
+        L.path = std::move(kids[0]);
+        c.pathsExplored.fetch_add(1, std::memory_order_relaxed);
+        c.laneContinues.fetch_add(1, std::memory_order_relaxed);
+    }
+
     /** One packed cycle of every live lane: runPath's loop body per
-     *  lane, retiring lanes that reach their fork / halt boundary and
-     *  the lanes of contexts that fail. */
+     *  lane, retiring lanes that halt or merge away and the lanes of
+     *  contexts that fail, and placing the children of lanes that
+     *  fork. */
     void
     stepBatch(SharedState &sh)
     {
@@ -1103,15 +1198,22 @@ class Worker {
         }
 
         // The lanes whose PC would load an X at the next edge
-        // (runPath's predictSeqValue test, every lane at once).
+        // (runPath's predictSeqValue test, every lane at once), and
+        // every lane's PC and, on the first fork, IR in one transpose
+        // each. Forks only copy into lanes this loop skips, so the
+        // readings hold for the whole loop.
         uint64_t pcNextX = 0;
         for (GateId g : h.pc)
             pcNextX |= ~ps.predictSeqValue(g).k;
+        const msp::PackedSystem::LaneWords pcs = ps.readBusLanes(h.pc);
+        msp::PackedSystem::LaneWords irs;
+        bool irsRead = false;
+        uint64_t fresh = 0; // lanes filled by copies in this loop
         for (uint64_t m = stepped; m; m &= m - 1) {
             unsigned l = unsigned(__builtin_ctzll(m));
             uint64_t lbit = uint64_t(1) << l;
-            if (!(ps.liveMask() & lbit))
-                continue; // its context failed earlier in this sweep
+            if (!(ps.liveMask() & lbit) || (fresh & lbit))
+                continue; // its context failed, or it holds a new copy
             Lane &L = lanes_[l];
             ++L.absCycle;
 
@@ -1121,9 +1223,8 @@ class Worker {
             bool newPeak = false;
             CycleEnd end = endCycle(
                 sh, L.path,
-                {ps.readBusLane(h.pc, l), laneSys_->fsmState(ps, l),
-                 ps.boundEnergyJ(l), &moduleJ,
-                 (laneSys_->xStoreMask() & lbit) != 0,
+                {pcs[l], laneSys_->fsmState(ps, l), ps.boundEnergyJ(l),
+                 &moduleJ, (laneSys_->xStoreMask() & lbit) != 0,
                  (laneSys_->haltedMask() & lbit) != 0,
                  (pcNextX & lbit) != 0},
                 newPeak);
@@ -1138,15 +1239,25 @@ class Worker {
             }
             if (end == CycleEnd::Continue)
                 continue;
-            if (end == CycleEnd::Failed ||
-                (end == CycleEnd::Fork &&
-                 !fork(sh, L.path, ps.readBusLane(h.ir, l), L.base,
-                       ps.extractLaneState(l, L.absCycle),
-                       laneSys_->memory(l)))) {
-                retireContext(sh, L.path.ctx);
+            if (end == CycleEnd::Leaf) {
+                retireLane(sh, l);
                 continue;
             }
-            retireLane(sh, l);
+            int n = -1;
+            std::array<Path, 2> kids;
+            if (end == CycleEnd::Fork) {
+                if (!irsRead) {
+                    irs = ps.readBusLanes(h.ir);
+                    irsRead = true;
+                }
+                n = fork(sh, L.path, irs[l],
+                         sim_->hashState(ps.laneBytes(l), L.absCycle),
+                         laneSys_->memory(l), kids);
+            }
+            if (n < 0)
+                retireContext(sh, L.path.ctx);
+            else
+                placeChildren(sh, l, kids, n, fresh);
         }
     }
 
@@ -1380,6 +1491,11 @@ SymbolicEngine::explore(const isa::Image &image,
         res.packedBatches = c.packedBatches.load();
         res.packedSweeps = c.packedSweeps.load();
         res.packedLaneCycles = c.packedLaneCycles.load();
+        res.laneLoads = c.laneLoads.load();
+        res.laneContinues = c.laneContinues.load();
+        res.laneCopies = c.laneCopies.load();
+        res.laneExtracts = c.laneExtracts.load();
+        res.forkCaptures = c.forkCaptures.load();
         res.perWorkerCycles.reserve(numWorkers);
         for (auto &w : workers)
             res.perWorkerCycles.push_back(w->candidate(k).cyclesRun);

@@ -170,22 +170,24 @@ struct AnalysisOptions {
      * pending path, single ones included, through the 64-lane
      * PackedSimulator (by default each worker uses the lanes only
      * while two or more paths are pending).
-     * Each worker loads up to 64 pending execution paths into lanes,
-     * advances all of them with one event-driven packed step per
-     * cycle, and transposes a lane back to a scalar snapshot when it
-     * reaches its next fork / halt / dedup boundary. Both frontiers
-     * share one implementation of
+     * Each worker loads up to 64 pending execution paths into lanes
+     * and advances all of them with one event-driven packed step per
+     * cycle; a forking lane keys its fork in place and keeps its
+     * children on the lanes (one continues, one is copied to a free
+     * lane), transposing back to a scalar snapshot only a child no
+     * lane can take. Both frontiers share one implementation of
      * every per-cycle and fork rule (budgets, pricing, failure
      * classification, dedup keys, snapshot capture, node commit) and
      * differ only in what they read. Backed by the packed kernel's
      * lane-identity invariant, every reported number -- peak power,
-     * peak energy, NPE, envelope, activity sets, path/merge/snapshot
+     * peak energy, NPE, envelope, activity sets, path and merge
      * statistics -- is bit-identical to the scalar exploration across
      * threads, kernels, snapshot modes, scenarios, operating-mode
      * schedules, and staticPrune (fuzz property 3, `ulfuzz --mode
      * invariance`), so like evalMode it is excluded from the batch
-     * result cache key. Only the scheduling-dependent statistics (steals,
-     * per-worker cycles, packed batch/occupancy counters) differ.
+     * result cache key. Only the scheduling-dependent statistics
+     * (steals, per-worker cycles, snapshot bytes, packed-frontier
+     * counters) differ.
      */
     bool packedExplore = false;
 };
@@ -220,14 +222,16 @@ struct AnalysisSummary {
 
     /// @name Exploration statistics
     /// Scheduling-independent: totalCycles, pathsExplored,
-    /// dedupMerges, snapshotBytesCopied/Full (every path captures
-    /// the same snapshots whoever runs it). Scheduling-dependent
-    /// (excluded from determinism comparisons, like timings):
-    /// steals, perWorkerCycles, packedBatches, packedSweeps,
-    /// packedLaneCycles. In an analysis group these count the
-    /// analysis's own share: its stolen paths, its cycles per worker,
-    /// the refills that loaded and the sweeps that stepped one of its
-    /// paths, and its lane cycles.
+    /// dedupMerges. Scheduling-dependent (excluded from determinism
+    /// comparisons, like timings): steals, perWorkerCycles, the
+    /// packed-frontier counters, and snapshotBytesCopied/Full -- a
+    /// lane fork captures only for the children that leave the
+    /// lanes, so the bytes depend on how full the lanes were (a run
+    /// that never sweeps the lanes captures once per fork, the same
+    /// snapshots whoever runs it). In an analysis group these count
+    /// the analysis's own share: its stolen paths, its cycles per
+    /// worker, the refills that loaded and the sweeps that stepped one
+    /// of its paths, its lane cycles, loads, copies and captures.
     /// @{
     uint64_t totalCycles = 0;
     uint32_t pathsExplored = 0;
@@ -251,7 +255,20 @@ struct AnalysisSummary {
     /** Live-lane cycles simulated by those sweeps; divided by
      *  64 * packedSweeps this is the mean lane occupancy. */
     uint64_t packedLaneCycles = 0;
+    /** Paths loaded into a lane from a snapshot (a refill). */
+    uint64_t laneLoads = 0;
+    /** Forked children that continued in their parent's lane. */
+    uint64_t laneContinues = 0;
+    /** Forked children copied lane to lane. */
+    uint64_t laneCopies = 0;
+    /** Lanes transposed back to a scalar snapshot (a child queued
+     *  for want of a free lane, or a path resumed on the scalar
+     *  simulator). */
+    uint64_t laneExtracts = 0;
     /// @}
+    /** Fork states captured for children that leave through a deque
+     *  (every scalar fork, and lane forks with no free lane). */
+    uint64_t forkCaptures = 0;
     /// @}
 };
 

@@ -254,6 +254,19 @@ TEST(ReportDiff, SnapshotBytesCompareWithinOneForm)
     EXPECT_EQ(fuzz::reportDiff(a, b), "");
 }
 
+// A lane fork captures only for the children that leave the lanes, so
+// snapshot byte counters compare only between reports that never
+// swept them.
+TEST(ReportDiff, SnapshotBytesCompareOnlyOffTheLanes)
+{
+    peak::Report a = sampleReport(), b = a;
+    b.snapshotBytesCopied = 1000;
+    EXPECT_NE(fuzz::reportDiff(a, b), "");
+    b.packedSweeps = 1;
+    EXPECT_EQ(fuzz::reportDiff(a, b), "");
+    EXPECT_EQ(fuzz::reportDiff(b, a), "");
+}
+
 // Two rejections agree only when their errors do.
 TEST(ReportDiff, RejectionsCompareByError)
 {

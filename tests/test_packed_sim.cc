@@ -14,6 +14,7 @@
 #include <sstream>
 #include <string>
 
+#include "bench430/benchmarks.hh"
 #include "fuzz/netlist_gen.hh"
 #include "fuzz/properties.hh"
 #include "fuzz/rng.hh"
@@ -134,6 +135,42 @@ TEST(PackedSim, SetInputBusLanesMatchesPerLaneWrites)
             }
             ASSERT_EQ(ps.value(bus[i]), want)
                 << "round " << round << " bus bit " << i;
+        }
+    }
+}
+
+// The read twin of the test above: readBusLanes's one transpose
+// against readBusLane per lane, on random words with X bits, on a bus
+// of every width, retired lanes included (they read what they hold).
+TEST(PackedSim, ReadBusLanesMatchesPerLaneReads)
+{
+    CellLibrary lib = CellLibrary::tsmc65Like();
+    Netlist nl(lib);
+    ModuleId m = nl.addModule("bus");
+    std::vector<GateId> bus;
+    for (unsigned i = 0; i < 16; ++i)
+        bus.push_back(nl.addGate(CellKind::Input, {}, m));
+    nl.finalize();
+
+    fuzz::Rng rng(7);
+    for (unsigned round = 0; round < 64; ++round) {
+        PackedSimulator ps(nl);
+        std::array<Word16, kLanes> lanes;
+        for (Word16 &w : lanes) {
+            w.xmask = uint16_t(rng.next() & rng.next());
+            w.value = uint16_t(rng.next()) & ~w.xmask;
+        }
+        ps.setInputBusLanes(bus, lanes);
+        ps.retireLanes(rng.next() & rng.next());
+        size_t width = 1 + round % 16;
+        std::vector<GateId> sub(bus.begin(), bus.begin() + long(width));
+        std::array<Word16, kLanes> got = ps.readBusLanes(sub);
+        for (unsigned l = 0; l < kLanes; ++l) {
+            Word16 want = ps.readBusLane(sub, l);
+            ASSERT_EQ(got[l].value, want.value)
+                << "round " << round << " lane " << l;
+            ASSERT_EQ(got[l].xmask, want.xmask)
+                << "round " << round << " lane " << l;
         }
     }
 }
@@ -533,6 +570,107 @@ TEST(PackedSim, WakePathsMatchScalarTwins)
     for (const WakeCase &wc : kWakeCases) {
         SCOPED_TRACE(wc.name);
         runWakeCase(wc);
+    }
+}
+
+/** Lane @p lane of @p ps against the scalar run @p sim: values,
+ *  activity, energies and the full-state hash read in the lane. */
+std::string
+laneVsScalar(const PackedSimulator &ps, unsigned lane, const Simulator &sim)
+{
+    std::ostringstream os;
+    for (GateId g = 0; g < GateId(sim.netlist().numGates()); ++g)
+        if (ps.valueLane(g, lane) != sim.value(g) ||
+            bool((ps.activeMask(g) >> lane) & 1) != sim.isActive(g)) {
+            os << "gate " << g;
+            return os.str();
+        }
+    if (ps.boundEnergyJ(lane) != sim.boundEnergyJ() ||
+        ps.actualEnergyJ(lane) != sim.actualEnergyJ() ||
+        ps.moduleBoundEnergyLaneJ(lane) != sim.moduleBoundEnergyJ())
+        return "energies";
+    if (sim.hashState(ps.laneBytes(lane), sim.cycle()) !=
+        sim.hashFullState())
+        return "hash";
+    return "";
+}
+
+// A lane copied from a stepped lane, and a reload of the extracted
+// lane, each stepped on, equal the scalar run of the same state --
+// values, activity, energies and the full-state hash read in the lane
+// -- on the MSP430 core mid-program with other lanes live. The
+// in-lane hash under a prune basis equals the hash of the extracted
+// snapshot.
+TEST(PackedSim, LaneCopyMatchesReloadAndScalar)
+{
+    msp::System &sys = test::sharedSystem();
+    const isa::Image img = bench430::benchmarkByName("PI").assembleImage();
+    auto driveX = [&](Simulator &s) { sys.driveCycle(s, Word16::allX()); };
+    constexpr unsigned kFrom = 1, kTo = 40;
+    for (bool copy : {true, false}) {
+        SCOPED_TRACE(copy ? "copy" : "reload");
+        sys.memory().reset();
+        sys.loadImage(img);
+        sys.clearHalted();
+        Simulator sim(sys.netlist());
+        sys.attach(sim);
+        sys.reset(sim);
+        for (unsigned c = 0; c < 40; ++c)
+            sim.step(driveX);
+        const Simulator::Snapshot start = sim.snapshot();
+        const msp::System::Snapshot startSys = sys.snapshot();
+
+        msp::PackedSystem lanes(sys);
+        PackedSimulator ps(sys.netlist());
+        lanes.attach(ps);
+        ps.step(); // packed edge functions arm only after one cycle
+        ps.retireLanes(~uint64_t(0));
+        for (unsigned l : {0u, kFrom, 2u}) {
+            ps.loadLaneState(l, start);
+            lanes.restore(l, startSys);
+        }
+        auto drivePacked = [&](PackedSimulator &s) {
+            lanes.driveCycle(s, Word16::allX());
+        };
+        for (unsigned c = 0; c < 3; ++c) {
+            ps.step(drivePacked);
+            sim.step(driveX);
+        }
+
+        // Lane kFrom forks: lane kTo takes a copy of it, or a reload of
+        // its extracted state (the way of a queued child).
+        const Simulator::Snapshot extracted =
+            ps.extractLaneState(kFrom, sim.cycle());
+        lanes.restore(kTo, msp::System::Snapshot{
+                               lanes.memory(kFrom).snapshot(), false,
+                               false});
+        if (copy)
+            ps.copyLane(kFrom, kTo);
+        else
+            ps.loadLaneState(kTo, extracted);
+
+        Simulator pruned(sys.netlist());
+        auto mask = std::make_shared<std::vector<uint8_t>>(
+            sys.netlist().numGates(), 0);
+        for (size_t g = 0; g < mask->size(); g += 3)
+            (*mask)[g] = 1;
+        pruned.setStaticPrune(mask, 0);
+        for (unsigned l : {kFrom, kTo}) {
+            EXPECT_EQ(sim.hashState(ps.laneBytes(l), sim.cycle()),
+                      sim.hashFullState())
+                << "lane " << l;
+            EXPECT_EQ(pruned.hashState(ps.laneBytes(l), sim.cycle()),
+                      pruned.hashSnapshotState(extracted))
+                << "lane " << l;
+        }
+
+        for (unsigned c = 0; c < 24; ++c) {
+            ps.step(drivePacked);
+            sim.step(driveX);
+            for (unsigned l : {kFrom, kTo})
+                ASSERT_EQ(laneVsScalar(ps, l, sim), "")
+                    << "cycle " << c << " lane " << l;
+        }
     }
 }
 

@@ -440,6 +440,114 @@ fm_loop:
     }
 }
 
+/** Two fan levels on port bits 0 and 1, then a split on r7 (set per
+ *  scenario by reg_init): with r7 != 0 an X-address store @p delay
+ *  nops later fails the analysis, with r7 == 0 the path fans on port
+ *  bits 2-4. Varying @p delay moves the failure across the sibling's
+ *  fork sweeps. */
+std::string
+failOrForkSource(unsigned delay)
+{
+    auto level = [](unsigned i) {
+        std::string bit = "#" + std::to_string(1u << i);
+        std::string zero = "ff_zero" + std::to_string(i);
+        std::string join = "ff_join" + std::to_string(i);
+        return "        bit " + bit + ", r4\n"
+               "        jz " + zero + "\n"
+               "        bis " + bit + ", r5\n"
+               "        jmp " + join + "\n" +
+               zero + ":\n"
+               "        bis " + bit + ", r6\n"
+               "        jmp " + join + "\n" +
+               join + ":\n";
+    };
+    std::string body = "        mov &0x0020, r4\n" + level(0) + level(1) +
+                       "        tst r7\n"
+                       "        jz ff_fork\n";
+    for (unsigned i = 0; i < delay; ++i)
+        body += "        nop\n";
+    body += "        mov r4, r8\n"
+            "        and #0x07fe, r8\n"
+            "        add #0x0200, r8\n"
+            "        mov #1, 0(r8)\n"
+            "ff_fork:\n" +
+            level(2) + level(3) + level(4);
+    return test::wrapProgram(body);
+}
+
+TEST(SymPacked, GroupFailureMidSweepLeavesSiblingsAlone)
+{
+    // One context of a group fails in the middle of a sweep's reading
+    // loop, retiring its lanes, while its sibling's lanes fork and copy
+    // children into free lanes -- possibly lanes the failure freed
+    // that the loop has not read yet. Every row must equal its
+    // analysis run alone.
+    msp::System &sys = test::sharedSystem();
+    scenario::Scenario forks, fails;
+    forks.name = "forks";
+    forks.regInit = {{7, 0}};
+    fails.name = "fails";
+    fails.regInit = {{7, 1}};
+    using sym::testing::Frontier;
+    for (unsigned delay = 0; delay < 12; ++delay) {
+        isa::Image img = isa::assemble(failOrForkSource(delay));
+        for (Frontier f : {Frontier::Auto, Frontier::Packed}) {
+            SCOPED_TRACE("delay " + std::to_string(delay) +
+                         (f == Frontier::Auto ? ", auto" : ", packed"));
+            sym::testing::ScopedFrontier forced(f);
+            std::vector<peak::Report> group = peak::analyzeGroup(
+                sys, img, baseOptions(),
+                {forks, fails, forks});
+            ASSERT_EQ(group.size(), 3u);
+            for (size_t k = 0; k < group.size(); ++k) {
+                peak::Options alone = baseOptions();
+                alone.scenario = k == 1 ? fails : forks;
+                peak::Report ref = peak::analyze(sys, img, alone);
+                EXPECT_EQ(fuzz::reportDiff(ref, group[k]), "")
+                    << "row " << k;
+            }
+            EXPECT_TRUE(group[0].ok) << group[0].error;
+            EXPECT_FALSE(group[1].ok);
+            EXPECT_GT(group[0].laneCopies, 0u);
+        }
+    }
+}
+
+TEST(SymPacked, TreeWiderThanTheLanesQueuesAndReloads)
+{
+    // A 7-level fan puts 128 paths at its last level: with every lane
+    // taken, forked children leave the lanes (extracted, captured,
+    // queued) and come back through reloads, beside in-place
+    // continuations and lane copies. All of it equals the scalar
+    // reference.
+    msp::System &sys = test::sharedSystem();
+    isa::Image img = isa::assemble(fanSource(7));
+    peak::Report ref;
+    {
+        sym::testing::ScopedFrontier scalar(sym::testing::Frontier::Scalar);
+        ref = peak::analyze(sys, img, baseOptions());
+    }
+    ASSERT_TRUE(ref.ok) << ref.error;
+    ASSERT_EQ(ref.pathsExplored, 255u);
+    EXPECT_EQ(ref.laneLoads + ref.laneCopies + ref.laneExtracts, 0u);
+    EXPECT_EQ(ref.forkCaptures, 127u) << "every scalar fork captures";
+    for (auto f : {sym::testing::Frontier::Auto,
+                   sym::testing::Frontier::Packed}) {
+        sym::testing::ScopedFrontier forced(f);
+        peak::Report r = peak::analyze(sys, img, baseOptions());
+        SCOPED_TRACE(f == sym::testing::Frontier::Auto ? "auto" : "packed");
+        EXPECT_EQ(fuzz::reportDiff(ref, r), "");
+        EXPECT_GT(r.laneContinues, 0u);
+        EXPECT_GT(r.laneCopies, 0u);
+        EXPECT_GT(r.laneExtracts, 0u);
+        EXPECT_GT(r.laneLoads, 1u);
+        // On the lanes alone, a fork captures only for a child that
+        // leaves them, through an extract.
+        if (f == sym::testing::Frontier::Packed)
+            EXPECT_LE(r.forkCaptures, r.laneExtracts);
+    }
+}
+
 TEST(SymPacked, LaneStateTransposeRoundTrip)
 {
     // Scalar snapshot -> loadLaneState -> extractLaneState must be

@@ -8,7 +8,10 @@
  * scalar peak bound, envelope length must cover the max-energy path)
  * before trusting any timing, and reports the profile-vs-point sizing
  * gap (sustained/window power vs point peak -- the quantity
- * envelope-driven sizing recovers). Drops bench_out/BENCH_envelope.json
+ * envelope-driven sizing recovers). The overhead is the median (and
+ * interquartile range) over alternating rounds of the per-round
+ * ratio: best-of timings of these 2-14 ms analyses swing by more
+ * than the overhead itself. Drops bench_out/BENCH_envelope.json
  * (the checked-in BENCH_envelope.json at the repository root is a
  * copy).
  */
@@ -34,14 +37,14 @@ main(int argc, char **argv)
 
     const std::vector<std::string> names = {"mult", "tHold", "intAVG",
                                             "binSearch", "tea8"};
-    constexpr int kReps = 3;
+    constexpr unsigned kRounds = 9;
 
-    std::printf("%-10s %10s %12s %9s %10s %11s %12s\n", "program",
+    std::printf("%-10s %10s %12s %9s %10s %8s %11s %12s\n", "program",
                 "env cycles", "analyze [s]", "+env [s]", "overhead",
-                "peak [mW]", "sustain [mW]");
+                "IQR", "peak [mW]", "sustain [mW]");
 
     bench_util::JsonReport json("envelope");
-    json.field("reps", kReps).key("programs").beginArray();
+    json.field("reps", kRounds).key("programs").beginArray();
     for (const std::string &name : names) {
         isa::Image img =
             bench430::benchmarkByName(name).assembleImage();
@@ -50,22 +53,32 @@ main(int argc, char **argv)
         peak::Options withEnv;
         withEnv.recordEnvelope = true;
 
-        // Warm up netlist/caches once, then take the best of kReps.
+        // Warm up netlist/caches once, then time kRounds alternating
+        // rounds.
         peak::analyze(sys, img, plain);
-        double tPlain = 1e9, tEnv = 1e9;
+        std::vector<double> plainSec, envSec, overheads;
         peak::Report r;
-        for (int rep = 0; rep < kReps; ++rep) {
+        for (unsigned round = 0; round < kRounds; ++round) {
             peak::Report a;
-            tPlain = std::min(tPlain, bench_util::timeOnce([&] {
-                a = peak::analyze(sys, img, plain);
-            }));
-            tEnv = std::min(tEnv, bench_util::timeOnce([&] {
-                r = peak::analyze(sys, img, withEnv);
-            }));
+            bench_util::inOrder(
+                round,
+                [&] {
+                    plainSec.push_back(bench_util::timeOnce(
+                        [&] { a = peak::analyze(sys, img, plain); }));
+                },
+                [&] {
+                    envSec.push_back(bench_util::timeOnce(
+                        [&] { r = peak::analyze(sys, img, withEnv); }));
+                });
             if (!a.ok || !r.ok)
                 bench_util::fatal("analysis failed on %s\n",
                                   name.c_str());
+            overheads.push_back((envSec.back() / plainSec.back() - 1.0) *
+                                100.0);
         }
+        double tPlain = bench_util::spreadOf(plainSec).median;
+        double tEnv = bench_util::spreadOf(envSec).median;
+        bench_util::Spread overhead = bench_util::spreadOf(overheads);
 
         // Consistency gates before any timing is trusted.
         double envPeak = r.envelope.peakPowerW();
@@ -84,19 +97,19 @@ main(int argc, char **argv)
         sizing::EnvelopeSupply es = sizing::sizeEnvelopeSupply(
             r.envelope.windows, r.envelope.peakWindowEnergyJ,
             envPeak, tclk, sys.netlist().library().vdd());
-        double overheadPct =
-            tPlain > 0 ? (tEnv / tPlain - 1.0) * 100.0 : 0.0;
-        std::printf("%-10s %10zu %12.4f %9.4f %9.1f%% %10.3f %12.3f\n",
+        std::printf("%-10s %10zu %12.4f %9.4f %9.1f%% %7.1f%% %10.3f "
+                    "%12.3f\n",
                     name.c_str(), r.envelope.cycles(), tPlain,
-                    tEnv - tPlain, overheadPct, envPeak * 1e3,
-                    es.sustainedPowerW * 1e3);
+                    tEnv - tPlain, overhead.median, overhead.iqr,
+                    envPeak * 1e3, es.sustainedPowerW * 1e3);
 
         json.beginObject(cli::Layout::Inline)
             .field("name", name)
             .field("envelope_cycles", r.envelope.cycles())
             .field("analyze_sec", tPlain)
             .field("envelope_extra_sec", tEnv - tPlain)
-            .field("overhead_pct", overheadPct)
+            .field("overhead_pct", overhead.median)
+            .field("overhead_iqr_pct", overhead.iqr)
             .field("peak_power_w", envPeak)
             .field("sustained_power_w", es.sustainedPowerW).end();
     }

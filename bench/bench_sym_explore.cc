@@ -24,7 +24,9 @@
  * checked against the scalar 1-thread report with fuzz::reportDiff,
  * and records lane occupancy and steals. Its acceptance line: the
  * automatic frontier at 4 threads within 10% of its 1-thread time
- * on every program, and lane occupancy not falling as threads rise.
+ * on every program -- medians of kScalingRounds alternating rounds,
+ * "unresolved" where the 1-thread interquartile range alone exceeds
+ * the 10% bound -- and lane occupancy not falling as threads rise.
  *
  * Two optional CI gates turn measurements into pass/fail exit codes:
  *  --min-ratio X    fail unless packed/scalar forks/sec at 1 thread
@@ -94,6 +96,11 @@ requireSame(const peak::Report &ref, const peak::Report &rep,
                           "reference -- timing aborted:\n%s",
                           what.c_str(), diff.c_str());
 }
+
+/** Alternating rounds per program of the automatic 4-thread vs
+ *  1-thread comparison: its analyses take 5-50 ms, so single timings
+ *  differ by more than the 10% bound. */
+constexpr unsigned kScalingRounds = 9;
 
 double
 occupancy(const peak::Report &r)
@@ -236,21 +243,24 @@ main(int argc, char **argv)
     std::printf("%-10s %-9s %7s %10s %10s %7s\n", "program", "frontier",
                 "threads", "wall [s]", "occupancy", "steals");
     json.key("programs").beginArray();
-    bool autoScales = true, occupancyHolds = true;
+    bool occupancyHolds = true;
+    // Per program, the automatic frontier's 1- and 4-thread spreads.
+    std::vector<std::pair<bench_util::Spread, bench_util::Spread>> scaling;
     const struct {
         const char *name;
         Frontier frontier;
     } frontiers[] = {{"automatic", Frontier::Auto},
                      {"scalar", Frontier::Scalar},
                      {"packed", Frontier::Packed}};
-    for (const char *prog :
-         {"rle", "PI", "binSearch", "div", "tHold", "inSort"}) {
+    const char *const progs[] = {"rle",   "PI",    "binSearch",
+                                 "div",   "tHold", "inSort"};
+    for (const char *prog : progs) {
         isa::Image pimg = bench430::benchmarkByName(prog).assembleImage();
         peak::Options popts;
         peak::Report pref;
         timeAnalysis(sys, pimg, popts, Frontier::Scalar, 1, pref);
         for (const auto &fr : frontiers) {
-            double wall1 = 0.0, occ1 = 0.0;
+            double occ1 = 0.0;
             for (unsigned t : {1u, 2u, 4u}) {
                 popts.numThreads = t;
                 peak::Report rep;
@@ -260,15 +270,11 @@ main(int argc, char **argv)
                             std::string(prog) + ", " + fr.name +
                                 " frontier, " + std::to_string(t) +
                                 " threads");
-                if (t == 1) {
-                    wall1 = best;
+                if (t == 1)
                     occ1 = occupancy(rep);
-                } else if (fr.frontier == Frontier::Auto) {
+                else if (fr.frontier == Frontier::Auto)
                     // Occupancy is compared at 0.1% resolution.
                     occupancyHolds &= occupancy(rep) >= occ1 - 1e-3;
-                    if (t == 4)
-                        autoScales &= best <= 1.1 * wall1;
-                }
                 std::printf("%-10s %-9s %7u %10.4f %9.1f%% %7u\n", prog,
                             fr.name, t, best, 100.0 * occupancy(rep),
                             rep.steals);
@@ -280,13 +286,57 @@ main(int argc, char **argv)
                     .field("steals", rep.steals).end();
             }
         }
+        std::vector<double> walls[2]; // 1 and 4 threads
+        for (unsigned r = 0; r < kScalingRounds; ++r) {
+            auto arm = [&](unsigned i) {
+                return [&, i] {
+                    popts.numThreads = i ? 4 : 1;
+                    peak::Report rep;
+                    walls[i].push_back(timeAnalysis(
+                        sys, pimg, popts, Frontier::Auto, 1, rep));
+                };
+            };
+            bench_util::inOrder(r, arm(0), arm(1));
+        }
+        scaling.emplace_back(bench_util::spreadOf(walls[0]),
+                             bench_util::spreadOf(walls[1]));
     }
     json.end();
+
+    // A program whose 1-thread spread alone exceeds the 10% bound
+    // cannot show whether 4 threads stay within it.
+    bool autoScales = true, outside = false, unresolved = false;
+    std::printf("\nautomatic 4 vs 1 thread, median (IQR) of %u "
+                "alternating rounds [ms]:\n",
+                kScalingRounds);
+    json.key("auto_threads4_rounds").beginArray();
+    for (size_t i = 0; i < scaling.size(); ++i) {
+        const auto &[t1, t4] = scaling[i];
+        bool within = t4.median <= 1.1 * t1.median;
+        bool clear = t1.iqr <= 0.1 * t1.median;
+        autoScales &= within;
+        outside |= clear && !within;
+        unresolved |= !clear;
+        std::printf("%-10s %8.3f (%.3f) %8.3f (%.3f)  %s\n", progs[i],
+                    1e3 * t1.median, 1e3 * t1.iqr, 1e3 * t4.median,
+                    1e3 * t4.iqr,
+                    !clear ? "unresolved" : within ? "within" : "OUTSIDE");
+        json.beginObject(cli::Layout::Inline)
+            .field("program", progs[i])
+            .field("t1_median_s", t1.median).field("t1_iqr_s", t1.iqr)
+            .field("t4_median_s", t4.median).field("t4_iqr_s", t4.iqr)
+            .end();
+    }
+    json.end();
+    const char *verdict = outside      ? "NO"
+                          : unresolved ? "unresolved"
+                                       : "yes";
     std::printf("acceptance: automatic 4-thread within 10%% of 1-thread "
                 "on every program: %s; automatic lane occupancy never "
                 "falls as threads rise: %s\n",
-                autoScales ? "yes" : "NO", occupancyHolds ? "yes" : "NO");
+                verdict, occupancyHolds ? "yes" : "NO");
     json.field("auto_threads4_within_10pct", autoScales)
+        .field("auto_threads4_verdict", verdict)
         .field("auto_occupancy_nondecreasing", occupancyHolds);
     std::printf("\n");
     json.write();

@@ -26,15 +26,9 @@ ScenarioLint
 analyzeScenario(const msp::System &sys, const scenario::Scenario &scn,
                 const std::string &name)
 {
-    lint::ConstAnalysisOptions lo;
-    lo.scenario = scn;
-    const msp::CpuHandles &h = sys.handles();
-    lo.portBits.assign(h.portIn.begin(), h.portIn.end());
-    lo.drivenConstants = sys.runPins();
-
     ScenarioLint out;
     out.name = name;
-    out.analysis = lint::analyzeConstants(sys.netlist(), lo);
+    out.analysis = lint::analyzeConstants(sys, scn);
     out.cones = lint::quiescentCones(sys.netlist(), out.analysis);
     return out;
 }

@@ -875,14 +875,9 @@ staticPruneCheck(msp::System &sys, const isa::Image &image, Rng &rng)
         return res;
     }
 
-    // The same analysis the engine runs for SymbolicConfig::
-    // staticPrune (see SymbolicEngine::run).
-    lint::ConstAnalysisOptions lo;
-    lo.scenario = scn;
-    const msp::CpuHandles &h = sys.handles();
-    lo.portBits.assign(h.portIn.begin(), h.portIn.end());
-    lo.drivenConstants = sys.runPins();
-    lint::ConstAnalysis ca = lint::analyzeConstants(nl, lo);
+    // The analysis the engine installs for SymbolicConfig::
+    // staticPrune.
+    lint::ConstAnalysis ca = lint::analyzeConstants(sys, scn);
 
     // Drive one concrete scenario-obeying run and check every masked
     // gate holds exactly its proven value from the engage cycle on.

@@ -6,6 +6,7 @@
 #include <sstream>
 
 #include "cell/cell_library.hh"
+#include "msp/cpu.hh"
 
 namespace ulpeak {
 namespace lint {
@@ -583,6 +584,17 @@ analyzeConstants(const Netlist &nl, const ConstAnalysisOptions &opts)
         a.switchingBoundJ += nl.clockEnergyPerCycleJ();
     }
     return a;
+}
+
+ConstAnalysis
+analyzeConstants(const msp::System &sys, const scenario::Scenario &scn)
+{
+    ConstAnalysisOptions opts;
+    opts.scenario = scn;
+    const msp::CpuHandles &h = sys.handles();
+    opts.portBits.assign(h.portIn.begin(), h.portIn.end());
+    opts.drivenConstants = sys.runPins();
+    return analyzeConstants(sys.netlist(), opts);
 }
 
 std::vector<QuiescentCone>

@@ -57,6 +57,10 @@
 #include "scenario/scenario.hh"
 
 namespace ulpeak {
+namespace msp {
+class System;
+} // namespace msp
+
 namespace lint {
 
 enum class Severity : uint8_t { Error, Warning, Info };
@@ -158,6 +162,12 @@ struct ConstAnalysis {
 /** Run the scenario-aware constant fixpoint on @p nl. */
 ConstAnalysis analyzeConstants(const Netlist &nl,
                                const ConstAnalysisOptions &opts);
+
+/** The fixpoint over @p sys's core under @p scn, with its port bus and
+ *  run pins: the analysis SymbolicConfig::staticPrune installs,
+ *  `ullint` reports and fuzz property 9 checks. */
+ConstAnalysis analyzeConstants(const msp::System &sys,
+                               const scenario::Scenario &scn);
 
 /** Per-top-module quiescent-cone row of the `ullint` report. */
 struct QuiescentCone {

@@ -47,12 +47,17 @@ constexpr unsigned kDedupShards = 64;
 constexpr size_t kDeltaPromoteNum = 1;
 constexpr size_t kDeltaPromoteDen = 2;
 
-/** One execution path in flight: where it hangs in the tree, the
- * constraints on its next step, its PC bookkeeping, and the trace of
- * the node it is filling (committed at the node's fork or leaf). The
- * scalar frontier steps one Path at a time, the packed frontier one
- * per lane; queued paths carry an empty trace. Node ids, keys and
- * traces belong to the path's context. */
+/** Simulator cycle of every analysis's root state: a fresh worker
+ *  simulator right after System::reset. */
+constexpr uint64_t kRootCycle = msp::System::kResetCycles;
+
+/** One execution path: where it hangs in the tree, the constraints
+ * on its next step, its PC bookkeeping, its age, the diff base of its
+ * fork captures, and the trace of the node it is filling (committed
+ * at the node's fork or leaf). The scalar frontier steps one Path at
+ * a time, the packed frontier one per lane; queued paths carry an
+ * empty trace. Node ids, keys and traces belong to the path's
+ * context. */
 struct Path {
     uint32_t ctx = 0;  ///< the analysis of the group the path belongs to
     uint32_t node = 0;
@@ -61,32 +66,43 @@ struct Path {
     uint32_t forcedPc = kNoForcedPc; ///< PC constraint on the next step
     uint32_t lastPc = 0;   ///< last concrete PC value on this path
     uint32_t curInstr = 0; ///< instruction in execute/mem (COI)
-    uint64_t pathCycles = 0;
+    uint64_t pathCycles = 0; ///< cycles since the root
     bool applyInit = false; ///< root only: scenario register forces
+    /** The full snapshot this path's fork captures diff against: the
+     *  base of the state it was queued with, inherited by the children
+     *  that stay on the lanes, and replaced by a promoted capture. */
+    std::shared_ptr<const Simulator::Snapshot> base;
     std::vector<float> powerW;
     std::vector<std::vector<float>> modulePowerW;
     std::vector<CycleInfo> cycleInfo;
+
+    /** The simulator cycle of the path's state (a scalar simulator's
+     *  cycle() while it holds the path): the age its state is hashed
+     *  and extracted at, so prune engagement and deltas line up. */
+    uint64_t simCycle() const { return kRootCycle + pathCycles; }
 };
 
 /** One un-processed execution path (Algorithm 1's stack U entry).
- * The simulator state is either a full snapshot or a delta against a
- * shared base (both immutable and shared between sibling entries);
- * the node pointer is pre-resolved under the tree lock so workers
- * never touch the tree container concurrently. */
+ * The simulator state is a delta against the path's diff base (empty
+ * when the state is its own base: a root or a promoted capture), both
+ * immutable and shared between sibling entries; the node pointer is
+ * pre-resolved under the tree lock so workers never touch the tree
+ * container concurrently. */
 struct Pending {
-    std::shared_ptr<const Simulator::Snapshot> simFull;
-    std::shared_ptr<const Simulator::DeltaSnapshot> simDelta;
+    std::shared_ptr<const Simulator::DeltaSnapshot> sim;
     std::shared_ptr<const msp::System::Snapshot> sysSnap;
     Path path;
-
-    /** The full snapshot the state is stored against: the diff base
-     *  of this path's own fork captures. */
-    const std::shared_ptr<const Simulator::Snapshot> &
-    base() const
-    {
-        return simDelta ? simDelta->base : simFull;
-    }
 };
+
+/** @p s as its own diff base: an empty delta over a fresh base. */
+std::shared_ptr<const Simulator::DeltaSnapshot>
+ownBase(Simulator::Snapshot s)
+{
+    Simulator::DeltaSnapshot d;
+    d.cycle = s.cycle;
+    d.base = std::make_shared<const Simulator::Snapshot>(std::move(s));
+    return std::make_shared<const Simulator::DeltaSnapshot>(std::move(d));
+}
 
 /** What a frontier reads off its simulator (or one lane of it) after
  *  stepping a path one cycle: the only inputs of the per-cycle rules
@@ -118,8 +134,8 @@ struct Shard {
  * at the same time only contend when their keys land in one shard),
  * the tree (node allocation takes treeMu; everything else about a
  * node is written lock-free through the stable TreeNode pointer by
- * the one worker that owns the node), the cycle budget, the
- * statistics and the failure.
+ * the one worker that owns the node), the cycle budget and the
+ * failure. Each worker tallies its statistics (Worker::stats).
  */
 struct Context {
     const scenario::Scenario *scen = nullptr;
@@ -131,24 +147,8 @@ struct Context {
     std::mutex treeMu; ///< node allocation (and maxNodes accounting)
     ExecTree *tree = nullptr;
 
-    /// @name Statistics (atomic: many writers)
-    /// @{
-    std::atomic<uint64_t> totalCycles{0};
-    std::atomic<uint32_t> pathsExplored{0};
-    std::atomic<uint32_t> dedupMerges{0};
-    std::atomic<uint32_t> steals{0};
-    std::atomic<uint64_t> snapshotBytesCopied{0};
-    std::atomic<uint64_t> snapshotBytesFull{0};
-    std::atomic<uint64_t> packedBatches{0};
-    std::atomic<uint64_t> packedSweeps{0};
-    std::atomic<uint64_t> packedLaneCycles{0};
-    std::atomic<uint64_t> laneLoads{0};
-    std::atomic<uint64_t> laneContinues{0};
-    std::atomic<uint64_t> laneCopies{0};
-    std::atomic<uint64_t> laneExtracts{0};
-    std::atomic<uint64_t> forkCaptures{0};
-    /// @}
-
+    /** Cycles reserved against maxTotalCycles (Worker::reserveCycles). */
+    std::atomic<uint64_t> reservedCycles{0};
     std::atomic<bool> failed{false};
     std::string error; ///< the first failure (SharedState::fail)
 };
@@ -285,9 +285,10 @@ struct SharedState {
 
     /** Move one surplus batch -- the oldest paths beyond kStealSurplus,
      *  at most one lane batch -- from another worker's deque to
-     *  @p thief's; returns how many paths moved. */
+     *  @p thief's, counting each in the thief's tally @p stats of its
+     *  context; returns how many paths moved. */
     size_t
-    stealBatch(unsigned thief)
+    stealBatch(unsigned thief, std::vector<ExplorationStats> &stats)
     {
         if (queues.size() < 2 ||
             surplus.load(std::memory_order_acquire) == 0)
@@ -314,7 +315,7 @@ struct SharedState {
         if (batch.empty())
             return 0;
         for (const Pending &p : batch)
-            ctx(p.path).steals.fetch_add(1, std::memory_order_relaxed);
+            ++stats[p.path.ctx].steals;
         {
             std::lock_guard<std::mutex> lock(queues[thief].mu);
             for (Pending &p : batch)
@@ -342,8 +343,8 @@ struct SharedState {
  * worker's first steal) that takes pending paths, simulates them to
  * the next fork or leaf, and commits traces to the tree through the
  * nodes it owns.
- * Peak candidates and activity sets are tracked locally and merged
- * after the pool drains.
+ * Peak candidates, activity sets and statistics are tracked locally,
+ * per context, and merged after the pool drains.
  *
  * Two frontiers step the paths: the scalar one runs one path at a
  * time on the Simulator (runScalar), the packed one up to 64 on the
@@ -359,11 +360,16 @@ struct SharedState {
  */
 class Worker {
   public:
+    /** A worker over @p contexts analyses whose simulators get
+     *  Simulator::setStaticPrune(@p prune_mask, @p prune_engage). */
     Worker(msp::System &base, const SymbolicConfig &cfg,
            const isa::Image &image, unsigned id, Frontier frontier,
-           size_t contexts)
+           size_t contexts,
+           std::shared_ptr<const std::vector<uint8_t>> prune_mask,
+           uint64_t prune_engage)
         : cfg_(cfg), id_(id), frontier_(frontier), base_(&base),
-          image_(&image), cand_(contexts)
+          image_(&image), pruneMask_(std::move(prune_mask)),
+          pruneEngage_(prune_engage), cand_(contexts), stats_(contexts)
     {
         if (cfg_.recordActiveSets)
             for (Candidate &c : cand_)
@@ -373,18 +379,6 @@ class Worker {
     }
 
     Simulator &sim() { return *sim_; }
-
-    /** Install the static-prune mask in this worker's simulator, now
-     *  or when its System clone is built. */
-    void
-    setStaticPrune(std::shared_ptr<const std::vector<uint8_t>> mask,
-                   uint64_t engage)
-    {
-        pruneMask_ = std::move(mask);
-        pruneEngage_ = engage;
-        if (sim_)
-            sim_->setStaticPrune(pruneMask_, pruneEngage_);
-    }
 
     /** Take-simulate-commit until all work drains or fails. */
     void
@@ -422,8 +416,8 @@ class Worker {
         sh.idleCv.notify_all();
     }
 
-    /** One context's peak candidate, activity sets and cycles in
-     *  this worker, merged across workers after the pool drains. */
+    /** One context's peak candidate and activity sets in this worker,
+     *  merged across workers after the pool drains. */
     struct Candidate {
         double peakPowerW = 0.0;
         uint32_t peakNode = 0;
@@ -435,7 +429,6 @@ class Worker {
         uint64_t peakNodeKey = 0;
         std::vector<uint32_t> peakActive;
         std::vector<uint8_t> everActive;
-        uint64_t cyclesRun = 0; ///< cycles this worker simulated
 
         /** Strict-weak "better candidate" order used both within a
          * worker and for the final cross-worker merge. */
@@ -453,6 +446,8 @@ class Worker {
     };
 
     const Candidate &candidate(size_t ctx) const { return cand_[ctx]; }
+    /** This worker's share of context @p ctx's statistics. */
+    const ExplorationStats &stats(size_t ctx) const { return stats_[ctx]; }
 
   private:
     /** Wrap @p sys (worker 0: the caller's System; others: a clone):
@@ -467,8 +462,7 @@ class Worker {
         sim_ = std::make_unique<Simulator>(sys_->netlist(),
                                            cfg_.evalMode);
         sys_->attach(*sim_);
-        if (pruneMask_)
-            sim_->setStaticPrune(pruneMask_, pruneEngage_);
+        sim_->setStaticPrune(pruneMask_, pruneEngage_);
         ctx_ = std::make_unique<power::PowerContext>(sys_->netlist(),
                                                      cfg_.freqHz);
     }
@@ -507,7 +501,6 @@ class Worker {
         psim_->retireLanes(~uint64_t(0));
         lanes_.resize(PackedSimulator::kLanes);
         ctxLanes_.resize(cand_.size());
-        loaded_.resize(cand_.size());
     }
 
     // ---- Scheduling: which frontier steps the next paths ----
@@ -516,7 +509,7 @@ class Worker {
     size_t
     steal(SharedState &sh)
     {
-        size_t n = sh.stealBatch(id_);
+        size_t n = sh.stealBatch(id_, stats_);
         if (n)
             ensureSystem();
         return n;
@@ -532,9 +525,8 @@ class Worker {
             if (!sh.popOwn(id_, out) &&
                 !(steal(sh) && sh.popOwn(id_, out)))
                 return false;
-            Context &c = sh.ctx(out.path);
-            if (!c.failed.load()) {
-                c.pathsExplored.fetch_add(1, std::memory_order_relaxed);
+            if (!sh.ctx(out.path).failed.load()) {
+                ++stats_[out.path.ctx].pathsExplored;
                 return true;
             }
             sh.finishPath(); // its analysis failed: drop it
@@ -571,14 +563,14 @@ class Worker {
      *  run @p longest cycles. The cycles are reserved against
      *  maxTotalCycles before they run, so neither a 64-lane sweep nor
      *  racing workers can overrun the budget; a refused reservation
-     *  is handed back, so totalCycles counts simulated cycles only.
-     *  Returns false when the context failed. */
+     *  is handed back, so the reservations only count simulated
+     *  cycles. Returns false when the context failed. */
     bool
     reserveCycles(SharedState &sh, Context &c, uint64_t n,
                   uint64_t longest)
     {
         uint64_t before =
-            c.totalCycles.fetch_add(n, std::memory_order_relaxed);
+            c.reservedCycles.fetch_add(n, std::memory_order_relaxed);
         const char *err = nullptr;
         if (before + n > cfg_.maxTotalCycles)
             err = "symbolic cycle budget exhausted";
@@ -587,7 +579,7 @@ class Worker {
                   "unbounded loop?)";
         if (!err)
             return true;
-        c.totalCycles.fetch_sub(n, std::memory_order_relaxed);
+        c.reservedCycles.fetch_sub(n, std::memory_order_relaxed);
         sh.fail(c, err);
         return false;
     }
@@ -695,41 +687,42 @@ class Worker {
         n.endsHalted = ends_halted;
     }
 
-    /** Capture a fork state -- simulator state @p snap and memory
-     *  @p mem of a path whose state is stored against @p base -- into
-     *  @p out for the children that leave through a deque: a delta
-     *  against @p base, promoted to a fresh full snapshot when the
-     *  path has diverged too far (or always, in Full mode). The
-     *  representation is a pure function of path state. */
-    void
-    captureFork(Context &c,
-                const std::shared_ptr<const Simulator::Snapshot> &base,
-                Simulator::Snapshot snap, const Memory &mem,
-                Pending &out) const
+    /** Capture the fork state of @p path -- simulator state @p snap
+     *  and memory @p mem -- for its @p n new children @p kids: the
+     *  state of those that leave through a deque, a delta against the
+     *  path's diff base, promoted to a fresh full base when the path
+     *  has diverged too far (or always, in Full mode). The capture's
+     *  base is the children's diff base. The representation is a pure
+     *  function of path state. */
+    Pending
+    captureFork(const Path &path, Simulator::Snapshot snap,
+                const Memory &mem, std::array<Path, 2> &kids, int n)
     {
-        c.forkCaptures.fetch_add(1, std::memory_order_relaxed);
+        ExplorationStats &t = stats_[path.ctx];
+        ++t.forkCaptures;
+        Pending out;
         // A forking path is neither halted nor faulted.
         out.sysSnap = std::make_shared<const msp::System::Snapshot>(
             msp::System::Snapshot{mem.snapshot(), false, false});
-        size_t full_bytes = Simulator::bytesOf(*base);
-        c.snapshotBytesFull.fetch_add(full_bytes,
-                                      std::memory_order_relaxed);
+        size_t full_bytes = Simulator::bytesOf(*path.base);
+        t.snapshotBytesFull += full_bytes;
         if (cfg_.snapshotMode == SnapshotMode::Delta) {
             Simulator::DeltaSnapshot d =
-                Simulator::deltaBetween(snap, base);
+                Simulator::deltaBetween(snap, path.base);
             if (d.deltaBytes() * kDeltaPromoteDen <=
                 full_bytes * kDeltaPromoteNum) {
-                c.snapshotBytesCopied.fetch_add(
-                    d.deltaBytes(), std::memory_order_relaxed);
-                out.simDelta = std::make_shared<
-                    const Simulator::DeltaSnapshot>(std::move(d));
-                return;
+                t.snapshotBytesCopied += d.deltaBytes();
+                out.sim = std::make_shared<const Simulator::DeltaSnapshot>(
+                    std::move(d));
             }
         }
-        c.snapshotBytesCopied.fetch_add(full_bytes,
-                                        std::memory_order_relaxed);
-        out.simFull =
-            std::make_shared<const Simulator::Snapshot>(std::move(snap));
+        if (!out.sim) {
+            t.snapshotBytesCopied += full_bytes;
+            out.sim = ownBase(std::move(snap));
+        }
+        for (int i = 0; i < n; ++i)
+            kids[size_t(i)].base = out.sim->base;
+        return out;
     }
 
     /**
@@ -787,6 +780,7 @@ class Worker {
         child.lastPc = path.lastPc;
         child.curInstr = path.curInstr;
         child.pathCycles = path.pathCycles;
+        child.base = path.base;
 
         TreeNode *nodePtr = path.nodePtr;
         nodePtr->branchPc = (path.lastPc - 2) & 0xffff;
@@ -806,8 +800,7 @@ class Worker {
                     // simulate the identical continuation); merge.
                     nodePtr->edges.push_back(
                         TreeEdge{targets[t], it->second, true});
-                    c.dedupMerges.fetch_add(
-                        1, std::memory_order_relaxed);
+                    ++stats_[path.ctx].dedupMerges;
                     continue;
                 }
                 // New state: allocate its node while holding the
@@ -846,21 +839,16 @@ class Worker {
         Pending p;
         if (!take(sh, p))
             return false;
-        if (p.simDelta)
-            sim_->restore(*p.simDelta);
-        else
-            sim_->restore(*p.simFull);
+        sim_->restore(*p.sim);
         sys_->restore(*p.sysSnap);
-        runScalar(sh, p.path, p.base());
+        runScalar(sh, p.path);
         return true;
     }
 
     /** Run @p path, whose state the scalar simulator and System hold,
-     *  to its fork, leaf or failure; @p base is the full snapshot its
-     *  state is stored against (the diff base of its fork capture). */
+     *  to its fork, leaf or failure. */
     void
-    runScalar(SharedState &sh, Path &path,
-              const std::shared_ptr<const Simulator::Snapshot> &base)
+    runScalar(SharedState &sh, Path &path)
     {
         msp::System &sys = *sys_;
         Simulator &sim = *sim_;
@@ -887,7 +875,7 @@ class Worker {
                     s.forceBus(h.pc,
                                Word16::known(uint16_t(in.forcedPc)));
             });
-            ++cand.cyclesRun;
+            ++stats_[path.ctx].totalCycles;
             if (cfg_.recordActiveSets)
                 forEachBit(sim.activeBits(),
                            [&](GateId g) { cand.everActive[g] = 1; });
@@ -916,9 +904,8 @@ class Worker {
                 int n = fork(sh, path, sys.readIr(sim),
                              sim.hashFullState(), sys.memory(), kids);
                 if (n >= 0) {
-                    Pending out;
-                    captureFork(c, base, sim.snapshot(), sys.memory(),
-                                out);
+                    Pending out = captureFork(path, sim.snapshot(),
+                                              sys.memory(), kids, n);
                     for (int i = 0; i < n; ++i) {
                         Pending next = out;
                         next.path = std::move(kids[size_t(i)]);
@@ -936,7 +923,7 @@ class Worker {
     //
     // Up to 64 paths ride the PackedSimulator's lanes at once, from
     // any context of the group: a lane is loaded from a Pending's
-    // (delta or full) snapshot and advanced by the shared event-driven
+    // snapshot and advanced by the shared event-driven
     // packed step, under its own context's port word, forces and
     // pricing, until it reaches its own fork / halt / failure
     // boundary. A fork is keyed where the lane is, and its children
@@ -951,21 +938,6 @@ class Worker {
     // Only scheduling statistics (steals, snapshot bytes, batch,
     // occupancy and lane counters, per-worker cycles) differ.
 
-    /** One lane's in-flight path. */
-    struct Lane {
-        Path path;
-        /** Absolute simulator cycle of the lane (the scalar sim's
-         *  cycle() after restore + steps): the age its state is
-         *  hashed and extracted at, so prune engagement and deltas
-         *  line up. */
-        uint64_t absCycle = 0;
-        /** The diff base of the lane's fork captures: Pending::base() of
-         *  the state its first path was loaded from, or of its latest
-         *  capture, inherited by the paths that continue in it or are
-         *  copied from it. */
-        std::shared_ptr<const Simulator::Snapshot> base;
-    };
-
     /** Refill every free lane while work is available (a stolen
      *  batch fills lanes the own deque cannot), then step the batch.
      *  When the sweep leaves one live lane and nothing queued, that
@@ -974,17 +946,16 @@ class Worker {
     runBatch(SharedState &sh)
     {
         ensureLanes();
-        std::fill(loaded_.begin(), loaded_.end(), 0);
+        std::fill(ctxLanes_.begin(), ctxLanes_.end(), 0);
         Pending p;
         for (uint64_t free = ~psim_->liveMask(); free && take(sh, p);
              free &= free - 1) {
-            loaded_[p.path.ctx] = 1;
-            loadLane(sh, unsigned(__builtin_ctzll(free)), std::move(p));
+            unsigned l = unsigned(__builtin_ctzll(free));
+            ctxLanes_[p.path.ctx] |= uint64_t(1) << l;
+            loadLane(l, std::move(p));
         }
-        for (size_t k = 0; k < loaded_.size(); ++k)
-            if (loaded_[k])
-                sh.contexts[k].packedBatches.fetch_add(
-                    1, std::memory_order_relaxed);
+        for (size_t k = 0; k < ctxLanes_.size(); ++k)
+            stats_[k].packedBatches += ctxLanes_[k] != 0;
         if (!psim_->liveMask())
             return;
         stepBatch(sh);
@@ -997,55 +968,47 @@ class Worker {
     /** Lane @p l's state as a scalar snapshot, for a path leaving the
      *  lanes. */
     Simulator::Snapshot
-    extractLane(Context &c, unsigned l)
+    extractLane(unsigned l)
     {
-        c.laneExtracts.fetch_add(1, std::memory_order_relaxed);
-        return psim_->extractLaneState(l, lanes_[l].absCycle);
+        ++stats_[lanes_[l].ctx].laneExtracts;
+        return psim_->extractLaneState(l, lanes_[l].simCycle());
     }
 
     /** Move lane @p l's path to the scalar simulator -- its lane state
-     *  and lane memory -- and run it on there. The path keeps its
-     *  lane's fork base as the diff base of its captures. */
+     *  and lane memory -- and run it on there. */
     void
     resumeScalar(SharedState &sh, unsigned l)
     {
-        Lane &L = lanes_[l];
-        sim_->restore(extractLane(sh.ctx(L.path), l));
+        sim_->restore(extractLane(l));
         // A live lane is neither halted nor faulted.
         sys_->restore(msp::System::Snapshot{
             laneSys_->memory(l).snapshot(), false, false});
         psim_->retireLanes(uint64_t(1) << l);
-        std::shared_ptr<const Simulator::Snapshot> base =
-            std::move(L.base);
-        runScalar(sh, L.path, base);
+        Path path = std::move(lanes_[l]);
+        runScalar(sh, path);
     }
 
     /** Install @p p into lane @p l -- the packed counterpart of
      *  runPath's restore prologue. */
     void
-    loadLane(SharedState &sh, unsigned l, Pending p)
+    loadLane(unsigned l, Pending p)
     {
-        Lane &L = lanes_[l];
-        sh.ctx(p.path).laneLoads.fetch_add(1, std::memory_order_relaxed);
-        if (p.simDelta) {
-            Simulator::Snapshot snap =
-                Simulator::materialize(*p.simDelta);
-            psim_->loadLaneState(l, snap);
-            L.absCycle = snap.cycle;
-        } else {
-            psim_->loadLaneState(l, *p.simFull);
-            L.absCycle = p.simFull->cycle;
-        }
-        L.base = p.base();
+        ++stats_[p.path.ctx].laneLoads;
+        // A state that is its own base loads without a copy.
+        const Simulator::DeltaSnapshot &d = *p.sim;
+        if (d.deltaBytes() == 0)
+            psim_->loadLaneState(l, *d.base);
+        else
+            psim_->loadLaneState(l, Simulator::materialize(d));
         laneSys_->restore(l, *p.sysSnap);
-        L.path = std::move(p.path);
+        lanes_[l] = std::move(p.path);
     }
 
     /** Free lane @p l; its path has ended. */
     void
     retireLane(SharedState &sh, unsigned l)
     {
-        lanes_[l].base.reset();
+        lanes_[l].base.reset(); // release its hold on the diff base
         psim_->retireLanes(uint64_t(1) << l);
         sh.finishPath();
     }
@@ -1056,7 +1019,7 @@ class Worker {
     {
         for (uint64_t m = psim_->liveMask(); m; m &= m - 1) {
             unsigned l = unsigned(__builtin_ctzll(m));
-            if (lanes_[l].path.ctx == ctx)
+            if (lanes_[l].ctx == ctx)
                 retireLane(sh, l);
         }
     }
@@ -1066,11 +1029,11 @@ class Worker {
      * lane still holds the fork state. The first continues in lane
      * @p l and a further one is copied into a free lane, each under
      * its forced PC at the next step; only a child no lane can take
-     * leaves the lanes -- extracted, captured against Lane::base and
-     * queued. In-lane children count as explored here (a queued one
-     * counts when it is taken), and the first keeps the parent's
-     * inflight slot. A lane filled by a copy joins @p fresh: it did
-     * not step in this sweep.
+     * leaves the lanes -- extracted, captured against the parent's
+     * diff base and queued. In-lane children count as explored here
+     * (a queued one counts when it is taken), and the first keeps the
+     * parent's inflight slot. A lane filled by a copy joins @p fresh:
+     * it did not step in this sweep.
      */
     void
     placeChildren(SharedState &sh, unsigned l, std::array<Path, 2> &kids,
@@ -1080,19 +1043,14 @@ class Worker {
             retireLane(sh, l); // every target merged
             return;
         }
-        Lane &L = lanes_[l];
-        Context &c = sh.ctx(L.path);
+        ExplorationStats &t = stats_[lanes_[l].ctx];
         Pending out; // the capture, made once, when a child leaves
         for (size_t i = 1; i < size_t(n); ++i) {
             uint64_t free = ~psim_->liveMask();
             if (!free) {
-                if (!out.sysSnap) {
-                    captureFork(c, L.base, extractLane(c, l),
-                                laneSys_->memory(l), out);
-                    // A promoted capture is the lane's new, nearby diff
-                    // base, as it is for the scalar children it queues.
-                    L.base = out.base();
-                }
+                if (!out.sim)
+                    out = captureFork(lanes_[l], extractLane(l),
+                                      laneSys_->memory(l), kids, n);
                 Pending next = out;
                 next.path = std::move(kids[i]);
                 sh.push(id_, std::move(next));
@@ -1103,15 +1061,15 @@ class Worker {
             laneSys_->restore(d, msp::System::Snapshot{
                                      laneSys_->memory(l).snapshot(),
                                      false, false});
-            lanes_[d] = Lane{std::move(kids[i]), L.absCycle, L.base};
+            lanes_[d] = std::move(kids[i]);
             fresh |= uint64_t(1) << d;
             sh.adopt();
-            c.pathsExplored.fetch_add(1, std::memory_order_relaxed);
-            c.laneCopies.fetch_add(1, std::memory_order_relaxed);
+            ++t.pathsExplored;
+            ++t.laneCopies;
         }
-        L.path = std::move(kids[0]);
-        c.pathsExplored.fetch_add(1, std::memory_order_relaxed);
-        c.laneContinues.fetch_add(1, std::memory_order_relaxed);
+        lanes_[l] = std::move(kids[0]);
+        ++t.pathsExplored;
+        ++t.laneContinues;
     }
 
     /** One packed cycle of every live lane: runPath's loop body per
@@ -1129,7 +1087,7 @@ class Worker {
         std::fill(ctxLanes_.begin(), ctxLanes_.end(), 0);
         for (uint64_t m = ps.liveMask(); m; m &= m - 1) {
             unsigned l = unsigned(__builtin_ctzll(m));
-            ctxLanes_[lanes_[l].path.ctx] |= uint64_t(1) << l;
+            ctxLanes_[lanes_[l].ctx] |= uint64_t(1) << l;
         }
         for (uint32_t k = 0; k < ctxLanes_.size(); ++k) {
             uint64_t lanes = ctxLanes_[k];
@@ -1139,7 +1097,7 @@ class Worker {
             for (uint64_t m = lanes; m; m &= m - 1)
                 longest = std::max(
                     longest,
-                    lanes_[unsigned(__builtin_ctzll(m))].path.pathCycles);
+                    lanes_[unsigned(__builtin_ctzll(m))].pathCycles);
             Context &c = sh.contexts[k];
             if (c.failed.load() ||
                 !reserveCycles(sh, c,
@@ -1158,7 +1116,7 @@ class Worker {
         ports.fill(Word16::allX());
         for (uint64_t m = stepped; m; m &= m - 1) {
             unsigned l = unsigned(__builtin_ctzll(m));
-            Path &path = lanes_[l].path;
+            Path &path = lanes_[l];
             in[l] = takeStepInputs(*sh.ctx(path).scen, path);
             ports[l] = in[l].port;
         }
@@ -1170,7 +1128,7 @@ class Worker {
                 unsigned l = unsigned(__builtin_ctzll(m));
                 if (in[l].applyRegs)
                     for (const auto &[reg, value] :
-                         sh.ctx(lanes_[l].path).scen->regInit)
+                         sh.ctx(lanes_[l]).scen->regInit)
                         s.forceBusLane(h.regs[reg], l,
                                        Word16::known(value));
                 if (in[l].forcedPc != kNoForcedPc)
@@ -1182,10 +1140,10 @@ class Worker {
             if (!ctxLanes_[k])
                 continue;
             uint64_t n = uint64_t(__builtin_popcountll(ctxLanes_[k]));
-            Context &c = sh.contexts[k];
-            c.packedSweeps.fetch_add(1, std::memory_order_relaxed);
-            c.packedLaneCycles.fetch_add(n, std::memory_order_relaxed);
-            cand_[k].cyclesRun += n;
+            ExplorationStats &t = stats_[k];
+            ++t.packedSweeps;
+            t.packedLaneCycles += n;
+            t.totalCycles += n;
         }
 
         if (cfg_.recordActiveSets) {
@@ -1214,15 +1172,13 @@ class Worker {
             uint64_t lbit = uint64_t(1) << l;
             if (!(ps.liveMask() & lbit) || (fresh & lbit))
                 continue; // its context failed, or it holds a new copy
-            Lane &L = lanes_[l];
-            ++L.absCycle;
-
+            Path &path = lanes_[l];
             std::vector<double> moduleJ;
             if (cfg_.recordModuleTrace)
                 moduleJ = ps.moduleBoundEnergyLaneJ(l);
             bool newPeak = false;
             CycleEnd end = endCycle(
-                sh, L.path,
+                sh, path,
                 {pcs[l], laneSys_->fsmState(ps, l), ps.boundEnergyJ(l),
                  &moduleJ, (laneSys_->xStoreMask() & lbit) != 0,
                  (laneSys_->haltedMask() & lbit) != 0,
@@ -1230,7 +1186,7 @@ class Worker {
                 newPeak);
             if (newPeak && cfg_.recordActiveSets) {
                 // Ascending gate id, like the scalar activeBits() walk.
-                std::vector<uint32_t> &peak = cand_[L.path.ctx].peakActive;
+                std::vector<uint32_t> &peak = cand_[path.ctx].peakActive;
                 peak.clear();
                 size_t n = base_->netlist().numGates();
                 for (GateId g = 0; g < n; ++g)
@@ -1250,12 +1206,12 @@ class Worker {
                     irs = ps.readBusLanes(h.ir);
                     irsRead = true;
                 }
-                n = fork(sh, L.path, irs[l],
-                         sim_->hashState(ps.laneBytes(l), L.absCycle),
+                n = fork(sh, path, irs[l],
+                         sim_->hashState(ps.laneBytes(l), path.simCycle()),
                          laneSys_->memory(l), kids);
             }
             if (n < 0)
-                retireContext(sh, L.path.ctx);
+                retireContext(sh, path.ctx);
             else
                 placeChildren(sh, l, kids, n, fresh);
         }
@@ -1273,6 +1229,7 @@ class Worker {
     std::unique_ptr<Simulator> sim_;
     std::unique_ptr<power::PowerContext> ctx_;
     std::vector<Candidate> cand_; ///< per context
+    std::vector<ExplorationStats> stats_; ///< per context
     /// @name Packed-frontier state (null/empty until the frontier
     /// first widens)
     /// @{
@@ -1280,11 +1237,10 @@ class Worker {
     std::unique_ptr<msp::PackedSystem> laneSys_;
     /** Lanes carrying a pending path are the simulator's live lanes;
      *  the rest are retired. */
-    std::vector<Lane> lanes_;
-    /** Per context: its live lanes in this sweep / whether this
-     *  refill loaded one of its paths. */
+    std::vector<Path> lanes_;
+    /** Per context: the lanes a refill loaded with its paths, then
+     *  its live lanes in a sweep. */
     std::vector<uint64_t> ctxLanes_;
-    std::vector<uint8_t> loaded_;
     /// @}
 };
 
@@ -1316,6 +1272,26 @@ scenarioError(const scenario::Scenario &scen, const msp::System &sys)
 }
 
 } // namespace
+
+void
+ExplorationStats::addWorker(const ExplorationStats &w)
+{
+    totalCycles += w.totalCycles;
+    pathsExplored += w.pathsExplored;
+    dedupMerges += w.dedupMerges;
+    steals += w.steals;
+    snapshotBytesCopied += w.snapshotBytesCopied;
+    snapshotBytesFull += w.snapshotBytesFull;
+    perWorkerCycles.push_back(w.totalCycles);
+    packedBatches += w.packedBatches;
+    packedSweeps += w.packedSweeps;
+    packedLaneCycles += w.packedLaneCycles;
+    laneLoads += w.laneLoads;
+    laneContinues += w.laneContinues;
+    laneCopies += w.laneCopies;
+    laneExtracts += w.laneExtracts;
+    forkCaptures += w.forkCaptures;
+}
 
 SymbolicEngine::SymbolicEngine(msp::System &sys,
                                const SymbolicConfig &cfg)
@@ -1399,6 +1375,25 @@ SymbolicEngine::explore(const isa::Image &image,
     if (frontier == Frontier::Auto && cfg_.packedExplore)
         frontier = Frontier::Packed;
 
+    // Static quiescence: prove gates constant under the scenario (one:
+    // SymbolicEngine::run never groups pruned analyses) and let every
+    // worker simulator skip them once settled. The engage cycle is the
+    // settle bound relative to the end of reset: one cycle for the
+    // depth-0 combinational cones plus one per sequential stage the
+    // deepest pruned proof crosses. Bit-identity of all reported
+    // numbers with the unpruned analysis is enforced by fuzz
+    // property 9.
+    std::shared_ptr<const std::vector<uint8_t>> pruneMask;
+    uint64_t pruneEngage = 0;
+    if (cfg_.staticPrune) {
+        lint::ConstAnalysis ca =
+            lint::analyzeConstants(*sys_, scenarios.front());
+        pruneMask = std::make_shared<const std::vector<uint8_t>>(
+            std::move(ca.pruneMask));
+        pruneEngage =
+            kRootCycle + 1 + ca.maxPruneDepth + testing::pruneDelay();
+    }
+
     // Algorithm 1 lines 2-5: everything X, load binary, reset. Worker
     // 0 wraps the caller's System; extra workers build clones on
     // their first steal.
@@ -1407,7 +1402,8 @@ SymbolicEngine::explore(const isa::Image &image,
     try {
         for (unsigned i = 0; i < numWorkers; ++i)
             workers.push_back(std::make_unique<Worker>(
-                *sys_, cfg_, image, i, frontier, K));
+                *sys_, cfg_, image, i, frontier, K, pruneMask,
+                pruneEngage));
     } catch (const std::exception &e) {
         for (SymbolicResult &r : results)
             if (r.error.empty())
@@ -1415,37 +1411,16 @@ SymbolicEngine::explore(const isa::Image &image,
         return results;
     }
     sys_->reset(workers[0]->sim());
-
-    if (cfg_.staticPrune) {
-        // Static quiescence: prove gates constant under the scenario
-        // (one: SymbolicEngine::run never groups pruned analyses) and
-        // let every worker simulator skip them once settled. The
-        // engage cycle is the settle bound relative to the end of
-        // reset: one cycle for the depth-0 combinational cones plus
-        // one per sequential stage the deepest pruned proof crosses.
-        // Bit-identity of all reported numbers with the unpruned
-        // analysis is enforced by fuzz property 9.
-        lint::ConstAnalysisOptions lopts;
-        lopts.scenario = scenarios.front();
-        const msp::CpuHandles &h = sys_->handles();
-        lopts.portBits.assign(h.portIn.begin(), h.portIn.end());
-        lopts.drivenConstants = sys_->runPins();
-        lint::ConstAnalysis ca = lint::analyzeConstants(nl, lopts);
-        auto mask = std::make_shared<const std::vector<uint8_t>>(
-            std::move(ca.pruneMask));
-        uint64_t engage =
-            workers[0]->sim().cycle() + 1 + ca.maxPruneDepth;
-        for (auto &w : workers)
-            w->setStaticPrune(mask, engage);
-    }
+    if (workers[0]->sim().cycle() != kRootCycle)
+        throw std::logic_error("reset did not end at kRootCycle");
 
     sh.queues.resize(numWorkers);
 
     // One root path per analysis, all from the one reset state; the
     // scenario's initial-memory constraints go into its root memory,
     // so every path of the analysis inherits them.
-    auto rootSim = std::make_shared<const Simulator::Snapshot>(
-        workers[0]->sim().snapshot());
+    const std::shared_ptr<const Simulator::DeltaSnapshot> rootSim =
+        ownBase(workers[0]->sim().snapshot());
     const msp::System::Snapshot resetSys = sys_->snapshot();
     for (size_t k = 0; k < K; ++k) {
         Context &c = sh.contexts[k];
@@ -1455,9 +1430,10 @@ SymbolicEngine::explore(const isa::Image &image,
         for (const auto &[addr, words] : c.scen->ramInit)
             sys_->memory().loadRam(addr, words);
         Pending p;
-        p.simFull = rootSim;
+        p.sim = rootSim;
         p.sysSnap =
             std::make_shared<const msp::System::Snapshot>(sys_->snapshot());
+        p.path.base = rootSim->base;
         p.path.ctx = uint32_t(k);
         p.path.node = c.tree->newNode(kNoNode);
         p.path.nodePtr = &c.tree->node(p.path.node);
@@ -1482,23 +1458,9 @@ SymbolicEngine::explore(const isa::Image &image,
         SymbolicResult &res = results[k];
         if (!res.error.empty())
             continue; // never explored
-        res.totalCycles = c.totalCycles.load();
-        res.pathsExplored = c.pathsExplored.load();
-        res.dedupMerges = c.dedupMerges.load();
-        res.steals = c.steals.load();
-        res.snapshotBytesCopied = c.snapshotBytesCopied.load();
-        res.snapshotBytesFull = c.snapshotBytesFull.load();
-        res.packedBatches = c.packedBatches.load();
-        res.packedSweeps = c.packedSweeps.load();
-        res.packedLaneCycles = c.packedLaneCycles.load();
-        res.laneLoads = c.laneLoads.load();
-        res.laneContinues = c.laneContinues.load();
-        res.laneCopies = c.laneCopies.load();
-        res.laneExtracts = c.laneExtracts.load();
-        res.forkCaptures = c.forkCaptures.load();
         res.perWorkerCycles.reserve(numWorkers);
         for (auto &w : workers)
-            res.perWorkerCycles.push_back(w->candidate(k).cyclesRun);
+            res.addWorker(w->stats(k));
 
         if (c.failed) {
             res.error = c.error;

@@ -15,13 +15,13 @@
  * proves the equivalence.
  *
  * Forks are O(dirtied-state): at each branch the engine captures a
- * delta snapshot (only the entries that changed since the state the
- * path restored from; Simulator::DeltaSnapshot) and restores instead
- * of re-executing the prefix, promoting to a fresh full snapshot
- * when a path has diverged too far from its base for the delta to
- * stay small. SymbolicConfig::snapshotMode forces full-copy
- * snapshots for comparison; both modes are bit-identical by
- * construction (restore(delta) == restore(materialize(delta))).
+ * delta snapshot against the path's diff base (Simulator::
+ * DeltaSnapshot) and restores instead of re-executing the prefix. A
+ * path diverged too far for the delta to stay small promotes its
+ * capture to a fresh full base (an empty delta against itself);
+ * SymbolicConfig::snapshotMode Full promotes at every fork, for
+ * comparison. Both modes are bit-identical by construction
+ * (restore(delta) == restore(materialize(delta))).
  *
  * Each worker picks its frontier per path: it steps a path on the
  * scalar Simulator while at most one is pending, and batches pending
@@ -38,7 +38,11 @@
  * sharded by key hash so concurrent forks only contend when they
  * collide on a shard; only tree-node allocation takes a global lock.
  * Per-cycle traces are buffered worker-locally and committed at
- * fork/leaf boundaries, and peak results merge deterministically
+ * fork/leaf boundaries; each worker tallies its own exploration
+ * statistics per analysis (ExplorationStats), summed once after the
+ * pool drains, so workers share only the cycle budget, the failure
+ * flags, the dedup shards and the tree lock. Peak results merge
+ * deterministically
  * (the explored state set, every node's trace, and therefore peak
  * power, peak energy, NPE and the envelope are independent of thread
  * scheduling; only tree node numbering and the steal/per-worker
@@ -79,7 +83,7 @@ namespace sym {
 
 /** Fork snapshot representation (results are identical in both). */
 enum class SnapshotMode : uint8_t {
-    Full,  ///< complete state copy at every fork (reference)
+    Full,  ///< promote every fork to a fresh full base (reference)
     Delta, ///< dirtied entries against a shared base (default)
 };
 
@@ -202,37 +206,20 @@ struct SymbolicConfig : AnalysisOptions {
 };
 
 /**
- * One analysis answer, minus its bulky members: the bounds and
- * exploration statistics SymbolicResult, peak::Report and
- * peak::ProgramResult share, declared once.
+ * The exploration statistics of one analysis: each worker tallies
+ * one, and the analysis's summary inherits their sum (addWorker).
+ * Scheduling-independent: totalCycles, pathsExplored, dedupMerges.
+ * Scheduling-dependent (excluded from determinism comparisons, like
+ * timings): steals, perWorkerCycles, the packed-frontier counters, and
+ * snapshotBytesCopied/Full -- a lane fork captures only for the
+ * children that leave the lanes, so the bytes depend on how full the
+ * lanes were (a run that never sweeps the lanes captures once per
+ * fork, the same snapshots whoever runs it). In an analysis group
+ * these count the analysis's own share: its stolen paths, its cycles
+ * per worker, the refills that loaded and the sweeps that stepped one
+ * of its paths, its lane cycles, loads, copies and captures.
  */
-struct AnalysisSummary {
-    bool ok = false;
-    std::string error;
-
-    /// @name Bounds
-    /// @{
-    double peakPowerW = 0.0;   ///< Section 3.2; Figure 5.1's X-based bars
-    double peakEnergyJ = 0.0;  ///< Section 3.3 bound
-    /** Normalized peak energy [J/cycle] -- the NPE axis of the
-     *  paper's Figures 2.2b / 4.1b / 5.2. */
-    double npeJPerCycle = 0.0;
-    uint64_t maxPathCycles = 0; ///< longest root-to-leaf path [cycles]
-    /// @}
-
-    /// @name Exploration statistics
-    /// Scheduling-independent: totalCycles, pathsExplored,
-    /// dedupMerges. Scheduling-dependent (excluded from determinism
-    /// comparisons, like timings): steals, perWorkerCycles, the
-    /// packed-frontier counters, and snapshotBytesCopied/Full -- a
-    /// lane fork captures only for the children that leave the
-    /// lanes, so the bytes depend on how full the lanes were (a run
-    /// that never sweeps the lanes captures once per fork, the same
-    /// snapshots whoever runs it). In an analysis group these count
-    /// the analysis's own share: its stolen paths, its cycles per
-    /// worker, the refills that loaded and the sweeps that stepped one
-    /// of its paths, its lane cycles, loads, copies and captures.
-    /// @{
+struct ExplorationStats {
     uint64_t totalCycles = 0;
     uint32_t pathsExplored = 0;
     uint32_t dedupMerges = 0;
@@ -243,7 +230,8 @@ struct AnalysisSummary {
     /** Bytes full-copy snapshots of the same forks would have
      *  stored (the delta savings denominator). */
     uint64_t snapshotBytesFull = 0;
-    /** Simulated cycles per exploration worker (size numThreads). */
+    /** Simulated cycles per exploration worker (size numThreads;
+     *  empty in a worker's own tally). */
     std::vector<uint64_t> perWorkerCycles;
     /// @name Packed-frontier counters (zero when no worker ever had
     /// two paths pending, unless packedExplore)
@@ -269,6 +257,29 @@ struct AnalysisSummary {
     /** Fork states captured for children that leave through a deque
      *  (every scalar fork, and lane forks with no free lane). */
     uint64_t forkCaptures = 0;
+
+    /** Add worker tally @p w: every counter, and w.totalCycles as the
+     *  next perWorkerCycles entry. */
+    void addWorker(const ExplorationStats &w);
+};
+
+/**
+ * One analysis answer, minus its bulky members: the bounds and
+ * exploration statistics SymbolicResult, peak::Report and
+ * peak::ProgramResult share, declared once.
+ */
+struct AnalysisSummary : ExplorationStats {
+    bool ok = false;
+    std::string error;
+
+    /// @name Bounds
+    /// @{
+    double peakPowerW = 0.0;   ///< Section 3.2; Figure 5.1's X-based bars
+    double peakEnergyJ = 0.0;  ///< Section 3.3 bound
+    /** Normalized peak energy [J/cycle] -- the NPE axis of the
+     *  paper's Figures 2.2b / 4.1b / 5.2. */
+    double npeJPerCycle = 0.0;
+    uint64_t maxPathCycles = 0; ///< longest root-to-leaf path [cycles]
     /// @}
 };
 

@@ -1,6 +1,7 @@
 /**
  * @file
- * Test-only seam of the symbolic engine: pin the exploration frontier.
+ * Test-only seams of the symbolic engine: pin the exploration
+ * frontier, or delay the static-prune engage cycle.
  *
  * In production each exploration worker picks its frontier itself
  * (scalar Simulator while its frontier is narrow, PackedSimulator
@@ -28,12 +29,20 @@ enum class Frontier : uint8_t {
     Packed, ///< reference: every path through PackedSimulator lanes
 };
 
+namespace detail {
+inline thread_local Frontier forced = Frontier::Auto;
+inline thread_local uint64_t engageDelay = 0;
+} // namespace detail
+
 /** Forces the frontier of SymbolicEngine::run calls on this thread
  *  for the guard's lifetime (Auto restores the production choice). */
 class ScopedFrontier {
   public:
-    explicit ScopedFrontier(Frontier f);
-    ~ScopedFrontier();
+    explicit ScopedFrontier(Frontier f) : prev_(detail::forced)
+    {
+        detail::forced = f;
+    }
+    ~ScopedFrontier() { detail::forced = prev_; }
     ScopedFrontier(const ScopedFrontier &) = delete;
     ScopedFrontier &operator=(const ScopedFrontier &) = delete;
 
@@ -42,7 +51,38 @@ class ScopedFrontier {
 };
 
 /** The frontier forced on this thread (Auto when none is). */
-Frontier forcedFrontier();
+inline Frontier
+forcedFrontier()
+{
+    return detail::forced;
+}
+
+/** Delays the static-prune engage cycle of SymbolicEngine::run calls
+ *  on this thread by @p cycles for the guard's lifetime, so a test can
+ *  engage pruning exactly at a fork (on the MSP430 core the proven
+ *  engage cycle comes before any fork can). Engaging later than the
+ *  settle bound is sound, so no bound changes; only the dedup merges
+ *  of states hashed on both sides of the engage cycle are lost. */
+class ScopedPruneDelay {
+  public:
+    explicit ScopedPruneDelay(uint64_t cycles) : prev_(detail::engageDelay)
+    {
+        detail::engageDelay = cycles;
+    }
+    ~ScopedPruneDelay() { detail::engageDelay = prev_; }
+    ScopedPruneDelay(const ScopedPruneDelay &) = delete;
+    ScopedPruneDelay &operator=(const ScopedPruneDelay &) = delete;
+
+  private:
+    uint64_t prev_;
+};
+
+/** The engage delay set on this thread (0 when none is). */
+inline uint64_t
+pruneDelay()
+{
+    return detail::engageDelay;
+}
 
 } // namespace testing
 } // namespace sym

@@ -14,6 +14,7 @@
 #include <gtest/gtest.h>
 
 #include "fuzz/properties.hh"
+#include "lint/lint.hh"
 #include "peak/peak_analysis.hh"
 #include "sim/packed_simulator.hh"
 #include "bench430/benchmarks.hh"
@@ -112,6 +113,30 @@ lt_loop:
         jz lt_done
         nop
 lt_done:
+)");
+}
+
+/** A port-bit fork whose arms re-converge: the fall-through arm runs
+ *  an add/sub pair the taken arm skips, so the taken arm reaches the
+ *  second fork first, in the state the fall-through arm forks in a
+ *  few cycles later (a dedup merge across cycles). */
+std::string
+twinSource()
+{
+    return test::wrapProgram(R"(
+        mov &0x0020, r5
+        bit #1, r5
+        jz tw_join
+        add #1, r4
+        sub #1, r4
+tw_join:
+        mov #0, r6
+        mov #0, r7
+        mov &0x0020, r5
+        bit #2, r5
+        jz tw_end
+        add #1, r6
+tw_end:
 )");
 }
 
@@ -545,6 +570,56 @@ TEST(SymPacked, TreeWiderThanTheLanesQueuesAndReloads)
         // leaves them, through an extract.
         if (f == sym::testing::Frontier::Packed)
             EXPECT_LE(r.forkCaptures, r.laneExtracts);
+    }
+}
+
+TEST(SymPacked, LaneForkAtThePruneEngageCycle)
+{
+    // A lane's fork state is hashed where it is, at the path's
+    // simulator cycle, and the prune basis of the hash switches at
+    // exactly the engage cycle. Engage pruning at the cycle the taken
+    // arm of twinSource forks: automatically, the root runs on the
+    // scalar simulator and the arms on the lanes, and the fall-through
+    // arm must merge into the taken arm's fork as on the scalar
+    // reference. A lane hashed one cycle early keys that fork unpruned
+    // and loses the merge.
+    using sym::testing::Frontier;
+    msp::System &sys = test::sharedSystem();
+    isa::Image img = isa::assemble(twinSource());
+    peak::Options o = baseOptions();
+    o.staticPrune = true;
+
+    // The taken arm's fork cycle, read off the (unpruned) scalar tree.
+    sym::SymbolicResult plain;
+    {
+        sym::testing::ScopedFrontier scalar(Frontier::Scalar);
+        plain = sym::SymbolicEngine(sys, sym::SymbolicConfig{}).run(img);
+    }
+    ASSERT_TRUE(plain.ok) << plain.error;
+    const sym::TreeNode &root = plain.tree.node(0);
+    ASSERT_EQ(root.edges.size(), 2u);
+    size_t firstArm = std::min(
+        plain.tree.node(root.edges[0].child).powerW.size(),
+        plain.tree.node(root.edges[1].child).powerW.size());
+    uint64_t forkCycle =
+        msp::System::kResetCycles + root.powerW.size() + firstArm;
+    uint64_t engage = msp::System::kResetCycles + 1 +
+                      lint::analyzeConstants(sys, o.scenario).maxPruneDepth;
+    ASSERT_GT(forkCycle, engage);
+    sym::testing::ScopedPruneDelay delay(forkCycle - engage);
+
+    auto run = [&](Frontier f) {
+        sym::testing::ScopedFrontier forced(f);
+        return peak::analyze(sys, img, o);
+    };
+    peak::Report scalar = run(Frontier::Scalar);
+    ASSERT_TRUE(scalar.ok) << scalar.error;
+    EXPECT_EQ(scalar.dedupMerges, 2u) << "the arms re-converge";
+    for (Frontier f : {Frontier::Auto, Frontier::Packed}) {
+        peak::Report r = run(f);
+        SCOPED_TRACE(f == Frontier::Auto ? "auto" : "packed");
+        EXPECT_GT(r.packedSweeps, 0u);
+        EXPECT_EQ(fuzz::reportDiff(scalar, r), "");
     }
 }
 

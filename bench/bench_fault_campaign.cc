@@ -55,6 +55,7 @@ main(int argc, char **argv)
     using namespace ulpeak;
     constexpr unsigned kLanes = PackedSimulator::kLanes;
     constexpr unsigned kScalarRuns = 8; ///< scalar reference subset
+    constexpr unsigned kRounds = 7;     ///< alternating timed rounds
 
     const bench_util::Args args =
         bench_util::parseArgs(argc, argv, {}, bench_util::kMinRatio);
@@ -97,11 +98,11 @@ main(int argc, char **argv)
     fault::runFaultedPacked(sys, image, lanes, wopts);
 
     // The first kScalarRuns injections run one faulted lockstep run
-    // each, then all 64 in one sweep; the timed lanes must classify
-    // as the timed scalar runs do (outcome, divergence anatomy,
-    // power).
+    // each, against all 64 in one sweep, in alternating rounds; the
+    // timed lanes must classify as the timed scalar runs do (outcome,
+    // divergence anatomy, power).
     auto race = bench_util::raceLanes(
-        kScalarRuns,
+        kScalarRuns, kRounds,
         [&](unsigned l) {
             return fault::runFaulted(sys, image, lanes[l], ropts);
         },
@@ -120,8 +121,9 @@ main(int argc, char **argv)
         scalarCycles += r.gateCycles;
     for (const fault::FaultResult &r : race.lanes)
         packedCycles += r.gateCycles;
-    double scalarRate = bench_util::perSec(kScalarRuns, race.scalarSec);
-    double packedRate = bench_util::perSec(kLanes, race.packedSec);
+    double scalarRate =
+        bench_util::perSec(kScalarRuns, race.scalarSec.median);
+    double packedRate = bench_util::perSec(kLanes, race.packedSec.median);
     double ratio = scalarRate > 0 ? packedRate / scalarRate : 0.0;
 
     std::printf("%-16s %10s %16s %16s %9s\n", "workload", "inj",
@@ -141,18 +143,25 @@ main(int argc, char **argv)
     json.field("methodology",
                "scalar = fault::runFaulted once per injection, "
                "sequentially; packed = one fault::runFaultedPacked sweep "
-               "carrying all 64 injections; injections/sec = faulted "
-               "lockstep runs / wall seconds; the timed packed lanes are "
-               "checked classification-identical (outcome, divergence "
-               "cycle, instruction index, peak power float) to the timed "
-               "scalar runs before the ratio is reported");
+               "carrying all 64 injections; each arm timed in " +
+                   std::to_string(kRounds) +
+                   " rounds that alternate which arm runs first, wall_s "
+                   "the median and wall_iqr_s the interquartile range; "
+                   "injections/sec = faulted lockstep runs / median wall "
+                   "seconds; in every round the timed packed lanes are "
+                   "checked classification-identical (outcome, divergence "
+                   "cycle, instruction index, peak power float) to the "
+                   "timed scalar runs before the ratio is reported");
+    json.field("rounds", kRounds);
     json.key("scalar").beginObject(cli::Layout::Inline)
         .field("injections", kScalarRuns).field("gate_cycles", scalarCycles)
-        .field("wall_s", race.scalarSec)
+        .field("wall_s", race.scalarSec.median)
+        .field("wall_iqr_s", race.scalarSec.iqr)
         .field("injections_per_sec", scalarRate).end();
     json.key("packed").beginObject(cli::Layout::Inline)
         .field("injections", kLanes).field("gate_cycles", packedCycles)
-        .field("wall_s", race.packedSec)
+        .field("wall_s", race.packedSec.median)
+        .field("wall_iqr_s", race.packedSec.iqr)
         .field("injections_per_sec", packedRate).end();
     json.field("per_injection_throughput_ratio", ratio);
     json.write();

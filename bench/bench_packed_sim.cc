@@ -29,6 +29,7 @@ main(int argc, char **argv)
     constexpr uint64_t kMaxCycles = 3000;
     constexpr unsigned kScalarLanes = 8; ///< scalar reference subset
     constexpr unsigned kScheduleLen = 16;
+    constexpr unsigned kRounds = 5; ///< alternating timed rounds
 
     const bench_util::Args args =
         bench_util::parseArgs(argc, argv, {}, bench_util::kMinRatio);
@@ -66,11 +67,11 @@ main(int argc, char **argv)
     wopts.maxCycles = 500;
     power::runConcretePacked(sys, image, ctx, wopts);
 
-    // The first kScalarLanes schedules run one by one, then all 64 in
-    // one sweep; the timed lanes must be float-identical to the timed
-    // scalar runs.
+    // The first kScalarLanes schedules run one by one, against all 64
+    // in one sweep, in alternating rounds; the timed lanes must be
+    // float-identical to the timed scalar runs.
     auto race = bench_util::raceLanes(
-        kScalarLanes, [&](unsigned l) { return scalarRun(l, kMaxCycles); },
+        kScalarLanes, kRounds, [&](unsigned l) { return scalarRun(l, kMaxCycles); },
         [&] { return power::runConcretePacked(sys, image, ctx, popts).lanes; },
         [](const power::ConcreteRunResult &ref,
            const power::PackedLaneResult &lane) -> std::string {
@@ -84,8 +85,10 @@ main(int argc, char **argv)
         scalarCycles += r.traceW.size();
     for (const power::PackedLaneResult &r : race.lanes)
         packedCycles += r.traceW.size();
-    double scalarRate = bench_util::perSec(scalarCycles, race.scalarSec);
-    double packedRate = bench_util::perSec(packedCycles, race.packedSec);
+    double scalarRate =
+        bench_util::perSec(scalarCycles, race.scalarSec.median);
+    double packedRate =
+        bench_util::perSec(packedCycles, race.packedSec.median);
     double ratio = scalarRate > 0 ? packedRate / scalarRate : 0.0;
 
     std::printf("%-16s %10s %16s %16s %9s\n", "workload", "lanes",
@@ -105,15 +108,24 @@ main(int argc, char **argv)
     json.field("methodology",
                "scalar = power::runConcrete once per schedule, "
                "sequentially; packed = one power::runConcretePacked "
-               "sweep carrying all 64 schedules; per-pattern cycles/sec "
-               "= sum of recorded per-lane trace cycles / wall seconds; "
-               "the timed packed lanes are checked float-identical to "
-               "the timed scalar runs before the ratio is reported");
+               "sweep carrying all 64 schedules; each arm timed in " +
+                   std::to_string(kRounds) +
+                   " rounds that alternate which arm runs first, wall_s "
+                   "the median and wall_iqr_s the interquartile range; "
+                   "per-pattern cycles/sec = sum of recorded per-lane "
+                   "trace cycles / median wall seconds; in every round "
+                   "the timed packed lanes are checked float-identical to "
+                   "the timed scalar runs before the ratio is reported");
+    json.field("rounds", kRounds);
     json.key("scalar").beginObject(cli::Layout::Inline)
-        .field("pattern_cycles", scalarCycles).field("wall_s", race.scalarSec)
+        .field("pattern_cycles", scalarCycles)
+        .field("wall_s", race.scalarSec.median)
+        .field("wall_iqr_s", race.scalarSec.iqr)
         .field("pattern_cycles_per_sec", std::round(scalarRate)).end();
     json.key("packed").beginObject(cli::Layout::Inline)
-        .field("pattern_cycles", packedCycles).field("wall_s", race.packedSec)
+        .field("pattern_cycles", packedCycles)
+        .field("wall_s", race.packedSec.median)
+        .field("wall_iqr_s", race.packedSec.iqr)
         .field("pattern_cycles_per_sec", std::round(packedRate)).end();
     json.field("per_pattern_throughput_ratio", ratio);
     json.write();

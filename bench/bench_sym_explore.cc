@@ -25,6 +25,7 @@
  * and records lane occupancy and steals. Its acceptance line: the
  * automatic frontier at 4 threads within 10% of its 1-thread time
  * on every program -- medians of kScalingRounds alternating rounds,
+ * each timing back-to-back analyses of at least kRoundSeconds,
  * "unresolved" where the 1-thread interquartile range alone exceeds
  * the 10% bound -- and lane occupancy not falling as threads rise.
  *
@@ -37,7 +38,9 @@
  *                   CPUs, where scaling numbers are noise.
  */
 
+#include <algorithm>
 #include <cinttypes>
+#include <cmath>
 #include <cstdio>
 #include <string>
 #include <vector>
@@ -101,6 +104,11 @@ requireSame(const peak::Report &ref, const peak::Report &rep,
  *  1-thread comparison: its analyses take 5-50 ms, so single timings
  *  differ by more than the 10% bound. */
 constexpr unsigned kScalingRounds = 9;
+/** Each round of that comparison times back-to-back analyses of at
+ *  least this many seconds in all (per-analysis time = batch time /
+ *  count): one 5-16 ms analysis per round left a 10-13% IQR on a
+ *  shared host, wider than the bound it is to check. */
+constexpr double kRoundSeconds = 0.05;
 
 double
 occupancy(const peak::Report &r)
@@ -246,6 +254,7 @@ main(int argc, char **argv)
     bool occupancyHolds = true;
     // Per program, the automatic frontier's 1- and 4-thread spreads.
     std::vector<std::pair<bench_util::Spread, bench_util::Spread>> scaling;
+    std::vector<unsigned> batches; // analyses per round, per program
     const struct {
         const char *name;
         Frontier frontier;
@@ -259,6 +268,7 @@ main(int argc, char **argv)
         peak::Options popts;
         peak::Report pref;
         timeAnalysis(sys, pimg, popts, Frontier::Scalar, 1, pref);
+        double autoT1 = 0.0; // the automatic 1-thread best time
         for (const auto &fr : frontiers) {
             double occ1 = 0.0;
             for (unsigned t : {1u, 2u, 4u}) {
@@ -270,9 +280,11 @@ main(int argc, char **argv)
                             std::string(prog) + ", " + fr.name +
                                 " frontier, " + std::to_string(t) +
                                 " threads");
-                if (t == 1)
+                if (t == 1) {
                     occ1 = occupancy(rep);
-                else if (fr.frontier == Frontier::Auto)
+                    if (fr.frontier == Frontier::Auto)
+                        autoT1 = best;
+                } else if (fr.frontier == Frontier::Auto)
                     // Occupancy is compared at 0.1% resolution.
                     occupancyHolds &= occupancy(rep) >= occ1 - 1e-3;
                 std::printf("%-10s %-9s %7u %10.4f %9.1f%% %7u\n", prog,
@@ -287,19 +299,25 @@ main(int argc, char **argv)
             }
         }
         std::vector<double> walls[2]; // 1 and 4 threads
+        const unsigned batch =
+            std::max(1u, unsigned(std::ceil(kRoundSeconds / autoT1)));
         for (unsigned r = 0; r < kScalingRounds; ++r) {
             auto arm = [&](unsigned i) {
                 return [&, i] {
                     popts.numThreads = i ? 4 : 1;
                     peak::Report rep;
-                    walls[i].push_back(timeAnalysis(
-                        sys, pimg, popts, Frontier::Auto, 1, rep));
+                    sym::testing::ScopedFrontier forced(Frontier::Auto);
+                    walls[i].push_back(bench_util::timeOnce([&] {
+                        for (unsigned b = 0; b < batch; ++b)
+                            rep = peak::analyze(sys, pimg, popts);
+                    }) / batch);
                 };
             };
             bench_util::inOrder(r, arm(0), arm(1));
         }
         scaling.emplace_back(bench_util::spreadOf(walls[0]),
                              bench_util::spreadOf(walls[1]));
+        batches.push_back(batch);
     }
     json.end();
 
@@ -307,8 +325,8 @@ main(int argc, char **argv)
     // cannot show whether 4 threads stay within it.
     bool autoScales = true, outside = false, unresolved = false;
     std::printf("\nautomatic 4 vs 1 thread, median (IQR) of %u "
-                "alternating rounds [ms]:\n",
-                kScalingRounds);
+                "alternating rounds of >= %.0f ms [ms per analysis]:\n",
+                kScalingRounds, 1e3 * kRoundSeconds);
     json.key("auto_threads4_rounds").beginArray();
     for (size_t i = 0; i < scaling.size(); ++i) {
         const auto &[t1, t4] = scaling[i];
@@ -323,6 +341,7 @@ main(int argc, char **argv)
                     !clear ? "unresolved" : within ? "within" : "OUTSIDE");
         json.beginObject(cli::Layout::Inline)
             .field("program", progs[i])
+            .field("analyses_per_round", batches[i])
             .field("t1_median_s", t1.median).field("t1_iqr_s", t1.iqr)
             .field("t4_median_s", t4.median).field("t4_iqr_s", t4.iqr)
             .end();

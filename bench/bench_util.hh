@@ -20,8 +20,9 @@
  *  - the report: JsonReport, a cli::JsonWriter that opens with
  *    `bench` and `host_cpus` (util::hostCpus());
  *  - raceLanes: K timed scalar reference runs against one timed
- *    64-lane call, the K lanes checked against their references
- *    before any ratio is reported.
+ *    64-lane call in alternating rounds (median and IQR), the K lanes
+ *    checked against their references in every round before any
+ *    ratio is reported.
  */
 
 #ifndef ULPEAK_BENCH_BENCH_UTIL_HH
@@ -253,34 +254,48 @@ class JsonReport : public cli::JsonWriter {
 };
 
 /**
- * Time @p k scalar reference runs, `scalar(l)` for lanes 0..k-1 one
- * after another, then one `packed()` call that returns every lane.
- * Lane l < k must then match its reference: `mismatch(ref, lane)` is
- * "" when it does and otherwise ends the bench with
- * "FATAL: packed lane l <mismatch>". Returns the reference runs, the
- * lanes and the wall seconds of each arm.
+ * Race @p k scalar reference runs, `scalar(l)` for lanes 0..k-1 one
+ * after another, against one `packed()` call that returns every lane,
+ * in @p rounds rounds that alternate which arm runs first (inOrder).
+ * In every round lane l < k must match its reference:
+ * `mismatch(ref, lane)` is "" when it does and otherwise ends the
+ * bench with "FATAL: packed lane l <mismatch>". Returns the last
+ * round's reference runs and lanes and the median and IQR of each
+ * arm's wall seconds.
  */
 template <class Scalar, class Packed, class Mismatch>
 auto
-raceLanes(unsigned k, Scalar &&scalar, Packed &&packed,
+raceLanes(unsigned k, unsigned rounds, Scalar &&scalar, Packed &&packed,
           Mismatch &&mismatch)
 {
     struct {
         std::vector<std::decay_t<decltype(scalar(0u))>> refs;
         std::decay_t<decltype(packed())> lanes;
-        double scalarSec, packedSec;
+        Spread scalarSec, packedSec;
     } race;
-    race.refs.reserve(k);
-    race.scalarSec = timeOnce([&] {
-        for (unsigned l = 0; l < k; ++l)
-            race.refs.push_back(scalar(l));
-    });
-    race.packedSec = timeOnce([&] { race.lanes = packed(); });
-    for (unsigned l = 0; l < k; ++l) {
-        const std::string why = mismatch(race.refs[l], race.lanes[l]);
-        if (!why.empty())
-            fatal("packed lane %u %s\n", l, why.c_str());
+    std::vector<double> scalarSec, packedSec;
+    for (unsigned r = 0; r < rounds; ++r) {
+        inOrder(
+            r,
+            [&] {
+                race.refs.clear();
+                scalarSec.push_back(timeOnce([&] {
+                    for (unsigned l = 0; l < k; ++l)
+                        race.refs.push_back(scalar(l));
+                }));
+            },
+            [&] {
+                packedSec.push_back(
+                    timeOnce([&] { race.lanes = packed(); }));
+            });
+        for (unsigned l = 0; l < k; ++l) {
+            const std::string why = mismatch(race.refs[l], race.lanes[l]);
+            if (!why.empty())
+                fatal("packed lane %u %s\n", l, why.c_str());
+        }
     }
+    race.scalarSec = spreadOf(scalarSec);
+    race.packedSec = spreadOf(packedSec);
     return race;
 }
 

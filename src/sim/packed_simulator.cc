@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cassert>
+#include <cstring>
 #include <stdexcept>
 
 #include "cell/cell_library.hh"
@@ -57,6 +58,142 @@ transposeLanes(uint64_t (&row)[32])
         }
 }
 
+/** Smaller classes are priced lane by lane: a class costs a check per
+ *  gate, which pays only when it saves several adds. On the grouped
+ *  5-preset matrix a floor of 4 cost 11% more cycles in the bound walk
+ *  than 8 (classes of 4-7 lanes split apart within a walk there). */
+constexpr unsigned kMinClassLanes = 8;
+
+/**
+ * The lane classes of one bound walk (PackedSimulator::priceBound):
+ * each class is a set of lanes whose sums are bit-equal so far, held
+ * in one accumulator; every other lane is single and sums in its own
+ * slot of the bound array.
+ */
+struct LaneClasses {
+    struct Class {
+        uint64_t lanes;
+        double acc;
+    };
+    Class cls[PackedSimulator::kLanes / kMinClassLanes];
+    unsigned n = 0;
+    uint64_t single = ~uint64_t(0);
+
+    /** Start the walk: the lanes of @p live whose sums in @p bound
+     *  (the last walk's) were bit-equal form a class at 0.0 when
+     *  there are kMinClassLanes of them. Only a hint -- every lane
+     *  starts at 0.0, and bill() keeps each class exact -- found by
+     *  one hash pass over the lanes. */
+    void
+    group(const double *bound, uint64_t live)
+    {
+        if (unsigned(__builtin_popcountll(live)) < kMinClassLanes)
+            return;
+        // Open addressing over 128 slots; a slot is read only once its
+        // occupancy bit is set, so the table is never cleared.
+        struct Slot {
+            uint64_t bits, lanes;
+        };
+        Slot table[128];
+        uint64_t occupied[2] = {0, 0};
+        uint8_t used[64];
+        unsigned nused = 0;
+        for (uint64_t b = live; b; b &= b - 1) {
+            unsigned l = unsigned(__builtin_ctzll(b));
+            uint64_t bits;
+            std::memcpy(&bits, &bound[l], sizeof bits);
+            unsigned h = unsigned((bits * 0x9e3779b97f4a7c15ull) >> 57);
+            for (;; h = (h + 1) & 127) {
+                uint64_t &occ = occupied[h >> 6];
+                const uint64_t bit = uint64_t(1) << (h & 63);
+                if (!(occ & bit)) {
+                    occ |= bit;
+                    table[h] = {bits, 0};
+                    used[nused++] = uint8_t(h);
+                    break;
+                }
+                if (table[h].bits == bits)
+                    break;
+            }
+            table[h].lanes |= uint64_t(1) << l;
+        }
+        for (unsigned i = 0; i < nused; ++i) {
+            uint64_t lanes = table[used[i]].lanes;
+            if (unsigned(__builtin_popcountll(lanes)) >= kMinClassLanes) {
+                cls[n++] = {lanes, 0.0};
+                single &= ~lanes;
+            }
+        }
+    }
+
+    /** Bill term t[k] to the class lanes of mask m[k] (the masks are
+     *  disjoint): a class wholly inside one mask, or outside all of
+     *  them, adds once; a class that straddles splits. */
+    void
+    bill(const uint64_t (&m)[3], const double *t, double *bound)
+    {
+        const uint64_t any = m[0] | m[1] | m[2];
+        // Adding +0.0 leaves an accumulator as it is (it is never
+        // -0.0), so the pick below is branch-free.
+        const double tt[4] = {t[0], t[1], t[2], 0.0};
+        // Descending, so parts appended by a split are not billed twice.
+        for (unsigned c = n; c-- > 0;) {
+            const uint64_t lanes = cls[c].lanes;
+            unsigned k = (m[0] & lanes) == lanes   ? 0
+                         : (m[1] & lanes) == lanes ? 1
+                         : (m[2] & lanes) == lanes ? 2
+                         : (any & lanes) == 0      ? 3
+                                                   : 4;
+            if (__builtin_expect(k == 4, 0))
+                split(c, m, any, t, bound);
+            else
+                cls[c].acc += tt[k];
+        }
+    }
+
+    /** Class c straddles the masks: each part carries the accumulator
+     *  plus its own term (a part outside every mask, the accumulator
+     *  alone). A part under kMinClassLanes turns single; the first
+     *  other one keeps slot c, and the rest are appended. */
+    [[gnu::noinline]] void
+    split(unsigned c, const uint64_t (&m)[3], uint64_t any,
+          const double *t, double *bound)
+    {
+        const Class from = cls[c];
+        const uint64_t parts[4] = {m[0] & from.lanes, m[1] & from.lanes,
+                                   m[2] & from.lanes, from.lanes & ~any};
+        bool kept = false;
+        for (unsigned k = 0; k < 4; ++k) {
+            uint64_t p = parts[k];
+            if (!p)
+                continue;
+            const double v = k < 3 ? from.acc + t[k] : from.acc;
+            if (unsigned(__builtin_popcountll(p)) < kMinClassLanes) {
+                single |= p;
+                for (; p; p &= p - 1)
+                    bound[__builtin_ctzll(p)] = v;
+            } else if (!kept) {
+                cls[c] = {p, v};
+                kept = true;
+            } else {
+                cls[n++] = {p, v};
+            }
+        }
+        // The last slot is billed already (descending walk).
+        if (!kept)
+            cls[c] = cls[--n];
+    }
+
+    /** Write every class's accumulator to its lanes. */
+    void
+    finish(double *bound) const
+    {
+        for (unsigned c = 0; c < n; ++c)
+            for (uint64_t b = cls[c].lanes; b; b &= b - 1)
+                bound[__builtin_ctzll(b)] = cls[c].acc;
+    }
+};
+
 } // namespace
 
 PackedSimulator::PackedSimulator(const Netlist &nl)
@@ -106,8 +243,10 @@ PackedSimulator::writeLive(GateId g, uint64_t v, uint64_t k)
     uint64_t nk = (k & live) | (val_[g].k & ~live);
     if (nv == val_[g].v && nk == val_[g].k)
         return;
-    if (priced_)
-        priceSplit(); // the split reads this cycle's values
+    if (stepped_) { // pricing reads this cycle's values
+        priceBound();
+        priceSplit();
+    }
     val_[g].v = nv;
     val_[g].k = nk;
     // A write between steps must reach the consumers now: the next
@@ -162,24 +301,11 @@ PackedSimulator::setInputBusLanes(const std::vector<GateId> &bus,
         setInput(bus[i], V64(row[i + 16], row[i]));
 }
 
-Word16
-PackedSimulator::readBusLane(const std::vector<GateId> &bus,
-                             unsigned lane) const
-{
-    unsigned value = 0, xmask = 0;
-    for (size_t i = 0; i < bus.size(); ++i) {
-        const V64 &v = val_[bus[i]];
-        value |= unsigned((v.v >> lane) & 1) << i;
-        xmask |= unsigned((~v.k >> lane) & 1) << i;
-    }
-    return Word16(uint16_t(value), uint16_t(xmask));
-}
-
 std::array<Word16, PackedSimulator::kLanes>
 PackedSimulator::readBusLanes(const std::vector<GateId> &bus) const
 {
     // setInputBusLanes backwards: planes in, one transpose, words out.
-    // Bits past the bus read known 0, as readBusLane leaves them.
+    // Bits past the bus read known 0.
     assert(bus.size() <= 16);
     uint64_t row[32];
     for (size_t i = 0; i < 16; ++i) {
@@ -221,14 +347,12 @@ void
 PackedSimulator::addBehavioralEnergyJ(double j, ModuleId top_module,
                                       uint64_t lane_mask)
 {
-    // The split replays the bill ahead of the gate terms, which is
-    // where the scalar kernel adds it -- as long as it comes from a
-    // hook, before step() prices the gates.
-    assert(!priced_ && "addBehavioralEnergyJ outside a step");
-    lane_mask &= live_;
-    bills_.push_back({j, top_module, lane_mask});
-    for (uint64_t m = lane_mask; m; m &= m - 1)
-        bound_[unsigned(__builtin_ctzll(m))] += j;
+    // Pricing replays the bill ahead of the gate terms, which is where
+    // the scalar kernel adds it -- as long as it comes from a hook,
+    // before step() ends the cycle.
+    assert(!stepped_ && "addBehavioralEnergyJ outside a step");
+    bills_.push_back({j, top_module, lane_mask & live_});
+    boundValid_ = splitValid_ = false;
 }
 
 void
@@ -320,27 +444,65 @@ PackedSimulator::evalPos(const SweepView &v, uint32_t pos)
 }
 
 void
-PackedSimulator::priceBound()
+PackedSimulator::priceBound() const
 {
-    // Ascending gate id, one energy term per active lane per gate:
-    // lane l's accumulation order equals the scalar kernel's walk of
-    // its activity bitset, so the float sums match bit for bit.
-    // Behavioral bills are already in bound_, as in the scalar kernel.
-    const double *te = flat_->transE.data();
-    forEachBit(actBits_, [&](GateId g) {
-        uint64_t a = act_[g];
-        if (!a)
-            return;
-        PriceMasks pm =
-            priceMasks(a, prev_[g].v, prev_[g].k, val_[g].v, val_[g].k);
-        const double *e = te + 3 * size_t(g);
-        for (uint64_t m = pm.rise; m; m &= m - 1)
-            bound_[__builtin_ctzll(m)] += e[kTransRise];
-        for (uint64_t m = pm.fall; m; m &= m - 1)
-            bound_[__builtin_ctzll(m)] += e[kTransFall];
-        for (uint64_t m = pm.max; m; m &= m - 1)
-            bound_[__builtin_ctzll(m)] += e[kTransMax];
-    });
+    if (boundValid_)
+        return;
+    // Each lane sums the scalar kernel's terms in its order: the
+    // behavioral bills as they were added, then one term per gate in
+    // ascending gate id. Lanes expected to bill alike share one
+    // accumulator (a class, see LaneClasses): a class adds a term
+    // once when all its lanes bill it, and splits where they differ,
+    // so every lane's sum is the same additions in the same order as
+    // the scalar sum, whichever accumulator holds it.
+    LaneClasses lc;
+    lc.group(bound_.data(), live_);
+    bound_.fill(0.0);
+    // Term t[k] to the single lanes of mask m[k], k < 3. (Indexing
+    // bound_ itself rather than a pointer into it measured ~25% faster
+    // on 64 live lanes.)
+    auto billSingles = [this](const uint64_t(&m)[3], const double *t,
+                              uint64_t single) {
+        for (uint64_t b = m[0] & single; b; b &= b - 1)
+            bound_[__builtin_ctzll(b)] += t[0];
+        for (uint64_t b = m[1] & single; b; b &= b - 1)
+            bound_[__builtin_ctzll(b)] += t[1];
+        for (uint64_t b = m[2] & single; b; b &= b - 1)
+            bound_[__builtin_ctzll(b)] += t[2];
+    };
+    // The walk: the bills in order, then the active gates in ascending
+    // gate id; with no class formed every lane is single.
+    auto walk = [&](auto &&bill) {
+        for (const BehavioralBill &b : bills_) {
+            const uint64_t m[3] = {b.lanes, 0, 0};
+            const double t[3] = {b.j, 0.0, 0.0};
+            bill(m, t);
+        }
+        static_assert(kTransRise == 0 && kTransFall == 1 &&
+                      kTransMax == 2);
+        const double *te = flat_->transE.data();
+        forEachBit(actBits_, [&](GateId g) {
+            uint64_t a = act_[g];
+            if (!a)
+                return;
+            PriceMasks pm = priceMasks(a, prev_[g].v, prev_[g].k,
+                                       val_[g].v, val_[g].k);
+            const uint64_t m[3] = {pm.rise, pm.fall, pm.max};
+            bill(m, te + 3 * size_t(g));
+        });
+    };
+    if (!lc.n) {
+        walk([&](const uint64_t(&m)[3], const double *t) {
+            billSingles(m, t, ~uint64_t(0));
+        });
+    } else {
+        walk([&](const uint64_t(&m)[3], const double *t) {
+            billSingles(m, t, lc.single);
+            lc.bill(m, t, bound_.data());
+        });
+        lc.finish(bound_.data());
+    }
+    boundValid_ = true;
 }
 
 void
@@ -407,10 +569,9 @@ PackedSimulator::step(PackedFnRef driver)
     } else {
         forEachBit(actBitsPrev_, [&](GateId g) { prev_[g] = val_[g]; });
     }
-    bound_.fill(0.0);
     bills_.clear();
-    priced_ = false;
-    splitValid_ = false;
+    stepped_ = false;
+    boundValid_ = splitValid_ = false;
 
     updateSequential();
     if (driver)
@@ -436,9 +597,8 @@ PackedSimulator::step(PackedFnRef driver)
         wake_.drain([&](uint32_t pos) { evalPos(v, pos); });
     }
 
-    priceBound();
-    priced_ = true;
-    splitValid_ = false;
+    stepped_ = true;
+    boundValid_ = splitValid_ = false;
     ++cycle_;
 }
 

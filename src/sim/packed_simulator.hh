@@ -25,9 +25,11 @@
  *    activity are one rule per lane; combinational activity masks
  *    compute the scalar rule per lane (value-changed, X-propagation
  *    through active fanins);
- *  - per-lane energy accumulators sum the same floating-point terms
- *    in the same ascending-gate-id order as the scalar kernel's
- *    activity-bitset walk, so even float rounding matches.
+ *  - per-lane energy sums add the same floating-point terms in the
+ *    same ascending-gate-id order as the scalar kernel's
+ *    activity-bitset walk (an accumulator shared by a class of lanes
+ *    adds a term only when every lane of the class bills it), so
+ *    even float rounding matches.
  *
  * tests/test_packed_sim.cc and the ulfuzz packed properties (6 and 7)
  * enforce the invariant on fuzz-generated netlists and programs.
@@ -57,13 +59,16 @@
  * stepped) revive a lane. The invariant above is "while live", which
  * is what a scalar run does when its runner stops stepping it.
  *
- * Only the bound energy, which every consumer reads each cycle, is
- * priced during step(). The actual energy and the per-module split
- * are priced on their first read in a cycle (or just before a
- * between-step write would change what they read) by the same
- * ascending-gate-id walk, with the cycle's behavioral energy replayed
- * first, so they are float-identical to the scalar kernel's eager
- * sums.
+ * Energies are priced on their first read in a cycle (or just before
+ * a between-step write would change what they read): the bound energy
+ * by itself, the actual energy and the per-module split together. Each
+ * is the scalar kernel's walk -- the cycle's behavioral energy
+ * replayed first, then the active gates in ascending gate id -- so
+ * they are float-identical to the scalar kernel's eager sums. The
+ * bound walk prices lanes in classes: lanes that bill the same terms
+ * from the same start share one accumulator, split at the first term
+ * on which they differ (see priceBound), so a campaign's lanes that
+ * still follow the golden run are priced once.
  *
  * Beyond the embarrassingly multi-pattern consumers (ulfuzz lane
  * sweeps, batched concrete trace validation, fault campaigns), the
@@ -148,11 +153,9 @@ class PackedSimulator {
     }
     /** Lanes in which @p g is active this cycle. */
     uint64_t activeMask(GateId g) const { return act_[g]; }
-    Word16 readBusLane(const std::vector<GateId> &bus,
-                       unsigned lane) const;
-    /** readBusLane of every lane at once, in one transpose (the read
-     *  twin of setInputBusLanes); retired lanes read their frozen
-     *  values. */
+    /** Every lane's word of @p bus (bit i from bus[i]), in one
+     *  transpose (the read twin of setInputBusLanes); retired lanes
+     *  read their frozen values. */
     std::array<Word16, kLanes>
     readBusLanes(const std::vector<GateId> &bus) const;
     /// @}
@@ -186,7 +189,12 @@ class PackedSimulator {
     /// @name Per-lane per-cycle energy (valid after step())
     /// @{
     double actualEnergyJ(unsigned lane) const;
-    double boundEnergyJ(unsigned lane) const { return bound_[lane]; }
+    double
+    boundEnergyJ(unsigned lane) const
+    {
+        priceBound();
+        return bound_[lane];
+    }
     /** Lane @p lane's per-module split, shaped like the scalar
      *  Simulator::moduleBoundEnergyJ() vector. */
     std::vector<double> moduleBoundEnergyLaneJ(unsigned lane) const;
@@ -345,9 +353,9 @@ class PackedSimulator {
     /** Evaluate schedule position @p pos from its NodeRecord across
      *  the lanes (Simulator::evalPos's counterpart). */
     void evalPos(const SweepView &v, uint32_t pos);
-    void priceBound();
-    /** Price the actual energy and the per-module split on first
-     *  read (see the file comment). */
+    /** Price the bound energy, and the actual energy and per-module
+     *  split, on first read (see the file comment). */
+    void priceBound() const;
     void priceSplit() const;
 
     const Netlist *nl_;
@@ -382,8 +390,7 @@ class PackedSimulator {
     std::vector<PackedFnRef> hookFns_;
     std::vector<PackedFnRef> edgeFns_;
 
-    std::array<double, kLanes> bound_{};
-    /** This cycle's addBehavioralEnergyJ calls, in order: the split
+    /** This cycle's addBehavioralEnergyJ calls, in order: pricing
      *  replays them ahead of the gate terms. */
     struct BehavioralBill {
         double j;
@@ -391,11 +398,13 @@ class PackedSimulator {
         uint64_t lanes;
     };
     std::vector<BehavioralBill> bills_;
-    /** step() has priced the bound energy of the current cycle. */
-    bool priced_ = false;
-    /// @name Lazily priced split (valid when splitValid_)
+    /** step() has ended the current cycle (no more bills). */
+    bool stepped_ = false;
+    /// @name Lazily priced energies (valid when boundValid_ and
+    /// splitValid_)
     /// @{
-    mutable bool splitValid_ = false;
+    mutable bool boundValid_ = false, splitValid_ = false;
+    mutable std::array<double, kLanes> bound_{};
     mutable std::array<double, kLanes> actual_{};
     mutable std::vector<double> moduleEnergy_; ///< [module * kLanes + lane]
     /// @}

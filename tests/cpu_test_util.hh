@@ -10,6 +10,7 @@
 
 #include <memory>
 #include <string>
+#include <vector>
 
 #include "isa/assembler.hh"
 #include "isa/iss.hh"
@@ -66,6 +67,21 @@ runGate(msp::System &sys, const isa::Image &image, uint16_t port_in,
         r.regs[i] = w.value;
     }
     return r;
+}
+
+/** Lane @p lane's word of @p bus, one gate at a time: the reference
+ *  for PackedSimulator::readBusLanes's transpose. */
+inline Word16
+readBusLane(const PackedSimulator &ps, const std::vector<GateId> &bus,
+            unsigned lane)
+{
+    Word16 w;
+    for (size_t i = 0; i < bus.size(); ++i) {
+        V4 b = ps.valueLane(bus[i], lane);
+        w.value |= uint16_t((b == V4::One) << i);
+        w.xmask |= uint16_t((b == V4::X) << i);
+    }
+    return w;
 }
 
 /** Convenience: wrap @p body in the standard prologue/epilogue.

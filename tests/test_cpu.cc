@@ -404,7 +404,7 @@ viaLane(const Access &a, unsigned lane)
     lanes.memHook(ps);
     lanes.memEdge(ps);
     Outcome o;
-    o.data = ps.readBusLane(h.memData, lane);
+    o.data = test::readBusLane(ps, h.memData, lane);
     o.billed = ps.boundEnergyJ(lane) == msp::System::kMemAccessEnergyJ;
     if (!o.billed && ps.boundEnergyJ(lane) != 0.0)
         o.commit = "?";

@@ -9,6 +9,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <array>
 #include <memory>
 #include <sstream>
@@ -140,7 +141,7 @@ TEST(PackedSim, SetInputBusLanesMatchesPerLaneWrites)
 }
 
 // The read twin of the test above: readBusLanes's one transpose
-// against readBusLane per lane, on random words with X bits, on a bus
+// against test::readBusLane per lane, on random words with X bits, on a bus
 // of every width, retired lanes included (they read what they hold).
 TEST(PackedSim, ReadBusLanesMatchesPerLaneReads)
 {
@@ -166,7 +167,7 @@ TEST(PackedSim, ReadBusLanesMatchesPerLaneReads)
         std::vector<GateId> sub(bus.begin(), bus.begin() + long(width));
         std::array<Word16, kLanes> got = ps.readBusLanes(sub);
         for (unsigned l = 0; l < kLanes; ++l) {
-            Word16 want = ps.readBusLane(sub, l);
+            Word16 want = test::readBusLane(ps, sub, l);
             ASSERT_EQ(got[l].value, want.value)
                 << "round " << round << " lane " << l;
             ASSERT_EQ(got[l].xmask, want.xmask)
@@ -672,6 +673,105 @@ TEST(PackedSim, LaneCopyMatchesReloadAndScalar)
                     << "cycle " << c << " lane " << l;
         }
     }
+}
+
+// Lanes that bill alike share one accumulator in the bound walk
+// (PackedSimulator::priceBound) and split where they stop billing
+// alike. All 64 lanes start from one mid-program state, so they start
+// as one class; at one cycle, upsets of the lowest-id and the
+// highest-id known flop in two lane groups split it at the start and
+// at the end of the walk, and one lane retired, then revived by
+// copyLane, and one revived by loadLaneState rejoin later. Every live
+// lane's energies must equal its scalar twin's bit for bit each cycle.
+TEST(PackedSim, LaneClassesBillLikeScalar)
+{
+    msp::System &sys = test::sharedSystem();
+    const isa::Image img = bench430::benchmarkByName("PI").assembleImage();
+    auto driveX = [&](Simulator &s) { sys.driveCycle(s, Word16::allX()); };
+    sys.memory().reset();
+    sys.loadImage(img);
+    sys.clearHalted();
+    Simulator sim(sys.netlist());
+    sys.attach(sim);
+    sys.reset(sim);
+    for (unsigned c = 0; c < 40; ++c)
+        sim.step(driveX);
+    const Simulator::Snapshot start = sim.snapshot();
+    const msp::System::Snapshot startSys = sys.snapshot();
+
+    std::vector<GateId> known;
+    for (GateId g : sys.netlist().seqGates())
+        if (sim.value(g) != V4::X)
+            known.push_back(g);
+    ASSERT_GE(known.size(), 2u);
+    const GateId lo = *std::min_element(known.begin(), known.end());
+    const GateId hi = *std::max_element(known.begin(), known.end());
+    constexpr uint64_t kFlipLo = 0xfffull << 8;  // lanes 8-19: a class
+    constexpr uint64_t kFlipHi = 0xfull << 20;   // lanes 20-23: single
+    constexpr unsigned kFlipCycle = 2, kRetireCycle = 5, kReviveCycle = 7;
+    constexpr unsigned kCopied = 5, kReloaded = 6;
+
+    // One scalar twin (System and Simulator) per lane.
+    struct Twin {
+        std::unique_ptr<msp::System> sys;
+        std::unique_ptr<Simulator> sim;
+    };
+    std::vector<Twin> twins(kLanes);
+    for (Twin &t : twins) {
+        t.sys = std::make_unique<msp::System>(CellLibrary::tsmc65Like());
+        t.sys->loadImage(img);
+        t.sys->restore(startSys);
+        t.sim = std::make_unique<Simulator>(sys.netlist());
+        t.sys->attach(*t.sim);
+        t.sim->restore(start);
+    }
+
+    msp::PackedSystem lanes(sys);
+    PackedSimulator ps(sys.netlist());
+    lanes.attach(ps);
+    ps.step(); // packed edge functions arm only after one cycle
+    for (unsigned l = 0; l < kLanes; ++l) {
+        ps.loadLaneState(l, start);
+        lanes.restore(l, startSys);
+    }
+
+    bool split = false;
+    for (unsigned c = 0; c < 16; ++c) {
+        const bool flip = c == kFlipCycle;
+        ps.step([&](PackedSimulator &s) {
+            lanes.driveCycle(s, Word16::allX());
+            if (flip) {
+                s.injectSeuFlip(lo, kFlipLo);
+                s.injectSeuFlip(hi, kFlipHi);
+            }
+        });
+        for (uint64_t m = ps.liveMask(); m; m &= m - 1) {
+            unsigned l = unsigned(__builtin_ctzll(m));
+            twins[l].sim->step([&](Simulator &s) {
+                twins[l].sys->driveCycle(s, Word16::allX());
+                if (flip && (kFlipLo >> l & 1))
+                    s.injectSeuFlip(lo);
+                if (flip && (kFlipHi >> l & 1))
+                    s.injectSeuFlip(hi);
+            });
+            ASSERT_EQ(laneVsScalar(ps, l, *twins[l].sim), "")
+                << "cycle " << c << " lane " << l;
+        }
+        split |= ps.boundEnergyJ(8) != ps.boundEnergyJ(0) &&
+                 ps.boundEnergyJ(20) != ps.boundEnergyJ(0);
+        if (c == kRetireCycle) {
+            ps.retireLanes(uint64_t(1) << kCopied | uint64_t(1) << kReloaded);
+        } else if (c == kReviveCycle) {
+            ps.copyLane(0, kCopied);
+            lanes.restore(kCopied, twins[0].sys->snapshot());
+            twins[kCopied].sys->restore(twins[0].sys->snapshot());
+            twins[kCopied].sim->restore(twins[0].sim->snapshot());
+            const Simulator::Snapshot held = twins[kReloaded].sim->snapshot();
+            ps.loadLaneState(kReloaded, held);
+            twins[kReloaded].sim->restore(held);
+        }
+    }
+    EXPECT_TRUE(split) << "the upsets never changed a lane's bill";
 }
 
 } // namespace

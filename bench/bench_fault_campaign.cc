@@ -1,12 +1,14 @@
 /**
  * @file
  * Microbenchmark of the SEU campaign engines: faulted-run
- * injections/sec of fault::runFaultedPacked (64 faulted lockstep runs
- * per PackedSimulator sweep) against the scalar fault::runFaulted
- * path run injection-by-injection, on the bench430 `mult` benchmark
- * with its campaign-style folded input set. Asserts that the timed
- * packed lanes classify bit-identically to the timed scalar runs
- * before trusting the numbers, prints the throughput row, and drops
+ * injections/sec of one campaign batch -- fault::runFaultedPacked
+ * carrying 64 injections adjacent in the campaign's cycle order,
+ * started from the golden checkpoint at its first injection -- against
+ * the scalar fault::runFaulted path run injection-by-injection from
+ * reset, on the bench430 `mult` benchmark with its campaign-style
+ * folded input set. Asserts that the timed packed lanes classify
+ * bit-identically to the timed scalar runs before trusting the
+ * numbers, prints the throughput row, and drops
  * machine-readable results in bench_out/BENCH_fault_campaign.json
  * (the checked-in BENCH_fault_campaign.json at the repository root
  * is a copy).
@@ -16,6 +18,7 @@
  * it with `--min-ratio 9`.
  */
 
+#include <algorithm>
 #include <array>
 #include <cstdio>
 #include <string>
@@ -23,31 +26,9 @@
 
 #include "bench/bench_util.hh"
 #include "bench430/benchmarks.hh"
+#include "cli/fault_driver.hh"
+#include "fault/campaign.hh"
 #include "fault/fault.hh"
-#include "fuzz/rng.hh"
-
-namespace ulpeak {
-namespace {
-
-/** The `mult` image with one deterministic concrete input set folded
- *  in (its inputs live in uninitialized RAM, which would diverge the
- *  golden lockstep) -- the same folding `ulfault` performs. */
-isa::Image
-multImage(uint16_t &port)
-{
-    const bench430::Benchmark &b = bench430::benchmarkByName("mult");
-    fuzz::Rng rng(fuzz::Rng::deriveStream(7, 3ull << 40));
-    baseline::InputSet in = b.makeInput(rng);
-    isa::Image image = isa::assemble(b.source);
-    for (auto &[addr, words] : in.ram)
-        image.segments.push_back({addr, words});
-    if (b.usesPort)
-        port = in.portIn;
-    return image;
-}
-
-} // namespace
-} // namespace ulpeak
 
 int
 main(int argc, char **argv)
@@ -63,8 +44,11 @@ main(int argc, char **argv)
                             "scalar faulted injections/sec");
 
     msp::System sys(CellLibrary::tsmc65Like());
+    // `ulfault mult --seed 7`'s image: the inputs, which live in
+    // uninitialized RAM, folded in.
     uint16_t port = 0;
-    isa::Image image = multImage(port);
+    isa::Image image = bench430::benchmarkByName("mult").assembleImage();
+    cli::foldBenchmarkInputs("mult", 7, image, port, false);
     power::PowerContext ctx(sys.netlist(), bench_util::kFreq65);
 
     cosim::Options gopts;
@@ -79,23 +63,39 @@ main(int argc, char **argv)
     ropts.portIn = port;
     ropts.powerCtx = &ctx;
 
-    // 64 distinct injections: random flop sites, random cycles of the
-    // golden execution (the campaign's workload shape).
+    // One campaign batch: a campaign's task list (every flop site, one
+    // seed-derived cycle each) sorted by cycle, and the 64 tasks in
+    // the middle of that order; the batch starts from the golden
+    // checkpoint at its first injection. A campaign replays the golden
+    // run once for all its batches' checkpoints, so the capture is
+    // outside the timed arms.
     std::vector<fault::Site> sites = fault::flopSites(sys.netlist());
-    fuzz::Rng rng(7);
+    std::vector<fault::Injection> tasks;
+    for (uint32_t s = 0; s < sites.size(); ++s)
+        tasks.push_back({sites[s], fault::siteInjectionCycles(
+                                       7, s, 1, golden.gateCycles)[0]});
+    std::stable_sort(tasks.begin(), tasks.end(),
+                     [](const fault::Injection &a, const fault::Injection &b) {
+                         return a.cycle < b.cycle;
+                     });
+    const size_t first = (tasks.size() / kLanes / 2) * kLanes;
+    if (first + kLanes > tasks.size())
+        bench_util::fatal("%zu flop sites make no full batch",
+                          sites.size());
     std::array<std::vector<fault::Injection>, kLanes> lanes;
-    for (unsigned l = 0; l < kLanes; ++l) {
-        fault::Injection inj;
-        inj.site = sites[rng.below(unsigned(sites.size()))];
-        inj.cycle = rng.below(unsigned(golden.gateCycles));
-        lanes[l].push_back(inj);
-    }
+    for (unsigned l = 0; l < kLanes; ++l)
+        lanes[l].push_back(tasks[first + l]);
+    const uint64_t startCycle = lanes[0][0].cycle;
+    const std::vector<fault::GoldenCheckpoint> checkpoints =
+        fault::goldenCheckpoints(sys, image, {startCycle}, ropts);
+    const fault::GoldenCheckpoint *start =
+        fault::batchStart(checkpoints, startCycle);
 
     // Warmup both paths (page in the netlist, stabilize the clock).
     fault::RunOptions wopts = ropts;
     wopts.maxCycles = golden.gateCycles / 2;
     fault::runFaulted(sys, image, lanes[0], wopts);
-    fault::runFaultedPacked(sys, image, lanes, wopts);
+    fault::runFaultedPacked(sys, image, lanes, ropts, start);
 
     // The first kScalarRuns injections run one faulted lockstep run
     // each, against all 64 in one sweep, in alternating rounds; the
@@ -106,7 +106,10 @@ main(int argc, char **argv)
         [&](unsigned l) {
             return fault::runFaulted(sys, image, lanes[l], ropts);
         },
-        [&] { return fault::runFaultedPacked(sys, image, lanes, ropts); },
+        [&] {
+            return fault::runFaultedPacked(sys, image, lanes, ropts, start)
+                .rows;
+        },
         [](const fault::FaultResult &ref,
            const fault::FaultResult &lane) -> std::string {
             if (ref.sameClassification(lane))
@@ -135,15 +138,23 @@ main(int argc, char **argv)
     json.key("workload").beginObject()
         .field("description",
                "bench430 mult with a seed-derived folded input set; one "
-               "random flop SEU per run at a random cycle of the " +
+               "campaign batch: every flop site with one seed-derived "
+               "cycle of the " +
                    std::to_string(golden.gateCycles) +
-                   "-cycle golden execution, power recording on")
+                   "-cycle golden execution, sorted by cycle, and the 64 "
+                   "middle tasks, cycles " +
+                   std::to_string(startCycle) + "-" +
+                   std::to_string(lanes[kLanes - 1][0].cycle) +
+                   "; one flop SEU per run, power recording on")
         .field("scalar_reference_injections", kScalarRuns)
         .field("packed_lanes", kLanes).end();
     json.field("methodology",
                "scalar = fault::runFaulted once per injection, "
-               "sequentially; packed = one fault::runFaultedPacked sweep "
-               "carrying all 64 injections; each arm timed in " +
+               "sequentially, each from reset; packed = one "
+               "fault::runFaultedPacked sweep carrying all 64 injections "
+               "from the golden checkpoint at the batch's first "
+               "injection (captured once, untimed, as a campaign "
+               "captures it once for all batches); each arm timed in " +
                    std::to_string(kRounds) +
                    " rounds that alternate which arm runs first, wall_s "
                    "the median and wall_iqr_s the interquartile range; "

@@ -15,18 +15,6 @@
 namespace ulpeak {
 namespace cli {
 
-namespace {
-
-/**
- * Fold one deterministic concrete input set into @p image when
- * @p name is a bench430 registry benchmark: their inputs live in an
- * uninitialized RAM window, which reads X on the gate side and would
- * (rightly) diverge the golden lockstep. The set derives from the
- * campaign seed, so the whole campaign -- cache key included, via the
- * image contents -- is reproducible from (program, seed) alone. When
- * the benchmark reads the input port and no --port was given, the
- * generated port word is adopted too.
- */
 void
 foldBenchmarkInputs(const std::string &name, uint64_t seed,
                     isa::Image &image, uint16_t &port, bool port_set)
@@ -43,6 +31,8 @@ foldBenchmarkInputs(const std::string &name, uint64_t seed,
         return;
     }
 }
+
+namespace {
 
 const char *
 siteKindName(fault::SiteKind k)
@@ -277,7 +267,9 @@ toFaultJson(const fault::CampaignResult &res,
     w.end();
     if (include_timings)
         w.key("run").beginObject().field("cache_hit", res.cacheHit)
-            .field("wall_seconds", res.wallSeconds).end();
+            .field("wall_seconds", res.wallSeconds)
+            .field("packed_sweeps", res.packedSweeps)
+            .field("lane_cycles", res.laneCycles).end();
     return w.end().take();
 }
 

@@ -70,6 +70,19 @@ struct FaultCliOptions {
     bool help = false;         ///< --help
 };
 
+/**
+ * Fold one deterministic concrete input set into @p image when
+ * @p name is a bench430 registry benchmark: their inputs live in an
+ * uninitialized RAM window, which reads X on the gate side and would
+ * (rightly) diverge the golden lockstep. The set derives from the
+ * campaign seed, so the whole campaign -- cache key included, via the
+ * image contents -- is reproducible from (program, seed) alone. When
+ * the benchmark reads the input port and @p port_set is false, the
+ * generated port word is adopted into @p port too.
+ */
+void foldBenchmarkInputs(const std::string &name, uint64_t seed,
+                         isa::Image &image, uint16_t &port, bool port_set);
+
 /** The option table of `ulfault`, bound to @p out (cli/options.hh). */
 std::vector<Option> faultOptions(FaultCliOptions &out);
 

@@ -119,12 +119,29 @@ Checker::Checker(const isa::Image &iss_image, uint16_t port_in)
 {
     iss_.loadImage(iss_image);
     iss_.setPortIn(port_in);
+    observeIssWrites();
+    iss_.reset();
+    curPc_ = iss_.pc();
+}
+
+Checker::Checker(const Checker &o)
+    : image_(o.image_), iss_(o.iss_), gateWrites_(o.gateWrites_),
+      issWrites_(o.issWrites_), gateXWrite_(o.gateXWrite_),
+      curPc_(o.curPc_), first_(o.first_), issDone_(o.issDone_),
+      retired_(o.retired_), recent_(o.recent_), gate_(o.gate_),
+      div_(o.div_), gateCycles_(o.gateCycles_)
+{
+    // The copied observer still appends to the original's stream.
+    observeIssWrites();
+}
+
+void
+Checker::observeIssWrites()
+{
     iss_.setWriteObserver([this](uint32_t a, uint16_t v) {
         if (a < isa::SystemMap::kRomBase)
             issWrites_.push_back({a, v});
     });
-    iss_.reset();
-    curPc_ = iss_.pc();
 }
 
 void
@@ -342,6 +359,8 @@ run(msp::System &sys, const isa::Image &gate_image,
 
     std::vector<float> trace;
     for (;;) {
+        if (opts.betweenSteps)
+            opts.betweenSteps(RunState{sim, sys, check, trace});
         if (sim.cycle() >= opts.maxCycles) {
             check.timeout(sim.cycle());
             break;

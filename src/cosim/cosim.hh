@@ -38,6 +38,8 @@
 namespace ulpeak {
 namespace cosim {
 
+struct RunState;
+
 struct Options {
     uint64_t maxCycles = 60000;
     uint16_t portIn = 0;
@@ -61,6 +63,14 @@ struct Options {
      * comparable against a peak::Envelope.
      */
     const power::PowerContext *powerCtx = nullptr;
+    /**
+     * Called between gate-side steps once the reset sequence is done,
+     * at every cycle the run reaches -- maxCycles included, before the
+     * budget check ends the run there -- with the run's state: what a
+     * run resumed from that cycle needs (the fault layer's golden
+     * checkpoints). May be null.
+     */
+    std::function<void(const RunState &)> betweenSteps;
 };
 
 /** One observed memory write (word address, value). */
@@ -130,7 +140,9 @@ using Registers = std::array<Word16, 16>;
 class Checker {
   public:
     Checker(const isa::Image &iss_image, uint16_t port_in);
-    Checker(const Checker &) = delete;
+    /** A copy continues the run from the same point on its own (its
+     *  ISS observes its own stores). */
+    Checker(const Checker &o);
     Checker &operator=(const Checker &) = delete;
 
     /** At every clock edge: the reset and write-enable nets; @p bus
@@ -169,6 +181,8 @@ class Checker {
                  unsigned disasm_after) const;
 
   private:
+    /** Route the ISS's stores to this checker's stream. */
+    void observeIssWrites();
     void store(V4 wr, Word16 addr, Word16 data);
     bool writesMatch() const;
     /** Record the divergence; returns false, the rules' verdict. */
@@ -187,6 +201,15 @@ class Checker {
     Registers gate_{};
     Divergence div_;
     uint64_t gateCycles_ = 0;
+};
+
+/** What Options::betweenSteps sees: the run between two steps, at
+ *  cycle sim.cycle(), with powerTraceW as recorded so far. */
+struct RunState {
+    const Simulator &sim;
+    const msp::System &sys;
+    const Checker &check;
+    const std::vector<float> &powerTraceW;
 };
 
 /**

@@ -6,6 +6,7 @@
 #include <cstdint>
 #include <istream>
 #include <memory>
+#include <numeric>
 #include <ostream>
 #include <set>
 #include <string>
@@ -355,15 +356,37 @@ runCampaign(const CellLibrary &lib, const isa::Image &image,
         res.envelopePeakW = setup.envelope.peakPowerW();
     }
 
-    // 64 rows per packed run; each worker builds its own System (its
-    // own memory over the shared netlist) on its first group.
+    // 64 rows per packed run, cut from the tasks sorted by injection
+    // cycle (ties by task index); each run starts from the golden
+    // checkpoint at its first injection, or from reset when that lies
+    // inside reset, and writes its rows back to their task indices.
     constexpr size_t kLanes = PackedSimulator::kLanes;
     const RunOptions ropts = setup.runOptions();
     const size_t nTasks = res.injections.size();
     const size_t nGroups = (nTasks + kLanes - 1) / kLanes;
+    std::vector<uint32_t> order(nTasks);
+    std::iota(order.begin(), order.end(), 0u);
+    std::stable_sort(order.begin(), order.end(),
+                     [&](uint32_t a, uint32_t b) {
+                         return res.injections[a].cycle <
+                                res.injections[b].cycle;
+                     });
+    std::vector<uint64_t> starts;
+    for (size_t g = 0; g < nGroups; ++g) {
+        const uint64_t c = res.injections[order[g * kLanes]].cycle;
+        if (c >= msp::System::kResetCycles &&
+            (starts.empty() || starts.back() != c))
+            starts.push_back(c);
+    }
+    const std::vector<GoldenCheckpoint> checkpoints =
+        goldenCheckpoints(sys, image, starts, ropts);
+
+    // Each worker builds its own System (its own memory over the
+    // shared netlist) on its first group.
     const unsigned jobs =
         util::cpuBudget(nGroups, opts.jobs, 1, util::hostCpus()).jobs;
     std::vector<std::unique_ptr<msp::System>> systems(jobs);
+    std::vector<std::pair<uint64_t, uint64_t>> costs(nGroups);
 
     util::parallelFor(nGroups, jobs, [&](unsigned w, size_t g) {
         if (!systems[w])
@@ -372,15 +395,21 @@ runCampaign(const CellLibrary &lib, const isa::Image &image,
         const size_t count = std::min(kLanes, nTasks - base);
         std::array<std::vector<Injection>, kLanes> faults;
         for (size_t i = 0; i < count; ++i) {
-            const InjectionResult &ir = res.injections[base + i];
+            const InjectionResult &ir = res.injections[order[base + i]];
             faults[i].push_back({res.sites[ir.siteIndex], ir.cycle});
         }
-        std::array<FaultResult, kLanes> out =
-            runFaultedPacked(*systems[w], image, faults, ropts);
+        PackedBatch out = runFaultedPacked(
+            *systems[w], image, faults, ropts,
+            batchStart(checkpoints, faults[0][0].cycle));
         for (size_t i = 0; i < count; ++i)
-            res.injections[base + i].r = std::move(out[i]);
+            res.injections[order[base + i]].r = std::move(out.rows[i]);
+        costs[g] = {out.sweeps, out.laneCycles};
         return true;
     });
+    for (const auto &[sweeps, laneCycles] : costs) {
+        res.packedSweeps += sweeps;
+        res.laneCycles += laneCycles;
+    }
 
     res.ok = true;
     aggregate(res);

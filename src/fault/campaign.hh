@@ -116,6 +116,11 @@ struct CampaignResult {
 
     bool cacheHit = false;
     double wallSeconds = 0.0;
+    /// @name Packed-runner cost (0 on a cache hit)
+    /// @{
+    uint64_t packedSweeps = 0; ///< PackedBatch::sweeps, summed
+    uint64_t laneCycles = 0;   ///< PackedBatch::laneCycles, summed
+    /// @}
 };
 
 /**

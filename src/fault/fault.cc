@@ -10,7 +10,9 @@
 
 #include "fault/fault.hh"
 
+#include <algorithm>
 #include <cstdio>
+#include <stdexcept>
 
 #include "peak/validation.hh"
 
@@ -99,6 +101,35 @@ applyPowerTrace(FaultResult &r, const std::vector<float> &trace_w,
     }
 }
 
+void
+TraceFold::add(float w, const peak::Envelope *envelope)
+{
+    const uint64_t c = cycles++;
+    if (w > peakW) { // first argmax wins
+        peakW = w;
+        peakCycle = c;
+    }
+    // validateTraceBound's violation at its default tolerance: over
+    // the envelope, or past its end.
+    if (envelope && envelope->present && !escape) {
+        const std::vector<float> &x = envelope->powerW;
+        if (c >= x.size() || double(x[c]) - double(w) < -1e-9) {
+            escape = true;
+            escapeCycle = c;
+        }
+    }
+}
+
+void
+TraceFold::applyTo(FaultResult &r) const
+{
+    r.traceCycles = cycles;
+    r.peakPowerW = peakW;
+    r.peakCycle = peakCycle;
+    r.envelopeEscape = escape;
+    r.escapeCycle = escapeCycle;
+}
+
 std::vector<Site>
 flopSites(const Netlist &nl)
 {
@@ -157,6 +188,46 @@ runFaulted(msp::System &sys, const isa::Image &image,
     if (opts.powerCtx)
         applyPowerTrace(r, cr.powerTraceW, opts.envelope);
     return r;
+}
+
+std::vector<GoldenCheckpoint>
+goldenCheckpoints(msp::System &sys, const isa::Image &image,
+                  const std::vector<uint64_t> &cycles,
+                  const RunOptions &opts)
+{
+    std::vector<GoldenCheckpoint> cps;
+    if (cycles.empty())
+        return cps;
+    cps.reserve(cycles.size());
+    cosim::Options co;
+    co.maxCycles = cycles.back(); // the run stops at the last capture
+    co.portIn = opts.portIn;
+    co.evalMode = opts.evalMode;
+    co.powerCtx = opts.powerCtx;
+    TraceFold power;
+    co.betweenSteps = [&](const cosim::RunState &st) {
+        for (size_t c = power.cycles; c < st.powerTraceW.size(); ++c)
+            power.add(st.powerTraceW[c], opts.envelope);
+        if (cps.size() < cycles.size() &&
+            st.sim.cycle() == cycles[cps.size()])
+            cps.push_back({st.sim.snapshot(), st.sys.snapshot(), st.check,
+                           power});
+    };
+    cosim::run(sys, image, co);
+    if (cps.size() != cycles.size())
+        throw std::logic_error("golden run ended before checkpoint cycle " +
+                               std::to_string(cycles[cps.size()]));
+    return cps;
+}
+
+const GoldenCheckpoint *
+batchStart(const std::vector<GoldenCheckpoint> &cps, uint64_t first_cycle)
+{
+    auto it = std::upper_bound(cps.begin(), cps.end(), first_cycle,
+                               [](uint64_t c, const GoldenCheckpoint &cp) {
+                                   return c < cp.sim.cycle;
+                               });
+    return it == cps.begin() ? nullptr : &*(it - 1);
 }
 
 } // namespace fault

@@ -33,7 +33,10 @@
  * invariant extended to faulted runs; enforced by tests/test_fault.cc
  * and `ulfuzz --mode fault`). Campaigns run on the packed runner; the
  * scalar one reproduces a row with its report (`ulfault --replay`)
- * and is the reference the tests compare against.
+ * and is the reference the tests compare against. A packed batch may
+ * start from a golden checkpoint instead of reset: up to its first
+ * flip a faulted run is the golden run, so the golden prefix is
+ * simulated once per campaign (goldenCheckpoints), not once per batch.
  */
 
 #ifndef ULPEAK_FAULT_FAULT_HH
@@ -45,6 +48,7 @@
 #include <vector>
 
 #include "cosim/cosim.hh"
+#include "msp/cpu.hh"
 #include "peak/envelope.hh"
 #include "sim/packed_simulator.hh"
 
@@ -147,16 +151,78 @@ FaultResult runFaulted(msp::System &sys, const isa::Image &image,
                        const RunOptions &opts);
 
 /**
+ * A run's power fields, folded one cycle at a time: what
+ * applyPowerTrace derives from a whole trace (first argmax, and
+ * validateTraceBound's first violating cycle), so a run resumed from
+ * a golden checkpoint continues the fold of the golden prefix.
+ */
+struct TraceFold {
+    uint64_t cycles = 0;
+    float peakW = 0.0f;
+    uint64_t peakCycle = 0;
+    bool escape = false;
+    uint64_t escapeCycle = 0;
+
+    /** The next cycle's power @p w; @p envelope as
+     *  RunOptions::envelope (may be null). */
+    void add(float w, const peak::Envelope *envelope);
+    void applyTo(FaultResult &r) const;
+};
+
+/**
+ * The golden run between two steps, at cycle sim.cycle past reset:
+ * a packed batch whose injections all land at or after that cycle
+ * starts here instead of at reset, since before its flip a faulted
+ * lane is the golden run (the lane-identity invariant).
+ */
+struct GoldenCheckpoint {
+    Simulator::Snapshot sim;
+    msp::System::Snapshot sys;
+    cosim::Checker check;
+    TraceFold power; ///< the golden trace before sim.cycle
+};
+
+/**
+ * Replay the golden run of @p image once, through cosim::run, and
+ * capture a checkpoint at each of @p cycles (ascending, distinct,
+ * each in [System::kResetCycles, golden cycles)). @p opts as the
+ * faulted runs' (its maxCycles is not used). The checkpoints' checkers
+ * refer to @p image, which must outlive them. Throws std::logic_error
+ * when the golden run ends before the last cycle.
+ */
+std::vector<GoldenCheckpoint>
+goldenCheckpoints(msp::System &sys, const isa::Image &image,
+                  const std::vector<uint64_t> &cycles,
+                  const RunOptions &opts);
+
+/** Where a batch whose first injection is at @p first_cycle starts:
+ *  the latest of @p cps (ascending) at or before it, or null -- from
+ *  reset -- when there is none (a first injection inside reset). */
+const GoldenCheckpoint *
+batchStart(const std::vector<GoldenCheckpoint> &cps, uint64_t first_cycle);
+
+/** The rows of one packed batch and what it cost. */
+struct PackedBatch {
+    std::array<FaultResult, PackedSimulator::kLanes> rows;
+    uint64_t sweeps = 0;     ///< packed steps past reset / checkpoint
+    uint64_t laneCycles = 0; ///< live lanes summed over those steps
+};
+
+/**
  * Packed runner: 64 faulted runs of @p image in one PackedSimulator
  * sweep, lane l injecting @p faults[l]. Bit-identical per lane to
  * runFaulted (reports excepted). Lanes with an empty fault list run
- * the golden execution (cheap tail filler for partial groups).
+ * the golden execution (cheap tail filler for partial groups). With
+ * @p start, every lane starts from that golden checkpoint instead of
+ * reset; every injection must then land at or after its cycle
+ * (std::invalid_argument otherwise).
  */
-std::array<FaultResult, PackedSimulator::kLanes>
+PackedBatch
 runFaultedPacked(msp::System &sys, const isa::Image &image,
                  const std::array<std::vector<Injection>,
                                   PackedSimulator::kLanes> &faults,
-                 const RunOptions &opts);
+                 const RunOptions &opts,
+                 const GoldenCheckpoint *start = nullptr);
 
 /** The classification fields of the finished lockstep run @p cr,
  *  outcome by classify(); the one result mapping of both runners

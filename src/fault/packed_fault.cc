@@ -12,7 +12,11 @@
  *  - a lane whose run ends is retired from the simulator exactly where
  *    the scalar loop stops stepping: its checking stops, its state and
  *    memory freeze, no further injection lands, and it costs the
- *    remaining lanes' sweeps nothing.
+ *    remaining lanes' sweeps nothing;
+ *  - a batch started from a golden checkpoint loads it into all 64
+ *    lanes at once (simulator state, memory, halt and X-store bits),
+ *    gives each lane a copy of the golden checker and continues the
+ *    golden trace's fold: the state cosim::run holds at that cycle.
  *
  * No report text is built here (the FaultResult::report contract);
  * replay one lane through the scalar runner to get the full report.
@@ -21,20 +25,28 @@
 #include "fault/fault.hh"
 
 #include <memory>
+#include <stdexcept>
 
 #include "msp/cpu.hh"
 
 namespace ulpeak {
 namespace fault {
 
-std::array<FaultResult, PackedSimulator::kLanes>
+PackedBatch
 runFaultedPacked(msp::System &sys, const isa::Image &image,
                  const std::array<std::vector<Injection>,
                                   PackedSimulator::kLanes> &faults,
-                 const RunOptions &opts)
+                 const RunOptions &opts, const GoldenCheckpoint *start)
 {
     constexpr unsigned kLanes = PackedSimulator::kLanes;
     const msp::CpuHandles &h = sys.handles();
+    if (start)
+        for (const std::vector<Injection> &lane : faults)
+            for (const Injection &inj : lane)
+                if (inj.cycle < start->sim.cycle)
+                    throw std::invalid_argument(
+                        "runFaultedPacked: injection before the "
+                        "checkpoint it starts from");
 
     sys.memory().reset();
     sys.loadImage(image);
@@ -44,9 +56,12 @@ runFaultedPacked(msp::System &sys, const isa::Image &image,
     // simulator, so the simulator's live mask is the running lanes.
     std::array<std::unique_ptr<cosim::Checker>, kLanes> check;
     for (auto &c : check)
-        c = std::make_unique<cosim::Checker>(image, opts.portIn);
+        c = start ? std::make_unique<cosim::Checker>(start->check)
+                  : std::make_unique<cosim::Checker>(image, opts.portIn);
     std::array<bool, kLanes> applied{};
-    std::array<std::vector<float>, kLanes> traceW;
+    std::array<TraceFold, kLanes> power;
+    if (start)
+        power.fill(start->power);
 
     // Bus and register reads transpose all 64 lanes at once, the
     // first time a lane needs them in a cycle.
@@ -94,12 +109,21 @@ runFaultedPacked(msp::System &sys, const isa::Image &image,
         }
     };
 
-    lanes.reset(psim, applyInjections);
+    if (start) {
+        psim.loadLanes(~uint64_t(0), start->sim);
+        for (unsigned l = 0; l < kLanes; ++l)
+            lanes.restore(l, start->sys);
+    } else {
+        lanes.reset(psim, applyInjections);
+    }
 
     // cosim::run's loop body per lane.
+    PackedBatch out;
     std::array<msp::PackedSystem::LaneWords, 16> regs;
     while (psim.liveMask() && psim.cycle() < opts.maxCycles) {
         uint64_t stepping = psim.liveMask();
+        ++out.sweeps;
+        out.laneCycles += uint64_t(__builtin_popcountll(stepping));
         bool regsRead = false;
         psim.step([&](PackedSimulator &s) {
             lanes.driveCycle(s, Word16::known(opts.portIn));
@@ -110,8 +134,9 @@ runFaultedPacked(msp::System &sys, const isa::Image &image,
             uint64_t bit = uint64_t(1) << l;
             cosim::Checker &c = *check[l];
             if (opts.powerCtx)
-                traceW[l].push_back(float(opts.powerCtx->cyclePowerW(
-                    psim.boundEnergyJ(l))));
+                power[l].add(float(opts.powerCtx->cyclePowerW(
+                                 psim.boundEnergyJ(l))),
+                             opts.envelope);
             if (lanes.haltedMask() & bit) {
                 c.halt(psim.cycle(), lanes.memory(l));
             } else if (lanes.xStoreMask() & bit) {
@@ -138,13 +163,12 @@ runFaultedPacked(msp::System &sys, const isa::Image &image,
     for (uint64_t m = psim.liveMask(); m; m &= m - 1)
         check[__builtin_ctzll(m)]->timeout(psim.cycle());
 
-    std::array<FaultResult, kLanes> res;
     for (unsigned l = 0; l < kLanes; ++l) {
-        res[l] = toFaultResult(check[l]->result(), applied[l]);
+        out.rows[l] = toFaultResult(check[l]->result(), applied[l]);
         if (opts.powerCtx)
-            applyPowerTrace(res[l], traceW[l], opts.envelope);
+            power[l].applyTo(out.rows[l]);
     }
-    return res;
+    return out;
 }
 
 } // namespace fault

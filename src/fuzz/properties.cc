@@ -684,8 +684,10 @@ faultCampaignDeterminismCheck(const isa::Image &image, uint64_t seed,
     CellLibrary lib = CellLibrary::tsmc65Like();
     fault::CampaignOptions opts;
     opts.seed = seed;
-    opts.cyclesPerSite = 1;
-    opts.maxFlopSites = 24;
+    // 146 rows: three 64-lane batches, so two of them start from
+    // golden checkpoints deep in the run.
+    opts.cyclesPerSite = 3;
+    opts.maxFlopSites = 48;
     opts.ramSites = 2;
     opts.goldenMaxCycles = 20000;
     // No cacheDir: the disk cache would trivialize the comparison.

@@ -203,10 +203,12 @@ scalarRowsDiff(const CellLibrary &lib, const isa::Image &image,
 
 /**
  * Property 7, program items: fault-campaign determinism. One small
- * campaign over @p image, run at 1 job and at @p threads jobs, must
- * equal its scalar reference (scalarRowsDiff) both times. Programs
- * whose golden run the campaign refuses (cosim divergence) pass
- * vacuously, but both runs must refuse.
+ * campaign over @p image (146 rows: three 64-lane batches, the later
+ * two started from golden checkpoints deep in the run), run at 1 job
+ * and at @p threads jobs, must equal its scalar reference
+ * (scalarRowsDiff) both times. Programs whose golden run the campaign
+ * refuses (cosim divergence) pass vacuously, but both runs must
+ * refuse.
  */
 PropertyResult faultCampaignDeterminismCheck(const isa::Image &image,
                                              uint64_t seed,

@@ -603,21 +603,23 @@ PackedSimulator::step(PackedFnRef driver)
 }
 
 void
-PackedSimulator::loadLaneState(unsigned lane,
-                               const Simulator::Snapshot &s)
+PackedSimulator::loadLanes(uint64_t lane_mask,
+                           const Simulator::Snapshot &s)
 {
     size_t n = val_.size();
     if (s.val.size() != n || s.activeLast.size() != actBits_.size() ||
         s.loadedPrevEdge.size() != loadedPrevEdge_.size())
         throw std::logic_error(
-            "loadLaneState from a snapshot of a different netlist");
-    // Branch-free: a lane load transposes every gate of a snapshot,
-    // and the values are as unpredictable as the states they encode.
-    uint64_t m = uint64_t(1) << lane;
+            "loadLanes from a snapshot of a different netlist");
+    // Branch-free: a load transposes every gate of a snapshot, and the
+    // values are as unpredictable as the states they encode. A bit of
+    // the snapshot goes to every lane of the mask at once.
+    const uint64_t m = lane_mask;
+    auto splat = [m](uint64_t bit) { return (uint64_t(0) - bit) & m; };
     for (size_t g = 0; g < n; ++g) {
         uint64_t b = uint64_t(s.val[g]); // Zero 0, One 1, X 2
-        val_[g].k = (val_[g].k & ~m) | ((b >> 1 ^ 1) << lane);
-        val_[g].v = (val_[g].v & ~m) | ((b & 1) << lane);
+        val_[g].k = (val_[g].k & ~m) | splat(b >> 1 ^ 1);
+        val_[g].v = (val_[g].v & ~m) | splat(b & 1);
     }
     // Activity is nonzero only at gates of the lane-unioned bitset,
     // which the loaded activity joins, so the next step clears it.
@@ -626,14 +628,15 @@ PackedSimulator::loadLaneState(unsigned lane,
         for (uint64_t any = actBits_[w] | loaded; any; any &= any - 1) {
             unsigned i = unsigned(__builtin_ctzll(any));
             uint64_t &a = act_[w * 64 + i];
-            a = (a & ~m) | (loaded >> i & 1) << lane;
+            a = (a & ~m) | splat(loaded >> i & 1);
         }
         actBits_[w] |= loaded;
     }
     for (size_t i = 0; i < loadedPrevEdge_.size(); ++i)
         loadedPrevEdge_[i] = (loadedPrevEdge_[i] & ~m) |
-                             uint64_t(s.loadedPrevEdge[i] != 0) << lane;
+                             splat(s.loadedPrevEdge[i] != 0);
     live_ |= m;
+    cycle_ = s.cycle;
     // Simulator::afterRestore: the loaded state carries no wake marks,
     // so re-arm every flop; every gate's previous-cycle planes resync.
     wake_.armAllSeq();

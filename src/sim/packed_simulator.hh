@@ -54,7 +54,7 @@
  * Lanes are retired by the caller once it no longer reads them
  * (retireLanes): a retired lane stops clocking -- its flops hold,
  * input writes, forces and injections skip it, and it is never
- * active, so it bills nothing and wakes nothing. loadLaneState
+ * active, so it bills nothing and wakes nothing. loadLanes
  * (from a scalar snapshot) and copyLane (from a lane that has just
  * stepped) revive a lane. The invariant above is "while live", which
  * is what a scalar run does when its runner stops stepping it.
@@ -80,11 +80,12 @@
  * hash (Simulator::hashStateBytes) where it is, predictSeqValue and
  * readBusLanes give the fork test its PC and IR, forceBusLane narrows
  * the continuing child's PC, and copyLane moves a second child into
- * a free lane. loadLaneState / extractLaneState transpose scalar
- * Simulator::Snapshots into and out of a lane only for paths that
- * enter or leave the lanes. Each is backed by the lane-identity
- * invariant above, so a lane's continuation is bit-identical to the
- * scalar restore-and-run.
+ * a free lane. loadLanes / extractLaneState transpose scalar
+ * Simulator::Snapshots into and out of lanes only for paths that
+ * enter or leave the lanes, and a fault campaign's batch starts all
+ * 64 lanes from one golden checkpoint with a single loadLanes. Each
+ * is backed by the lane-identity invariant above, so a lane's
+ * continuation is bit-identical to the scalar restore-and-run.
  */
 
 #ifndef ULPEAK_SIM_PACKED_SIMULATOR_HH
@@ -153,6 +154,9 @@ class PackedSimulator {
     }
     /** Lanes in which @p g is active this cycle. */
     uint64_t activeMask(GateId g) const { return act_[g]; }
+    /** Gate-id bitset covering every gate active in some lane this
+     *  cycle, in ascending gate id (a superset: read activeMask). */
+    const std::vector<uint64_t> &activeBits() const { return actBits_; }
     /** Every lane's word of @p bus (bit i from bus[i]), in one
      *  transpose (the read twin of setInputBusLanes); retired lanes
      *  read their frozen values. */
@@ -207,28 +211,30 @@ class PackedSimulator {
     /// @name Lane <-> scalar snapshot transpose (symbolic frontier)
     /// @{
     /**
-     * Install a scalar Simulator::Snapshot into lane @p lane and
-     * revive the lane: gate values, activity flags and sequential load
-     * history, exactly the state Simulator::restore reinstates
-     * (previous-cycle planes are dead across a load for the same
-     * reason they are absent from Snapshot: step() rebuilds them
+     * Install a scalar Simulator::Snapshot into every lane of
+     * @p lane_mask and revive them: gate values, activity flags and
+     * sequential load history, exactly the state Simulator::restore
+     * reinstates (previous-cycle planes are dead across a load for the
+     * same reason they are absent from Snapshot: step() rebuilds them
      * before any read). Legal between steps, while other lanes are
-     * live. Like Simulator::restore it re-arms every flop for the
-     * next edge; the lane's energies are undefined until the next
-     * step. The next step()'s edge functions run against the loaded
-     * values, mirroring the scalar restore-then-step sequence, so the
-     * caller must have pre-stepped the simulator once (cycle() > 0)
-     * and must inhibit the edge effects of lanes it has not loaded.
+     * live. Like Simulator::restore it sets cycle() to the snapshot's
+     * cycle and re-arms every flop for the next edge; the loaded
+     * lanes' energies are undefined until the next step. The next
+     * step()'s edge functions run against the loaded values,
+     * mirroring the scalar restore-then-step sequence, so the caller
+     * must inhibit the edge effects of lanes it has not loaded. One
+     * load of all 64 lanes costs what one lane's does.
      */
-    void loadLaneState(unsigned lane, const Simulator::Snapshot &s);
+    void loadLanes(uint64_t lane_mask, const Simulator::Snapshot &s);
     /**
      * Transpose lane @p lane back into a scalar snapshot stamped with
      * @p cycle (the lane's own cycle count -- the packed simulator's
-     * global cycle() says how many sweeps ran, not how old any lane
-     * is). For a lane loaded from a snapshot and stepped N times the
-     * result is byte-identical to the scalar restore-and-step-N
-     * Simulator::snapshot(): values per lane(), activity as the
-     * gate-id bitset, load history as 0/1 bytes.
+     * global cycle() counts sweeps from the last load, and lanes
+     * loaded at different ages share it). For a lane loaded from a
+     * snapshot and stepped N times the result is byte-identical to the
+     * scalar restore-and-step-N Simulator::snapshot(): values per
+     * lane(), activity as the gate-id bitset, load history as 0/1
+     * bytes.
      */
     Simulator::Snapshot extractLaneState(unsigned lane,
                                          uint64_t cycle) const;
@@ -238,7 +244,7 @@ class PackedSimulator {
      * activity and load history, one masked bit move per word. Legal
      * between steps, right after a step() in which @p from was live:
      * the lane-unioned wake marks of that step already cover the copy,
-     * so unlike loadLaneState nothing is re-armed or resynced, and
+     * so unlike loadLanes nothing is re-armed or resynced, and
      * both lanes continue exactly as @p from alone would. The copy's
      * energies are undefined until the next step.
      */
@@ -375,7 +381,7 @@ class PackedSimulator {
      *  by the flop's edge (captured for the flops due at it). */
     std::vector<uint64_t> dActPrev_;
     /** Every gate's previous-cycle planes resync at the next step
-     *  (cycle 0 settled the constants, loadLaneState rewrote a lane). */
+     *  (cycle 0 settled the constants, loadLanes rewrote lanes). */
     bool resyncAll_ = true;
     /** Per seq gate: lanes whose previous edge actually loaded. */
     std::vector<uint64_t> loadedPrevEdge_;

@@ -490,14 +490,9 @@ class Worker {
         // snapshots) must already be in the copies.
         laneSys_ = std::make_unique<msp::PackedSystem>(*sys_);
         laneSys_->attach(*psim_);
-        // Prime one sweep: edge functions only run when cycle() > 0,
-        // and a loaded lane's first step must run them against the
-        // loaded state exactly like the scalar restore-then-step
-        // sequence. The priming sweep itself is inert -- every lane
-        // is all-X (the memory hook sees an X enable and returns X
-        // data without billing). Then every lane retires until a
-        // pending path is loaded into it.
-        psim_->step();
+        // Every lane retires until a pending path is loaded into it
+        // (the load sets the cycle, so its first step runs the edge
+        // functions like the scalar restore-then-step sequence).
         psim_->retireLanes(~uint64_t(0));
         lanes_.resize(PackedSimulator::kLanes);
         ctxLanes_.resize(cand_.size());
@@ -997,9 +992,10 @@ class Worker {
         // A state that is its own base loads without a copy.
         const Simulator::DeltaSnapshot &d = *p.sim;
         if (d.deltaBytes() == 0)
-            psim_->loadLaneState(l, *d.base);
+            psim_->loadLanes(uint64_t(1) << l, *d.base);
         else
-            psim_->loadLaneState(l, Simulator::materialize(d));
+            psim_->loadLanes(uint64_t(1) << l,
+                             Simulator::materialize(d));
         laneSys_->restore(l, *p.sysSnap);
         lanes_[l] = std::move(p.path);
     }
@@ -1071,6 +1067,40 @@ class Worker {
         ++t.pathsExplored;
         ++t.laneContinues;
     }
+
+    /// @name recordActiveSets over the lanes
+    /// Out of line: inlined into stepBatch, which the default
+    /// configuration runs without them, these walks cost
+    /// `fork-parallel` 0.5% CPU through code layout alone.
+    /// @{
+    /** Mark every gate active in a lane of @p stepped in its
+     *  context's everActive. */
+    [[gnu::noinline]] void
+    recordEverActive(uint64_t stepped)
+    {
+        const PackedSimulator &ps = *psim_;
+        forEachBit(ps.activeBits(), [&](GateId g) {
+            if (uint64_t act = ps.activeMask(g) & stepped)
+                for (size_t k = 0; k < ctxLanes_.size(); ++k)
+                    if (act & ctxLanes_[k])
+                        cand_[k].everActive[g] = 1;
+        });
+    }
+
+    /** Lane @p l's active gates, in ascending gate id like the scalar
+     *  activeBits() walk, into @p peak. */
+    [[gnu::noinline]] void
+    recordPeakActive(unsigned l, std::vector<uint32_t> &peak)
+    {
+        const PackedSimulator &ps = *psim_;
+        const uint64_t lbit = uint64_t(1) << l;
+        peak.clear();
+        forEachBit(ps.activeBits(), [&](GateId g) {
+            if (ps.activeMask(g) & lbit)
+                peak.push_back(g);
+        });
+    }
+    /// @}
 
     /** One packed cycle of every live lane: runPath's loop body per
      *  lane, retiring lanes that halt or merge away and the lanes of
@@ -1146,14 +1176,8 @@ class Worker {
             t.totalCycles += n;
         }
 
-        if (cfg_.recordActiveSets) {
-            size_t n = base_->netlist().numGates();
-            for (GateId g = 0; g < n; ++g)
-                if (uint64_t act = ps.activeMask(g) & stepped)
-                    for (size_t k = 0; k < ctxLanes_.size(); ++k)
-                        if (act & ctxLanes_[k])
-                            cand_[k].everActive[g] = 1;
-        }
+        if (cfg_.recordActiveSets)
+            recordEverActive(stepped);
 
         // The lanes whose PC would load an X at the next edge
         // (runPath's predictSeqValue test, every lane at once), and
@@ -1184,15 +1208,8 @@ class Worker {
                  (laneSys_->haltedMask() & lbit) != 0,
                  (pcNextX & lbit) != 0},
                 newPeak);
-            if (newPeak && cfg_.recordActiveSets) {
-                // Ascending gate id, like the scalar activeBits() walk.
-                std::vector<uint32_t> &peak = cand_[path.ctx].peakActive;
-                peak.clear();
-                size_t n = base_->netlist().numGates();
-                for (GateId g = 0; g < n; ++g)
-                    if (ps.activeMask(g) & lbit)
-                        peak.push_back(g);
-            }
+            if (newPeak && cfg_.recordActiveSets)
+                recordPeakActive(l, cand_[path.ctx].peakActive);
             if (end == CycleEnd::Continue)
                 continue;
             if (end == CycleEnd::Leaf) {

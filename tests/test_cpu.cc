@@ -400,7 +400,7 @@ viaLane(const Access &a, unsigned lane)
     const msp::CpuHandles &h = sys->handles();
     msp::PackedSystem lanes(*sys);
     PackedSimulator ps(sys->netlist());
-    ps.loadLaneState(lane, accessState(Simulator(sys->netlist()), a));
+    ps.loadLanes(uint64_t(1) << lane, accessState(Simulator(sys->netlist()), a));
     lanes.memHook(ps);
     lanes.memEdge(ps);
     Outcome o;

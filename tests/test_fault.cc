@@ -21,6 +21,7 @@
 
 #include <unistd.h>
 
+#include "bench430/benchmarks.hh"
 #include "cli/fault_driver.hh"
 #include "fault/campaign.hh"
 #include "fault/fault.hh"
@@ -160,7 +161,7 @@ TEST(FaultRun, ResetCycleFlipsAreInjectableAndClassified)
         lanes;
     lanes[0] = faults;
     auto packedR =
-        fault::runFaultedPacked(sys, img, lanes, fault::RunOptions{});
+        fault::runFaultedPacked(sys, img, lanes, fault::RunOptions{}).rows;
     EXPECT_TRUE(scalarR.sameClassification(packedR[0]));
     EXPECT_EQ(packedR[1].outcome, fault::Outcome::Masked)
         << "fault-free lane";
@@ -239,7 +240,7 @@ TEST(FaultRun, PackedLanesMatchScalarRuns)
             lanes[l].push_back(inj); // double flip
     }
 
-    auto packed = fault::runFaultedPacked(sys, img, lanes, opts);
+    auto packed = fault::runFaultedPacked(sys, img, lanes, opts).rows;
     for (unsigned l = 0; l < kLanes; ++l) {
         fault::FaultResult scalar =
             fault::runFaulted(sys, img, lanes[l], opts);
@@ -274,7 +275,7 @@ r_loop:
     const uint64_t cycle = golden.gateCycles / 2; // inside the loop
     lanes[0].push_back({siteByName(sys.netlist(), "r15[3]"), cycle});
     auto packed =
-        fault::runFaultedPacked(sys, img, lanes, fault::RunOptions{});
+        fault::runFaultedPacked(sys, img, lanes, fault::RunOptions{}).rows;
     EXPECT_TRUE(packed[0].applied);
     EXPECT_EQ(packed[0].outcome, fault::Outcome::Sdc);
     EXPECT_EQ(packed[0].kind, cosim::Divergence::Kind::Register);
@@ -284,8 +285,155 @@ r_loop:
     EXPECT_EQ(packed[1].outcome, fault::Outcome::Masked);
 }
 
+// A batch started from the golden checkpoint at cycle c equals the
+// same batch run from reset, lane by lane, on tea8 with its `ulfault
+// --seed 7` inputs and envelope: flips at c, at c + 1 and at the
+// golden run's last cycle, a RAM-bit flip, X-bit no-ops (flop and
+// RAM), a hang and a fault-free lane. A batch whose first injection
+// lies inside reset starts from reset.
+TEST(FaultRun, CheckpointedBatchMatchesFromReset)
+{
+    constexpr unsigned kLanes = PackedSimulator::kLanes;
+    CellLibrary lib = CellLibrary::tsmc65Like();
+    fault::CampaignOptions copts;
+    copts.seed = 7;
+    copts.withEnvelope = true;
+    isa::Image img = bench430::benchmarkByName("tea8").assembleImage();
+    cli::foldBenchmarkInputs("tea8", copts.seed, img, copts.portIn, false);
+
+    // The campaign supplies an injection that hangs.
+    fault::CampaignResult camp = fault::runCampaign(lib, img, copts);
+    ASSERT_TRUE(camp.ok) << camp.error;
+    const fault::InjectionResult *hang = nullptr;
+    for (const fault::InjectionResult &ir : camp.injections)
+        if (!hang && ir.r.outcome == fault::Outcome::Hang)
+            hang = &ir;
+    ASSERT_NE(hang, nullptr) << "tea8 at seed 7 has a hang row";
+
+    msp::System sys(lib);
+    fault::CampaignSetup setup(sys, img, copts);
+    ASSERT_TRUE(setup.golden.ok);
+    setup.analyzeEnvelope();
+    ASSERT_TRUE(setup.envelope.present) << setup.envelopeError;
+    const fault::RunOptions ropts = setup.runOptions();
+    const uint64_t c = hang->cycle;
+    const uint64_t last = setup.golden.gateCycles - 1;
+    ASSERT_GE(c, msp::System::kResetCycles);
+    ASSERT_LT(c + 2, last);
+
+    const std::vector<fault::GoldenCheckpoint> cps =
+        fault::goldenCheckpoints(sys, img, {c}, ropts);
+    const fault::GoldenCheckpoint *start = fault::batchStart(cps, c);
+    ASSERT_NE(start, nullptr);
+    ASSERT_EQ(start->sim.cycle, c);
+    EXPECT_EQ(fault::batchStart(cps, c + 1), start);
+
+    // A known and an X flop, and a known and an X RAM word, at c.
+    const std::vector<fault::Site> flops = fault::flopSites(sys.netlist());
+    fault::Site knownFlop, xFlop;
+    bool haveKnown = false, haveX = false;
+    for (const fault::Site &f : flops) {
+        const bool x = start->sim.val[f.gate] == V4::X;
+        if (x && !haveX) {
+            xFlop = f;
+            haveX = true;
+        } else if (!x && !haveKnown) {
+            knownFlop = f;
+            haveKnown = true;
+        }
+    }
+    ASSERT_TRUE(haveKnown && haveX);
+    Memory mem = sys.memory();
+    mem.restore(start->sys.mem);
+    fault::Site knownRam, xRam;
+    knownRam.kind = xRam.kind = fault::SiteKind::Ram;
+    knownRam.bit = 4;
+    xRam.bit = 9;
+    knownRam.addr = xRam.addr = 0;
+    for (uint32_t a = mem.ramBase(); a < mem.ramBase() + mem.ramSize();
+         a += 2) {
+        const bool known = mem.read(a).isFullyKnown();
+        if (known && !knownRam.addr)
+            knownRam.addr = a;
+        if (!known && !xRam.addr)
+            xRam.addr = a;
+    }
+    ASSERT_TRUE(knownRam.addr && xRam.addr);
+
+    std::array<std::vector<fault::Injection>, kLanes> lanes;
+    lanes[0] = {{camp.sites[hang->siteIndex], c}};
+    lanes[1] = {{knownFlop, c}};
+    lanes[2] = {{xFlop, c}};
+    lanes[3] = {{knownFlop, c + 1}};
+    lanes[4] = {{knownFlop, last}};
+    lanes[5] = {{knownRam, c + 1}};
+    lanes[6] = {{xRam, c}};
+    // lanes[7] stays fault-free: the golden run from the checkpoint.
+    fuzz::Rng rng(35);
+    for (unsigned l = 8; l < kLanes; ++l)
+        lanes[l] = {{flops[rng.below(unsigned(flops.size()))],
+                     c + rng.below(unsigned(last + 1 - c))}};
+    lanes[kLanes - 1] = {{flops[rng.below(unsigned(flops.size()))], last}};
+
+    const fault::PackedBatch fromCp =
+        fault::runFaultedPacked(sys, img, lanes, ropts, start);
+    const fault::PackedBatch fromReset =
+        fault::runFaultedPacked(sys, img, lanes, ropts);
+    unsigned escapes = 0;
+    for (unsigned l = 0; l < kLanes; ++l) {
+        SCOPED_TRACE("lane " + std::to_string(l));
+        const fault::FaultResult &a = fromCp.rows[l];
+        const fault::FaultResult &b = fromReset.rows[l];
+        EXPECT_TRUE(a.sameClassification(b))
+            << fault::outcomeName(a.outcome) << "@" << a.divergenceCycle
+            << " vs " << fault::outcomeName(b.outcome) << "@"
+            << b.divergenceCycle;
+        EXPECT_EQ(a.peakPowerW, b.peakPowerW);
+        EXPECT_EQ(a.peakCycle, b.peakCycle);
+        EXPECT_EQ(a.traceCycles, b.traceCycles);
+        EXPECT_EQ(a.envelopeEscape, b.envelopeEscape);
+        EXPECT_EQ(a.escapeCycle, b.escapeCycle);
+        escapes += a.envelopeEscape;
+    }
+    EXPECT_EQ(fromCp.rows[0].outcome, fault::Outcome::Hang);
+    EXPECT_TRUE(fromCp.rows[1].applied);
+    EXPECT_FALSE(fromCp.rows[2].applied) << "an X flop flips nothing";
+    EXPECT_TRUE(fromCp.rows[5].applied);
+    EXPECT_FALSE(fromCp.rows[6].applied) << "an X RAM bit flips nothing";
+    EXPECT_EQ(fromCp.rows[7].outcome, fault::Outcome::Masked);
+    EXPECT_EQ(fromCp.rows[7].gateCycles, setup.golden.gateCycles);
+    EXPECT_GT(escapes, 0u) << "the escape fields are compared too";
+    EXPECT_EQ(fromReset.sweeps - fromCp.sweeps, c - msp::System::kResetCycles)
+        << "the checkpoint skips the golden prefix's sweeps";
+
+    // A first injection inside reset has no checkpoint at or before
+    // it: that batch takes the reset path, where the flip lands and
+    // the lane is its scalar run.
+    std::array<std::vector<fault::Injection>, kLanes> early;
+    early[0] = {{knownFlop, 2}};
+    EXPECT_EQ(fault::batchStart(cps, 2), nullptr);
+    EXPECT_EQ(fault::batchStart(cps, c - 1), nullptr);
+    EXPECT_THROW(fault::runFaultedPacked(sys, img, early, ropts, start),
+                 std::invalid_argument);
+    const fault::PackedBatch fromResetEarly = fault::runFaultedPacked(
+        sys, img, early, ropts, fault::batchStart(cps, 2));
+    EXPECT_TRUE(fromResetEarly.rows[0].sameClassification(
+        fault::runFaulted(sys, img, early[0], ropts)));
+}
+
+// The packed runner folds the same fields cycle by cycle
+// (fault::TraceFold); every case must fold to applyPowerTrace's row.
 TEST(FaultPower, ApplyPowerTraceFindsFirstPeakAndEscapes)
 {
+    auto folded = [](const std::vector<float> &trace,
+                     const peak::Envelope *env) {
+        fault::TraceFold fold;
+        for (float w : trace)
+            fold.add(w, env);
+        fault::FaultResult r;
+        fold.applyTo(r);
+        return r;
+    };
     fault::FaultResult r;
     std::vector<float> trace{1.0f, 3.0f, 2.0f, 3.0f};
     fault::applyPowerTrace(r, trace, nullptr);
@@ -293,6 +441,7 @@ TEST(FaultPower, ApplyPowerTraceFindsFirstPeakAndEscapes)
     EXPECT_EQ(r.peakPowerW, 3.0f);
     EXPECT_EQ(r.peakCycle, 1u) << "first argmax wins";
     EXPECT_FALSE(r.envelopeEscape);
+    EXPECT_TRUE(folded(trace, nullptr).sameClassification(r));
 
     peak::Envelope env;
     env.present = true;
@@ -300,10 +449,20 @@ TEST(FaultPower, ApplyPowerTraceFindsFirstPeakAndEscapes)
     fault::applyPowerTrace(r, trace, &env);
     EXPECT_TRUE(r.envelopeEscape);
     EXPECT_EQ(r.escapeCycle, 1u);
+    EXPECT_TRUE(folded(trace, &env).sameClassification(r));
 
     env.powerW = {4.0f, 4.0f, 4.0f, 4.0f};
     fault::applyPowerTrace(r, trace, &env);
     EXPECT_FALSE(r.envelopeEscape);
+    EXPECT_TRUE(folded(trace, &env).sameClassification(r));
+
+    // A trace past the envelope's end escapes at its first unbounded
+    // cycle.
+    env.powerW = {4.0f, 4.0f};
+    fault::applyPowerTrace(r, trace, &env);
+    EXPECT_TRUE(r.envelopeEscape);
+    EXPECT_EQ(r.escapeCycle, 2u);
+    EXPECT_TRUE(folded(trace, &env).sameClassification(r));
 }
 
 TEST(FaultCampaign, RowsAreIdenticalAcrossJobsPackedAndCache)

@@ -516,7 +516,7 @@ const WakeCase kWakeCases[] = {
          if (c == 7)
              ls.flips.push_back({ls.B.r0, 8});
      }},
-    {"loadLaneState while other lanes are active",
+    {"loadLanes while other lanes are active",
      [](Lockstep &ls, unsigned c, Phase ph) {
          if (ph != Phase::Between || c != 8)
              return;
@@ -531,7 +531,7 @@ const WakeCase kWakeCases[] = {
              });
          }
          Simulator::Snapshot snap = donor.snapshot();
-         ls.psim->loadLaneState(10, snap);
+         ls.psim->loadLanes(uint64_t(1) << 10, snap);
          ls.twins[10].restore(snap);
      }},
     {"retired lane holds and bills nothing",
@@ -624,10 +624,9 @@ TEST(PackedSim, LaneCopyMatchesReloadAndScalar)
         msp::PackedSystem lanes(sys);
         PackedSimulator ps(sys.netlist());
         lanes.attach(ps);
-        ps.step(); // packed edge functions arm only after one cycle
-        ps.retireLanes(~uint64_t(0));
+            ps.retireLanes(~uint64_t(0));
         for (unsigned l : {0u, kFrom, 2u}) {
-            ps.loadLaneState(l, start);
+            ps.loadLanes(uint64_t(1) << l, start);
             lanes.restore(l, startSys);
         }
         auto drivePacked = [&](PackedSimulator &s) {
@@ -648,7 +647,7 @@ TEST(PackedSim, LaneCopyMatchesReloadAndScalar)
         if (copy)
             ps.copyLane(kFrom, kTo);
         else
-            ps.loadLaneState(kTo, extracted);
+            ps.loadLanes(uint64_t(1) << kTo, extracted);
 
         Simulator pruned(sys.netlist());
         auto mask = std::make_shared<std::vector<uint8_t>>(
@@ -681,7 +680,7 @@ TEST(PackedSim, LaneCopyMatchesReloadAndScalar)
 // as one class; at one cycle, upsets of the lowest-id and the
 // highest-id known flop in two lane groups split it at the start and
 // at the end of the walk, and one lane retired, then revived by
-// copyLane, and one revived by loadLaneState rejoin later. Every live
+// copyLane, and one revived by loadLanes rejoin later. Every live
 // lane's energies must equal its scalar twin's bit for bit each cycle.
 TEST(PackedSim, LaneClassesBillLikeScalar)
 {
@@ -729,11 +728,9 @@ TEST(PackedSim, LaneClassesBillLikeScalar)
     msp::PackedSystem lanes(sys);
     PackedSimulator ps(sys.netlist());
     lanes.attach(ps);
-    ps.step(); // packed edge functions arm only after one cycle
-    for (unsigned l = 0; l < kLanes; ++l) {
-        ps.loadLaneState(l, start);
+    ps.loadLanes(~uint64_t(0), start);
+    for (unsigned l = 0; l < kLanes; ++l)
         lanes.restore(l, startSys);
-    }
 
     bool split = false;
     for (unsigned c = 0; c < 16; ++c) {
@@ -767,7 +764,7 @@ TEST(PackedSim, LaneClassesBillLikeScalar)
             twins[kCopied].sys->restore(twins[0].sys->snapshot());
             twins[kCopied].sim->restore(twins[0].sim->snapshot());
             const Simulator::Snapshot held = twins[kReloaded].sim->snapshot();
-            ps.loadLaneState(kReloaded, held);
+            ps.loadLanes(uint64_t(1) << kReloaded, held);
             twins[kReloaded].sim->restore(held);
         }
     }

@@ -625,7 +625,7 @@ TEST(SymPacked, LaneForkAtThePruneEngageCycle)
 
 TEST(SymPacked, LaneStateTransposeRoundTrip)
 {
-    // Scalar snapshot -> loadLaneState -> extractLaneState must be
+    // Scalar snapshot -> loadLanes -> extractLaneState must be
     // the identity, from a mid-run state with real activity flags and
     // clocked sequential history on several distinct lanes.
     msp::System &sys = test::sharedSystem();
@@ -647,9 +647,8 @@ TEST(SymPacked, LaneStateTransposeRoundTrip)
     }
 
     PackedSimulator ps(sys.netlist());
-    ps.step(); // packed edge functions arm only after one cycle
     for (unsigned lane : {0u, 17u, 63u})
-        ps.loadLaneState(lane, snaps[lane % snaps.size()]);
+        ps.loadLanes(uint64_t(1) << lane, snaps[lane % snaps.size()]);
 
     for (unsigned lane : {0u, 17u, 63u}) {
         const Simulator::Snapshot &in = snaps[lane % snaps.size()];

@@ -2,7 +2,9 @@
  * @file
  * Microbenchmark of the batch driver (peak::analyzeBatch): whole-suite
  * wall time over all 14 bench430 programs, serial vs program-level
- * parallel vs warm-cache, asserting first that every configuration
+ * parallel vs the default CPU budget (`ulpeak all --no-cache`, the
+ * headline suite time) vs warm-cache, asserting first that every
+ * configuration
  * produces identical suite results (the determinism the driver
  * promises). Prints one row per configuration and drops
  * machine-readable results in bench_out/BENCH_batch_driver.json (the
@@ -45,17 +47,20 @@ main(int argc, char **argv)
         unsigned jobs;
         bool cache;
     };
+    // jobs 0 is the default budget (util::cpuBudget); each row
+    // reports the jobs x threads it resolved to.
     const Config configs[] = {
         {"serial-cold", 1, false},
         {"parallel-cold", par, false},
+        {"default-cold", 0, false},
         {"parallel-fillcache", par, true},
         {"parallel-warm", par, true},
     };
 
     std::string baselineJson;
     std::vector<double> walls; // in the order of configs
-    std::printf("%-20s %5s %6s %10s %9s\n", "config", "jobs", "cache",
-                "wall [s]", "speedup");
+    std::printf("%-20s %5s %7s %6s %10s %9s\n", "config", "jobs",
+                "threads", "cache", "wall [s]", "speedup");
     bench_util::JsonReport json("batch_driver");
     json.field("programs", suite.size()).key("configs").beginArray();
     for (const Config &c : configs) {
@@ -77,21 +82,25 @@ main(int argc, char **argv)
 
         walls.push_back(rep.wallSeconds);
         double speedup = walls[0] > 0 ? walls[0] / rep.wallSeconds : 0.0;
-        std::printf("%-20s %5u %6s %10.3f %8.1fx\n", c.name, c.jobs,
-                    c.cache ? "yes" : "no", rep.wallSeconds, speedup);
+        std::printf("%-20s %5u %7u %6s %10.3f %8.1fx\n", c.name, rep.jobs,
+                    rep.threads, c.cache ? "yes" : "no", rep.wallSeconds,
+                    speedup);
         json.beginObject(cli::Layout::Inline)
-            .field("name", c.name).field("jobs", c.jobs)
-            .field("cache", c.cache).field("wall_seconds", rep.wallSeconds)
+            .field("name", c.name).field("jobs", rep.jobs)
+            .field("threads", rep.threads).field("cache", c.cache)
+            .field("wall_seconds", rep.wallSeconds)
             .field("speedup_vs_serial_cold", speedup).end();
     }
     const double coldSec = walls[0], parallelSec = walls[1],
-                 warmSec = walls[3];
+                 defaultSec = walls[2], warmSec = walls[4];
     double warmSpeedup = warmSec > 0 ? coldSec / warmSec : 0.0;
     double parSpeedup = parallelSec > 0 ? coldSec / parallelSec : 0.0;
+    double defaultSpeedup = defaultSec > 0 ? coldSec / defaultSec : 0.0;
     json.beginObject(cli::Layout::Inline)
         .field("name", "summary")
         .field("warm_speedup_vs_cold", warmSpeedup)
-        .field("parallel_speedup_vs_serial", parSpeedup).end();
+        .field("parallel_speedup_vs_serial", parSpeedup)
+        .field("default_speedup_vs_serial", defaultSpeedup).end();
     json.end();
 
     std::filesystem::remove_all(cacheDir);

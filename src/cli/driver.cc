@@ -159,7 +159,12 @@ peakOptions(CliOptions &o)
         stringOpt("--cache-dir", "DIR",
                   "result cache (default .ulpeak-cache)", o.cacheDir),
         switchOpt("--no-cache", "disable the result cache", o.noCache),
-        switchOpt("--fail-fast", "stop claiming programs after a failure",
+        switchOpt("--fail-fast",
+                  "stop claiming programs after a failure;\n"
+                  "programs are claimed costliest first (by\n"
+                  "peak::estimateCost), so at --jobs 1 the\n"
+                  "skipped rows are those estimated cheaper\n"
+                  "than the failing one",
                   o.failFast),
         switchOpt("--quiet", "suppress the stdout table", o.quiet),
     };

@@ -13,6 +13,7 @@
 #include "fuzz/program_gen.hh"
 #include "fuzz/properties.hh"
 #include "fuzz/rng.hh"
+#include "peak/batch.hh"
 #include "util/worker_pool.hh"
 
 namespace ulpeak {
@@ -53,6 +54,8 @@ struct WorkList {
     NetlistCheck netlist;  ///< set for netlist items
     ProgramCheck program;  ///< set for program items
     Shape shape;           ///< program shape of program items
+    unsigned runs;         ///< analyses or simulations one check makes
+                           ///< of its program or netlist (cost weight)
     const char *failure;   ///< failure label
     const char *help;      ///< usage text of the count flag
 };
@@ -72,35 +75,35 @@ cosimCheck(msp::System &sys, const isa::Image &image, fuzz::Rng &rng,
 constexpr const char kProgramsFlag[] = "--programs";
 
 const WorkList kWorkLists[] = {
-    {"cosim", kProgramsFlag, 50, 0, nullptr, cosimCheck, Shape::Full,
+    {"cosim", kProgramsFlag, 50, 0, nullptr, cosimCheck, Shape::Full, 1,
      "DIVERGED", "cosim programs"},
     {"kernel", "--netlists", 50, 1ull << 32,
-     fuzz::kernelEquivalenceCheck, nullptr, Shape::Full, "MISMATCH",
+     fuzz::kernelEquivalenceCheck, nullptr, Shape::Full, 3, "MISMATCH",
      "kernel-equivalence netlists"},
     {"invariance", "--invariance-programs", 16, 2ull << 32, nullptr,
-     fuzz::configInvarianceCheck, Shape::Forking, "INVARIANCE VIOLATION",
+     fuzz::configInvarianceCheck, Shape::Forking, 2, "INVARIANCE VIOLATION",
      "config-invariance programs"},
     {"envelope", "--env-programs", 8, 3ull << 32, nullptr,
      [](msp::System &sys, const isa::Image &image, fuzz::Rng &rng,
         unsigned) { return fuzz::envelopeBoundCheck(sys, image, rng); },
-     Shape::Short, "UNBOUNDED", "envelope-bound programs"},
+     Shape::Short, 2, "UNBOUNDED", "envelope-bound programs"},
     {"scenario", "--scn-programs", 8, 4ull << 32, nullptr,
      [](msp::System &sys, const isa::Image &image, fuzz::Rng &rng,
         unsigned) {
          return fuzz::scenarioDominanceCheck(sys, image, rng);
      },
-     Shape::Short, "DOMINANCE VIOLATION", "scenario-dominance programs"},
+     Shape::Short, 2, "DOMINANCE VIOLATION", "scenario-dominance programs"},
     {"packed", "--packed-netlists", 6, 5ull << 32,
-     fuzz::packedKernelEquivalenceCheck, nullptr, Shape::Full,
+     fuzz::packedKernelEquivalenceCheck, nullptr, Shape::Full, 2,
      "LANE MISMATCH", "packed lane-identity netlists"},
     {"packed", "--packed-programs", 4, 5ull << 32, nullptr,
      [](msp::System &sys, const isa::Image &image, fuzz::Rng &rng,
         unsigned) {
          return fuzz::packedEnvelopeBatchCheck(sys, image, rng);
      },
-     Shape::Short, "BATCH MISMATCH", "packed envelope-batch programs"},
+     Shape::Short, 2, "BATCH MISMATCH", "packed envelope-batch programs"},
     {"fault", "--fault-netlists", 4, 6ull << 32,
-     fuzz::faultedPackedEquivalenceCheck, nullptr, Shape::Full,
+     fuzz::faultedPackedEquivalenceCheck, nullptr, Shape::Full, 2,
      "FAULTED LANE MISMATCH", "faulted lane-identity netlists"},
     {"fault", "--fault-programs", 3, 6ull << 32, nullptr,
      [](msp::System &, const isa::Image &image, fuzz::Rng &rng,
@@ -108,17 +111,18 @@ const WorkList kWorkLists[] = {
          return fuzz::faultCampaignDeterminismCheck(image, rng.next(),
                                                     threads);
      },
-     Shape::Full, "CAMPAIGN NONDETERMINISM",
+     // Two campaigns and the scalar reference, 146 rows each.
+     Shape::Full, 438, "CAMPAIGN NONDETERMINISM",
      "fault-campaign determinism programs"},
     {"dvfs", "--dvfs-programs", 8, 7ull << 32, nullptr,
      [](msp::System &sys, const isa::Image &image, fuzz::Rng &rng,
         unsigned) { return fuzz::modeDominanceCheck(sys, image, rng); },
-     Shape::Short, "MODE DOMINANCE VIOLATION",
+     Shape::Short, 2, "MODE DOMINANCE VIOLATION",
      "operating-mode dominance programs"},
     {"lint", "--lint-programs", 6, 8ull << 32, nullptr,
      [](msp::System &sys, const isa::Image &image, fuzz::Rng &rng,
         unsigned) { return fuzz::staticPruneCheck(sys, image, rng); },
-     Shape::Short, "PRUNE UNSOUNDNESS", "static-prune soundness programs"},
+     Shape::Short, 2, "PRUNE UNSOUNDNESS", "static-prune soundness programs"},
 };
 
 /** The mode names in table order, each once. */
@@ -234,43 +238,82 @@ parseFuzzArgs(int argc, const char *const *argv, FuzzCliOptions &out,
 
 namespace {
 
-/** Run item @p index of @p w with @p sys; appends what it prints to
- *  @p out and returns false on a failure. */
-bool
-runItem(const FuzzCliOptions &cli, msp::System &sys, const WorkList &w,
-        unsigned index, std::string &out)
+/** One item of a run: item @p index of list @p w. A program item's
+ *  program is drawn before the run, so its cost is estimated from
+ *  it. */
+struct Item {
+    const WorkList *w = nullptr;
+    unsigned index = 0;
+    uint64_t seed = 0;  ///< the item's stream
+    fuzz::Rng rng{0};   ///< a program item's stream, past its program
+    std::string source; ///< a program item's program
+    isa::Image image;   ///< ... assembled
+    std::string error;  ///< why drawing the program threw
+    uint64_t cost = 0;  ///< the check's runs times one run's cycles
+    bool ok = true;
+    bool done = false;
+    std::string out; ///< what the item prints, in item order
+};
+
+/** Draw @p item's program and estimate its cost: its check's runs
+ *  times the cycles of one, its netlist's or its program's estimate
+ *  (peak::estimateCost). */
+void
+prepareItem(const FuzzCliOptions &cli, Item &item)
 {
-    uint64_t seed = fuzz::Rng::deriveStream(cli.seed, w.stream + index);
-    fuzz::PropertyResult r;
-    std::string source;
+    const WorkList &w = *item.w;
+    item.seed = fuzz::Rng::deriveStream(cli.seed, w.stream + item.index);
+    if (w.netlist) {
+        item.cost = uint64_t(w.runs) * cli.kernelCycles;
+        return;
+    }
+    item.rng = fuzz::Rng(item.seed);
     try {
-        if (w.netlist) {
-            r = w.netlist(seed, fuzz::NetlistGenOptions(),
+        fuzz::ProgramGenOptions gen;
+        gen.instructions = w.shape == Shape::Full
+                               ? cli.instructions
+                               : cli.instructions / 2 + 1;
+        item.source =
+            w.shape == Shape::Forking
+                ? fuzz::generateForkingProgram(item.rng, gen).source
+                : fuzz::generateProgram(item.rng, gen).source;
+        item.image = isa::assemble(item.source);
+        item.cost = uint64_t(w.runs) *
+                    peak::estimateCost(item.image, scenario::Scenario());
+    } catch (const std::exception &e) {
+        item.error = e.what();
+    }
+}
+
+/** Run @p item with @p sys; appends what it prints to @p out and
+ *  returns false on a failure. */
+bool
+runItem(const FuzzCliOptions &cli, msp::System &sys, Item &item,
+        std::string &out)
+{
+    const WorkList &w = *item.w;
+    fuzz::PropertyResult r;
+    if (cli.dumpPrograms && !item.source.empty())
+        out += std::string("--- ") + w.mode + " item " +
+               std::to_string(item.index) + " ---\n" + item.source + "\n";
+    try {
+        if (!item.error.empty())
+            r = {false, "exception: " + item.error + "\n"};
+        else if (w.netlist)
+            r = w.netlist(item.seed, fuzz::NetlistGenOptions(),
                           cli.kernelCycles);
-        } else {
-            fuzz::Rng rng(seed);
-            fuzz::ProgramGenOptions gen;
-            gen.instructions = w.shape == Shape::Full
-                                   ? cli.instructions
-                                   : cli.instructions / 2 + 1;
-            source = w.shape == Shape::Forking
-                         ? fuzz::generateForkingProgram(rng, gen).source
-                         : fuzz::generateProgram(rng, gen).source;
-            if (cli.dumpPrograms)
-                out += std::string("--- ") + w.mode + " item " +
-                       std::to_string(index) + " ---\n" + source + "\n";
-            r = w.program(sys, isa::assemble(source), rng, cli.threads);
-        }
+        else
+            r = w.program(sys, item.image, item.rng, cli.threads);
     } catch (const std::exception &e) {
         r = {false, std::string("exception: ") + e.what() + "\n"};
     }
     if (r.ok)
         return true;
-    out += std::string(w.mode) + " item " + std::to_string(index) +
+    out += std::string(w.mode) + " item " + std::to_string(item.index) +
            " (seed " + std::to_string(cli.seed) + ") " + w.failure +
            ":\n" + r.detail;
-    if (!source.empty())
-        out += "program:\n" + source + "\n";
+    if (!item.source.empty())
+        out += "program:\n" + item.source + "\n";
     return false;
 }
 
@@ -292,13 +335,6 @@ runFuzzCli(int argc, const char *const *argv)
 
     // The run's items in table order: each mode's netlist items, then
     // its program items.
-    struct Item {
-        const WorkList *w;
-        unsigned index;
-        bool ok = true;
-        bool done = false;
-        std::string out; ///< what the item prints, in item order
-    };
     std::vector<Item> items;
     for (const WorkList &w : kWorkLists) {
         if (cli.mode != "all" && cli.mode != w.mode)
@@ -308,27 +344,40 @@ runFuzzCli(int argc, const char *const *argv)
             if (std::strcmp(p->mode, w.mode) == 0)
                 first += cli.counts[p->flag];
         for (unsigned i = first; i < first + cli.counts[w.flag]; ++i)
-            if (cli.only < 0 || unsigned(cli.only) == i)
-                items.push_back({&w, i, true, false, {}});
+            if (cli.only < 0 || unsigned(cli.only) == i) {
+                items.emplace_back();
+                items.back().w = &w;
+                items.back().index = i;
+            }
     }
 
     // Items run on the CPU budget, at most --threads at once, each
-    // worker on a System of its own (they share one netlist). Every
-    // item's output waits for its predecessors', so stdout is the
-    // serial run's whatever the scheduling.
+    // worker on a System of its own (they share one netlist), claimed
+    // costliest first (util::claimOrder): the fault campaigns outweigh
+    // every other item, and claimed last they would end the sweep on a
+    // tail. Every item's output waits for its predecessors', so stdout
+    // is the serial run's whatever the scheduling.
     const unsigned jobs =
         util::cpuBudget(items.size(), cli.threads, 1, util::hostCpus())
             .jobs;
+    util::parallelFor(items.size(), jobs, [&](unsigned, size_t i) {
+        prepareItem(cli, items[i]);
+        return true;
+    });
+    std::vector<uint64_t> costs;
+    for (const Item &item : items)
+        costs.push_back(item.cost);
+    const std::vector<size_t> order = util::claimOrder(costs);
     std::vector<std::unique_ptr<msp::System>> systems(jobs);
     std::mutex outMu;
     size_t printed = 0;
-    util::parallelFor(items.size(), jobs, [&](unsigned worker, size_t i) {
+    util::parallelFor(items.size(), jobs, [&](unsigned worker, size_t k) {
         if (!systems[worker])
             systems[worker] =
                 std::make_unique<msp::System>(CellLibrary::tsmc65Like());
-        Item &item = items[i];
+        Item &item = items[order[k]];
         std::string out;
-        bool ok = runItem(cli, *systems[worker], *item.w, item.index, out);
+        bool ok = runItem(cli, *systems[worker], item, out);
         std::lock_guard<std::mutex> lock(outMu);
         item.ok = ok;
         item.out = std::move(out);

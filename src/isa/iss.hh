@@ -17,6 +17,7 @@
 #include <array>
 #include <cstdint>
 #include <functional>
+#include <memory>
 
 #include "isa/assembler.hh"
 #include "isa/encoding.hh"
@@ -59,7 +60,13 @@ class Iss {
     /// @name Architectural state
     /// @{
     uint16_t reg(unsigned r) const { return regs_[r]; }
-    void setReg(unsigned r, uint16_t v) { regs_[r] = v; }
+    /** Set a register to a known (untainted) value. */
+    void
+    setReg(unsigned r, uint16_t v)
+    {
+        regs_[r] = v;
+        regTaint_ &= uint16_t(~(1u << r));
+    }
     uint16_t pc() const { return regs_[kPc]; }
     bool halted() const { return halted_; }
     uint64_t cycles() const { return cycles_; }
@@ -73,10 +80,34 @@ class Iss {
     /**
      * Architectural memory access (RAM, ROM, peripherals). Unmapped
      * addresses read 0xffff; writes to ROM/unmapped are dropped --
-     * matching the gate-level mem_backbone.
+     * matching the gate-level mem_backbone. A writeMem value is known,
+     * so it clears the word's taint.
      */
     uint16_t readMem(uint32_t addr) const;
-    void writeMem(uint32_t addr, uint16_t v);
+    void writeMem(uint32_t addr, uint16_t v) { store(addr, v, false); }
+
+    /// @name Taint shadow
+    /// A value is tainted when it derives from something Algorithm 1
+    /// leaves X: the input port (setPortTainted), a RAM word that no
+    /// image or writeMem defined, or a register before its first
+    /// write after reset (all but PC, SR and the constant generator).
+    /// Taint flows through ALU results and flags, loads and stores,
+    /// and any access through a tainted address; it never changes a
+    /// value. A conditional jump on tainted flags is a branch the
+    /// symbolic engine would fork on (a tainted value written to PC
+    /// is one too, but its targets are unknown: the run follows the
+    /// concrete one).
+    /// @{
+    void setPortTainted(bool t) { portTaint_ = t; }
+    /** A hash of the registers and RAM in which every tainted word
+     *  stands in as X: two runs with equal keys differ only in values
+     *  the engine would not know. */
+    uint64_t maskedStateKey() const;
+    /** When the last step() was a conditional jump on tainted flags,
+     *  the successor it did not take (the other side of the fork);
+     *  else -1. */
+    int32_t forkTarget() const { return forkTarget_; }
+    /// @}
 
     /**
      * Observer invoked on every architectural memory write (word
@@ -98,7 +129,26 @@ class Iss {
 
   private:
     uint16_t fetchWord();
-    uint16_t readOperand(const Operand &o, uint32_t &addr_out);
+    /** Read an operand; @p taint_out gets its taint, @p addr_out its
+     *  address (0 for Reg and constant modes). */
+    uint16_t readOperand(const Operand &o, uint32_t &addr_out,
+                         bool &taint_out);
+    bool regTainted(unsigned r) const { return regTaint_ >> r & 1; }
+    bool ramTainted(uint32_t addr) const;
+    /** Taint of the word a read of @p addr returns. */
+    bool memTaint(uint32_t addr) const;
+    /** The one write path: writeMem and every instruction store. */
+    void store(uint32_t addr, uint16_t v, bool taint);
+    /** Set RAM word @p w's taint. */
+    void
+    setRamTaint(size_t w, bool taint)
+    {
+        uint64_t bit = uint64_t(1) << (w % 64);
+        ramTaint_[w / 64] = taint ? ramTaint_[w / 64] | bit
+                                  : ramTaint_[w / 64] & ~bit;
+    }
+    /** Write register @p r with taint @p taint. */
+    void setRegTaint(unsigned r, uint16_t v, bool taint);
     void writeFlags(bool c, bool z, bool n, bool v);
     bool flagC() const { return regs_[kSr] & (1u << kFlagC); }
     bool flagZ() const { return regs_[kSr] & (1u << kFlagZ); }
@@ -107,7 +157,18 @@ class Iss {
 
     std::array<uint16_t, 16> regs_{};
     std::array<uint16_t, SystemMap::kRamSize / 2> ram_{};
-    std::array<uint16_t, (0x10000 - SystemMap::kRomBase) / 2> rom_{};
+    using Rom = std::array<uint16_t, (0x10000 - SystemMap::kRomBase) / 2>;
+    /** Shared by copies (a fork costs its RAM, not 8 KB of ROM): ROM
+     *  changes only in loadImage, which gives this Iss its own. */
+    std::shared_ptr<const Rom> rom_;
+
+    uint16_t regTaint_ = 0;                        ///< bit r: R<r>
+    /** Bit w % 64 of word w / 64: RAM word w is tainted. */
+    std::array<uint64_t, SystemMap::kRamSize / 128> ramTaint_{};
+    bool portTaint_ = false;
+    bool mpyOpTaint_ = false; ///< the multiplier's first operand
+    bool mpyTaint_ = false;   ///< its product
+    int32_t forkTarget_ = -1;
 
     uint16_t portIn_ = 0;
     uint16_t portOut_ = 0;

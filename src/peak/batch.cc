@@ -5,8 +5,11 @@
 #include <chrono>
 #include <cstdlib>
 #include <istream>
+#include <memory>
 #include <ostream>
+#include <unordered_set>
 
+#include "isa/iss.hh"
 #include "msp/cpu.hh"
 #include "util/content_hash.hh"
 #include "util/disk_cache.hh"
@@ -146,7 +149,74 @@ writeEntry(std::ostream &out, const ProgramResult &r)
 }
 /// @}
 
+/** A path of the cost estimate, and the states of its forks so far. */
+struct EstimatePath {
+    isa::Iss iss;
+    std::vector<uint64_t> trail;
+};
+
 } // namespace
+
+uint64_t
+estimateCost(const isa::Image &image, const scenario::Scenario &scen)
+{
+    auto root = std::make_unique<EstimatePath>();
+    isa::Iss &iss = root->iss;
+    try {
+        iss.loadImage(image);
+    } catch (const std::out_of_range &) {
+        return 0; // the analysis rejects the image as fast
+    }
+    for (const auto &[addr, words] : scen.ramInit)
+        for (size_t k = 0; k < words.size(); ++k)
+            iss.writeMem(uint32_t(addr + 2 * k), words[k]);
+    iss.reset();
+    for (const auto &[reg, value] : scen.regInit)
+        iss.setReg(reg, value);
+    bool portFree = scen.port.pinned != 0xffff;
+    if (!scen.portSchedule.empty()) {
+        portFree = false;
+        for (const scenario::PortPattern &p : scen.portSchedule)
+            portFree |= p.pinned != 0xffff;
+    }
+    iss.setPortTainted(portFree);
+
+    uint64_t cycles = 0;
+    std::unordered_set<uint64_t> seen;
+    // Paths are held by pointer: an Iss carries 2 KB of RAM, copied
+    // once per fork and never on a move.
+    std::vector<std::unique_ptr<EstimatePath>> pending;
+    pending.push_back(std::move(root));
+    while (!pending.empty()) {
+        std::unique_ptr<EstimatePath> owned = std::move(pending.back());
+        pending.pop_back();
+        EstimatePath &path = *owned;
+        for (bool running = true; running;) {
+            if (cycles >= kCostEstimateCap)
+                return kCostEstimateCap;
+            uint64_t c0 = path.iss.cycles();
+            running = path.iss.step();
+            cycles += path.iss.cycles() - c0;
+            if (!running || path.iss.forkTarget() < 0)
+                continue;
+            auto other = std::make_unique<EstimatePath>(path);
+            other->iss.setReg(isa::kPc, uint16_t(path.iss.forkTarget()));
+            uint64_t key = path.iss.maskedStateKey();
+            uint64_t otherKey = other->iss.maskedStateKey();
+            for (uint64_t k : {key, otherKey})
+                if (std::find(path.trail.begin(), path.trail.end(), k) !=
+                    path.trail.end())
+                    return kCostEstimateCap; // an input-dependent loop
+            if (seen.insert(otherKey).second) {
+                other->trail.push_back(otherKey);
+                pending.push_back(std::move(other));
+            }
+            running = seen.insert(key).second;
+            path.trail.push_back(key);
+        }
+    }
+    return std::min(cycles, kCostEstimateCap);
+}
 
 uint64_t
 contentKey(const char *magic, const CellLibrary &lib,
@@ -316,8 +386,18 @@ analyzeBatch(const CellLibrary &lib,
     Options gopts = opts.analysis;
     gopts.numThreads = budget.threads;
 
-    util::parallelFor(groups.size(), budget.jobs, [&](unsigned, size_t g) {
-        const std::vector<size_t> &items = groups[g];
+    // Costliest groups first, so the pool does not end on a long
+    // analysis claimed last. Rows are written by item index, so the
+    // claim order moves only the wall time.
+    std::vector<uint64_t> cost(groups.size(), 0);
+    for (size_t g = 0; g < groups.size(); ++g)
+        for (size_t i : groups[g])
+            cost[g] += estimateCost(programs[i % nProg].image,
+                                    scens[i / nProg]);
+    const std::vector<size_t> order = util::claimOrder(cost);
+
+    util::parallelFor(groups.size(), budget.jobs, [&](unsigned, size_t k) {
+        const std::vector<size_t> &items = groups[order[k]];
         Clock::time_point t0 = Clock::now();
         std::vector<scenario::Scenario> groupScens;
         for (size_t i : items)

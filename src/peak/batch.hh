@@ -112,8 +112,10 @@ struct BatchOptions {
     std::string cacheDir;
     /** Stop claiming further analysis groups after the first failure.
      *  The rows of unclaimed groups are reported as skipped (ok =
-     *  false). The default analyzes every program and reports all
-     *  failures. */
+     *  false). Groups are claimed costliest first (estimateCost), so
+     *  at one job the skipped groups are those estimated cheaper than
+     *  the failing one. The default analyzes every program and
+     *  reports all failures. */
     bool failFast = false;
 };
 
@@ -225,6 +227,28 @@ uint64_t contentKey(const char *magic, const CellLibrary &lib,
  */
 uint64_t cacheKey(const CellLibrary &lib, const isa::Image &image,
                   const Options &opts);
+
+/** The most ISS cycles one analysis's cost estimate runs; see
+ *  estimateCost. */
+constexpr uint64_t kCostEstimateCap = 4096;
+
+/**
+ * A deterministic estimate of the cycles Algorithm 1 explores when it
+ * analyzes @p image under @p scen, read from the image and the
+ * scenario alone (no earlier run). The golden ISS runs the image with
+ * the ports and undefined inputs at 0, and a taint shadow marks what
+ * the engine leaves X (isa::Iss). Where a conditional jump depends on
+ * taint, the estimate forks like the engine, runs both successors,
+ * and merges a successor whose state (taint standing in for X) a path
+ * has already reached. A successor that repeats a state of its own
+ * path is an input-dependent loop, which has no bound of its own, and
+ * an image that does not halt never stops: both run to the cap.
+ * The result is the cycles all paths ran, at most kCostEstimateCap;
+ * a path that stops on an unsupported opcode counts the cycles it
+ * reached. analyzeBatch claims its groups costliest first by it.
+ */
+uint64_t estimateCost(const isa::Image &image,
+                      const scenario::Scenario &scen);
 
 /**
  * Analyze every program of @p programs against a system elaborated

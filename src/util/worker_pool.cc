@@ -5,6 +5,7 @@
 #include <cstdint>
 #include <exception>
 #include <mutex>
+#include <numeric>
 #include <thread>
 #include <vector>
 
@@ -38,6 +39,17 @@ poolWorkers(size_t items, unsigned jobs)
     if (jobs > items)
         jobs = unsigned(items);
     return jobs < 1 ? 1 : jobs;
+}
+
+std::vector<size_t>
+claimOrder(const std::vector<uint64_t> &costs)
+{
+    std::vector<size_t> order(costs.size());
+    std::iota(order.begin(), order.end(), size_t(0));
+    std::stable_sort(order.begin(), order.end(), [&](size_t a, size_t b) {
+        return costs[a] > costs[b];
+    });
+    return order;
 }
 
 void

@@ -5,7 +5,13 @@
  * (scenarios); the symbolic engine keeps its own work-stealing pool.
  * Workers claim indices in ascending order from one counter and
  * callers write results by index, so output never depends on the
- * worker count or on scheduling.
+ * worker count or on scheduling. A caller that can estimate its
+ * items' costs claims the costliest first by indexing through
+ * claimOrder: analyzeBatch's analysis groups (peak::estimateCost)
+ * and ulfuzz's items. Its output order stays the index order; only
+ * which items a fail-fast stop leaves unclaimed follows the claim
+ * order (at one job, every item the estimate ranks below the
+ * failing one).
  *
  * Both pools draw from one CPU budget (cpuBudget): by default every
  * CPU of the host, split between program-level jobs and exploration
@@ -16,7 +22,9 @@
 #define ULPEAK_UTIL_WORKER_POOL_HH
 
 #include <cstddef>
+#include <cstdint>
 #include <functional>
+#include <vector>
 
 namespace ulpeak {
 namespace util {
@@ -44,6 +52,16 @@ CpuBudget cpuBudget(size_t items, unsigned jobs_cap, unsigned threads_cap,
 
 /** The workers parallelFor uses: min(jobs, items), at least one. */
 unsigned poolWorkers(size_t items, unsigned jobs);
+
+/**
+ * The order to claim items of estimated cost @p costs in: a stable
+ * descending permutation of their indices (costliest first, ties in
+ * index order). Claiming the longest jobs first is Graham's LPT list
+ * schedule: the last job to start is a short one, so the pool does
+ * not end on a tail. Callers run parallelFor over positions and read
+ * the item as order[position].
+ */
+std::vector<size_t> claimOrder(const std::vector<uint64_t> &costs);
 
 /**
  * Run @p work(worker, index) for every index in [0, @p items) on

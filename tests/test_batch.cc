@@ -732,6 +732,79 @@ TEST(Batch, FailFastSkipsUnclaimedPrograms)
     }
 }
 
+// analyzeBatch claims its groups costliest first, yet the rows and
+// the JSON keep the input order, byte for byte, at every worker count.
+TEST(Batch, ClaimOrderKeepsRowsAndBytes)
+{
+    auto suite = cli::resolvePrograms({"intAVG", "mult", "tHold", "PI"});
+    std::vector<uint64_t> costs;
+    for (const peak::BatchProgram &p : suite)
+        costs.push_back(peak::estimateCost(p.image, scenario::Scenario{}));
+    // The suite is in ascending estimate order, so claiming by the
+    // estimate reverses it.
+    EXPECT_EQ(util::claimOrder(costs), (std::vector<size_t>{3, 2, 1, 0}));
+
+    std::string reference;
+    for (unsigned jobs : {1u, 2u, 4u}) {
+        peak::BatchOptions opts;
+        opts.jobs = jobs;
+        peak::BatchReport rep = peak::analyzeBatch(
+            CellLibrary::tsmc65Like(), suite, opts);
+        ASSERT_TRUE(rep.ok) << jobs;
+        ASSERT_EQ(rep.programs.size(), suite.size());
+        for (size_t i = 0; i < suite.size(); ++i)
+            EXPECT_EQ(rep.programs[i].name, suite[i].name) << jobs;
+        std::string json = cli::toJson(rep, opts, /*include_timings=*/false);
+        if (reference.empty())
+            reference = json;
+        EXPECT_EQ(json, reference) << "jobs " << jobs;
+    }
+}
+
+// The cost estimate is finite on images the analysis rejects: one that
+// never halts and an input-dependent loop run to the cap, an
+// unsupported opcode ends its path at the cycles it reached. The
+// estimate only orders the claims, so each row keeps the error text
+// of its analysis.
+TEST(Batch, CostEstimateIsCappedAndKeepsAnalysisErrors)
+{
+    isa::Image spin = isa::assemble(test::wrapProgram(R"(
+spin:
+        add #1, r5
+        jmp spin
+    )"));
+    isa::Image trap = isa::assemble(test::wrapProgram(R"(
+        mov #3, r4
+        .word 0x0000
+    )"));
+    const scenario::Scenario unconstrained;
+    EXPECT_EQ(peak::estimateCost(spin, unconstrained),
+              peak::kCostEstimateCap);
+    EXPECT_EQ(peak::estimateCost(unboundedLoopImage(), unconstrained),
+              peak::kCostEstimateCap);
+    uint64_t trapCost = peak::estimateCost(trap, unconstrained);
+    EXPECT_GT(trapCost, 0u);
+    EXPECT_LT(trapCost, peak::kCostEstimateCap);
+
+    std::vector<peak::BatchProgram> suite = cli::resolvePrograms({"mult"});
+    suite.push_back({"spin", spin});
+    suite.push_back({"trap", trap});
+    suite.push_back({"busywait", unboundedLoopImage()});
+    peak::BatchOptions opts;
+    opts.jobs = 2;
+    opts.analysis.maxTotalCycles = 5000; // spin fails fast
+    peak::BatchReport rep = peak::analyzeBatch(
+        CellLibrary::tsmc65Like(), suite, opts);
+    EXPECT_TRUE(rep.programs[0].ok) << rep.programs[0].error;
+    EXPECT_EQ(rep.programs[1].error, "symbolic cycle budget exhausted");
+    EXPECT_NE(rep.programs[2].error.find("invalid instruction"),
+              std::string::npos)
+        << rep.programs[2].error;
+    EXPECT_NE(rep.programs[3].error.find("input-dependent loop"),
+              std::string::npos)
+        << rep.programs[3].error;
+}
+
 // Four processes fill one cache directory at the same time. Afterwards
 // a warm run is served entirely from the cache and matches a --no-cache
 // run byte for byte, and no temp file is left behind.

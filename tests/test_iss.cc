@@ -229,6 +229,60 @@ TEST(Iss, ExplicitSrWriteWins)
     EXPECT_EQ(iss.reg(5), 0);
 }
 
+// The taint shadow: a branch on the port or on RAM the image never
+// wrote is a fork (forkTarget names the side not taken), a branch on
+// known values is not, and the masked key ignores tainted values.
+TEST(Iss, TaintMarksTheBranchesTheEngineForksOn)
+{
+    Image image = assemble(R"(
+        .org 0xf800
+start:
+        mov &0x0020, r4     ; the port
+        and #1, r4
+b_port: jnz port_set        ; a fork when the port is tainted
+        mov #5, r5
+        cmp #5, r5
+        jeq known           ; known flags: never a fork
+known:
+        mov &0x0300, r6     ; RAM the image does not load
+        tst r6
+b_ram:  jz unset            ; a fork
+unset:
+port_set:
+        mov #1, &0x01f0
+        .org 0xfffe
+        .word start
+    )");
+    auto forks = [&](bool port_tainted, uint16_t port) {
+        Iss iss;
+        iss.loadImage(image);
+        iss.reset();
+        iss.setPortTainted(port_tainted);
+        iss.setPortIn(port);
+        std::vector<std::pair<uint16_t, int32_t>> out; // (pc, target)
+        for (uint16_t pc = iss.pc(); iss.step(); pc = iss.pc())
+            if (iss.forkTarget() >= 0)
+                out.emplace_back(pc, iss.forkTarget());
+        return std::make_pair(out, iss.maskedStateKey());
+    };
+    const uint16_t jnz = uint16_t(image.symbols.at("b_port"));
+    const uint16_t jz = uint16_t(image.symbols.at("b_ram"));
+    const int32_t portSet = int32_t(image.symbols.at("port_set"));
+    auto [tainted, key0] = forks(true, 0);
+    ASSERT_EQ(tainted.size(), 2u);
+    EXPECT_EQ(tainted[0], std::make_pair(jnz, portSet));
+    EXPECT_EQ(tainted[1].first, jz);
+    // The port only ever reads 0 here, so only the RAM branch forks.
+    auto [grounded, key1] = forks(false, 0);
+    ASSERT_EQ(grounded.size(), 1u);
+    EXPECT_EQ(grounded[0].first, jz);
+    // Port 2 keeps the concrete path; only the tainted r4 differs.
+    auto [other, key2] = forks(true, 2);
+    EXPECT_EQ(other, tainted);
+    EXPECT_EQ(key2, key0);
+    EXPECT_NE(key1, key0); // r4 is known on the grounded run
+}
+
 TEST(Iss, InvalidInstructionHalts)
 {
     Iss iss;

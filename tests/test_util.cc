@@ -272,6 +272,17 @@ TEST(WorkerPool, EveryIndexRunsExactlyOnce)
     }
 }
 
+TEST(WorkerPool, ClaimOrderIsAStableDescendingPermutation)
+{
+    EXPECT_TRUE(util::claimOrder({}).empty());
+    EXPECT_EQ(util::claimOrder({7}), (std::vector<size_t>{0}));
+    // Costliest first; equal costs keep their index order.
+    EXPECT_EQ(util::claimOrder({3, 9, 3, 0, 9, 5}),
+              (std::vector<size_t>{1, 4, 5, 0, 2, 3}));
+    EXPECT_EQ(util::claimOrder({2, 2, 2}),
+              (std::vector<size_t>{0, 1, 2}));
+}
+
 TEST(WorkerPool, OneWorkerRunsInlineInOrder)
 {
     std::vector<size_t> order;
